@@ -22,38 +22,38 @@ from .coords import (
     geodetic_to_ecef,
     local_frame,
 )
-from .core import Ellipsoid
+from .core import Ellipsoid, NumericalError
 
 
-class SingularNormal(ValueError):
+class SingularNormal(NumericalError, ValueError):
     pass
 
 
-class CoincidentPoints(ValueError):
+class CoincidentPoints(NumericalError, ValueError):
     pass
 
 
-class SingularJacobian(ValueError):
+class SingularJacobian(NumericalError, ValueError):
     pass
 
 
-class SingularHessian(ValueError):
+class SingularHessian(NumericalError, ValueError):
     pass
 
 
-class IndefiniteHessian(ValueError):
+class IndefiniteHessian(NumericalError, ValueError):
     """The Hessian is not positive definite; fall back to gauss_newton."""
 
 
-class NoDescent(RuntimeError):
+class NoDescent(NumericalError, RuntimeError):
     """Step halving exhausted without decreasing the residual norm."""
 
 
-class MaxIterations(RuntimeError):
+class MaxIterations(NumericalError, RuntimeError):
     pass
 
 
-class SingularGeometry(ValueError):
+class SingularGeometry(NumericalError, ValueError):
     """Satellite constellation is (nearly) coplanar or too small."""
 
 

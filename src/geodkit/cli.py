@@ -5,8 +5,11 @@ unit tags such as ``phi[gr]``) or JSON files and print to stdout unless an
 output path is given.  Numeric output uses 12 significant digits so runs
 are reproducible byte for byte.
 
-Exit codes: 0 success, 2 input/usage error, 3 numerical error (the error
-class name goes to stderr).
+Exit codes: 0 success, 2 input/usage error, 3 numerical error.  The class
+of the exception decides: any ArithmeticError, which includes every
+geodkit.core.NumericalError, exits 3; ValueError, KeyError and OSError exit
+2.  The error class name goes to stderr, and a CSV row that is too short is
+named by its data-row number (1 is the first row after the header).
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -29,7 +31,7 @@ from .adjust import (
     solve_linear,
 )
 from .coords import EcefCoord, GeodeticCoord, ecef_to_geodetic, geodetic_to_ecef
-from .core import GRAD, Angle, get_ellipsoid, REGISTRY
+from .core import ANGLE_UNITS, Angle, get_ellipsoid, REGISTRY
 from .datum import (
     BursaWolfParams,
     Helmert2DParams,
@@ -42,7 +44,7 @@ from .datum import (
 )
 from .geodesics import geodesic_direct, geodesic_inverse
 from .heights import LevelLine, dynamic_height, normal_height, orthometric_height
-from .orbits import OrbitalElements, eci_to_ecef, elements_to_eci
+from .orbits import GM_EARTH, OrbitalElements, eci_to_ecef, elements_to_eci
 from .projections import (
     LambertDef,
     PlaneCoord,
@@ -61,15 +63,12 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-_UNIT_FACTORS = {"gr": GRAD, "deg": math.pi / 180.0, "rad": 1.0, "dmgr": GRAD * 1e-4}
-
-
 def _angle_from(value: str, unit: str) -> float:
-    return float(value) * _UNIT_FACTORS[unit]
+    return float(value) * ANGLE_UNITS[unit]
 
 
 def _angle_to(rad: float, unit: str) -> float:
-    return rad / _UNIT_FACTORS[unit]
+    return rad / ANGLE_UNITS[unit]
 
 
 def _read_csv(path):
@@ -80,8 +79,25 @@ def _read_csv(path):
             rows = list(csv.reader(fh))
     rows = [row for row in rows if row and not row[0].startswith("#")]
     if not rows:
-        raise SystemExit2("empty input")
+        raise ValueError("empty input")
     return rows[0], rows[1:]
+
+
+def _read_rows(path, width: int) -> list:
+    """The data rows of a CSV input, each checked to hold at least `width` fields."""
+    rows = _read_csv(path)[1]
+    for i, row in enumerate(rows, 1):
+        if len(row) < width:
+            raise ValueError(f"data row {i}: expected at least {width} fields, got {len(row)}")
+    return rows
+
+
+def _option(args, name: str) -> str:
+    """The value of --name, which the chosen operation needs."""
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"{args.command} {args.op} needs --{name}")
+    return value
 
 
 def _write_lines(lines, path):
@@ -91,40 +107,6 @@ def _write_lines(lines, path):
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-class SystemExit2(Exception):
-    """Input error: exits with status 2."""
-
-
-def _numerical_error_types() -> tuple:
-    from . import adjust, coords, core, datum, geodesics, projections, sphere
-
-    return (
-        core.NonConvergence,
-        coords.PolarAxis,
-        sphere.DegenerateTriangle,
-        geodesics.PolarGeodesic,
-        geodesics.VertexExceeded,
-        geodesics.AntipodalUnsupported,
-        projections.ApexSingularity,
-        projections.OutOfZone,
-        datum.InsufficientPoints,
-        datum.RankDeficient,
-        datum.SingularRotationSystem,
-        datum.ZeroSpread,
-        adjust.SingularNormal,
-        adjust.CoincidentPoints,
-        adjust.SingularJacobian,
-        adjust.SingularHessian,
-        adjust.IndefiniteHessian,
-        adjust.NoDescent,
-        adjust.MaxIterations,
-        adjust.SingularGeometry,
-    )
-
-
-_NUMERICAL_ERRORS = _numerical_error_types()
 
 
 def _projection(args):
@@ -137,7 +119,7 @@ def _projection(args):
 
 def cmd_convert(args):
     unit = args.angle_unit
-    header, rows = _read_csv(args.input)
+    rows = _read_rows(args.input, 4)
     ell = get_ellipsoid(args.ell)
     out = []
     if args.frm == "geodetic" and args.to == "ecef":
@@ -145,7 +127,7 @@ def cmd_convert(args):
         for row in rows:
             name, phi, lam, he = row[0], *map(float, row[1:4])
             p = geodetic_to_ecef(
-                ell, GeodeticCoord(phi * _UNIT_FACTORS[unit], lam * _UNIT_FACTORS[unit], he)
+                ell, GeodeticCoord(phi * ANGLE_UNITS[unit], lam * ANGLE_UNITS[unit], he)
             )
             out.append(f"{name},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.z)}")
     elif args.frm == "ecef" and args.to == "geodetic":
@@ -157,7 +139,7 @@ def cmd_convert(args):
                 f"{name},{_fmt(_angle_to(g.phi, unit))},{_fmt(_angle_to(g.lam, unit))},{_fmt(g.he)}"
             )
     else:
-        raise SystemExit2(f"unsupported conversion {args.frm} -> {args.to}")
+        raise ValueError(f"unsupported conversion {args.frm} -> {args.to}")
     _write_lines(out, args.output)
 
 
@@ -165,7 +147,7 @@ def cmd_project(args):
     unit = args.angle_unit
     proj = _projection(args)
     is_lambert = isinstance(proj, LambertDef)
-    header, rows = _read_csv(args.input)
+    rows = _read_rows(args.input, 3)
     out = []
     if args.direction == "fwd":
         out.append("name,e[m],n[m]")
@@ -189,7 +171,7 @@ def cmd_project(args):
 def cmd_geodesic(args):
     unit = args.angle_unit
     ell = get_ellipsoid(args.ell)
-    header, rows = _read_csv(args.input)
+    rows = _read_rows(args.input, 5)
     out = []
     if args.problem == "direct":
         out.append(f"name,phi2[{unit}],lam2[{unit}],az2[{unit}],s[m]")
@@ -215,7 +197,7 @@ def cmd_geodesic(args):
 def cmd_reduce(args):
     from .reductions import DistanceObservation, reduce_to_ellipsoid, reduce_to_plane
 
-    header, rows = _read_csv(args.input)
+    rows = _read_rows(args.input, 4)
     out = ["name,de[m],dr[m]"]
     for row in rows:
         obs = DistanceObservation(
@@ -229,8 +211,7 @@ def cmd_reduce(args):
 def _read_param_file(path) -> BursaWolfParams:
     with open(path) as fh:
         doc = json.load(fh)
-    units = doc.get("units", "rad")
-    factor = {"rad": 1.0, "arcsec": math.pi / 648000.0, "dmgr": GRAD * 1e-4}[units]
+    factor = ANGLE_UNITS[doc.get("units", "rad")]
     return BursaWolfParams(
         doc["tx"], doc["ty"], doc["tz"], doc["m"],
         doc["rx"] * factor, doc["ry"] * factor, doc["rz"] * factor,
@@ -238,7 +219,7 @@ def _read_param_file(path) -> BursaWolfParams:
 
 
 def _read_pairs_csv(path, dims):
-    header, rows = _read_csv(path)
+    rows = _read_rows(path, 1 + 2 * dims)
     pairs = []
     for row in rows:
         vals = list(map(float, row[1:1 + 2 * dims]))
@@ -252,8 +233,8 @@ def _read_pairs_csv(path, dims):
 def cmd_datum(args):
     out = []
     if args.op == "bw-apply":
-        params = _read_param_file(args.params)
-        header, rows = _read_csv(args.input)
+        params = _read_param_file(_option(args, "params"))
+        rows = _read_rows(args.input, 4)
         out.append("name,x[m],y[m],z[m]")
         for row in rows:
             p = bursa_wolf_apply(params, EcefCoord(*map(float, row[1:4])))
@@ -263,25 +244,21 @@ def cmd_datum(args):
         if args.op == "bw-fit":
             res = bursa_wolf_estimate(pairs)
             p = res.params
-            doc = {
-                "tx": p.tx, "ty": p.ty, "tz": p.tz, "m": p.m_scale,
-                "rx": p.rx, "ry": p.ry, "rz": p.rz, "units": "rad",
-                "s2": res.s2,
-                "rms_m": float(np.sqrt(np.mean(res.residuals**2))),
-            }
         else:
             p = bursa_wolf_direct(pairs)
-            doc = {
-                "tx": p.tx, "ty": p.ty, "tz": p.tz, "m": p.m_scale,
-                "rx": p.rx, "ry": p.ry, "rz": p.rz, "units": "rad",
-            }
+        doc = {
+            "tx": p.tx, "ty": p.ty, "tz": p.tz, "m": p.m_scale,
+            "rx": p.rx, "ry": p.ry, "rz": p.rz, "units": "rad",
+        }
+        if args.op == "bw-fit":
+            doc.update(s2=res.s2, rms_m=float(np.sqrt(np.mean(res.residuals**2))))
         out.append(json.dumps(doc, indent=2))
     elif args.op == "molodensky":
         unit = args.angle_unit
         ell1 = get_ellipsoid(args.ell)
         ell2 = get_ellipsoid(args.ell2)
         t = tuple(map(float, args.shift.split(",")))
-        header, rows = _read_csv(args.input)
+        rows = _read_rows(args.input, 4)
         out.append(f"name,phi[{unit}],lam[{unit}],he[m]")
         for row in rows:
             g = GeodeticCoord(
@@ -299,17 +276,15 @@ def cmd_datum(args):
             "tx": p.tx, "ty": p.ty, "u": p.u, "v": p.v,
             "scale": p.scale, "theta_rad": p.theta, "s2": res.s2,
         }, indent=2))
-    elif args.op == "helmert2d-apply":
-        with open(args.params) as fh:
+    else:  # helmert2d-apply
+        with open(_option(args, "params")) as fh:
             doc = json.load(fh)
         p = Helmert2DParams(doc["tx"], doc["ty"], doc["u"], doc["v"])
-        header, rows = _read_csv(args.input)
+        rows = _read_rows(args.input, 3)
         out.append("name,e[m],n[m]")
         for row in rows:
             q = helmert2d_apply(p, PlaneCoord(float(row[1]), float(row[2])))
             out.append(f"{row[0]},{_fmt(q.e)},{_fmt(q.n)}")
-    else:
-        raise SystemExit2(f"unknown datum op {args.op}")
     _write_lines(out, args.output)
 
 
@@ -331,26 +306,24 @@ def cmd_adjust(args):
         _write_lines([json.dumps(result, indent=2)], args.output)
         return
     if not (args.obs and args.points):
-        raise SystemExit2("adjust needs --system or both --obs and --points")
+        raise ValueError("adjust needs --system or both --obs and --points")
     net = Network(scale_directions=not args.no_direction_scaling)
-    header, rows = _read_csv(args.points)
-    for row in rows:
+    for row in _read_rows(args.points, 4):
         name = row[0]
         vals = [float(v) if v else 0.0 for v in row[1:-1]]
         fixed = row[-1].strip().lower() in ("1", "true", "yes")
-        x0, y0 = (vals + [0.0, 0.0])[:2]
+        x0, y0 = vals[:2]
         z0 = vals[2] if len(vals) > 2 else 0.0
         net.add_point(name, x0, y0, z0, fixed)
-    header, rows = _read_csv(args.obs)
     unit = args.angle_unit
-    for row in rows:
+    for row in _read_rows(args.obs, 4):
         kind, frm, to = row[0], row[1], row[2]
         value = float(row[3])
         if kind == "direction":
-            value *= _UNIT_FACTORS[unit]
+            value *= ANGLE_UNITS[unit]
         sigma = float(row[4]) if len(row) > 4 and row[4] else None
         if kind == "direction" and sigma is not None:
-            sigma *= _UNIT_FACTORS[unit]
+            sigma *= ANGLE_UNITS[unit]
         set_id = row[5] if len(row) > 5 and row[5] else None
         dist_km = float(row[6]) if len(row) > 6 and row[6] else None
         net.add_observation(Observation(kind, frm, to, value, sigma, set_id, dist_km))
@@ -376,7 +349,7 @@ def cmd_orbit(args):
     el = OrbitalElements(
         a=doc["a"], e=doc["e"], i=doc["i"], raan=doc["raan"],
         arg_perigee=doc["arg_perigee"], t0=doc.get("t0", 0.0),
-        mu=doc.get("mu", 3.986005e14),
+        mu=doc.get("mu", GM_EARTH),
     )
     epochs = [float(t) for t in args.epochs.split(",")]
     out = ["t[s],x[m],y[m],z[m]"]
@@ -392,12 +365,14 @@ def cmd_orbit(args):
 def cmd_dop(args):
     unit = args.angle_unit
     ell = get_ellipsoid(args.ell)
-    header, rows = _read_csv(args.input)
-    sats = [EcefCoord(*map(float, row[1:4])) for row in rows]
+    sats = [EcefCoord(*map(float, row[1:4])) for row in _read_rows(args.input, 4)]
+    fields = args.receiver.split(",")
+    if len(fields) not in (2, 3):
+        raise ValueError(f"--receiver needs phi,lam[,he], got {args.receiver!r}")
     receiver = GeodeticCoord(
-        _angle_from(args.receiver.split(",")[0], unit),
-        _angle_from(args.receiver.split(",")[1], unit),
-        float(args.receiver.split(",")[2]) if len(args.receiver.split(",")) > 2 else 0.0,
+        _angle_from(fields[0], unit),
+        _angle_from(fields[1], unit),
+        float(fields[2]) if len(fields) > 2 else 0.0,
     )
     r = dop(sats, receiver, ell)
     _write_lines(
@@ -409,8 +384,7 @@ def cmd_dop(args):
 
 def cmd_heights(args):
     unit = args.angle_unit
-    header, rows = _read_csv(args.input)
-    segments = [(float(row[1]), float(row[2])) for row in rows]
+    segments = [(float(row[1]), float(row[2])) for row in _read_rows(args.input, 3)]
     line = LevelLine(
         segments,
         phi_start=_angle_from(args.phi_start, unit) if args.phi_start else 0.0,
@@ -427,14 +401,15 @@ def cmd_heights(args):
 
 
 def cmd_astro(args):
+    def hours(name):
+        return Angle.parse(_option(args, name)).hours
+
     if args.op == "hour-angle":
-        value = hour_angle(Angle.parse(args.hsl).hours, Angle.parse(args.alpha).hours)
+        value = hour_angle(hours("hsl"), hours("alpha"))
     elif args.op == "hsl":
-        value = hsl_from_greenwich(Angle.parse(args.hsg).hours, Angle.parse(args.lam).hours)
+        value = hsl_from_greenwich(hours("hsg"), hours("lam"))
     else:  # sidereal
-        value = sidereal_from_universal(
-            float(args.tu), Angle.parse(args.hsg0).hours, Angle.parse(args.lam).hours
-        )
+        value = sidereal_from_universal(float(_option(args, "tu")), hours("hsg0"), hours("lam"))
     _write_lines([_fmt(value)], args.output)
 
 
@@ -449,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", "-i", default="-")
         p.add_argument("--output", "-o", default="-")
         if angle:
-            p.add_argument("--angle-unit", choices=list(_UNIT_FACTORS), default="gr")
+            p.add_argument("--angle-unit", choices=list(ANGLE_UNITS), default="gr")
 
     p = sub.add_parser("convert", help="geodetic <-> ECEF over CSV")
     p.add_argument("--from", dest="frm", required=True, choices=["geodetic", "ecef"])
@@ -552,13 +527,10 @@ def main(argv=None) -> int:
         return 2
     try:
         args.func(args)
-    except SystemExit2 as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
+    except ArithmeticError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0

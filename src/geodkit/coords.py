@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Ellipsoid, NonConvergence, prime_vertical_radius
+from .core import Ellipsoid, NonConvergence, NumericalError, prime_vertical_radius
 
 
-class PolarAxis(ValueError):
+class PolarAxis(NumericalError, ValueError):
     """Point lies on (or within 1 m of) the polar axis; longitude undefined."""
 
 
@@ -33,8 +33,11 @@ class GeodeticCoord:
     he: float = 0.0
 
     def __post_init__(self):
-        if abs(self.phi) > math.pi / 2 + 1e-12:
+        # written so that NaN fails the test
+        if not abs(self.phi) <= math.pi / 2 + 1e-12:
             raise ValueError(f"latitude {self.phi} outside [-pi/2, pi/2]")
+        if not (math.isfinite(self.lam) and math.isfinite(self.he)):
+            raise ValueError(f"non-finite longitude {self.lam} or height {self.he}")
         object.__setattr__(self, "lam", _normalize_lon(self.lam))
 
 
@@ -43,6 +46,10 @@ class EcefCoord:
     x: float
     y: float
     z: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+            raise ValueError(f"non-finite coordinate ({self.x}, {self.y}, {self.z})")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)

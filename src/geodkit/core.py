@@ -13,7 +13,17 @@ import re
 from dataclasses import dataclass
 
 
-class NonConvergence(RuntimeError):
+class NumericalError(ArithmeticError):
+    """A computation that cannot proceed on its (valid) input.
+
+    Base of every error class in geodkit: singular or degenerate geometry,
+    non-convergence, points outside a formula's domain.  Each subclass also
+    keeps a builtin base (ValueError or RuntimeError) for callers that catch
+    that.  The CLI exits with code 3 on any ArithmeticError.
+    """
+
+
+class NonConvergence(NumericalError, RuntimeError):
     """An iterative scheme failed to reach its tolerance within its cap."""
 
 
@@ -24,11 +34,15 @@ DMGR = 1e-4 * GRAD
 HOUR = 15.0 * DEG
 ARCSEC = DEG / 3600.0
 
+# radians per unit, keyed by the tag used in angle literals, CSV headers and
+# parameter files
+ANGLE_UNITS = {"gr": GRAD, "deg": DEG, "rad": 1.0, "dmgr": DMGR, "arcsec": ARCSEC}
+
 _ANGLE_RE = re.compile(
-    r"""^\s*(?P<sign>[+-]?)\s*(?:
+    rf"""^\s*(?P<sign>[+-]?)\s*(?:
         (?P<hms>(?P<h>\d+(?:\.\d+)?)h(?:\s*(?P<hm>\d+(?:\.\d+)?)m(?:n)?)?(?:\s*(?P<hs>\d+(?:\.\d+)?)s)?) |
         (?P<dms>(?P<d>\d+(?:\.\d+)?)(?:°|d)(?:\s*(?P<dm>\d+(?:\.\d+)?)')?(?:\s*(?P<ds>\d+(?:\.\d+)?)(?:"|''))?) |
-        (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*(?P<unit>gr|dmgr|deg|rad)?
+        (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*(?P<unit>{'|'.join(ANGLE_UNITS)})?
     )\s*$""",
     re.VERBOSE,
 )
@@ -39,7 +53,8 @@ class Angle:
     """An angle stored in radians, convertible to the units used in the field.
 
     ``Angle.parse`` accepts suffixed literals such as ``"40.0gr"``,
-    ``"36°54'"``, ``"12.5dmgr"`` and ``"2h13m52.9s"``.
+    ``"36°54'"``, ``"12.5dmgr"`` and ``"2h13m52.9s"``; minutes and seconds
+    must be below 60 and the value finite.
     """
 
     rad: float
@@ -85,23 +100,18 @@ class Angle:
         if not m:
             raise ValueError(f"unparseable angle: {text!r}")
         sign = -1.0 if m.group("sign") == "-" else 1.0
-        if m.group("hms"):
-            hours = float(m.group("h"))
-            hours += float(m.group("hm") or 0.0) / 60.0
-            hours += float(m.group("hs") or 0.0) / 3600.0
-            return cls(sign * hours * HOUR)
-        if m.group("dms"):
-            deg = float(m.group("d"))
-            deg += float(m.group("dm") or 0.0) / 60.0
-            deg += float(m.group("ds") or 0.0) / 3600.0
-            return cls(sign * deg * DEG)
-        value = sign * float(m.group("num"))
-        unit = m.group("unit") or "rad"
-        factor = {"gr": GRAD, "dmgr": DMGR, "deg": DEG, "rad": 1.0}[unit]
-        return cls(value * factor)
-
-    def format_gr(self, decimals: int = 5) -> str:
-        return f"{self.gr:.{decimals}f}gr"
+        if m.group("num"):
+            rad = float(m.group("num")) * ANGLE_UNITS[m.group("unit") or "rad"]
+        else:
+            hms = bool(m.group("hms"))
+            whole, mnt, sec = m.group("h", "hm", "hs") if hms else m.group("d", "dm", "ds")
+            mnt, sec = float(mnt or 0.0), float(sec or 0.0)
+            if not (mnt < 60.0 and sec < 60.0):
+                raise ValueError(f"minutes and seconds must be below 60: {text!r}")
+            rad = (float(whole) + mnt / 60.0 + sec / 3600.0) * (HOUR if hms else DEG)
+        if not math.isfinite(rad):
+            raise ValueError(f"angle out of range: {text!r}")
+        return cls(sign * rad)
 
     def format_hours(self, decimals: int = 2) -> str:
         return format_hours(self.hours, decimals)

@@ -19,24 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ARCSEC, Ellipsoid, meridian_radius, prime_vertical_radius
+from .core import ARCSEC, Ellipsoid, NumericalError, meridian_radius, prime_vertical_radius
 from .coords import EcefCoord, GeodeticCoord
 from .projections import PlaneCoord
 
 
-class InsufficientPoints(ValueError):
+class InsufficientPoints(NumericalError, ValueError):
     pass
 
 
-class RankDeficient(ValueError):
+class RankDeficient(NumericalError, ValueError):
     pass
 
 
-class SingularRotationSystem(ValueError):
+class SingularRotationSystem(NumericalError, ValueError):
     pass
 
 
-class ZeroSpread(ValueError):
+class ZeroSpread(NumericalError, ValueError):
     pass
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .core import (
     Ellipsoid,
     NonConvergence,
+    NumericalError,
     meridian_arc,
     meridian_radius,
     prime_vertical_radius,
@@ -22,15 +23,15 @@ from .core import (
 from .coords import GeodeticCoord, _normalize_lon
 
 
-class PolarGeodesic(ValueError):
+class PolarGeodesic(NumericalError, ValueError):
     """The line is a meridian (Clairaut constant ~ 0); use meridian_arc instead."""
 
 
-class VertexExceeded(ValueError):
+class VertexExceeded(NumericalError, ValueError):
     """The requested arc crosses the vertex latitude where the series breaks."""
 
 
-class AntipodalUnsupported(ValueError):
+class AntipodalUnsupported(NumericalError, ValueError):
     """Longitude gap too close to half a turn for the series formulation."""
 
 

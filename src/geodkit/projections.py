@@ -16,6 +16,7 @@ from .core import (
     ARCSEC,
     Ellipsoid,
     NonConvergence,
+    NumericalError,
     get_ellipsoid,
     isometric_latitude,
     latitude_from_isometric,
@@ -26,11 +27,11 @@ from .core import (
 from .coords import GeodeticCoord, _normalize_lon
 
 
-class ApexSingularity(ValueError):
+class ApexSingularity(NumericalError, ValueError):
     """Plane point coincides with the cone apex; the inverse is undefined."""
 
 
-class OutOfZone(ValueError):
+class OutOfZone(NumericalError, ValueError):
     """Longitude too far from the UTM central meridian."""
 
 
@@ -38,6 +39,10 @@ class OutOfZone(ValueError):
 class PlaneCoord:
     e: float
     n: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.e) and math.isfinite(self.n)):
+            raise ValueError(f"non-finite plane coordinate ({self.e}, {self.n})")
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import NumericalError
+
 # ratio of sidereal to solar time rate
 SIDEREAL_RATIO = 366.2422 / 365.2422
 
 _DEGENERATE_TOL = 1e-12
 
 
-class DegenerateTriangle(ValueError):
+class DegenerateTriangle(NumericalError, ValueError):
     """A triangle element collapsed to 0 or pi."""
 
 

@@ -32,6 +32,20 @@ class TestGeodeticCoord:
         with pytest.raises(ValueError):
             GeodeticCoord(2.0, 0.0)
 
+    @pytest.mark.parametrize("phi,lam,he", [
+        (math.nan, 0.0, 0.0), (0.1, math.nan, 0.0), (0.1, math.inf, 0.0),
+        (0.1, 0.2, math.nan), (0.1, 0.2, -math.inf),
+    ])
+    def test_non_finite_rejected(self, phi, lam, he):
+        with pytest.raises(ValueError):
+            GeodeticCoord(phi, lam, he)
+
+
+@pytest.mark.parametrize("xyz", [(math.nan, 1e6, 1e6), (1e6, math.inf, 1e6), (1e6, 1e6, -math.inf)])
+def test_ecef_non_finite_rejected(xyz):
+    with pytest.raises(ValueError):
+        EcefCoord(*xyz)
+
 
 class TestEcefConversions:
     def test_forward_trivials(self, grs80):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from geodkit.core import (
+    ANGLE_UNITS,
     Angle,
     Ellipsoid,
     GRAD,
@@ -69,6 +70,18 @@ class TestAngle:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             Angle.parse("12 parsecs")
+
+    @pytest.mark.parametrize("text", ["1e400", "10d75'", "1h99m", "1h2m60s", "10°30'60\""])
+    def test_parse_rejects_out_of_range(self, text):
+        with pytest.raises(ValueError):
+            Angle.parse(text)
+
+    def test_unit_table_matches_historic_factors(self):
+        # bitwise equal to the factors written out before the table existed,
+        # so CLI output does not change
+        assert ANGLE_UNITS == {"gr": math.pi / 200.0, "deg": math.pi / 180.0, "rad": 1.0,
+                               "dmgr": GRAD * 1e-4, "arcsec": math.pi / 648000.0}
+        assert Angle.parse("3arcsec").rad == 3 * (math.pi / 648000.0)
 
     def test_format_hours(self):
         assert format_hours(4 + 23 / 60 + 26.82 / 3600) == "4h23m26.82s"

@@ -127,6 +127,11 @@ class TestLambertInverse:
             assert abs(back.lam - g.lam) < 1e-9
         assert lambert_scale(d, -35 * GR) == pytest.approx(0.9998, abs=1e-12)
 
+    @pytest.mark.parametrize("e,n", [(math.nan, 3e5), (5e5, math.inf)])
+    def test_non_finite_plane_point_rejected(self, e, n):
+        with pytest.raises(ValueError):
+            PlaneCoord(e, n)
+
     def test_apex_rejected(self, lambert_unit):
         apex = PlaneCoord(0.0, lambert_unit.r0)
         with pytest.raises(ApexSingularity):
