@@ -1,7 +1,7 @@
 """Least-squares engine.
 
-Linear Gauss-Markov solver for observation equations A X + K = V with a
-weight matrix P, builders for the classical survey observation rows
+Linear Gauss-Markov solver for observation equations A X + K = V with
+weights P, builders for the classical survey observation rows
 (plane distance, direction with orientation unknown, spatial distance,
 leveling), damped Gauss-Newton and Newton iterations for nonlinear
 problems, a second-order (curvature) check of nonlinear minima, and the
@@ -11,7 +11,7 @@ satellite-geometry dilution-of-precision figures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,20 +57,26 @@ class SingularGeometry(NumericalError, ValueError):
     """Satellite constellation is (nearly) coplanar or too small."""
 
 
-def _as_weight_matrix(p, n: int) -> np.ndarray:
-    """Accept a scalar, a diagonal vector or a full symmetric matrix."""
-    if p is None:
-        return np.eye(n)
-    p = np.asarray(p, dtype=float)
+def _weights(p, n: int) -> np.ndarray:
+    """Weights as given: a vector of n for None, a scalar or a vector (the
+    diagonal of P), and the n x n matrix only when a full one is given."""
+    p = np.asarray(1.0 if p is None else p, dtype=float)
     if p.ndim == 0:
-        return float(p) * np.eye(n)
-    if p.ndim == 1:
-        if p.shape[0] != n:
-            raise ValueError("weight vector length mismatch")
-        return np.diag(p)
-    if p.shape != (n, n):
+        return np.full(n, float(p))
+    if p.ndim == 1 and p.shape[0] != n:
+        raise ValueError("weight vector length mismatch")
+    if p.ndim > 1 and p.shape != (n, n):
         raise ValueError("weight matrix shape mismatch")
     return p
+
+
+def _weigh(m, p) -> np.ndarray:
+    """M P for a weight vector (a diagonal P) or a full weight matrix.  The
+    product is C-ordered either way, so (M P) X takes one BLAS path and gives
+    the bits the dense diagonal gave."""
+    if p.ndim == 1:
+        return np.multiply(m, p, order="C")
+    return m @ p
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,10 @@ class LinearSystem:
     """Observation equations A X + K = V with weights P.
 
     K is "calculated minus observed"; rows n must be >= unknowns r.
-    P may be given as a scalar, a diagonal vector or a full matrix.
+    P may be given as None (unit weights), a scalar, a diagonal vector or a
+    full matrix.  A scalar or a vector is kept as a vector of n weights; a
+    matrix is stored and used only when one is given.  A, K and P must be
+    finite.
     """
 
     a: np.ndarray
@@ -92,9 +101,12 @@ class LinearSystem:
             raise ValueError("A and K row counts differ")
         if a.shape[0] < a.shape[1]:
             raise ValueError("fewer observations than unknowns")
+        p = _weights(self.p, a.shape[0])
+        if not all(np.isfinite(q).all() for q in (a, k, p)):
+            raise ValueError("A, K and P must be finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "p", _as_weight_matrix(self.p, a.shape[0]))
+        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True)
@@ -118,11 +130,14 @@ def solve_linear(sys: LinearSystem) -> AdjustmentResult:
     """
     a, k, p = sys.a, sys.k, sys.p
     n, r = a.shape
-    normal = a.T @ p @ a
+    atp = _weigh(a.T, p)
+    normal = atp @ a
+    if not np.isfinite(normal).all():
+        raise OverflowError("normal matrix overflows")
     scale = np.sqrt(np.diag(normal))
     if np.any(scale <= 0) or np.linalg.cond(normal / np.outer(scale, scale)) > 1e12:
         raise SingularNormal("normal matrix singular or ill-conditioned")
-    rhs = a.T @ p @ k
+    rhs = atp @ k
     try:
         chol = np.linalg.cholesky(normal)
     except np.linalg.LinAlgError:
@@ -130,7 +145,9 @@ def solve_linear(sys: LinearSystem) -> AdjustmentResult:
     x = -np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
     v = a @ x + k
     dof = n - r
-    s2 = float(v @ p @ v / dof) if dof > 0 else None
+    s2 = float(_weigh(v, p) @ v / dof) if dof > 0 else None
+    if not (np.isfinite(v).all() and math.isfinite(s2 or 0.0)):
+        raise OverflowError("residuals or V'PV overflow")
     cov = s2 * np.linalg.inv(normal) if s2 is not None else None
     return AdjustmentResult(x=x, v=v, s2=s2, cov=cov, normal=normal, iterations=1)
 
@@ -218,22 +235,23 @@ def gauss_newton(
     """
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(observed, dtype=float).ravel()
-    w = _as_weight_matrix(p, y.shape[0])
+    w = _weights(p, y.shape[0])
 
     def sq_norm(res):
-        return float(res @ w @ res)
+        return float(_weigh(res, w) @ res)
 
     trace = [x.copy()]
     e = y - np.asarray(model(x), dtype=float).ravel()
     eps = float(np.finfo(float).eps)
     for it in range(1, max_iter + 1):
         j = np.atleast_2d(np.asarray(jacobian(x), dtype=float))
-        normal = j.T @ w @ j
+        jtw = _weigh(j.T, w)
+        normal = jtw @ j
         try:
             chol = np.linalg.cholesky(normal)
         except np.linalg.LinAlgError:
             raise SingularJacobian("J'PJ not positive definite") from None
-        step = np.linalg.solve(chol.T, np.linalg.solve(chol, j.T @ w @ e))
+        step = np.linalg.solve(chol.T, np.linalg.solve(chol, jtw @ e))
         step_norm = float(np.linalg.norm(step))
 
         def result():
@@ -351,10 +369,10 @@ def pazman_check(
     """
     x = np.asarray(x_hat, dtype=float)
     y = np.asarray(observed, dtype=float).ravel()
-    w = _as_weight_matrix(p, y.shape[0])
+    w = _weights(p, y.shape[0])
     j = np.atleast_2d(np.asarray(jacobian(x), dtype=float))
-    g = j.T @ w @ j
-    resid = y - np.asarray(model(x), dtype=float).ravel()
+    g = _weigh(j.T, w) @ j
+    resid_w = _weigh(y - np.asarray(model(x), dtype=float).ravel(), w)
     if second_derivatives is not None:
         tensor = np.asarray(second_derivatives(x), dtype=float)
     else:
@@ -363,7 +381,7 @@ def pazman_check(
     h = np.empty((m, m))
     for i in range(m):
         for jj in range(m):
-            h[i, jj] = resid @ w @ tensor[:, i, jj]
+            h[i, jj] = resid_w @ tensor[:, i, jj]
     b = g - h
     try:
         np.linalg.cholesky(0.5 * (b + b.T))
@@ -373,6 +391,14 @@ def pazman_check(
     return CurvatureCheck(g=g, h=h, b=b, positive_definite=pd)
 
 
+# unknown axes per point, in the order the obs_* coefficients of each kind
+# come; a direction row adds its round's orientation unknown last
+_AXES = {"distance2d": ("x", "y"), "direction": ("x", "y"),
+         "distance3d": ("x", "y", "z"), "leveling": ("h",)}
+# the NetworkPoint field each coordinate correction goes to
+_FIELDS = {"x": "x0", "y": "y0", "z": "z0", "h": "z0"}
+
+
 @dataclass(frozen=True)
 class Observation:
     """One survey measurement for the network assembler.
@@ -380,7 +406,8 @@ class Observation:
     kind: distance2d | direction | distance3d | leveling.  Directions carry
     a set_id grouping rounds that share one orientation unknown; leveling
     rows carry the line length in km (their weight is proportional to its
-    inverse when no sigma is given).
+    inverse when no sigma is given).  value must be finite, sigma and
+    dist_km finite and > 0 when given.
     """
 
     kind: str
@@ -392,10 +419,14 @@ class Observation:
     dist_km: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("distance2d", "direction", "distance3d", "leveling"):
+        if self.kind not in _AXES:
             raise ValueError(f"unknown observation kind {self.kind!r}")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        if not math.isfinite(self.value):
+            raise ValueError(f"observed value must be finite, got {self.value}")
+        for name in ("sigma", "dist_km"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass
@@ -413,8 +444,9 @@ class Network:
     Unknowns are the coordinate corrections of free points (plane for
     distance2d/direction rows, spatial for distance3d rows, one height per
     point seen by leveling rows) and one orientation unknown per
-    (station, set_id) of direction rounds.  Nonlinear rows are
-    re-linearized after each solution until the corrections die out.
+    (station, set_id) of direction rounds, numbered in order of first
+    appearance.  Nonlinear rows are re-linearized after each solution until
+    the corrections die out.
     """
 
     def __init__(self, scale_directions: bool = True):
@@ -423,153 +455,91 @@ class Network:
         self.scale_directions = scale_directions
 
     def add_point(self, name, x0=0.0, y0=0.0, z0=0.0, fixed=False):
+        if not all(math.isfinite(c) for c in (x0, y0, z0)):
+            raise ValueError(f"point {name!r}: coordinates must be finite")
         self.points[name] = NetworkPoint(name, x0, y0, z0, fixed)
 
     def add_observation(self, obs: Observation):
         self.observations.append(obs)
 
+    @staticmethod
+    def _keys(obs: Observation) -> list:
+        """Unknown keys of an observation, in the order of its coefficients."""
+        axes = _AXES[obs.kind]
+        keys = [(axis, name) for name in (obs.frm, obs.to) for axis in axes]
+        if obs.kind == "direction":
+            keys.append(("v", obs.frm, obs.set_id or ""))
+        return keys
+
     def _unknown_index(self):
         index = {}
-
-        def claim(key):
-            if key not in index:
-                index[key] = len(index)
-
         for obs in self.observations:
-            if obs.kind in ("distance2d", "direction"):
-                for name in (obs.frm, obs.to):
-                    if not self.points[name].fixed:
-                        claim(("x", name))
-                        claim(("y", name))
-                if obs.kind == "direction":
-                    claim(("v", obs.frm, obs.set_id or ""))
-            elif obs.kind == "distance3d":
-                for name in (obs.frm, obs.to):
-                    if not self.points[name].fixed:
-                        claim(("x", name))
-                        claim(("y", name))
-                        claim(("z", name))
-            else:  # leveling
-                for name in (obs.frm, obs.to):
-                    if not self.points[name].fixed:
-                        claim(("h", name))
+            for key in self._keys(obs):
+                if key not in index and (key[0] == "v" or not self.points[key[1]].fixed):
+                    index[key] = len(index)
         return index
 
-    def _orientation_seed(self, obs: Observation) -> float:
-        p1 = self.points[obs.frm]
-        p2 = self.points[obs.to]
-        g0 = math.atan2(p2.x0 - p1.x0, p2.y0 - p1.y0) % (2.0 * math.pi)
-        return (g0 - obs.value) % (2.0 * math.pi)
+    def _orientations(self) -> dict:
+        """Orientation unknowns, seeded with each round's mean reading offset."""
+        seeds = {}
+        for obs in self.observations:
+            if obs.kind == "direction":
+                p1, p2 = self.points[obs.frm], self.points[obs.to]
+                g0 = math.atan2(p2.x0 - p1.x0, p2.y0 - p1.y0) % (2.0 * math.pi)
+                seeds.setdefault(self._keys(obs)[-1], []).append(
+                    (g0 - obs.value) % (2.0 * math.pi)
+                )
+        orientations = {}
+        for key, group in seeds.items():
+            base = group[0]
+            centered = [(s - base + math.pi) % (2.0 * math.pi) - math.pi for s in group]
+            orientations[key] = base + float(np.mean(centered))
+        return orientations
 
     def _build(self, index, orientations):
-        rows, consts, weights = [], [], []
-        for obs in self.observations:
-            row = np.zeros(len(index))
+        m = len(self.observations)
+        a, k, w = np.zeros((m, len(index))), np.empty(m), np.empty(m)
+        for i, obs in enumerate(self.observations):
+            keys = self._keys(obs)
+            p1, p2 = self.points[obs.frm], self.points[obs.to]
+            w[i] = 1.0 / obs.sigma**2 if obs.sigma else 1.0
             if obs.kind == "distance2d":
-                p1, p2 = self.points[obs.frm], self.points[obs.to]
-                coeffs, const = obs_distance2d(
-                    (p1.x0, p1.y0), (p2.x0, p2.y0), obs.value
-                )
-                for key, c in zip(
-                    [("x", obs.frm), ("y", obs.frm), ("x", obs.to), ("y", obs.to)],
-                    coeffs,
-                ):
-                    if key in index:
-                        row[index[key]] = c
-                weight = 1.0 / obs.sigma**2 if obs.sigma else 1.0
+                coeffs, k[i] = obs_distance2d((p1.x0, p1.y0), (p2.x0, p2.y0), obs.value)
             elif obs.kind == "direction":
-                p1, p2 = self.points[obs.frm], self.points[obs.to]
-                vkey = ("v", obs.frm, obs.set_id or "")
-                coeffs, const = obs_direction2d(
-                    (p1.x0, p1.y0),
-                    (p2.x0, p2.y0),
-                    obs.value,
-                    orientations[vkey],
+                coeffs, k[i] = obs_direction2d(
+                    (p1.x0, p1.y0), (p2.x0, p2.y0), obs.value, orientations[keys[-1]],
                     scale_by_distance=self.scale_directions,
                 )
-                for key, c in zip(
-                    [("x", obs.frm), ("y", obs.frm), ("x", obs.to), ("y", obs.to), vkey],
-                    coeffs,
-                ):
-                    if key in index:
-                        row[index[key]] = c
-                if obs.sigma:
-                    sigma = obs.sigma
-                    if self.scale_directions:
-                        sigma *= math.hypot(p2.x0 - p1.x0, p2.y0 - p1.y0)
-                    weight = 1.0 / sigma**2
-                else:
-                    weight = 1.0
+                if obs.sigma and self.scale_directions:
+                    w[i] = 1.0 / (obs.sigma * math.hypot(p2.x0 - p1.x0, p2.y0 - p1.y0)) ** 2
             elif obs.kind == "distance3d":
-                p1, p2 = self.points[obs.frm], self.points[obs.to]
-                coeffs, const = obs_distance3d(
+                coeffs, k[i] = obs_distance3d(
                     (p1.x0, p1.y0, p1.z0), (p2.x0, p2.y0, p2.z0), obs.value
                 )
-                keys = [
-                    ("x", obs.frm), ("y", obs.frm), ("z", obs.frm),
-                    ("x", obs.to), ("y", obs.to), ("z", obs.to),
-                ]
-                for key, c in zip(keys, coeffs):
-                    if key in index:
-                        row[index[key]] = c
-                weight = 1.0 / obs.sigma**2 if obs.sigma else 1.0
             else:  # leveling
-                p1, p2 = self.points[obs.frm], self.points[obs.to]
-                coeffs, const, lw = obs_leveling(
-                    p2.z0 - p1.z0, obs.value, obs.dist_km or 1.0
-                )
-                for key, c in zip([("h", obs.frm), ("h", obs.to)], coeffs):
-                    if key in index:
-                        row[index[key]] = c
-                weight = 1.0 / obs.sigma**2 if obs.sigma else lw
-            rows.append(row)
-            consts.append(const)
-            weights.append(weight)
-        return np.array(rows), np.array(consts), np.array(weights)
+                coeffs, k[i], lw = obs_leveling(p2.z0 - p1.z0, obs.value, obs.dist_km or 1.0)
+                if not obs.sigma:
+                    w[i] = lw
+            for key, c in zip(keys, coeffs):
+                if key in index:
+                    a[i, index[key]] = c
+        return a, k, w
 
     def solve(self, tol: float = 1e-8, max_iter: int = 10) -> AdjustmentResult:
         index = self._unknown_index()
-        orientations = {
-            ("v", obs.frm, obs.set_id or ""): None
-            for obs in self.observations
-            if obs.kind == "direction"
-        }
-        # seed each orientation unknown with the mean offset of its round
-        for key in orientations:
-            seeds = [
-                self._orientation_seed(o)
-                for o in self.observations
-                if o.kind == "direction" and ("v", o.frm, o.set_id or "") == key
-            ]
-            base = seeds[0]
-            centered = [(s - base + math.pi) % (2.0 * math.pi) - math.pi for s in seeds]
-            orientations[key] = base + float(np.mean(centered))
-
-        result = None
+        orientations = self._orientations()
         for iteration in range(1, max_iter + 1):
             a, k, w = self._build(index, orientations)
             result = solve_linear(LinearSystem(a, k, w))
             for key, idx in index.items():
-                corr = result.x[idx]
-                if key[0] == "x":
-                    self.points[key[1]].x0 += corr
-                elif key[0] == "y":
-                    self.points[key[1]].y0 += corr
-                elif key[0] in ("z", "h"):
-                    self.points[key[1]].z0 += corr
+                if key[0] == "v":
+                    orientations[key] += result.x[idx]
                 else:
-                    orientations[key] += corr
+                    point, name = self.points[key[1]], _FIELDS[key[0]]
+                    setattr(point, name, getattr(point, name) + result.x[idx])
             if np.abs(result.x).max() < tol:
                 break
-        return AdjustmentResult(
-            x=result.x,
-            v=result.v,
-            s2=result.s2,
-            cov=result.cov,
-            normal=result.normal,
-            iterations=iteration,
-            trace=[index, dict(orientations)],
-        )
+        return replace(result, iterations=iteration, trace=[index, dict(orientations)])
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .adjust import (
     solve_linear,
 )
 from .coords import EcefCoord, GeodeticCoord, ecef_to_geodetic, geodetic_to_ecef
-from .core import ANGLE_UNITS, Angle, get_ellipsoid, REGISTRY
+from .core import ANGLE_UNITS, REGISTRY, Angle, get_ellipsoid, json_number, parse_json_object
 from .datum import (
     BursaWolfParams,
     Helmert2DParams,
@@ -90,6 +90,19 @@ def _read_rows(path, width: int) -> list:
         if len(row) < width:
             raise ValueError(f"data row {i}: expected at least {width} fields, got {len(row)}")
     return rows
+
+
+def _read_json(path) -> dict:
+    with open(path) as fh:
+        return parse_json_object(fh.read())
+
+
+def _json_array(doc: dict, key: str) -> np.ndarray:
+    """doc[key], a number or nested lists of numbers, as a float array."""
+    value = np.array(doc[key], dtype=object)
+    if not all(type(v) in (int, float) for v in value.flat):
+        raise ValueError(f"{key!r} must be a number or nested lists of numbers")
+    return value.astype(float)
 
 
 def _option(args, name: str) -> str:
@@ -209,13 +222,13 @@ def cmd_reduce(args):
 
 
 def _read_param_file(path) -> BursaWolfParams:
-    with open(path) as fh:
-        doc = json.load(fh)
-    factor = ANGLE_UNITS[doc.get("units", "rad")]
-    return BursaWolfParams(
-        doc["tx"], doc["ty"], doc["tz"], doc["m"],
-        doc["rx"] * factor, doc["ry"] * factor, doc["rz"] * factor,
-    )
+    doc = _read_json(path)
+    units = doc.get("units", "rad")
+    if not isinstance(units, str) or units not in ANGLE_UNITS:
+        raise ValueError(f"units must be one of {', '.join(ANGLE_UNITS)}, got {units!r}")
+    shift = [json_number(doc, k) for k in ("tx", "ty", "tz", "m")]
+    rotation = [json_number(doc, k) * ANGLE_UNITS[units] for k in ("rx", "ry", "rz")]
+    return BursaWolfParams(*shift, *rotation)
 
 
 def _read_pairs_csv(path, dims):
@@ -277,9 +290,8 @@ def cmd_datum(args):
             "scale": p.scale, "theta_rad": p.theta, "s2": res.s2,
         }, indent=2))
     else:  # helmert2d-apply
-        with open(_option(args, "params")) as fh:
-            doc = json.load(fh)
-        p = Helmert2DParams(doc["tx"], doc["ty"], doc["u"], doc["v"])
+        doc = _read_json(_option(args, "params"))
+        p = Helmert2DParams(*(json_number(doc, k) for k in ("tx", "ty", "u", "v")))
         rows = _read_rows(args.input, 3)
         out.append("name,e[m],n[m]")
         for row in rows:
@@ -288,22 +300,25 @@ def cmd_datum(args):
     _write_lines(out, args.output)
 
 
+def _adjustment_json(res, **extra) -> str:
+    return json.dumps({
+        **extra,
+        "x": [float(v) for v in res.x],
+        "v": [float(v) for v in res.v],
+        "s2": res.s2,
+        "cov": [[float(c) for c in row] for row in res.cov] if res.cov is not None else None,
+        "iterations": res.iterations,
+    }, indent=2)
+
+
 def cmd_adjust(args):
     if args.system:
-        with open(args.system) as fh:
-            doc = json.load(fh)
-        sysm = LinearSystem(
-            np.array(doc["a"]), np.array(doc["k"]), np.array(doc.get("p")) if doc.get("p") else None
-        )
-        res = solve_linear(sysm)
-        result = {
-            "x": [float(v) for v in res.x],
-            "v": [float(v) for v in res.v],
-            "s2": res.s2,
-            "cov": [[float(c) for c in row] for row in res.cov] if res.cov is not None else None,
-            "iterations": res.iterations,
-        }
-        _write_lines([json.dumps(result, indent=2)], args.output)
+        doc = _read_json(args.system)
+        res = solve_linear(LinearSystem(
+            _json_array(doc, "a"), _json_array(doc, "k"),
+            _json_array(doc, "p") if doc.get("p") else None,
+        ))
+        _write_lines([_adjustment_json(res)], args.output)
         return
     if not (args.obs and args.points):
         raise ValueError("adjust needs --system or both --obs and --points")
@@ -328,28 +343,15 @@ def cmd_adjust(args):
         dist_km = float(row[6]) if len(row) > 6 and row[6] else None
         net.add_observation(Observation(kind, frm, to, value, sigma, set_id, dist_km))
     res = net.solve()
-    coords = {
-        name: {"x": pt.x0, "y": pt.y0, "z": pt.z0}
-        for name, pt in sorted(net.points.items())
-    }
-    result = {
-        "points": coords,
-        "x": [float(v) for v in res.x],
-        "v": [float(v) for v in res.v],
-        "s2": res.s2,
-        "cov": [[float(c) for c in row] for row in res.cov] if res.cov is not None else None,
-        "iterations": res.iterations,
-    }
-    _write_lines([json.dumps(result, indent=2)], args.output)
+    points = {name: {"x": p.x0, "y": p.y0, "z": p.z0} for name, p in sorted(net.points.items())}
+    _write_lines([_adjustment_json(res, points=points)], args.output)
 
 
 def cmd_orbit(args):
-    with open(args.elements) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.elements)
     el = OrbitalElements(
-        a=doc["a"], e=doc["e"], i=doc["i"], raan=doc["raan"],
-        arg_perigee=doc["arg_perigee"], t0=doc.get("t0", 0.0),
-        mu=doc.get("mu", GM_EARTH),
+        *(json_number(doc, k) for k in ("a", "e", "i", "raan", "arg_perigee")),
+        t0=json_number(doc, "t0", 0.0), mu=json_number(doc, "mu", GM_EARTH),
     )
     epochs = [float(t) for t in args.epochs.split(",")]
     out = ["t[s],x[m],y[m],z[m]"]

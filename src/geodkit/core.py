@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 
@@ -263,6 +264,25 @@ def registry_from_json(text: str) -> dict:
         row["name"]: Ellipsoid.from_a_inv_f(row["name"], row["a"], row["inv_f"])
         for row in doc
     }
+
+
+def parse_json_object(text: str) -> dict:
+    """JSON text whose top level must be an object (a dict once parsed)."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def json_number(doc: dict, key: str, default: float | None = None) -> float:
+    """doc[key] as a finite float, or default when the key is absent; any other
+    value (str, list, object, bool, null, NaN, inf) is a ValueError naming the key."""
+    if key not in doc and default is not None:
+        return default
+    value = doc[key]
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{key!r} must be a finite number, got {value!r:.40}")
 
 
 def prime_vertical_radius(ell: Ellipsoid, phi: float) -> float:

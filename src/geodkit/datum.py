@@ -297,9 +297,12 @@ def helmert2d_apply(p: Helmert2DParams, xy: PlaneCoord) -> PlaneCoord:
 def helmert2d_estimate(pairs: list) -> DatumShiftResult:
     """Least-squares 4-parameter plane similarity from common points.
 
-    Both point sets are reduced to their centroids, which makes the normal
-    matrix diagonal: diag(n, n, sum d_i^2, sum d_i^2).  Translations are
-    de-reduced afterwards.  sigma0^2 = W'W/(n-4) needs n > 2.
+    With the unknowns (tx, ty, u, v), point i contributes the design rows
+    (1, 0, x_i, -y_i) and (0, 1, y_i, x_i).  Both point sets are reduced to
+    their centroids, so sum x_i = sum y_i = 0 and the normal matrix is
+    diagonal, diag(n, n, sum d_i^2, sum d_i^2): each unknown is solved on its
+    own and no design matrix is formed.  Translations are de-reduced
+    afterwards.  sigma0^2 = W'W/(n-4) needs n > 2.
     """
     n = len(pairs)
     if n < 2:
@@ -313,19 +316,6 @@ def helmert2d_estimate(pairs: list) -> DatumShiftResult:
     d2 = float(np.sum(x * x + y * y))
     if d2 <= 0:
         raise ZeroSpread("all common points coincide")
-
-    # normal matrix is diagonal by construction; verify, then solve directly
-    a_mat = np.zeros((2 * n, 4))
-    a_mat[0::2, 0] = 1.0
-    a_mat[1::2, 1] = 1.0
-    a_mat[0::2, 2] = x
-    a_mat[0::2, 3] = -y
-    a_mat[1::2, 2] = y
-    a_mat[1::2, 3] = x
-    normal = a_mat.T @ a_mat
-    off = normal - np.diag(np.diag(normal))
-    if np.abs(off).max() > 1e-6 * max(n, d2):
-        raise RuntimeError("normal matrix not diagonal after centroid reduction")
 
     u = float(np.sum(x * xp + y * yp) / d2)
     v = float(np.sum(x * yp - y * xp) / d2)

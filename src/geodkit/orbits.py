@@ -8,7 +8,7 @@ hours at the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ GM_EARTH = 3.986005e14  # m^3 s^-2
 
 @dataclass(frozen=True)
 class OrbitalElements:
-    """a (m), eccentricity, inclination, RAAN, argument of perigee, perigee epoch."""
+    """a (m), eccentricity, inclination, RAAN, argument of perigee, perigee epoch, mu."""
 
     a: float
     e: float
@@ -31,6 +31,8 @@ class OrbitalElements:
     mu: float = GM_EARTH
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValueError("orbital elements must be finite")
         if self.a <= 0:
             raise ValueError("semi-major axis must be > 0")
         if not 0.0 <= self.e < 1.0:
@@ -57,6 +59,8 @@ def solve_kepler(mean_anomaly: float, e: float, tol: float = 1e-13) -> float:
     """
     if not 0.0 <= e < 1.0:
         raise ValueError("eccentricity must be in [0, 1)")
+    if not math.isfinite(mean_anomaly):
+        raise ValueError(f"mean anomaly must be finite, got {mean_anomaly}")
     m_wrapped = math.fmod(mean_anomaly, 2.0 * math.pi)
     turns = mean_anomaly - m_wrapped
     big_e = m_wrapped + e * math.sin(m_wrapped)

@@ -19,9 +19,11 @@ from .core import (
     NumericalError,
     get_ellipsoid,
     isometric_latitude,
+    json_number,
     latitude_from_isometric,
     meridian_arc,
     meridian_radius,
+    parse_json_object,
     prime_vertical_radius,
 )
 from .coords import GeodeticCoord, _normalize_lon
@@ -375,25 +377,29 @@ def projection_to_json(d) -> str:
 
 
 def projection_from_json(text: str):
-    doc = json.loads(text)
+    doc = parse_json_object(text)
     e = doc["ellipsoid"]
-    ell = Ellipsoid.from_a_inv_f(e.get("name", "custom"), e["a"], e["inv_f"])
+    if not isinstance(e, dict):
+        raise ValueError("'ellipsoid' must be a JSON object")
+    ell = Ellipsoid.from_a_inv_f(
+        e.get("name", "custom"), json_number(e, "a"), json_number(e, "inv_f")
+    )
     if doc["type"] == "lambert":
         return LambertDef(
             ell=ell,
-            phi0=doc["phi0_rad"],
-            lam0=doc["lam0_rad"],
-            k0=doc.get("k0", 1.0),
-            false_e=doc.get("false_e", 0.0),
-            false_n=doc.get("false_n", 0.0),
+            phi0=json_number(doc, "phi0_rad"),
+            lam0=json_number(doc, "lam0_rad"),
+            k0=json_number(doc, "k0", 1.0),
+            false_e=json_number(doc, "false_e", 0.0),
+            false_n=json_number(doc, "false_n", 0.0),
             axis_convention=doc.get("axis_convention", "standard"),
         )
     if doc["type"] == "utm":
         return UtmDef(
             ell=ell,
-            lam0=doc["lam0_rad"],
-            k0=doc.get("k0", 0.9996),
-            false_e=doc.get("false_e", 500000.0),
-            false_n=doc.get("false_n", 0.0),
+            lam0=json_number(doc, "lam0_rad"),
+            k0=json_number(doc, "k0", 0.9996),
+            false_e=json_number(doc, "false_e", 500000.0),
+            false_n=json_number(doc, "false_n", 0.0),
         )
     raise ValueError(f"unknown projection type {doc['type']!r}")

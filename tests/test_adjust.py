@@ -3,6 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geodkit.adjust import (
     CoincidentPoints,
@@ -119,6 +122,50 @@ class TestSolveLinear:
         res = solve_linear(LinearSystem(a_mat, -l_vec, p))
         assert res.x == pytest.approx([0.62928, -0.91003, 0.94574], abs=5e-5)
         assert np.abs(a_mat.T @ p @ res.v).max() < 1e-8
+
+
+def _outcome(a, k, p):
+    """The bytes of every result field of solve_linear, or the error it raised."""
+    try:
+        res = solve_linear(LinearSystem(a, k, p))
+    except SingularNormal as exc:
+        return type(exc)
+    return [None if q is None else np.asarray(q).tobytes()
+            for q in (res.x, res.v, res.s2, res.cov, res.normal)]
+
+
+@st.composite
+def weighted_systems(draw):
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(1, min(n, 4)))
+    a = draw(arrays(float, (n, r), elements=st.floats(-10.0, 10.0)))
+    k = draw(arrays(float, n, elements=st.floats(-100.0, 100.0)))
+    w = draw(arrays(float, n, elements=st.floats(0.01, 100.0)))
+    return a, k, w, draw(st.floats(0.01, 100.0))
+
+
+class TestWeights:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(weighted_systems())
+    def test_vector_and_matrix_weights_give_the_same_bits(self, system):
+        a, k, w, c = system
+        assert _outcome(a, k, w) == _outcome(a, k, np.diag(w))
+        assert _outcome(a, k, c) == _outcome(a, k, np.full(len(k), c))
+
+    def test_scalar_and_vector_weights_stay_a_vector(self):
+        a, k = np.ones((5, 2)), np.zeros(5)
+        a[:, 1] = np.arange(5)
+        assert LinearSystem(a, k, np.arange(1.0, 6.0)).p.shape == (5,)
+        assert LinearSystem(a, k, 2.0).p.shape == (5,)
+        assert LinearSystem(a, k).p.shape == (5,)
+        assert LinearSystem(a, k, np.eye(5)).p.shape == (5, 5)
+
+    def test_weight_shape_mismatch(self):
+        a, k = np.ones((3, 1)), np.zeros(3)
+        with pytest.raises(ValueError, match="weight vector length mismatch"):
+            LinearSystem(a, k, np.ones(4))
+        with pytest.raises(ValueError, match="weight matrix shape mismatch"):
+            LinearSystem(a, k, np.ones((3, 4)))
 
 
 class TestObservationRows:
@@ -377,6 +424,83 @@ class TestSpatialNetwork:
         p = net.points["P"]
         np.testing.assert_allclose([p.x0, p.y0, p.z0], truth, atol=1e-6)
         assert len(res.x) == 3  # fixed anchors contribute no unknowns
+
+
+class TestMixedNetwork:
+    """All four kinds in one network, one fixed point, two direction sets."""
+
+    TRUTH = {
+        "A": (0.0, 0.0, 0.0), "B": (1000.0, 80.0, 0.0), "C": (150.0, 1100.0, 0.0),
+        "R": (-50.0, 2500.0, 0.0), "G1": (1000.0, 0.0, 300.0), "G2": (0.0, 1000.0, -200.0),
+        "G3": (900.0, 1000.0, 600.0), "F": (400.0, 500.0, 250.0),
+        "H1": (0.0, 0.0, 12.5), "H2": (0.0, 0.0, 17.25),
+    }
+    FIXED = ("A", "R", "G1", "G2", "G3")
+
+    def build(self):
+        net = Network()
+        for k, (name, (x, y, z)) in enumerate(self.TRUTH.items()):
+            fixed = name in self.FIXED
+            off = 0.0 if fixed else 0.1 * (1 + k % 3)
+            net.add_point(name, x + off, y - off, z + off, fixed=fixed)
+
+        def dist(a, b, dims):
+            return math.dist(self.TRUTH[a][:dims], self.TRUTH[b][:dims])
+
+        def bearing(a, b):
+            (xa, ya, _), (xb, yb, _) = self.TRUTH[a], self.TRUTH[b]
+            return math.atan2(xb - xa, yb - ya) % (2 * math.pi)
+
+        def add(kind, a, b, set_id=None):
+            if kind == "leveling":
+                value = self.TRUTH[b][2] - self.TRUTH[a][2]
+            elif kind == "direction":  # plate zero 0.3 rad off the grid bearing
+                value = (bearing(a, b) - 0.3) % (2 * math.pi)
+            else:
+                value = dist(a, b, 3 if kind == "distance3d" else 2)
+            net.add_observation(Observation(kind, a, b, value, sigma=0.01, set_id=set_id,
+                                            dist_km=1.0 if kind == "leveling" else None))
+
+        add("leveling", "A", "H1")
+        add("distance2d", "A", "B")
+        add("direction", "A", "R", "s1")
+        add("distance3d", "G1", "F")
+        add("direction", "B", "C", "s2")
+        add("direction", "A", "B", "s1")
+        add("distance2d", "B", "C")
+        add("distance2d", "A", "C")
+        add("direction", "A", "C", "s1")
+        add("direction", "B", "A", "s2")
+        add("direction", "B", "R", "s2")
+        for anchor in ("A", "G2", "G3"):
+            add("distance3d", anchor, "F")
+        add("leveling", "H1", "H2")
+        add("leveling", "A", "H2")
+        return net
+
+    def test_unknowns_keep_the_documented_order(self):
+        # free-point coordinates and orientation unknowns, numbered in order
+        # of first appearance over the observations and, within one, in the
+        # order of its coefficients
+        net = self.build()
+        res = net.solve()
+        index, orientations = res.trace
+        assert list(index) == [
+            ("h", "H1"), ("x", "B"), ("y", "B"), ("v", "A", "s1"),
+            ("x", "F"), ("y", "F"), ("z", "F"),
+            ("x", "C"), ("y", "C"), ("v", "B", "s2"), ("h", "H2"),
+        ]
+        assert list(index.values()) == list(range(len(index)))
+        assert set(orientations) == {("v", "A", "s1"), ("v", "B", "s2")}
+        for name, xyz in self.TRUTH.items():
+            p = net.points[name]
+            if name.startswith("H"):
+                assert p.z0 == pytest.approx(xyz[2], abs=1e-9)
+            elif name in "BCF":
+                np.testing.assert_allclose([p.x0, p.y0], xyz[:2], atol=1e-6)
+        assert net.points["F"].z0 == pytest.approx(250.0, abs=1e-6)
+        for key in orientations:
+            assert orientations[key] == pytest.approx(0.3, abs=1e-9)
 
 
 class TestGaussNewton:

@@ -12,12 +12,13 @@ import os
 import pkgutil
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geodkit
-from geodkit import adjust, cli, coords, core, datum, geodesics, projections, sphere
+from geodkit import adjust, cli, coords, core, datum, geodesics, orbits, projections, sphere
 from geodkit.core import NumericalError
 
 # every exception class in geodkit, with the builtin base it had before
@@ -155,6 +156,160 @@ def test_non_finite_field_exits_2(argv, text, tmp_path, capsys):
     assert "input error: ValueError" in capsys.readouterr().err
 
 
+# -- non-finite and mistyped values where data comes in ----------------------
+
+NAN, INF = float("nan"), float("inf")
+ELEMENTS = {"a": 7e6, "e": 0.01, "i": 1.0, "raan": 0.5, "arg_perigee": 0.2}
+BURSA_WOLF = {"tx": 0, "ty": 0, "tz": 0, "m": 0, "rx": 0, "ry": 0, "rz": 0}
+LAMBERT = {"type": "lambert", "ellipsoid": {"a": 6378137, "inv_f": 298.257},
+           "phi0_rad": 0.7, "lam0_rad": 0.1}
+CSV_INPUTS = {
+    "XYZ": "n,x,y,z\nA,4e6,1e6,4.8e6\n",
+    "EN": "n,e,n\nA,1,2\n",
+    "PHILAM": "n,phi,lam\nA,40,10\n",
+    "POINTS": "n,x0,y0,z0,fixed\nA,0,0,10,1\nB,0,0,0,0\nC,0,0,0,0\n",
+}
+ORBIT = ["orbit", "--epochs", "0,60", "--elements", "JSON"]
+BW_APPLY = ["datum", "bw-apply", "--params", "JSON", "-i", "XYZ"]
+PROJECT = ["project", "fwd", "--proj-json", "JSON", "-i", "PHILAM"]
+SYSTEM = ["adjust", "--system", "JSON"]
+
+
+def run_files(argv, tmp_path, capsys, files):
+    """Exit code, stdout and stderr of cli.main with each upper-case argument
+    that names a file in `files` (or CSV_INPUTS) replaced by its path."""
+    files = {**CSV_INPUTS, **files}
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    code = cli.main([str(tmp_path / a) if a in files else a for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# a mistyped or non-finite value in each JSON input; each exits 2 with a ValueError
+BAD_JSON_CASES = {
+    "orbit: a is a string": (ORBIT, {**ELEMENTS, "a": "7e6"}),
+    "orbit: raan is a list": (ORBIT, {**ELEMENTS, "raan": [1]}),
+    "orbit: top-level list": (ORBIT, [ELEMENTS]),
+    "orbit: a is NaN": (ORBIT, {**ELEMENTS, "a": NAN}),
+    "orbit: e is null": (ORBIT, {**ELEMENTS, "e": None}),
+    "orbit: i is a bool": (ORBIT, {**ELEMENTS, "i": True}),
+    "helmert2d-apply: tx is a string": (
+        ["datum", "helmert2d-apply", "--params", "JSON", "-i", "EN"],
+        {"tx": "1", "ty": 0, "u": 1, "v": 0}),
+    "bw-apply: rx is a string": (BW_APPLY, {**BURSA_WOLF, "rx": "0"}),
+    "bw-apply: units is a list": (BW_APPLY, {**BURSA_WOLF, "units": ["gr"]}),
+    "project: a is a string": (
+        PROJECT, {**LAMBERT, "ellipsoid": {"a": "6378137", "inv_f": 298.257}}),
+    "project: top-level list": (PROJECT, [LAMBERT]),
+    "project: ellipsoid is a list": (PROJECT, {**LAMBERT, "ellipsoid": [6378137, 298.257]}),
+    "project: phi0 is an object": (PROJECT, {**LAMBERT, "phi0_rad": {"x": 1}}),
+    "system: top-level list": (SYSTEM, [{"a": [[1.0]], "k": [1.0]}]),
+    "system: a is an object": (SYSTEM, {"a": {"x": 1}, "k": [1]}),
+    "system: k holds a string": (SYSTEM, {"a": [[1.0], [2.0]], "k": ["1", 2]}),
+    "system: p is a string": (SYSTEM, {"a": [[1.0], [2.0], [3.0]], "k": [1, 2, 3], "p": "1"}),
+    "system: a holds NaN": (SYSTEM, {"a": [[1.0], [NAN]], "k": [1, 2]}),
+    "system: k holds inf": (SYSTEM, {"a": [[1.0], [2.0]], "k": [1, INF]}),
+    "system: p holds NaN": (SYSTEM, {"a": [[1.0], [2.0]], "k": [1, 2], "p": [1, NAN]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JSON_CASES))
+def test_mistyped_or_non_finite_json_exits_2(case, tmp_path, capsys):
+    argv, doc = BAD_JSON_CASES[case]
+    code, out, err = run_files(argv, tmp_path, capsys, {"JSON": json.dumps(doc)})
+    assert code == 2, err
+    assert "input error: ValueError" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": [[1.0], [1.0], [1.0]], "k": [1e300, -1e300, 0.0]},  # V'PV overflows
+    {"a": [[1e200], [1e200]], "k": [1.0, 2.0]},  # A'PA overflows
+])
+def test_adjust_system_overflow_exits_3(doc, tmp_path, capsys):
+    code, out, err = run_files(SYSTEM, tmp_path, capsys, {"JSON": json.dumps(doc)})
+    assert code == 3 and "numerical error: OverflowError" in err
+    assert "NaN" not in out and "Infinity" not in out
+
+
+@pytest.mark.parametrize("row", [
+    "leveling,A,B,nan", "leveling,A,B,inf", "leveling,A,B,-inf", "leveling,A,B,1.5,nan",
+    "leveling,A,B,1.5,inf", "leveling,A,B,1.5,-0.01", "leveling,A,B,1.5,,,nan",
+    "leveling,A,B,1.5,,,0",
+])
+def test_adjust_non_finite_observation_exits_2(row, tmp_path, capsys):
+    obs = f"kind,from,to,value,sigma,set_id,dist_km\n{row}\nleveling,B,C,1\nleveling,A,C,2.4\n"
+    code, out, err = run_files(["adjust", "--points", "POINTS", "--obs", "OBS"], tmp_path,
+                               capsys, {"OBS": obs})
+    assert code == 2 and "input error: ValueError" in err
+    assert out == ""
+
+
+def test_adjust_non_finite_point_exits_2(tmp_path, capsys):
+    files = {"OBS": "kind,from,to,value\nleveling,A,B,1\n",
+             "PTS": "n,x0,y0,z0,fixed\nA,0,0,10,1\nB,nan,0,0,0\n"}
+    code, _, err = run_files(["adjust", "--points", "PTS", "--obs", "OBS"], tmp_path, capsys,
+                             files)
+    assert code == 2 and "coordinates must be finite" in err
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"value": NAN}, {"value": INF}, {"sigma": NAN}, {"sigma": INF}, {"sigma": 0.0},
+    {"dist_km": NAN}, {"dist_km": INF}, {"dist_km": 0.0}, {"dist_km": -1.0},
+])
+def test_observation_rejects_non_finite_or_non_positive(kwargs):
+    with pytest.raises(ValueError):
+        adjust.Observation(**{"kind": "leveling", "frm": "A", "to": "B", "value": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize("xyz", [(NAN, 0.0, 0.0), (0.0, INF, 0.0), (0.0, 0.0, -INF)])
+def test_network_point_rejects_non_finite(xyz):
+    with pytest.raises(ValueError, match="finite"):
+        adjust.Network().add_point("P", *xyz)
+
+
+@pytest.mark.parametrize("field", ["a", "k", "p"])
+def test_linear_system_rejects_non_finite(field):
+    system = {"a": np.ones((3, 1)), "k": np.zeros(3), "p": np.ones(3)}
+    system[field] = system[field].copy()
+    system[field][0] = NAN
+    with pytest.raises(ValueError, match="finite"):
+        adjust.LinearSystem(**system)
+
+
+@pytest.mark.parametrize("field", ["a", "e", "i", "raan", "arg_perigee", "t0", "mu"])
+def test_orbital_elements_reject_non_finite(field):
+    with pytest.raises(ValueError, match="finite"):
+        orbits.OrbitalElements(**{**ELEMENTS, field: NAN})
+
+
+@pytest.mark.parametrize("m", [NAN, INF, -INF])
+def test_solve_kepler_rejects_non_finite_mean_anomaly_at_once(m):
+    with pytest.raises(ValueError, match="finite"):
+        orbits.solve_kepler(m, 0.1)
+
+
+@pytest.mark.parametrize("value", ["1", [1.0], {"x": 1.0}, True, None, NAN, INF, -INF, 10**400])
+def test_json_number_rejects_non_numbers_naming_the_key(value):
+    with pytest.raises(ValueError, match="'tx'"):
+        core.json_number({"tx": value}, "tx")
+
+
+def test_json_number_passes_ints_and_defaults():
+    value = core.json_number({"a": 7}, "a")
+    assert value == 7.0 and type(value) is float
+    assert core.json_number({}, "k0", 0.9996) == 0.9996
+    with pytest.raises(KeyError):
+        core.json_number({}, "a")
+
+
+@pytest.mark.parametrize("text", ["[]", "1", "null", '"x"'])
+def test_parse_json_object_requires_an_object(text):
+    with pytest.raises(ValueError, match="JSON object"):
+        core.parse_json_object(text)
+
+
 # -- fuzz -------------------------------------------------------------------
 
 NUMBER = st.one_of(
@@ -169,10 +324,12 @@ CELL = st.one_of(
 )
 ROW = st.lists(CELL, min_size=0, max_size=8)
 TABLE = st.lists(ROW, min_size=0, max_size=6)
-JSON_NUMBER = st.one_of(
+JSON_VALUE = st.one_of(
     st.floats(-1e7, 1e7),
-    st.sampled_from([0.0, 1e-6, 0.5, 1.0, 7e6, 1e300, float("nan"), float("inf")]),
+    st.sampled_from([0, 1, 0.0, 1e-6, 0.5, 1.0, 7e6, 1e300, float("nan"), float("inf")]),
+    st.sampled_from(["1", "abc", "", True, False, None, [], [1.0], {"x": 1.0}]),
 )
+NON_OBJECT = st.sampled_from([[], [1.0, 2.0], [{"a": 1.0}], "x", 3.0, None, True])
 SUBCOMMANDS = [
     ["convert", "--from", "geodetic", "--to", "ecef"],
     ["convert", "--from", "ecef", "--to", "geodetic"],
@@ -203,27 +360,39 @@ def _csv(header_width, rows):
     return "\n".join([header, *(",".join(["P", *row]) for row in rows)]) + "\n"
 
 
+def _json_doc(draw, doc):
+    """`doc` as JSON text, or one time in eight a document that is not an object."""
+    return json.dumps(draw(NON_OBJECT) if draw(st.integers(0, 7)) == 0 else doc)
+
+
 @st.composite
 def invocations(draw):
     template = draw(st.sampled_from(SUBCOMMANDS))
     files = {
         "csv": _csv(5, draw(TABLE)),
         "csv2": _csv(5, draw(TABLE)),
-        "params": json.dumps({k: draw(JSON_NUMBER) for k in
-                              ("tx", "ty", "tz", "m", "rx", "ry", "rz", "u", "v")}),
-        "elements": json.dumps({k: draw(JSON_NUMBER) for k in
-                                ("a", "e", "i", "raan", "arg_perigee")}),
-        "proj": json.dumps({
-            "type": draw(st.sampled_from(["lambert", "utm"])),
-            "ellipsoid": {"a": draw(JSON_NUMBER), "inv_f": draw(JSON_NUMBER)},
-            **{k: draw(JSON_NUMBER) for k in ("phi0_rad", "lam0_rad", "k0", "false_e", "false_n")},
+        "params": _json_doc(draw, {
+            **{k: draw(JSON_VALUE) for k in ("tx", "ty", "tz", "m", "rx", "ry", "rz", "u", "v")},
+            "units": draw(st.sampled_from(["rad", "gr", "arcsec", "x", ["gr"], 1.0])),
+        }),
+        "elements": _json_doc(draw, {k: draw(JSON_VALUE) for k in
+                                     ("a", "e", "i", "raan", "arg_perigee")}),
+        "proj": _json_doc(draw, {
+            "type": draw(st.sampled_from(["lambert", "utm", ["utm"], 1.0])),
+            "ellipsoid": draw(st.one_of(
+                st.fixed_dictionaries({"a": JSON_VALUE, "inv_f": JSON_VALUE}), NON_OBJECT)),
+            **{k: draw(JSON_VALUE) for k in ("phi0_rad", "lam0_rad", "k0", "false_e", "false_n")},
         }),
     }
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    files["system"] = json.dumps({
-        "a": [[draw(JSON_NUMBER) for _ in range(cols)] for _ in range(rows)],
-        "k": [draw(JSON_NUMBER) for _ in range(draw(st.integers(rows - 1, rows + 1)))],
-    })
+    system = {
+        "a": [[draw(JSON_VALUE) for _ in range(cols)] for _ in range(rows)],
+        "k": [draw(JSON_VALUE) for _ in range(draw(st.integers(rows - 1, rows + 1)))],
+    }
+    if draw(st.booleans()):
+        system["p"] = draw(st.one_of(JSON_VALUE, st.lists(JSON_VALUE, min_size=rows,
+                                                          max_size=rows)))
+    files["system"] = _json_doc(draw, system)
     argv = []
     for arg in template:  # "--opt=value", so that a value such as "-inf" is not an option
         opt, _, value = arg.partition("=")
