@@ -87,7 +87,7 @@ class LinearSystem:
     P may be given as None (unit weights), a scalar, a diagonal vector or a
     full matrix.  A scalar or a vector is kept as a vector of n weights; a
     matrix is stored and used only when one is given.  A, K and P must be
-    finite.
+    finite, with at least one observation and one unknown.
     """
 
     a: np.ndarray
@@ -97,6 +97,10 @@ class LinearSystem:
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         k = np.asarray(self.k, dtype=float).ravel()
+        if k.shape[0] == 0:
+            raise ValueError("the system has no observations")
+        if a.shape[1] == 0:
+            raise ValueError("the system has no unknowns (every point fixed?)")
         if a.shape[0] != k.shape[0]:
             raise ValueError("A and K row counts differ")
         if a.shape[0] < a.shape[1]:
@@ -394,9 +398,9 @@ def pazman_check(
 # unknown axes per point, in the order the obs_* coefficients of each kind
 # come; a direction row adds its round's orientation unknown last
 _AXES = {"distance2d": ("x", "y"), "direction": ("x", "y"),
-         "distance3d": ("x", "y", "z"), "leveling": ("h",)}
+         "distance3d": ("x", "y", "z"), "leveling": ("z",)}
 # the NetworkPoint field each coordinate correction goes to
-_FIELDS = {"x": "x0", "y": "y0", "z": "z0", "h": "z0"}
+_FIELDS = {"x": "x0", "y": "y0", "z": "z0"}
 
 
 @dataclass(frozen=True)
@@ -442,10 +446,10 @@ class Network:
     """Assembles survey observations into observation equations and solves them.
 
     Unknowns are the coordinate corrections of free points (plane for
-    distance2d/direction rows, spatial for distance3d rows, one height per
-    point seen by leveling rows) and one orientation unknown per
-    (station, set_id) of direction rounds, numbered in order of first
-    appearance.  Nonlinear rows are re-linearized after each solution until
+    distance2d/direction rows, spatial for distance3d rows, the height z
+    for leveling rows, one z unknown per point whichever kinds see it) and
+    one orientation unknown per (station, set_id) of direction rounds,
+    numbered in order of first appearance.  Nonlinear rows are re-linearized after each solution until
     the corrections die out.
     """
 

@@ -5,11 +5,18 @@ unit tags such as ``phi[gr]``) or JSON files and print to stdout unless an
 output path is given.  Numeric output uses 12 significant digits so runs
 are reproducible byte for byte.
 
+``convert``, ``project`` and ``geodesic`` are columnar: they read all rows,
+convert each numeric column with float(), make one array-kernel call and
+format the results with ``f"{x:.12g}"``.  Output is all or nothing: the
+first failing data row in file order decides the error, which is the one
+the scalar API raises on that row.
+
 Exit codes: 0 success, 2 input/usage error, 3 numerical error.  The class
 of the exception decides: any ArithmeticError, which includes every
 geodkit.core.NumericalError, exits 3; ValueError, KeyError and OSError exit
-2.  The error class name goes to stderr, and a CSV row that is too short is
-named by its data-row number (1 is the first row after the header).
+2.  The error class name goes to stderr, and a CSV row that is too short
+is named by its data-row number (1 is the first row after the header), as
+is, in the columnar commands, a row with a field float() rejects.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ import csv
 import io
 import json
 import sys
+from dataclasses import astuple
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,7 +39,14 @@ from .adjust import (
     dop,
     solve_linear,
 )
-from .coords import EcefCoord, GeodeticCoord, ecef_to_geodetic, geodetic_to_ecef
+from .coords import (
+    EcefCoord,
+    GeodeticCoord,
+    ecef_to_geodetic,
+    ecef_to_geodetic_array,
+    geodetic_to_ecef,
+    geodetic_to_ecef_array,
+)
 from .core import ANGLE_UNITS, REGISTRY, Angle, get_ellipsoid, json_number, parse_json_object
 from .datum import (
     BursaWolfParams,
@@ -42,19 +58,28 @@ from .datum import (
     helmert2d_estimate,
     apply_molodensky,
 )
-from .geodesics import geodesic_direct, geodesic_inverse
+from .geodesics import (
+    geodesic_direct,
+    geodesic_direct_array,
+    geodesic_inverse,
+    geodesic_inverse_array,
+)
 from .heights import LevelLine, dynamic_height, normal_height, orthometric_height
 from .orbits import GM_EARTH, OrbitalElements, eci_to_ecef, elements_to_eci
 from .projections import (
     LambertDef,
     PlaneCoord,
     lambert_forward,
+    lambert_forward_array,
     lambert_inverse,
+    lambert_inverse_array,
     list_projections,
     named_projection,
     projection_from_json,
     utm_forward,
+    utm_forward_array,
     utm_inverse,
+    utm_inverse_array,
 )
 from .sphere import hour_angle, hsl_from_greenwich, sidereal_from_universal
 
@@ -86,10 +111,62 @@ def _read_csv(path):
 def _read_rows(path, width: int) -> list:
     """The data rows of a CSV input, each checked to hold at least `width` fields."""
     rows = _read_csv(path)[1]
-    for i, row in enumerate(rows, 1):
-        if len(row) < width:
-            raise ValueError(f"data row {i}: expected at least {width} fields, got {len(row)}")
+    if rows and min(map(len, rows)) < width:
+        i, row = next((i, row) for i, row in enumerate(rows, 1) if len(row) < width)
+        raise ValueError(f"data row {i}: expected at least {width} fields, got {len(row)}")
     return rows
+
+
+def _float_columns(rows, count: int) -> list:
+    return [np.fromiter(map(float, map(itemgetter(j), rows)), dtype=float, count=len(rows))
+            for j in range(1, count + 1)]
+
+
+def _read_columns(path, width: int, count: int) -> tuple:
+    """The line prefixes and the numeric columns 1..count of a CSV input.
+
+    Returns (prefixes, columns, parse_error).  A prefix is a row's name and
+    its comma, as an output line starts; being new strings, they let the
+    parsed rows' memory go back in whole.  Each field goes through float().
+    At the first data row with a field float() rejects, the columns stop
+    short of that row, and parse_error is the ValueError naming it, for the
+    caller to raise once the rows before it have been checked.
+    """
+    rows = _read_rows(path, width)
+    prefixes = [row[0] + "," for row in rows]
+    try:
+        return prefixes, _float_columns(rows, count), None
+    except ValueError:
+        pass
+    for i, row in enumerate(rows):
+        try:
+            [float(v) for v in row[1:count + 1]]
+        except ValueError as exc:
+            return prefixes, _float_columns(rows[:i], count), ValueError(f"data row {i + 1}: {exc}")
+
+
+def _settle(failed, columns, scalar_row, parse_error=None) -> None:
+    """Raise the error of the first failing data row, in file order.
+
+    The rows an array kernel flags go through the scalar API, which raises
+    the error the row-by-row CLI raised.  A flagged row the scalar API
+    accepts takes its values into columns: the geodesic kernels flag the
+    lines the scalar API solves in closed form, and numpy's elementary
+    functions can differ from the C library's in the last bit, so a loop at
+    the edge of its tolerance may end otherwise there.  A parse error is
+    raised only when every row before it passed.
+    """
+    for i in np.flatnonzero(failed).tolist():
+        for column, value in zip(columns, scalar_row(i)):
+            column[i] = value
+    if parse_error is not None:
+        raise parse_error
+
+
+def _table(header: str, prefixes: list, *columns) -> list:
+    """Output lines: the header, then each prefix with its values to 12 digits."""
+    row = "{}" + ",".join(["{:.12g}"] * len(columns))
+    return [header, *map(row.format, prefixes, *(c.tolist() for c in columns))]
 
 
 def _read_json(path) -> dict:
@@ -132,25 +209,21 @@ def _projection(args):
 
 def cmd_convert(args):
     unit = args.angle_unit
-    rows = _read_rows(args.input, 4)
+    factor = ANGLE_UNITS[unit]
+    prefixes, (a, b, c), parse_error = _read_columns(args.input, 4, 3)
     ell = get_ellipsoid(args.ell)
-    out = []
     if args.frm == "geodetic" and args.to == "ecef":
-        out.append("name,x[m],y[m],z[m]")
-        for row in rows:
-            name, phi, lam, he = row[0], *map(float, row[1:4])
-            p = geodetic_to_ecef(
-                ell, GeodeticCoord(phi * ANGLE_UNITS[unit], lam * ANGLE_UNITS[unit], he)
-            )
-            out.append(f"{name},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.z)}")
+        phi, lam = a * factor, b * factor
+        *xyz, failed = geodetic_to_ecef_array(ell, phi, lam, c)
+        _settle(failed, xyz, lambda i: astuple(geodetic_to_ecef(
+            ell, GeodeticCoord(float(phi[i]), float(lam[i]), float(c[i])))), parse_error)
+        out = _table("name,x[m],y[m],z[m]", prefixes, *xyz)
     elif args.frm == "ecef" and args.to == "geodetic":
-        out.append(f"name,phi[{unit}],lam[{unit}],he[m]")
-        for row in rows:
-            name = row[0]
-            g = ecef_to_geodetic(ell, EcefCoord(*map(float, row[1:4])))
-            out.append(
-                f"{name},{_fmt(_angle_to(g.phi, unit))},{_fmt(_angle_to(g.lam, unit))},{_fmt(g.he)}"
-            )
+        phi, lam, he, failed = ecef_to_geodetic_array(ell, a, b, c)
+        _settle(failed, (phi, lam, he), lambda i: astuple(ecef_to_geodetic(
+            ell, EcefCoord(float(a[i]), float(b[i]), float(c[i])))), parse_error)
+        out = _table(f"name,phi[{unit}],lam[{unit}],he[m]", prefixes,
+                     phi / factor, lam / factor, he)
     else:
         raise ValueError(f"unsupported conversion {args.frm} -> {args.to}")
     _write_lines(out, args.output)
@@ -158,53 +231,55 @@ def cmd_convert(args):
 
 def cmd_project(args):
     unit = args.angle_unit
+    factor = ANGLE_UNITS[unit]
     proj = _projection(args)
     is_lambert = isinstance(proj, LambertDef)
-    rows = _read_rows(args.input, 3)
-    out = []
+    prefixes, (a, b), parse_error = _read_columns(args.input, 3, 2)
     if args.direction == "fwd":
-        out.append("name,e[m],n[m]")
-        for row in rows:
-            g = GeodeticCoord(
-                _angle_from(row[1], unit), _angle_from(row[2], unit)
-            )
-            p = lambert_forward(proj, g) if is_lambert else utm_forward(proj, g)
-            out.append(f"{row[0]},{_fmt(p.e)},{_fmt(p.n)}")
+        phi, lam = a * factor, b * factor
+        kernel, scalar = ((lambert_forward_array, lambert_forward) if is_lambert
+                          else (utm_forward_array, utm_forward))
+        e, n, failed = kernel(proj, phi, lam)
+        _settle(failed, (e, n), lambda i: astuple(scalar(
+            proj, GeodeticCoord(float(phi[i]), float(lam[i])))), parse_error)
+        out = _table("name,e[m],n[m]", prefixes, e, n)
     else:
-        out.append(f"name,phi[{unit}],lam[{unit}]")
-        for row in rows:
-            p = PlaneCoord(float(row[1]), float(row[2]))
-            g = lambert_inverse(proj, p) if is_lambert else utm_inverse(proj, p)
-            out.append(
-                f"{row[0]},{_fmt(_angle_to(g.phi, unit))},{_fmt(_angle_to(g.lam, unit))}"
-            )
+        kernel, scalar = ((lambert_inverse_array, lambert_inverse) if is_lambert
+                          else (utm_inverse_array, utm_inverse))
+        phi, lam, failed = kernel(proj, a, b)
+        _settle(failed, (phi, lam), lambda i: astuple(scalar(
+            proj, PlaneCoord(float(a[i]), float(b[i]))))[:2], parse_error)
+        out = _table(f"name,phi[{unit}],lam[{unit}]", prefixes, phi / factor, lam / factor)
     _write_lines(out, args.output)
 
 
 def cmd_geodesic(args):
     unit = args.angle_unit
+    factor = ANGLE_UNITS[unit]
     ell = get_ellipsoid(args.ell)
-    rows = _read_rows(args.input, 5)
-    out = []
+    prefixes, cols, parse_error = _read_columns(args.input, 5, 4)
+    phi1, lam1 = cols[0] * factor, cols[1] * factor
     if args.problem == "direct":
-        out.append(f"name,phi2[{unit}],lam2[{unit}],az2[{unit}],s[m]")
-        for row in rows:
-            p1 = GeodeticCoord(_angle_from(row[1], unit), _angle_from(row[2], unit))
-            sol = geodesic_direct(ell, p1, _angle_from(row[3], unit), float(row[4]))
-            out.append(
-                f"{row[0]},{_fmt(_angle_to(sol.phi2, unit))},{_fmt(_angle_to(sol.lam2, unit))},"
-                f"{_fmt(_angle_to(sol.az2, unit))},{_fmt(sol.s)}"
-            )
+        az1, s1 = cols[2] * factor, cols[3]
+        phi2, lam2, az2, s, failed = geodesic_direct_array(ell, phi1, lam1, az1, s1)
+        _settle(failed, (phi2, lam2, az2, s), lambda i: _direct_row(geodesic_direct(
+            ell, GeodeticCoord(float(phi1[i]), float(lam1[i])), float(az1[i]),
+            float(s1[i]))), parse_error)
+        out = _table(f"name,phi2[{unit}],lam2[{unit}],az2[{unit}],s[m]", prefixes,
+                     phi2 / factor, lam2 / factor, az2 / factor, s)
     else:
-        out.append(f"name,az1[{unit}],az2[{unit}],s[m]")
-        for row in rows:
-            p1 = GeodeticCoord(_angle_from(row[1], unit), _angle_from(row[2], unit))
-            p2 = GeodeticCoord(_angle_from(row[3], unit), _angle_from(row[4], unit))
-            sol = geodesic_inverse(ell, p1, p2)
-            out.append(
-                f"{row[0]},{_fmt(_angle_to(sol.az1, unit))},{_fmt(_angle_to(sol.az2, unit))},{_fmt(sol.s)}"
-            )
+        phi2, lam2 = cols[2] * factor, cols[3] * factor
+        az1, az2, s, failed = geodesic_inverse_array(ell, phi1, lam1, phi2, lam2)
+        _settle(failed, (az1, az2, s), lambda i: astuple(geodesic_inverse(
+            ell, GeodeticCoord(float(phi1[i]), float(lam1[i])),
+            GeodeticCoord(float(phi2[i]), float(lam2[i]))))[2:], parse_error)
+        out = _table(f"name,az1[{unit}],az2[{unit}],s[m]", prefixes,
+                     az1 / factor, az2 / factor, s)
     _write_lines(out, args.output)
+
+
+def _direct_row(sol) -> tuple:
+    return sol.phi2, sol.lam2, sol.az2, sol.s
 
 
 def cmd_reduce(args):
@@ -316,7 +391,7 @@ def cmd_adjust(args):
         doc = _read_json(args.system)
         res = solve_linear(LinearSystem(
             _json_array(doc, "a"), _json_array(doc, "k"),
-            _json_array(doc, "p") if doc.get("p") else None,
+            _json_array(doc, "p") if "p" in doc else None,
         ))
         _write_lines([_adjustment_json(res)], args.output)
         return

@@ -7,21 +7,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Ellipsoid, NonConvergence, NumericalError, prime_vertical_radius
+from .core import (
+    Ellipsoid,
+    NonConvergence,
+    NumericalError,
+    all_finite,
+    iterate,
+    npmath,
+    prime_vertical_radius,
+    quiet,
+)
 
 
 class PolarAxis(NumericalError, ValueError):
     """Point lies on (or within 1 m of) the polar axis; longitude undefined."""
 
 
-def _normalize_lon(lam: float) -> float:
-    """Wrap a longitude into (-pi, pi]."""
+def _normalize_lon(lam):
+    """Wrap a longitude into (-pi, pi]; elementwise on an array."""
+    if type(lam) is np.ndarray:
+        lam = np.fmod(lam, 2.0 * math.pi)
+        return np.where(lam > math.pi, lam - 2.0 * math.pi,
+                        np.where(lam <= -math.pi, lam + 2.0 * math.pi, lam))
     lam = math.fmod(lam, 2.0 * math.pi)
     if lam > math.pi:
         lam -= 2.0 * math.pi
     elif lam <= -math.pi:
         lam += 2.0 * math.pi
     return lam
+
+
+_MAX_LATITUDE = math.pi / 2 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -34,11 +50,22 @@ class GeodeticCoord:
 
     def __post_init__(self):
         # written so that NaN fails the test
-        if not abs(self.phi) <= math.pi / 2 + 1e-12:
+        if not abs(self.phi) <= _MAX_LATITUDE:
             raise ValueError(f"latitude {self.phi} outside [-pi/2, pi/2]")
         if not (math.isfinite(self.lam) and math.isfinite(self.he)):
             raise ValueError(f"non-finite longitude {self.lam} or height {self.he}")
         object.__setattr__(self, "lam", _normalize_lon(self.lam))
+
+
+def geodetic_columns(phi, lam, he=0.0) -> tuple:
+    """Array form of GeodeticCoord(phi, lam, he): (phi, normalized lam, ok).
+
+    ok marks the rows GeodeticCoord accepts, by the same tests: the latitude
+    within [-pi/2, pi/2] (NaN fails), longitude and height finite.
+    """
+    phi, lam = np.asarray(phi, dtype=float), np.asarray(lam, dtype=float)
+    ok = (np.abs(phi) <= _MAX_LATITUDE) & np.isfinite(lam) & np.isfinite(he)
+    return phi, _normalize_lon(lam), ok
 
 
 @dataclass(frozen=True)
@@ -59,19 +86,70 @@ class EcefCoord:
         return cls(float(v[0]), float(v[1]), float(v[2]))
 
 
-def geodetic_to_ecef(ell: Ellipsoid, g: GeodeticCoord) -> EcefCoord:
+def _ecef(xp, ell: Ellipsoid, phi, lam, he) -> tuple:
     """Cartesian coordinates X = (N+he) cos phi cos lam, etc."""
-    n = prime_vertical_radius(ell, g.phi)
-    cphi = math.cos(g.phi)
-    return EcefCoord(
-        (n + g.he) * cphi * math.cos(g.lam),
-        (n + g.he) * cphi * math.sin(g.lam),
-        (n * (1.0 - ell.e2) + g.he) * math.sin(g.phi),
+    n = prime_vertical_radius(ell, phi)
+    cphi = xp.cos(phi)
+    return (
+        (n + he) * cphi * xp.cos(lam),
+        (n + he) * cphi * xp.sin(lam),
+        (n * (1.0 - ell.e2) + he) * xp.sin(phi),
     )
 
 
+def geodetic_to_ecef(ell: Ellipsoid, g: GeodeticCoord) -> EcefCoord:
+    """Cartesian coordinates X = (N+he) cos phi cos lam, etc."""
+    return EcefCoord(*_ecef(math, ell, g.phi, g.lam, g.he))
+
+
+@quiet
+def geodetic_to_ecef_array(ell: Ellipsoid, phi, lam, he) -> tuple:
+    """Array form of geodetic_to_ecef over columns: (x, y, z, failed).
+
+    failed marks the rows where GeodeticCoord or EcefCoord would reject
+    the input or the result.
+    """
+    phi, lam, ok = geodetic_columns(phi, lam, he)
+    x, y, z = _ecef(npmath, ell, phi, lam, he)
+    return x, y, z, ~(ok & all_finite(x, y, z))
+
+
+def _z_prime(xp, ell: Ellipsoid, z, phi):
+    """Z' = Z + N e2 sin(phi_i); the next iterate is phi_{i+1} = atan(Z'/r)."""
+    return z + prime_vertical_radius(ell, phi) * ell.e2 * xp.sin(phi)
+
+
+def _libm(fn, *columns) -> np.ndarray:
+    """fn from the math module, elementwise over columns.
+
+    numpy's vectorized atan2 and hypot can differ from the C library's in
+    the last bit.  The height r / cos(phi) - N cancels two numbers near
+    6.4e6 m, which turns one ulp of phi into about 1e-9 m, so the ECEF
+    kernel takes both from the C library, as the scalar path does.
+    """
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), dtype=float,
+                       count=columns[0].size)
+
+
+# above this latitude the height is taken from Z, below it from r
+_NEAR_POLE = math.radians(89.9)
+
+
+def _height_from_z(xp, ell: Ellipsoid, phi, z):
+    return z / xp.sin(phi) - prime_vertical_radius(ell, phi) * (1.0 - ell.e2)
+
+
+def _height_from_r(xp, ell: Ellipsoid, phi, r):
+    return r / xp.cos(phi) - prime_vertical_radius(ell, phi)
+
+
+# stopping rule of the latitude fixed point, shared by its scalar and array forms
+_ECEF_TOL = 1e-12
+_ECEF_MAX_ITER = 50
+
+
 def ecef_to_geodetic(
-    ell: Ellipsoid, p: EcefCoord, tol: float = 1e-12, max_iter: int = 50
+    ell: Ellipsoid, p: EcefCoord, tol: float = _ECEF_TOL, max_iter: int = _ECEF_MAX_ITER
 ) -> GeodeticCoord:
     """Invert geodetic_to_ecef by fixed-point iteration on the latitude.
 
@@ -85,21 +163,46 @@ def ecef_to_geodetic(
     lam = math.atan2(p.y, p.x)
     phi = math.atan2(p.z, r)
     for _ in range(max_iter):
-        n = prime_vertical_radius(ell, phi)
-        z_prime = p.z + n * ell.e2 * math.sin(phi)
-        nxt = math.atan2(z_prime, r)
+        nxt = math.atan2(_z_prime(math, ell, p.z, phi), r)
         if abs(nxt - phi) < tol:
             phi = nxt
             break
         phi = nxt
     else:
         raise NonConvergence("ecef_to_geodetic: latitude iteration did not converge")
-    n = prime_vertical_radius(ell, phi)
-    if abs(phi) > math.radians(89.9):
-        he = p.z / math.sin(phi) - n * (1.0 - ell.e2)
+    if abs(phi) > _NEAR_POLE:
+        he = _height_from_z(math, ell, phi, p.z)
     else:
-        he = r / math.cos(phi) - n
+        he = _height_from_r(math, ell, phi, r)
     return GeodeticCoord(phi, lam, he)
+
+
+@quiet
+def ecef_to_geodetic_array(ell: Ellipsoid, x, y, z) -> tuple:
+    """Array form of ecef_to_geodetic over columns, at its default tolerance:
+    (phi, lam, he, failed).
+
+    failed marks the rows where the scalar form raises: a non-finite input
+    (EcefCoord), the polar axis, no convergence, or a result GeodeticCoord
+    rejects.
+    """
+    x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
+    r = _libm(math.hypot, x, y)
+    ok = all_finite(x, y, z) & ~(r < 1.0)
+    lam = _libm(math.atan2, y, x)
+    phi = _libm(math.atan2, z, r)
+
+    def step(idx):
+        nxt = _libm(math.atan2, _z_prime(npmath, ell, z[idx], phi[idx]), r[idx])
+        done = np.abs(nxt - phi[idx]) < _ECEF_TOL
+        phi[idx] = nxt
+        return done
+
+    ok &= ~iterate(step, ok, _ECEF_MAX_ITER)
+    he = np.where(np.abs(phi) > _NEAR_POLE, _height_from_z(npmath, ell, phi, z),
+                  _height_from_r(npmath, ell, phi, r))
+    phi, lam, valid = geodetic_columns(phi, lam, he)
+    return phi, lam, he, ~(ok & valid)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,14 @@ the I/O boundary, through the :class:`Angle` helper.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class NumericalError(ArithmeticError):
@@ -26,6 +29,65 @@ class NumericalError(ArithmeticError):
 
 class NonConvergence(NumericalError, RuntimeError):
     """An iterative scheme failed to reach its tolerance within its cap."""
+
+
+class npmath:
+    """numpy's elementwise functions under the names of the math module.
+
+    Each formula is written once against a namespace xp, math for floats
+    and npmath for arrays, so the scalar API keeps its math results and the
+    array kernels run the same expression.  A public formula picks xp from
+    its argument, ``xp = npmath if type(phi) is np.ndarray else math``; a
+    private helper takes xp from its caller, which saves the scalar path a
+    test per call.
+    """
+
+    sin, cos, tan, asin, atan, atan2 = np.sin, np.cos, np.tan, np.arcsin, np.arctan, np.arctan2
+    sqrt, exp, log, hypot, copysign = np.sqrt, np.exp, np.log, np.hypot, np.copysign
+
+
+def flip(x, cond):
+    """-x where cond holds, x elsewhere (elementwise on an array)."""
+    if type(x) is np.ndarray:
+        return np.where(cond, -x, x)
+    return -x if cond else x
+
+
+def all_finite(*columns) -> np.ndarray:
+    """Rows where every column is finite."""
+    return functools.reduce(np.logical_and, map(np.isfinite, columns))
+
+
+# the largest x whose exp(x) is finite; math.exp raises OverflowError beyond
+EXP_MAX = math.log(sys.float_info.max)
+
+
+def iterate(step, active: np.ndarray, max_iter: int) -> np.ndarray:
+    """Array form of a scalar loop that breaks per element.
+
+    step(idx) advances the rows idx, which are still active, by one pass and
+    returns which of them stop.  Stopped rows are never touched again, so
+    each row sees the iterate sequence of the scalar loop.  Returns the rows
+    still active after max_iter passes.
+    """
+    active = active.copy()
+    for _ in range(max_iter):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        active[idx[step(idx)]] = False
+    return active
+
+
+def quiet(kernel):
+    """Silence numpy's floating-point warnings in an array kernel, which
+    reports bad rows in its failure mask instead."""
+
+    @functools.wraps(kernel)
+    def wrapper(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return kernel(*args, **kwargs)
+    return wrapper
 
 
 # exact unit definitions: 400 gr = 360 deg = 24 h = 2*pi rad
@@ -150,41 +212,64 @@ def format_hours(hours: float, decimals: int = 2) -> str:
     return f"{sign}{h}h{m:02d}m{s:0{3 + decimals}.{decimals}f}s"
 
 
+def meridian_arc_coefficients(ell: "Ellipsoid") -> tuple:
+    """Series coefficients (C0, C2, ..., C12) of the meridian arc, through e^12."""
+    e2 = ell.e2
+    e4 = e2 * e2
+    e6 = e4 * e2
+    e8 = e4 * e4
+    e10 = e8 * e2
+    e12 = e8 * e4
+    c0 = (1.0 + 3.0 / 4.0 * e2 + 45.0 / 64.0 * e4 + 175.0 / 256.0 * e6
+          + 11025.0 / 16384.0 * e8 + 43659.0 / 65536.0 * e10
+          + 693693.0 / 1048576.0 * e12)
+    c2 = -(3.0 / 8.0 * e2 + 15.0 / 32.0 * e4 + 525.0 / 1024.0 * e6
+           + 2205.0 / 4096.0 * e8 + 72765.0 / 131072.0 * e10
+           + 297297.0 / 524288.0 * e12)
+    c4 = (15.0 / 256.0 * e4 + 105.0 / 1024.0 * e6 + 2205.0 / 16384.0 * e8
+          + 10395.0 / 65536.0 * e10 + 1486485.0 / 8388608.0 * e12)
+    c6 = -(35.0 / 3072.0 * e6 + 315.0 / 12288.0 * e8
+           + 31185.0 / 786432.0 * e10 + 165165.0 / 3145728.0 * e12)
+    c8 = (315.0 / 131072.0 * e8 + 3465.0 / 524288.0 * e10
+          + 99099.0 / 8388608.0 * e12)
+    c10 = -(693.0 / 1310720.0 * e10 + 9009.0 / 5242880.0 * e12)
+    c12 = 1001.0 / 8388608.0 * e12
+    return c0, c2, c4, c6, c8, c10, c12
+
+
+def _derived():
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class Ellipsoid:
     """Reference ellipsoid of revolution, defined by (a, f).
 
-    Derived quantities are always recomputed from (a, f):
-    e2 = f(2-f), ep2 = e2/(1-e2), b = a(1-f).
+    Derived quantities are computed once, from (a, f), at construction:
+    e2 = f(2-f), e = sqrt(e2), ep2 = e2/(1-e2), b = a(1-f), inv_f = 1/f and
+    the meridian-arc coefficients arc_coeffs.  Equality, hashing and repr
+    use (name, a, f) only.
     """
 
     name: str
     a: float
     f: float
+    b: float = _derived()
+    e2: float = _derived()
+    e: float = _derived()
+    ep2: float = _derived()
+    inv_f: float = _derived()
+    arc_coeffs: tuple = _derived()
 
     def __post_init__(self):
         if self.a <= 0 or not (0 <= self.f < 1):
             raise ValueError(f"invalid ellipsoid parameters a={self.a}, f={self.f}")
-
-    @property
-    def b(self) -> float:
-        return self.a * (1.0 - self.f)
-
-    @property
-    def e2(self) -> float:
-        return self.f * (2.0 - self.f)
-
-    @property
-    def e(self) -> float:
-        return math.sqrt(self.e2)
-
-    @property
-    def ep2(self) -> float:
-        return self.e2 / (1.0 - self.e2)
-
-    @property
-    def inv_f(self) -> float:
-        return 1.0 / self.f if self.f else math.inf
+        e2 = self.f * (2.0 - self.f)
+        derived = {"b": self.a * (1.0 - self.f), "e2": e2, "e": math.sqrt(e2),
+                   "ep2": e2 / (1.0 - e2), "inv_f": 1.0 / self.f if self.f else math.inf}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "arc_coeffs", meridian_arc_coefficients(self))
 
     @classmethod
     def from_a_inv_f(cls, name: str, a: float, inv_f: float) -> "Ellipsoid":
@@ -285,17 +370,19 @@ def json_number(doc: dict, key: str, default: float | None = None) -> float:
     raise ValueError(f"{key!r} must be a finite number, got {value!r:.40}")
 
 
-def prime_vertical_radius(ell: Ellipsoid, phi: float) -> float:
+def prime_vertical_radius(ell: Ellipsoid, phi):
     """Radius of curvature N in the prime vertical, a/sqrt(1 - e2 sin^2 phi)."""
-    s = math.sin(phi)
-    return ell.a / math.sqrt(1.0 - ell.e2 * s * s)
+    xp = npmath if type(phi) is np.ndarray else math
+    s = xp.sin(phi)
+    return ell.a / xp.sqrt(1.0 - ell.e2 * s * s)
 
 
-def meridian_radius(ell: Ellipsoid, phi: float) -> float:
+def meridian_radius(ell: Ellipsoid, phi):
     """Radius of curvature of the meridian, a(1-e2)/(1 - e2 sin^2 phi)^(3/2)."""
-    s = math.sin(phi)
+    xp = npmath if type(phi) is np.ndarray else math
+    s = xp.sin(phi)
     w2 = 1.0 - ell.e2 * s * s
-    return ell.a * (1.0 - ell.e2) / (w2 * math.sqrt(w2))
+    return ell.a * (1.0 - ell.e2) / (w2 * xp.sqrt(w2))
 
 
 def parametric_latitude(ell: Ellipsoid, phi: float) -> float:
@@ -303,24 +390,48 @@ def parametric_latitude(ell: Ellipsoid, phi: float) -> float:
     return math.atan2((1.0 - ell.f) * math.sin(phi), math.cos(phi))
 
 
-def isometric_latitude(ell: Ellipsoid, phi: float) -> float:
+def _eccentric_term(xp, e: float, phi):
+    """(e/2) ln((1 + e sin phi)/(1 - e sin phi)), the ellipsoid's share of L(phi)."""
+    s = xp.sin(phi)
+    return 0.5 * e * xp.log((1.0 + e * s) / (1.0 - e * s))
+
+
+def isometric_latitude(ell: Ellipsoid, phi):
     """Conformal latitude variable L(phi); dimensionless.
 
     L = ln tan(pi/4 + phi/2) - (e/2) ln((1 + e sin phi)/(1 - e sin phi)).
-    On a sphere (e = 0) this is the Mercator latitude.
+    On a sphere (e = 0) this is the Mercator latitude.  L is undefined at
+    the poles: a float there raises ValueError, an array holds NaN.
     """
-    if abs(phi) >= math.pi / 2:
+    xp = npmath if type(phi) is np.ndarray else math
+    if xp is math and abs(phi) >= math.pi / 2:
         raise ValueError("isometric latitude undefined at the poles")
-    e = ell.e
-    s = math.sin(phi)
-    value = math.log(math.tan(math.pi / 4.0 + phi / 2.0))
-    if e:
-        value -= 0.5 * e * math.log((1.0 + e * s) / (1.0 - e * s))
+    value = xp.log(xp.tan(math.pi / 4.0 + phi / 2.0))
+    if ell.e:
+        value -= _eccentric_term(xp, ell.e, phi)
+    if xp is not math:
+        value = np.where(np.abs(phi) < math.pi / 2, value, np.nan)
     return value
 
 
+def _isometric_step(xp, e: float, iso, phi) -> tuple:
+    """One pass of inverting L at the iterate phi.
+
+    Returns T = iso + (e/2) ln((1+e sin phi)/(1-e sin phi)) and the next
+    iterate, the latitude with ln tan(pi/4 + phi/2) = T.  With e = 0 that
+    is the spherical latitude of iso, the seed.
+    """
+    target = iso + _eccentric_term(xp, e, phi) if e else iso
+    return target, 2.0 * xp.atan(xp.exp(target)) - math.pi / 2.0
+
+
+# stopping rule of the isometric inversion, shared by its scalar and array forms
+_ISO_TOL = 1e-12
+_ISO_MAX_ITER = 50
+
+
 def latitude_from_isometric(
-    ell: Ellipsoid, iso: float, tol: float = 1e-12, max_iter: int = 50
+    ell: Ellipsoid, iso: float, tol: float = _ISO_TOL, max_iter: int = _ISO_MAX_ITER
 ) -> float:
     """Invert isometric_latitude by fixed-point iteration.
 
@@ -328,50 +439,48 @@ def latitude_from_isometric(
     for the next iterate; stops when successive iterates differ by < tol rad.
     """
     e = ell.e
-    phi = 2.0 * math.atan(math.exp(iso)) - math.pi / 2.0
+    phi = _isometric_step(math, 0.0, iso, None)[1]
     for _ in range(max_iter):
-        s = math.sin(phi)
-        corrected = iso
-        if e:
-            corrected += 0.5 * e * math.log((1.0 + e * s) / (1.0 - e * s))
-        nxt = 2.0 * math.atan(math.exp(corrected)) - math.pi / 2.0
+        nxt = _isometric_step(math, e, iso, phi)[1]
         if abs(nxt - phi) < tol:
             return nxt
         phi = nxt
     raise NonConvergence(f"latitude_from_isometric: no convergence for L={iso}")
 
 
-def meridian_arc_coefficients(ell: Ellipsoid) -> tuple:
-    """Series coefficients (C0, C2, ..., C12) of the meridian arc, through e^12."""
-    e2 = ell.e2
-    e4 = e2 * e2
-    e6 = e4 * e2
-    e8 = e4 * e4
-    e10 = e8 * e2
-    e12 = e8 * e4
-    c0 = (1.0 + 3.0 / 4.0 * e2 + 45.0 / 64.0 * e4 + 175.0 / 256.0 * e6
-          + 11025.0 / 16384.0 * e8 + 43659.0 / 65536.0 * e10
-          + 693693.0 / 1048576.0 * e12)
-    c2 = -(3.0 / 8.0 * e2 + 15.0 / 32.0 * e4 + 525.0 / 1024.0 * e6
-           + 2205.0 / 4096.0 * e8 + 72765.0 / 131072.0 * e10
-           + 297297.0 / 524288.0 * e12)
-    c4 = (15.0 / 256.0 * e4 + 105.0 / 1024.0 * e6 + 2205.0 / 16384.0 * e8
-          + 10395.0 / 65536.0 * e10 + 1486485.0 / 8388608.0 * e12)
-    c6 = -(35.0 / 3072.0 * e6 + 315.0 / 12288.0 * e8
-           + 31185.0 / 786432.0 * e10 + 165165.0 / 3145728.0 * e12)
-    c8 = (315.0 / 131072.0 * e8 + 3465.0 / 524288.0 * e10
-          + 99099.0 / 8388608.0 * e12)
-    c10 = -(693.0 / 1310720.0 * e10 + 9009.0 / 5242880.0 * e12)
-    c12 = 1001.0 / 8388608.0 * e12
-    return c0, c2, c4, c6, c8, c10, c12
+@quiet
+def latitude_from_isometric_array(ell: Ellipsoid, iso) -> tuple:
+    """Array form of latitude_from_isometric, at its default tolerance: (phi, failed).
+
+    failed marks the rows where the scalar form raises: no convergence
+    (NaN included) or an exp overflow.
+    """
+    iso = np.asarray(iso, dtype=float)
+    e = ell.e
+    # a seed that overflows exp is pi/2, where the eccentric term is > 0,
+    # so the first pass overflows too and flags the row
+    failed = np.isnan(iso)
+    phi = _isometric_step(npmath, 0.0, iso, None)[1]
+
+    def step(idx):
+        target, nxt = _isometric_step(npmath, e, iso[idx], phi[idx])
+        overflow = np.isfinite(target) & (target > EXP_MAX)
+        done = np.abs(nxt - phi[idx]) < _ISO_TOL
+        phi[idx] = nxt
+        failed[idx[overflow]] = True
+        return done | overflow
+
+    failed |= iterate(step, ~failed, _ISO_MAX_ITER)
+    return phi, failed
 
 
-def meridian_arc(ell: Ellipsoid, phi: float) -> float:
+def meridian_arc(ell: Ellipsoid, phi):
     """Meridian arc length from the equator to latitude phi, metres (signed)."""
-    c = meridian_arc_coefficients(ell)
+    xp = npmath if type(phi) is np.ndarray else math
+    c = ell.arc_coeffs
     s = c[0] * phi
     for i, ck in enumerate(c[1:], start=1):
-        s += ck * math.sin(2 * i * phi)
+        s += ck * xp.sin(2 * i * phi)
     return ell.a * (1.0 - ell.e2) * s
 
 

@@ -12,15 +12,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     Ellipsoid,
     NonConvergence,
     NumericalError,
+    flip,
+    iterate,
     meridian_arc,
     meridian_radius,
+    npmath,
     prime_vertical_radius,
+    quiet,
 )
-from .coords import GeodeticCoord, _normalize_lon
+from .coords import GeodeticCoord, _normalize_lon, geodetic_columns
 
 
 class PolarGeodesic(NumericalError, ValueError):
@@ -60,9 +66,53 @@ class GeodesicSolution:
     s: float
 
 
-def _norm_az(az: float) -> float:
+def _norm_az(az):
+    if type(az) is np.ndarray:
+        az = np.mod(az, TWO_PI)
+        return np.where(az == TWO_PI, 0.0, az)
     az = az % TWO_PI
     return 0.0 if az == TWO_PI else az  # % can round up to the modulus
+
+
+def _min(x, bound):
+    """min(x, bound) as Python takes it: x unless bound < x, so NaN stays NaN."""
+    if type(x) is np.ndarray:
+        return np.where(bound < x, bound, x)
+    return min(x, bound)
+
+
+def _max(x, bound):
+    """max(x, bound) as Python takes it: x unless bound > x."""
+    if type(x) is np.ndarray:
+        return np.where(bound > x, bound, x)
+    return max(x, bound)
+
+
+def _clamp_unit(x):
+    """min(1, max(-1, x)) as Python takes it, so NaN becomes -1."""
+    if type(x) is np.ndarray:
+        x = np.where(x > -1.0, x, -1.0)
+        return np.where(x < 1.0, x, 1.0)
+    return min(1.0, max(-1.0, x))
+
+
+def _parallel_radius(xp, ell: Ellipsoid, phi):
+    return prime_vertical_radius(ell, phi) * xp.cos(phi)
+
+
+def _k2(ell: Ellipsoid, c):
+    """Squared modulus k2 = (a^2 - C^2 e2)/(a^2 - C^2) of the line with Clairaut constant C."""
+    return (ell.a**2 - c * c * ell.e2) / (ell.a**2 - c * c)
+
+
+def _line_constants(xp, ell: Ellipsoid, c, az) -> tuple:
+    """Equatorial azimuth and k2 of a line with |C| < a, through azimuth az.
+
+    The equatorial azimuth is placed in the same north/south half-plane as az.
+    """
+    sin_aze = c / ell.a
+    cos_aze = flip(xp.sqrt(1.0 - sin_aze * sin_aze), xp.cos(az) < 0)
+    return _norm_az(xp.atan2(sin_aze, cos_aze)), _k2(ell, c)
 
 
 def clairaut_constant(ell: Ellipsoid, phi: float, az: float) -> GeodesicState:
@@ -71,7 +121,7 @@ def clairaut_constant(ell: Ellipsoid, phi: float, az: float) -> GeodesicState:
     The sign of C carries the east/west sense of the line.  The equatorial
     azimuth is placed in the same north/south half-plane as az.
     """
-    c = prime_vertical_radius(ell, phi) * math.cos(phi) * math.sin(az)
+    c = _parallel_radius(math, ell, phi) * math.sin(az)
     if abs(c) < 1e-9:
         raise PolarGeodesic("meridian line; Clairaut constant vanishes")
     if abs(c) >= ell.a:
@@ -79,23 +129,18 @@ def clairaut_constant(ell: Ellipsoid, phi: float, az: float) -> GeodesicState:
         c = math.copysign(ell.a, c)
         aze = math.pi / 2 if c > 0 else 3.0 * math.pi / 2
         return GeodesicState(C=c, aze=aze, k2=math.inf)
-    sin_aze = c / ell.a
-    cos_aze = math.sqrt(1.0 - sin_aze * sin_aze)
-    if math.cos(az) < 0:
-        cos_aze = -cos_aze
-    aze = _norm_az(math.atan2(sin_aze, cos_aze))
-    k2 = (ell.a**2 - c * c * ell.e2) / (ell.a**2 - c * c)
+    aze, k2 = _line_constants(math, ell, c, az)
     return GeodesicState(C=c, aze=aze, k2=k2)
 
 
-def _arc_coeffs(e2: float, k2: float) -> tuple:
+def _arc_coeffs(e2: float, k2) -> tuple:
     """Coefficients (m, n) of the arc integrand 1 + m t^2 + n t^4."""
     m = (k2 + 3.0 * e2) / 2.0
     n = (3.0 * k2 * k2 + 6.0 * e2 * k2 + 15.0 * e2 * e2) / 8.0
     return m, n
 
 
-def _lon_coeffs(e2: float, k2: float) -> tuple:
+def _lon_coeffs(e2: float, k2) -> tuple:
     """Coefficients (alpha, beta, gamma) of the longitude integrand."""
     e4 = e2 * e2
     e6 = e4 * e2
@@ -108,16 +153,45 @@ def _lon_coeffs(e2: float, k2: float) -> tuple:
     return alpha, beta, gamma
 
 
-def _arc_antider(t: float, m: float, n: float) -> float:
+def _arc_integrand(t, m, n):
+    return 1.0 + m * t * t + n * t**4
+
+
+def _arc_antider(t, m, n):
     return t + m * t**3 / 3.0 + n * t**5 / 5.0
 
 
-def _lon_antider(t: float, a: float, b: float, g: float) -> float:
+def _lon_antider(t, a, b, g):
     return t + a * t**3 / 3.0 + b * t**5 / 5.0 + g * t**7 / 7.0
 
 
-def _parallel_radius(ell: Ellipsoid, phi: float) -> float:
-    return prime_vertical_radius(ell, phi) * math.cos(phi)
+def _direct_setup(xp, ell: Ellipsoid, phi1, aze, k2, s) -> tuple:
+    """Arc coefficients m, n, start t1 = sin(phi1), first-order seed of t2,
+    the arc-integral target and the Newton tolerance of the direct problem."""
+    e2 = ell.e2
+    m, n = _arc_coeffs(e2, k2)
+    t1 = xp.sin(phi1)
+    rhs = s * xp.cos(aze) / (ell.a * (1.0 - e2))
+    target = _arc_antider(t1, m, n) + rhs
+    # converge well below the 1e-4 m contract so round trips keep margin
+    tol = 1e-7 * abs(xp.cos(aze)) / (ell.a * (1.0 - e2))
+    tol = _max(tol, 1e-18)
+    return m, n, t1, t1 + rhs, target, tol
+
+
+def _direct_end(xp, ell: Ellipsoid, lam1, c, aze, k2, az1, t1, t2) -> tuple:
+    """phi2, lam2 and az2 once the arc integral has been solved for t2 = sin(phi2)."""
+    e2 = ell.e2
+    phi2 = xp.asin(t2)
+    alpha, beta, gamma = _lon_coeffs(e2, k2)
+    dlam = (1.0 - e2) * xp.tan(aze) * (
+        _lon_antider(t2, alpha, beta, gamma) - _lon_antider(t1, alpha, beta, gamma)
+    )
+    lam2 = _normalize_lon(lam1 + dlam)
+    sin_az2 = _clamp_unit(c / _parallel_radius(xp, ell, phi2))
+    # no vertex crossing inside the validity domain
+    cos_az2 = flip(xp.sqrt(1.0 - sin_az2 * sin_az2), xp.cos(az1) < 0)
+    return phi2, lam2, _norm_az(xp.atan2(sin_az2, cos_az2))
 
 
 def geodesic_direct(
@@ -145,51 +219,96 @@ def geodesic_direct(
         # the start point is the vertex itself: the latitude integrand is
         # singular there and the series cannot leave the point
         raise VertexExceeded("line starts at its vertex latitude")
-    e2 = ell.e2
-    m, n = _arc_coeffs(e2, state.k2)
-    t1 = math.sin(p1.phi)
-    t_max = 1.0 / state.k  # sin of the vertex latitude
-    rhs = s * math.cos(state.aze) / (ell.a * (1.0 - e2))
-    target = _arc_antider(t1, m, n) + rhs
-
-    t2 = t1 + rhs  # first-order seed
-    # converge well below the 1e-4 m contract so round trips keep margin
-    tol = 1e-7 * abs(math.cos(state.aze)) / (ell.a * (1.0 - e2))
-    tol = max(tol, 1e-18)
+    m, n, t1, t2, target, tol = _direct_setup(math, ell, p1.phi, state.aze, state.k2, s)
     for _ in range(50):
         f = _arc_antider(t2, m, n) - target
         if abs(f) < tol:
             break
-        t2 -= f / (1.0 + m * t2 * t2 + n * t2**4)
+        t2 -= f / _arc_integrand(t2, m, n)
     else:
         raise NonConvergence("geodesic_direct: latitude iteration stalled")
+    t_max = 1.0 / state.k  # sin of the vertex latitude
     if abs(t2) >= min(t_max, 1.0) - 1e-12:
         raise VertexExceeded(
             f"arc reaches sin(phi) = {t2:.9f}, beyond the vertex bound {t_max:.9f}"
         )
-    phi2 = math.asin(t2)
-
-    alpha, beta, gamma = _lon_coeffs(e2, state.k2)
-    dlam = (1.0 - e2) * math.tan(state.aze) * (
-        _lon_antider(t2, alpha, beta, gamma) - _lon_antider(t1, alpha, beta, gamma)
-    )
-    lam2 = _normalize_lon(p1.lam + dlam)
-
-    sin_az2 = state.C / _parallel_radius(ell, phi2)
-    sin_az2 = min(1.0, max(-1.0, sin_az2))
-    cos_az2 = math.sqrt(1.0 - sin_az2 * sin_az2)
-    if math.cos(az1) < 0:
-        cos_az2 = -cos_az2  # no vertex crossing inside the validity domain
-    az2 = _norm_az(math.atan2(sin_az2, cos_az2))
+    phi2, lam2, az2 = _direct_end(math, ell, p1.lam, state.C, state.aze, state.k2, az1, t1, t2)
     return GeodesicSolution(phi2, lam2, _norm_az(az1), az2, s)
 
 
-def _seed_c(ell: Ellipsoid, phi: float, dlam_dphi: float) -> float:
+@quiet
+def geodesic_direct_array(ell: Ellipsoid, phi1, lam1, az1, s) -> tuple:
+    """Array form of geodesic_direct over columns: (phi2, lam2, az2, s, failed).
+
+    failed marks the rows the kernel leaves to the scalar form: every row
+    where geodesic_direct raises (a start point GeodeticCoord rejects,
+    s < 0, a meridian line, a start at the vertex, a stalled Newton
+    iteration or an arc beyond the vertex), and the zero-length and
+    equatorial lines, which geodesic_direct solves in closed form.
+    """
+    phi1, lam1, ok = geodetic_columns(phi1, lam1)
+    az1, s = np.asarray(az1, dtype=float), np.asarray(s, dtype=float)
+    c = _parallel_radius(npmath, ell, phi1) * np.sin(az1)
+    aze, k2 = _line_constants(npmath, ell, c, az1)
+    # an infinite azimuth makes c NaN, which fails both |c| tests
+    general = (ok & ~(s <= 0.0) & (np.abs(c) >= 1e-9) & (np.abs(c) < ell.a)
+               & ~(np.abs(np.cos(aze)) < 1e-9))
+
+    m, n, t1, t2, target, tol = _direct_setup(npmath, ell, phi1, aze, k2, s)
+
+    def step(idx):
+        t = t2[idx]
+        f = _arc_antider(t, m[idx], n[idx]) - target[idx]
+        done = np.abs(f) < tol[idx]
+        t2[idx] = np.where(done, t, t - f / _arc_integrand(t, m[idx], n[idx]))
+        return done
+
+    stalled = iterate(step, general, 50)
+    t_max = 1.0 / np.sqrt(k2)
+    failed = ~general | stalled | (np.abs(t2) >= _min(t_max, 1.0) - 1e-12)
+    phi2, lam2, az2 = _direct_end(npmath, ell, lam1, c, aze, k2, az1, t1, t2)
+    return phi2, lam2, az2, s, failed
+
+
+def _seed_c(xp, ell: Ellipsoid, phi, dlam_dphi):
     """|C| from the finite-difference slope of the line at latitude phi."""
-    r = _parallel_radius(ell, phi)
+    r = _parallel_radius(xp, ell, phi)
     rho = meridian_radius(ell, phi)
     q = (r / rho) * dlam_dphi
-    return r * abs(q) / math.sqrt(1.0 + q * q)
+    return r * abs(q) / xp.sqrt(1.0 + q * q)
+
+
+def _aze_sin_cos(xp, ell: Ellipsoid, c, dphi) -> tuple:
+    """sin and cos of the equatorial azimuth of the line from its Clairaut
+    constant, cos taking the sign of the latitude change."""
+    sin_aze = c / ell.a
+    return sin_aze, xp.copysign(xp.sqrt(1.0 - sin_aze * sin_aze), dphi)
+
+
+def _predicted_dlam(xp, ell: Ellipsoid, c, t1, t2, dphi):
+    """Longitude gap of the line with Clairaut constant c between sin(phi) = t1 and t2."""
+    e2 = ell.e2
+    sin_aze, cos_aze = _aze_sin_cos(xp, ell, c, dphi)
+    alpha, beta, gamma = _lon_coeffs(e2, _k2(ell, c))
+    return (1.0 - e2) * (sin_aze / cos_aze) * (
+        _lon_antider(t2, alpha, beta, gamma) - _lon_antider(t1, alpha, beta, gamma)
+    )
+
+
+def _endpoint_az(xp, ell: Ellipsoid, c, phi, dphi):
+    sin_az = _clamp_unit(c / _parallel_radius(xp, ell, phi))
+    cos_az = xp.copysign(xp.sqrt(1.0 - sin_az * sin_az), dphi)
+    return _norm_az(xp.atan2(sin_az, cos_az))
+
+
+def _inverse_end(xp, ell: Ellipsoid, c, phi1, phi2, dphi) -> tuple:
+    """az1, az2 and the length s of the line with Clairaut constant c."""
+    e2 = ell.e2
+    t1, t2 = xp.sin(phi1), xp.sin(phi2)
+    _, cos_aze = _aze_sin_cos(xp, ell, c, dphi)
+    m, n = _arc_coeffs(e2, _k2(ell, c))
+    s = ell.a * (1.0 - e2) * (_arc_antider(t2, m, n) - _arc_antider(t1, m, n)) / cos_aze
+    return _endpoint_az(xp, ell, c, phi1, dphi), _endpoint_az(xp, ell, c, phi2, dphi), s
 
 
 def geodesic_inverse(
@@ -219,29 +338,20 @@ def geodesic_inverse(
         az = math.pi / 2.0 if dlam > 0 else 3.0 * math.pi / 2.0
         return GeodesicSolution(p2.phi, p2.lam, az, az, abs(dlam) * ell.a)
 
-    e2 = ell.e2
+    lim = ell.a * (1.0 - 1e-12)
     t1, t2 = math.sin(p1.phi), math.sin(p2.phi)
     slope = dlam / dphi if dphi != 0.0 else math.inf
     if math.isinf(slope):
-        c = min(_parallel_radius(ell, p1.phi), ell.a * (1.0 - 1e-12))
+        c = min(_parallel_radius(math, ell, p1.phi), lim)
     else:
-        c = 0.5 * (_seed_c(ell, p1.phi, slope) + _seed_c(ell, p2.phi, slope))
-    c = math.copysign(min(c, ell.a * (1.0 - 1e-12)), dlam)
-
-    def predicted_dlam(c_val: float) -> float:
-        k2 = (ell.a**2 - c_val * c_val * e2) / (ell.a**2 - c_val * c_val)
-        sin_aze = c_val / ell.a
-        cos_aze = math.copysign(math.sqrt(1.0 - sin_aze * sin_aze), dphi)
-        alpha, beta, gamma = _lon_coeffs(e2, k2)
-        return (1.0 - e2) * (sin_aze / cos_aze) * (
-            _lon_antider(t2, alpha, beta, gamma) - _lon_antider(t1, alpha, beta, gamma)
-        )
+        c = 0.5 * (_seed_c(math, ell, p1.phi, slope) + _seed_c(math, ell, p2.phi, slope))
+    c = math.copysign(min(c, lim), dlam)
 
     # secant refinement of C against the longitude gap; once below the
     # 1e-11 rad requirement, keep polishing while the residual still drops
     c_prev = c * 0.999
-    f_prev = predicted_dlam(c_prev) - dlam
-    f = predicted_dlam(c) - dlam
+    f_prev = _predicted_dlam(math, ell, c_prev, t1, t2, dphi) - dlam
+    f = _predicted_dlam(math, ell, c, t1, t2, dphi) - dlam
     converged = abs(f) < 1e-11
     polish = 0
     for _ in range(100):
@@ -251,8 +361,8 @@ def geodesic_inverse(
         if denom == 0.0:
             break
         c_next = c - f * (c - c_prev) / denom
-        c_next = math.copysign(min(abs(c_next), ell.a * (1.0 - 1e-12)), dlam)
-        f_next = predicted_dlam(c_next) - dlam
+        c_next = math.copysign(min(abs(c_next), lim), dlam)
+        f_next = _predicted_dlam(math, ell, c_next, t1, t2, dphi) - dlam
         if converged and abs(f_next) >= abs(f):
             break
         c_prev, f_prev = c, f
@@ -263,15 +373,73 @@ def geodesic_inverse(
     if not converged:
         raise NonConvergence("geodesic_inverse: Clairaut constant did not converge")
 
-    k2 = (ell.a**2 - c * c * e2) / (ell.a**2 - c * c)
-    sin_aze = c / ell.a
-    cos_aze = math.copysign(math.sqrt(1.0 - sin_aze * sin_aze), dphi)
-    m, n = _arc_coeffs(e2, k2)
-    s = ell.a * (1.0 - e2) * (_arc_antider(t2, m, n) - _arc_antider(t1, m, n)) / cos_aze
+    az1, az2, s = _inverse_end(math, ell, c, p1.phi, p2.phi, dphi)
+    return GeodesicSolution(p2.phi, p2.lam, az1, az2, s)
 
-    def endpoint_az(phi: float) -> float:
-        sin_az = min(1.0, max(-1.0, c / _parallel_radius(ell, phi)))
-        cos_az = math.copysign(math.sqrt(1.0 - sin_az * sin_az), dphi)
-        return _norm_az(math.atan2(sin_az, cos_az))
 
-    return GeodesicSolution(p2.phi, p2.lam, endpoint_az(p1.phi), endpoint_az(p2.phi), s)
+def _seed_array(ell: Ellipsoid, phi1, phi2, dlam, dphi):
+    """The seed of geodesic_inverse's secant refinement, per row."""
+    lim = ell.a * (1.0 - 1e-12)
+    slope = np.where(dphi != 0.0, dlam / dphi, np.inf)
+    c = np.where(np.isinf(slope), _min(_parallel_radius(npmath, ell, phi1), lim),
+                 0.5 * (_seed_c(npmath, ell, phi1, slope) + _seed_c(npmath, ell, phi2, slope)))
+    return np.copysign(_min(c, lim), dlam)
+
+
+def _secant_array(ell: Ellipsoid, c, t1, t2, dphi, dlam) -> tuple:
+    """The secant refinement of geodesic_inverse, per row: (c, converged)."""
+    lim = ell.a * (1.0 - 1e-12)
+    c_prev = c * 0.999
+    f_prev = _predicted_dlam(npmath, ell, c_prev, t1, t2, dphi) - dlam
+    f = _predicted_dlam(npmath, ell, c, t1, t2, dphi) - dlam
+    converged = np.abs(f) < 1e-11
+    polish = np.zeros(c.shape, dtype=np.int8)
+
+    def step(i):
+        ci, fi = c[i], f[i]
+        stop = converged[i] & ((polish[i] >= 3) | (fi == 0.0))
+        denom = fi - f_prev[i]
+        stop |= denom == 0.0
+        c_next = ci - fi * (ci - c_prev[i]) / denom
+        c_next = np.copysign(_min(np.abs(c_next), lim), dlam[i])
+        f_next = _predicted_dlam(npmath, ell, c_next, t1[i], t2[i], dphi[i]) - dlam[i]
+        stop |= converged[i] & (np.abs(f_next) >= np.abs(fi))
+        go = ~stop
+        j = i[go]
+        c_prev[j], f_prev[j] = ci[go], fi[go]
+        c[j], f[j] = c_next[go], f_next[go]
+        hit = j[np.abs(f_next[go]) < 1e-11]
+        converged[hit] = True
+        polish[hit] += 1
+        return stop
+
+    iterate(step, np.ones(c.shape, dtype=bool), 100)
+    return c, converged
+
+
+@quiet
+def geodesic_inverse_array(ell: Ellipsoid, phi1, lam1, phi2, lam2) -> tuple:
+    """Array form of geodesic_inverse over columns: (az1, az2, s, failed).
+
+    failed marks the rows the kernel leaves to the scalar form: every row
+    where geodesic_inverse raises (an endpoint GeodeticCoord rejects,
+    coincident endpoints, a longitude gap too close to half a turn, or a
+    secant refinement that does not converge), and the meridian and
+    equator lines, which geodesic_inverse solves in closed form.
+    """
+    phi1, lam1, ok1 = geodetic_columns(phi1, lam1)
+    phi2, lam2, ok2 = geodetic_columns(phi2, lam2)
+    dlam = _normalize_lon(lam2 - lam1)
+    dphi = phi2 - phi1
+    failed = (~(ok1 & ok2) | (dlam == 0.0) | ((phi1 == 0.0) & (phi2 == 0.0))
+              | (np.abs(dlam) > math.pi * (1.0 - 0.5 * ell.e2)))
+    general = np.flatnonzero(~failed)
+
+    p1, p2, dl, dp = phi1[general], phi2[general], dlam[general], dphi[general]
+    c, converged = _secant_array(ell, _seed_array(ell, p1, p2, dl, dp),
+                                 np.sin(p1), np.sin(p2), dp, dl)
+    failed[general[~converged]] = True
+
+    az1, az2, s = np.full((3, phi1.shape[0]), np.nan)
+    az1[general], az2[general], s[general] = _inverse_end(npmath, ell, c, p1, p2, dp)
+    return az1, az2, s, failed

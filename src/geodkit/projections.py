@@ -12,21 +12,28 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import (
     ARCSEC,
     Ellipsoid,
     NonConvergence,
     NumericalError,
+    all_finite,
     get_ellipsoid,
     isometric_latitude,
+    iterate,
     json_number,
     latitude_from_isometric,
+    latitude_from_isometric_array,
     meridian_arc,
     meridian_radius,
+    npmath,
     parse_json_object,
     prime_vertical_radius,
+    quiet,
 )
-from .coords import GeodeticCoord, _normalize_lon
+from .coords import GeodeticCoord, _normalize_lon, geodetic_columns
 
 
 class ApexSingularity(NumericalError, ValueError):
@@ -84,49 +91,96 @@ class LambertDef:
         object.__setattr__(self, "l0", isometric_latitude(self.ell, self.phi0))
 
 
-def _lambert_polar(d: LambertDef, g: GeodeticCoord) -> tuple:
-    omega = (_normalize_lon(g.lam - d.lam0)) * d.n
-    iso = isometric_latitude(d.ell, g.phi)
-    radius = d.r0 * math.exp(-d.n * (iso - d.l0))
-    return radius, omega
+def _cone_radius(xp, d: LambertDef, phi):
+    """Radius of the image of the parallel phi, R = R0 exp(-n (L(phi) - L0))."""
+    iso = isometric_latitude(d.ell, phi)
+    return d.r0 * xp.exp(-d.n * (iso - d.l0))
 
 
-def lambert_raw_xy(d: LambertDef, g: GeodeticCoord) -> tuple:
-    """Plane coordinates before the false offsets, per the axis convention."""
-    radius, omega = _lambert_polar(d, g)
-    x_east = d.k0 * radius * math.sin(omega)
-    y_north = d.k0 * (d.r0 - radius * math.cos(omega))
+def _lambert_xy(xp, d: LambertDef, phi, lam) -> tuple:
+    radius = _cone_radius(xp, d, phi)
+    omega = (_normalize_lon(lam - d.lam0)) * d.n
+    x_east = d.k0 * radius * xp.sin(omega)
+    y_north = d.k0 * (d.r0 - radius * xp.cos(omega))
     if d.axis_convention == "stt":
         return y_north, -x_east  # x north, y west
     return x_east, y_north
 
 
-def lambert_forward(d: LambertDef, g: GeodeticCoord) -> PlaneCoord:
-    x, y = lambert_raw_xy(d, g)
+def _lambert_en(xp, d: LambertDef, phi, lam) -> tuple:
+    x, y = _lambert_xy(xp, d, phi, lam)
     if d.axis_convention == "stt":
-        return PlaneCoord(d.false_e - y, d.false_n + x)
-    return PlaneCoord(d.false_e + x, d.false_n + y)
+        return d.false_e - y, d.false_n + x
+    return d.false_e + x, d.false_n + y
+
+
+def lambert_raw_xy(d: LambertDef, g: GeodeticCoord) -> tuple:
+    """Plane coordinates before the false offsets, per the axis convention."""
+    return _lambert_xy(math, d, g.phi, g.lam)
+
+
+def lambert_forward(d: LambertDef, g: GeodeticCoord) -> PlaneCoord:
+    return PlaneCoord(*_lambert_en(math, d, g.phi, g.lam))
+
+
+@quiet
+def lambert_forward_array(d: LambertDef, phi, lam) -> tuple:
+    """Array form of lambert_forward over columns: (e, n, failed).
+
+    failed marks the rows where the scalar form raises: an input
+    GeodeticCoord rejects, a pole, or a non-finite result.
+    """
+    phi, lam, ok = geodetic_columns(phi, lam)
+    e, n = _lambert_en(npmath, d, phi, lam)
+    return e, n, ~(ok & all_finite(e, n))
+
+
+def _apex_distance(xp, d: LambertDef, e, n) -> tuple:
+    """Cone radius of a plane point, with its raw plane offsets x, y."""
+    x = (e - d.false_e) / d.k0
+    y = (n - d.false_n) / d.k0
+    return xp.hypot(x, d.r0 - y), x, y
+
+
+def _lambert_lam_iso(xp, d: LambertDef, x, y, radius) -> tuple:
+    """Longitude and isometric latitude of a plane point off the apex."""
+    # sign(r0) carries the cone orientation (southern cones have r0 < 0)
+    s = math.copysign(1.0, d.r0)
+    omega = xp.atan2(s * x, s * (d.r0 - y))
+    lam = d.lam0 + omega / d.n
+    iso = d.l0 + xp.log(abs(d.r0) / radius) / d.n
+    return lam, iso
 
 
 def lambert_inverse(d: LambertDef, p: PlaneCoord) -> GeodeticCoord:
-    x = (p.e - d.false_e) / d.k0
-    y = (p.n - d.false_n) / d.k0
-    # sign(r0) carries the cone orientation (southern cones have r0 < 0)
-    s = math.copysign(1.0, d.r0)
-    radius = math.hypot(x, d.r0 - y)
+    radius, x, y = _apex_distance(math, d, p.e, p.n)
     if radius < 1e-6:
         raise ApexSingularity("point at the cone apex")
-    omega = math.atan2(s * x, s * (d.r0 - y))
-    lam = d.lam0 + omega / d.n
-    iso = d.l0 + math.log(abs(d.r0) / radius) / d.n
+    lam, iso = _lambert_lam_iso(math, d, x, y, radius)
     phi = latitude_from_isometric(d.ell, iso)
     return GeodeticCoord(phi, lam, 0.0)
 
 
+@quiet
+def lambert_inverse_array(d: LambertDef, e, n) -> tuple:
+    """Array form of lambert_inverse over columns: (phi, lam, failed).
+
+    failed marks the rows where the scalar form raises: a non-finite input
+    (PlaneCoord), the apex, an infinite radius (log of 0), or a latitude
+    iteration that fails.
+    """
+    e, n = np.asarray(e, dtype=float), np.asarray(n, dtype=float)
+    radius, x, y = _apex_distance(npmath, d, e, n)
+    ok = all_finite(e, n) & ~(radius < 1e-6) & np.isfinite(radius)
+    lam, iso = _lambert_lam_iso(npmath, d, x, y, radius)
+    phi, failed = latitude_from_isometric_array(d.ell, np.where(ok, iso, np.nan))
+    phi, lam, valid = geodetic_columns(phi, lam)
+    return phi, lam, ~(ok & valid) | failed
+
+
 def lambert_scale(d: LambertDef, phi: float) -> float:
     """Point scale factor m(phi) = k0 sin(phi0) R(phi) / (N(phi) cos(phi))."""
-    iso = isometric_latitude(d.ell, phi)
-    radius = d.r0 * math.exp(-d.n * (iso - d.l0))
+    radius = _cone_radius(math, d, phi)
     return d.k0 * d.n * radius / (prime_vertical_radius(d.ell, phi) * math.cos(phi))
 
 
@@ -145,8 +199,7 @@ def lambert_arc_to_chord(d: LambertDef, p1: GeodeticCoord, p2: GeodeticCoord) ->
     obtain the chord bearing (G = Az - gamma + Dv convention).
     """
     phi_t = p1.phi + (p2.phi - p1.phi) / 3.0
-    lam_t = p1.lam + _normalize_lon(p2.lam - p1.lam) / 3.0
-    radius_t, _ = _lambert_polar(d, GeodeticCoord(phi_t, lam_t))
+    radius_t = _cone_radius(math, d, phi_t)
     n0 = prime_vertical_radius(d.ell, d.phi0)
     rho0 = meridian_radius(d.ell, d.phi0)
     q1 = lambert_forward(d, p1)
@@ -186,12 +239,13 @@ class UtmDef:
 _MAX_ZONE_HALF_WIDTH = math.radians(3.5)
 
 
-def _utm_direct_coeffs(ell: Ellipsoid, phi: float) -> tuple:
+def _utm_direct_coeffs(ell: Ellipsoid, phi) -> tuple:
     """Series coefficients a1..a8 of the direct transverse Mercator mapping."""
+    xp = npmath if type(phi) is np.ndarray else math
     n = prime_vertical_radius(ell, phi)
-    c = math.cos(phi)
-    s = math.sin(phi)
-    t2 = math.tan(phi) ** 2
+    c = xp.cos(phi)
+    s = xp.sin(phi)
+    t2 = xp.tan(phi) ** 2
     eta2 = ell.ep2 * c * c
     eta4 = eta2 * eta2
     a1 = n * c
@@ -215,37 +269,88 @@ def _utm_direct_coeffs(ell: Ellipsoid, phi: float) -> tuple:
     return a1, a2, a3, a4, a5, a6, a7, a8
 
 
+def _utm_en(d: UtmDef, phi, lam) -> tuple:
+    """Easting and northing of latitude phi, lam radians from the central meridian."""
+    a1, a2, a3, a4, a5, a6, a7, a8 = _utm_direct_coeffs(d.ell, phi)
+    x = a1 * lam - a3 * lam**3 + a5 * lam**5 - a7 * lam**7
+    y = (meridian_arc(d.ell, phi) - a2 * lam**2 + a4 * lam**4
+         - a6 * lam**6 + a8 * lam**8)
+    return d.k0 * x + d.false_e, d.k0 * y + d.false_n
+
+
 def utm_forward(d: UtmDef, g: GeodeticCoord) -> PlaneCoord:
     lam = _normalize_lon(g.lam - d.lam0)
     if abs(lam) > _MAX_ZONE_HALF_WIDTH:
         raise OutOfZone(f"longitude {lam} rad from the central meridian")
-    a1, a2, a3, a4, a5, a6, a7, a8 = _utm_direct_coeffs(d.ell, g.phi)
-    x = a1 * lam - a3 * lam**3 + a5 * lam**5 - a7 * lam**7
-    y = (meridian_arc(d.ell, g.phi) - a2 * lam**2 + a4 * lam**4
-         - a6 * lam**6 + a8 * lam**8)
-    return PlaneCoord(d.k0 * x + d.false_e, d.k0 * y + d.false_n)
+    return PlaneCoord(*_utm_en(d, g.phi, lam))
+
+
+@quiet
+def utm_forward_array(d: UtmDef, phi, lam) -> tuple:
+    """Array form of utm_forward over columns: (e, n, failed).
+
+    failed marks the rows where the scalar form raises: an input
+    GeodeticCoord rejects, a longitude out of the zone, or a non-finite
+    result.
+    """
+    phi, lam, ok = geodetic_columns(phi, lam)
+    lam = _normalize_lon(lam - d.lam0)
+    e, n = _utm_en(d, phi, lam)
+    return e, n, ~(ok & ~(np.abs(lam) > _MAX_ZONE_HALF_WIDTH) & all_finite(e, n))
+
+
+def _footpoint_seed(d: UtmDef, y):
+    return y / (d.ell.a * (1.0 - d.ell.e2))
+
+
+def _footpoint_step(d: UtmDef, y, phi):
+    """Newton correction of phi towards meridian_arc(phi) = y."""
+    return (meridian_arc(d.ell, phi) - y) / meridian_radius(d.ell, phi)
+
+
+# stopping rule of the footpoint Newton, shared by its scalar and array forms
+_FOOT_TOL = 1e-13
+_FOOT_MAX_ITER = 50
 
 
 def utm_footpoint_latitude(
-    d: UtmDef, y: float, tol: float = 1e-13, max_iter: int = 50
+    d: UtmDef, y: float, tol: float = _FOOT_TOL, max_iter: int = _FOOT_MAX_ITER
 ) -> float:
     """Latitude whose meridian arc equals y, by Newton (d beta / d phi = rho)."""
-    phi = y / (d.ell.a * (1.0 - d.ell.e2))
+    phi = _footpoint_seed(d, y)
     for _ in range(max_iter):
-        delta = (meridian_arc(d.ell, phi) - y) / meridian_radius(d.ell, phi)
+        delta = _footpoint_step(d, y, phi)
         phi -= delta
         if abs(delta) < tol:
             return phi
     raise NonConvergence("utm_footpoint_latitude: Newton did not converge")
 
 
-def utm_inverse(d: UtmDef, p: PlaneCoord) -> GeodeticCoord:
-    x = (p.e - d.false_e) / d.k0
-    y = (p.n - d.false_n) / d.k0
-    phi_f = utm_footpoint_latitude(d, y)
+@quiet
+def utm_footpoint_latitude_array(d: UtmDef, y) -> tuple:
+    """Array form of utm_footpoint_latitude, at its default tolerance: (phi, failed).
+
+    failed marks the rows where the scalar form raises: an infinite y (the
+    sine of infinity) or no convergence.
+    """
+    y = np.asarray(y, dtype=float)
+    phi = _footpoint_seed(d, y)
+    failed = np.isinf(y)
+
+    def step(idx):
+        delta = _footpoint_step(d, y[idx], phi[idx])
+        phi[idx] -= delta
+        return np.abs(delta) < _FOOT_TOL
+
+    failed |= iterate(step, ~failed, _FOOT_MAX_ITER)
+    return phi, failed
+
+
+def _utm_inverse_series(xp, d: UtmDef, x, phi_f) -> tuple:
+    """Longitude and isometric latitude of a point x east of footpoint latitude phi_f."""
     n = prime_vertical_radius(d.ell, phi_f)
-    c = math.cos(phi_f)
-    t = math.tan(phi_f)
+    c = xp.cos(phi_f)
+    t = xp.tan(phi_f)
     t2 = t * t
     eta2 = d.ell.ep2 * c * c
     b1 = 1.0 / (n * c)
@@ -262,8 +367,35 @@ def utm_inverse(d: UtmDef, p: PlaneCoord) -> GeodeticCoord:
           + 1538.0 * eta2 * t2 + 46.0 * eta2 * eta2) / (5040.0 * n**7 * c)
     lam = d.lam0 + b1 * x - b3 * x**3 + b5 * x**5 - b7 * x**7
     iso = (isometric_latitude(d.ell, phi_f) - b2 * x**2 + b4 * x**4 - b6 * x**6)
+    return lam, iso
+
+
+def utm_inverse(d: UtmDef, p: PlaneCoord) -> GeodeticCoord:
+    x = (p.e - d.false_e) / d.k0
+    y = (p.n - d.false_n) / d.k0
+    phi_f = utm_footpoint_latitude(d, y)
+    lam, iso = _utm_inverse_series(math, d, x, phi_f)
     phi = latitude_from_isometric(d.ell, iso)
     return GeodeticCoord(phi, lam, 0.0)
+
+
+@quiet
+def utm_inverse_array(d: UtmDef, e, n) -> tuple:
+    """Array form of utm_inverse over columns: (phi, lam, failed).
+
+    failed marks the rows where the scalar form raises: a non-finite input
+    (PlaneCoord), a footpoint or latitude iteration that fails, a footpoint
+    beyond a pole, or a non-finite longitude (an overflowing series term).
+    """
+    e, n = np.asarray(e, dtype=float), np.asarray(n, dtype=float)
+    ok = all_finite(e, n)
+    x = (e - d.false_e) / d.k0
+    y = np.where(ok, (n - d.false_n) / d.k0, np.inf)
+    phi_f, foot_failed = utm_footpoint_latitude_array(d, y)
+    lam, iso = _utm_inverse_series(npmath, d, x, phi_f)
+    phi, iso_failed = latitude_from_isometric_array(d.ell, np.where(foot_failed, np.nan, iso))
+    phi, lam, valid = geodetic_columns(phi, lam)
+    return phi, lam, ~(ok & valid) | foot_failed | iso_failed
 
 
 def utm_scale(d: UtmDef, g: GeodeticCoord) -> float:

@@ -486,9 +486,9 @@ class TestMixedNetwork:
         res = net.solve()
         index, orientations = res.trace
         assert list(index) == [
-            ("h", "H1"), ("x", "B"), ("y", "B"), ("v", "A", "s1"),
+            ("z", "H1"), ("x", "B"), ("y", "B"), ("v", "A", "s1"),
             ("x", "F"), ("y", "F"), ("z", "F"),
-            ("x", "C"), ("y", "C"), ("v", "B", "s2"), ("h", "H2"),
+            ("x", "C"), ("y", "C"), ("v", "B", "s2"), ("z", "H2"),
         ]
         assert list(index.values()) == list(range(len(index)))
         assert set(orientations) == {("v", "A", "s1"), ("v", "B", "s2")}
@@ -501,6 +501,28 @@ class TestMixedNetwork:
         assert net.points["F"].z0 == pytest.approx(250.0, abs=1e-6)
         for key in orientations:
             assert orientations[key] == pytest.approx(0.3, abs=1e-9)
+
+
+    def test_distance3d_and_leveling_share_one_height_unknown(self):
+        # a point seen by 3-D distances and a leveling line has one vertical
+        # unknown; with two, both corrections went into z0 and the solve
+        # stopped at max_iter off the truth
+        truth = {"A": (0.0, 0.0, 0.0), "B": (1000.0, 0.0, 50.0), "C": (0.0, 1000.0, 120.0),
+                 "D": (1000.0, 1000.0, -30.0), "P": (400.0, 600.0, 78.0)}
+        net = Network()
+        for name, (x, y, z) in truth.items():
+            if name == "P":
+                net.add_point(name, x + 0.3, y - 0.2, z + 0.5)
+            else:
+                net.add_point(name, x, y, z, fixed=True)
+        for a in "ABCD":
+            net.add_observation(Observation("distance3d", a, "P",
+                                            math.dist(truth[a], truth["P"]), sigma=0.001))
+        net.add_observation(Observation("leveling", "A", "P", 78.0, sigma=0.001, dist_km=1.0))
+        res = net.solve()
+        assert list(res.trace[0]) == [("x", "P"), ("y", "P"), ("z", "P")]
+        assert res.iterations < 10
+        assert net.points["P"].z0 == pytest.approx(78.0, abs=1e-9)
 
 
 class TestGaussNewton:

@@ -16,6 +16,7 @@ from geodkit.core import (
     isometric_latitude,
     latitude_from_isometric,
     meridian_arc,
+    meridian_arc_coefficients,
     meridian_radius,
     parametric_latitude,
     prime_vertical_radius,
@@ -123,6 +124,27 @@ class TestEllipsoid:
         assert ell.e2 == pytest.approx((ell.a**2 - ell.b**2) / ell.a**2, rel=1e-14)
         assert ell.ep2 == pytest.approx((ell.a**2 - ell.b**2) / ell.b**2, rel=1e-14)
         assert 0.0 < ell.e2 < 1.0
+
+    @pytest.mark.parametrize("key", sorted(TABLE) + ["sphere"])
+    def test_cached_fields_equal_the_formulas(self, key):
+        # the fields are computed once, with the expressions the properties used
+        ell = Ellipsoid.sphere() if key == "sphere" else get_ellipsoid(key)
+        e2 = ell.f * (2.0 - ell.f)
+        assert ell.e2 == e2
+        assert ell.e == math.sqrt(e2)
+        assert ell.ep2 == e2 / (1.0 - e2)
+        assert ell.b == ell.a * (1.0 - ell.f)
+        assert ell.inv_f == (1.0 / ell.f if ell.f else math.inf)
+        assert ell.arc_coeffs == meridian_arc_coefficients(ell)
+
+    def test_equality_hash_and_repr_use_name_a_f(self):
+        ell = get_ellipsoid("grs80")
+        twin = Ellipsoid(ell.name, ell.a, ell.f)
+        assert twin == ell and hash(twin) == hash(ell)
+        assert hash(ell) == hash((ell.name, ell.a, ell.f))
+        assert repr(ell) == f"Ellipsoid(name={ell.name!r}, a={ell.a!r}, f={ell.f!r})"
+        assert Ellipsoid(ell.name, ell.a, ell.f * (1 + 1e-12)) != ell
+        assert {ell: 1}[twin] == 1
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -223,6 +223,35 @@ def test_mistyped_or_non_finite_json_exits_2(case, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("p, code, error", [
+    (0, 3, "numerical error: SingularNormal"),  # a zero weight, not "no weights"
+    (0.0, 3, "numerical error: SingularNormal"),
+    ([], 2, "input error: ValueError: weight vector length mismatch"),
+    ("", 2, "input error: ValueError: 'p' must be"),
+])
+def test_adjust_system_falsy_p_is_a_weight(p, code, error, tmp_path, capsys):
+    doc = {"a": [[1], [2]], "k": [1, 2], "p": p}
+    got, out, err = run_files(SYSTEM, tmp_path, capsys, {"JSON": json.dumps(doc)})
+    assert got == code and error in err, err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (SYSTEM, {"JSON": json.dumps({"a": [], "k": []})}, "no observations"),
+    (SYSTEM, {"JSON": json.dumps({"a": [[], []], "k": [1, 2]})}, "no unknowns"),
+    (["adjust", "--points", "PTS", "--obs", "OBS"],
+     {"PTS": "n,x0,y0,z0,fixed\nA,0,0,0,1\nB,0,0,5,1\n",
+      "OBS": "kind,from,to,value,sigma\nleveling,A,B,5,0.01\n"}, "no unknowns"),
+    (["adjust", "--points", "PTS", "--obs", "OBS"],
+     {"PTS": "n,x0,y0,z0,fixed\nA,0,0,0,1\nB,0,0,5,0\n",
+      "OBS": "kind,from,to,value,sigma\n"}, "no observations"),
+])
+def test_adjust_empty_system_exits_2_naming_it(argv, files, message, tmp_path, capsys):
+    code, out, err = run_files(argv, tmp_path, capsys, files)
+    assert code == 2 and f"input error: ValueError: the system has {message}" in err, err
+    assert "LinAlgError" not in err and out == ""
+
+
 @pytest.mark.parametrize("doc", [
     {"a": [[1.0], [1.0], [1.0]], "k": [1e300, -1e300, 0.0]},  # V'PV overflows
     {"a": [[1e200], [1e200]], "k": [1.0, 2.0]},  # A'PA overflows
