@@ -7,16 +7,18 @@ are reproducible byte for byte.
 
 ``convert``, ``project`` and ``geodesic`` are columnar: they read all rows,
 convert each numeric column with float(), make one array-kernel call and
-format the results with ``f"{x:.12g}"``.  Output is all or nothing: the
-first failing data row in file order decides the error, which is the one
-the scalar API raises on that row.
+format the results with ``f"{x:.12g}"``.  ``reduce``, ``datum``, ``dop``
+and ``heights`` read their columns the same way and run the scalar API on
+each row.  Output is all or nothing: the first failing data row in file
+order decides the error, which is the one the scalar API raises on that
+row.
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical error.  The class
 of the exception decides: any ArithmeticError, which includes every
 geodkit.core.NumericalError, exits 3; ValueError, KeyError and OSError exit
 2.  The error class name goes to stderr, and a CSV row that is too short
 is named by its data-row number (1 is the first row after the header), as
-is, in the columnar commands, a row with a field float() rejects.
+is, in every CSV command but ``adjust``, a row with a field float() rejects.
 """
 
 from __future__ import annotations
@@ -67,19 +69,14 @@ from .geodesics import (
 from .heights import LevelLine, dynamic_height, normal_height, orthometric_height
 from .orbits import GM_EARTH, OrbitalElements, eci_to_ecef, elements_to_eci
 from .projections import (
-    LambertDef,
     PlaneCoord,
-    lambert_forward,
-    lambert_forward_array,
-    lambert_inverse,
-    lambert_inverse_array,
+    forward,
+    forward_columns,
+    inverse,
+    inverse_columns,
     list_projections,
     named_projection,
     projection_from_json,
-    utm_forward,
-    utm_forward_array,
-    utm_inverse,
-    utm_inverse_array,
 )
 from .sphere import hour_angle, hsl_from_greenwich, sidereal_from_universal
 
@@ -90,10 +87,6 @@ def _fmt(x: float) -> str:
 
 def _angle_from(value: str, unit: str) -> float:
     return float(value) * ANGLE_UNITS[unit]
-
-
-def _angle_to(rad: float, unit: str) -> float:
-    return rad / ANGLE_UNITS[unit]
 
 
 def _read_csv(path):
@@ -169,6 +162,26 @@ def _table(header: str, prefixes: list, *columns) -> list:
     return [header, *map(row.format, prefixes, *(c.tolist() for c in columns))]
 
 
+def _map_rows(path, count: int, row) -> tuple:
+    """The line prefixes of a CSV input and row(*values) of each data row.
+
+    values are the row's numeric columns 1..count.  Rows run in file order,
+    so the first failing row raises its error; a row with a field float()
+    rejects raises once every row before it has passed.
+    """
+    prefixes, columns, parse_error = _read_columns(path, count + 1, count)
+    results = [row(*values) for values in zip(*(c.tolist() for c in columns))]
+    if parse_error is not None:
+        raise parse_error
+    return prefixes, results
+
+
+def _rows_table(path, count: int, header: str, row) -> list:
+    """Output lines of a command that runs the scalar API on each data row."""
+    prefixes, results = _map_rows(path, count, row)
+    return _table(header, prefixes, *map(np.array, zip(*results)))
+
+
 def _read_json(path) -> dict:
     with open(path) as fh:
         return parse_json_object(fh.read())
@@ -233,21 +246,16 @@ def cmd_project(args):
     unit = args.angle_unit
     factor = ANGLE_UNITS[unit]
     proj = _projection(args)
-    is_lambert = isinstance(proj, LambertDef)
     prefixes, (a, b), parse_error = _read_columns(args.input, 3, 2)
     if args.direction == "fwd":
         phi, lam = a * factor, b * factor
-        kernel, scalar = ((lambert_forward_array, lambert_forward) if is_lambert
-                          else (utm_forward_array, utm_forward))
-        e, n, failed = kernel(proj, phi, lam)
-        _settle(failed, (e, n), lambda i: astuple(scalar(
+        e, n, failed = forward_columns(proj, phi, lam)
+        _settle(failed, (e, n), lambda i: astuple(forward(
             proj, GeodeticCoord(float(phi[i]), float(lam[i])))), parse_error)
         out = _table("name,e[m],n[m]", prefixes, e, n)
     else:
-        kernel, scalar = ((lambert_inverse_array, lambert_inverse) if is_lambert
-                          else (utm_inverse_array, utm_inverse))
-        phi, lam, failed = kernel(proj, a, b)
-        _settle(failed, (phi, lam), lambda i: astuple(scalar(
+        phi, lam, failed = inverse_columns(proj, a, b)
+        _settle(failed, (phi, lam), lambda i: astuple(inverse(
             proj, PlaneCoord(float(a[i]), float(b[i]))))[:2], parse_error)
         out = _table(f"name,phi[{unit}],lam[{unit}]", prefixes, phi / factor, lam / factor)
     _write_lines(out, args.output)
@@ -285,15 +293,15 @@ def _direct_row(sol) -> tuple:
 def cmd_reduce(args):
     from .reductions import DistanceObservation, reduce_to_ellipsoid, reduce_to_plane
 
-    rows = _read_rows(args.input, 4)
-    out = ["name,de[m],dr[m]"]
-    for row in rows:
-        obs = DistanceObservation(
-            float(row[1]), float(row[2]), float(row[3]), wave=args.wave
-        )
+    if not np.isfinite(args.scale):
+        raise ValueError(f"--scale must be finite, got {args.scale}")
+
+    def row(dp, ha, hb):
+        obs = DistanceObservation(dp, ha, hb, wave=args.wave)
         de = reduce_to_ellipsoid(obs, rigorous=args.rigorous)
-        out.append(f"{row[0]},{_fmt(de)},{_fmt(reduce_to_plane(de, args.scale))}")
-    _write_lines(out, args.output)
+        return de, reduce_to_plane(de, args.scale)
+
+    _write_lines(_rows_table(args.input, 3, "name,de[m],dr[m]", row), args.output)
 
 
 def _read_param_file(path) -> BursaWolfParams:
@@ -306,29 +314,18 @@ def _read_param_file(path) -> BursaWolfParams:
     return BursaWolfParams(*shift, *rotation)
 
 
-def _read_pairs_csv(path, dims):
-    rows = _read_rows(path, 1 + 2 * dims)
-    pairs = []
-    for row in rows:
-        vals = list(map(float, row[1:1 + 2 * dims]))
-        if dims == 3:
-            pairs.append((EcefCoord(*vals[:3]), EcefCoord(*vals[3:])))
-        else:
-            pairs.append((PlaneCoord(*vals[:2]), PlaneCoord(*vals[2:])))
-    return pairs
+def _read_pairs_csv(path, coord, dims: int) -> list:
+    """The (system 1, system 2) coordinate pairs of a CSV input."""
+    return _map_rows(path, 2 * dims, lambda *v: (coord(*v[:dims]), coord(*v[dims:])))[1]
 
 
 def cmd_datum(args):
-    out = []
     if args.op == "bw-apply":
         params = _read_param_file(_option(args, "params"))
-        rows = _read_rows(args.input, 4)
-        out.append("name,x[m],y[m],z[m]")
-        for row in rows:
-            p = bursa_wolf_apply(params, EcefCoord(*map(float, row[1:4])))
-            out.append(f"{row[0]},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.z)}")
+        out = _rows_table(args.input, 3, "name,x[m],y[m],z[m]",
+                          lambda *xyz: astuple(bursa_wolf_apply(params, EcefCoord(*xyz))))
     elif args.op in ("bw-fit", "bw-direct"):
-        pairs = _read_pairs_csv(args.input, 3)
+        pairs = _read_pairs_csv(args.input, EcefCoord, 3)
         if args.op == "bw-fit":
             res = bursa_wolf_estimate(pairs)
             p = res.params
@@ -340,38 +337,33 @@ def cmd_datum(args):
         }
         if args.op == "bw-fit":
             doc.update(s2=res.s2, rms_m=float(np.sqrt(np.mean(res.residuals**2))))
-        out.append(json.dumps(doc, indent=2))
+        out = [json.dumps(doc, indent=2)]
     elif args.op == "molodensky":
         unit = args.angle_unit
+        factor = ANGLE_UNITS[unit]
         ell1 = get_ellipsoid(args.ell)
         ell2 = get_ellipsoid(args.ell2)
         t = tuple(map(float, args.shift.split(",")))
-        rows = _read_rows(args.input, 4)
-        out.append(f"name,phi[{unit}],lam[{unit}],he[m]")
-        for row in rows:
-            g = GeodeticCoord(
-                _angle_from(row[1], unit), _angle_from(row[2], unit), float(row[3])
-            )
+
+        def row(phi, lam, he):
+            g = GeodeticCoord(phi * factor, lam * factor, he)
             g2 = apply_molodensky(ell1, ell2, g, t, abridged=args.abridged)
-            out.append(
-                f"{row[0]},{_fmt(_angle_to(g2.phi, unit))},{_fmt(_angle_to(g2.lam, unit))},{_fmt(g2.he)}"
-            )
+            return g2.phi / factor, g2.lam / factor, g2.he
+
+        out = _rows_table(args.input, 3, f"name,phi[{unit}],lam[{unit}],he[m]", row)
     elif args.op == "helmert2d-fit":
-        pairs = _read_pairs_csv(args.input, 2)
+        pairs = _read_pairs_csv(args.input, PlaneCoord, 2)
         res = helmert2d_estimate(pairs)
         p = res.params
-        out.append(json.dumps({
+        out = [json.dumps({
             "tx": p.tx, "ty": p.ty, "u": p.u, "v": p.v,
             "scale": p.scale, "theta_rad": p.theta, "s2": res.s2,
-        }, indent=2))
+        }, indent=2)]
     else:  # helmert2d-apply
         doc = _read_json(_option(args, "params"))
         p = Helmert2DParams(*(json_number(doc, k) for k in ("tx", "ty", "u", "v")))
-        rows = _read_rows(args.input, 3)
-        out.append("name,e[m],n[m]")
-        for row in rows:
-            q = helmert2d_apply(p, PlaneCoord(float(row[1]), float(row[2])))
-            out.append(f"{row[0]},{_fmt(q.e)},{_fmt(q.n)}")
+        out = _rows_table(args.input, 2, "name,e[m],n[m]",
+                          lambda e, n: astuple(helmert2d_apply(p, PlaneCoord(e, n))))
     _write_lines(out, args.output)
 
 
@@ -442,7 +434,7 @@ def cmd_orbit(args):
 def cmd_dop(args):
     unit = args.angle_unit
     ell = get_ellipsoid(args.ell)
-    sats = [EcefCoord(*map(float, row[1:4])) for row in _read_rows(args.input, 4)]
+    sats = _map_rows(args.input, 3, EcefCoord)[1]
     fields = args.receiver.split(",")
     if len(fields) not in (2, 3):
         raise ValueError(f"--receiver needs phi,lam[,he], got {args.receiver!r}")
@@ -461,7 +453,7 @@ def cmd_dop(args):
 
 def cmd_heights(args):
     unit = args.angle_unit
-    segments = [(float(row[1]), float(row[2])) for row in _read_rows(args.input, 3)]
+    segments = _map_rows(args.input, 2, lambda g, dh: (g, dh))[1]
     line = LevelLine(
         segments,
         phi_start=_angle_from(args.phi_start, unit) if args.phi_start else 0.0,

@@ -181,34 +181,31 @@ class Angle:
 
     def format_sexagesimal(self, decimals: int = 2) -> str:
         sign = "-" if self.rad < 0 else ""
-        total = abs(self.deg)
-        d = int(total)
-        mnt = (total - d) * 60.0
-        mi = int(mnt)
-        s = (mnt - mi) * 60.0
-        if round(s, decimals) >= 60.0:  # carry after rounding
-            s = 0.0
-            mi += 1
-        if mi >= 60:
-            mi = 0
-            d += 1
+        d, mi, s = _sexagesimal(self.deg, decimals)
         return f"{sign}{d}°{mi:02d}'{s:0{3 + decimals}.{decimals}f}\""
+
+
+def _sexagesimal(value: float, decimals: int) -> tuple:
+    """Whole units, minutes and seconds of |value|, seconds rounded to
+    decimals and carried into the minutes and the units."""
+    total = abs(value)
+    whole = int(total)
+    mnt = (total - whole) * 60.0
+    mi = int(mnt)
+    s = (mnt - mi) * 60.0
+    if round(s, decimals) >= 60.0:  # carry after rounding
+        s = 0.0
+        mi += 1
+    if mi >= 60:
+        mi = 0
+        whole += 1
+    return whole, mi, s
 
 
 def format_hours(hours: float, decimals: int = 2) -> str:
     """Render decimal hours as ``4h23m26.82s``."""
     sign = "-" if hours < 0 else ""
-    total = abs(hours)
-    h = int(total)
-    mnt = (total - h) * 60.0
-    m = int(mnt)
-    s = (mnt - m) * 60.0
-    if round(s, decimals) >= 60.0:
-        s = 0.0
-        m += 1
-    if m >= 60:
-        m = 0
-        h += 1
+    h, m, s = _sexagesimal(hours, decimals)
     return f"{sign}{h}h{m:02d}m{s:0{3 + decimals}.{decimals}f}s"
 
 

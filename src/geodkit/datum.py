@@ -206,6 +206,22 @@ def bursa_wolf_direct(pairs: list) -> BursaWolfParams:
     return BursaWolfParams(tx, ty, tz, m_scale, rx, ry, rz)
 
 
+def _molodensky_terms(ell1: Ellipsoid, ell2: Ellipsoid, g: GeodeticCoord, t: tuple) -> tuple:
+    """What both Molodensky forms share: (da, df, n, rho, sin phi, cos phi)
+    and the translation terms of dphi, dlam and dhe, in their sums' order."""
+    dx, dy, dz = t
+    n = prime_vertical_radius(ell1, g.phi)
+    rho = meridian_radius(ell1, g.phi)
+    sphi, cphi = math.sin(g.phi), math.cos(g.phi)
+    slam, clam = math.sin(g.lam), math.cos(g.lam)
+    shift = (
+        -dx * sphi * clam - dy * sphi * slam + dz * cphi,
+        -dx * slam + dy * clam,
+        dx * cphi * clam + dy * cphi * slam + dz * sphi,
+    )
+    return ell2.a - ell1.a, ell2.f - ell1.f, n, rho, sphi, cphi, shift
+
+
 def molodensky_standard(
     ell1: Ellipsoid, ell2: Ellipsoid, g: GeodeticCoord, t: tuple
 ) -> tuple:
@@ -214,30 +230,16 @@ def molodensky_standard(
     Returns (dphi_arcsec, dlam_arcsec, dhe_m) to add to the system-1
     coordinates; angular parts in sexagesimal arc-seconds.
     """
-    dx, dy, dz = t
-    da = ell2.a - ell1.a
-    df = ell2.f - ell1.f
+    da, df, n, rho, sphi, cphi, (dphi_t, dlam_t, dhe_t) = _molodensky_terms(ell1, ell2, g, t)
     a, f = ell1.a, ell1.f
-    n = prime_vertical_radius(ell1, g.phi)
-    rho = meridian_radius(ell1, g.phi)
-    sphi, cphi = math.sin(g.phi), math.cos(g.phi)
-    slam, clam = math.sin(g.lam), math.cos(g.lam)
     b_over_a = 1.0 - f
     dphi = (
-        -dx * sphi * clam
-        - dy * sphi * slam
-        + dz * cphi
+        dphi_t
         + n * ell1.e2 * sphi * cphi * da / a
         + df * (rho / b_over_a + n * b_over_a) * sphi * cphi
     ) / ((rho + g.he) * math.sin(ARCSEC))
-    dlam = (-dx * slam + dy * clam) / ((n + g.he) * cphi * math.sin(ARCSEC))
-    dhe = (
-        dx * cphi * clam
-        + dy * cphi * slam
-        + dz * sphi
-        - da * a / n
-        + df * b_over_a * n * sphi * sphi
-    )
+    dlam = dlam_t / ((n + g.he) * cphi * math.sin(ARCSEC))
+    dhe = dhe_t - da * a / n + df * b_over_a * n * sphi * sphi
     return dphi, dlam, dhe
 
 
@@ -245,29 +247,11 @@ def molodensky_abridged(
     ell1: Ellipsoid, ell2: Ellipsoid, g: GeodeticCoord, t: tuple
 ) -> tuple:
     """Abridged form: heights dropped, first order in the flattening."""
-    dx, dy, dz = t
-    da = ell2.a - ell1.a
-    df = ell2.f - ell1.f
-    a, f = ell1.a, ell1.f
-    n = prime_vertical_radius(ell1, g.phi)
-    rho = meridian_radius(ell1, g.phi)
-    sphi, cphi = math.sin(g.phi), math.cos(g.phi)
-    slam, clam = math.sin(g.lam), math.cos(g.lam)
-    adf_fda = a * df + f * da
-    dphi = (
-        -dx * sphi * clam
-        - dy * sphi * slam
-        + dz * cphi
-        + adf_fda * math.sin(2.0 * g.phi)
-    ) / (rho * math.sin(ARCSEC))
-    dlam = (-dx * slam + dy * clam) / (n * cphi * math.sin(ARCSEC))
-    dhe = (
-        dx * cphi * clam
-        + dy * cphi * slam
-        + dz * sphi
-        + adf_fda * sphi * sphi
-        - da
-    )
+    da, df, n, rho, sphi, cphi, (dphi_t, dlam_t, dhe_t) = _molodensky_terms(ell1, ell2, g, t)
+    adf_fda = ell1.a * df + ell1.f * da
+    dphi = (dphi_t + adf_fda * math.sin(2.0 * g.phi)) / (rho * math.sin(ARCSEC))
+    dlam = dlam_t / (n * cphi * math.sin(ARCSEC))
+    dhe = dhe_t + adf_fda * sphi * sphi - da
     return dphi, dlam, dhe
 
 

@@ -203,6 +203,8 @@ def geodesic_direct(
     (seeded with its first-order solution), lam2 from the longitude series
     and az2 from sin(az2) = C / r(phi2).
     """
+    if not math.isfinite(s):
+        raise ValueError(f"non-finite distance {s}")
     if s < 0:
         raise ValueError("distance must be >= 0")
     if s == 0.0:
@@ -241,17 +243,18 @@ def geodesic_direct_array(ell: Ellipsoid, phi1, lam1, az1, s) -> tuple:
     """Array form of geodesic_direct over columns: (phi2, lam2, az2, s, failed).
 
     failed marks the rows the kernel leaves to the scalar form: every row
-    where geodesic_direct raises (a start point GeodeticCoord rejects,
-    s < 0, a meridian line, a start at the vertex, a stalled Newton
-    iteration or an arc beyond the vertex), and the zero-length and
-    equatorial lines, which geodesic_direct solves in closed form.
+    where geodesic_direct raises (a start point GeodeticCoord rejects, a
+    negative or non-finite s, a meridian line, a start at the vertex, a
+    stalled Newton iteration or an arc beyond the vertex), and the
+    zero-length and equatorial lines, which geodesic_direct solves in
+    closed form.
     """
     phi1, lam1, ok = geodetic_columns(phi1, lam1)
     az1, s = np.asarray(az1, dtype=float), np.asarray(s, dtype=float)
     c = _parallel_radius(npmath, ell, phi1) * np.sin(az1)
     aze, k2 = _line_constants(npmath, ell, c, az1)
     # an infinite azimuth makes c NaN, which fails both |c| tests
-    general = (ok & ~(s <= 0.0) & (np.abs(c) >= 1e-9) & (np.abs(c) < ell.a)
+    general = (ok & (s > 0.0) & (s < np.inf) & (np.abs(c) >= 1e-9) & (np.abs(c) < ell.a)
                & ~(np.abs(np.cos(aze)) < 1e-9))
 
     m, n, t1, t2, target, tol = _direct_setup(npmath, ell, phi1, aze, k2, s)

@@ -39,6 +39,9 @@ class LevelLine:
         object.__setattr__(
             self, "segments", tuple((float(g), float(dh)) for g, dh in self.segments)
         )
+        values = [v for segment in self.segments for v in segment]
+        if not all(map(math.isfinite, [self.phi_start, self.phi_end, self.h_mean, *values])):
+            raise ValueError("non-finite leveling line field")
 
     @property
     def sum_dh(self) -> float:
@@ -48,6 +51,13 @@ class LevelLine:
     def sum_g_dh(self) -> float:
         """Sum of g dh in gal.m."""
         return sum(g * dh for g, dh in self.segments)
+
+
+def _height(value: float) -> float:
+    """value, unless sums and products of finite fields left the float range."""
+    if not math.isfinite(value):
+        raise OverflowError(f"height overflows: {value}")
+    return value
 
 
 def geopotential_number(line: LevelLine) -> float:
@@ -64,7 +74,7 @@ def orthometric_correction(line: LevelLine) -> float:
 
 def orthometric_height(line: LevelLine) -> float:
     """Leveled increments plus the orthometric correction."""
-    return line.sum_dh + orthometric_correction(line)
+    return _height(line.sum_dh + orthometric_correction(line))
 
 
 def cassini_gravity(phi: float, printed_coefficient: bool = False) -> float:
@@ -87,12 +97,12 @@ def normal_height(
     if h_approx >= radius:
         raise ValueError("height must be below the earth radius")
     gamma_m = cassini_gravity(phi) * (1.0 - h_approx / radius)
-    return line.sum_g_dh / gamma_m
+    return _height(line.sum_g_dh / gamma_m)
 
 
 def dynamic_height(line: LevelLine) -> float:
     """H_d = (sum g dh) / gamma0(45 deg)."""
-    return line.sum_g_dh / cassini_gravity(math.pi / 4.0)
+    return _height(line.sum_g_dh / cassini_gravity(math.pi / 4.0))
 
 
 def gps_height(h_ortho: float, geoid_undulation: float) -> float:

@@ -1,8 +1,15 @@
 """Conformal plane representations: tangent Lambert conic and UTM.
 
-Both projections expose forward/inverse mappings, the point scale factor,
-the meridian convergence and (for Lambert) the arc-to-chord correction.
-A numerical Tissot check is provided to verify conformality of any mapping.
+Both families share one pipeline: forward(d, g) and inverse(d, p) map a
+point, forward_columns and inverse_columns map numpy columns and mask the
+rows where the point form raises.  The pipeline owns the longitude
+reduction and the false offsets.  A definition (LambertDef or UtmDef)
+supplies only its formulas, as methods: _plane gives the offsets east and
+north of the false origin, _in_zone tests the longitude, and _lam_iso
+(raising) and _lam_iso_columns (masking) invert the offsets divided by k0.
+The point scale factor, the meridian convergence and (for Lambert) the
+arc-to-chord correction are per family.  A numerical Tissot check is
+provided to verify conformality of any mapping.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -90,6 +97,28 @@ class LambertDef:
         )
         object.__setattr__(self, "l0", isometric_latitude(self.ell, self.phi0))
 
+    def _plane(self, xp, phi, dlam) -> tuple:
+        radius = _cone_radius(xp, self, phi)
+        omega = dlam * self.n
+        x_east = self.k0 * radius * xp.sin(omega)
+        y_north = self.k0 * (self.r0 - radius * xp.cos(omega))
+        return x_east, y_north
+
+    def _in_zone(self, dlam):
+        return True  # the cone maps every longitude
+
+    def _lam_iso(self, x, y) -> tuple:
+        radius = math.hypot(x, self.r0 - y)
+        if radius < 1e-6:
+            raise ApexSingularity("point at the cone apex")
+        return _lambert_lam_iso(math, self, x, y, radius)
+
+    def _lam_iso_columns(self, x, y) -> tuple:
+        # failed: the apex, or an infinite radius (log of 0)
+        radius = np.hypot(x, self.r0 - y)
+        lam, iso = _lambert_lam_iso(npmath, self, x, y, radius)
+        return lam, iso, (radius < 1e-6) | ~np.isfinite(radius)
+
 
 def _cone_radius(xp, d: LambertDef, phi):
     """Radius of the image of the parallel phi, R = R0 exp(-n (L(phi) - L0))."""
@@ -97,85 +126,22 @@ def _cone_radius(xp, d: LambertDef, phi):
     return d.r0 * xp.exp(-d.n * (iso - d.l0))
 
 
-def _lambert_xy(xp, d: LambertDef, phi, lam) -> tuple:
-    radius = _cone_radius(xp, d, phi)
-    omega = (_normalize_lon(lam - d.lam0)) * d.n
-    x_east = d.k0 * radius * xp.sin(omega)
-    y_north = d.k0 * (d.r0 - radius * xp.cos(omega))
+def lambert_raw_xy(d: LambertDef, g: GeodeticCoord) -> tuple:
+    """Plane coordinates before the false offsets, per the axis convention."""
+    x_east, y_north = d._plane(math, g.phi, _normalize_lon(g.lam - d.lam0))
     if d.axis_convention == "stt":
         return y_north, -x_east  # x north, y west
     return x_east, y_north
 
 
-def _lambert_en(xp, d: LambertDef, phi, lam) -> tuple:
-    x, y = _lambert_xy(xp, d, phi, lam)
-    if d.axis_convention == "stt":
-        return d.false_e - y, d.false_n + x
-    return d.false_e + x, d.false_n + y
-
-
-def lambert_raw_xy(d: LambertDef, g: GeodeticCoord) -> tuple:
-    """Plane coordinates before the false offsets, per the axis convention."""
-    return _lambert_xy(math, d, g.phi, g.lam)
-
-
-def lambert_forward(d: LambertDef, g: GeodeticCoord) -> PlaneCoord:
-    return PlaneCoord(*_lambert_en(math, d, g.phi, g.lam))
-
-
-@quiet
-def lambert_forward_array(d: LambertDef, phi, lam) -> tuple:
-    """Array form of lambert_forward over columns: (e, n, failed).
-
-    failed marks the rows where the scalar form raises: an input
-    GeodeticCoord rejects, a pole, or a non-finite result.
-    """
-    phi, lam, ok = geodetic_columns(phi, lam)
-    e, n = _lambert_en(npmath, d, phi, lam)
-    return e, n, ~(ok & all_finite(e, n))
-
-
-def _apex_distance(xp, d: LambertDef, e, n) -> tuple:
-    """Cone radius of a plane point, with its raw plane offsets x, y."""
-    x = (e - d.false_e) / d.k0
-    y = (n - d.false_n) / d.k0
-    return xp.hypot(x, d.r0 - y), x, y
-
-
 def _lambert_lam_iso(xp, d: LambertDef, x, y, radius) -> tuple:
-    """Longitude and isometric latitude of a plane point off the apex."""
+    """Longitude and isometric latitude of the offsets x, y (off the apex)."""
     # sign(r0) carries the cone orientation (southern cones have r0 < 0)
     s = math.copysign(1.0, d.r0)
     omega = xp.atan2(s * x, s * (d.r0 - y))
     lam = d.lam0 + omega / d.n
     iso = d.l0 + xp.log(abs(d.r0) / radius) / d.n
     return lam, iso
-
-
-def lambert_inverse(d: LambertDef, p: PlaneCoord) -> GeodeticCoord:
-    radius, x, y = _apex_distance(math, d, p.e, p.n)
-    if radius < 1e-6:
-        raise ApexSingularity("point at the cone apex")
-    lam, iso = _lambert_lam_iso(math, d, x, y, radius)
-    phi = latitude_from_isometric(d.ell, iso)
-    return GeodeticCoord(phi, lam, 0.0)
-
-
-@quiet
-def lambert_inverse_array(d: LambertDef, e, n) -> tuple:
-    """Array form of lambert_inverse over columns: (phi, lam, failed).
-
-    failed marks the rows where the scalar form raises: a non-finite input
-    (PlaneCoord), the apex, an infinite radius (log of 0), or a latitude
-    iteration that fails.
-    """
-    e, n = np.asarray(e, dtype=float), np.asarray(n, dtype=float)
-    radius, x, y = _apex_distance(npmath, d, e, n)
-    ok = all_finite(e, n) & ~(radius < 1e-6) & np.isfinite(radius)
-    lam, iso = _lambert_lam_iso(npmath, d, x, y, radius)
-    phi, failed = latitude_from_isometric_array(d.ell, np.where(ok, iso, np.nan))
-    phi, lam, valid = geodetic_columns(phi, lam)
-    return phi, lam, ~(ok & valid) | failed
 
 
 def lambert_scale(d: LambertDef, phi: float) -> float:
@@ -212,6 +178,9 @@ def lambert_arc_to_chord(d: LambertDef, p1: GeodeticCoord, p2: GeodeticCoord) ->
     return k_factor * (de / 1000.0) * ARCSEC
 
 
+_MAX_ZONE_HALF_WIDTH = math.radians(3.5)
+
+
 @dataclass(frozen=True)
 class UtmDef:
     """Transverse Mercator in 6-degree zones (k0 = 0.9996, 500 km false easting)."""
@@ -235,8 +204,24 @@ class UtmDef:
     def zone(self) -> int:
         return int(round((math.degrees(self.lam0) + 183.0) / 6.0))
 
+    def _plane(self, xp, phi, dlam) -> tuple:
+        a1, a2, a3, a4, a5, a6, a7, a8 = _utm_direct_coeffs(self.ell, phi)
+        x = a1 * dlam - a3 * dlam**3 + a5 * dlam**5 - a7 * dlam**7
+        y = (meridian_arc(self.ell, phi) - a2 * dlam**2 + a4 * dlam**4
+             - a6 * dlam**6 + a8 * dlam**8)
+        return self.k0 * x, self.k0 * y
 
-_MAX_ZONE_HALF_WIDTH = math.radians(3.5)
+    def _in_zone(self, dlam):
+        return abs(dlam) <= _MAX_ZONE_HALF_WIDTH
+
+    def _lam_iso(self, x, y) -> tuple:
+        return _utm_inverse_series(math, self, x, utm_footpoint_latitude(self, y))
+
+    def _lam_iso_columns(self, x, y) -> tuple:
+        # failed: the footpoint iteration fails
+        phi_f, failed = utm_footpoint_latitude_array(self, y)
+        lam, iso = _utm_inverse_series(npmath, self, x, phi_f)
+        return lam, iso, failed
 
 
 def _utm_direct_coeffs(ell: Ellipsoid, phi) -> tuple:
@@ -267,36 +252,6 @@ def _utm_direct_coeffs(ell: Ellipsoid, phi) -> tuple:
         + 9244.0 * eta4 + 358.0 * t2 * t2 * eta2 - 19788.0 * t2 * eta4
     )
     return a1, a2, a3, a4, a5, a6, a7, a8
-
-
-def _utm_en(d: UtmDef, phi, lam) -> tuple:
-    """Easting and northing of latitude phi, lam radians from the central meridian."""
-    a1, a2, a3, a4, a5, a6, a7, a8 = _utm_direct_coeffs(d.ell, phi)
-    x = a1 * lam - a3 * lam**3 + a5 * lam**5 - a7 * lam**7
-    y = (meridian_arc(d.ell, phi) - a2 * lam**2 + a4 * lam**4
-         - a6 * lam**6 + a8 * lam**8)
-    return d.k0 * x + d.false_e, d.k0 * y + d.false_n
-
-
-def utm_forward(d: UtmDef, g: GeodeticCoord) -> PlaneCoord:
-    lam = _normalize_lon(g.lam - d.lam0)
-    if abs(lam) > _MAX_ZONE_HALF_WIDTH:
-        raise OutOfZone(f"longitude {lam} rad from the central meridian")
-    return PlaneCoord(*_utm_en(d, g.phi, lam))
-
-
-@quiet
-def utm_forward_array(d: UtmDef, phi, lam) -> tuple:
-    """Array form of utm_forward over columns: (e, n, failed).
-
-    failed marks the rows where the scalar form raises: an input
-    GeodeticCoord rejects, a longitude out of the zone, or a non-finite
-    result.
-    """
-    phi, lam, ok = geodetic_columns(phi, lam)
-    lam = _normalize_lon(lam - d.lam0)
-    e, n = _utm_en(d, phi, lam)
-    return e, n, ~(ok & ~(np.abs(lam) > _MAX_ZONE_HALF_WIDTH) & all_finite(e, n))
 
 
 def _footpoint_seed(d: UtmDef, y):
@@ -370,32 +325,71 @@ def _utm_inverse_series(xp, d: UtmDef, x, phi_f) -> tuple:
     return lam, iso
 
 
-def utm_inverse(d: UtmDef, p: PlaneCoord) -> GeodeticCoord:
-    x = (p.e - d.false_e) / d.k0
-    y = (p.n - d.false_n) / d.k0
-    phi_f = utm_footpoint_latitude(d, y)
-    lam, iso = _utm_inverse_series(math, d, x, phi_f)
-    phi = latitude_from_isometric(d.ell, iso)
-    return GeodeticCoord(phi, lam, 0.0)
+# -- the shared pipeline ---------------------------------------------------------
+def forward(d, g: GeodeticCoord) -> PlaneCoord:
+    """Plane coordinates of g under the definition d (LambertDef or UtmDef)."""
+    dlam = _normalize_lon(g.lam - d.lam0)
+    if not d._in_zone(dlam):
+        raise OutOfZone(f"longitude {dlam} rad from the central meridian")
+    x, y = d._plane(math, g.phi, dlam)
+    return PlaneCoord(d.false_e + x, d.false_n + y)
 
 
 @quiet
-def utm_inverse_array(d: UtmDef, e, n) -> tuple:
-    """Array form of utm_inverse over columns: (phi, lam, failed).
+def forward_columns(d, phi, lam) -> tuple:
+    """Array form of forward over columns: (e, n, failed).
 
-    failed marks the rows where the scalar form raises: a non-finite input
-    (PlaneCoord), a footpoint or latitude iteration that fails, a footpoint
-    beyond a pole, or a non-finite longitude (an overflowing series term).
+    failed marks the rows where forward raises: an input GeodeticCoord
+    rejects, a longitude out of the zone, or a non-finite result.
+    """
+    phi, lam, ok = geodetic_columns(phi, lam)
+    dlam = _normalize_lon(lam - d.lam0)
+    x, y = d._plane(npmath, phi, dlam)
+    e, n = d.false_e + x, d.false_n + y
+    return e, n, ~(ok & d._in_zone(dlam) & all_finite(e, n))
+
+
+def inverse(d, p: PlaneCoord) -> GeodeticCoord:
+    """Geodetic coordinates (height 0) of p under the definition d."""
+    lam, iso = d._lam_iso((p.e - d.false_e) / d.k0, (p.n - d.false_n) / d.k0)
+    return GeodeticCoord(latitude_from_isometric(d.ell, iso), lam, 0.0)
+
+
+@quiet
+def inverse_columns(d, e, n) -> tuple:
+    """Array form of inverse over columns: (phi, lam, failed).
+
+    failed marks the rows where inverse raises: a non-finite input
+    (PlaneCoord), a point the family's _lam_iso rejects, a latitude
+    iteration that fails, or a result GeodeticCoord rejects.
     """
     e, n = np.asarray(e, dtype=float), np.asarray(n, dtype=float)
     ok = all_finite(e, n)
-    x = (e - d.false_e) / d.k0
-    y = np.where(ok, (n - d.false_n) / d.k0, np.inf)
-    phi_f, foot_failed = utm_footpoint_latitude_array(d, y)
-    lam, iso = _utm_inverse_series(npmath, d, x, phi_f)
-    phi, iso_failed = latitude_from_isometric_array(d.ell, np.where(foot_failed, np.nan, iso))
+    # non-finite rows go in as infinite offsets, which both families fail at once
+    x = np.where(ok, e - d.false_e, np.inf) / d.k0
+    y = np.where(ok, n - d.false_n, np.inf) / d.k0
+    lam, iso, failed = d._lam_iso_columns(x, y)
+    phi, iso_failed = latitude_from_isometric_array(d.ell, np.where(failed, np.nan, iso))
     phi, lam, valid = geodetic_columns(phi, lam)
-    return phi, lam, ~(ok & valid) | foot_failed | iso_failed
+    return phi, lam, ~(ok & valid) | failed | iso_failed
+
+
+# the family-named forms, each a function of its own: perfbench's tracer
+# counts the calls of a function under every name bound to it
+def lambert_forward(d: LambertDef, g: GeodeticCoord) -> PlaneCoord:
+    return forward(d, g)
+
+
+def lambert_inverse(d: LambertDef, p: PlaneCoord) -> GeodeticCoord:
+    return inverse(d, p)
+
+
+def utm_forward(d: UtmDef, g: GeodeticCoord) -> PlaneCoord:
+    return forward(d, g)
+
+
+def utm_inverse(d: UtmDef, p: PlaneCoord) -> GeodeticCoord:
+    return inverse(d, p)
 
 
 def utm_scale(d: UtmDef, g: GeodeticCoord) -> float:
@@ -427,32 +421,13 @@ def tissot_moduli(forward, ell: Ellipsoid, g: GeodeticCoord, h: float = 1e-6) ->
     return m_meridian, m_parallel
 
 
-# National presets: the two Tunisian tangent Lambert zones share the
-# 11 gr origin meridian and the 500 km / 300 km false constants.
-def _lambert_nord_tn() -> LambertDef:
-    return LambertDef(
-        ell=get_ellipsoid("clarke-1880-fr"),
-        phi0=40.0 * math.pi / 200.0,
-        lam0=11.0 * math.pi / 200.0,
-        k0=0.999625544,
-        false_e=500000.0,
-        false_n=300000.0,
-        axis_convention="stt",
-    )
-
-
-def _lambert_sud_tn() -> LambertDef:
-    return LambertDef(
-        ell=get_ellipsoid("clarke-1880-fr"),
-        phi0=37.0 * math.pi / 200.0,
-        lam0=11.0 * math.pi / 200.0,
-        k0=0.999625769,
-        false_e=500000.0,
-        false_n=300000.0,
-        axis_convention="stt",
-    )
-
-
+# National presets, as (phi0 in gr, k0): the two Tunisian tangent Lambert
+# zones share the 11 gr origin meridian and the 500 km / 300 km false
+# constants.
+_LAMBERT_PRESETS = {
+    "lambert-nord-tn": (40.0, 0.999625544),
+    "lambert-sud-tn": (37.0, 0.999625769),
+}
 _UTM_RE = re.compile(r"^utm:(\d{1,2})(s?)$")
 
 
@@ -464,10 +439,17 @@ def named_projection(name: str, ell: Ellipsoid | None = None):
     default to the Clarke 1880 French ellipsoid unless one is supplied.
     """
     key = name.strip().lower()
-    if key == "lambert-nord-tn":
-        return _lambert_nord_tn()
-    if key == "lambert-sud-tn":
-        return _lambert_sud_tn()
+    if key in _LAMBERT_PRESETS:
+        phi0_gr, k0 = _LAMBERT_PRESETS[key]
+        return LambertDef(
+            ell=get_ellipsoid("clarke-1880-fr"),
+            phi0=phi0_gr * math.pi / 200.0,
+            lam0=11.0 * math.pi / 200.0,
+            k0=k0,
+            false_e=500000.0,
+            false_n=300000.0,
+            axis_convention="stt",
+        )
     m = _UTM_RE.match(key)
     if m:
         return UtmDef.from_zone(
@@ -479,32 +461,27 @@ def named_projection(name: str, ell: Ellipsoid | None = None):
 
 
 def list_projections() -> list:
-    return ["lambert-nord-tn", "lambert-sud-tn", "utm:<zone>[s]"]
+    return [*_LAMBERT_PRESETS, "utm:<zone>[s]"]
+
+
+# JSON documents: the family's type name, the ellipsoid, then one key per
+# defining field, named as the field but for the two angles
+_FAMILIES = {"lambert": LambertDef, "utm": UtmDef}
+_JSON_KEYS = {"phi0": "phi0_rad", "lam0": "lam0_rad"}
+
+
+def _json_fields(cls) -> list:
+    """(field, JSON key) of each defining field of cls but the ellipsoid."""
+    return [(f, _JSON_KEYS.get(f.name, f.name))
+            for f in fields(cls) if f.init and f.name != "ell"]
 
 
 def projection_to_json(d) -> str:
-    if isinstance(d, LambertDef):
-        doc = {
-            "type": "lambert",
-            "ellipsoid": {"a": d.ell.a, "inv_f": d.ell.inv_f, "name": d.ell.name},
-            "phi0_rad": d.phi0,
-            "lam0_rad": d.lam0,
-            "k0": d.k0,
-            "false_e": d.false_e,
-            "false_n": d.false_n,
-            "axis_convention": d.axis_convention,
-        }
-    elif isinstance(d, UtmDef):
-        doc = {
-            "type": "utm",
-            "ellipsoid": {"a": d.ell.a, "inv_f": d.ell.inv_f, "name": d.ell.name},
-            "lam0_rad": d.lam0,
-            "k0": d.k0,
-            "false_e": d.false_e,
-            "false_n": d.false_n,
-        }
-    else:
+    kind = next((k for k, cls in _FAMILIES.items() if isinstance(d, cls)), None)
+    if kind is None:
         raise TypeError(f"not a projection definition: {d!r}")
+    doc = {"type": kind, "ellipsoid": {"a": d.ell.a, "inv_f": d.ell.inv_f, "name": d.ell.name}}
+    doc.update((key, getattr(d, f.name)) for f, key in _json_fields(type(d)))
     return json.dumps(doc, indent=2)
 
 
@@ -516,22 +493,13 @@ def projection_from_json(text: str):
     ell = Ellipsoid.from_a_inv_f(
         e.get("name", "custom"), json_number(e, "a"), json_number(e, "inv_f")
     )
-    if doc["type"] == "lambert":
-        return LambertDef(
-            ell=ell,
-            phi0=json_number(doc, "phi0_rad"),
-            lam0=json_number(doc, "lam0_rad"),
-            k0=json_number(doc, "k0", 1.0),
-            false_e=json_number(doc, "false_e", 0.0),
-            false_n=json_number(doc, "false_n", 0.0),
-            axis_convention=doc.get("axis_convention", "standard"),
-        )
-    if doc["type"] == "utm":
-        return UtmDef(
-            ell=ell,
-            lam0=json_number(doc, "lam0_rad"),
-            k0=json_number(doc, "k0", 0.9996),
-            false_e=json_number(doc, "false_e", 500000.0),
-            false_n=json_number(doc, "false_n", 0.0),
-        )
-    raise ValueError(f"unknown projection type {doc['type']!r}")
+    # compared, not looked up, so that an unhashable type is a ValueError too
+    cls = next((c for k, c in _FAMILIES.items() if doc["type"] == k), None)
+    if cls is None:
+        raise ValueError(f"unknown projection type {doc['type']!r}")
+    values = {}
+    for f, key in _json_fields(cls):
+        default = None if f.default is MISSING else f.default
+        values[f.name] = (json_number(doc, key, default) if f.type == "float"
+                          else doc.get(key, default))
+    return cls(ell=ell, **values)

@@ -33,6 +33,8 @@ class DistanceObservation:
     radius: float = EARTH_RADIUS
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.dp, self.ha, self.hb, self.radius))):
+            raise ValueError("non-finite distance, altitude or radius")
         if self.dp <= 0:
             raise ValueError("slope distance must be > 0")
         if self.dp <= abs(self.hb - self.ha):
@@ -74,7 +76,10 @@ def correction_chord_to_arc(d0: float, radius: float = EARTH_RADIUS) -> float:
 
 def reduce_to_plane(de: float, scale_m: float) -> float:
     """Distance in the projection plane, Dr = m * De."""
-    return scale_m * de
+    dr = scale_m * de
+    if math.isinf(dr):
+        raise OverflowError("plane distance overflows")
+    return dr
 
 
 def plane_correction(de: float, scale_m: float) -> float:

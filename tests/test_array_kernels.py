@@ -16,6 +16,7 @@ taken against max(|value|, scale), the scale being 1 rad for angles and
 the semi-major axis for lengths.
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -52,17 +53,15 @@ from geodkit.projections import (
     LambertDef,
     PlaneCoord,
     UtmDef,
+    forward_columns,
+    inverse_columns,
     lambert_forward,
-    lambert_forward_array,
     lambert_inverse,
-    lambert_inverse_array,
     named_projection,
     utm_forward,
     utm_footpoint_latitude,
     utm_footpoint_latitude_array,
-    utm_forward_array,
     utm_inverse,
-    utm_inverse_array,
 )
 
 GRS80 = get_ellipsoid("grs80")
@@ -163,7 +162,7 @@ def test_lambert_forward_array(d, rows_):
         p = lambert_forward(d, GeodeticCoord(phi, lam))
         return p.e, p.n
 
-    check(rows_, run(lambert_forward_array, rows_, d), scalar, [(1e-12, A)] * 2)
+    check(rows_, run(forward_columns, rows_, d), scalar, [(1e-12, A)] * 2)
 
 
 @PROPERTY
@@ -177,7 +176,7 @@ def test_lambert_inverse_array(d, rows_):
         g = lambert_inverse(d, PlaneCoord(e, n))
         return g.phi, g.lam
 
-    check(rows_, run(lambert_inverse_array, rows_, d), scalar, [(1e-12, 1.0)] * 2)
+    check(rows_, run(inverse_columns, rows_, d), scalar, [(1e-12, 1.0)] * 2)
 
 
 UTMS = [named_projection("utm:32", get_ellipsoid("wgs84")), named_projection("utm:33s"),
@@ -193,7 +192,7 @@ def test_utm_forward_array(d, rows_):
         p = utm_forward(d, GeodeticCoord(phi, lam))
         return p.e, p.n
 
-    check(rows_, run(utm_forward_array, rows_, d), scalar, [(1e-12, A)] * 2)
+    check(rows_, run(forward_columns, rows_, d), scalar, [(1e-12, A)] * 2)
 
 
 @PROPERTY
@@ -206,7 +205,7 @@ def test_utm_inverse_array(d, rows_):
         g = utm_inverse(d, PlaneCoord(e, n))
         return g.phi, g.lam
 
-    check(rows_, run(utm_inverse_array, rows_, d), scalar, [(1e-12, 1.0)] * 2)
+    check(rows_, run(inverse_columns, rows_, d), scalar, [(1e-12, 1.0)] * 2)
 
 
 @PROPERTY
@@ -329,6 +328,40 @@ def test_first_failing_row_decides_between_kernel_errors(tmp_path):
     assert "input error: ValueError: isometric latitude undefined at the poles" in proc.stderr
 
 
+def with_params(args, tmp_path):
+    """args with "@params" replaced by the path of a parameter file."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"tx": 1.0, "ty": 2.0, "tz": 3.0, "m": 1e-6, "rx": 1e-6,
+                                "ry": 0.0, "rz": 0.0, "u": 1.0, "v": 1e-6}))
+    return [str(path) if a == "@params" else a for a in args]
+
+
+# the row-by-row commands: a valid row, then a row float() rejects and a row
+# the scalar API rejects, in either order; the first of the two decides
+ROW_CASES = [
+    (["reduce"], "A,1000,10,20", "B,1e300,0,0", (3, "numerical error: OverflowError")),
+    (["datum", "bw-apply", "--params", "@params"], "A,4e6,1e6,4.8e6", "B,inf,1e6,4.8e6",
+     (2, "input error: ValueError: non-finite coordinate")),
+    (["datum", "molodensky"], "A,40,10,0", "B,300,10,0",
+     (2, "input error: ValueError: latitude")),
+    (["datum", "helmert2d-apply", "--params", "@params"], "A,1,2", "B,nan,2",
+     (2, "input error: ValueError: non-finite plane coordinate")),
+]
+
+
+@pytest.mark.parametrize("args, good, bad, error", ROW_CASES)
+def test_row_commands_raise_the_first_failing_row(args, good, bad, error, tmp_path):
+    args = with_params(args, tmp_path)
+    width = good.count(",")
+    header, unparsed = "h" + ",h" * width, "C" + ",abc" * width
+    proc = cli_run(args, f"{header}\n{good}\n{unparsed}\n{bad}\n", tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "input error: ValueError: data row 2: could not convert string to float: 'abc'" \
+        in proc.stderr
+    proc = cli_run(args, f"{header}\n{good}\n{bad}\n{unparsed}\n", tmp_path)
+    assert (proc.returncode, proc.stdout) == (error[0], "") and error[1] in proc.stderr
+
+
 EMPTY_CASES = [
     (["convert", "--from", "geodetic", "--to", "ecef"], "name,phi,lam,he", "name,x[m],y[m],z[m]"),
     (["convert", "--from", "ecef", "--to", "geodetic"], "name,x,y,z",
@@ -337,12 +370,16 @@ EMPTY_CASES = [
     (["project", "inv", "--proj", "utm:32"], "name,e,n", "name,phi[gr],lam[gr]"),
     (["geodesic", "direct"], "name,phi,lam,az,s", "name,phi2[gr],lam2[gr],az2[gr],s[m]"),
     (["geodesic", "inverse"], "name,phi1,lam1,phi2,lam2", "name,az1[gr],az2[gr],s[m]"),
+    (["reduce"], "name,dp,ha,hb", "name,de[m],dr[m]"),
+    (["datum", "bw-apply", "--params", "@params"], "name,x,y,z", "name,x[m],y[m],z[m]"),
+    (["datum", "molodensky"], "name,phi,lam,he", "name,phi[gr],lam[gr],he[m]"),
+    (["datum", "helmert2d-apply", "--params", "@params"], "name,e,n", "name,e[m],n[m]"),
 ]
 
 
 @pytest.mark.parametrize("args, header, out_header", EMPTY_CASES)
 def test_header_without_rows_prints_the_header(args, header, out_header, tmp_path):
-    proc = cli_run(args, header + "\n", tmp_path)
+    proc = cli_run(with_params(args, tmp_path), header + "\n", tmp_path)
     assert proc.returncode == 0 and proc.stdout == out_header + "\n", proc.stderr
 
 

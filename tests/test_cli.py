@@ -1,3 +1,5 @@
+import collections
+import functools
 import json
 import math
 import subprocess
@@ -6,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from geodkit import cli
 from geodkit.adjust import LinearSystem, solve_linear
 from geodkit.coords import GeodeticCoord
 from geodkit.core import get_ellipsoid
@@ -367,3 +370,50 @@ class TestOrbitDopHeightsAstro:
              "--lam", "0h20m57s"]
         )
         assert float(proc.stdout.strip()) == pytest.approx(17.99776, abs=1e-4)
+
+
+# -- the tracer's contract -----------------------------------------------------
+# perfbench's CLI tracer books a call as kernel time only when it goes through
+# a geodkit function bound in the geodkit.cli namespace; each columnar command
+# must reach its array kernel there, once, and on valid rows nothing else
+FWD = ["40,10", "41,11", "39,9.5"]
+COLUMNAR_CASES = [
+    (["convert", "--from", "geodetic", "--to", "ecef"], ["40,10,0", "41,11,100", "39,9.5,200"]),
+    (["convert", "--from", "ecef", "--to", "geodetic"],
+     ["4e6,1e6,4.8e6", "4.1e6,1e6,4.7e6", "3.9e6,1.1e6,4.9e6"]),
+    (["project", "fwd", "--proj", "lambert-nord-tn"], FWD),
+    (["project", "inv", "--proj", "lambert-nord-tn"],
+     ["500000,300000", "510000,310000", "490000,290000"]),
+    (["project", "fwd", "--proj", "utm:32"], FWD),
+    (["project", "inv", "--proj", "utm:32"],
+     ["500000,4500000", "510000,4510000", "490000,4490000"]),
+    (["geodesic", "direct"], ["40,10,50,10000", "41,11,150,20000", "39,9.5,250,5000"]),
+    (["geodesic", "inverse"], ["40,10,40.1,10.1", "41,11,40.9,11.2", "39,9.5,39.2,9.4"]),
+]
+
+
+def _counted(fn, name, calls):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("args,rows", COLUMNAR_CASES, ids=[" ".join(a) for a, _ in COLUMNAR_CASES])
+def test_columnar_command_calls_one_kernel_through_the_cli_namespace(args, rows, tmp_path,
+                                                                      monkeypatch):
+    calls = collections.Counter()
+    for name, value in list(vars(cli).items()):
+        if (callable(value) and not isinstance(value, type)
+                and getattr(value, "__module__", "").startswith("geodkit.")
+                and value.__module__ != "geodkit.cli"):
+            monkeypatch.setattr(cli, name, _counted(value, name, calls))
+    path = tmp_path / "in.csv"
+    path.write_text("h" + ",h" * rows[0].count(",") + "\n"
+                    + "".join(f"P{i},{row}\n" for i, row in enumerate(rows)))
+    assert cli.main([*args, "-i", str(path), "-o", str(tmp_path / "out.csv")]) == 0
+    kernels = {k: n for k, n in calls.items() if k.endswith(("_array", "_columns"))}
+    assert list(kernels.values()) == [1], calls
+    assert set(calls) - set(kernels) <= {"get_ellipsoid", "named_projection"}, calls
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 4

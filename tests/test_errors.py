@@ -10,6 +10,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import tempfile
 
 import numpy as np
@@ -140,6 +141,10 @@ def test_malformed_option_exits_2_and_names_it(argv, needs, tmp_path, capsys):
 @pytest.mark.parametrize("argv,text", [
     (["project", "inv", "--proj", "utm:32"], "n,e,n\nA,1e300,0\n"),
     (["geodesic", "direct"], "n,phi,lam,az,s\nA,40,10,50,1e300\n"),
+    (["heights", "ortho"], "n,g,dh\nA,980,1e308\nB,980,1e308\n"),
+    (["heights", "dynamic"], "n,g,dh\nA,1e300,1e300\n"),
+    (["heights", "normal"], "n,g,dh\nA,1e300,1e300\nB,1e300,-1e300\n"),
+    (["reduce", "--scale", "1e300"], "n,dp,ha,hb\nA,1e100,0,0\n"),
 ])
 def test_overflow_exits_3(argv, text, tmp_path, capsys):
     assert run(argv, tmp_path, text) == 3
@@ -150,6 +155,17 @@ def test_overflow_exits_3(argv, text, tmp_path, capsys):
     (["geodesic", "inverse"], "n,phi1,lam1,phi2,lam2\nA,nan,200,40,10\n"),
     (["convert", "--from", "ecef", "--to", "geodetic"], "n,x,y,z\nA,nan,1e6,1e6\n"),
     (["project", "inv"], "n,e,n\nA,inf,200000\n"),
+    # each case below once printed nan or inf and exited 0
+    (["geodesic", "direct", "--angle-unit", "deg"], "n,phi,lam,az,s\nP,0,0,90,nan\n"),
+    (["geodesic", "direct"], "n,phi,lam,az,s\nP,40,10,50,inf\n"),
+    (["heights", "ortho"], "n,g,dh\nP,-8.1e-217,1e400\n"),
+    (["heights", "ortho", "--phi-start", "nan"], "n,g,dh\nP,980,1.5\n"),
+    (["heights", "ortho", "--phi-end", "inf"], "n,g,dh\nP,980,1.5\n"),
+    (["heights", "dynamic", "--h-mean", "nan"], "n,g,dh\nP,980,1.5\n"),
+    (["heights", "normal", "--h-mean", "inf"], "n,g,dh\nP,980,1.5\n"),
+    (["reduce", "--scale", "nan"], "n,dp,ha,hb\nA,1000,10,20\n"),
+    (["reduce", "--scale", "inf"], "n,dp,ha,hb\nA,1000,10,20\n"),
+    (["reduce"], "n,dp,ha,hb\nA,nan,10,20\n"),
 ])
 def test_non_finite_field_exits_2(argv, text, tmp_path, capsys):
     assert run(argv, tmp_path, text) == 2
@@ -204,6 +220,7 @@ BAD_JSON_CASES = {
     "project: top-level list": (PROJECT, [LAMBERT]),
     "project: ellipsoid is a list": (PROJECT, {**LAMBERT, "ellipsoid": [6378137, 298.257]}),
     "project: phi0 is an object": (PROJECT, {**LAMBERT, "phi0_rad": {"x": 1}}),
+    "project: type is a list": (PROJECT, {**LAMBERT, "type": ["utm"]}),
     "system: top-level list": (SYSTEM, [{"a": [[1.0]], "k": [1.0]}]),
     "system: a is an object": (SYSTEM, {"a": {"x": 1}, "k": [1]}),
     "system: k holds a string": (SYSTEM, {"a": [[1.0], [2.0]], "k": ["1", 2]}),
@@ -367,7 +384,7 @@ SUBCOMMANDS = [
     ["project", "fwd", "--proj", "utm:32"], ["project", "inv", "--proj", "utm:32"],
     ["project", "fwd", "--proj-json", "@proj"], ["project", "inv", "--proj-json", "@proj"],
     ["geodesic", "direct"], ["geodesic", "inverse"],
-    ["reduce"], ["reduce", "--rigorous", "--wave", "light"],
+    ["reduce"], ["reduce", "--rigorous", "--wave", "light"], ["reduce", "--scale=@cell"],
     ["datum", "bw-apply", "--params", "@params"], ["datum", "bw-fit"], ["datum", "bw-direct"],
     ["datum", "molodensky", "--shift=@cell3"], ["datum", "helmert2d-fit"],
     ["datum", "helmert2d-apply", "--params", "@params"],
@@ -445,9 +462,14 @@ def test_cli_fuzz_exits_0_2_or_3(invocation):
             with open(os.path.join(tmp, name), "w") as fh:
                 fh.write(content)
         argv = [os.path.join(tmp, a[1:]) if a.startswith("@") else a for a in argv]
+        out = os.path.join(tmp, "out")
         try:
-            code = cli.main([*argv, "-i", os.path.join(tmp, "csv"), "-o", os.devnull])
+            code = cli.main([*argv, "-i", os.path.join(tmp, "csv"), "-o", out])
         except SystemExit as exc:  # argparse rejects a non-numeric --h-mean or --gst-rad
             assert exc.code == 2
         else:
             assert code in (0, 2, 3)
+            if code == 0:  # nan, inf, -inf, NaN, Infinity, -Infinity
+                with open(out) as fh:
+                    text = fh.read()
+                assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), text
