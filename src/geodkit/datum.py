@@ -13,7 +13,6 @@ parameter sets.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -144,60 +143,141 @@ def bursa_wolf_estimate(pairs: list) -> DatumShiftResult:
     return DatumShiftResult(params=params, residuals=v.reshape(n, 3), s2=s2, cov=cov)
 
 
+# conditioning bounds of the rotation system, tightest first
+_COND_LIMITS = (10.0, 1e2, 1e4, 1e8)
+_EPS = float(np.finfo(float).eps)
+_FIRST_BLOCK, _MAX_BLOCK = 16, 1 << 14
+
+
+def _cross_rows(d: np.ndarray) -> np.ndarray:
+    """The cross-product matrices [d_k]x of m chords, shape (m, 3, 3): row r
+    holds the coefficients of component r of d_k x w."""
+    rows = np.zeros((len(d), 3, 3))
+    rows[:, 0, 1], rows[:, 0, 2] = -d[:, 2], d[:, 1]
+    rows[:, 1, 0], rows[:, 1, 2] = d[:, 2], -d[:, 0]
+    rows[:, 2, 0], rows[:, 2, 1] = -d[:, 1], d[:, 0]
+    return rows
+
+
+def _open_limits(d: np.ndarray, rows: np.ndarray) -> tuple:
+    """The bounds of _COND_LIMITS that some chord triple may pass: a bound
+    is left out when the certificate derived in bursa_wolf_direct proves
+    that every triple's cond exceeds it."""
+    if not np.isfinite(d).all():
+        return _COND_LIMITS
+    big = np.abs(d).max(axis=1)
+    if not big.any():
+        return ()  # all chords have zero length, so every system is zero
+    # each chord scaled by a power of two so that its largest component lies
+    # in [0.5, 1): exact unless a component underflows
+    e = np.ldexp(d, -np.frexp(big)[1][:, None])
+    u = e[np.argmax(big)]
+    u = u / np.linalg.norm(u)
+    scaled = _cross_rows(e)
+    s_up = np.linalg.norm(scaled @ u, axis=1)[:, None] + 16.0 * _EPS  # >= |e_k x u|
+    h = np.linalg.norm(scaled, axis=2)
+    zero_row = ~rows.any(axis=2)
+    return tuple(limit for limit in _COND_LIMITS
+                 if not np.all(zero_row | (2.0 * math.sqrt(3.0) * limit * s_up <= h)))
+
+
+def _triple_blocks(m: int):
+    """All chord triples a < b < c in lexicographic order, as blocks
+    (a, b array, c array) of _FIRST_BLOCK triples doubling to _MAX_BLOCK."""
+    b_all, c_all = np.triu_indices(m, 1)  # chord pairs b < c, lexicographic
+    size, lo = _FIRST_BLOCK, 0
+    for a in range(m - 2):
+        lo += m - 1 - a  # the pairs with b > a are the suffix from here
+        start = lo
+        while start < len(b_all):
+            stop = start + size
+            yield a, b_all[start:stop], c_all[start:stop]
+            start, size = stop, min(2 * size, _MAX_BLOCK)
+
+
+def _first_passing_triple(rows: np.ndarray, limits: tuple):
+    """The chord triple (a, b, c) the nested scan over limits picks, or
+    None: the first lexicographic triple with not cond > limits[0], else
+    the first with not cond > limits[1], and so on.  One batched cond per
+    block; the scan stops at the first block that passes limits[0]."""
+    first = {}
+    for a, b, c in _triple_blocks(len(rows)):
+        mats = np.empty((len(b), 3, 3))
+        mats[:, 0], mats[:, 1], mats[:, 2] = rows[a, 0], rows[b, 1], rows[c, 2]
+        cond = np.linalg.cond(mats)
+        for limit in limits:
+            if limit not in first:
+                hit = np.flatnonzero(~(cond > limit))
+                if hit.size:
+                    first[limit] = (a, int(b[hit[0]]), int(c[hit[0]]))
+        if limits[0] in first:
+            break
+    return next((first[limit] for limit in limits if limit in first), None)
+
+
 def bursa_wolf_direct(pairs: list) -> BursaWolfParams:
     """Closed-form (first-order) parameter estimate without least squares.
 
-    Scale: mean length ratio over all point pairs.  Rotations: a 3x3 system
-    assembled from three different chords, the first nonsingular triple in
-    lexicographic order.  Translations: per-point values averaged.
+    Scale: mean length ratio over the point pairs (chords) of nonzero
+    length.  Translations: per-point values averaged.  Rotations: chords
+    are the pairs (i, j), i < j, in lexicographic order; a triple of chords
+    a < b < c gives the 3x3 system M whose row r is row r of the
+    cross-product matrix [d]x of its r-th chord d.  For each bound in
+    (10, 1e2, 1e4, 1e8) in turn, the first triple in lexicographic order
+    whose M passes ``not np.linalg.cond(M) > bound`` is solved; if none
+    passes at 1e8, SingularRotationSystem.
+
+    Certificate, O(n^2).  Take a unit vector u (the direction of the chord
+    with the largest component), s_k = |d_k x u| and the row norms h_kr of
+    [d_k]x (h_kr^2 = |d_k|^2 - d_kr^2).  Component r of M u is component
+    r of d x u, so, if s_k <= tau h_kr on every nonzero row, summing over
+    a triple's rows gives |M u|^2 <= tau^2 |M|_F^2 <= 3 tau^2 sigma_max^2
+    (a zero row, from a zero-length chord or a chord along an axis, adds
+    exactly zero to both sides).  With tau = 1 / (2 sqrt(3) bound), every
+    triple's exact cond is then at least twice the bound, and no triple
+    can pass it.  The margin, that factor of 2: each chord is scaled by a
+    power of two to a largest component in [0.5, 1), exact unless a
+    component underflows, so the computed d x u errs by a few eps
+    absolute, which the 16 eps added to each s_k covers, and the norms and
+    |u| by a few eps relative.  LAPACK's singular values are exact for
+    M + E with |E| <= p eps |M|, p modest for 3x3, which moves
+    sigma_min / sigma_max by far less than the 0.5e-8 the factor leaves at
+    the loosest bound, so the computed cond exceeds the bound too.  The
+    bounds so proved out of reach are skipped; if all four are, as for a
+    collinear set, SingularRotationSystem is raised without a scan.
+    Chords that overflow to inf skip the certificate.
+
+    Scan.  Otherwise each triple's cond is computed once, by
+    np.linalg.cond on blocks of stacked systems (bitwise equal to one call
+    per system), 16 triples first and doubling to 16384.  The first triple
+    passing each bound left is recorded, and the scan stops at the first
+    block that holds one passing the tightest bound left.  An input with
+    no triple passing that bound scans all C(n(n-1)/2, 3) triples, in
+    blocks.
     """
     n = len(pairs)
     if n < 3:
         raise InsufficientPoints("need at least 3 common points")
     p1 = np.array([[p.x, p.y, p.z] for p, _ in pairs])
     p2 = np.array([[q.x, q.y, q.z] for _, q in pairs])
+    i, j = np.triu_indices(n, 1)  # chords, lexicographic
+    d1, d2 = p1[j] - p1[i], p2[j] - p2[i]
+    rows = _cross_rows(d1)
+    limits = _open_limits(d1, rows)
+    triple = _first_passing_triple(rows, limits) if limits else None
+    if triple is None:
+        raise SingularRotationSystem("no chord triple yields a solvable system")
 
-    chords = list(itertools.combinations(range(n), 2))
-    ratios = []
-    for i, j in chords:
-        d1 = np.linalg.norm(p1[j] - p1[i])
-        d2 = np.linalg.norm(p2[j] - p2[i])
-        if d1 > 0:
-            ratios.append(d2 / d1)
-    one_plus_m = float(np.mean(ratios))
+    # per-chord norms: norm(axis=1) sums the squares in another order
+    len1 = np.array([np.linalg.norm(x) for x in d1])
+    len2 = np.array([np.linalg.norm(x) for x in d2])
+    one_plus_m = float(np.mean(len2[len1 > 0] / len1[len1 > 0]))
     m_scale = one_plus_m - 1.0
 
-    def rotation_from_triple(triple, cond_limit: float):
-        rows = []
-        rhs = []
-        for row_idx, (i, j) in enumerate(triple):
-            dx, dy, dz = p1[j] - p1[i]
-            dxp, dyp, dzp = p2[j] - p2[i]
-            v = (1.0 - m_scale) * np.array([dxp, dyp, dzp]) - np.array([dx, dy, dz])
-            coeff = [
-                [0.0, -dz, dy],
-                [dz, 0.0, -dx],
-                [-dy, dx, 0.0],
-            ][row_idx]
-            rows.append(coeff)
-            rhs.append(v[row_idx])
-        mat = np.array(rows)
-        if np.linalg.cond(mat) > cond_limit:
-            return None
-        return np.linalg.solve(mat, np.array(rhs))
-
-    # first chord triple (lexicographic) whose 3x3 system is well conditioned;
-    # relax the conditioning bound only if no triple qualifies
-    rot = None
-    for cond_limit in (10.0, 1e2, 1e4, 1e8):
-        for triple in itertools.combinations(chords, 3):
-            rot = rotation_from_triple(triple, cond_limit)
-            if rot is not None:
-                break
-        if rot is not None:
-            break
-    if rot is None:
-        raise SingularRotationSystem("no chord triple yields a solvable system")
+    a, b, c = triple
+    v = (1.0 - m_scale) * d2 - d1
+    mat = np.stack([rows[a, 0], rows[b, 1], rows[c, 2]])
+    rot = np.linalg.solve(mat, np.array([v[a, 0], v[b, 1], v[c, 2]]))
     rx, ry, rz = (float(r) for r in rot)
 
     rot_matrix = np.array([[1.0, rz, -ry], [-rz, 1.0, rx], [ry, -rx, 1.0]])

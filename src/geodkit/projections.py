@@ -61,6 +61,13 @@ class PlaneCoord:
             raise ValueError(f"non-finite plane coordinate ({self.e}, {self.n})")
 
 
+def _check_scale_and_offsets(d) -> None:
+    if not 0.99 < d.k0 < 1.01:
+        raise ValueError("scale reduction factor out of range")
+    if not (math.isfinite(d.false_e) and math.isfinite(d.false_n)):
+        raise ValueError(f"non-finite false offsets ({d.false_e}, {d.false_n})")
+
+
 @dataclass(frozen=True)
 class LambertDef:
     """Tangent Lambert conic with scale reduction factor and false offsets.
@@ -85,8 +92,7 @@ class LambertDef:
     def __post_init__(self):
         if not 0.0 < abs(self.phi0) < math.pi / 2:
             raise ValueError("tangent cone needs 0 < |phi0| < pi/2")
-        if not 0.99 < self.k0 < 1.01:
-            raise ValueError("scale reduction factor out of range")
+        _check_scale_and_offsets(self)
         if self.axis_convention not in ("standard", "stt"):
             raise ValueError("axis_convention must be 'standard' or 'stt'")
         object.__setattr__(self, "n", math.sin(self.phi0))
@@ -190,6 +196,9 @@ class UtmDef:
     k0: float = 0.9996
     false_e: float = 500000.0
     false_n: float = 0.0
+
+    def __post_init__(self):
+        _check_scale_and_offsets(self)
 
     @classmethod
     def from_zone(
@@ -437,12 +446,17 @@ def named_projection(name: str, ell: Ellipsoid | None = None):
     Names: ``lambert-nord-tn``, ``lambert-sud-tn`` and ``utm:<zone>``
     (optionally ``utm:<zone>s`` for the southern hemisphere).  UTM presets
     default to the Clarke 1880 French ellipsoid unless one is supplied.
+    The Lambert presets are defined on that ellipsoid: any other ``ell``
+    is a ValueError.
     """
     key = name.strip().lower()
+    clarke = get_ellipsoid("clarke-1880-fr")
     if key in _LAMBERT_PRESETS:
+        if ell is not None and ell != clarke:
+            raise ValueError(f"projection {name!r} is defined on {clarke.name}, not {ell.name}")
         phi0_gr, k0 = _LAMBERT_PRESETS[key]
         return LambertDef(
-            ell=get_ellipsoid("clarke-1880-fr"),
+            ell=clarke,
             phi0=phi0_gr * math.pi / 200.0,
             lam0=11.0 * math.pi / 200.0,
             k0=k0,
@@ -453,7 +467,7 @@ def named_projection(name: str, ell: Ellipsoid | None = None):
     m = _UTM_RE.match(key)
     if m:
         return UtmDef.from_zone(
-            ell or get_ellipsoid("clarke-1880-fr"),
+            ell or clarke,
             int(m.group(1)),
             southern=bool(m.group(2)),
         )

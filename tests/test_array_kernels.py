@@ -183,6 +183,18 @@ UTMS = [named_projection("utm:32", get_ellipsoid("wgs84")), named_projection("ut
         UtmDef(GRS80, 0.1, 0.9996, 500000.0, 0.0)]
 
 
+def _unchecked_utm(**values) -> UtmDef:
+    """A UtmDef built past __post_init__, which rejects the values the
+    kernels' masks must still handle."""
+    d = object.__new__(UtmDef)
+    for name, value in values.items():
+        object.__setattr__(d, name, value)
+    return d
+
+
+ZERO_K0_UTM = _unchecked_utm(ell=GRS80, lam0=0.1, k0=0.0, false_e=500000.0, false_n=0.0)
+
+
 @PROPERTY
 @given(st.sampled_from(UTMS), rows(mixed(-1.4, 1.4, HALF_PI), mixed(-0.07, 0.07, 0.2, -1.0)))
 def test_utm_forward_array(d, rows_):
@@ -196,7 +208,7 @@ def test_utm_forward_array(d, rows_):
 
 
 @PROPERTY
-@given(st.sampled_from(UTMS + [UtmDef(GRS80, 0.1, 0.0)]),
+@given(st.sampled_from(UTMS + [ZERO_K0_UTM]),
        rows(mixed(1.6e5, 8.4e5, 1e50, -1e110), mixed(-9e6, 9e6, 1e8, -3e7)))
 def test_utm_inverse_array(d, rows_):
     # footpoint Newton stops at a 1e-13 rad step, the latitude fixed point at

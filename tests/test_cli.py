@@ -137,6 +137,28 @@ class TestProject:
         ).stdout
         assert via_json == via_name
 
+    def test_json_utm_zero_scale_factor_is_an_input_error(self, tmp_path):
+        path = tmp_path / "proj.json"
+        path.write_text(json.dumps({
+            "type": "utm", "ellipsoid": {"a": 6378137.0, "inv_f": 298.257222101},
+            "lam0_rad": 0.1, "k0": 0, "false_e": 500000.0, "false_n": 0.0}))
+        proc = run_cli(["project", "fwd", "--proj-json", str(path)],
+                       stdin="name,phi[gr],lam[gr]\nA,40.9193,11.9656\n")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "scale reduction factor" in proc.stderr
+
+    def test_lambert_preset_rejects_another_ellipsoid(self):
+        row = "name,phi[gr],lam[gr]\nA,40.9193,11.9656\n"
+        proc = run_cli(["project", "fwd", "--proj", "lambert-nord-tn", "--ell", "wgs84"], stdin=row)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "ValueError" in proc.stderr
+        own = run_cli(["project", "fwd", "--proj", "lambert-nord-tn", "--ell", "clarke-1880-fr"],
+                      stdin=row)
+        assert own.returncode == 0
+        assert own.stdout == run_cli(["project", "fwd", "--proj", "lambert-nord-tn"], stdin=row).stdout
+
 
 class TestGeodesic:
     def test_direct_inverse_chain(self):
@@ -206,6 +228,27 @@ class TestDatum:
         # translations of the fit are decimetre level on this network
         assert abs(params["tx"]) < 2.0 and abs(params["tz"]) < 2.0
         assert abs(params["m"]) < 1e-6
+
+    def test_direct_estimator_rejects_collinear_set_in_polynomial_time(self):
+        # 40 points on one line: 780 chords and 79 million chord triples,
+        # none of them solvable; an exhaustive triple scan would take hours
+        from geodkit.coords import EcefCoord
+        from geodkit.datum import BursaWolfParams, bursa_wolf_apply
+
+        rng = np.random.default_rng(40)
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        src = np.array([4.3e6, 1.1e6, 4.6e6]) + np.outer(np.sort(rng.uniform(0, 5e4, 40)), direction)
+        shift = BursaWolfParams(12.0, -7.0, 4.0, 3e-6, 2e-6, -1e-6, 2.5e-6)
+        lines = ["name,x1,y1,z1,x2,y2,z2"]
+        for k, p in enumerate(src):
+            q = bursa_wolf_apply(shift, EcefCoord(*p))
+            lines.append(",".join([str(k), *map(repr, map(float, p)), repr(q.x), repr(q.y), repr(q.z)]))
+        proc = run_cli(["datum", "bw-direct"], stdin="\n".join(lines) + "\n")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "numerical error: SingularRotationSystem: no chord triple yields a solvable system"]
 
     def test_molodensky(self):
         out = run_cli(

@@ -1,15 +1,22 @@
+import dataclasses
+import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geodkit import datum
 from geodkit.coords import EcefCoord, GeodeticCoord, ecef_to_geodetic, geodetic_to_ecef
 from geodkit.core import get_ellipsoid, meridian_radius, prime_vertical_radius, ARCSEC
 from geodkit.datum import (
     BursaWolfParams,
     Helmert2DParams,
     InsufficientPoints,
+    SingularRotationSystem,
     apply_molodensky,
     bursa_wolf_apply,
     bursa_wolf_direct,
@@ -179,6 +186,178 @@ class TestBursaWolfDirect:
             ]
         )
         assert np.all(np.abs(diffs) < 10.0 * sd)
+
+
+def reference_bursa_wolf_direct(pairs: list):
+    """The exhaustive scan bursa_wolf_direct replaces: for each bound, every
+    chord triple in lexicographic order, one cond per triple.  Returns the
+    parameters and the bound the chosen triple passed."""
+    n = len(pairs)
+    if n < 3:
+        raise InsufficientPoints("need at least 3 common points")
+    p1 = np.array([[p.x, p.y, p.z] for p, _ in pairs])
+    p2 = np.array([[q.x, q.y, q.z] for _, q in pairs])
+
+    chords = list(itertools.combinations(range(n), 2))
+    ratios = []
+    for i, j in chords:
+        d1 = np.linalg.norm(p1[j] - p1[i])
+        d2 = np.linalg.norm(p2[j] - p2[i])
+        if d1 > 0:
+            ratios.append(d2 / d1)
+    one_plus_m = float(np.mean(ratios))
+    m_scale = one_plus_m - 1.0
+
+    def rotation_from_triple(triple, cond_limit: float):
+        rows = []
+        rhs = []
+        for row_idx, (i, j) in enumerate(triple):
+            dx, dy, dz = p1[j] - p1[i]
+            dxp, dyp, dzp = p2[j] - p2[i]
+            v = (1.0 - m_scale) * np.array([dxp, dyp, dzp]) - np.array([dx, dy, dz])
+            coeff = [
+                [0.0, -dz, dy],
+                [dz, 0.0, -dx],
+                [-dy, dx, 0.0],
+            ][row_idx]
+            rows.append(coeff)
+            rhs.append(v[row_idx])
+        mat = np.array(rows)
+        if np.linalg.cond(mat) > cond_limit:
+            return None
+        return np.linalg.solve(mat, np.array(rhs))
+
+    rot = None
+    for cond_limit in (10.0, 1e2, 1e4, 1e8):
+        for triple in itertools.combinations(chords, 3):
+            rot = rotation_from_triple(triple, cond_limit)
+            if rot is not None:
+                break
+        if rot is not None:
+            break
+    if rot is None:
+        raise SingularRotationSystem("no chord triple yields a solvable system")
+    rx, ry, rz = (float(r) for r in rot)
+
+    rot_matrix = np.array([[1.0, rz, -ry], [-rz, 1.0, rx], [ry, -rx, 1.0]])
+    t_all = p2 - one_plus_m * (p1 @ rot_matrix.T)
+    tx, ty, tz = (float(t) for t in t_all.mean(axis=0))
+    return BursaWolfParams(tx, ty, tz, m_scale, rx, ry, rz), cond_limit
+
+
+CENTRE = np.array([4.3e6, 1.1e6, 4.6e6])
+SHIFT = BursaWolfParams(12.0, -7.0, 4.0, 3e-6, 2e-6, -1e-6, 2.5e-6)
+AXES = [np.eye(3)[k] for k in range(3)]
+
+
+def _with_targets(src: np.ndarray) -> list:
+    return [(EcefCoord(*p), bursa_wolf_apply(SHIFT, EcefCoord(*p))) for p in src]
+
+
+def _unit(rng) -> np.ndarray:
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def well_posed(rng, n: int) -> np.ndarray:
+    return CENTRE + rng.uniform(-5e4, 5e4, (n, 3))
+
+
+def coplanar(rng, n: int) -> np.ndarray:
+    e1, e2 = _unit(rng), _unit(rng)
+    return CENTRE + np.outer(rng.uniform(-5e4, 5e4, n), e1) + np.outer(rng.uniform(-5e4, 5e4, n), e2)
+
+
+def near_collinear(rng, n: int, noise: float, direction=None) -> np.ndarray:
+    """Points on a 50 km line, pushed off it by noise metres at random."""
+    direction = _unit(rng) if direction is None else direction
+    line = CENTRE + np.outer(rng.uniform(0.0, 5e4, n), direction)
+    return line + noise * rng.normal(size=(n, 3))
+
+
+def _outcome(fn, pairs):
+    """('params', exact bits) or ('raises', class, message)."""
+    try:
+        p = fn(pairs)
+    except (ArithmeticError, ValueError) as exc:
+        return ("raises", type(exc), str(exc))
+    return ("params", np.array(dataclasses.astuple(p)).tobytes())
+
+
+def assert_same_as_reference(pairs: list):
+    """Same outcome as the exhaustive scan, and the certificate leaves open
+    every bound the scan finds a triple for.  Returns the bound the scan's
+    triple passed, or None."""
+    bounds = []
+
+    def reference(q):
+        params, bound = reference_bursa_wolf_direct(q)
+        bounds.append(bound)
+        return params
+
+    assert _outcome(bursa_wolf_direct, pairs) == _outcome(reference, pairs)
+    if not bounds:
+        return None
+    p1 = np.array([[p.x, p.y, p.z] for p, _ in pairs])
+    i, j = np.triu_indices(len(p1), 1)
+    d = p1[j] - p1[i]
+    passed = {bound for bound in (10.0, 1e2, 1e4, 1e8) if bound >= bounds[0]}
+    assert passed <= set(datum._open_limits(d, datum._cross_rows(d)))
+    return bounds[0]
+
+
+HUGE_OR_SMALL = st.tuples(
+    st.sampled_from([-1.0, 1.0]), st.one_of(st.floats(1e307, 1.7e308), st.floats(0.0, 1e6)),
+).map(lambda t: t[0] * t[1])
+
+SETS = {
+    "well-posed": lambda rng, n, noise: well_posed(rng, n),
+    "coplanar": lambda rng, n, noise: coplanar(rng, n),
+    "near-collinear": near_collinear,
+    "collinear along an axis": lambda rng, n, noise: near_collinear(
+        rng, n, noise * 1e-3, AXES[rng.integers(3)]),
+    "duplicate points": lambda rng, n, noise: near_collinear(rng, n, noise)[rng.integers(0, n, n)],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBursaWolfDirectAgainstExhaustiveScan:
+    """bursa_wolf_direct picks the triple the exhaustive scan picks, and its
+    certificate never drops a bound the scan finds a triple for."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(SETS)), st.integers(3, 6), st.integers(0, 2**32 - 1),
+           st.floats(-12.0, 4.0))
+    def test_generated_sets(self, kind, n, seed, noise_exp):
+        # the noise sweep takes the best triples' cond from about 1e16 to 1
+        rng = np.random.default_rng(seed)
+        assert_same_as_reference(_with_targets(SETS[kind](rng, n, 10.0**noise_exp)))
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(*[HUGE_OR_SMALL] * 3), min_size=3, max_size=5),
+           st.floats(0.5, 1.0))
+    def test_sets_whose_chords_overflow(self, points, shrink):
+        # coordinates of either sign near 1e308: a chord between opposite
+        # signs overflows; targets shrink towards the origin and stay finite
+        pairs = [(EcefCoord(*p), EcefCoord(*(shrink * np.array(p)))) for p in points]
+        assert_same_as_reference(pairs)
+
+    def test_noise_sweep_reaches_every_bound(self):
+        # the generated near-collinear sets are accepted at each of the four
+        # bounds and rejected, so the property above sees every branch
+        seen = set()
+        for k, noise_exp in enumerate(np.linspace(-12.0, 4.0, 33)):
+            pairs = _with_targets(near_collinear(np.random.default_rng(k), 5, 10.0**noise_exp))
+            seen.add(assert_same_as_reference(pairs))
+        assert seen == {10.0, 1e2, 1e4, 1e8, None}
+
+    def test_collinear_benchmark_size_is_certified(self):
+        # 12 collinear points: the exhaustive scan takes 4 x 45 760 conds, about 9 s
+        pairs = _with_targets(near_collinear(np.random.default_rng(3), 12, 0.0))
+        start = time.perf_counter()
+        with pytest.raises(SingularRotationSystem):
+            bursa_wolf_direct(pairs)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestMolodensky:

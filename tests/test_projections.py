@@ -328,6 +328,14 @@ class TestUtmForward:
         south = UtmDef.from_zone(wgs84, 32, southern=True)
         assert south.false_n == 10000000.0
 
+    @pytest.mark.parametrize("k0, false_e, false_n", [
+        (0.0, 500000.0, 0.0), (-5.0, 500000.0, 0.0), (1.01, 500000.0, 0.0), (math.nan, 500000.0, 0.0),
+        (0.9996, math.inf, 0.0), (0.9996, 500000.0, math.nan)])
+    def test_definition_rejects_bad_scale_or_offsets(self, wgs84, k0, false_e, false_n):
+        # the same ranges as LambertDef's
+        with pytest.raises(ValueError):
+            UtmDef(wgs84, 0.1, k0, false_e, false_n)
+
 
 class TestUtmInverse:
     def test_central_meridian_equator(self, clarke_fr):
@@ -465,6 +473,11 @@ class TestPresets:
         assert d2.ell.name == "WGS 84"
         with pytest.raises(KeyError):
             named_projection("bonne")
+
+    def test_lambert_preset_keeps_its_ellipsoid(self, clarke_fr, wgs84):
+        assert named_projection("lambert-sud-tn", clarke_fr) == named_projection("lambert-sud-tn")
+        with pytest.raises(ValueError, match="Clarke 1880 French, not WGS 84"):
+            named_projection("lambert-nord-tn", wgs84)
 
     def test_json_round_trip(self, clarke_fr):
         for d in (
