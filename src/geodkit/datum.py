@@ -183,16 +183,20 @@ def _open_limits(d: np.ndarray, rows: np.ndarray) -> tuple:
 
 def _triple_blocks(m: int):
     """All chord triples a < b < c in lexicographic order, as blocks
-    (a, b array, c array) of _FIRST_BLOCK triples doubling to _MAX_BLOCK."""
-    b_all, c_all = np.triu_indices(m, 1)  # chord pairs b < c, lexicographic
-    size, lo = _FIRST_BLOCK, 0
+    (a, b array, c array) of _FIRST_BLOCK triples doubling to _MAX_BLOCK.
+    Memory is O(m + block): each block's pairs are computed from their
+    flat indices."""
+    # the chord pairs b < c in lexicographic order: pair k lies in the row b
+    # with start[b] <= k < start[b + 1], and c = b + 1 + k - start[b]
+    start = np.concatenate(([0], np.cumsum(np.arange(m - 1, 0, -1))))
+    size = _FIRST_BLOCK
     for a in range(m - 2):
-        lo += m - 1 - a  # the pairs with b > a are the suffix from here
-        start = lo
-        while start < len(b_all):
-            stop = start + size
-            yield a, b_all[start:stop], c_all[start:stop]
-            start, size = stop, min(2 * size, _MAX_BLOCK)
+        k, end = start[a + 1], start[m - 1]  # the pairs with b > a
+        while k < end:
+            pair = np.arange(k, min(k + size, end))
+            b = np.searchsorted(start, pair, side="right") - 1
+            yield a, b, pair - start[b] + b + 1
+            k, size = k + len(pair), min(2 * size, _MAX_BLOCK)
 
 
 def _first_passing_triple(rows: np.ndarray, limits: tuple):

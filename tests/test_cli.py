@@ -17,12 +17,14 @@ from geodkit.projections import lambert_forward, named_projection
 GR = math.pi / 200.0
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=None, timeout=None):
+    # a run past timeout seconds is killed and raises TimeoutExpired
     proc = subprocess.run(
         [sys.executable, "-m", "geodkit.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc
 
@@ -231,7 +233,8 @@ class TestDatum:
 
     def test_direct_estimator_rejects_collinear_set_in_polynomial_time(self):
         # 40 points on one line: 780 chords and 79 million chord triples,
-        # none of them solvable; an exhaustive triple scan would take hours
+        # none of them solvable; an exhaustive triple scan would take hours,
+        # so the run is killed and the test fails after 20 s
         from geodkit.coords import EcefCoord
         from geodkit.datum import BursaWolfParams, bursa_wolf_apply
 
@@ -244,7 +247,7 @@ class TestDatum:
         for k, p in enumerate(src):
             q = bursa_wolf_apply(shift, EcefCoord(*p))
             lines.append(",".join([str(k), *map(repr, map(float, p)), repr(q.x), repr(q.y), repr(q.z)]))
-        proc = run_cli(["datum", "bw-direct"], stdin="\n".join(lines) + "\n")
+        proc = run_cli(["datum", "bw-direct"], stdin="\n".join(lines) + "\n", timeout=20)
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [

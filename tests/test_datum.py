@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,27 @@ class TestBursaWolfDirectAgainstExhaustiveScan:
             pairs = _with_targets(near_collinear(np.random.default_rng(k), 5, 10.0**noise_exp))
             seen.add(assert_same_as_reference(pairs))
         assert seen == {10.0, 1e2, 1e4, 1e8, None}
+
+    def test_triple_blocks_are_the_lexicographic_triples(self):
+        # blocks of 16 doubling to 16 384, over rows of one a and across b
+        for m in (0, 1, 2, 3, 7, 40):
+            got = [(a, int(b), int(c)) for a, bs, cs in datum._triple_blocks(m)
+                   for b, c in zip(bs, cs)]
+            assert got == list(itertools.combinations(range(m), 3))
+
+    def test_large_well_posed_set_in_small_memory(self):
+        # 300 points: 44 850 chords and 1.5e13 chord triples; materializing
+        # the chord pairs of the triple scan would take gigabytes
+        pairs = _with_targets(well_posed(np.random.default_rng(300), 300))
+        tracemalloc.start()
+        try:
+            outcome = _outcome(bursa_wolf_direct, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        params, _ = reference_bursa_wolf_direct(pairs)
+        assert outcome == ("params", np.array(dataclasses.astuple(params)).tobytes())
 
     def test_collinear_benchmark_size_is_certified(self):
         # 12 collinear points: the exhaustive scan takes 4 x 45 760 conds, about 9 s
