@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,28 @@ def _weigh(m, p) -> np.ndarray:
     return m @ p
 
 
+def check_condition(sym: np.ndarray, bound: float, error: Exception) -> np.ndarray:
+    """Eigenvalues of the symmetric matrix sym, ascending, after raising
+    error when sym is not finite or its 2-norm condition number
+    max|lambda| / min|lambda| is not <= bound.
+
+    For a symmetric matrix the |eigenvalues| are its singular values, so
+    this is the ratio np.linalg.cond takes from an SVD, at about a third of
+    the cost.  Both are backward stable, so they agree to about cond * eps
+    relative (1e-12 at cond 1e4; 1e-4 at a bound of 1e12, 1e-6 at 1e10):
+    only a matrix that close to the bound can get the other verdict.  The
+    signs are left to the caller: an indefinite matrix passes when it is
+    well conditioned.  eigvalsh reads one triangle.
+    """
+    if not np.isfinite(sym).all():
+        raise error
+    lam = np.linalg.eigvalsh(sym)
+    size = np.abs(lam)
+    if not size.max() <= bound * size.min():
+        raise error
+    return lam
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Observation equations A X + K = V with weights P.
@@ -88,72 +111,126 @@ class LinearSystem:
     full matrix.  A scalar or a vector is kept as a vector of n weights; a
     matrix is stored and used only when one is given.  A, K and P must be
     finite, with at least one observation and one unknown.
+
+    Row-sparse form, for networks whose rows touch a few unknowns each:
+    with cols, A is n x k and holds each row's coefficients, and cols
+    (integers, the same shape) the unknown each one multiplies, -1 for a
+    padding slot, which holds 0.  An unknown listed twice in a row adds
+    its coefficients.  The unknowns are 0 .. cols.max(), and P must be a
+    vector.  A then takes O(n k) memory instead of O(n r).
     """
 
     a: np.ndarray
     k: np.ndarray
     p: np.ndarray = None
+    cols: np.ndarray = None
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         k = np.asarray(self.k, dtype=float).ravel()
         if k.shape[0] == 0:
             raise ValueError("the system has no observations")
-        if a.shape[1] == 0:
-            raise ValueError("the system has no unknowns (every point fixed?)")
         if a.shape[0] != k.shape[0]:
             raise ValueError("A and K row counts differ")
-        if a.shape[0] < a.shape[1]:
+        if self.cols is not None:
+            cols = np.asarray(self.cols)
+            if cols.shape != a.shape or cols.dtype.kind not in "iu":
+                raise ValueError("cols must be integers of the shape of A")
+            if (cols < -1).any() or a[cols < 0].any():
+                raise ValueError("padding slots (cols -1) must hold 0")
+            object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "a", a)
+        if self.unknowns == 0:
+            raise ValueError("the system has no unknowns (every point fixed?)")
+        if a.shape[0] < self.unknowns:
             raise ValueError("fewer observations than unknowns")
         p = _weights(self.p, a.shape[0])
+        if self.cols is not None and p.ndim > 1:
+            raise ValueError("the row-sparse form takes a weight vector")
         if not all(np.isfinite(q).all() for q in (a, k, p)):
             raise ValueError("A, K and P must be finite")
-        object.__setattr__(self, "a", a)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "p", p)
+
+    @property
+    def unknowns(self) -> int:
+        return self.a.shape[1] if self.cols is None else int(self.cols.max(initial=-1)) + 1
 
 
 @dataclass(frozen=True)
 class AdjustmentResult:
-    """Estimated corrections, residuals, variance factor and covariance."""
+    """Estimated corrections, residuals, variance factor and normal matrix.
+
+    cov = s2 N^-1 (None when s2 is) is computed when it is first read and
+    then kept: an O(r^3) inverse that a caller who never reads it skips.
+    """
 
     x: np.ndarray
     v: np.ndarray
     s2: float | None
-    cov: np.ndarray | None
     normal: np.ndarray = field(default=None, repr=False)
     iterations: int = 0
     trace: list = field(default=None, repr=False)
+
+    @cached_property
+    def cov(self) -> np.ndarray | None:
+        return None if self.s2 is None else self.s2 * np.linalg.inv(self.normal)
+
+
+def _scatter_normal(a, cols, p, k, r: int) -> tuple:
+    """A'PA and A'PK of the row-sparse form, summed by bincount from each
+    row's coefficient products: O(n k^2) work and O(r^2) memory.  The
+    product of coefficients i and j is formed as (a_i a_j) p_row for both
+    (i, j) and (j, i), so A'PA comes out exactly symmetric."""
+    live = cols >= 0
+    pair = live[:, :, None] & live[:, None, :]
+    flat = cols[:, :, None] * r + cols[:, None, :]
+    prod = a[:, :, None] * a[:, None, :] * p[:, None, None]
+    normal = np.bincount(flat[pair], prod[pair], minlength=r * r).reshape(r, r)
+    rhs = np.bincount(cols[live], (a * (p * k)[:, None])[live], minlength=r)
+    return normal, rhs
 
 
 def solve_linear(sys: LinearSystem) -> AdjustmentResult:
     """Weighted least squares: X = -(A'PA)^-1 A'PK, V = AX + K.
 
-    s2 = V'PV/(n-r) (absent when n == r) and cov = s2 (A'PA)^-1.
-    The solution satisfies the renormalization condition A'PV = 0.
+    s2 = V'PV/(n-r) (absent when n == r) and cov = s2 (A'PA)^-1, computed
+    on first read of result.cov.  The solution satisfies the
+    renormalization condition A'PV = 0.
+
+    N = A'PA comes from a matrix product in the dense form and from the
+    rows' nonzeros in the row-sparse form (see LinearSystem), which keeps
+    memory at O(r^2) whatever n is.  Then one tail: N must be finite; the
+    scaled matrix D^-1 N D^-1, D = sqrt(diag N), must have a condition
+    number <= 1e12 (check_condition) and positive eigenvalues, else
+    SingularNormal; one solve of the scaled system gives X.
     """
-    a, k, p = sys.a, sys.k, sys.p
-    n, r = a.shape
-    atp = _weigh(a.T, p)
-    normal = atp @ a
+    a, k, p, cols = sys.a, sys.k, sys.p, sys.cols
+    n, r = a.shape[0], sys.unknowns
+    if cols is None:
+        atp = _weigh(a.T, p)
+        normal, rhs = atp @ a, atp @ k
+    else:
+        normal, rhs = _scatter_normal(a, cols, p, k, r)
     if not np.isfinite(normal).all():
         raise OverflowError("normal matrix overflows")
-    scale = np.sqrt(np.diag(normal))
-    if np.any(scale <= 0) or np.linalg.cond(normal / np.outer(scale, scale)) > 1e12:
+    diag = np.diag(normal)
+    if not np.all(diag > 0):
         raise SingularNormal("normal matrix singular or ill-conditioned")
-    rhs = atp @ k
-    try:
-        chol = np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError:
-        raise SingularNormal("normal matrix not positive definite") from None
-    x = -np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-    v = a @ x + k
+    scale = np.sqrt(diag)
+    scaled = normal / scale[:, None]
+    scaled /= scale
+    lam = check_condition(
+        scaled, 1e12, SingularNormal("normal matrix singular or ill-conditioned"))
+    if lam[0] <= 0:
+        raise SingularNormal("normal matrix not positive definite")
+    x = -np.linalg.solve(scaled, rhs / scale) / scale
+    v = (a @ x if cols is None else (a * np.append(x, 0.0)[cols]).sum(axis=1)) + k
     dof = n - r
     s2 = float(_weigh(v, p) @ v / dof) if dof > 0 else None
     if not (np.isfinite(v).all() and math.isfinite(s2 or 0.0)):
         raise OverflowError("residuals or V'PV overflow")
-    cov = s2 * np.linalg.inv(normal) if s2 is not None else None
-    return AdjustmentResult(x=x, v=v, s2=s2, cov=cov, normal=normal, iterations=1)
+    return AdjustmentResult(x=x, v=v, s2=s2, normal=normal, iterations=1)
 
 
 def obs_distance2d(p1, p2, observed: float) -> tuple:
@@ -262,9 +339,8 @@ def gauss_newton(
             n, r = j.shape
             dof = n - r
             s2 = sq_norm(e) / dof if dof > 0 else None
-            cov = s2 * np.linalg.inv(normal) if s2 is not None else None
             return AdjustmentResult(
-                x=x, v=-e, s2=s2, cov=cov, normal=normal, iterations=it, trace=trace
+                x=x, v=-e, s2=s2, normal=normal, iterations=it, trace=trace
             )
 
         if step_norm < tol:
@@ -451,6 +527,11 @@ class Network:
     one orientation unknown per (station, set_id) of direction rounds,
     numbered in order of first appearance.  Nonlinear rows are re-linearized after each solution until
     the corrections die out.
+
+    Each observation row has 1 to 6 nonzero coefficients, so the rows are
+    assembled in the row-sparse form of LinearSystem (n x 6 at most, never
+    the dense n x r matrix), and a solve holds O(r^2) memory: the normal
+    matrix and the scaled copy its check and solve use.
     """
 
     def __init__(self, scale_directions: bool = True):
@@ -475,13 +556,22 @@ class Network:
             keys.append(("v", obs.frm, obs.set_id or ""))
         return keys
 
-    def _unknown_index(self):
-        index = {}
+    def _unknowns(self) -> tuple:
+        """(index, cols): the unknowns by key, numbered in order of first
+        appearance, and for each observation row the unknown each of its
+        coefficients goes to, -1 for a fixed point's coordinate and for the
+        padding of rows narrower than the widest kind."""
+        index, rows = {}, []
         for obs in self.observations:
-            for key in self._keys(obs):
+            keys = self._keys(obs)
+            for key in keys:
                 if key not in index and (key[0] == "v" or not self.points[key[1]].fixed):
                     index[key] = len(index)
-        return index
+            rows.append([index.get(key, -1) for key in keys])
+        cols = np.full((len(rows), max(map(len, rows), default=0)), -1)
+        for i, row in enumerate(rows):
+            cols[i, : len(row)] = row
+        return index, cols
 
     def _orientations(self) -> dict:
         """Orientation unknowns, seeded with each round's mean reading offset."""
@@ -500,18 +590,19 @@ class Network:
             orientations[key] = base + float(np.mean(centered))
         return orientations
 
-    def _build(self, index, orientations):
-        m = len(self.observations)
-        a, k, w = np.zeros((m, len(index))), np.empty(m), np.empty(m)
+    def _build(self, cols, orientations) -> tuple:
+        """This iteration's row-sparse A (coefficients in the slots of cols,
+        see LinearSystem), K and weights."""
+        a, k, w = np.zeros(cols.shape), np.empty(len(cols)), np.empty(len(cols))
         for i, obs in enumerate(self.observations):
-            keys = self._keys(obs)
             p1, p2 = self.points[obs.frm], self.points[obs.to]
             w[i] = 1.0 / obs.sigma**2 if obs.sigma else 1.0
             if obs.kind == "distance2d":
                 coeffs, k[i] = obs_distance2d((p1.x0, p1.y0), (p2.x0, p2.y0), obs.value)
             elif obs.kind == "direction":
                 coeffs, k[i] = obs_direction2d(
-                    (p1.x0, p1.y0), (p2.x0, p2.y0), obs.value, orientations[keys[-1]],
+                    (p1.x0, p1.y0), (p2.x0, p2.y0), obs.value,
+                    orientations[self._keys(obs)[-1]],
                     scale_by_distance=self.scale_directions,
                 )
                 if obs.sigma and self.scale_directions:
@@ -524,17 +615,20 @@ class Network:
                 coeffs, k[i], lw = obs_leveling(p2.z0 - p1.z0, obs.value, obs.dist_km or 1.0)
                 if not obs.sigma:
                     w[i] = lw
-            for key, c in zip(keys, coeffs):
-                if key in index:
-                    a[i, index[key]] = c
+            a[i, : len(coeffs)] = coeffs
+        a[cols < 0] = 0.0  # fixed points' coordinates are no unknowns
         return a, k, w
 
     def solve(self, tol: float = 1e-8, max_iter: int = 10) -> AdjustmentResult:
-        index = self._unknown_index()
+        """Iterate solve_linear on the row-sparse rows, moving the points and
+        orientations by each solution, until max |x| < tol.  Memory is
+        O(r^2) for r unknowns; the result's cov is computed when read."""
+        index, cols = self._unknowns()
         orientations = self._orientations()
         for iteration in range(1, max_iter + 1):
-            a, k, w = self._build(index, orientations)
-            result = solve_linear(LinearSystem(a, k, w))
+            a, k, w = self._build(cols, orientations)
+            result = None  # frees the last iteration's normal matrix first
+            result = solve_linear(LinearSystem(a, k, w, cols=cols))
             for key, idx in index.items():
                 if key[0] == "v":
                     orientations[key] += result.x[idx]
@@ -561,8 +655,9 @@ def dop(sat_positions: list, receiver: GeodeticCoord, ell: Ellipsoid) -> DopResu
     Builds the single-epoch geometry matrix with rows (-unit line of sight, 1),
     takes Q = (A'A)^-1, reads GDOP/PDOP/TDOP from its diagonal and rotates
     the position block into the local frame for HDOP/VDOP.  Satellites below
-    the horizon are ignored; fewer than 4 usable ones (or a coplanar set)
-    raise SingularGeometry.
+    the horizon are ignored; fewer than 4 usable ones, or an A'A whose
+    condition number exceeds 1e10 (check_condition; a coplanar set), raise
+    SingularGeometry.
     """
     recv = geodetic_to_ecef(ell, receiver).as_array()
     frame = local_frame(receiver)
@@ -579,8 +674,7 @@ def dop(sat_positions: list, receiver: GeodeticCoord, ell: Ellipsoid) -> DopResu
         raise SingularGeometry("fewer than 4 satellites above the horizon")
     a = np.array(rows)
     normal = a.T @ a
-    if np.linalg.cond(normal) > 1e10:
-        raise SingularGeometry("coplanar constellation")
+    check_condition(normal, 1e10, SingularGeometry("coplanar constellation"))
     q = np.linalg.inv(normal)
     gdop = math.sqrt(np.trace(q))
     pdop = math.sqrt(q[0, 0] + q[1, 1] + q[2, 2])

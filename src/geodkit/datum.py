@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adjust import check_condition
 from .core import ARCSEC, Ellipsoid, NumericalError, meridian_radius, prime_vertical_radius
 from .coords import EcefCoord, GeodeticCoord
 from .projections import PlaneCoord
@@ -117,7 +118,10 @@ def bursa_wolf_estimate(pairs: list) -> DatumShiftResult:
 
     pairs: [(EcefCoord system 1, EcefCoord system 2), ...], n >= 3.
     The design matrix is the first-order one (scale and rotations enter
-    linearly); sigma^2 = V'V/(3n-7) and cov = sigma^2 (A'A)^-1.
+    linearly); sigma^2 = V'V/(3n-7) and cov = sigma^2 (A'A)^-1.  With the
+    columns of A scaled to unit norm, A'A must have a condition number
+    <= 1e12 (adjust.check_condition, which says how close to that bound
+    the verdict is exact), else RankDeficient.
     """
     n = len(pairs)
     if 3 * n < 7 or n < 3:
@@ -128,10 +132,12 @@ def bursa_wolf_estimate(pairs: list) -> DatumShiftResult:
     )
     # equilibrate columns so the conditioning test sees geometry, not units
     scale = np.linalg.norm(a, axis=0)
+    singular = RankDeficient("normal matrix ill-conditioned (collinear network?)")
+    if not scale.all():  # every point on one coordinate axis
+        raise singular
     a_s = a / scale
     normal_s = a_s.T @ a_s
-    if np.linalg.cond(normal_s) > 1e12:
-        raise RankDeficient("normal matrix ill-conditioned (collinear network?)")
+    check_condition(normal_s, 1e12, singular)
     u = np.linalg.solve(normal_s, a_s.T @ l_vec) / scale
     v = a @ u - l_vec
     dof = 3 * n - 7
@@ -163,8 +169,6 @@ def _open_limits(d: np.ndarray, rows: np.ndarray) -> tuple:
     """The bounds of _COND_LIMITS that some chord triple may pass: a bound
     is left out when the certificate derived in bursa_wolf_direct proves
     that every triple's cond exceeds it."""
-    if not np.isfinite(d).all():
-        return _COND_LIMITS
     big = np.abs(d).max(axis=1)
     if not big.any():
         return ()  # all chords have zero length, so every system is zero
@@ -249,7 +253,8 @@ def bursa_wolf_direct(pairs: list) -> BursaWolfParams:
     the loosest bound, so the computed cond exceeds the bound too.  The
     bounds so proved out of reach are skipped; if all four are, as for a
     collinear set, SingularRotationSystem is raised without a scan.
-    Chords that overflow to inf skip the certificate.
+    A chord or chord length that overflows to inf raises OverflowError
+    first, before any LAPACK call.
 
     Scan.  Otherwise each triple's cond is computed once, by
     np.linalg.cond on blocks of stacked systems (bitwise equal to one call
@@ -265,16 +270,19 @@ def bursa_wolf_direct(pairs: list) -> BursaWolfParams:
     p1 = np.array([[p.x, p.y, p.z] for p, _ in pairs])
     p2 = np.array([[q.x, q.y, q.z] for _, q in pairs])
     i, j = np.triu_indices(n, 1)  # chords, lexicographic
-    d1, d2 = p1[j] - p1[i], p2[j] - p2[i]
+    with np.errstate(over="ignore"):  # an overflow raises below
+        d1, d2 = p1[j] - p1[i], p2[j] - p2[i]
+        # per-chord norms: norm(axis=1) sums the squares in another order
+        len1 = np.array([np.linalg.norm(x) for x in d1])
+        len2 = np.array([np.linalg.norm(x) for x in d2])
+    if not (np.isfinite(len1).all() and np.isfinite(len2).all()):
+        raise OverflowError("a chord or its length overflows")
     rows = _cross_rows(d1)
     limits = _open_limits(d1, rows)
     triple = _first_passing_triple(rows, limits) if limits else None
     if triple is None:
         raise SingularRotationSystem("no chord triple yields a solvable system")
 
-    # per-chord norms: norm(axis=1) sums the squares in another order
-    len1 = np.array([np.linalg.norm(x) for x in d1])
-    len2 = np.array([np.linalg.norm(x) for x in d2])
     one_plus_m = float(np.mean(len2[len1 > 0] / len1[len1 > 0]))
     m_scale = one_plus_m - 1.0
 

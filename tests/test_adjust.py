@@ -1,5 +1,7 @@
+import copy
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from geodkit.adjust import (
+    _FIELDS,
     CoincidentPoints,
     IndefiniteHessian,
     LinearSystem,
@@ -15,6 +18,7 @@ from geodkit.adjust import (
     Observation,
     SingularGeometry,
     SingularNormal,
+    check_condition,
     dop,
     gauss_newton,
     newton_minimize,
@@ -166,6 +170,374 @@ class TestWeights:
             LinearSystem(a, k, np.ones(4))
         with pytest.raises(ValueError, match="weight matrix shape mismatch"):
             LinearSystem(a, k, np.ones((3, 4)))
+
+
+def reference_solve_linear(a, k, p):
+    """The dense solve Network.solve used before the row-sparse form: SVD
+    condition number, Cholesky and two general solves on its factor.
+    Returns (x, v, s2, normal)."""
+    n, r = a.shape
+
+    def weigh(m):
+        return m @ p if np.ndim(p) == 2 else m * p
+
+    atp = weigh(a.T)
+    normal = atp @ a
+    if not np.isfinite(normal).all():
+        raise OverflowError("normal matrix overflows")
+    scale = np.sqrt(np.diag(normal))
+    if np.any(scale <= 0) or np.linalg.cond(normal / np.outer(scale, scale)) > 1e12:
+        raise SingularNormal("normal matrix singular or ill-conditioned")
+    rhs = atp @ k
+    try:
+        chol = np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError:
+        raise SingularNormal("normal matrix not positive definite") from None
+    x = -np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    v = a @ x + k
+    dof = n - r
+    s2 = float(weigh(v) @ v / dof) if dof > 0 else None
+    return x, v, s2, normal
+
+
+def reference_build(net, index, orientations):
+    """The dense n x r design matrix, K and weights of a network."""
+    m = len(net.observations)
+    a, k, w = np.zeros((m, len(index))), np.empty(m), np.empty(m)
+    for i, obs in enumerate(net.observations):
+        keys = net._keys(obs)
+        p1, p2 = net.points[obs.frm], net.points[obs.to]
+        w[i] = 1.0 / obs.sigma**2 if obs.sigma else 1.0
+        if obs.kind == "distance2d":
+            coeffs, k[i] = obs_distance2d((p1.x0, p1.y0), (p2.x0, p2.y0), obs.value)
+        elif obs.kind == "direction":
+            coeffs, k[i] = obs_direction2d(
+                (p1.x0, p1.y0), (p2.x0, p2.y0), obs.value, orientations[keys[-1]],
+                scale_by_distance=net.scale_directions)
+            if obs.sigma and net.scale_directions:
+                w[i] = 1.0 / (obs.sigma * math.hypot(p2.x0 - p1.x0, p2.y0 - p1.y0)) ** 2
+        elif obs.kind == "distance3d":
+            coeffs, k[i] = obs_distance3d((p1.x0, p1.y0, p1.z0), (p2.x0, p2.y0, p2.z0),
+                                          obs.value)
+        else:
+            coeffs, k[i], lw = obs_leveling(p2.z0 - p1.z0, obs.value, obs.dist_km or 1.0)
+            if not obs.sigma:
+                w[i] = lw
+        for key, c in zip(keys, coeffs):
+            if key in index:
+                a[i, index[key]] = c
+    return a, k, w
+
+
+def reference_unknowns(net) -> dict:
+    index = {}
+    for obs in net.observations:
+        for key in net._keys(obs):
+            if key not in index and (key[0] == "v" or not net.points[key[1]].fixed):
+                index[key] = len(index)
+    return index
+
+
+def reference_network_solve(net, tol=1e-8, max_iter=10):
+    """Network.solve with the dense assembly and solve above; moves the
+    points the same way.  Returns the last iteration's (x, v, s2, normal)."""
+    index = reference_unknowns(net)
+    orientations = net._orientations()
+    for _ in range(max_iter):
+        x, v, s2, normal = reference_solve_linear(*reference_build(net, index, orientations))
+        for key, idx in index.items():
+            if key[0] == "v":
+                orientations[key] += x[idx]
+            else:
+                point, name = net.points[key[1]], _FIELDS[key[0]]
+                setattr(point, name, getattr(point, name) + x[idx])
+        if np.abs(x).max() < tol:
+            break
+    return x, v, s2, normal
+
+
+def _bearing(p, q) -> float:
+    return math.atan2(q[0] - p[0], q[1] - p[1]) % (2 * math.pi)
+
+
+def leveling_network(rng, n: int, fixed: bool = True) -> Network:
+    """A chain through n points plus n random lines, 1 mm/sqrt(km); heights
+    start at 0 but for the fixed first point."""
+    net = Network()
+    h = 100.0 + np.cumsum(rng.normal(0.0, 5.0, n))
+    for i in range(n):
+        net.add_point(f"P{i}", z0=float(h[0]) if i == 0 else 0.0, fixed=fixed and i == 0)
+    lines = [(i, i + 1) for i in range(n - 1)]
+    lines += [tuple(int(j) for j in rng.choice(n, 2, replace=False)) for _ in range(n)]
+    for i, j in lines:
+        km = float(rng.uniform(0.5, 5.0))
+        sigma = 1e-3 * math.sqrt(km)
+        dh = float(h[j] - h[i] + rng.normal(0.0, sigma))
+        net.add_observation(Observation("leveling", f"P{i}", f"P{j}", dh,
+                                        sigma if rng.random() < 0.5 else None, dist_km=km))
+    return net
+
+
+def plane_network(rng, n: int, fixed: int = 2) -> Network:
+    """n points in 2 km, all distances and 0 to 2 direction rounds per
+    station; the first `fixed` points are fixed, the others start 0.3 m off."""
+    net = Network(scale_directions=bool(rng.random() < 0.8))
+    xy = rng.uniform(0.0, 2000.0, (n, 2))
+    for i in range(n):
+        off = (0.0, 0.0) if i < fixed else rng.normal(0.0, 0.3, 2)
+        net.add_point(f"Q{i}", *(xy[i] + off), fixed=i < fixed)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = math.dist(xy[i], xy[j]) + rng.normal(0.0, 2e-3)
+            net.add_observation(Observation("distance2d", f"Q{i}", f"Q{j}", d, 2e-3))
+    for i in range(n):
+        for round_id in range(int(rng.integers(0, 3))):
+            zero = rng.uniform(0.0, 2 * math.pi)
+            for j in range(n):
+                if j != i:
+                    reading = (_bearing(xy[i], xy[j]) - zero + rng.normal(0.0, 3e-6)) % (
+                        2 * math.pi)
+                    net.add_observation(Observation("direction", f"Q{i}", f"Q{j}", reading,
+                                                    3e-6, set_id=str(round_id)))
+    return net
+
+
+ANCHORS = np.array([[0.0, 0.0, 0.0], [1500.0, 0.0, 40.0], [0.0, 1500.0, -30.0],
+                    [1400.0, 1300.0, 600.0]])
+
+
+def spatial_network(rng, n: int, mixed: bool = False) -> Network:
+    """n free points seen by distance3d rows from four fixed anchors; mixed
+    adds distance2d rows between free points, leveling lines and a direction
+    round from an anchor."""
+    net = Network()
+    truth = rng.uniform(0.0, 1500.0, (n, 3)) * [1.0, 1.0, 0.3]
+    for a, p in enumerate(ANCHORS):
+        net.add_point(f"A{a}", *p, fixed=True)
+    for i in range(n):
+        net.add_point(f"F{i}", *(truth[i] + rng.normal(0.0, 0.1, 3)))
+    for i in range(n):
+        for a in range(len(ANCHORS)):
+            d = float(np.linalg.norm(truth[i] - ANCHORS[a])) + rng.normal(0.0, 2e-3)
+            net.add_observation(Observation("distance3d", f"A{a}", f"F{i}", d, 2e-3))
+    if mixed:
+        zero = rng.uniform(0.0, 2 * math.pi)
+        for i in range(n):
+            j = int(rng.integers(0, n))
+            if j != i:
+                d = math.dist(truth[i][:2], truth[j][:2]) + rng.normal(0.0, 2e-3)
+                net.add_observation(Observation("distance2d", f"F{i}", f"F{j}", d, 2e-3))
+            dh = float(truth[i][2] - ANCHORS[0][2] + rng.normal(0.0, 1e-3))
+            net.add_observation(Observation("leveling", "A0", f"F{i}", dh, dist_km=1.0))
+            reading = (_bearing(ANCHORS[3], truth[i]) - zero + rng.normal(0.0, 3e-6)) % (
+                2 * math.pi)
+            net.add_observation(Observation("direction", "A3", f"F{i}", reading, 3e-6,
+                                            set_id="r"))
+        for a in (1, 2):
+            reading = (_bearing(ANCHORS[3], ANCHORS[a]) - zero) % (2 * math.pi)
+            net.add_observation(Observation("direction", "A3", f"A{a}", reading, 3e-6,
+                                            set_id="r"))
+    return net
+
+
+NETWORKS = {
+    "leveling": leveling_network,
+    "plane": plane_network,
+    "distance3d": spatial_network,
+    "mixed": lambda rng, n: spatial_network(rng, n, mixed=True),
+}
+
+
+def _coordinates(net) -> np.ndarray:
+    return np.array([[p.x0, p.y0, p.z0] for p in net.points.values()])
+
+
+def _outcome_class(solve, net):
+    try:
+        solve(net)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return None
+
+
+class TestRowSparseNetworkSolve:
+    """Network.solve against the dense reference it replaced."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(NETWORKS)), st.integers(3, 12), st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_reference(self, kind, n, seed):
+        net = NETWORKS[kind](np.random.default_rng(seed), n)
+        ref_net = copy.deepcopy(net)
+        res = net.solve()
+        _, ref_v, ref_s2, _ = reference_network_solve(ref_net)
+        coords, ref_coords = _coordinates(net), _coordinates(ref_net)
+        assert np.linalg.norm(coords - ref_coords) <= 1e-12 * np.linalg.norm(ref_coords)
+        # v and s2 are differences of the adjusted coordinates, so the
+        # coordinates' rounding (1e-14 of their norm, about 50 eps) is their
+        # floor: residuals of 2 mm between points 2 km apart differ by up to
+        # 1.5e-10 of their own norm.  The s2 bound is the v bound's first-order
+        # image, |d s2| <= 2 |P v| |d v| / dof.
+        tol_v = 1e-12 * np.linalg.norm(ref_v) + 1e-14 * np.linalg.norm(ref_coords)
+        assert np.linalg.norm(res.v - ref_v) <= tol_v
+        dof = len(res.v) - len(res.x)
+        p = reference_build(ref_net, reference_unknowns(ref_net), ref_net._orientations())[2]
+        tol_s2 = 1e-12 * ref_s2 + 2.0 * np.linalg.norm(p * ref_v) * tol_v / dof
+        assert abs(res.s2 - ref_s2) <= tol_s2
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(NETWORKS)), st.integers(3, 12), st.integers(0, 2**32 - 1))
+    def test_scattered_normal_matrix_is_dense_atpa(self, kind, n, seed):
+        net = NETWORKS[kind](np.random.default_rng(seed), n)
+        index, cols = net._unknowns()
+        orientations = net._orientations()
+        assert index == reference_unknowns(net)
+        res = solve_linear(LinearSystem(*net._build(cols, orientations), cols=cols))
+        a, k, w = reference_build(net, index, orientations)
+        dense = (a.T * w) @ a
+        assert np.abs(res.normal - dense).max() <= 1e-14 * np.abs(dense).max()
+        assert np.array_equal(res.normal, res.normal.T)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(NETWORKS)), st.integers(3, 8), st.integers(0, 2**32 - 1))
+    def test_cov_is_computed_on_first_read(self, kind, n, seed):
+        res = NETWORKS[kind](np.random.default_rng(seed), n).solve()
+        assert "cov" not in vars(res)
+        cov = res.cov
+        assert cov.tobytes() == (res.s2 * np.linalg.inv(res.normal)).tobytes()
+        assert res.cov is cov
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.sampled_from(["leveling", "plane one fixed", "plane none fixed"]),
+           st.integers(5, 8), st.integers(0, 2**32 - 1))
+    def test_datum_defects_raise_as_before(self, kind, n, seed):
+        # no fixed point leaves the network free to shift (and rotate): N is
+        # singular; from 5 points on, the distances alone outnumber the unknowns
+        rng = np.random.default_rng(seed)
+        if kind == "leveling":
+            net = leveling_network(rng, n, fixed=False)
+        else:
+            net = plane_network(rng, n, fixed=1 if kind == "plane one fixed" else 0)
+        got = _outcome_class(Network.solve, copy.deepcopy(net))
+        assert got is SingularNormal
+        assert got is _outcome_class(reference_network_solve, net)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_indefinite_weights_raise_as_before(self, r, extra, seed):
+        # a full weight matrix with negative eigenvalues makes N indefinite
+        rng = np.random.default_rng(seed)
+        n = r + extra
+        a, k = rng.normal(size=(n, r)), rng.normal(size=n)
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        p = (q * rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)) @ q.T
+        p = 0.5 * (p + p.T)
+
+        def new(_):
+            solve_linear(LinearSystem(a, k, p))
+
+        def old(_):
+            reference_solve_linear(a, k, p)
+
+        expected = _outcome_class(old, None)
+        if expected is np.linalg.LinAlgError:
+            # a negative diagonal of N: the reference's SVD of a NaN matrix
+            # fails; the new check reports it as singular
+            expected = SingularNormal
+        assert _outcome_class(new, None) is expected
+
+    def test_large_leveling_solve_in_quadratic_memory(self):
+        # 1000 points, 2000 lines, 999 unknowns: the dense 2000 x 999 design
+        # matrix and an inverse per iteration peaked at 68.7 MB
+        net = leveling_network(np.random.default_rng(1000), 1000)
+        u = 999
+        tracemalloc.start()
+        try:
+            res = net.solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.x.shape == (u,)
+        assert peak < 5 * u * u * 8
+
+
+class TestConditionBounds:
+    """Each eigvalsh condition check, on both sides of its bound, with
+    np.linalg.cond (the SVD ratio) as the oracle.  The two agree to about
+    cond * eps relative, so the cases sit 1% off the bound."""
+
+    def test_check_condition(self):
+        for bound in (1e10, 1e12):
+            for factor, rejected in ((1.01, True), (0.99, False)):
+                sym = np.diag([1.0, 1.0 / (factor * bound), 0.5])
+                assert bool(np.linalg.cond(sym) > bound) is rejected
+                if rejected:
+                    with pytest.raises(SingularNormal):
+                        check_condition(sym, bound, SingularNormal("x"))
+                else:
+                    lam = check_condition(sym, bound, SingularNormal("x"))
+                    assert lam.tolist() == sorted(lam.tolist())
+        with pytest.raises(SingularNormal):
+            check_condition(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e12, SingularNormal("x"))
+        # an indefinite matrix passes the check; its signs are the caller's
+        assert check_condition(np.array([[1.0, 2.0], [2.0, 1.0]]), 10.0,
+                               SingularNormal("x")).tolist() == pytest.approx([-1.0, 3.0])
+
+    def test_solve_linear_bound(self):
+        # scaled N = [[1, c], [c, 1]] has cond (1 + c) / (1 - c)
+        for factor, rejected in ((1.01, True), (0.99, False)):
+            target = factor * 1e12
+            c = (target - 1.0) / (target + 1.0)
+            a = np.array([[1.0, c], [0.0, math.sqrt(1.0 - c * c)], [0.0, 0.0]])
+            normal = a.T @ a
+            scale = np.sqrt(np.diag(normal))
+            assert bool(np.linalg.cond(normal / np.outer(scale, scale)) > 1e12) is rejected
+            if rejected:
+                with pytest.raises(SingularNormal, match="singular or ill-conditioned"):
+                    solve_linear(LinearSystem(a, np.ones(3)))
+            else:
+                assert np.isfinite(solve_linear(LinearSystem(a, np.ones(3))).x).all()
+
+    def test_indefinite_normal_matrix(self):
+        with pytest.raises(SingularNormal, match="not positive definite"):
+            solve_linear(LinearSystem(np.eye(2), np.ones(2), np.array([[1.0, 2.0], [2.0, 1.0]])))
+
+
+class TestRowSparseSystem:
+    def test_same_solution_as_the_dense_form(self):
+        a = np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        k, w = np.array([0.1, -0.2, 0.3, 0.05]), np.array([1.0, 2.0, 0.5, 4.0])
+        cols = np.array([[0, 2, -1], [1, 2, -1], [0, 1, -1], [2, -1, -1]])
+        vals = np.array([[1.0, -1.0, 0.0], [2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [3.0, 0.0, 0.0]])
+        dense = solve_linear(LinearSystem(a, k, w))
+        sparse = solve_linear(LinearSystem(vals, k, w, cols=cols))
+        np.testing.assert_allclose(sparse.x, dense.x, rtol=1e-14)
+        np.testing.assert_allclose(sparse.v, dense.v, rtol=1e-13, atol=1e-16)
+        assert sparse.s2 == pytest.approx(dense.s2, rel=1e-13)
+        np.testing.assert_allclose(sparse.cov, dense.cov, rtol=1e-13)
+
+    def test_repeated_unknown_adds_its_coefficients(self):
+        k = np.array([1.0, 2.0, 4.0])
+        sparse = solve_linear(LinearSystem([[1.0, 1.0], [2.0, 0.0], [1.0, 2.0]], k,
+                                           cols=[[0, 0], [0, -1], [0, 0]]))
+        dense = solve_linear(LinearSystem([[2.0], [2.0], [3.0]], k))
+        np.testing.assert_allclose(sparse.x, dense.x, rtol=1e-15)
+
+    def test_malformed_rows(self):
+        k = np.zeros(2)
+        with pytest.raises(ValueError, match="cols must be integers"):
+            LinearSystem(np.ones((2, 2)), k, cols=np.zeros((2, 3), int))
+        with pytest.raises(ValueError, match="cols must be integers"):
+            LinearSystem(np.ones((2, 2)), k, cols=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="padding slots"):
+            LinearSystem(np.ones((2, 2)), k, cols=[[0, -1], [0, 1]])
+        with pytest.raises(ValueError, match="padding slots"):
+            LinearSystem(np.zeros((2, 2)), k, cols=[[0, -2], [0, 1]])
+        with pytest.raises(ValueError, match="no unknowns"):
+            LinearSystem(np.zeros((2, 2)), k, cols=np.full((2, 2), -1))
+        with pytest.raises(ValueError, match="fewer observations"):
+            LinearSystem(np.ones((2, 2)), k, cols=[[0, 1], [2, 1]])
+        with pytest.raises(ValueError, match="weight vector"):
+            LinearSystem(np.ones((2, 2)), k, np.eye(2), cols=[[0, 1], [0, 1]])
 
 
 class TestObservationRows:
@@ -336,6 +708,20 @@ class TestLevelingNetworks:
         # the adjusted field is exact: every loop of adjusted differences closes
         loop = (h["B"] - h["A"]) + (h["D"] - h["B"]) + (h["C"] - h["D"]) + (h["A"] - h["C"])
         assert loop == pytest.approx(0.0, abs=1e-12)
+
+
+    def test_line_from_a_point_to_itself_moves_no_height(self):
+        # H_B - H_B has zero derivative; the dense assembly wrote the row's two
+        # coefficients into one column, the +1 overwrote the -1, and B moved
+        # to 11.35 instead of the mean of the two real lines
+        net = Network()
+        net.add_point("A", z0=10.0, fixed=True)
+        net.add_point("B", z0=11.0)
+        for frm, to, dh in (("A", "B", 1.0), ("B", "B", 0.5), ("A", "B", 1.2)):
+            net.add_observation(Observation("leveling", frm, to, dh, dist_km=1.0))
+        res = net.solve()
+        assert net.points["B"].z0 == pytest.approx(11.1, abs=1e-12)
+        np.testing.assert_allclose(res.v, [0.1, -0.5, -0.1], atol=1e-12)
 
 
 class TestDirectionNetworks:
@@ -741,6 +1127,36 @@ class TestDop:
         assert math.sqrt(np.trace(q)) == 2.0
         assert math.sqrt(q[0, 0] + q[1, 1] + q[2, 2]) == pytest.approx(math.sqrt(3.0))
         assert math.sqrt(q[3, 3]) == 1.0
+
+    def test_conditioning_bound(self, wgs84):
+        # satellites at one elevation lie on a cone: A'A is singular.  Spread
+        # the elevations by delta, find where cond(A'A) crosses 1e10 with
+        # np.linalg.cond as the oracle, and check dop 2% on either side.
+        recv = GeodeticCoord(0.6, 0.2, 0.0)
+        rng = np.random.default_rng(7)
+        azimuths, signs = rng.uniform(0.0, 360.0, 7), rng.choice([-1.0, 1.0], 7)
+        ecef = geodetic_to_ecef(wgs84, recv).as_array()
+
+        def sats(delta):
+            return self.synthetic_constellation(
+                recv, wgs84, [(az, 30.0 + delta * s) for az, s in zip(azimuths, signs)])
+
+        def cond(delta):
+            rows = []
+            for sat in sats(delta):
+                vec = sat.as_array() - ecef
+                rows.append(np.append(-vec / np.linalg.norm(vec), 1.0))
+            a = np.array(rows)
+            return np.linalg.cond(a.T @ a)
+
+        lo, hi = 1e-9, 1.0  # degrees: cond(lo) > 1e10 > cond(hi)
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if cond(mid) > 1e10 else (lo, mid)
+        assert cond(lo / 1.02) > 1.01e10 and cond(hi * 1.02) < 0.99e10
+        with pytest.raises(SingularGeometry, match="coplanar"):
+            dop(sats(lo / 1.02), recv, wgs84)
+        assert dop(sats(hi * 1.02), recv, wgs84).gdop > 0
 
     def test_below_horizon_filtered_and_errors(self, wgs84):
         recv = GeodeticCoord(0.5, 0.5, 0.0)

@@ -253,6 +253,24 @@ class TestDatum:
         assert proc.stderr.splitlines() == [
             "numerical error: SingularRotationSystem: no chord triple yields a solvable system"]
 
+    @pytest.mark.parametrize("rows", [
+        ["1e308,1e308,1e308", "-1e308,1e308,-1e308", "1e308,-1e308,-1e308",
+         "-1e308,-1e308,1e308"],
+        ["1e308,0,0", "-1e308,0,0", "4300244.860,1062094.681,4574775.629",
+         "4277737.502,1115558.251,4582961.996", "4276816.431,1081197.897,4591886.356",
+         "4315183.431,1135854.241,4542857.520"],
+    ])
+    def test_direct_estimator_rejects_overflowing_chords(self, rows):
+        # the parent printed NaN parameters with exit 0 for the second set, and
+        # OpenBLAS DLASCL errors on stdout for the first
+        stdin = "name,x1,y1,z1,x2,y2,z2\n" + "".join(
+            f"{k},{row},{row}\n" for k, row in enumerate(rows))
+        proc = run_cli(["datum", "bw-direct"], stdin=stdin)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "numerical error: OverflowError: a chord or its length overflows"]
+
     def test_molodensky(self):
         out = run_cli(
             [

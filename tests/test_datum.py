@@ -17,6 +17,7 @@ from geodkit.datum import (
     BursaWolfParams,
     Helmert2DParams,
     InsufficientPoints,
+    RankDeficient,
     SingularRotationSystem,
     apply_molodensky,
     bursa_wolf_apply,
@@ -146,6 +147,40 @@ class TestBursaWolfEstimate:
             assert abs(out.y - t[1]) < 1.0
             assert abs(out.z - t[2]) < 1.0
 
+    def test_conditioning_bound(self):
+        # points pushed off a 50 km line by delta: the rotation about the line
+        # is undetermined at delta = 0.  Find where the column-scaled A'A
+        # crosses cond 1e12 with np.linalg.cond as the oracle, and check the
+        # estimator 2% on either side.
+        rng = np.random.default_rng(12)
+        offsets = rng.normal(size=(6, 3))
+
+        def pairs(delta):
+            return _with_targets(near_collinear(np.random.default_rng(5), 6, 0.0)
+                                 + delta * offsets)
+
+        def cond(delta):
+            a = np.vstack([datum._bw_design_row_block(p.x, p.y, p.z) for p, _ in pairs(delta)])
+            a_s = a / np.linalg.norm(a, axis=0)
+            return np.linalg.cond(a_s.T @ a_s)
+
+        lo, hi = 1e-9, 1e3  # metres: cond(lo) > 1e12 > cond(hi)
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if cond(mid) > 1e12 else (lo, mid)
+        assert cond(lo / 1.02) > 1.01e12 and cond(hi * 1.02) < 0.99e12
+        with pytest.raises(RankDeficient):
+            bursa_wolf_estimate(pairs(lo / 1.02))
+        assert bursa_wolf_estimate(pairs(hi * 1.02)).s2 is not None
+
+    def test_points_on_a_coordinate_axis(self):
+        # a zero column of A: the column scaling divided by zero, and the SVD
+        # of the NaN matrix raised numpy's LinAlgError
+        pairs = [(EcefCoord(x, 0.0, 0.0), EcefCoord(x + 1.0, 0.0, 0.0))
+                 for x in (1e6, 2e6, 3e6, 4e6)]
+        with pytest.raises(RankDeficient):
+            bursa_wolf_estimate(pairs)
+
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPoints):
             bursa_wolf_estimate(network_pairs()[:2])
@@ -204,6 +239,8 @@ def reference_bursa_wolf_direct(pairs: list):
     for i, j in chords:
         d1 = np.linalg.norm(p1[j] - p1[i])
         d2 = np.linalg.norm(p2[j] - p2[i])
+        if not (math.isfinite(d1) and math.isfinite(d2)):
+            raise OverflowError("a chord or its length overflows")
         if d1 > 0:
             ratios.append(d2 / d1)
     one_plus_m = float(np.mean(ratios))
@@ -372,6 +409,27 @@ class TestBursaWolfDirectAgainstExhaustiveScan:
         assert peak < 64 * 2**20
         params, _ = reference_bursa_wolf_direct(pairs)
         assert outcome == ("params", np.array(dataclasses.astuple(params)).tobytes())
+
+    @pytest.mark.parametrize("points", [
+        # every chord between opposite signs overflows
+        [(1e308, 1e308, 1e308), (-1e308, 1e308, -1e308), (1e308, -1e308, -1e308),
+         (-1e308, -1e308, 1e308)],
+        # one overflowing chord among ordinary ones: the mean length ratio was inf/inf
+        [(1e308, 0.0, 0.0), (-1e308, 0.0, 0.0), tuple(CENTRE)]
+        + [tuple(p) for p in CENTRE + 1e4 * np.eye(3)],
+        # finite chords whose lengths overflow
+        [(0.0, 0.0, 0.0), (1e200, 1e200, 0.0), (0.0, 1e200, 1e200), (1e200, 0.0, 1e200)],
+    ])
+    def test_overflowing_chords_raise_before_any_lapack_call(self, points, monkeypatch):
+        # the parent returned NaN parameters for the second set, and LAPACK's
+        # cond of an infinite chord system printed DLASCL errors to stdout
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+        for name in ("cond", "solve", "svd"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        pairs = [(EcefCoord(*p), EcefCoord(*p)) for p in points]
+        with pytest.raises(OverflowError, match="overflows"):
+            bursa_wolf_direct(pairs)
 
     def test_collinear_benchmark_size_is_certified(self):
         # 12 collinear points: the exhaustive scan takes 4 x 45 760 conds, about 9 s
