@@ -60,14 +60,24 @@ class SingularGeometry(NumericalError, ValueError):
 
 def _weights(p, n: int) -> np.ndarray:
     """Weights as given: a vector of n for None, a scalar or a vector (the
-    diagonal of P), and the n x n matrix only when a full one is given."""
+    diagonal of P), and the n x n matrix only when a full one is given.
+    Finite weights must be > 0, a matrix symmetric positive definite."""
     p = np.asarray(1.0 if p is None else p, dtype=float)
     if p.ndim == 0:
-        return np.full(n, float(p))
+        p = np.full(n, float(p))
     if p.ndim == 1 and p.shape[0] != n:
         raise ValueError("weight vector length mismatch")
     if p.ndim > 1 and p.shape != (n, n):
         raise ValueError("weight matrix shape mismatch")
+    if p.ndim == 1 and (p <= 0).any():
+        raise ValueError("weights must be > 0")
+    if p.ndim > 1 and np.isfinite(p).all():
+        if not np.array_equal(p, p.T):
+            raise ValueError("weight matrix not symmetric")
+        try:
+            np.linalg.cholesky(p)
+        except np.linalg.LinAlgError:
+            raise ValueError("weight matrix not positive definite") from None
     return p
 
 
@@ -91,13 +101,13 @@ def check_condition(sym: np.ndarray, bound: float, error: Exception) -> np.ndarr
     relative (1e-12 at cond 1e4; 1e-4 at a bound of 1e12, 1e-6 at 1e10):
     only a matrix that close to the bound can get the other verdict.  The
     signs are left to the caller: an indefinite matrix passes when it is
-    well conditioned.  eigvalsh reads one triangle.
+    well conditioned, the zero matrix never.  eigvalsh reads one triangle.
     """
     if not np.isfinite(sym).all():
         raise error
     lam = np.linalg.eigvalsh(sym)
     size = np.abs(lam)
-    if not size.max() <= bound * size.min():
+    if not bound * size.min() >= size.max() > 0:
         raise error
     return lam
 
@@ -191,6 +201,7 @@ def _scatter_normal(a, cols, p, k, r: int) -> tuple:
     return normal, rhs
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_linear(sys: LinearSystem) -> AdjustmentResult:
     """Weighted least squares: X = -(A'PA)^-1 A'PK, V = AX + K.
 
@@ -203,7 +214,8 @@ def solve_linear(sys: LinearSystem) -> AdjustmentResult:
     memory at O(r^2) whatever n is.  Then one tail: N must be finite; the
     scaled matrix D^-1 N D^-1, D = sqrt(diag N), must have a condition
     number <= 1e12 (check_condition) and positive eigenvalues, else
-    SingularNormal; one solve of the scaled system gives X.
+    SingularNormal; one solve of the scaled system gives X.  An overflowing
+    N, A'PK or V'PV raises OverflowError, without numpy's warnings.
     """
     a, k, p, cols = sys.a, sys.k, sys.p, sys.cols
     n, r = a.shape[0], sys.unknowns
@@ -312,7 +324,9 @@ def gauss_newton(
 
     Iterates x <- x + (J'PJ)^-1 J'P e with e = observed - model(x); each
     step is halved (up to max_halvings) until the weighted residual norm
-    does not increase.  Stops when the step norm drops below tol.
+    does not increase.  Stops when the step norm drops below tol.  Each
+    step is solve_linear's on LinearSystem(J, -e, P); SingularJacobian when
+    J'PJ fails its check.
     """
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(observed, dtype=float).ravel()
@@ -326,21 +340,18 @@ def gauss_newton(
     eps = float(np.finfo(float).eps)
     for it in range(1, max_iter + 1):
         j = np.atleast_2d(np.asarray(jacobian(x), dtype=float))
-        jtw = _weigh(j.T, w)
-        normal = jtw @ j
         try:
-            chol = np.linalg.cholesky(normal)
-        except np.linalg.LinAlgError:
-            raise SingularJacobian("J'PJ not positive definite") from None
-        step = np.linalg.solve(chol.T, np.linalg.solve(chol, jtw @ e))
-        step_norm = float(np.linalg.norm(step))
+            lin = solve_linear(LinearSystem(j, -e, w))
+        except SingularNormal:
+            raise SingularJacobian("J'PJ singular, ill-conditioned or indefinite") from None
+        step_norm = float(np.linalg.norm(lin.x))
 
         def result():
             n, r = j.shape
             dof = n - r
             s2 = sq_norm(e) / dof if dof > 0 else None
             return AdjustmentResult(
-                x=x, v=-e, s2=s2, normal=normal, iterations=it, trace=trace
+                x=x, v=-e, s2=s2, normal=lin.normal, iterations=it, trace=trace
             )
 
         if step_norm < tol:
@@ -348,7 +359,7 @@ def gauss_newton(
         base = sq_norm(e)
         factor = 1.0
         for _ in range(max_halvings + 1):
-            x_new = x + factor * step
+            x_new = x + factor * lin.x
             e_new = y - np.asarray(model(x_new), dtype=float).ravel()
             # the slack admits rounding-level ties near the residual floor
             if sq_norm(e_new) <= base * (1.0 + 1e-12):
@@ -373,22 +384,21 @@ def newton_minimize(
 ) -> tuple:
     """Newton iteration x <- x - H^-1 grad for a C2 objective.
 
-    Returns (x, trace).  Raises IndefiniteHessian when H is not positive
-    definite at an iterate (callers may fall back to gauss_newton) and
-    SingularHessian when it cannot be factorized at all.
+    Returns (x, trace).  H is taken as symmetric.  Raises SingularHessian
+    when check_condition finds cond(H) > 1/(m eps) for m unknowns (the
+    tolerance of np.linalg.matrix_rank) and IndefiniteHessian when H is not
+    positive definite (callers may fall back to gauss_newton).
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = [x.copy()]
     for _ in range(max_iter):
         g = np.asarray(gradient(x), dtype=float).ravel()
         h = np.atleast_2d(np.asarray(hessian(x), dtype=float))
-        if not np.all(np.isfinite(h)) or np.linalg.matrix_rank(h) < h.shape[0]:
-            raise SingularHessian("Hessian singular at iterate")
-        try:
-            chol = np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            raise IndefiniteHessian("Hessian not positive definite at iterate") from None
-        step = np.linalg.solve(chol.T, np.linalg.solve(chol, g))
+        lam = check_condition(h, 1.0 / (h.shape[0] * np.finfo(float).eps),
+                              SingularHessian("Hessian singular at iterate"))
+        if lam[0] <= 0:
+            raise IndefiniteHessian("Hessian not positive definite at iterate")
+        step = np.linalg.solve(h, g)
         x = x - step
         trace.append(x.copy())
         if np.linalg.norm(step) < tol:
@@ -443,9 +453,9 @@ def pazman_check(
 
     G_ab = <dzeta/dXa, dzeta/dXb>_P is the first-order information matrix;
     H_ab = <L - zeta, d2 zeta/dXa dXb>_P the residual-curvature coupling.
-    B positive definite certifies a strict local least-squares minimum.
-    Second derivatives default to central differences with step
-    1e-5 (1 + |x|).
+    B positive definite (a Cholesky attempt; nothing is solved) certifies a
+    strict local least-squares minimum.  Second derivatives default to
+    central differences with step 1e-5 (1 + |x|).
     """
     x = np.asarray(x_hat, dtype=float)
     y = np.asarray(observed, dtype=float).ravel()
@@ -487,7 +497,7 @@ class Observation:
     a set_id grouping rounds that share one orientation unknown; leveling
     rows carry the line length in km (their weight is proportional to its
     inverse when no sigma is given).  value must be finite, sigma and
-    dist_km finite and > 0 when given.
+    dist_km finite and > 0 when given; frm == to only for leveling.
     """
 
     kind: str
@@ -501,6 +511,8 @@ class Observation:
     def __post_init__(self):
         if self.kind not in _AXES:
             raise ValueError(f"unknown observation kind {self.kind!r}")
+        if self.frm == self.to and self.kind != "leveling":
+            raise ValueError(f"{self.kind} row from {self.frm!r} to itself")
         if not math.isfinite(self.value):
             raise ValueError(f"observed value must be finite, got {self.value}")
         for name in ("sigma", "dist_km"):
@@ -657,7 +669,7 @@ def dop(sat_positions: list, receiver: GeodeticCoord, ell: Ellipsoid) -> DopResu
     the position block into the local frame for HDOP/VDOP.  Satellites below
     the horizon are ignored; fewer than 4 usable ones, or an A'A whose
     condition number exceeds 1e10 (check_condition; a coplanar set), raise
-    SingularGeometry.
+    SingularGeometry.  Q itself is wanted, so it is not left to solve_linear.
     """
     recv = geodetic_to_ecef(ell, receiver).as_array()
     frame = local_frame(receiver)

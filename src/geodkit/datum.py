@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjust import check_condition
+from .adjust import LinearSystem, SingularNormal, solve_linear
 from .core import ARCSEC, Ellipsoid, NumericalError, meridian_radius, prime_vertical_radius
 from .coords import EcefCoord, GeodeticCoord
 from .projections import PlaneCoord
@@ -118,35 +118,22 @@ def bursa_wolf_estimate(pairs: list) -> DatumShiftResult:
 
     pairs: [(EcefCoord system 1, EcefCoord system 2), ...], n >= 3.
     The design matrix is the first-order one (scale and rotations enter
-    linearly); sigma^2 = V'V/(3n-7) and cov = sigma^2 (A'A)^-1.  With the
-    columns of A scaled to unit norm, A'A must have a condition number
-    <= 1e12 (adjust.check_condition, which says how close to that bound
-    the verdict is exact), else RankDeficient.
+    linearly), solved by adjust.solve_linear with K = X1 - X2 and unit
+    weights: sigma^2 = V'V/(3n-7) and cov = sigma^2 (A'A)^-1.  Its
+    conditioning check on A'A scaled to a unit diagonal (the columns of A
+    scaled to unit norm) rejects a condition number > 1e12 as
+    RankDeficient; an overflowing A'A raises OverflowError.
     """
     n = len(pairs)
     if 3 * n < 7 or n < 3:
         raise InsufficientPoints(f"{n} common points give {3 * n} equations < 7")
     a = np.vstack([_bw_design_row_block(p1.x, p1.y, p1.z) for p1, _ in pairs])
-    l_vec = np.concatenate(
-        [[p2.x - p1.x, p2.y - p1.y, p2.z - p1.z] for p1, p2 in pairs]
-    )
-    # equilibrate columns so the conditioning test sees geometry, not units
-    scale = np.linalg.norm(a, axis=0)
-    singular = RankDeficient("normal matrix ill-conditioned (collinear network?)")
-    if not scale.all():  # every point on one coordinate axis
-        raise singular
-    a_s = a / scale
-    normal_s = a_s.T @ a_s
-    check_condition(normal_s, 1e12, singular)
-    u = np.linalg.solve(normal_s, a_s.T @ l_vec) / scale
-    v = a @ u - l_vec
-    dof = 3 * n - 7
-    s2 = float(v @ v / dof) if dof > 0 else None
-    cov = None
-    if s2 is not None:
-        cov = s2 * (np.linalg.inv(normal_s) / np.outer(scale, scale))
-    params = BursaWolfParams(*u)
-    return DatumShiftResult(params=params, residuals=v.reshape(n, 3), s2=s2, cov=cov)
+    k = np.concatenate([[p1.x - p2.x, p1.y - p2.y, p1.z - p2.z] for p1, p2 in pairs])
+    try:
+        res = solve_linear(LinearSystem(a, k))
+    except SingularNormal:
+        raise RankDeficient("normal matrix ill-conditioned (collinear network?)") from None
+    return DatumShiftResult(BursaWolfParams(*res.x), res.v.reshape(n, 3), res.s2, res.cov)
 
 
 # conditioning bounds of the rotation system, tightest first
@@ -377,8 +364,8 @@ def helmert2d_estimate(pairs: list) -> DatumShiftResult:
     (1, 0, x_i, -y_i) and (0, 1, y_i, x_i).  Both point sets are reduced to
     their centroids, so sum x_i = sum y_i = 0 and the normal matrix is
     diagonal, diag(n, n, sum d_i^2, sum d_i^2): each unknown is solved on its
-    own and no design matrix is formed.  Translations are de-reduced
-    afterwards.  sigma0^2 = W'W/(n-4) needs n > 2.
+    own, in closed form with no design matrix and no adjust.solve_linear.
+    Translations are de-reduced afterwards.  sigma0^2 = W'W/(n-4) needs n > 2.
     """
     n = len(pairs)
     if n < 2:

@@ -14,9 +14,12 @@ from geodkit.adjust import (
     CoincidentPoints,
     IndefiniteHessian,
     LinearSystem,
+    MaxIterations,
     Network,
     Observation,
     SingularGeometry,
+    SingularHessian,
+    SingularJacobian,
     SingularNormal,
     check_condition,
     dop,
@@ -163,6 +166,24 @@ class TestWeights:
         assert LinearSystem(a, k, 2.0).p.shape == (5,)
         assert LinearSystem(a, k).p.shape == (5,)
         assert LinearSystem(a, k, np.eye(5)).p.shape == (5, 5)
+
+    @pytest.mark.parametrize("p, message", [
+        (0.0, "weights must be > 0"),
+        (-1.0, "weights must be > 0"),
+        ([1.0, 0.0, 2.0], "weights must be > 0"),
+        ([1.0, 1.0, -0.5], "weights must be > 0"),
+        (np.diag([1.0, 1.0, 0.0]), "not positive definite"),
+        (np.diag([1.0, 1.0, -0.5]), "not positive definite"),
+        ([[2.0, 0.0, 0.0], [1e-9, 2.0, 0.0], [0.0, 0.0, 2.0]], "not symmetric"),
+    ])
+    def test_weights_not_positive_definite(self, p, message):
+        a, k = np.ones((3, 1)), np.array([0.0, 1.0, -3.0])
+        with pytest.raises(ValueError, match=message):
+            LinearSystem(a, k, p)
+        with pytest.raises(ValueError, match=message):
+            gauss_newton(lambda x: a @ x, lambda x: a, -k, np.zeros(1), p=p)
+        with pytest.raises(ValueError, match=message):
+            pazman_check(lambda x: a @ x, lambda x: a, -k, np.zeros(1), p=p)
 
     def test_weight_shape_mismatch(self):
         a, k = np.ones((3, 1)), np.zeros(3)
@@ -423,27 +444,21 @@ class TestRowSparseNetworkSolve:
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 4), st.integers(0, 2**32 - 1))
-    def test_indefinite_weights_raise_as_before(self, r, extra, seed):
-        # a full weight matrix with negative eigenvalues makes N indefinite
+    def test_indefinite_weights_raise_at_construction(self, r, extra, seed):
+        # a full weight matrix with a negative eigenvalue, which once made N
+        # indefinite or gave a negative s2, is rejected before any solve
         rng = np.random.default_rng(seed)
         n = r + extra
         a, k = rng.normal(size=(n, r)), rng.normal(size=n)
         q = np.linalg.qr(rng.normal(size=(n, n)))[0]
-        p = (q * rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)) @ q.T
+        signs = rng.choice([-1.0, 1.0], n)
+        signs[rng.integers(n)] = -1.0
+        p = (q * signs * rng.uniform(0.5, 2.0, n)) @ q.T
         p = 0.5 * (p + p.T)
-
-        def new(_):
-            solve_linear(LinearSystem(a, k, p))
-
-        def old(_):
-            reference_solve_linear(a, k, p)
-
-        expected = _outcome_class(old, None)
-        if expected is np.linalg.LinAlgError:
-            # a negative diagonal of N: the reference's SVD of a NaN matrix
-            # fails; the new check reports it as singular
-            expected = SingularNormal
-        assert _outcome_class(new, None) is expected
+        with pytest.raises(ValueError, match="weight matrix not positive definite"):
+            LinearSystem(a, k, p)
+        with pytest.raises(ValueError, match="weight matrix not positive definite"):
+            gauss_newton(lambda x: a @ x, lambda x: a, -k, np.zeros(r), p=p)
 
     def test_large_leveling_solve_in_quadratic_memory(self):
         # 1000 points, 2000 lines, 999 unknowns: the dense 2000 x 999 design
@@ -498,8 +513,15 @@ class TestConditionBounds:
                 assert np.isfinite(solve_linear(LinearSystem(a, np.ones(3))).x).all()
 
     def test_indefinite_normal_matrix(self):
+        # weights that make N indefinite are rejected with the system; the
+        # solver's own verdict still holds for a P set past that check
+        p = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match="not positive definite"):
+            LinearSystem(np.eye(2), np.ones(2), p)
+        system = LinearSystem(np.eye(2), np.ones(2))
+        object.__setattr__(system, "p", p)
         with pytest.raises(SingularNormal, match="not positive definite"):
-            solve_linear(LinearSystem(np.eye(2), np.ones(2), np.array([[1.0, 2.0], [2.0, 1.0]])))
+            solve_linear(system)
 
 
 class TestRowSparseSystem:
@@ -919,8 +941,31 @@ class TestGaussNewton:
         y = a @ x_true + rng.normal(0, 0.01, 10)
         res_gn = gauss_newton(lambda x: a @ x, lambda x: a, y, x0=np.zeros(3))
         res_lin = solve_linear(LinearSystem(a, -y))
-        np.testing.assert_allclose(res_gn.x, res_lin.x, atol=1e-12)
+        # the step is solve_linear's, and the second one is below tol
+        assert res_gn.x.tobytes() == res_lin.x.tobytes()
         assert res_gn.iterations <= 2
+
+    def test_nan_jacobian_raises_at_once(self):
+        calls = []
+
+        def model(x):
+            calls.append(x)
+            return np.array([x[0], x[0] + x[1], x[1]])
+
+        jac = lambda x: np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            gauss_newton(model, jac, np.ones(3), x0=np.zeros(2))
+        assert len(calls) == 1  # no line search ran
+
+    def test_zero_jacobian_column(self):
+        jac = lambda x: np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        with pytest.raises(SingularJacobian):
+            gauss_newton(lambda x: jac(x) @ x, jac, np.ones(3), x0=np.zeros(2))
+
+    def test_fewer_rows_than_unknowns(self):
+        jac = lambda x: np.array([[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="fewer observations than unknowns"):
+            gauss_newton(lambda x: jac(x) @ x, jac, np.ones(1), x0=np.zeros(3))
 
     def test_descent_is_monotone(self):
         rng = np.random.default_rng(5)
@@ -1021,6 +1066,61 @@ class TestNewton:
         hess = lambda x: np.array([[12 * x[0] ** 2, 6.0], [6.0, 3.0]])
         with pytest.raises(IndefiniteHessian):
             newton_minimize(grad, hess, [0.5, 0.0])  # inside |u| < 1
+
+
+def reference_newton_step(h, g):
+    """The checks newton_minimize made before check_condition: an SVD rank,
+    a Cholesky and two general solves on its factor."""
+    if not np.all(np.isfinite(h)) or np.linalg.matrix_rank(h) < h.shape[0]:
+        return SingularHessian
+    try:
+        chol = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return IndefiniteHessian
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, g))
+
+
+@st.composite
+def hessians(draw):
+    """Symmetric m x m matrices: Q diag(lam) Q' with cond <= 1e12 and
+    eigenvalues of either sign, or integer B B' of rank < m (exactly
+    singular in floating point, the zero matrix included)."""
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        b = rng.integers(-3, 4, size=(m, draw(st.integers(0, m - 1)))).astype(float)
+        return b @ b.T, rng.normal(size=m)
+    q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    lam = 10.0 ** rng.uniform(0.0, draw(st.sampled_from([0.0, 4.0, 11.9])), m)
+    if draw(st.booleans()):
+        lam *= rng.choice([-1.0, 1.0], m)
+    h = (q * lam) @ q.T
+    return 0.5 * (h + h.T), rng.normal(size=m)
+
+
+class TestNewtonVerdicts:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(hessians())
+    def test_matches_rank_and_cholesky_reference(self, case):
+        h, g = case
+        expected = reference_newton_step(h, g)
+        steps = []
+
+        def gradient(x):
+            steps.append(x.copy())
+            return g
+
+        try:
+            x, _ = newton_minimize(gradient, lambda x: h, np.zeros(len(g)), max_iter=2)
+        except (SingularHessian, IndefiniteHessian) as exc:
+            assert type(exc) is expected
+            return
+        except MaxIterations:
+            x = steps[1]
+        # the first step x1 = -H^-1 g of both: two backward-stable solves
+        assert isinstance(expected, np.ndarray)
+        tol = 1e2 * np.linalg.cond(h) * np.finfo(float).eps
+        assert np.linalg.norm(x + expected) <= tol * np.linalg.norm(expected)
 
 
 class TestCurvatureCheck:

@@ -7,10 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geodkit import datum
+from geodkit.adjust import check_condition
 from geodkit.coords import EcefCoord, GeodeticCoord, ecef_to_geodetic, geodetic_to_ecef
 from geodkit.core import get_ellipsoid, meridian_radius, prime_vertical_radius, ARCSEC
 from geodkit.datum import (
@@ -356,6 +357,89 @@ SETS = {
         rng, n, noise * 1e-3, AXES[rng.integers(3)]),
     "duplicate points": lambda rng, n, noise: near_collinear(rng, n, noise)[rng.integers(0, n, n)],
 }
+
+
+def reference_bursa_wolf_estimate(pairs: list):
+    """The estimator before it went through adjust.solve_linear: columns of
+    A scaled to unit norm, its own condition check, solve and covariance."""
+    n = len(pairs)
+    if 3 * n < 7 or n < 3:
+        raise InsufficientPoints(f"{n} common points give {3 * n} equations < 7")
+    a = np.vstack([datum._bw_design_row_block(p1.x, p1.y, p1.z) for p1, _ in pairs])
+    l_vec = np.concatenate([[p2.x - p1.x, p2.y - p1.y, p2.z - p1.z] for p1, p2 in pairs])
+    scale = np.linalg.norm(a, axis=0)
+    singular = RankDeficient("normal matrix ill-conditioned (collinear network?)")
+    if not scale.all():
+        raise singular
+    a_s = a / scale
+    normal_s = a_s.T @ a_s
+    check_condition(normal_s, 1e12, singular)
+    u = np.linalg.solve(normal_s, a_s.T @ l_vec) / scale
+    v = a @ u - l_vec
+    dof = 3 * n - 7
+    s2 = float(v @ v / dof) if dof > 0 else None
+    cov = None if s2 is None else s2 * (np.linalg.inv(normal_s) / np.outer(scale, scale))
+    return datum.DatumShiftResult(BursaWolfParams(*u), v.reshape(n, 3), s2, cov)
+
+
+def scaled_cond(pairs: list) -> float:
+    """cond of A'A with the columns of A scaled to unit norm (inf for a zero
+    column), by SVD."""
+    a = np.vstack([datum._bw_design_row_block(p.x, p.y, p.z) for p, _ in pairs])
+    scale = np.linalg.norm(a, axis=0)
+    if not scale.all():
+        return math.inf
+    a_s = a / scale
+    return float(np.linalg.cond(a_s.T @ a_s))
+
+
+class TestBursaWolfEstimateAgainstReference:
+    """bursa_wolf_estimate through solve_linear against the estimator it
+    replaced, on sets from well-posed to collinear."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(SETS)), st.integers(3, 40), st.integers(0, 2**32 - 1),
+           st.floats(-12.0, 4.0), st.floats(-4.0, -1.0))
+    def test_matches_the_reference(self, kind, n, seed, shape_exp, noise_exp):
+        rng = np.random.default_rng(seed)
+        exact = _with_targets(SETS[kind](rng, n, 10.0**shape_exp))
+        noise = rng.normal(0.0, 10.0**noise_exp, (n, 3))
+        pairs = [(p, EcefCoord(*(q.as_array() + e))) for (p, q), e in zip(exact, noise)]
+        # the two condition checks agree to about 1e-4 relative at the 1e12
+        # bound, so only sets that close to it may get different verdicts
+        assume(not 5e11 < scaled_cond(pairs) < 2e12)
+        try:
+            ref = reference_bursa_wolf_estimate(pairs)
+        except (ArithmeticError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                bursa_wolf_estimate(pairs)
+            return
+        res = bursa_wolf_estimate(pairs)
+        # both solve the column-scaled normal equations backward stably, so
+        # the scaled unknowns D x are at most about cond * eps * |D x| apart
+        # (0.85 of it at most in 3000 sets), the residuals A x - L that much
+        # times |A D^-1| <= sqrt(7), and the standard deviations cond * eps
+        # relative.  With millimetre noise on points 6000 km from the
+        # origin, that is up to 2e-5 sigma at cond 1e11.
+        a = np.vstack([datum._bw_design_row_block(p.x, p.y, p.z) for p, _ in pairs])
+        d = np.linalg.norm(a, axis=0)
+        x, x_ref = (np.array(dataclasses.astuple(r.params)) for r in (res, ref))
+        forward = 10.0 * scaled_cond(pairs) * np.finfo(float).eps
+        assert np.abs(d * (x - x_ref)).max() <= forward * np.linalg.norm(d * x_ref)
+        assert (np.linalg.norm(res.residuals - ref.residuals)
+                <= forward * np.linalg.norm(d * x_ref))
+        assert res.s2 == pytest.approx(ref.s2, rel=1e-9)
+        np.testing.assert_allclose(np.sqrt(np.diag(res.cov)), np.sqrt(np.diag(ref.cov)),
+                                   rtol=forward + 1e-12)
+
+    def test_network_matches_the_reference(self):
+        res, ref = bursa_wolf_estimate(network_pairs()), reference_bursa_wolf_estimate(
+            network_pairs())
+        np.testing.assert_allclose(dataclasses.astuple(res.params),
+                                   dataclasses.astuple(ref.params), rtol=1e-9)
+        np.testing.assert_allclose(np.diag(res.cov), np.diag(ref.cov), rtol=1e-9)
+        np.testing.assert_allclose(res.residuals, ref.residuals, rtol=0, atol=1e-9)
+        assert res.s2 == pytest.approx(ref.s2, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -241,8 +241,8 @@ def test_mistyped_or_non_finite_json_exits_2(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("p, code, error", [
-    (0, 3, "numerical error: SingularNormal"),  # a zero weight, not "no weights"
-    (0.0, 3, "numerical error: SingularNormal"),
+    (0, 2, "input error: ValueError: weights must be > 0"),  # a zero weight, not "no weights"
+    (0.0, 2, "input error: ValueError: weights must be > 0"),
     ([], 2, "input error: ValueError: weight vector length mismatch"),
     ("", 2, "input error: ValueError: 'p' must be"),
 ])
@@ -277,6 +277,31 @@ def test_adjust_system_overflow_exits_3(doc, tmp_path, capsys):
     code, out, err = run_files(SYSTEM, tmp_path, capsys, {"JSON": json.dumps(doc)})
     assert code == 3 and "numerical error: OverflowError" in err
     assert "NaN" not in out and "Infinity" not in out
+    assert err.count("\n") == 1  # no numpy RuntimeWarning before the message
+
+
+@pytest.mark.parametrize("p, message", [
+    # once printed "s2": -3.83 and a negative covariance with exit 0
+    ([1, 1, -0.5], "weights must be > 0"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, -0.5]], "weight matrix not positive definite"),
+    ([[1, 0.5, 0], [0, 1, 0], [0, 0, 1]], "weight matrix not symmetric"),
+])
+def test_adjust_system_weights_not_positive_definite_exit_2(p, message, tmp_path, capsys):
+    doc = {"a": [[1], [1], [1]], "k": [0, 1, -3], "p": p}
+    code, out, err = run_files(SYSTEM, tmp_path, capsys, {"JSON": json.dumps(doc)})
+    assert code == 2 and f"input error: ValueError: {message}" in err, err
+    assert out == ""
+
+
+@pytest.mark.parametrize("kind", ["distance2d", "direction", "distance3d"])
+def test_adjust_row_from_a_point_to_itself_exits_2(kind, tmp_path, capsys):
+    # once CoincidentPoints (exit 3) from the row builder
+    files = {"OBS": f"kind,from,to,value\n{kind},A,A,5\ndistance2d,A,B,5\n",
+             "PTS": "n,x0,y0,z0,fixed\nA,0,0,0,1\nB,3,4,0,0\n"}
+    code, out, err = run_files(["adjust", "--points", "PTS", "--obs", "OBS"], tmp_path, capsys,
+                               files)
+    assert code == 2 and f"input error: ValueError: {kind} row from 'A' to itself" in err, err
+    assert out == ""
 
 
 @pytest.mark.parametrize("row", [
