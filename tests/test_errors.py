@@ -241,8 +241,11 @@ def test_mistyped_or_non_finite_json_exits_2(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("p, code, error", [
-    (0, 2, "input error: ValueError: weights must be > 0"),  # a zero weight, not "no weights"
-    (0.0, 2, "input error: ValueError: weights must be > 0"),
+    # a zero weight, not "no weights"; short ids keep the test names readable
+    pytest.param(0, 2, "input error: ValueError: weights must be > 0",
+                 id="0-2-weights must be > 0"),
+    pytest.param(0.0, 2, "input error: ValueError: weights must be > 0",
+                 id="0.0-2-weights must be > 0"),
     ([], 2, "input error: ValueError: weight vector length mismatch"),
     ("", 2, "input error: ValueError: 'p' must be"),
 ])
