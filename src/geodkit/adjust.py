@@ -11,7 +11,7 @@ satellite-geometry dilution-of-precision figures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -128,14 +128,19 @@ class LinearSystem:
     padding slot, which holds 0.  An unknown listed twice in a row adds
     its coefficients.  The unknowns are 0 .. cols.max(), and P must be a
     vector.  A then takes O(n k) memory instead of O(n r).
+
+    weights_checked: P is what _weights returned for these n rows, so its
+    sign, symmetry and Cholesky checks are not run again (gauss_newton
+    checks P once per fit, not once per step).
     """
 
     a: np.ndarray
     k: np.ndarray
     p: np.ndarray = None
     cols: np.ndarray = None
+    weights_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, weights_checked):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         k = np.asarray(self.k, dtype=float).ravel()
         if k.shape[0] == 0:
@@ -154,7 +159,7 @@ class LinearSystem:
             raise ValueError("the system has no unknowns (every point fixed?)")
         if a.shape[0] < self.unknowns:
             raise ValueError("fewer observations than unknowns")
-        p = _weights(self.p, a.shape[0])
+        p = self.p if weights_checked else _weights(self.p, a.shape[0])
         if self.cols is not None and p.ndim > 1:
             raise ValueError("the row-sparse form takes a weight vector")
         if not all(np.isfinite(q).all() for q in (a, k, p)):
@@ -341,7 +346,7 @@ def gauss_newton(
     for it in range(1, max_iter + 1):
         j = np.atleast_2d(np.asarray(jacobian(x), dtype=float))
         try:
-            lin = solve_linear(LinearSystem(j, -e, w))
+            lin = solve_linear(LinearSystem(j, -e, w, weights_checked=True))
         except SingularNormal:
             raise SingularJacobian("J'PJ singular, ill-conditioned or indefinite") from None
         step_norm = float(np.linalg.norm(lin.x))

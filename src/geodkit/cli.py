@@ -5,20 +5,27 @@ unit tags such as ``phi[gr]``) or JSON files and print to stdout unless an
 output path is given.  Numeric output uses 12 significant digits so runs
 are reproducible byte for byte.
 
-``convert``, ``project`` and ``geodesic`` are columnar: they read all rows,
-convert each numeric column with float(), make one array-kernel call and
-format the results with ``f"{x:.12g}"``.  ``reduce``, ``datum``, ``dop``
-and ``heights`` read their columns the same way and run the scalar API on
-each row.  Output is all or nothing: the first failing data row in file
+Every CSV command reads its input as raw lines and parses it in blocks of
+rows with one csv.reader.  ``convert``, ``project`` and ``geodesic`` are
+columnar: for each block they convert each numeric column with float(),
+make one array-kernel call and format the block's output lines with
+``f"{x:.12g}"`` into one string.  ``reduce``, ``datum``, ``dop`` and
+``heights`` read their columns the same way and run the scalar API on each
+row.  So the working memory is the input text, the output text and one
+block, not every parsed row.  Output is all or nothing: it is written once,
+after the last block has passed, and the first failing data row in file
 order decides the error, which is the one the scalar API raises on that
-row.
+row.  Errors in the input itself come first, as if the whole file were read
+before any row is computed: a field longer than csv.field_size_limit(),
+then a row with too few fields.
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical error.  The class
 of the exception decides: any ArithmeticError, which includes every
 geodkit.core.NumericalError, exits 3; ValueError, KeyError and OSError exit
 2.  The error class name goes to stderr, and a CSV row that is too short
-is named by its data-row number (1 is the first row after the header), as
-is, in every CSV command but ``adjust``, a row with a field float() rejects.
+or a field too long is named by its data-row number (1 is the first row
+after the header), as is, in every CSV command but ``adjust``, a row with a
+field float() rejects.
 """
 
 from __future__ import annotations
@@ -28,7 +35,9 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import astuple
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -89,25 +98,143 @@ def _angle_from(value: str, unit: str) -> float:
     return float(value) * ANGLE_UNITS[unit]
 
 
+# data rows per block of the CSV commands: small enough that a block's
+# parsed rows and kernel temporaries stay a few MB, large enough that the
+# per-block calls cost nothing next to the per-row work
+_BLOCK_ROWS = 8192
+
+
+def _csv_error(exc, row: int) -> ValueError:
+    return ValueError(f"data row {row}: {exc}" if row else f"header: {exc}")
+
+
+def _records(lines) -> list:
+    """The header and data rows of lines that hold quotes, each as the text
+    of its record: a quoted field may span lines."""
+    reader = csv.reader(lines)
+    records, start = [], 0
+    try:
+        for row in reader:
+            if row and not row[0].startswith("#"):
+                records.append("".join(lines[start:reader.line_num]))
+            start = reader.line_num
+    except csv.Error as exc:
+        raise _csv_error(exc, len(records)) from None
+    return records
+
+
 def _read_csv(path):
+    """The header row of a CSV input and its data rows as raw text.
+
+    Blank lines and rows whose first field starts with "#" are dropped.
+    Each data row is the text of one CSV record, line ending included, so
+    one csv.reader over the list yields one row per element.
+    """
     if path in (None, "-"):
-        rows = [r for r in csv.reader(io.StringIO(sys.stdin.read()))]
+        lines = list(io.StringIO(sys.stdin.read()))
     else:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    rows = [row for row in rows if row and not row[0].startswith("#")]
-    if not rows:
+            lines = list(fh)
+    if any('"' in line for line in lines):
+        lines = _records(lines)
+    else:  # without quotes each line is a record, and "#", "\r" or "\n" starts no row
+        lines = [line for line in lines if line[0] not in "#\r\n"]
+    if not lines:
         raise ValueError("empty input")
-    return rows[0], rows[1:]
+    try:
+        header = next(csv.reader(lines[:1]))
+    except csv.Error as exc:
+        raise _csv_error(exc, 0) from None
+    del lines[0]
+    return header, lines
 
 
-def _read_rows(path, width: int) -> list:
-    """The data rows of a CSV input, each checked to hold at least `width` fields."""
-    rows = _read_csv(path)[1]
-    if rows and min(map(len, rows)) < width:
-        i, row = next((i, row) for i, row in enumerate(rows, 1) if len(row) < width)
-        raise ValueError(f"data row {i}: expected at least {width} fields, got {len(row)}")
-    return rows
+class _Rows:
+    """The data rows of a CSV input, parsed block by block by one csv.reader,
+    each checked to hold at least `width` fields.
+
+    As a context manager it keeps the input's own errors first: an exception
+    raised in the with-block gives way to a csv error or a short row among
+    the rows not yet parsed.  Only that error path parses them early.
+    """
+
+    def __init__(self, path, width: int):
+        self.width = width
+        lines = _read_csv(path)[1]
+        # the reader pops each line as it takes it, so the text of the rows
+        # parsed so far is freed while their output grows
+        lines.append(None)
+        lines.reverse()
+        self.reader = csv.reader(iter(lines.pop, None))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, Exception):
+            for _ in self.blocks():
+                pass
+
+    def _take(self) -> list:
+        """The next block of rows; [] once all are parsed."""
+        try:
+            return list(islice(self.reader, _BLOCK_ROWS))
+        except csv.Error as exc:
+            row, self.reader = self.reader.line_num, csv.reader(())
+            raise _csv_error(exc, row) from None
+
+    def blocks(self):
+        """Each block of rows, in file order; the first short row raises,
+        once the rows after it have no csv error."""
+        while block := self._take():
+            if min(map(len, block)) < self.width:
+                i, row = next((i, row) for i, row in enumerate(block) if len(row) < self.width)
+                i += self.reader.line_num - len(block) + 1
+                while self._take():
+                    pass
+                raise ValueError(f"data row {i}: expected at least {self.width} fields, "
+                                 f"got {len(row)}")
+            yield block
+
+    def columns(self, count: int):
+        """(names, columns, parse_error) per block: column j holds field j
+        as a float, for j in 1..count.
+
+        At the first row with a field float() rejects, the columns stop short
+        of that row, parse_error is the ValueError naming it, and the blocks
+        end; the caller raises it once the rows before it have passed.
+        """
+        for block in self.blocks():
+            parse_error = None
+            try:
+                columns = _float_columns(block, count)
+            except ValueError:
+                first = self.reader.line_num - len(block) + 1
+                for i, row in enumerate(block):
+                    try:
+                        [float(v) for v in row[1:count + 1]]
+                    except ValueError as exc:
+                        parse_error = ValueError(f"data row {first + i}: {exc}")
+                        block = block[:i]
+                        break
+                columns = _float_columns(block, count)
+            yield [row[0] for row in block], columns, parse_error
+            if parse_error is not None:
+                return
+
+    def table(self, header: str, count: int, compute) -> list:
+        """The header, then per block one string of its output lines: the
+        row's name and compute(parse_error, *columns) to 12 digits.
+
+        compute returns a block's output columns, or raises its first failing
+        row's error, else parse_error if that is set.
+        """
+        out = [header]
+        for names, columns, parse_error in self.columns(count):
+            values = [c.tolist() for c in compute(parse_error, *columns)]
+            line = "{}," + ",".join(["{:.12g}"] * len(values))
+            out.append("\n".join(map(line.format, names, *values)))
+        return out
 
 
 def _float_columns(rows, count: int) -> list:
@@ -115,27 +242,9 @@ def _float_columns(rows, count: int) -> list:
             for j in range(1, count + 1)]
 
 
-def _read_columns(path, width: int, count: int) -> tuple:
-    """The line prefixes and the numeric columns 1..count of a CSV input.
-
-    Returns (prefixes, columns, parse_error).  A prefix is a row's name and
-    its comma, as an output line starts; being new strings, they let the
-    parsed rows' memory go back in whole.  Each field goes through float().
-    At the first data row with a field float() rejects, the columns stop
-    short of that row, and parse_error is the ValueError naming it, for the
-    caller to raise once the rows before it have been checked.
-    """
-    rows = _read_rows(path, width)
-    prefixes = [row[0] + "," for row in rows]
-    try:
-        return prefixes, _float_columns(rows, count), None
-    except ValueError:
-        pass
-    for i, row in enumerate(rows):
-        try:
-            [float(v) for v in row[1:count + 1]]
-        except ValueError as exc:
-            return prefixes, _float_columns(rows[:i], count), ValueError(f"data row {i + 1}: {exc}")
+def _read_rows(path, width: int) -> list:
+    """The data rows of a CSV input, each checked to hold at least `width` fields."""
+    return [row for block in _Rows(path, width).blocks() for row in block]
 
 
 def _settle(failed, columns, scalar_row, parse_error=None) -> None:
@@ -156,30 +265,32 @@ def _settle(failed, columns, scalar_row, parse_error=None) -> None:
         raise parse_error
 
 
-def _table(header: str, prefixes: list, *columns) -> list:
-    """Output lines: the header, then each prefix with its values to 12 digits."""
-    row = "{}" + ",".join(["{:.12g}"] * len(columns))
-    return [header, *map(row.format, prefixes, *(c.tolist() for c in columns))]
+def _map_rows(path, count: int, row) -> list:
+    """row(*values) of each data row of a CSV input, in file order.
 
-
-def _map_rows(path, count: int, row) -> tuple:
-    """The line prefixes of a CSV input and row(*values) of each data row.
-
-    values are the row's numeric columns 1..count.  Rows run in file order,
-    so the first failing row raises its error; a row with a field float()
-    rejects raises once every row before it has passed.
+    values are the row's numeric columns 1..count.  The first failing row
+    raises its error; a row with a field float() rejects raises once every
+    row before it has passed.
     """
-    prefixes, columns, parse_error = _read_columns(path, count + 1, count)
-    results = [row(*values) for values in zip(*(c.tolist() for c in columns))]
-    if parse_error is not None:
-        raise parse_error
-    return prefixes, results
+    results = []
+    with _Rows(path, count + 1) as rows:
+        for _, columns, parse_error in rows.columns(count):
+            results += map(row, *(c.tolist() for c in columns))
+            if parse_error is not None:
+                raise parse_error
+    return results
 
 
 def _rows_table(path, count: int, header: str, row) -> list:
     """Output lines of a command that runs the scalar API on each data row."""
-    prefixes, results = _map_rows(path, count, row)
-    return _table(header, prefixes, *map(np.array, zip(*results)))
+    def compute(parse_error, *columns):
+        results = list(map(row, *(c.tolist() for c in columns)))
+        if parse_error is not None:
+            raise parse_error
+        return map(np.array, zip(*results))
+
+    with _Rows(path, count + 1) as rows:
+        return rows.table(header, count, compute)
 
 
 def _read_json(path) -> dict:
@@ -204,12 +315,11 @@ def _option(args, name: str) -> str:
 
 
 def _write_lines(lines, path):
-    text = "\n".join(lines) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    """Write each of lines, which may hold several lines, and a newline."""
+    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def _projection(args):
@@ -223,22 +333,25 @@ def _projection(args):
 def cmd_convert(args):
     unit = args.angle_unit
     factor = ANGLE_UNITS[unit]
-    prefixes, (a, b, c), parse_error = _read_columns(args.input, 4, 3)
-    ell = get_ellipsoid(args.ell)
-    if args.frm == "geodetic" and args.to == "ecef":
-        phi, lam = a * factor, b * factor
-        *xyz, failed = geodetic_to_ecef_array(ell, phi, lam, c)
-        _settle(failed, xyz, lambda i: astuple(geodetic_to_ecef(
-            ell, GeodeticCoord(float(phi[i]), float(lam[i]), float(c[i])))), parse_error)
-        out = _table("name,x[m],y[m],z[m]", prefixes, *xyz)
-    elif args.frm == "ecef" and args.to == "geodetic":
-        phi, lam, he, failed = ecef_to_geodetic_array(ell, a, b, c)
-        _settle(failed, (phi, lam, he), lambda i: astuple(ecef_to_geodetic(
-            ell, EcefCoord(float(a[i]), float(b[i]), float(c[i])))), parse_error)
-        out = _table(f"name,phi[{unit}],lam[{unit}],he[m]", prefixes,
-                     phi / factor, lam / factor, he)
-    else:
-        raise ValueError(f"unsupported conversion {args.frm} -> {args.to}")
+    with _Rows(args.input, 4) as rows:
+        ell = get_ellipsoid(args.ell)
+        if args.frm == "geodetic" and args.to == "ecef":
+            def block(parse_error, a, b, c):
+                phi, lam = a * factor, b * factor
+                *xyz, failed = geodetic_to_ecef_array(ell, phi, lam, c)
+                _settle(failed, xyz, lambda i: astuple(geodetic_to_ecef(
+                    ell, GeodeticCoord(float(phi[i]), float(lam[i]), float(c[i])))), parse_error)
+                return xyz
+            out = rows.table("name,x[m],y[m],z[m]", 3, block)
+        elif args.frm == "ecef" and args.to == "geodetic":
+            def block(parse_error, a, b, c):
+                phi, lam, he, failed = ecef_to_geodetic_array(ell, a, b, c)
+                _settle(failed, (phi, lam, he), lambda i: astuple(ecef_to_geodetic(
+                    ell, EcefCoord(float(a[i]), float(b[i]), float(c[i])))), parse_error)
+                return phi / factor, lam / factor, he
+            out = rows.table(f"name,phi[{unit}],lam[{unit}],he[m]", 3, block)
+        else:
+            raise ValueError(f"unsupported conversion {args.frm} -> {args.to}")
     _write_lines(out, args.output)
 
 
@@ -246,18 +359,23 @@ def cmd_project(args):
     unit = args.angle_unit
     factor = ANGLE_UNITS[unit]
     proj = _projection(args)
-    prefixes, (a, b), parse_error = _read_columns(args.input, 3, 2)
     if args.direction == "fwd":
-        phi, lam = a * factor, b * factor
-        e, n, failed = forward_columns(proj, phi, lam)
-        _settle(failed, (e, n), lambda i: astuple(forward(
-            proj, GeodeticCoord(float(phi[i]), float(lam[i])))), parse_error)
-        out = _table("name,e[m],n[m]", prefixes, e, n)
+        def block(parse_error, a, b):
+            phi, lam = a * factor, b * factor
+            e, n, failed = forward_columns(proj, phi, lam)
+            _settle(failed, (e, n), lambda i: astuple(forward(
+                proj, GeodeticCoord(float(phi[i]), float(lam[i])))), parse_error)
+            return e, n
+        header = "name,e[m],n[m]"
     else:
-        phi, lam, failed = inverse_columns(proj, a, b)
-        _settle(failed, (phi, lam), lambda i: astuple(inverse(
-            proj, PlaneCoord(float(a[i]), float(b[i]))))[:2], parse_error)
-        out = _table(f"name,phi[{unit}],lam[{unit}]", prefixes, phi / factor, lam / factor)
+        def block(parse_error, a, b):
+            phi, lam, failed = inverse_columns(proj, a, b)
+            _settle(failed, (phi, lam), lambda i: astuple(inverse(
+                proj, PlaneCoord(float(a[i]), float(b[i]))))[:2], parse_error)
+            return phi / factor, lam / factor
+        header = f"name,phi[{unit}],lam[{unit}]"
+    with _Rows(args.input, 3) as rows:
+        out = rows.table(header, 2, block)
     _write_lines(out, args.output)
 
 
@@ -265,24 +383,26 @@ def cmd_geodesic(args):
     unit = args.angle_unit
     factor = ANGLE_UNITS[unit]
     ell = get_ellipsoid(args.ell)
-    prefixes, cols, parse_error = _read_columns(args.input, 5, 4)
-    phi1, lam1 = cols[0] * factor, cols[1] * factor
     if args.problem == "direct":
-        az1, s1 = cols[2] * factor, cols[3]
-        phi2, lam2, az2, s, failed = geodesic_direct_array(ell, phi1, lam1, az1, s1)
-        _settle(failed, (phi2, lam2, az2, s), lambda i: _direct_row(geodesic_direct(
-            ell, GeodeticCoord(float(phi1[i]), float(lam1[i])), float(az1[i]),
-            float(s1[i]))), parse_error)
-        out = _table(f"name,phi2[{unit}],lam2[{unit}],az2[{unit}],s[m]", prefixes,
-                     phi2 / factor, lam2 / factor, az2 / factor, s)
+        def block(parse_error, phi1, lam1, az1, s1):
+            phi1, lam1, az1 = phi1 * factor, lam1 * factor, az1 * factor
+            phi2, lam2, az2, s, failed = geodesic_direct_array(ell, phi1, lam1, az1, s1)
+            _settle(failed, (phi2, lam2, az2, s), lambda i: _direct_row(geodesic_direct(
+                ell, GeodeticCoord(float(phi1[i]), float(lam1[i])), float(az1[i]),
+                float(s1[i]))), parse_error)
+            return phi2 / factor, lam2 / factor, az2 / factor, s
+        header = f"name,phi2[{unit}],lam2[{unit}],az2[{unit}],s[m]"
     else:
-        phi2, lam2 = cols[2] * factor, cols[3] * factor
-        az1, az2, s, failed = geodesic_inverse_array(ell, phi1, lam1, phi2, lam2)
-        _settle(failed, (az1, az2, s), lambda i: astuple(geodesic_inverse(
-            ell, GeodeticCoord(float(phi1[i]), float(lam1[i])),
-            GeodeticCoord(float(phi2[i]), float(lam2[i]))))[2:], parse_error)
-        out = _table(f"name,az1[{unit}],az2[{unit}],s[m]", prefixes,
-                     az1 / factor, az2 / factor, s)
+        def block(parse_error, *cols):
+            phi1, lam1, phi2, lam2 = (c * factor for c in cols)
+            az1, az2, s, failed = geodesic_inverse_array(ell, phi1, lam1, phi2, lam2)
+            _settle(failed, (az1, az2, s), lambda i: astuple(geodesic_inverse(
+                ell, GeodeticCoord(float(phi1[i]), float(lam1[i])),
+                GeodeticCoord(float(phi2[i]), float(lam2[i]))))[2:], parse_error)
+            return az1 / factor, az2 / factor, s
+        header = f"name,az1[{unit}],az2[{unit}],s[m]"
+    with _Rows(args.input, 5) as rows:
+        out = rows.table(header, 4, block)
     _write_lines(out, args.output)
 
 
@@ -316,7 +436,7 @@ def _read_param_file(path) -> BursaWolfParams:
 
 def _read_pairs_csv(path, coord, dims: int) -> list:
     """The (system 1, system 2) coordinate pairs of a CSV input."""
-    return _map_rows(path, 2 * dims, lambda *v: (coord(*v[:dims]), coord(*v[dims:])))[1]
+    return _map_rows(path, 2 * dims, lambda *v: (coord(*v[:dims]), coord(*v[dims:])))
 
 
 def cmd_datum(args):
@@ -434,7 +554,7 @@ def cmd_orbit(args):
 def cmd_dop(args):
     unit = args.angle_unit
     ell = get_ellipsoid(args.ell)
-    sats = _map_rows(args.input, 3, EcefCoord)[1]
+    sats = _map_rows(args.input, 3, EcefCoord)
     fields = args.receiver.split(",")
     if len(fields) not in (2, 3):
         raise ValueError(f"--receiver needs phi,lam[,he], got {args.receiver!r}")
@@ -453,7 +573,7 @@ def cmd_dop(args):
 
 def cmd_heights(args):
     unit = args.angle_unit
-    segments = _map_rows(args.input, 2, lambda g, dh: (g, dh))[1]
+    segments = _map_rows(args.input, 2, lambda g, dh: (g, dh))
     line = LevelLine(
         segments,
         phi_start=_angle_from(args.phi_start, unit) if args.phi_start else 0.0,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from geodkit import adjust
 from geodkit.adjust import (
     _FIELDS,
     CoincidentPoints,
@@ -1026,6 +1027,31 @@ class TestGaussNewton:
                            tol=1e-12)
         grad = jac(res.x).T @ (model(res.x) - observed)
         assert np.linalg.norm(grad) < 1e-10
+
+    def test_full_weight_matrix_is_checked_once_per_fit(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        t = np.linspace(0.0, 1.0, 60)
+
+        def model(x):
+            return x[0] * np.exp(x[1] * t) + x[2]
+
+        def jac(x):
+            return np.c_[np.exp(x[1] * t), x[0] * t * np.exp(x[1] * t), np.ones_like(t)]
+
+        y = model([2.0, -1.5, 0.3]) + rng.normal(0, 1e-3, t.size)
+        b = rng.normal(size=(t.size, t.size)) / np.sqrt(t.size)
+        p = b @ b.T + np.eye(t.size)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m) or cholesky(m))
+        res = gauss_newton(model, jac, y, [1.8, -1.4, 0.25], p)
+        assert res.iterations >= 2 and len(calls) == 1
+        # each step's system checking P again, as every step once did: same bits
+        monkeypatch.setattr(adjust, "LinearSystem",
+                            lambda a, k, p, weights_checked: LinearSystem(a, k, p))
+        ref = gauss_newton(model, jac, y, [1.8, -1.4, 0.25], p)
+        assert len(calls) == 2 + ref.iterations
+        assert res.x.tobytes() == ref.x.tobytes() and res.s2 == ref.s2
 
 
 class TestNewton:
