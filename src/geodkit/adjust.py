@@ -638,8 +638,9 @@ class Network:
 
     def solve(self, tol: float = 1e-8, max_iter: int = 10) -> AdjustmentResult:
         """Iterate solve_linear on the row-sparse rows, moving the points and
-        orientations by each solution, until max |x| < tol.  Memory is
-        O(r^2) for r unknowns; the result's cov is computed when read."""
+        orientations by each solution, until max |x| < tol; MaxIterations if
+        that takes more than max_iter solutions.  Memory is O(r^2) for r
+        unknowns; the result's cov is computed when read."""
         index, cols = self._unknowns()
         orientations = self._orientations()
         for iteration in range(1, max_iter + 1):
@@ -653,8 +654,9 @@ class Network:
                     point, name = self.points[key[1]], _FIELDS[key[0]]
                     setattr(point, name, getattr(point, name) + result.x[idx])
             if np.abs(result.x).max() < tol:
-                break
-        return replace(result, iterations=iteration, trace=[index, dict(orientations)])
+                return replace(result, iterations=iteration, trace=[index, dict(orientations)])
+        raise MaxIterations(f"no convergence in {max_iter} network iterations: "
+                            f"max |x| = {np.abs(result.x).max():.6g} >= tol = {tol:g}")
 
 
 @dataclass(frozen=True)

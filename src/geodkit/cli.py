@@ -6,26 +6,32 @@ output path is given.  Numeric output uses 12 significant digits so runs
 are reproducible byte for byte.
 
 Every CSV command reads its input as raw lines and parses it in blocks of
-rows with one csv.reader.  ``convert``, ``project`` and ``geodesic`` are
-columnar: for each block they convert each numeric column with float(),
-make one array-kernel call and format the block's output lines with
-``f"{x:.12g}"`` into one string.  ``reduce``, ``datum``, ``dop`` and
-``heights`` read their columns the same way and run the scalar API on each
-row.  So the working memory is the input text, the output text and one
-block, not every parsed row.  Output is all or nothing: it is written once,
-after the last block has passed, and the first failing data row in file
-order decides the error, which is the one the scalar API raises on that
-row.  Errors in the input itself come first, as if the whole file were read
+rows with one csv.reader (_Rows).  ``convert``, ``project`` and
+``geodesic`` are columnar: for each block they convert each numeric column
+with float(), make one array-kernel call, pass the rows the kernel flags
+to _settle with the scalar API's call on one row, and format the block's
+output lines with ``f"{x:.12g}"`` into one string.  ``reduce``, ``datum``,
+``dop`` and ``heights`` read their columns the same way and run the scalar
+API on each row; ``adjust`` takes its rows from the same reader and parses
+their mixed names and numbers itself.  So the working memory is the input
+text, the output text and one block, not every parsed row.  Output is all
+or nothing: it is written once, after the last block has passed, and the
+first failing data row in file order decides the error, which is the one
+the scalar API raises on that row.  The reader raises the error of a row
+with a field float() rejects: _Rows.columns yields the rows before it and
+raises when asked for the next block, so only once those rows have passed.
+Errors in the input itself come first, as if the whole file were read
 before any row is computed: a field longer than csv.field_size_limit(),
 then a row with too few fields.
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical error.  The class
 of the exception decides: any ArithmeticError, which includes every
 geodkit.core.NumericalError, exits 3; ValueError, KeyError and OSError exit
-2.  The error class name goes to stderr, and a CSV row that is too short
-or a field too long is named by its data-row number (1 is the first row
-after the header), as is, in every CSV command but ``adjust``, a row with a
-field float() rejects.
+2.  The error class name goes to stderr, and a CSV row that is too short,
+has a field too long or has a field float() rejects is named by its
+data-row number (1 is the first row after the header).  ``adjust`` also
+names the file, points or obs, of a field float() rejects and of an
+observation to an unknown point.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import csv
 import io
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import astuple
 from itertools import islice
 from operator import itemgetter
@@ -197,15 +203,14 @@ class _Rows:
             yield block
 
     def columns(self, count: int):
-        """(names, columns, parse_error) per block: column j holds field j
-        as a float, for j in 1..count.
+        """(names, columns) per block: column j holds field j as a float, for
+        j in 1..count.
 
-        At the first row with a field float() rejects, the columns stop short
-        of that row, parse_error is the ValueError naming it, and the blocks
-        end; the caller raises it once the rows before it have passed.
+        A row with a field float() rejects ends the blocks: the rows before it
+        come as the last block, and the ValueError naming it is raised when
+        the next block is asked for, so only once those rows have passed.
         """
         for block in self.blocks():
-            parse_error = None
             try:
                 columns = _float_columns(block, count)
             except ValueError:
@@ -214,24 +219,19 @@ class _Rows:
                     try:
                         [float(v) for v in row[1:count + 1]]
                     except ValueError as exc:
-                        parse_error = ValueError(f"data row {first + i}: {exc}")
-                        block = block[:i]
+                        error = ValueError(f"data row {first + i}: {exc}")
                         break
-                columns = _float_columns(block, count)
-            yield [row[0] for row in block], columns, parse_error
-            if parse_error is not None:
-                return
+                yield [row[0] for row in block[:i]], _float_columns(block[:i], count)
+                raise error from None
+            yield [row[0] for row in block], columns
 
     def table(self, header: str, count: int, compute) -> list:
         """The header, then per block one string of its output lines: the
-        row's name and compute(parse_error, *columns) to 12 digits.
-
-        compute returns a block's output columns, or raises its first failing
-        row's error, else parse_error if that is set.
-        """
+        row's name and compute(*columns), a block's output columns, to 12
+        digits."""
         out = [header]
-        for names, columns, parse_error in self.columns(count):
-            values = [c.tolist() for c in compute(parse_error, *columns)]
+        for names, columns in self.columns(count):
+            values = [c.tolist() for c in compute(*columns)]
             line = "{}," + ",".join(["{:.12g}"] * len(values))
             out.append("\n".join(map(line.format, names, *values)))
         return out
@@ -247,50 +247,35 @@ def _read_rows(path, width: int) -> list:
     return [row for block in _Rows(path, width).blocks() for row in block]
 
 
-def _settle(failed, columns, scalar_row, parse_error=None) -> None:
-    """Raise the error of the first failing data row, in file order.
+def _settle(failed, outputs, scalar, *inputs) -> None:
+    """Run scalar(*row) on each row an array kernel flagged, in file order,
+    row being that row's floats in inputs, and put its values into outputs.
 
-    The rows an array kernel flags go through the scalar API, which raises
-    the error the row-by-row CLI raised.  A flagged row the scalar API
-    accepts takes its values into columns: the geodesic kernels flag the
-    lines the scalar API solves in closed form, and numpy's elementary
-    functions can differ from the C library's in the last bit, so a loop at
-    the edge of its tolerance may end otherwise there.  A parse error is
-    raised only when every row before it passed.
+    scalar is the scalar API's call on one row, so the first failing row
+    raises the error the row-by-row CLI raised.  A flagged row it accepts
+    takes its values: the geodesic kernels flag the lines the scalar API
+    solves in closed form, and numpy's elementary functions can differ from
+    the C library's in the last bit, so a loop at the edge of its tolerance
+    may end otherwise there.
     """
     for i in np.flatnonzero(failed).tolist():
-        for column, value in zip(columns, scalar_row(i)):
+        for column, value in zip(outputs, scalar(*(float(c[i]) for c in inputs))):
             column[i] = value
-    if parse_error is not None:
-        raise parse_error
 
 
 def _map_rows(path, count: int, row) -> list:
-    """row(*values) of each data row of a CSV input, in file order.
-
-    values are the row's numeric columns 1..count.  The first failing row
-    raises its error; a row with a field float() rejects raises once every
-    row before it has passed.
-    """
-    results = []
+    """row(*values) of each data row of a CSV input, in file order, values
+    being the row's numeric columns 1..count."""
     with _Rows(path, count + 1) as rows:
-        for _, columns, parse_error in rows.columns(count):
-            results += map(row, *(c.tolist() for c in columns))
-            if parse_error is not None:
-                raise parse_error
-    return results
+        return [r for _, columns in rows.columns(count)
+                for r in map(row, *(c.tolist() for c in columns))]
 
 
 def _rows_table(path, count: int, header: str, row) -> list:
     """Output lines of a command that runs the scalar API on each data row."""
-    def compute(parse_error, *columns):
-        results = list(map(row, *(c.tolist() for c in columns)))
-        if parse_error is not None:
-            raise parse_error
-        return map(np.array, zip(*results))
-
     with _Rows(path, count + 1) as rows:
-        return rows.table(header, count, compute)
+        return rows.table(header, count, lambda *columns: map(
+            np.array, zip(*map(row, *(c.tolist() for c in columns)))))
 
 
 def _read_json(path) -> dict:
@@ -336,18 +321,18 @@ def cmd_convert(args):
     with _Rows(args.input, 4) as rows:
         ell = get_ellipsoid(args.ell)
         if args.frm == "geodetic" and args.to == "ecef":
-            def block(parse_error, a, b, c):
+            def block(a, b, c):
                 phi, lam = a * factor, b * factor
                 *xyz, failed = geodetic_to_ecef_array(ell, phi, lam, c)
-                _settle(failed, xyz, lambda i: astuple(geodetic_to_ecef(
-                    ell, GeodeticCoord(float(phi[i]), float(lam[i]), float(c[i])))), parse_error)
+                _settle(failed, xyz, lambda *g: astuple(geodetic_to_ecef(ell, GeodeticCoord(*g))),
+                        phi, lam, c)
                 return xyz
             out = rows.table("name,x[m],y[m],z[m]", 3, block)
         elif args.frm == "ecef" and args.to == "geodetic":
-            def block(parse_error, a, b, c):
+            def block(a, b, c):
                 phi, lam, he, failed = ecef_to_geodetic_array(ell, a, b, c)
-                _settle(failed, (phi, lam, he), lambda i: astuple(ecef_to_geodetic(
-                    ell, EcefCoord(float(a[i]), float(b[i]), float(c[i])))), parse_error)
+                _settle(failed, (phi, lam, he),
+                        lambda *p: astuple(ecef_to_geodetic(ell, EcefCoord(*p))), a, b, c)
                 return phi / factor, lam / factor, he
             out = rows.table(f"name,phi[{unit}],lam[{unit}],he[m]", 3, block)
         else:
@@ -360,18 +345,18 @@ def cmd_project(args):
     factor = ANGLE_UNITS[unit]
     proj = _projection(args)
     if args.direction == "fwd":
-        def block(parse_error, a, b):
+        def block(a, b):
             phi, lam = a * factor, b * factor
             e, n, failed = forward_columns(proj, phi, lam)
-            _settle(failed, (e, n), lambda i: astuple(forward(
-                proj, GeodeticCoord(float(phi[i]), float(lam[i])))), parse_error)
+            _settle(failed, (e, n), lambda *g: astuple(forward(proj, GeodeticCoord(*g))),
+                    phi, lam)
             return e, n
         header = "name,e[m],n[m]"
     else:
-        def block(parse_error, a, b):
+        def block(a, b):
             phi, lam, failed = inverse_columns(proj, a, b)
-            _settle(failed, (phi, lam), lambda i: astuple(inverse(
-                proj, PlaneCoord(float(a[i]), float(b[i]))))[:2], parse_error)
+            _settle(failed, (phi, lam), lambda *p: astuple(inverse(proj, PlaneCoord(*p)))[:2],
+                    a, b)
             return phi / factor, lam / factor
         header = f"name,phi[{unit}],lam[{unit}]"
     with _Rows(args.input, 3) as rows:
@@ -384,30 +369,25 @@ def cmd_geodesic(args):
     factor = ANGLE_UNITS[unit]
     ell = get_ellipsoid(args.ell)
     if args.problem == "direct":
-        def block(parse_error, phi1, lam1, az1, s1):
+        def block(phi1, lam1, az1, s1):
             phi1, lam1, az1 = phi1 * factor, lam1 * factor, az1 * factor
             phi2, lam2, az2, s, failed = geodesic_direct_array(ell, phi1, lam1, az1, s1)
-            _settle(failed, (phi2, lam2, az2, s), lambda i: _direct_row(geodesic_direct(
-                ell, GeodeticCoord(float(phi1[i]), float(lam1[i])), float(az1[i]),
-                float(s1[i]))), parse_error)
+            _settle(failed, (phi2, lam2, az2, s), lambda phi, lam, *az_s: itemgetter(0, 1, 3, 4)(
+                astuple(geodesic_direct(ell, GeodeticCoord(phi, lam), *az_s))),
+                    phi1, lam1, az1, s1)
             return phi2 / factor, lam2 / factor, az2 / factor, s
         header = f"name,phi2[{unit}],lam2[{unit}],az2[{unit}],s[m]"
     else:
-        def block(parse_error, *cols):
+        def block(*cols):
             phi1, lam1, phi2, lam2 = (c * factor for c in cols)
             az1, az2, s, failed = geodesic_inverse_array(ell, phi1, lam1, phi2, lam2)
-            _settle(failed, (az1, az2, s), lambda i: astuple(geodesic_inverse(
-                ell, GeodeticCoord(float(phi1[i]), float(lam1[i])),
-                GeodeticCoord(float(phi2[i]), float(lam2[i]))))[2:], parse_error)
+            _settle(failed, (az1, az2, s), lambda p1, l1, p2, l2: astuple(geodesic_inverse(
+                ell, GeodeticCoord(p1, l1), GeodeticCoord(p2, l2)))[2:], phi1, lam1, phi2, lam2)
             return az1 / factor, az2 / factor, s
         header = f"name,az1[{unit}],az2[{unit}],s[m]"
     with _Rows(args.input, 5) as rows:
         out = rows.table(header, 4, block)
     _write_lines(out, args.output)
-
-
-def _direct_row(sol) -> tuple:
-    return sol.phi2, sol.lam2, sol.az2, sol.s
 
 
 def cmd_reduce(args):
@@ -498,6 +478,15 @@ def _adjustment_json(res, **extra) -> str:
     }, indent=2)
 
 
+@contextmanager
+def _naming(where: str):
+    """Prefix where to the message of a ValueError raised in the block."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def cmd_adjust(args):
     if args.system:
         doc = _read_json(args.system)
@@ -510,24 +499,29 @@ def cmd_adjust(args):
     if not (args.obs and args.points):
         raise ValueError("adjust needs --system or both --obs and --points")
     net = Network(scale_directions=not args.no_direction_scaling)
-    for row in _read_rows(args.points, 4):
+    for n, row in enumerate(_read_rows(args.points, 4), 1):
         name = row[0]
-        vals = [float(v) if v else 0.0 for v in row[1:-1]]
+        with _naming(f"points data row {n}"):
+            vals = [float(v) if v else 0.0 for v in row[1:-1]]
         fixed = row[-1].strip().lower() in ("1", "true", "yes")
         x0, y0 = vals[:2]
         z0 = vals[2] if len(vals) > 2 else 0.0
         net.add_point(name, x0, y0, z0, fixed)
     unit = args.angle_unit
-    for row in _read_rows(args.obs, 4):
+    for n, row in enumerate(_read_rows(args.obs, 4), 1):
         kind, frm, to = row[0], row[1], row[2]
-        value = float(row[3])
+        for name in (frm, to):
+            if name not in net.points:
+                raise KeyError(f"obs data row {n}: unknown point {name!r}")
+        with _naming(f"obs data row {n}"):
+            value = float(row[3])
+            sigma = float(row[4]) if len(row) > 4 and row[4] else None
+            dist_km = float(row[6]) if len(row) > 6 and row[6] else None
         if kind == "direction":
             value *= ANGLE_UNITS[unit]
-        sigma = float(row[4]) if len(row) > 4 and row[4] else None
         if kind == "direction" and sigma is not None:
             sigma *= ANGLE_UNITS[unit]
         set_id = row[5] if len(row) > 5 and row[5] else None
-        dist_km = float(row[6]) if len(row) > 6 and row[6] else None
         net.add_observation(Observation(kind, frm, to, value, sigma, set_id, dist_km))
     res = net.solve()
     points = {name: {"x": p.x0, "y": p.y0, "z": p.z0} for name, p in sorted(net.points.items())}

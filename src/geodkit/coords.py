@@ -148,13 +148,11 @@ _ECEF_TOL = 1e-12
 _ECEF_MAX_ITER = 50
 
 
-def ecef_to_geodetic(
-    ell: Ellipsoid, p: EcefCoord, tol: float = _ECEF_TOL, max_iter: int = _ECEF_MAX_ITER
-) -> GeodeticCoord:
+def ecef_to_geodetic(ell: Ellipsoid, p: EcefCoord) -> GeodeticCoord:
     """Invert geodetic_to_ecef by fixed-point iteration on the latitude.
 
     Starts from Z' = Z and iterates Z' = Z + N e2 sin(phi_i),
-    phi_{i+1} = atan(Z'/r) until the change is below tol radians
+    phi_{i+1} = atan(Z'/r) until the change is below _ECEF_TOL radians
     (3 to 4 passes in practice for terrestrial heights).
     """
     r = math.hypot(p.x, p.y)
@@ -162,9 +160,9 @@ def ecef_to_geodetic(
         raise PolarAxis("point too close to the polar axis")
     lam = math.atan2(p.y, p.x)
     phi = math.atan2(p.z, r)
-    for _ in range(max_iter):
+    for _ in range(_ECEF_MAX_ITER):
         nxt = math.atan2(_z_prime(math, ell, p.z, phi), r)
-        if abs(nxt - phi) < tol:
+        if abs(nxt - phi) < _ECEF_TOL:
             phi = nxt
             break
         phi = nxt
@@ -179,7 +177,7 @@ def ecef_to_geodetic(
 
 @quiet
 def ecef_to_geodetic_array(ell: Ellipsoid, x, y, z) -> tuple:
-    """Array form of ecef_to_geodetic over columns, at its default tolerance:
+    """Array form of ecef_to_geodetic over columns, with its stopping rule:
     (phi, lam, he, failed).
 
     failed marks the rows where the scalar form raises: a non-finite input

@@ -427,19 +427,17 @@ _ISO_TOL = 1e-12
 _ISO_MAX_ITER = 50
 
 
-def latitude_from_isometric(
-    ell: Ellipsoid, iso: float, tol: float = _ISO_TOL, max_iter: int = _ISO_MAX_ITER
-) -> float:
+def latitude_from_isometric(ell: Ellipsoid, iso: float) -> float:
     """Invert isometric_latitude by fixed-point iteration.
 
     Each step solves ln tan(pi/4 + phi/2) = iso + (e/2) ln((1+e sin phi_i)/(1-e sin phi_i))
-    for the next iterate; stops when successive iterates differ by < tol rad.
+    for the next iterate; stops when successive iterates differ by < _ISO_TOL rad.
     """
     e = ell.e
     phi = _isometric_step(math, 0.0, iso, None)[1]
-    for _ in range(max_iter):
+    for _ in range(_ISO_MAX_ITER):
         nxt = _isometric_step(math, e, iso, phi)[1]
-        if abs(nxt - phi) < tol:
+        if abs(nxt - phi) < _ISO_TOL:
             return nxt
         phi = nxt
     raise NonConvergence(f"latitude_from_isometric: no convergence for L={iso}")
@@ -447,7 +445,7 @@ def latitude_from_isometric(
 
 @quiet
 def latitude_from_isometric_array(ell: Ellipsoid, iso) -> tuple:
-    """Array form of latitude_from_isometric, at its default tolerance: (phi, failed).
+    """Array form of latitude_from_isometric, with its stopping rule: (phi, failed).
 
     failed marks the rows where the scalar form raises: no convergence
     (NaN included) or an exp overflow.

@@ -277,22 +277,20 @@ _FOOT_TOL = 1e-13
 _FOOT_MAX_ITER = 50
 
 
-def utm_footpoint_latitude(
-    d: UtmDef, y: float, tol: float = _FOOT_TOL, max_iter: int = _FOOT_MAX_ITER
-) -> float:
+def utm_footpoint_latitude(d: UtmDef, y: float) -> float:
     """Latitude whose meridian arc equals y, by Newton (d beta / d phi = rho)."""
     phi = _footpoint_seed(d, y)
-    for _ in range(max_iter):
+    for _ in range(_FOOT_MAX_ITER):
         delta = _footpoint_step(d, y, phi)
         phi -= delta
-        if abs(delta) < tol:
+        if abs(delta) < _FOOT_TOL:
             return phi
     raise NonConvergence("utm_footpoint_latitude: Newton did not converge")
 
 
 @quiet
 def utm_footpoint_latitude_array(d: UtmDef, y) -> tuple:
-    """Array form of utm_footpoint_latitude, at its default tolerance: (phi, failed).
+    """Array form of utm_footpoint_latitude, with its stopping rule: (phi, failed).
 
     failed marks the rows where the scalar form raises: an infinite y (the
     sine of infinity) or no convergence.

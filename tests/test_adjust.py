@@ -835,6 +835,33 @@ class TestSpatialNetwork:
         assert len(res.x) == 3  # fixed anchors contribute no unknowns
 
 
+def trilateration() -> Network:
+    """Three fixed points and one free point P at (400, 600), seeded 250 m
+    and 300 m off."""
+    net = Network()
+    for name, xy in {"A": (0.0, 0.0), "B": (1000.0, 0.0), "C": (0.0, 1000.0)}.items():
+        net.add_point(name, *xy, fixed=True)
+        net.add_observation(Observation("distance2d", name, "P", math.dist(xy, (400.0, 600.0)),
+                                        sigma=0.01))
+    net.add_point("P", 650.0, 900.0)
+    return net
+
+
+class TestNetworkConvergence:
+    def test_converges_from_a_seed_hundreds_of_metres_off(self):
+        net = trilateration()
+        res = net.solve()
+        assert 1 < res.iterations < 10
+        assert [net.points["P"].x0, net.points["P"].y0] == pytest.approx([400.0, 600.0],
+                                                                          abs=1e-6)
+
+    def test_max_iter_short_of_tol_raises(self):
+        # once returned the first step's result, max |x| = 267 m, as if converged
+        with pytest.raises(MaxIterations, match=r"no convergence in 1 network iterations: "
+                                                r"max \|x\| = 266\.\d+ >= tol = 1e-08"):
+            trilateration().solve(max_iter=1)
+
+
 class TestMixedNetwork:
     """All four kinds in one network, one fixed point, two direction sets."""
 

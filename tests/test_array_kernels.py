@@ -111,12 +111,13 @@ def check(rows_, array_out, scalar, tolerances, closed_form=lambda *row: False):
                 else:
                     assert abs(v - r) <= rel * max(abs(r), scale), (row, v, r)
     columns = [np.array(v, dtype=float) for v in values]
+    inputs = [np.array(c, dtype=float) for c in zip(*rows_)]
     errors = [ref for ref in refs if isinstance(ref, Exception)]
     if errors:
         with pytest.raises(type(errors[0])):
-            cli._settle(failed, columns, lambda i: scalar(*rows_[i]))
+            cli._settle(failed, columns, scalar, *inputs)
     else:
-        cli._settle(failed, columns, lambda i: scalar(*rows_[i]))
+        cli._settle(failed, columns, scalar, *inputs)
         for i in np.flatnonzero(failed):
             assert [c[i] for c in columns] == list(refs[i]), rows_[i]
 
@@ -287,20 +288,41 @@ def test_failure_mask_marks_the_failing_rows():
 # -- the columnar CLI ----------------------------------------------------------
 def test_settle_resolves_flagged_rows_in_file_order():
     # a flagged row the scalar API accepts takes its values; the first one
-    # it rejects raises; a parse error is raised only after all earlier rows
-    column = np.array([1.0, math.nan, 3.0, math.nan])
+    # it rejects raises
+    column, inputs = np.array([1.0, math.nan, 3.0, math.nan]), np.array([10.0, 20.0, 30.0, 40.0])
 
-    def scalar_row(i):
-        if i == 3:
+    def scalar(x):
+        if x == 40.0:
             raise OverflowError("row 4")
-        return (2.0,)
+        return (x / 10.0,)
 
-    parse_error = ValueError("data row 5: could not convert string to float: 'x'")
-    with pytest.raises(ValueError, match="data row 5"):
-        cli._settle(np.array([False, True, False, False]), [column], scalar_row, parse_error)
+    cli._settle(np.array([False, True, False, False]), [column], scalar, inputs)
     assert column[:3].tolist() == [1.0, 2.0, 3.0]
     with pytest.raises(OverflowError, match="row 4"):
-        cli._settle(np.array([False, True, False, True]), [column], scalar_row, parse_error)
+        cli._settle(np.array([False, True, False, True]), [column], scalar, inputs)
+
+
+@pytest.mark.parametrize("block", range(1, 8))
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 9])
+def test_rows_raise_a_parse_error_once_the_rows_before_it_are_out(block, k, tmp_path,
+                                                                   monkeypatch):
+    # every row before data row k comes out, in blocks of at most `block`
+    # rows, and the next request raises the error naming row k; the text
+    # field after the numeric columns is never parsed
+    rows = [f"P{i},{i}.5,{-i},note" for i in range(1, 10)]
+    rows[k - 1] = f"P{k},{k}.5,x,note"
+    path = tmp_path / "in.csv"
+    path.write_text("name,a,b,note\n" + "\n".join(rows) + "\n")
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    got = []
+    with pytest.raises(ValueError) as exc:
+        for names, columns in cli._Rows(str(path), 4).columns(2):
+            got.append((names, [c.tolist() for c in columns]))
+    assert str(exc.value) == f"data row {k}: could not convert string to float: 'x'"
+    assert all(len(names) <= block for names, _ in got)
+    assert [name for names, _ in got for name in names] == [f"P{i}" for i in range(1, k)]
+    assert [v for _, (a, _) in got for v in a] == [i + 0.5 for i in range(1, k)]
+    assert [v for _, (_, b) in got for v in b] == [-i for i in range(1, k)]
 
 
 def cli_run(args, text, tmp_path):

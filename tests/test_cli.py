@@ -1,7 +1,9 @@
 import collections
 import functools
+import itertools
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -504,3 +506,36 @@ def test_field_over_the_csv_limit_exits_2_naming_the_row(args, rows, tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("input error: ValueError: data row 2: "
                            "field larger than field limit (131072)\n")
+
+
+# the self-contained `printf ... | geodkit ...` examples of README.md, each
+# followed there by its output as "#   " comment lines
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples() -> list:
+    """(stdin, argv, documented output lines) of each piped README example."""
+    lines = README.read_text().splitlines()
+    return [(line[len("printf '"):line.rindex("'")].replace("\\n", "\n"),
+             lines[i + 1].split()[1:],
+             [out[4:] for out in itertools.takewhile(lambda s: s.startswith("#   "),
+                                                     lines[i + 2:])])
+            for i, line in enumerate(lines) if line.startswith("printf '")]
+
+
+def test_readme_pipes_convert_project_geodesic_and_reduce():
+    assert [argv[0] for _, argv, _ in readme_examples()] == [
+        "convert", "project", "geodesic", "reduce"]
+
+
+@pytest.mark.parametrize("text, argv, documented",
+                         [pytest.param(*case, id=case[1][0]) for case in readme_examples()])
+def test_readme_example_prints_its_documented_lines(text, argv, documented):
+    proc = run_cli(argv, stdin=text)
+    assert proc.returncode == 0 and proc.stderr == ""
+    header, line = documented
+    got = proc.stdout.splitlines()
+    assert len(got) == 2 and got[0] == header
+    (name, *values), (doc_name, *doc_values) = got[1].split(","), line.split(",")
+    assert name == doc_name
+    assert list(map(float, values)) == pytest.approx(list(map(float, doc_values)), rel=1e-9)

@@ -64,6 +64,14 @@ def reference_read_columns(path, width, count):
                     ValueError(f"data row {i + 1}: {exc}"))
 
 
+def reference_settle(failed, outputs, scalar, parse_error, *inputs):
+    """cli._settle on the whole file, then the parse error: it is raised
+    only once every row before it has passed."""
+    cli._settle(failed, outputs, scalar, *inputs)
+    if parse_error is not None:
+        raise parse_error
+
+
 def reference_table(header, prefixes, *columns):
     row = "{}" + ",".join(["{:.12g}"] * len(columns))
     return [header, *map(row.format, prefixes, *(c.tolist() for c in columns))]
@@ -86,13 +94,13 @@ def reference_cmd_convert(args):
     if args.frm == "geodetic" and args.to == "ecef":
         phi, lam = a * factor, b * factor
         *xyz, failed = cli.geodetic_to_ecef_array(ell, phi, lam, c)
-        cli._settle(failed, xyz, lambda i: astuple(cli.geodetic_to_ecef(
-            ell, cli.GeodeticCoord(float(phi[i]), float(lam[i]), float(c[i])))), parse_error)
+        reference_settle(failed, xyz, lambda *g: astuple(cli.geodetic_to_ecef(
+            ell, cli.GeodeticCoord(*g))), parse_error, phi, lam, c)
         out = reference_table("name,x[m],y[m],z[m]", prefixes, *xyz)
     elif args.frm == "ecef" and args.to == "geodetic":
         phi, lam, he, failed = cli.ecef_to_geodetic_array(ell, a, b, c)
-        cli._settle(failed, (phi, lam, he), lambda i: astuple(cli.ecef_to_geodetic(
-            ell, cli.EcefCoord(float(a[i]), float(b[i]), float(c[i])))), parse_error)
+        reference_settle(failed, (phi, lam, he), lambda *p: astuple(cli.ecef_to_geodetic(
+            ell, cli.EcefCoord(*p))), parse_error, a, b, c)
         out = reference_table(f"name,phi[{unit}],lam[{unit}],he[m]", prefixes,
                               phi / factor, lam / factor, he)
     else:
@@ -108,13 +116,13 @@ def reference_cmd_project(args):
     if args.direction == "fwd":
         phi, lam = a * factor, b * factor
         e, n, failed = cli.forward_columns(proj, phi, lam)
-        cli._settle(failed, (e, n), lambda i: astuple(cli.forward(
-            proj, cli.GeodeticCoord(float(phi[i]), float(lam[i])))), parse_error)
+        reference_settle(failed, (e, n), lambda *g: astuple(cli.forward(
+            proj, cli.GeodeticCoord(*g))), parse_error, phi, lam)
         out = reference_table("name,e[m],n[m]", prefixes, e, n)
     else:
         phi, lam, failed = cli.inverse_columns(proj, a, b)
-        cli._settle(failed, (phi, lam), lambda i: astuple(cli.inverse(
-            proj, cli.PlaneCoord(float(a[i]), float(b[i]))))[:2], parse_error)
+        reference_settle(failed, (phi, lam), lambda *p: astuple(cli.inverse(
+            proj, cli.PlaneCoord(*p)))[:2], parse_error, a, b)
         out = reference_table(f"name,phi[{unit}],lam[{unit}]", prefixes,
                               phi / factor, lam / factor)
     reference_write_lines(out, args.output)
@@ -129,17 +137,19 @@ def reference_cmd_geodesic(args):
     if args.problem == "direct":
         az1, s1 = cols[2] * factor, cols[3]
         phi2, lam2, az2, s, failed = cli.geodesic_direct_array(ell, phi1, lam1, az1, s1)
-        cli._settle(failed, (phi2, lam2, az2, s), lambda i: cli._direct_row(cli.geodesic_direct(
-            ell, cli.GeodeticCoord(float(phi1[i]), float(lam1[i])), float(az1[i]),
-            float(s1[i]))), parse_error)
+        def direct(phi, lam, az, length):
+            sol = cli.geodesic_direct(ell, cli.GeodeticCoord(phi, lam), az, length)
+            return sol.phi2, sol.lam2, sol.az2, sol.s
+
+        reference_settle(failed, (phi2, lam2, az2, s), direct, parse_error, phi1, lam1, az1, s1)
         out = reference_table(f"name,phi2[{unit}],lam2[{unit}],az2[{unit}],s[m]", prefixes,
                               phi2 / factor, lam2 / factor, az2 / factor, s)
     else:
         phi2, lam2 = cols[2] * factor, cols[3] * factor
         az1, az2, s, failed = cli.geodesic_inverse_array(ell, phi1, lam1, phi2, lam2)
-        cli._settle(failed, (az1, az2, s), lambda i: astuple(cli.geodesic_inverse(
-            ell, cli.GeodeticCoord(float(phi1[i]), float(lam1[i])),
-            cli.GeodeticCoord(float(phi2[i]), float(lam2[i]))))[2:], parse_error)
+        reference_settle(failed, (az1, az2, s), lambda p1, l1, p2, l2: astuple(
+            cli.geodesic_inverse(ell, cli.GeodeticCoord(p1, l1), cli.GeodeticCoord(p2, l2)))[2:],
+            parse_error, phi1, lam1, phi2, lam2)
         out = reference_table(f"name,az1[{unit}],az2[{unit}],s[m]", prefixes,
                               az1 / factor, az2 / factor, s)
     reference_write_lines(out, args.output)

@@ -5,6 +5,7 @@ so the CLI exits 3 on it; malformed input raises ValueError, KeyError or
 OSError and exits 2.  No input may make the CLI exit otherwise.
 """
 
+import functools
 import importlib
 import inspect
 import json
@@ -326,6 +327,35 @@ def test_adjust_non_finite_point_exits_2(tmp_path, capsys):
     code, _, err = run_files(["adjust", "--points", "PTS", "--obs", "OBS"], tmp_path, capsys,
                              files)
     assert code == 2 and "coordinates must be finite" in err
+
+
+@pytest.mark.parametrize("files, message", [
+    # once a bare "could not convert string to float" or KeyError: 'Z'
+    ({"PTS": "n,x0,y0,z0,fixed\nA,0,0,10,1\nB,0,abc,0,0\n", "OBS": "k,f,t,v\nleveling,A,B,1\n"},
+     "ValueError: points data row 2: could not convert string to float: 'abc'"),
+    ({"PTS": "n,x0,y0,z0,fixed\nA,0,0,10,1\nB,0,0,0,0\n",
+      "OBS": "k,f,t,v,sigma\nleveling,A,B,1\n# c\nleveling,B,A,-1,abc\n"},
+     "ValueError: obs data row 2: could not convert string to float: 'abc'"),
+    ({"PTS": "n,x0,y0,z0,fixed\nA,0,0,10,1\nB,0,0,0,0\n",
+      "OBS": "k,f,t,v\nleveling,A,B,1\nleveling,B,Z,x\nleveling,A,Y,1\n"},
+     "KeyError: \"obs data row 2: unknown point 'Z'\""),
+])
+def test_adjust_row_errors_name_the_file_and_row(files, message, tmp_path, capsys):
+    code, out, err = run_files(["adjust", "--points", "PTS", "--obs", "OBS"], tmp_path, capsys,
+                               files)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_adjust_without_convergence_exits_3(tmp_path, capsys, monkeypatch):
+    # a solve stopped short of its tolerance is no result
+    monkeypatch.setattr(adjust.Network, "solve", functools.partialmethod(adjust.Network.solve,
+                                                                          max_iter=1))
+    files = {"PTS": "n,x0,y0,z0,fixed\nA,0,0,0,1\nB,1000,0,0,1\nP,650,900,0,0\n",
+             "OBS": "k,f,t,v,sigma\ndistance2d,A,P,721.11,0.01\ndistance2d,B,P,848.53,0.01\n"}
+    code, out, err = run_files(["adjust", "--points", "PTS", "--obs", "OBS"], tmp_path, capsys,
+                               files)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical error: MaxIterations: no convergence in 1 network "), err
 
 
 @pytest.mark.parametrize("kwargs", [
