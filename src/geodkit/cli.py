@@ -5,24 +5,20 @@ unit tags such as ``phi[gr]``) or JSON files and print to stdout unless an
 output path is given.  Numeric output uses 12 significant digits so runs
 are reproducible byte for byte.
 
-Every CSV command reads its input as raw lines and parses it in blocks of
-rows with one csv.reader (_Rows).  ``convert``, ``project`` and
-``geodesic`` are columnar: for each block they convert each numeric column
-with float(), make one array-kernel call, pass the rows the kernel flags
-to _settle with the scalar API's call on one row, and format the block's
-output lines with ``f"{x:.12g}"`` into one string.  ``reduce``, ``datum``,
-``dop`` and ``heights`` read their columns the same way and run the scalar
-API on each row; ``adjust`` takes its rows from the same reader and parses
-their mixed names and numbers itself.  So the working memory is the input
-text, the output text and one block, not every parsed row.  Output is all
-or nothing: it is written once, after the last block has passed, and the
-first failing data row in file order decides the error, which is the one
-the scalar API raises on that row.  The reader raises the error of a row
-with a field float() rejects: _Rows.columns yields the rows before it and
-raises when asked for the next block, so only once those rows have passed.
-Errors in the input itself come first, as if the whole file were read
-before any row is computed: a field longer than csv.field_size_limit(),
-then a row with too few fields.
+Every CSV command keeps its input as raw lines and parses it in blocks of
+rows with one csv.reader (_Rows), so the working memory is the input text,
+the output text and one block.  Each CSV-to-CSV command (convert, project,
+geodesic, reduce, and datum bw-apply, molodensky and helmert2d-apply)
+declares its numeric columns, angle or not, its scalar API call on one row
+and, if it has one, its array kernel, and runs through one table runner,
+_table.  dop, heights and the datum fits read their columns through _Rows
+too; adjust takes its rows from the same reader and parses their mixed
+names and numbers itself.  Output is all or nothing: it is written once,
+after the last block has passed, and the first failing data row in file
+order decides the error, which is the one the scalar API raises on that
+row.  Errors in the input itself come first, as if the whole file were
+read before any row is computed: a field longer than
+csv.field_size_limit(), then a row with too few fields.
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical error.  The class
 of the exception decides: any ArithmeticError, which includes every
@@ -30,8 +26,8 @@ geodkit.core.NumericalError, exits 3; ValueError, KeyError and OSError exit
 2.  The error class name goes to stderr, and a CSV row that is too short,
 has a field too long or has a field float() rejects is named by its
 data-row number (1 is the first row after the header).  ``adjust`` also
-names the file, points or obs, of a field float() rejects and of an
-observation to an unknown point.
+names the file, points or obs, of a field float() rejects, of an
+observation to an unknown point and of a row the library rejects.
 """
 
 from __future__ import annotations
@@ -42,9 +38,9 @@ import io
 import json
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import astuple
+from functools import partial
 from itertools import islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -225,17 +221,6 @@ class _Rows:
                 raise error from None
             yield [row[0] for row in block], columns
 
-    def table(self, header: str, count: int, compute) -> list:
-        """The header, then per block one string of its output lines: the
-        row's name and compute(*columns), a block's output columns, to 12
-        digits."""
-        out = [header]
-        for names, columns in self.columns(count):
-            values = [c.tolist() for c in compute(*columns)]
-            line = "{}," + ",".join(["{:.12g}"] * len(values))
-            out.append("\n".join(map(line.format, names, *values)))
-        return out
-
 
 def _float_columns(rows, count: int) -> list:
     return [np.fromiter(map(float, map(itemgetter(j), rows)), dtype=float, count=len(rows))
@@ -271,11 +256,32 @@ def _map_rows(path, count: int, row) -> list:
                 for r in map(row, *(c.tolist() for c in columns))]
 
 
-def _rows_table(path, count: int, header: str, row) -> list:
-    """Output lines of a command that runs the scalar API on each data row."""
-    with _Rows(path, count + 1) as rows:
-        return rows.table(header, count, lambda *columns: map(
-            np.array, zip(*map(row, *(c.tolist() for c in columns)))))
+def _table(rows, unit, inputs, outputs, scalar, kernel=None) -> list:
+    """The header and, per block of rows, one string of their output lines:
+    each row's name and outputs to 12 digits.
+
+    inputs and outputs name the numeric columns as the header tags them; one
+    with no unit tag is an angle in unit, multiplied into radians on input
+    and divided back on output.  kernel(*inputs) returns the output columns
+    and a mask of the rows to _settle with scalar, the scalar API's call on
+    one row, which returns a tuple; with no kernel, scalar runs on every row.
+    """
+    factor = ANGLE_UNITS.get(unit)
+    angle_in = [not c.endswith("]") for c in inputs]
+    angle_out = [not c.endswith("]") for c in outputs]
+    out = ["name," + ",".join(c + (f"[{unit}]" if a else "") for c, a in zip(outputs, angle_out))]
+    line = "{}," + ",".join(["{:.12g}"] * len(outputs))
+    with rows:
+        for names, columns in rows.columns(len(inputs)):
+            columns = [c * factor if a else c for c, a in zip(columns, angle_in)]
+            if kernel:
+                *values, failed = kernel(*columns)
+                _settle(failed, values, scalar, *columns)
+            else:
+                values = map(np.array, zip(*map(scalar, *(c.tolist() for c in columns))))
+            values = [(v / factor if a else v).tolist() for v, a in zip(values, angle_out)]
+            out.append("\n".join(map(line.format, names, *values)))
+    return out
 
 
 def _read_json(path) -> dict:
@@ -315,78 +321,58 @@ def _projection(args):
     return named_projection(args.proj, ell)
 
 
+# the numeric columns of the CSV commands; a name without a unit tag is an
+# angle in --angle-unit
+_GEODETIC, _ECEF, _PLANE = ("phi", "lam", "he[m]"), ("x[m]", "y[m]", "z[m]"), ("e[m]", "n[m]")
+# the scalar API's results as plain tuples of those columns
+_GEO, _XYZ, _EN = attrgetter("phi", "lam", "he"), attrgetter("x", "y", "z"), attrgetter("e", "n")
+_DIRECT, _INVERSE = attrgetter("phi2", "lam2", "az2", "s"), attrgetter("az1", "az2", "s")
+
+
 def cmd_convert(args):
-    unit = args.angle_unit
-    factor = ANGLE_UNITS[unit]
-    with _Rows(args.input, 4) as rows:
+    rows = _Rows(args.input, 4)
+    with rows:  # an unknown ellipsoid or conversion gives way to the input's own errors
         ell = get_ellipsoid(args.ell)
-        if args.frm == "geodetic" and args.to == "ecef":
-            def block(a, b, c):
-                phi, lam = a * factor, b * factor
-                *xyz, failed = geodetic_to_ecef_array(ell, phi, lam, c)
-                _settle(failed, xyz, lambda *g: astuple(geodetic_to_ecef(ell, GeodeticCoord(*g))),
-                        phi, lam, c)
-                return xyz
-            out = rows.table("name,x[m],y[m],z[m]", 3, block)
-        elif args.frm == "ecef" and args.to == "geodetic":
-            def block(a, b, c):
-                phi, lam, he, failed = ecef_to_geodetic_array(ell, a, b, c)
-                _settle(failed, (phi, lam, he),
-                        lambda *p: astuple(ecef_to_geodetic(ell, EcefCoord(*p))), a, b, c)
-                return phi / factor, lam / factor, he
-            out = rows.table(f"name,phi[{unit}],lam[{unit}],he[m]", 3, block)
-        else:
+        if args.frm == args.to:
             raise ValueError(f"unsupported conversion {args.frm} -> {args.to}")
+    if args.frm == "geodetic":
+        out = _table(rows, args.angle_unit, _GEODETIC, _ECEF,
+                     lambda *g: _XYZ(geodetic_to_ecef(ell, GeodeticCoord(*g))),
+                     partial(geodetic_to_ecef_array, ell))
+    else:
+        out = _table(rows, args.angle_unit, _ECEF, _GEODETIC,
+                     lambda *p: _GEO(ecef_to_geodetic(ell, EcefCoord(*p))),
+                     partial(ecef_to_geodetic_array, ell))
     _write_lines(out, args.output)
 
 
 def cmd_project(args):
-    unit = args.angle_unit
-    factor = ANGLE_UNITS[unit]
     proj = _projection(args)
+    rows = _Rows(args.input, 3)
     if args.direction == "fwd":
-        def block(a, b):
-            phi, lam = a * factor, b * factor
-            e, n, failed = forward_columns(proj, phi, lam)
-            _settle(failed, (e, n), lambda *g: astuple(forward(proj, GeodeticCoord(*g))),
-                    phi, lam)
-            return e, n
-        header = "name,e[m],n[m]"
+        out = _table(rows, args.angle_unit, _GEODETIC[:2], _PLANE,
+                     lambda *g: _EN(forward(proj, GeodeticCoord(*g))),
+                     partial(forward_columns, proj))
     else:
-        def block(a, b):
-            phi, lam, failed = inverse_columns(proj, a, b)
-            _settle(failed, (phi, lam), lambda *p: astuple(inverse(proj, PlaneCoord(*p)))[:2],
-                    a, b)
-            return phi / factor, lam / factor
-        header = f"name,phi[{unit}],lam[{unit}]"
-    with _Rows(args.input, 3) as rows:
-        out = rows.table(header, 2, block)
+        out = _table(rows, args.angle_unit, _PLANE, _GEODETIC[:2],
+                     lambda *p: _GEO(inverse(proj, PlaneCoord(*p)))[:2],
+                     partial(inverse_columns, proj))
     _write_lines(out, args.output)
 
 
 def cmd_geodesic(args):
-    unit = args.angle_unit
-    factor = ANGLE_UNITS[unit]
     ell = get_ellipsoid(args.ell)
+    rows = _Rows(args.input, 5)
     if args.problem == "direct":
-        def block(phi1, lam1, az1, s1):
-            phi1, lam1, az1 = phi1 * factor, lam1 * factor, az1 * factor
-            phi2, lam2, az2, s, failed = geodesic_direct_array(ell, phi1, lam1, az1, s1)
-            _settle(failed, (phi2, lam2, az2, s), lambda phi, lam, *az_s: itemgetter(0, 1, 3, 4)(
-                astuple(geodesic_direct(ell, GeodeticCoord(phi, lam), *az_s))),
-                    phi1, lam1, az1, s1)
-            return phi2 / factor, lam2 / factor, az2 / factor, s
-        header = f"name,phi2[{unit}],lam2[{unit}],az2[{unit}],s[m]"
+        out = _table(rows, args.angle_unit, ("phi1", "lam1", "az1", "s[m]"),
+                     ("phi2", "lam2", "az2", "s[m]"), lambda phi, lam, *az_s: _DIRECT(
+                         geodesic_direct(ell, GeodeticCoord(phi, lam), *az_s)),
+                     partial(geodesic_direct_array, ell))
     else:
-        def block(*cols):
-            phi1, lam1, phi2, lam2 = (c * factor for c in cols)
-            az1, az2, s, failed = geodesic_inverse_array(ell, phi1, lam1, phi2, lam2)
-            _settle(failed, (az1, az2, s), lambda p1, l1, p2, l2: astuple(geodesic_inverse(
-                ell, GeodeticCoord(p1, l1), GeodeticCoord(p2, l2)))[2:], phi1, lam1, phi2, lam2)
-            return az1 / factor, az2 / factor, s
-        header = f"name,az1[{unit}],az2[{unit}],s[m]"
-    with _Rows(args.input, 5) as rows:
-        out = rows.table(header, 4, block)
+        out = _table(rows, args.angle_unit, ("phi1", "lam1", "phi2", "lam2"),
+                     ("az1", "az2", "s[m]"), lambda p1, l1, p2, l2: _INVERSE(geodesic_inverse(
+                         ell, GeodeticCoord(p1, l1), GeodeticCoord(p2, l2))),
+                     partial(geodesic_inverse_array, ell))
     _write_lines(out, args.output)
 
 
@@ -401,7 +387,8 @@ def cmd_reduce(args):
         de = reduce_to_ellipsoid(obs, rigorous=args.rigorous)
         return de, reduce_to_plane(de, args.scale)
 
-    _write_lines(_rows_table(args.input, 3, "name,de[m],dr[m]", row), args.output)
+    out = _table(_Rows(args.input, 4), None, ("dp[m]", "ha[m]", "hb[m]"), ("de[m]", "dr[m]"), row)
+    _write_lines(out, args.output)
 
 
 def _read_param_file(path) -> BursaWolfParams:
@@ -422,8 +409,8 @@ def _read_pairs_csv(path, coord, dims: int) -> list:
 def cmd_datum(args):
     if args.op == "bw-apply":
         params = _read_param_file(_option(args, "params"))
-        out = _rows_table(args.input, 3, "name,x[m],y[m],z[m]",
-                          lambda *xyz: astuple(bursa_wolf_apply(params, EcefCoord(*xyz))))
+        out = _table(_Rows(args.input, 4), None, _ECEF, _ECEF,
+                     lambda *xyz: _XYZ(bursa_wolf_apply(params, EcefCoord(*xyz))))
     elif args.op in ("bw-fit", "bw-direct"):
         pairs = _read_pairs_csv(args.input, EcefCoord, 3)
         if args.op == "bw-fit":
@@ -439,18 +426,12 @@ def cmd_datum(args):
             doc.update(s2=res.s2, rms_m=float(np.sqrt(np.mean(res.residuals**2))))
         out = [json.dumps(doc, indent=2)]
     elif args.op == "molodensky":
-        unit = args.angle_unit
-        factor = ANGLE_UNITS[unit]
         ell1 = get_ellipsoid(args.ell)
         ell2 = get_ellipsoid(args.ell2)
         t = tuple(map(float, args.shift.split(",")))
-
-        def row(phi, lam, he):
-            g = GeodeticCoord(phi * factor, lam * factor, he)
-            g2 = apply_molodensky(ell1, ell2, g, t, abridged=args.abridged)
-            return g2.phi / factor, g2.lam / factor, g2.he
-
-        out = _rows_table(args.input, 3, f"name,phi[{unit}],lam[{unit}],he[m]", row)
+        out = _table(_Rows(args.input, 4), args.angle_unit, _GEODETIC, _GEODETIC,
+                     lambda *g: _GEO(apply_molodensky(ell1, ell2, GeodeticCoord(*g), t,
+                                                      abridged=args.abridged)))
     elif args.op == "helmert2d-fit":
         pairs = _read_pairs_csv(args.input, PlaneCoord, 2)
         res = helmert2d_estimate(pairs)
@@ -462,8 +443,8 @@ def cmd_datum(args):
     else:  # helmert2d-apply
         doc = _read_json(_option(args, "params"))
         p = Helmert2DParams(*(json_number(doc, k) for k in ("tx", "ty", "u", "v")))
-        out = _rows_table(args.input, 2, "name,e[m],n[m]",
-                          lambda e, n: astuple(helmert2d_apply(p, PlaneCoord(e, n))))
+        out = _table(_Rows(args.input, 3), None, _PLANE, _PLANE,
+                     lambda *en: _EN(helmert2d_apply(p, PlaneCoord(*en))))
     _write_lines(out, args.output)
 
 
@@ -500,13 +481,12 @@ def cmd_adjust(args):
         raise ValueError("adjust needs --system or both --obs and --points")
     net = Network(scale_directions=not args.no_direction_scaling)
     for n, row in enumerate(_read_rows(args.points, 4), 1):
-        name = row[0]
         with _naming(f"points data row {n}"):
             vals = [float(v) if v else 0.0 for v in row[1:-1]]
-        fixed = row[-1].strip().lower() in ("1", "true", "yes")
-        x0, y0 = vals[:2]
-        z0 = vals[2] if len(vals) > 2 else 0.0
-        net.add_point(name, x0, y0, z0, fixed)
+            fixed = row[-1].strip().lower() in ("1", "true", "yes")
+            x0, y0 = vals[:2]
+            z0 = vals[2] if len(vals) > 2 else 0.0
+            net.add_point(row[0], x0, y0, z0, fixed)
     unit = args.angle_unit
     for n, row in enumerate(_read_rows(args.obs, 4), 1):
         kind, frm, to = row[0], row[1], row[2]
@@ -517,12 +497,12 @@ def cmd_adjust(args):
             value = float(row[3])
             sigma = float(row[4]) if len(row) > 4 and row[4] else None
             dist_km = float(row[6]) if len(row) > 6 and row[6] else None
-        if kind == "direction":
-            value *= ANGLE_UNITS[unit]
-        if kind == "direction" and sigma is not None:
-            sigma *= ANGLE_UNITS[unit]
-        set_id = row[5] if len(row) > 5 and row[5] else None
-        net.add_observation(Observation(kind, frm, to, value, sigma, set_id, dist_km))
+            if kind == "direction":
+                value *= ANGLE_UNITS[unit]
+            if kind == "direction" and sigma is not None:
+                sigma *= ANGLE_UNITS[unit]
+            set_id = row[5] if len(row) > 5 and row[5] else None
+            net.add_observation(Observation(kind, frm, to, value, sigma, set_id, dist_km))
     res = net.solve()
     points = {name: {"x": p.x0, "y": p.y0, "z": p.z0} for name, p in sorted(net.points.items())}
     _write_lines([_adjustment_json(res, points=points)], args.output)

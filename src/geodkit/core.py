@@ -101,6 +101,10 @@ ARCSEC = DEG / 3600.0
 # parameter files
 ANGLE_UNITS = {"gr": GRAD, "deg": DEG, "rad": 1.0, "dmgr": DMGR, "arcsec": ARCSEC}
 
+# physical constants used by more than one module
+GM_EARTH = 3.986005e14    # geocentric gravitational constant (GRS80), m^3 s^-2
+EARTH_RADIUS = 6378000.0  # mean earth radius of the worked reductions and of Ellipsoid.sphere, m
+
 _ANGLE_RE = re.compile(
     rf"""^\s*(?P<sign>[+-]?)\s*(?:
         (?P<hms>(?P<h>\d+(?:\.\d+)?)h(?:\s*(?P<hm>\d+(?:\.\d+)?)m(?:n)?)?(?:\s*(?P<hs>\d+(?:\.\d+)?)s)?) |
@@ -281,7 +285,7 @@ class Ellipsoid:
         return cls(name, a, 1.0 - math.sqrt(1.0 - e2))
 
     @classmethod
-    def sphere(cls, radius: float = 6378000.0, name: str = "sphere") -> "Ellipsoid":
+    def sphere(cls, radius: float = EARTH_RADIUS, name: str = "sphere") -> "Ellipsoid":
         return cls(name, radius, 0.0)
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import GM_EARTH as GM
+
 MEAN_RADIUS = 6371000.0
 
-# closed normal potential constants (GRS80 set)
-GM = 3986005e8          # m^3 s^-2
+# closed normal potential constants (GRS80 set), with GM from core
 A_SEMI = 6378137.00     # m
 OMEGA = 7292115e-11     # rad/s
 J2 = 108263e-8

@@ -12,10 +12,11 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import NonConvergence
+from .core import GM_EARTH, NonConvergence
 from .coords import EcefCoord
 
-GM_EARTH = 3.986005e14  # m^3 s^-2
+# stopping rule of solve_kepler: |M - (E - e sin E)| below this, in radians
+_KEPLER_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ def period(el: OrbitalElements) -> float:
     return 2.0 * math.pi / mean_motion(el)
 
 
-def solve_kepler(mean_anomaly: float, e: float, tol: float = 1e-13) -> float:
+def solve_kepler(mean_anomaly: float, e: float) -> float:
     """Eccentric anomaly E with E - e sin E = M.
 
     Newton-style corrections dE = (M - E + e sin E)/(1 - e cos E) seeded
@@ -66,7 +67,7 @@ def solve_kepler(mean_anomaly: float, e: float, tol: float = 1e-13) -> float:
     big_e = m_wrapped + e * math.sin(m_wrapped)
     for _ in range(50):
         err = m_wrapped - big_e + e * math.sin(big_e)
-        if abs(err) < tol:
+        if abs(err) < _KEPLER_TOL:
             return big_e + turns
         delta = err / (1.0 - e * math.cos(big_e))
         if abs(delta) > 1.0:
@@ -79,7 +80,7 @@ def solve_kepler(mean_anomaly: float, e: float, tol: float = 1e-13) -> float:
     f = lambda x: x - e * math.sin(x) - m_wrapped
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if abs(f(mid)) < tol:
+        if abs(f(mid)) < _KEPLER_TOL:
             return mid + turns
         if f(lo) * f(mid) <= 0:
             hi = mid

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-EARTH_RADIUS = 6378000.0  # default mean radius used by the worked corrections
+from .core import EARTH_RADIUS
 
 # EDM ray curvature radius: 8R for light waves, 4R for microwaves
 WAVE_CURVATURE_FACTOR = {"light": 8.0, "micro": 4.0}

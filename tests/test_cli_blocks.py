@@ -1,12 +1,12 @@
 """The CLI's block pipeline against the whole-file path it replaced.
 
-convert, project and geodesic keep their input as raw lines and run each
-block of rows through float(), one array-kernel call, _settle and the
-formatting.  The reference below is the whole-file path: it parses every
-row, checks the widths of all of them and makes one kernel call.  With the
-block size patched to 1..7, every kind of row lands on either side of a
-block boundary, and both paths must give the same stdout, exit code and
-stderr.
+Every CSV-to-CSV command keeps its input as raw lines and runs each block
+of rows through float(), one array-kernel call and _settle, or the scalar
+API on each row, and the formatting.  The reference below is the
+whole-file path: it parses every row, checks the widths of all of them and
+makes one kernel call, or one scalar call per row.  With the block size
+patched to 1..7, every kind of row lands on either side of a block
+boundary, and both paths must give the same stdout, exit code and stderr.
 """
 
 import contextlib
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodkit import cli
+from geodkit import cli, reductions
 
 
 # -- the whole-file path -------------------------------------------------------
@@ -155,18 +155,78 @@ def reference_cmd_geodesic(args):
     reference_write_lines(out, args.output)
 
 
+def reference_per_row(args, header, count, row):
+    """The commands that run the scalar API on each row: row(*values) of
+    every row before a parse error, in file order, then that error."""
+    prefixes, columns, parse_error = reference_read_columns(args.input, count + 1, count)
+    values = [row(*v) for v in zip(*(c.tolist() for c in columns))]
+    if parse_error is not None:
+        raise parse_error
+    reference_write_lines(reference_table(header, prefixes, *map(np.array, zip(*values))),
+                          args.output)
+
+
+def reference_cmd_reduce(args):
+    def row(dp, ha, hb):
+        obs = reductions.DistanceObservation(dp, ha, hb, wave=args.wave)
+        de = reductions.reduce_to_ellipsoid(obs, rigorous=args.rigorous)
+        return de, reductions.reduce_to_plane(de, args.scale)
+
+    reference_per_row(args, "name,de[m],dr[m]", 3, row)
+
+
+def reference_cmd_datum(args):
+    if args.op == "bw-apply":
+        params = cli._read_param_file(args.params)
+
+        def row(*xyz):
+            out = cli.bursa_wolf_apply(params, cli.EcefCoord(*xyz))
+            return out.x, out.y, out.z
+
+        reference_per_row(args, "name,x[m],y[m],z[m]", 3, row)
+    elif args.op == "molodensky":
+        unit = args.angle_unit
+        factor = cli.ANGLE_UNITS[unit]
+        ell1, ell2 = cli.get_ellipsoid(args.ell), cli.get_ellipsoid(args.ell2)
+        shift = tuple(map(float, args.shift.split(",")))
+
+        def row(phi, lam, he):
+            g = cli.apply_molodensky(ell1, ell2, cli.GeodeticCoord(phi * factor, lam * factor, he),
+                                     shift, abridged=args.abridged)
+            return g.phi / factor, g.lam / factor, g.he
+
+        reference_per_row(args, f"name,phi[{unit}],lam[{unit}],he[m]", 3, row)
+    else:
+        assert args.op == "helmert2d-apply", args.op
+        doc = cli._read_json(args.params)
+        params = cli.Helmert2DParams(*(cli.json_number(doc, k) for k in ("tx", "ty", "u", "v")))
+
+        def row(e, n):
+            out = cli.helmert2d_apply(params, cli.PlaneCoord(e, n))
+            return out.e, out.n
+
+        reference_per_row(args, "name,e[m],n[m]", 2, row)
+
+
 REFERENCE = {"cmd_convert": reference_cmd_convert, "cmd_project": reference_cmd_project,
-             "cmd_geodesic": reference_cmd_geodesic}
+             "cmd_geodesic": reference_cmd_geodesic, "cmd_reduce": reference_cmd_reduce,
+             "cmd_datum": reference_cmd_datum}
+# the parameter file of datum bw-apply and helmert2d-apply: each reads its own keys
+PARAMS = ('{"tx": -168.0, "ty": -60.0, "tz": 320.0, "m": 1.2e-6, "rx": 1e-6, "ry": -2e-6, '
+          '"rz": 3e-6, "u": 1.00001, "v": 2e-5}')
 
 
 def outcome(argv, text, block=None):
     """(exit code, stdout, stderr) of cli.main with `text` as its input file:
     the block pipeline with `block` rows per block, or the whole-file path
-    when block is None."""
+    when block is None.  An argument "PARAMS" names a file holding PARAMS."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         path = os.path.join(tmp, "in.csv")
         with open(path, "w", newline="") as fh:
             fh.write(text)
+        with open(os.path.join(tmp, "params.json"), "w") as fh:
+            fh.write(PARAMS)
+        argv = [os.path.join(tmp, "params.json") if a == "PARAMS" else a for a in argv]
         if block is None:
             for name, fn in REFERENCE.items():
                 stack.enter_context(mock.patch.object(cli, name, fn))
@@ -209,6 +269,21 @@ COMMANDS = {
     "geodesic inverse": (["geodesic", "inverse"], 5,
                          ["40,10,40.1,10.1", "41,11,40.9,11.2", "10,0,20,0"],
                          ["40,10,40,10", "0,0,0,199", "101,0,40,10", "40,nan,40,10"]),
+    # the commands that run the scalar API on each row
+    "reduce": (["reduce", "--rigorous", "--wave", "light"], 4,
+               ["1000,100,120", "20000,1500,1600", "1e10,0,0"],
+               ["-5,0,0", "100,0,200", "nan,0,0", "1e300,0,0"]),
+    "datum bw-apply": (["datum", "bw-apply", "--params", "PARAMS"], 4,
+                       ["4e6,1e6,4.8e6", "6378137,0,0", "1e300,0,0"], ["nan,0,0", "1,inf,1"]),
+    "datum molodensky": (["datum", "molodensky", "--shift=-168,-60,320"], 4,
+                         ["40,10,0", "-30,150,2000", "40,10,1e300"],
+                         ["101,0,0", "100,0,0", "40,nan,0"]),
+    "datum molodensky abridged": (["datum", "molodensky", "--abridged", "--angle-unit", "deg",
+                                   "--shift=-168,-60,320"], 4,
+                                  ["40,10,0", "-30,150,2000", "0,-179.5,-50"],
+                                  ["91,0,0", "90,0,0", "40,10,inf"]),
+    "datum helmert2d-apply": (["datum", "helmert2d-apply", "--params", "PARAMS"], 3,
+                              ["500000,300000", "0,0", "-1e5,4e6"], ["nan,1", "0,-inf"]),
 }
 KINDS = ["valid"] * 5 + ["fails", "short", "text", "quoted", "comment", "blank"]
 COMMENTS = ["#", "# a comment, with commas", '#x,"spans\nlines"', '#"q"']
@@ -241,7 +316,7 @@ def inputs(draw):
     return argv, "".join(map(str.__add__, lines, ends))
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(derandomize=True, max_examples=650, deadline=None)
 @given(inputs(), st.integers(1, 7))
 def test_blocks_match_the_whole_file_path(case, block):
     assert_same_as_whole_file(*case, block)
@@ -285,9 +360,17 @@ GOOD_XYZ = [f"Q{i},4e6,{i}e5,4.8e6" for i in range(5)]
     (["geodesic", "direct", "--ell", "nonsense"], ["A,40,10,50,1000", "S,1"],
      "input error: KeyError"),
     (["project", "fwd", "--proj", "nonsense"], ["A,40,10", "S,1"], "input error: KeyError"),
+    (["datum", "molodensky", "--ell2", "nonsense"], ["A,40,10,0", "S,1"], "input error: KeyError"),
+    # a command that runs the scalar API on each row keeps the same order
+    (["datum", "molodensky"], ["A,40,10,0", "B,101,0,0", "T,x,1,1", "S,1"],
+     "input error: ValueError: data row 4: expected at least 4 fields, got 2"),
+    (["datum", "molodensky"], ["A,40,10,0", "T,x,1,1", "B,101,0,0"],
+     "input error: ValueError: data row 2: could not convert string to float: 'x'"),
+    (["datum", "molodensky"], ["A,40,10,0", "B,101,0,0", "T,x,1,1"],
+     "input error: ValueError: latitude"),
 ])
 def test_error_order_holds_across_blocks(argv, lines, error, block):
-    width = 5 if argv[0] == "geodesic" else 4 if argv[0] == "convert" else 3
+    width = {"geodesic": 5, "convert": 4, "datum": 4}.get(argv[0], 3)
     text = ",".join(["h"] * width) + "\n" + "\n".join(lines) + "\n"
     code, out, err = assert_same_as_whole_file(argv, text, block)
     assert code in (2, 3) and out == "" and err.startswith(error), err

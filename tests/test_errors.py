@@ -304,7 +304,8 @@ def test_adjust_row_from_a_point_to_itself_exits_2(kind, tmp_path, capsys):
              "PTS": "n,x0,y0,z0,fixed\nA,0,0,0,1\nB,3,4,0,0\n"}
     code, out, err = run_files(["adjust", "--points", "PTS", "--obs", "OBS"], tmp_path, capsys,
                                files)
-    assert code == 2 and f"input error: ValueError: {kind} row from 'A' to itself" in err, err
+    assert code == 2 and err == (f"input error: ValueError: obs data row 1: {kind} row from 'A' "
+                                 "to itself\n"), err
     assert out == ""
 
 
@@ -339,6 +340,16 @@ def test_adjust_non_finite_point_exits_2(tmp_path, capsys):
     ({"PTS": "n,x0,y0,z0,fixed\nA,0,0,10,1\nB,0,0,0,0\n",
       "OBS": "k,f,t,v\nleveling,A,B,1\nleveling,B,Z,x\nleveling,A,Y,1\n"},
      "KeyError: \"obs data row 2: unknown point 'Z'\""),
+    # and once a bare message for a row the library rejects
+    ({"PTS": "n,x0,y0,z0,fixed\nA,0,0,10,1\nB,0,0,0,0\n",
+      "OBS": "k,f,t,v\nleveling,A,B,1\nlevelling,B,A,-1\nleveling,A,B,1\n"},
+     "ValueError: obs data row 2: unknown observation kind 'levelling'"),
+    ({"PTS": "n,x0,y0,z0,fixed\nA,0,0,10,1\nB,0,0,0,0\n",
+      "OBS": "k,f,t,v,sigma\nleveling,A,B,1\nleveling,B,A,-1,-1\nleveling,A,B,1\n"},
+     "ValueError: obs data row 2: sigma must be finite and > 0, got -1.0"),
+    ({"PTS": "n,x0,y0,z0,fixed\nA,0,0,10,1\nB,0,inf,0,0\nC,0,0,0,0\n",
+      "OBS": "k,f,t,v\nleveling,A,B,1\n"},
+     "ValueError: points data row 2: point 'B': coordinates must be finite"),
 ])
 def test_adjust_row_errors_name_the_file_and_row(files, message, tmp_path, capsys):
     code, out, err = run_files(["adjust", "--points", "PTS", "--obs", "OBS"], tmp_path, capsys,
