@@ -284,7 +284,7 @@ def obs_direction2d(
     c, s = math.cos(g0), math.sin(g0)
     coeffs = np.array([-c / d, s / d, c / d, -s / d, -1.0])
     const = g0 - reading - v0
-    const = (const + math.pi) % (2.0 * math.pi) - math.pi  # wrap to (-pi, pi]
+    const = (const + math.pi) % (2.0 * math.pi) - math.pi  # wrap to [-pi, pi)
     if scale_by_distance:
         return coeffs * d, const * d
     return coeffs, const

@@ -60,7 +60,16 @@ from .coords import (
     geodetic_to_ecef,
     geodetic_to_ecef_array,
 )
-from .core import ANGLE_UNITS, REGISTRY, Angle, get_ellipsoid, json_number, parse_json_object
+from .core import (
+    ANGLE_UNITS,
+    GM_EARTH,
+    OMEGA_GPS,
+    REGISTRY,
+    Angle,
+    get_ellipsoid,
+    json_number,
+    parse_json_object,
+)
 from .datum import (
     BursaWolfParams,
     Helmert2DParams,
@@ -78,7 +87,7 @@ from .geodesics import (
     geodesic_inverse_array,
 )
 from .heights import LevelLine, dynamic_height, normal_height, orthometric_height
-from .orbits import GM_EARTH, OrbitalElements, eci_to_ecef, elements_to_eci
+from .orbits import OrbitalElements, eci_to_ecef, elements_to_eci
 from .projections import (
     PlaneCoord,
     forward,
@@ -379,8 +388,8 @@ def cmd_geodesic(args):
 def cmd_reduce(args):
     from .reductions import DistanceObservation, reduce_to_ellipsoid, reduce_to_plane
 
-    if not np.isfinite(args.scale):
-        raise ValueError(f"--scale must be finite, got {args.scale}")
+    if not 0.0 < args.scale < np.inf:
+        raise ValueError(f"--scale must be finite and > 0, got {args.scale}")
 
     def row(dp, ha, hb):
         obs = DistanceObservation(dp, ha, hb, wave=args.wave)
@@ -406,6 +415,17 @@ def _read_pairs_csv(path, coord, dims: int) -> list:
     return _map_rows(path, 2 * dims, lambda *v: (coord(*v[:dims]), coord(*v[dims:])))
 
 
+def _shift(text: str) -> tuple:
+    """The --shift of molodensky as three finite numbers dX,dY,dZ."""
+    try:
+        t = tuple(map(float, text.split(",")))
+    except ValueError:
+        t = ()
+    if len(t) != 3 or not np.isfinite(t).all():
+        raise ValueError(f"--shift must be three finite numbers dX,dY,dZ, got {text!r}")
+    return t
+
+
 def cmd_datum(args):
     if args.op == "bw-apply":
         params = _read_param_file(_option(args, "params"))
@@ -428,7 +448,7 @@ def cmd_datum(args):
     elif args.op == "molodensky":
         ell1 = get_ellipsoid(args.ell)
         ell2 = get_ellipsoid(args.ell2)
-        t = tuple(map(float, args.shift.split(",")))
+        t = _shift(args.shift)
         out = _table(_Rows(args.input, 4), args.angle_unit, _GEODETIC, _GEODETIC,
                      lambda *g: _GEO(apply_molodensky(ell1, ell2, GeodeticCoord(*g), t,
                                                       abridged=args.abridged)))
@@ -519,7 +539,7 @@ def cmd_orbit(args):
     for t in epochs:
         x = elements_to_eci(el, t)
         if args.frame == "ecef":
-            gst = args.gst_rad + 7.2921151467e-5 * (t - el.t0) if args.spin else args.gst_rad
+            gst = args.gst_rad + OMEGA_GPS * (t - el.t0) if args.spin else args.gst_rad
             x = eci_to_ecef(x, gst).as_array()
         out.append(f"{_fmt(t)},{_fmt(x[0])},{_fmt(x[1])},{_fmt(x[2])}")
     _write_lines(out, args.output)

@@ -188,15 +188,13 @@ def ecef_to_geodetic_array(ell: Ellipsoid, x, y, z) -> tuple:
     r = _libm(math.hypot, x, y)
     ok = all_finite(x, y, z) & ~(r < 1.0)
     lam = _libm(math.atan2, y, x)
-    phi = _libm(math.atan2, z, r)
 
-    def step(idx):
-        nxt = _libm(math.atan2, _z_prime(npmath, ell, z[idx], phi[idx]), r[idx])
-        done = np.abs(nxt - phi[idx]) < _ECEF_TOL
-        phi[idx] = nxt
-        return done
+    def step(phi, z, r):
+        nxt = _libm(math.atan2, _z_prime(npmath, ell, z, phi), r)
+        return nxt, np.abs(nxt - phi) < _ECEF_TOL
 
-    ok &= ~iterate(step, ok, _ECEF_MAX_ITER)
+    phi, running = iterate(step, (_libm(math.atan2, z, r),), (z, r), ok, _ECEF_MAX_ITER)
+    ok &= ~running
     he = np.where(np.abs(phi) > _NEAR_POLE, _height_from_z(npmath, ell, phi, z),
                   _height_from_r(npmath, ell, phi, r))
     phi, lam, valid = geodetic_columns(phi, lam, he)

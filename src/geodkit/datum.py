@@ -14,7 +14,7 @@ parameter sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -56,6 +56,9 @@ class BursaWolfParams:
     rz: float
 
     def __post_init__(self):
+        # NaN would pass every bound below
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValueError("Bursa-Wolf parameters must be finite")
         if max(abs(self.rx), abs(self.ry), abs(self.rz)) >= _MAX_ROTATION:
             raise ValueError("rotations exceed the small-angle validity bound")
         if abs(self.m_scale) >= 1e-3:
@@ -79,6 +82,12 @@ class Helmert2DParams:
     ty: float
     u: float
     v: float
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValueError("Helmert parameters must be finite")
+        if self.u == 0.0 and self.v == 0.0:
+            raise ValueError("u = v = 0 is a zero scale, which has no inverse")
 
     @property
     def scale(self) -> float:
@@ -377,11 +386,16 @@ def helmert2d_estimate(pairs: list) -> DatumShiftResult:
     x, y = (src - src_c).T
     xp, yp = (dst - dst_c).T
     d2 = float(np.sum(x * x + y * y))
-    if d2 <= 0:
+    # coincident points can keep the rounding error of their mean once centred
+    if d2 <= 0 or (src == src[0]).all():
         raise ZeroSpread("all common points coincide")
+    if (dst == dst[0]).all():
+        raise ZeroSpread("all target points coincide")
 
     u = float(np.sum(x * xp + y * yp) / d2)
     v = float(np.sum(x * yp - y * xp) / d2)
+    if u == 0.0 and v == 0.0:  # e.g. a square mapped onto its mirror image
+        raise ZeroSpread("the fitted scale is zero")
     # reduced translations are zero by construction; de-reduce to the full frame
     tx = float(dst_c[0] - u * src_c[0] + v * src_c[1])
     ty = float(dst_c[1] - v * src_c[0] - u * src_c[1])

@@ -259,14 +259,12 @@ def geodesic_direct_array(ell: Ellipsoid, phi1, lam1, az1, s) -> tuple:
 
     m, n, t1, t2, target, tol = _direct_setup(npmath, ell, phi1, aze, k2, s)
 
-    def step(idx):
-        t = t2[idx]
-        f = _arc_antider(t, m[idx], n[idx]) - target[idx]
-        done = np.abs(f) < tol[idx]
-        t2[idx] = np.where(done, t, t - f / _arc_integrand(t, m[idx], n[idx]))
-        return done
+    def step(t2, m, n, target, tol):
+        f = _arc_antider(t2, m, n) - target
+        done = np.abs(f) < tol
+        return np.where(done, t2, t2 - f / _arc_integrand(t2, m, n)), done
 
-    stalled = iterate(step, general, 50)
+    t2, stalled = iterate(step, (t2,), (m, n, target, tol), general, 50)
     t_max = 1.0 / np.sqrt(k2)
     failed = ~general | stalled | (np.abs(t2) >= _min(t_max, 1.0) - 1e-12)
     phi2, lam2, az2 = _direct_end(npmath, ell, lam1, c, aze, k2, az1, t1, t2)
@@ -389,34 +387,29 @@ def _seed_array(ell: Ellipsoid, phi1, phi2, dlam, dphi):
     return np.copysign(_min(c, lim), dlam)
 
 
-def _secant_array(ell: Ellipsoid, c, t1, t2, dphi, dlam) -> tuple:
-    """The secant refinement of geodesic_inverse, per row: (c, converged)."""
+def _secant_array(ell: Ellipsoid, c, t1, t2, dphi, dlam, active) -> tuple:
+    """The secant refinement of geodesic_inverse on the active rows: (c, converged)."""
     lim = ell.a * (1.0 - 1e-12)
     c_prev = c * 0.999
     f_prev = _predicted_dlam(npmath, ell, c_prev, t1, t2, dphi) - dlam
     f = _predicted_dlam(npmath, ell, c, t1, t2, dphi) - dlam
     converged = np.abs(f) < 1e-11
-    polish = np.zeros(c.shape, dtype=np.int8)
 
-    def step(i):
-        ci, fi = c[i], f[i]
-        stop = converged[i] & ((polish[i] >= 3) | (fi == 0.0))
-        denom = fi - f_prev[i]
+    def step(c, f, c_prev, f_prev, converged, polish, t1, t2, dphi, dlam):
+        stop = converged & ((polish >= 3) | (f == 0.0))
+        denom = f - f_prev
         stop |= denom == 0.0
-        c_next = ci - fi * (ci - c_prev[i]) / denom
-        c_next = np.copysign(_min(np.abs(c_next), lim), dlam[i])
-        f_next = _predicted_dlam(npmath, ell, c_next, t1[i], t2[i], dphi[i]) - dlam[i]
-        stop |= converged[i] & (np.abs(f_next) >= np.abs(fi))
-        go = ~stop
-        j = i[go]
-        c_prev[j], f_prev[j] = ci[go], fi[go]
-        c[j], f[j] = c_next[go], f_next[go]
-        hit = j[np.abs(f_next[go]) < 1e-11]
-        converged[hit] = True
-        polish[hit] += 1
-        return stop
+        c_next = c - f * (c - c_prev) / denom
+        c_next = np.copysign(_min(np.abs(c_next), lim), dlam)
+        f_next = _predicted_dlam(npmath, ell, c_next, t1, t2, dphi) - dlam
+        stop |= converged & (np.abs(f_next) >= np.abs(f))
+        hit = ~stop & (np.abs(f_next) < 1e-11)
+        return (np.where(stop, c, c_next), np.where(stop, f, f_next),
+                np.where(stop, c_prev, c), np.where(stop, f_prev, f),
+                converged | hit, polish + hit, stop)
 
-    iterate(step, np.ones(c.shape, dtype=bool), 100)
+    state = (c, f, c_prev, f_prev, converged, np.zeros(c.shape, dtype=np.int8))
+    c, _, _, _, converged, _, _ = iterate(step, state, (t1, t2, dphi, dlam), active, 100)
     return c, converged
 
 
@@ -436,13 +429,7 @@ def geodesic_inverse_array(ell: Ellipsoid, phi1, lam1, phi2, lam2) -> tuple:
     dphi = phi2 - phi1
     failed = (~(ok1 & ok2) | (dlam == 0.0) | ((phi1 == 0.0) & (phi2 == 0.0))
               | (np.abs(dlam) > math.pi * (1.0 - 0.5 * ell.e2)))
-    general = np.flatnonzero(~failed)
-
-    p1, p2, dl, dp = phi1[general], phi2[general], dlam[general], dphi[general]
-    c, converged = _secant_array(ell, _seed_array(ell, p1, p2, dl, dp),
-                                 np.sin(p1), np.sin(p2), dp, dl)
-    failed[general[~converged]] = True
-
-    az1, az2, s = np.full((3, phi1.shape[0]), np.nan)
-    az1[general], az2[general], s[general] = _inverse_end(npmath, ell, c, p1, p2, dp)
-    return az1, az2, s, failed
+    c, converged = _secant_array(ell, _seed_array(ell, phi1, phi2, dlam, dphi),
+                                 np.sin(phi1), np.sin(phi2), dphi, dlam, ~failed)
+    az1, az2, s = np.where(failed, np.nan, _inverse_end(npmath, ell, c, phi1, phi2, dphi))
+    return az1, az2, s, failed | ~converged

@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass
 
 from .core import GM_EARTH as GM
+from .core import OMEGA_GRS80 as OMEGA
 
 MEAN_RADIUS = 6371000.0
 
-# closed normal potential constants (GRS80 set), with GM from core
+# closed normal potential constants (GRS80 set), with GM and OMEGA from core
 A_SEMI = 6378137.00     # m
-OMEGA = 7292115e-11     # rad/s
 J2 = 108263e-8
 
 # sin^2(2 phi) coefficient of the 1930 normal gravity formula; the

@@ -12,8 +12,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import GM_EARTH, NonConvergence
+from .core import GM_EARTH, SIDEREAL_RATIO_GST, NonConvergence
 from .coords import EcefCoord
+from .sphere import normalize_hours
 
 # stopping rule of solve_kepler: |M - (E - e sin E)| below this, in radians
 _KEPLER_TOL = 1e-13
@@ -147,8 +148,8 @@ def eci_to_ecef(x_eci, gst: float) -> EcefCoord:
 
 
 def gst_hours(ut_hours: float, hsg0_hours: float) -> float:
-    """Greenwich sidereal time (hours) = 1.002737909 UT + HSG(0h)."""
-    return (1.002737909 * ut_hours + hsg0_hours) % 24.0
+    """Greenwich sidereal time (hours) = 1.002737909 UT + HSG(0h), in [0, 24)."""
+    return normalize_hours(SIDEREAL_RATIO_GST * ut_hours + hsg0_hours)
 
 
 def vis_viva(el: OrbitalElements, r: float) -> float:

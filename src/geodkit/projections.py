@@ -296,16 +296,14 @@ def utm_footpoint_latitude_array(d: UtmDef, y) -> tuple:
     sine of infinity) or no convergence.
     """
     y = np.asarray(y, dtype=float)
-    phi = _footpoint_seed(d, y)
     failed = np.isinf(y)
 
-    def step(idx):
-        delta = _footpoint_step(d, y[idx], phi[idx])
-        phi[idx] -= delta
-        return np.abs(delta) < _FOOT_TOL
+    def step(phi, y):
+        delta = _footpoint_step(d, y, phi)
+        return phi - delta, np.abs(delta) < _FOOT_TOL
 
-    failed |= iterate(step, ~failed, _FOOT_MAX_ITER)
-    return phi, failed
+    phi, running = iterate(step, (_footpoint_seed(d, y),), (y,), ~failed, _FOOT_MAX_ITER)
+    return phi, failed | running
 
 
 def _utm_inverse_series(xp, d: UtmDef, x, phi_f) -> tuple:

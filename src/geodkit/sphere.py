@@ -5,10 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import NumericalError
-
-# ratio of sidereal to solar time rate
-SIDEREAL_RATIO = 366.2422 / 365.2422
+from .core import SIDEREAL_RATIO, NumericalError
 
 _DEGENERATE_TOL = 1e-12
 

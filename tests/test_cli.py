@@ -197,6 +197,39 @@ class TestReduce:
         assert float(de2) == pytest.approx(float(de), abs=2e-3)
 
 
+def _main_on(argv, text, tmp_path, capsys) -> tuple:
+    """Exit code and stderr of cli.main in-process on the CSV input `text`."""
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    code = cli.main([*argv, "-i", str(path), "-o", str(tmp_path / "out.csv")])
+    return code, capsys.readouterr().err
+
+
+# each bad option value on a 1-row and on a header-only input: the option is
+# checked before any row is read, so both exit 2 with the same message
+ONE_ROW_OR_NONE = {"1 row": "\nA,40,10,0\n", "0 rows": "\n"}
+
+
+@pytest.mark.parametrize("rows", sorted(ONE_ROW_OR_NONE))
+@pytest.mark.parametrize("scale", ["-1", "0", "-0", "nan", "inf", "-inf"])
+def test_reduce_scale_must_be_finite_and_positive(scale, rows, tmp_path, capsys):
+    code, err = _main_on(["reduce", f"--scale={scale}"], "name,dp,ha,hb" + ONE_ROW_OR_NONE[rows],
+                         tmp_path, capsys)
+    assert code == 2
+    assert err == f"input error: ValueError: --scale must be finite and > 0, got {float(scale)}\n"
+
+
+@pytest.mark.parametrize("rows", sorted(ONE_ROW_OR_NONE))
+@pytest.mark.parametrize("shift", ["1,2", "1,2,3,4", "nan,0,0", "0,inf,0", "0,0,-1e400",
+                                   "a,b,c", "", "1,,2"])
+def test_molodensky_shift_must_be_three_finite_numbers(shift, rows, tmp_path, capsys):
+    code, err = _main_on(["datum", "molodensky", f"--shift={shift}"],
+                         "name,phi,lam,he" + ONE_ROW_OR_NONE[rows], tmp_path, capsys)
+    assert code == 2
+    assert err == ("input error: ValueError: --shift must be three finite numbers dX,dY,dZ, "
+                   f"got {shift!r}\n")
+
+
 class TestDatum:
     PAIRS = (
         "name,x1,y1,z1,x2,y2,z2\n"
@@ -314,6 +347,16 @@ class TestDatum:
         _, e, n = out.stdout.splitlines()[1].split(",")
         assert float(e) == pytest.approx(100.0, abs=0.05)
         assert float(n) == pytest.approx(50.0, abs=0.05)
+
+    @pytest.mark.parametrize("rows", sorted(ONE_ROW_OR_NONE))
+    def test_helmert2d_apply_rejects_a_zero_scale(self, rows, tmp_path, capsys):
+        # u = v = 0 would map every point to (tx, ty)
+        pfile = tmp_path / "h.json"
+        pfile.write_text(json.dumps({"tx": 0, "ty": 0, "u": 0, "v": 0}))
+        code, err = _main_on(["datum", "helmert2d-apply", "--params", str(pfile)],
+                             "name,e,n" + ONE_ROW_OR_NONE[rows], tmp_path, capsys)
+        assert code == 2
+        assert err == "input error: ValueError: u = v = 0 is a zero scale, which has no inverse\n"
 
 
 class TestAdjust:

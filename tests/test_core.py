@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from geodkit.core import (
     format_hours,
     get_ellipsoid,
     isometric_latitude,
+    iterate,
     latitude_from_isometric,
     meridian_arc,
     meridian_arc_coefficients,
@@ -304,3 +306,72 @@ class TestMeridianArc:
             phi = rng.uniform(-1.5, 1.5)
             fd = (meridian_arc(grs80, phi + h) - meridian_arc(grs80, phi - h)) / (2 * h)
             assert fd == pytest.approx(meridian_radius(grs80, phi), rel=1e-4)
+
+
+class TestIterate:
+    """core.iterate on a toy loop: halve x until it drops below 1, counting
+    the passes; row i carries the constant id i."""
+
+    @staticmethod
+    def run(x, active, max_iter, passed=None):
+        x = np.array(x, dtype=float)
+        ids = np.arange(x.size)
+
+        def step(x, count, ids):
+            if passed is not None:
+                passed.append(ids.tolist())
+            half = x / 2.0
+            return half, count + 1, half < 1.0
+
+        count = np.zeros(x.size, dtype=int)
+        return iterate(step, (x, count), (ids,), np.asarray(active), max_iter)
+
+    def test_stopped_rows_are_not_passed_again_and_keep_their_last_state(self):
+        passed = []
+        x, count, running = self.run([1.5, 3.0, 12.0, 7.0], [True] * 4, 10, passed)
+        assert passed == [[0, 1, 2, 3], [1, 2, 3], [2, 3], [2]]
+        assert x.tolist() == [0.75, 0.75, 0.75, 0.875]
+        assert count.tolist() == [1, 2, 4, 3]
+        assert not running.any()
+
+    def test_constants_reach_step_row_aligned_with_the_state(self):
+        def step(x, tenfold, ids):
+            assert (tenfold == 10.0 * ids).all() and (x == ids + 0.5).all()
+            return x, ids % 2 == 0
+
+        ids = np.arange(7)
+        active = np.array([True, False, True, True, False, True, True])
+        x, running = iterate(step, (ids + 0.5,), (10.0 * ids, ids), active, 5)
+        assert running.tolist() == [False, False, False, True, False, True, False]
+        assert x.tolist() == (ids + 0.5).tolist()
+
+    def test_rows_still_running_after_max_iter_are_returned(self):
+        passed = []
+        x, count, running = self.run([1.5, 100.0, 2.5, 9.0], [True, True, False, True], 3, passed)
+        assert len(passed) == 3
+        assert running.tolist() == [False, True, False, True]
+        # the inactive row keeps its input, the running rows their third pass
+        assert x.tolist() == [0.75, 12.5, 2.5, 1.125]
+        assert count.tolist() == [1, 3, 0, 3]
+
+    def test_no_active_row_makes_no_pass(self):
+        def step(*columns):
+            raise AssertionError("step called with no active row")
+
+        x = np.array([1.0, 2.0])
+        out, running = iterate(step, (x,), (x,), np.zeros(2, dtype=bool), 50)
+        assert out.tolist() == [1.0, 2.0] and not running.any()
+        out, running = iterate(step, (x,), (x,), np.ones(2, dtype=bool), 0)
+        assert out.tolist() == [1.0, 2.0] and running.all()
+
+    def test_inputs_are_not_modified(self):
+        x, count = np.array([1.5, 40.0, 3.0]), np.zeros(3, dtype=int)
+        ids, active = np.arange(3), np.array([True, True, False])
+
+        def step(x, count, ids):
+            return x / 2.0, count + 1, x < 4.0
+
+        out = iterate(step, (x, count), (ids,), active, 2)
+        assert x.tolist() == [1.5, 40.0, 3.0] and count.tolist() == [0, 0, 0]
+        assert ids.tolist() == [0, 1, 2] and active.tolist() == [True, True, False]
+        assert out[0] is not x and out[1] is not count and out[2] is not active

@@ -90,6 +90,17 @@ class TestBursaWolfApply:
             BursaWolfParams(0, 0, 0, 0, 0.1, 0, 0)
         with pytest.raises(ValueError):
             BursaWolfParams(0, 0, 0, 0.01, 0, 0, 0)
+        with pytest.raises(ValueError, match="^Bursa-Wolf parameters must be finite"):
+            BursaWolfParams(0, 0, 0, math.nan, math.nan, 0, 0)
+
+    @pytest.mark.parametrize("field", range(7))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_raise(self, field, bad):
+        # NaN passes every bound, inf passes the translation ones
+        values = [0.0] * 7
+        values[field] = bad
+        with pytest.raises(ValueError, match="^Bursa-Wolf parameters must be finite"):
+            BursaWolfParams(*values)
 
 
 class TestBursaWolfEstimate:
@@ -632,6 +643,43 @@ class TestHelmert2D:
             helmert2d_estimate(
                 [(PlaneCoord(2, 2), PlaneCoord(1, 1)), (PlaneCoord(2, 2), PlaneCoord(1, 1))]
             )
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_raise(self, field, bad):
+        values = [0.0, 0.0, 1.0, 0.0]
+        values[field] = bad
+        with pytest.raises(ValueError, match="^Helmert parameters must be finite"):
+            Helmert2DParams(*values)
+
+    @pytest.mark.parametrize("u,v", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)])
+    def test_zero_scale_raises(self, u, v):
+        with pytest.raises(ValueError, match="zero scale"):
+            Helmert2DParams(1.0, 2.0, u, v)
+        Helmert2DParams(1.0, 2.0, 5e-324, 0.0)  # the smallest scale is accepted
+
+    @pytest.mark.parametrize("point", [(0.0, 0.0), (0.1, 0.1), (7e5, -3.3e6)])
+    def test_coincident_points_raise_zero_spread(self, point):
+        # centred, three copies of (0.1, 0.1) keep their mean's rounding error,
+        # -1.4e-17, which fitted u = 8 to coincident sources; coincident targets
+        # fit u = v = 0, which maps every point onto one
+        from geodkit.datum import ZeroSpread
+
+        spread = [PlaneCoord(0, 0), PlaneCoord(1000, 100), PlaneCoord(400, 900)]
+        same = [PlaneCoord(*point)] * 3
+        with pytest.raises(ZeroSpread, match="all common points coincide"):
+            helmert2d_estimate(list(zip(same, spread)))
+        with pytest.raises(ZeroSpread, match="all target points coincide"):
+            helmert2d_estimate(list(zip(spread, same)))
+
+    def test_mirror_image_fits_a_zero_scale(self):
+        # a square onto its mirror image: sum (x x' + y y') = sum (x y' - y x') = 0
+        from geodkit.datum import ZeroSpread
+
+        src = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+        pairs = [(PlaneCoord(e, n), PlaneCoord(e, -n)) for e, n in src]
+        with pytest.raises(ZeroSpread, match="the fitted scale is zero"):
+            helmert2d_estimate(pairs)
 
     def test_monte_carlo_variance_laws(self):
         # empirical variances of the translation and of u over noise draws

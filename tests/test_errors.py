@@ -112,7 +112,7 @@ def test_short_row_exits_2_and_names_the_row(case, tmp_path, capsys):
     argv, text = SHORT_ROW_CASES[case]
     files = {
         "PARAMS": json.dumps({"tx": 0, "ty": 0, "tz": 0, "m": 0, "rx": 0, "ry": 0, "rz": 0,
-                              "u": 0, "v": 0}),
+                              "u": 1, "v": 0}),
         "POINTS": "n,x0,y0,z0,fixed\nA,0,0,0,1\nB,0,0,0,0\n",
         "OBS": "kind,from,to,value\nleveling,A,B,1.5\n",
     }

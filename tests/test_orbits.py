@@ -173,6 +173,19 @@ class TestFrames:
         assert gst_hours(0.0, 6.5) == 6.5
         assert gst_hours(10.0, 6.5) == pytest.approx((6.5 + 10.02737909) % 24, abs=1e-12)
 
+    @pytest.mark.parametrize("ut,hsg0", [(0.0, -1e-17), (-1e-15, 0.0), (0.0, 24.0)])
+    def test_gst_in_0_24(self, ut, hsg0):
+        # a bare % 24 rounds a tiny negative sum, as at (0, -1e-17), up to 24.0
+        assert 0.0 <= gst_hours(ut, hsg0) < 24.0
+
+    def test_earth_rates_come_from_core(self):
+        from geodkit import core, heights, sphere
+
+        assert (heights.OMEGA, core.OMEGA_GRS80, core.OMEGA_GPS) == (
+            7292115e-11, 7292115e-11, 7.2921151467e-5)
+        assert sphere.SIDEREAL_RATIO == core.SIDEREAL_RATIO == 366.2422 / 365.2422
+        assert core.SIDEREAL_RATIO_GST == 1.002737909
+
 
 class TestVisViva:
     def test_circular_orbit(self):
