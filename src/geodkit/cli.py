@@ -6,19 +6,21 @@ output path is given.  Numeric output uses 12 significant digits so runs
 are reproducible byte for byte.
 
 Every CSV command keeps its input as raw lines and parses it in blocks of
-rows with one csv.reader (_Rows), so the working memory is the input text,
-the output text and one block.  Each CSV-to-CSV command (convert, project,
-geodesic, reduce, and datum bw-apply, molodensky and helmert2d-apply)
-declares its numeric columns, angle or not, its scalar API call on one row
-and, if it has one, its array kernel, and runs through one table runner,
-_table.  dop, heights and the datum fits read their columns through _Rows
-too; adjust takes its rows from the same reader and parses their mixed
-names and numbers itself.  Output is all or nothing: it is written once,
-after the last block has passed, and the first failing data row in file
-order decides the error, which is the one the scalar API raises on that
-row.  Errors in the input itself come first, as if the whole file were
-read before any row is computed: a field longer than
-csv.field_size_limit(), then a row with too few fields.
+rows (_Rows), so the working memory is the input text, the output text and
+one block: one np.loadtxt call, or csv.reader and float() where loadtxt
+would read the block otherwise, and for every parse error.  Each
+CSV-to-CSV command (convert, project, geodesic, reduce, and datum
+bw-apply, molodensky and helmert2d-apply) declares its numeric columns,
+angle or not, its scalar API call on one row and, if it has one, its array
+kernel, and runs through one table runner, _table, which formats a block
+with one "%s,%.12g,..." template.  dop, heights and the datum fits read
+their columns through _Rows too; adjust takes its rows from the same
+reader and parses their mixed names and numbers itself.  Output is all or
+nothing: it is written once, after the last block has passed, and the
+first failing data row in file order decides the error, which is the one
+the scalar API raises on that row.  Errors in the input itself come first,
+as if the whole file were read before any row is computed: a field longer
+than csv.field_size_limit(), then a row with too few fields.
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical error.  The class
 of the exception decides: any ArithmeticError, which includes every
@@ -39,8 +41,7 @@ import json
 import sys
 from contextlib import contextmanager, nullcontext
 from functools import partial
-from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -134,6 +135,11 @@ def _records(lines) -> list:
     return records
 
 
+class _CsvRows(list):
+    """Data rows that np.loadtxt would read otherwise than csv.reader and
+    float(): a quote, a NUL (Python 3.10's csv rejects it) or \\x1c-\\x1f."""
+
+
 def _read_csv(path):
     """The header row of a CSV input and its data rows as raw text.
 
@@ -146,10 +152,15 @@ def _read_csv(path):
     else:
         with open(path, newline="") as fh:
             lines = list(fh)
-    if any('"' in line for line in lines):
+    text = "".join(lines)  # one scan of it for each character tested
+    quoted, csv_only = '"' in text, any(c in text for c in '"\0\x1c\x1d\x1e\x1f')
+    del text
+    if quoted:
         lines = _records(lines)
     else:  # without quotes each line is a record, and "#", "\r" or "\n" starts no row
         lines = [line for line in lines if line[0] not in "#\r\n"]
+    if csv_only:
+        lines = _CsvRows(lines)
     if not lines:
         raise ValueError("empty input")
     try:
@@ -161,8 +172,8 @@ def _read_csv(path):
 
 
 class _Rows:
-    """The data rows of a CSV input, parsed block by block by one csv.reader,
-    each checked to hold at least `width` fields.
+    """The data rows of a CSV input, taken block by block from its raw
+    lines, each checked to hold at least `width` fields.
 
     As a context manager it keeps the input's own errors first: an exception
     raised in the with-block gives way to a csv error or a short row among
@@ -171,12 +182,8 @@ class _Rows:
 
     def __init__(self, path, width: int):
         self.width = width
-        lines = _read_csv(path)[1]
-        # the reader pops each line as it takes it, so the text of the rows
-        # parsed so far is freed while their output grows
-        lines.append(None)
-        lines.reverse()
-        self.reader = csv.reader(iter(lines.pop, None))
+        self.lines = _read_csv(path)[1]
+        self.taken = 0  # data rows taken so far
 
     def __enter__(self):
         return self
@@ -187,53 +194,67 @@ class _Rows:
                 pass
 
     def _take(self) -> list:
-        """The next block of rows; [] once all are parsed."""
+        """The next block of raw rows, [] once all are taken; they leave
+        self.lines, so their text is freed while the output grows."""
+        block = self.lines[:_BLOCK_ROWS]
+        del self.lines[:_BLOCK_ROWS]
+        self.taken += len(block)
+        return block
+
+    def _parse(self, lines, width: int = 0) -> list:
+        """lines, the block taken last, parsed; the first row with fewer than
+        width fields raises, once the rows after it have no csv error."""
+        reader = csv.reader(lines)
         try:
-            return list(islice(self.reader, _BLOCK_ROWS))
+            rows = list(reader)
         except csv.Error as exc:
-            row, self.reader = self.reader.line_num, csv.reader(())
+            row, self.lines = self.taken - len(lines) + reader.line_num, []
             raise _csv_error(exc, row) from None
+        if min(map(len, rows)) < width:
+            i, row = next((i, row) for i, row in enumerate(rows) if len(row) < width)
+            i += self.taken - len(rows) + 1
+            while lines := self._take():
+                self._parse(lines)
+            raise ValueError(f"data row {i}: expected at least {width} fields, got {len(row)}")
+        return rows
 
     def blocks(self):
-        """Each block of rows, in file order; the first short row raises,
-        once the rows after it have no csv error."""
-        while block := self._take():
-            if min(map(len, block)) < self.width:
-                i, row = next((i, row) for i, row in enumerate(block) if len(row) < self.width)
-                i += self.reader.line_num - len(block) + 1
-                while self._take():
-                    pass
-                raise ValueError(f"data row {i}: expected at least {self.width} fields, "
-                                 f"got {len(row)}")
-            yield block
+        """Each block of rows, parsed by csv.reader, in file order."""
+        while lines := self._take():
+            yield self._parse(lines, self.width)
 
     def columns(self, count: int):
         """(names, columns) per block: column j holds field j as a float, for
         j in 1..count.
 
-        A row with a field float() rejects ends the blocks: the rows before it
-        come as the last block, and the ValueError naming it is raised when
-        the next block is asked for, so only once those rows have passed.
+        One np.loadtxt reads a block, unless a line is as long as
+        csv.field_size_limit() or the input is a _CsvRows; then, or if it
+        raises a ValueError, csv.reader and float() parse the block.  A row
+        with a field float() rejects ends the blocks: the rows before it come
+        as the last block, and the ValueError naming it is raised when the
+        next block is asked for, so only once those rows have passed.
         """
-        for block in self.blocks():
+        plain = not isinstance(self.lines, _CsvRows)
+        while lines := self._take():
             try:
-                columns = _float_columns(block, count)
+                if not plain or max(map(len, lines)) >= csv.field_size_limit():
+                    raise ValueError
+                names, error = [line.partition(",")[0] for line in lines], None
+                values = np.loadtxt(lines, delimiter=",", usecols=range(1, count + 1),
+                                    comments=None, ndmin=2, dtype=float)
             except ValueError:
-                first = self.reader.line_num - len(block) + 1
-                for i, row in enumerate(block):
+                rows, values, error = self._parse(lines, self.width), [], None
+                for i, row in enumerate(rows):
                     try:
-                        [float(v) for v in row[1:count + 1]]
+                        values.append([float(v) for v in row[1:count + 1]])
                     except ValueError as exc:
-                        error = ValueError(f"data row {first + i}: {exc}")
+                        error = ValueError(f"data row {self.taken - len(rows) + i + 1}: {exc}")
                         break
-                yield [row[0] for row in block[:i]], _float_columns(block[:i], count)
-                raise error from None
-            yield [row[0] for row in block], columns
-
-
-def _float_columns(rows, count: int) -> list:
-    return [np.fromiter(map(float, map(itemgetter(j), rows)), dtype=float, count=len(rows))
-            for j in range(1, count + 1)]
+                names = [row[0] for row in rows[:len(values)]]
+                values = np.array(values, dtype=float).reshape(-1, count)
+            yield names, [c.copy() for c in values.T]  # one contiguous array a column
+            if error:
+                raise error
 
 
 def _read_rows(path, width: int) -> list:
@@ -279,7 +300,7 @@ def _table(rows, unit, inputs, outputs, scalar, kernel=None) -> list:
     angle_in = [not c.endswith("]") for c in inputs]
     angle_out = [not c.endswith("]") for c in outputs]
     out = ["name," + ",".join(c + (f"[{unit}]" if a else "") for c, a in zip(outputs, angle_out))]
-    line = "{}," + ",".join(["{:.12g}"] * len(outputs))
+    line = "%s," + ",".join(["%.12g"] * len(outputs))
     with rows:
         for names, columns in rows.columns(len(inputs)):
             columns = [c * factor if a else c for c, a in zip(columns, angle_in)]
@@ -289,7 +310,7 @@ def _table(rows, unit, inputs, outputs, scalar, kernel=None) -> list:
             else:
                 values = map(np.array, zip(*map(scalar, *(c.tolist() for c in columns))))
             values = [(v / factor if a else v).tolist() for v, a in zip(values, angle_out)]
-            out.append("\n".join(map(line.format, names, *values)))
+            out.append("\n".join(map(line.__mod__, zip(names, *values))))
     return out
 
 
@@ -415,15 +436,22 @@ def _read_pairs_csv(path, coord, dims: int) -> list:
     return _map_rows(path, 2 * dims, lambda *v: (coord(*v[:dims]), coord(*v[dims:])))
 
 
-def _shift(text: str) -> tuple:
-    """The --shift of molodensky as three finite numbers dX,dY,dZ."""
+def _numbers(option: str, text: str, form: str, count: int = 0) -> tuple:
+    """text, the value of option, as comma-separated finite numbers, count
+    of them if count is given; the error says they must be form."""
     try:
         t = tuple(map(float, text.split(",")))
     except ValueError:
         t = ()
-    if len(t) != 3 or not np.isfinite(t).all():
-        raise ValueError(f"--shift must be three finite numbers dX,dY,dZ, got {text!r}")
+    if not t or count and len(t) != count or not np.isfinite(t).all():
+        raise ValueError(f"{option} must be {form}, got {text!r}")
     return t
+
+
+def _finite(option: str, value: float) -> float:
+    if not np.isfinite(value):
+        raise ValueError(f"{option} must be finite, got {value}")
+    return value
 
 
 def cmd_datum(args):
@@ -448,7 +476,7 @@ def cmd_datum(args):
     elif args.op == "molodensky":
         ell1 = get_ellipsoid(args.ell)
         ell2 = get_ellipsoid(args.ell2)
-        t = _shift(args.shift)
+        t = _numbers("--shift", args.shift, "three finite numbers dX,dY,dZ", 3)
         out = _table(_Rows(args.input, 4), args.angle_unit, _GEODETIC, _GEODETIC,
                      lambda *g: _GEO(apply_molodensky(ell1, ell2, GeodeticCoord(*g), t,
                                                       abridged=args.abridged)))
@@ -529,17 +557,18 @@ def cmd_adjust(args):
 
 
 def cmd_orbit(args):
+    epochs = _numbers("--epochs", args.epochs, "finite numbers t1,t2,...")
+    gst_rad = _finite("--gst-rad", args.gst_rad)
     doc = _read_json(args.elements)
     el = OrbitalElements(
         *(json_number(doc, k) for k in ("a", "e", "i", "raan", "arg_perigee")),
         t0=json_number(doc, "t0", 0.0), mu=json_number(doc, "mu", GM_EARTH),
     )
-    epochs = [float(t) for t in args.epochs.split(",")]
     out = ["t[s],x[m],y[m],z[m]"]
     for t in epochs:
         x = elements_to_eci(el, t)
         if args.frame == "ecef":
-            gst = args.gst_rad + OMEGA_GPS * (t - el.t0) if args.spin else args.gst_rad
+            gst = gst_rad + OMEGA_GPS * (t - el.t0) if args.spin else gst_rad
             x = eci_to_ecef(x, gst).as_array()
         out.append(f"{_fmt(t)},{_fmt(x[0])},{_fmt(x[1])},{_fmt(x[2])}")
     _write_lines(out, args.output)
@@ -567,17 +596,18 @@ def cmd_dop(args):
 
 def cmd_heights(args):
     unit = args.angle_unit
+    h_mean = _finite("--h-mean", args.h_mean)
     segments = _map_rows(args.input, 2, lambda g, dh: (g, dh))
     line = LevelLine(
         segments,
         phi_start=_angle_from(args.phi_start, unit) if args.phi_start else 0.0,
         phi_end=_angle_from(args.phi_end, unit) if args.phi_end else 0.0,
-        h_mean=args.h_mean,
+        h_mean=h_mean,
     )
     if args.kind == "ortho":
         value = orthometric_height(line)
     elif args.kind == "normal":
-        value = normal_height(line, _angle_from(args.phi_start or "0", unit), args.h_mean)
+        value = normal_height(line, _angle_from(args.phi_start or "0", unit), h_mean)
     else:
         value = dynamic_height(line)
     _write_lines([_fmt(value)], args.output)

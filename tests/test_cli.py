@@ -230,6 +230,39 @@ def test_molodensky_shift_must_be_three_finite_numbers(shift, rows, tmp_path, ca
                    f"got {shift!r}\n")
 
 
+ORBIT_ELEMENTS = {"a": 7e6, "e": 0.01, "i": 1.0, "raan": 0.5, "arg_perigee": 0.2}
+
+
+@pytest.mark.parametrize("options,error", [
+    # epoch 0 propagates, so each error below comes from the check, not the orbit
+    (["--epochs=0,inf"], "--epochs must be finite numbers t1,t2,..., got '0,inf'"),
+    (["--epochs=0,nan"], "--epochs must be finite numbers t1,t2,..., got '0,nan'"),
+    (["--epochs=0,-1e400"], "--epochs must be finite numbers t1,t2,..., got '0,-1e400'"),
+    (["--epochs=0,x"], "--epochs must be finite numbers t1,t2,..., got '0,x'"),
+    (["--epochs=0,,60"], "--epochs must be finite numbers t1,t2,..., got '0,,60'"),
+    (["--epochs=0", "--frame", "ecef", "--gst-rad=nan"], "--gst-rad must be finite, got nan"),
+    (["--epochs=0", "--frame", "ecef", "--spin", "--gst-rad=-inf"],
+     "--gst-rad must be finite, got -inf"),
+    (["--epochs=0", "--gst-rad=inf"], "--gst-rad must be finite, got inf"),
+])
+def test_orbit_options_must_be_finite(options, error, tmp_path, capsys):
+    path = tmp_path / "elements.json"
+    path.write_text(json.dumps(ORBIT_ELEMENTS))
+    code = cli.main(["orbit", "--elements", str(path), *options])
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: ValueError: {error}\n"
+
+
+@pytest.mark.parametrize("rows", ["\nP,980,1.5\n", "\n"])
+@pytest.mark.parametrize("kind", ["ortho", "normal", "dynamic"])
+@pytest.mark.parametrize("h_mean", ["nan", "inf", "-inf"])
+def test_heights_h_mean_must_be_finite(h_mean, kind, rows, tmp_path, capsys):
+    code, err = _main_on(["heights", kind, f"--h-mean={h_mean}"], "n,g,dh" + rows,
+                         tmp_path, capsys)
+    assert code == 2
+    assert err == f"input error: ValueError: --h-mean must be finite, got {float(h_mean)}\n"
+
+
 class TestDatum:
     PAIRS = (
         "name,x1,y1,z1,x2,y2,z2\n"

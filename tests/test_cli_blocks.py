@@ -1,12 +1,14 @@
 """The CLI's block pipeline against the whole-file path it replaced.
 
 Every CSV-to-CSV command keeps its input as raw lines and runs each block
-of rows through float(), one array-kernel call and _settle, or the scalar
-API on each row, and the formatting.  The reference below is the
-whole-file path: it parses every row, checks the widths of all of them and
-makes one kernel call, or one scalar call per row.  With the block size
-patched to 1..7, every kind of row lands on either side of a block
-boundary, and both paths must give the same stdout, exit code and stderr.
+of rows through np.loadtxt (or csv.reader and float()), one array-kernel
+call and _settle, or the scalar API on each row, and the formatting.  The
+reference below is the whole-file path: it parses every row, checks the
+widths of all of them and makes one kernel call, or one scalar call per
+row.  With the block size patched to 1..7, every kind of row lands on
+either side of a block boundary, and both paths must give the same stdout,
+exit code and stderr.  At the end, np.loadtxt is checked against
+csv.reader and float() on the fields where they part.
 """
 
 import contextlib
@@ -390,8 +392,9 @@ def test_field_over_the_csv_limit_beats_every_other_error():
 ROWS = 50_000
 # bytes of Python allocations per input row at the peak of a geodesic command,
 # tracemalloc's figure: the input lines, the output text and one block.  It
-# measured 283 (direct) and 277 (inverse); the bound is 283 plus 25%.  The
-# whole-file path held every parsed row: 548 for both.
+# measures 222 (direct) and 224 (inverse) with np.loadtxt reading each block;
+# the bound is 283 plus 25%, 283 being what it measured when csv.reader parsed
+# each block.  The whole-file path held every parsed row: 548 for both.
 PEAK_BYTES_PER_ROW = 354
 
 
@@ -424,3 +427,110 @@ def test_geodesic_working_memory_per_row(problem, tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak / ROWS < PEAK_BYTES_PER_ROW, f"{peak / ROWS:.0f} B per row"
+
+
+# -- np.loadtxt against csv.reader and float() ---------------------------------
+LIMIT = csv.field_size_limit()
+# fields on either side of what np.loadtxt, csv.reader and float() accept; a
+# quote, a NUL or \x1c-\x1f anywhere sends the whole input to csv.reader
+FIELDS = ["1_0", " 1.5 ", "\xa01.5", "\t-2\x0b", "nan", "-nan", "-inf", "Infinity", "1e999",
+          "-1e-400", "5e-324", "-0", "١٢", "inf\r", "2\r\n", "", " ", "0x10", "1d3", "\0",
+          "1\0", "\x1c1", "1\x1f", '"3"', "1" * LIMIT, "9" * (LIMIT + 1)]
+NUMBER = st.one_of(st.floats().map(repr), st.integers(-10**20, 10**20).map(str))
+FIELD = st.one_of(NUMBER, st.sampled_from(FIELDS),
+                  st.text(st.sampled_from("09.eE+-_ \t\xa0,"), max_size=5))
+
+
+def parsed(text, count, block, fallback=False):
+    """The names and the columns' bytes of each block _Rows.columns yields
+    on `text`, `block` rows at a time, and the message of the ValueError it
+    raises, or None; with fallback, np.loadtxt raises on every block."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        stack.enter_context(mock.patch.object(cli, "_BLOCK_ROWS", block))
+        if fallback:
+            stack.enter_context(mock.patch.object(np, "loadtxt", side_effect=ValueError))
+        blocks = []
+        try:
+            for names, columns in cli._Rows(path, count + 1).columns(count):
+                assert all(c.dtype == float and c.flags.c_contiguous for c in columns)
+                blocks.append((names, [c.tobytes() for c in columns]))
+        except ValueError as exc:
+            return blocks, str(exc)
+    return blocks, None
+
+
+@st.composite
+def tables(draw):
+    """(CSV text, numeric columns read): rows of numbers and, one in four,
+    rows of random fields, some short, with LF, CRLF or lone CR endings."""
+    count = draw(st.integers(2, 4))
+    lines = [",".join(["h"] * (count + 1))]
+    for i in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 3)):
+            fields = draw(st.lists(NUMBER, min_size=count, max_size=count + 1))
+        else:
+            fields = draw(st.lists(FIELD, min_size=count - 1, max_size=count + 1))
+        names = [f"P{i}"] * 12 + ["", " Q", "\0", "\x1d"]
+        lines.append(",".join([draw(st.sampled_from(names)), *fields]))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends)), count
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(tables(), st.integers(1, 4))
+def test_loadtxt_matches_csv_reader_and_float(table, block):
+    text, count = table
+    assert parsed(text, count, block) == parsed(text, count, block, fallback=True)
+
+
+EDGE_CASES = {
+    **{f"field {f!r}": f"h,h,h\nP,1,{f}\nQ,2,3\n" for f in
+       ["1_0", " 1.5 ", "\xa01.5", "nan", "-inf", "1e999", "١٢", "inf\r", "", "\x1c1", "1\x1f"]},
+    "lone CR endings": "h,h,h\rP,1,2\rQ,3,4\r",
+    "CRLF endings": "h,h,h\r\nP,1,2\r\nQ,3,4",
+    "NUL in a name": "h,h,h\nP\0,1,2\nQ,3,4\n",
+    "NUL in a number": "h,h,h\nP,1\0,2\nQ,3,4\n",
+    "NUL in an extra field": "h,h,h\nP,1,2,\0\nQ,3,4\n",
+    "field of the csv limit": f"h,h,h\nP,1,{'1' * LIMIT}\nQ,3,4\n",
+    "number over the csv limit": f"h,h,h\nP,1,{'1' * (LIMIT + 1)}\nQ,3,4\n",
+    "extra field over the csv limit": f"h,h,h\nP,1,2,{'x' * (LIMIT + 1)}\nQ,3,4\n",
+    "short row": "h,h,h\nP,1\nQ,3,4\n",
+}
+
+
+@pytest.mark.parametrize("block", [1, 8192])
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_loadtxt_matches_csv_reader_and_float_on_the_edge_cases(case, block):
+    text = EDGE_CASES[case]
+    assert parsed(text, 2, block) == parsed(text, 2, block, fallback=True)
+
+
+def test_loadtxt_reads_the_fields_float_accepts():
+    # every row here takes the fast path: csv.reader is not called
+    fields = [" 1.5 ", "\xa01.5", "\t-2\x0b", "nan", "-inf", "Infinity", "1e999", "-0", "inf"]
+    text = "h,h,h\n" + "".join(f"P{i},{f},{f}\r\n" for i, f in enumerate(fields[:-1]))
+    text += f"Q,1,{fields[-1]}\r"
+    with mock.patch.object(cli._Rows, "_parse", side_effect=AssertionError):
+        (names, columns), = parsed(text, 2, 8192)[0]
+    assert names == [f"P{i}" for i in range(len(fields) - 1)] + ["Q"]
+    expected = np.array([float(f) for f in fields])
+    assert columns[1] == expected.tobytes()
+    assert columns[0] == np.array([*expected[:-1], 1.0]).tobytes()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_fallback_on_every_block_writes_the_same_bytes(command):
+    # three blocks of the first two valid rows: the same stdout whether
+    # np.loadtxt reads each block or csv.reader and float() do
+    argv, width, valid, _ = COMMANDS[command]
+    rows = [f"P{i},{valid[i % 2]}" for i in range(7)]
+    text = ",".join(["h"] * width) + "\n" + "\n".join(rows) + "\n"
+    fast = outcome(argv, text, 3)
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        assert outcome(argv, text, 3) == fast
+    assert fast[0] == 0 and fast[1].count("\n") == 8, fast
