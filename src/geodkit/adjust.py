@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -101,7 +101,8 @@ def check_condition(sym: np.ndarray, bound: float, error: Exception) -> np.ndarr
     relative (1e-12 at cond 1e4; 1e-4 at a bound of 1e12, 1e-6 at 1e10):
     only a matrix that close to the bound can get the other verdict.  The
     signs are left to the caller: an indefinite matrix passes when it is
-    well conditioned, the zero matrix never.  eigvalsh reads one triangle.
+    well conditioned, the zero matrix never.  eigvalsh reads one triangle
+    of a copy; solve_linear past 256 unknowns does without (see _factor).
     """
     if not np.isfinite(sym).all():
         raise error
@@ -174,29 +175,37 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class AdjustmentResult:
-    """Estimated corrections, residuals, variance factor and normal matrix.
+    """Estimated corrections, residuals and variance factor of a system.
 
-    cov = s2 N^-1 (None when s2 is) is computed when it is first read and
-    then kept: an O(r^3) inverse that a caller who never reads it skips.
+    Its normal matrix N and cov = s2 N^-1 (None when s2 is) are computed
+    when first read and then kept: work a caller who never reads them skips.
     """
 
     x: np.ndarray
     v: np.ndarray
     s2: float | None
-    normal: np.ndarray = field(default=None, repr=False)
+    system: LinearSystem = field(default=None, repr=False)
     iterations: int = 0
     trace: list = field(default=None, repr=False)
+
+    @cached_property
+    def normal(self) -> np.ndarray:
+        return _normal_equations(self.system)[0]
 
     @cached_property
     def cov(self) -> np.ndarray | None:
         return None if self.s2 is None else self.s2 * np.linalg.inv(self.normal)
 
 
-def _scatter_normal(a, cols, p, k, r: int) -> tuple:
-    """A'PA and A'PK of the row-sparse form, summed by bincount from each
-    row's coefficient products: O(n k^2) work and O(r^2) memory.  The
-    product of coefficients i and j is formed as (a_i a_j) p_row for both
-    (i, j) and (j, i), so A'PA comes out exactly symmetric."""
+def _normal_equations(sys: LinearSystem) -> tuple:
+    """A'PA and A'PK: matrix products in the dense form; in the row-sparse
+    form summed by bincount from each row's coefficient products, O(n k^2)
+    work and O(r^2) memory.  The product of coefficients i and j is formed
+    as (a_i a_j) p_row for both (i, j) and (j, i), so A'PA is symmetric."""
+    a, k, p, cols, r = sys.a, sys.k, sys.p, sys.cols, sys.unknowns
+    if cols is None:
+        atp = _weigh(a.T, p)
+        return atp @ a, atp @ k
     live = cols >= 0
     pair = live[:, :, None] & live[:, None, :]
     flat = cols[:, :, None] * r + cols[:, None, :]
@@ -206,48 +215,98 @@ def _scatter_normal(a, cols, p, k, r: int) -> tuple:
     return normal, rhs
 
 
+_BLOCK, _SMALL = 128, 256  # columns per block; unknowns that take eigvalsh
+
+
+def _top_ritz(apply, r: int) -> float:
+    """Largest eigenvalue of Q' apply(Q), Q an orthonormal basis of the block
+    Krylov space of three products from a fixed random r x 8 start: a lower
+    bound on the symmetric operator's, equal to it to rounding when r <= 8."""
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((r, 8)))[0]
+    basis, images = q, apply(q)
+    for _ in range(2):
+        q = np.linalg.qr(np.hstack([basis, images[:, -q.shape[1]:]]))[0][:, basis.shape[1]:]
+        basis, images = np.hstack([basis, q]), np.hstack([images, apply(q)])
+    return float(np.linalg.eigvalsh(basis.T @ images)[-1])
+
+
+def _factor(m: np.ndarray) -> tuple:
+    """Cholesky-factor the symmetric m in place (lower triangle), left-looking
+    in blocks of 128 columns, so the temporaries are r x 128.  Returns
+    (solve, kappa): solve(b) = m^-1 b by block forward and back substitution
+    on the factor, and kappa, the top Ritz value of m (taken first) times
+    that of m^-1, a lower bound on m's condition number; (None, inf) when m
+    has no Cholesky factor."""
+    lam_max, inverses = _top_ritz(lambda q: m @ q, len(m)), []
+    try:
+        for j in range(0, len(m), _BLOCK):
+            e = min(j + _BLOCK, len(m))
+            panel = m[j:, j:e]
+            panel -= m[j:, :j] @ m[j:e, :j].T
+            panel[: e - j] = np.linalg.cholesky(panel[: e - j])
+            panel[e - j:] = np.linalg.solve(panel[: e - j], panel[e - j:].T).T
+            inverses.append(np.linalg.inv(panel[: e - j]))
+    except np.linalg.LinAlgError:
+        return None, math.inf
+    blocks = [(j, j + len(inv), inv) for j, inv in zip(range(0, len(m), _BLOCK), inverses)]
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        y = b.copy()
+        for j, e, inv in blocks:
+            y[j:e] = inv @ (y[j:e] - m[j:e, :j] @ y[:j])
+        for j, e, inv in reversed(blocks):
+            y[j:e] = inv.T @ (y[j:e] - m[e:, j:e].T @ y[e:])
+        return y
+
+    return solve, lam_max * _top_ritz(solve, len(m))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def solve_linear(sys: LinearSystem) -> AdjustmentResult:
     """Weighted least squares: X = -(A'PA)^-1 A'PK, V = AX + K.
 
-    s2 = V'PV/(n-r) (absent when n == r) and cov = s2 (A'PA)^-1, computed
-    on first read of result.cov.  The solution satisfies the
-    renormalization condition A'PV = 0.
+    s2 = V'PV/(n-r) (absent when n == r); result.normal = A'PA and
+    cov = s2 (A'PA)^-1 are computed on first read.  The solution satisfies
+    the renormalization condition A'PV = 0.
 
     N = A'PA comes from a matrix product in the dense form and from the
     rows' nonzeros in the row-sparse form (see LinearSystem), which keeps
-    memory at O(r^2) whatever n is.  Then one tail: N must be finite; the
-    scaled matrix D^-1 N D^-1, D = sqrt(diag N), must have a condition
-    number <= 1e12 (check_condition) and positive eigenvalues, else
-    SingularNormal; one solve of the scaled system gives X.  An overflowing
-    N, A'PK or V'PV raises OverflowError, without numpy's warnings.
+    memory at O(r^2) whatever n is.  N must be finite with a positive
+    diagonal, and S = D^-1 N D^-1 (N scaled in place, D = sqrt(diag N)) a
+    condition number <= 1e12 and positive eigenvalues, else SingularNormal.
+    Past 256 unknowns S is Cholesky-factored in place, and when _factor's
+    estimate passes, block substitutions give X: one r x r array in all.
+    Otherwise check_condition on S decides, with the class and message it
+    always had, and np.linalg.solve gives X.  An overflowing N, A'PK or V'PV
+    raises OverflowError, without numpy's warnings.
     """
     a, k, p, cols = sys.a, sys.k, sys.p, sys.cols
     n, r = a.shape[0], sys.unknowns
-    if cols is None:
-        atp = _weigh(a.T, p)
-        normal, rhs = atp @ a, atp @ k
-    else:
-        normal, rhs = _scatter_normal(a, cols, p, k, r)
-    if not np.isfinite(normal).all():
+    scaled, rhs = _normal_equations(sys)
+    if not np.isfinite(scaled).all():
         raise OverflowError("normal matrix overflows")
-    diag = np.diag(normal)
+    diag = np.diag(scaled)
     if not np.all(diag > 0):
         raise SingularNormal("normal matrix singular or ill-conditioned")
     scale = np.sqrt(diag)
-    scaled = normal / scale[:, None]
+    scaled /= scale[:, None]
     scaled /= scale
-    lam = check_condition(
-        scaled, 1e12, SingularNormal("normal matrix singular or ill-conditioned"))
-    if lam[0] <= 0:
-        raise SingularNormal("normal matrix not positive definite")
-    x = -np.linalg.solve(scaled, rhs / scale) / scale
+    solve, kappa = _factor(scaled) if r > _SMALL else (None, math.inf)
+    if not kappa <= 1e12:
+        if r > _SMALL:  # S was factored: build it again
+            scaled = _normal_equations(sys)[0] / scale[:, None] / scale
+        lam = check_condition(
+            scaled, 1e12, SingularNormal("normal matrix singular or ill-conditioned"))
+        if lam[0] <= 0:
+            raise SingularNormal("normal matrix not positive definite")
+        solve = partial(np.linalg.solve, scaled)
+    x = -solve(rhs / scale) / scale
     v = (a @ x if cols is None else (a * np.append(x, 0.0)[cols]).sum(axis=1)) + k
     dof = n - r
     s2 = float(_weigh(v, p) @ v / dof) if dof > 0 else None
     if not (np.isfinite(v).all() and math.isfinite(s2 or 0.0)):
         raise OverflowError("residuals or V'PV overflow")
-    return AdjustmentResult(x=x, v=v, s2=s2, normal=normal, iterations=1)
+    return AdjustmentResult(x=x, v=v, s2=s2, system=sys, iterations=1)
 
 
 def obs_distance2d(p1, p2, observed: float) -> tuple:
@@ -356,7 +415,7 @@ def gauss_newton(
             dof = n - r
             s2 = sq_norm(e) / dof if dof > 0 else None
             return AdjustmentResult(
-                x=x, v=-e, s2=s2, normal=lin.normal, iterations=it, trace=trace
+                x=x, v=-e, s2=s2, system=lin.system, iterations=it, trace=trace
             )
 
         if step_norm < tol:
@@ -547,8 +606,8 @@ class Network:
 
     Each observation row has 1 to 6 nonzero coefficients, so the rows are
     assembled in the row-sparse form of LinearSystem (n x 6 at most, never
-    the dense n x r matrix), and a solve holds O(r^2) memory: the normal
-    matrix and the scaled copy its check and solve use.
+    the dense n x r matrix), and a solve holds O(r^2) memory: past 256
+    unknowns one r x r array, the scaled normal matrix factored in place.
     """
 
     def __init__(self, scale_directions: bool = True):
@@ -640,12 +699,11 @@ class Network:
         """Iterate solve_linear on the row-sparse rows, moving the points and
         orientations by each solution, until max |x| < tol; MaxIterations if
         that takes more than max_iter solutions.  Memory is O(r^2) for r
-        unknowns; the result's cov is computed when read."""
+        unknowns; the result's normal and cov are computed when read."""
         index, cols = self._unknowns()
         orientations = self._orientations()
         for iteration in range(1, max_iter + 1):
             a, k, w = self._build(cols, orientations)
-            result = None  # frees the last iteration's normal matrix first
             result = solve_linear(LinearSystem(a, k, w, cols=cols))
             for key, idx in index.items():
                 if key[0] == "v":

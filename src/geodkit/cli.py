@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import re
 import sys
 from contextlib import contextmanager, nullcontext
 from functools import partial
@@ -106,10 +106,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _angle_from(value: str, unit: str) -> float:
-    return float(value) * ANGLE_UNITS[unit]
-
-
 # data rows per block of the CSV commands: small enough that a block's
 # parsed rows and kernel temporaries stay a few MB, large enough that the
 # per-block calls cost nothing next to the per-row work
@@ -122,14 +118,23 @@ def _csv_error(exc, row: int) -> ValueError:
 
 def _records(lines) -> list:
     """The header and data rows of lines that hold quotes, each as the text
-    of its record: a quoted field may span lines."""
-    reader = csv.reader(lines)
-    records, start = [], 0
+    of its record: a quoted field may span lines.  In a record that starts
+    with "#", a comment, csv.reader sees each run of characters other than
+    quotes, commas and line ends as one "#": no field of it is long."""
+    records, start, end = [], 0, 0  # csv.reader reads the record lines[start:end]
+
+    def comments_masked():
+        nonlocal end
+        comment = False
+        for end, line in enumerate(lines, 1):
+            comment = line.startswith("#") if end - 1 == start else comment
+            yield re.sub(r'[^",\r\n]+', "#", line) if comment else line
+
     try:
-        for row in reader:
+        for row in csv.reader(comments_masked()):
             if row and not row[0].startswith("#"):
-                records.append("".join(lines[start:reader.line_num]))
-            start = reader.line_num
+                records.append("".join(lines[start:end]))
+            start = end
     except csv.Error as exc:
         raise _csv_error(exc, len(records)) from None
     return records
@@ -148,7 +153,7 @@ def _read_csv(path):
     one csv.reader over the list yields one row per element.
     """
     if path in (None, "-"):
-        lines = list(io.StringIO(sys.stdin.read()))
+        lines = list(sys.stdin)
     else:
         with open(path, newline="") as fh:
             lines = list(fh)
@@ -577,16 +582,12 @@ def cmd_orbit(args):
 def cmd_dop(args):
     unit = args.angle_unit
     ell = get_ellipsoid(args.ell)
-    sats = _map_rows(args.input, 3, EcefCoord)
-    fields = args.receiver.split(",")
+    fields = _numbers("--receiver", args.receiver, "finite numbers phi,lam[,he]")
     if len(fields) not in (2, 3):
         raise ValueError(f"--receiver needs phi,lam[,he], got {args.receiver!r}")
-    receiver = GeodeticCoord(
-        _angle_from(fields[0], unit),
-        _angle_from(fields[1], unit),
-        float(fields[2]) if len(fields) > 2 else 0.0,
-    )
-    r = dop(sats, receiver, ell)
+    receiver = GeodeticCoord(fields[0] * ANGLE_UNITS[unit], fields[1] * ANGLE_UNITS[unit],
+                             fields[2] if len(fields) > 2 else 0.0)
+    r = dop(_map_rows(args.input, 3, EcefCoord), receiver, ell)
     _write_lines(
         [json.dumps({"gdop": r.gdop, "pdop": r.pdop, "tdop": r.tdop,
                      "hdop": r.hdop, "vdop": r.vdop}, indent=2)],
@@ -597,17 +598,15 @@ def cmd_dop(args):
 def cmd_heights(args):
     unit = args.angle_unit
     h_mean = _finite("--h-mean", args.h_mean)
+    phi_start, phi_end = (
+        _numbers(option, text, "a finite number", 1)[0] * ANGLE_UNITS[unit] if text else 0.0
+        for option, text in (("--phi-start", args.phi_start), ("--phi-end", args.phi_end)))
     segments = _map_rows(args.input, 2, lambda g, dh: (g, dh))
-    line = LevelLine(
-        segments,
-        phi_start=_angle_from(args.phi_start, unit) if args.phi_start else 0.0,
-        phi_end=_angle_from(args.phi_end, unit) if args.phi_end else 0.0,
-        h_mean=h_mean,
-    )
+    line = LevelLine(segments, phi_start=phi_start, phi_end=phi_end, h_mean=h_mean)
     if args.kind == "ortho":
         value = orthometric_height(line)
     elif args.kind == "normal":
-        value = normal_height(line, _angle_from(args.phi_start or "0", unit), h_mean)
+        value = normal_height(line, phi_start, h_mean)
     else:
         value = dynamic_height(line)
     _write_lines([_fmt(value)], args.output)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -428,6 +428,32 @@ class TestRowSparseNetworkSolve:
         assert cov.tobytes() == (res.s2 * np.linalg.inv(res.normal)).tobytes()
         assert res.cov is cov
 
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(st.sampled_from([("leveling", 300, 400), ("distance3d", 90, 120), ("mixed", 90, 110)]),
+           st.integers(0, 2**32 - 1))
+    def test_factored_solve_matches_the_dense_reference(self, kind_sizes, seed):
+        # past 256 unknowns the scaled N is factored in place and the
+        # condition number estimated from the factor
+        kind, lo, hi = kind_sizes
+        rng = np.random.default_rng(seed)
+        net = NETWORKS[kind](rng, int(rng.integers(lo, hi + 1)))
+        assert len(net._unknowns()[0]) > adjust._SMALL
+        ref_net = copy.deepcopy(net)
+        res = net.solve()
+        _, ref_v, ref_s2, _ = reference_network_solve(ref_net)
+        coords, ref_coords = _coordinates(net), _coordinates(ref_net)
+        assert np.linalg.norm(coords - ref_coords) <= 1e-12 * np.linalg.norm(ref_coords)
+        tol_v = 1e-12 * np.linalg.norm(ref_v) + 1e-14 * np.linalg.norm(ref_coords)
+        assert np.linalg.norm(res.v - ref_v) <= tol_v
+        assert res.s2 == pytest.approx(ref_s2, rel=1e-9)
+
+    def test_large_datum_defect_raises_as_before(self):
+        net = leveling_network(np.random.default_rng(3), 300, fixed=False)
+        assert len(net._unknowns()[0]) > adjust._SMALL
+        with pytest.raises(SingularNormal, match="normal matrix singular or ill-conditioned"):
+            copy.deepcopy(net).solve()
+        assert _outcome_class(reference_network_solve, net) is SingularNormal
+
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.sampled_from(["leveling", "plane one fixed", "plane none fixed"]),
            st.integers(5, 8), st.integers(0, 2**32 - 1))
@@ -473,7 +499,9 @@ class TestRowSparseNetworkSolve:
         finally:
             tracemalloc.stop()
         assert res.x.shape == (u,)
-        assert peak < 5 * u * u * 8
+        # one u x u array, the scaled N factored in place; the normal matrix,
+        # a scaled copy and eigvalsh's and solve's copies peaked at 3.4-3.8
+        assert peak < 1.6 * u * u * 8
 
 
 class TestConditionBounds:
@@ -523,6 +551,79 @@ class TestConditionBounds:
         object.__setattr__(system, "p", p)
         with pytest.raises(SingularNormal, match="not positive definite"):
             solve_linear(system)
+
+
+def planted_spd(rng, r: int, kappa: float) -> np.ndarray:
+    """A symmetric positive definite r x r matrix with random eigenvectors
+    and log-uniform eigenvalues from 1 to kappa, both ends included."""
+    lam = kappa ** rng.uniform(0.0, 1.0, r)
+    lam[0], lam[-1] = kappa, 1.0
+    q = np.linalg.qr(rng.normal(size=(r, r)))[0]
+    m = (q * lam) @ q.T
+    return 0.5 * (m + m.T)
+
+
+SIZES = st.one_of(st.sampled_from([1, 127, 128, 129, 255, 256, 257]), st.integers(1, 300))
+
+
+class TestFactorization:
+    """The blocked in-place Cholesky factor, its substitutions and the
+    condition estimate that solve_linear takes past 256 unknowns."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(SIZES, st.integers(0, 2**32 - 1))
+    def test_factor_and_solves_match_numpy(self, r, seed):
+        rng = np.random.default_rng(seed)
+        m = planted_spd(rng, r, 1e3)
+        factor = m.copy()
+        solve = adjust._factor(factor)[0]
+        ref = np.linalg.cholesky(m)
+        assert np.abs(np.tril(factor) - ref).max() <= 1e-12 * np.abs(ref).max()
+        for b in (rng.normal(size=r), rng.normal(size=(r, 3))):
+            ref = np.linalg.solve(m, b)
+            got = solve(b)
+            assert got.shape == b.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_indefinite_matrix_has_no_factor(self):
+        m = planted_spd(np.random.default_rng(4), 300, 10.0)
+        m[200, 200] = -1.0
+        assert adjust._factor(m) == (None, math.inf)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+    def test_estimate_is_exact_up_to_8_unknowns(self, r, log_kappa, seed):
+        m = planted_spd(np.random.default_rng(seed), r, 10.0**log_kappa)
+        lam = np.linalg.eigvalsh(m)
+        cond = lam[-1] / lam[0]
+        kappa = adjust._factor(m.copy())[1]
+        assert kappa == pytest.approx(cond, rel=100 * cond * np.finfo(float).eps)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.integers(9, 300), st.floats(0.0, 16.0), st.integers(0, 2**32 - 1))
+    def test_estimate_verdict_matches_eigvalsh(self, r, log_kappa, seed):
+        # check_condition's verdict at 1e12, away from the bound; the
+        # estimate is a lower bound, so it is also never above cond
+        assume(not 11.0 <= log_kappa <= 13.0)
+        m = planted_spd(np.random.default_rng(seed), r, 10.0**log_kappa)
+        lam = np.linalg.eigvalsh(m)
+        passed = bool(lam[0] > 0 and lam[-1] <= 1e12 * lam[0])
+        kappa = adjust._factor(m.copy())[1]
+        assert (kappa <= 1e12) is passed
+        if log_kappa < 8.0:
+            assert kappa <= lam[-1] / lam[0] * (1.0 + 1e-6)
+
+    def test_large_rejections_keep_their_messages(self):
+        # the estimate rejects or the factorization fails; eigvalsh on the
+        # scaled N built again gives the class and the message
+        r = 300
+        q = np.linalg.qr(np.random.default_rng(5).normal(size=(r, r)))[0]
+        for lam, message in ((np.geomspace(1.0, 1e-14, r), "singular or ill-conditioned"),
+                             (np.r_[-1.0, np.linspace(1.0, 10.0, r - 1)], "not positive definite")):
+            system = LinearSystem(np.eye(r), np.ones(r))
+            object.__setattr__(system, "p", (q * lam) @ q.T)
+            with pytest.raises(SingularNormal, match=message):
+                solve_linear(system)
 
 
 class TestRowSparseSystem:

@@ -263,6 +263,23 @@ def test_heights_h_mean_must_be_finite(h_mean, kind, rows, tmp_path, capsys):
     assert err == f"input error: ValueError: --h-mean must be finite, got {float(h_mean)}\n"
 
 
+@pytest.mark.parametrize("rows", ["\nP,980,1.5\n", "\n"], ids=["1 row", "0 rows"])
+@pytest.mark.parametrize("option,value", [("--phi-start", "nan"), ("--phi-end", "inf")])
+def test_heights_latitudes_must_be_finite(option, value, rows, tmp_path, capsys):
+    code, err = _main_on(["heights", "ortho", f"{option}={value}"], "n,g,dh" + rows,
+                         tmp_path, capsys)
+    assert code == 2
+    assert err == f"input error: ValueError: {option} must be a finite number, got {value!r}\n"
+
+
+@pytest.mark.parametrize("rows", ["\nS,20000000,0,0\n", "\n"], ids=["1 row", "0 rows"])
+def test_dop_receiver_must_be_finite(rows, tmp_path, capsys):
+    code, err = _main_on(["dop", "--receiver=nan,0"], "n,x,y,z" + rows, tmp_path, capsys)
+    assert code == 2
+    assert err == ("input error: ValueError: --receiver must be finite numbers phi,lam[,he], "
+                   "got 'nan,0'\n")
+
+
 class TestDatum:
     PAIRS = (
         "name,x1,y1,z1,x2,y2,z2\n"
@@ -582,6 +599,23 @@ def test_field_over_the_csv_limit_exits_2_naming_the_row(args, rows, tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("input error: ValueError: data row 2: "
                            "field larger than field limit (131072)\n")
+
+
+@pytest.mark.parametrize("quoted", [
+    'n,x,y,z\n# a "note" LONG\nA,4300244.86,1062094.681,4574775.629\n',
+    'n,x,y,z\n# a note LONG\n"A",4300244.86,1062094.681,4574775.629\n',
+    'n,x,y,z\n#x,"a note LONG\nover two lines"\nA,4300244.86,1062094.681,4574775.629\n',
+], ids=["quote in the comment", "quoted name", "comment over two lines"])
+def test_comment_over_the_csv_limit_is_dropped_with_or_without_quotes(quoted, tmp_path):
+    # a quote sends the input to csv.reader, which once parsed the comment
+    plain = "n,x,y,z\n# a note LONG\nA,4300244.86,1062094.681,4574775.629\n"
+    outs = []
+    for name, text in (("plain", plain), ("quoted", quoted)):
+        (tmp_path / name).write_text(text.replace("LONG", LONG_FIELD))
+        outs.append(run_cli(["convert", "--from", "ecef", "--to", "geodetic",
+                             "-i", str(tmp_path / name)]))
+    assert [proc.returncode for proc in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout and outs[0].stdout.count("\n") == 2
 
 
 # the self-contained `printf ... | geodkit ...` examples of README.md, each

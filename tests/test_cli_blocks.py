@@ -405,8 +405,8 @@ def _write_rows(path, columns):
                       for i, row in enumerate(zip(*(c.tolist() for c in columns))))
 
 
-@pytest.mark.parametrize("problem", ["direct", "inverse"])
-def test_geodesic_working_memory_per_row(problem, tmp_path):
+def _geodesic_input(problem, path) -> str:
+    """Write the ROWS-row input of a geodesic command to path; return path."""
     # lines of 1-100 km, azimuths clear of meridians and parallels
     rng = np.random.default_rng(7)
     phi, lam = rng.uniform(-60, 60, ROWS), rng.uniform(-200, 200, ROWS)
@@ -417,16 +417,35 @@ def test_geodesic_working_memory_per_row(problem, tmp_path):
         ends = cli.geodesic_direct_array(cli.get_ellipsoid("clarke-1880-fr"),
                                          phi * gr, lam * gr, az * gr, s)
         columns = [phi, lam, ends[0] / gr, ends[1] / gr]
-    path = str(tmp_path / "in.csv")
     _write_rows(path, columns)
+    return path
+
+
+def _peak_bytes_per_row(argv) -> float:
     tracemalloc.start()
     try:
-        code = cli.main(["geodesic", problem, "-i", path, "-o", os.devnull])
+        code = cli.main([*argv, "-o", os.devnull])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak / ROWS < PEAK_BYTES_PER_ROW, f"{peak / ROWS:.0f} B per row"
+    return peak / ROWS
+
+
+@pytest.mark.parametrize("problem", ["direct", "inverse"])
+def test_geodesic_working_memory_per_row(problem, tmp_path):
+    path = _geodesic_input(problem, str(tmp_path / "in.csv"))
+    per_row = _peak_bytes_per_row(["geodesic", problem, "-i", path])
+    assert per_row < PEAK_BYTES_PER_ROW, f"{per_row:.0f} B per row"
+
+
+def test_geodesic_working_memory_per_row_from_stdin(tmp_path, monkeypatch):
+    # stdin once went through a StringIO, whose 4-byte-per-character buffer
+    # took the peak to 466 B per row
+    with open(_geodesic_input("direct", str(tmp_path / "in.csv"))) as fh:
+        monkeypatch.setattr(sys, "stdin", fh)
+        per_row = _peak_bytes_per_row(["geodesic", "direct"])
+    assert per_row < PEAK_BYTES_PER_ROW, f"{per_row:.0f} B per row"
 
 
 # -- np.loadtxt against csv.reader and float() ---------------------------------
