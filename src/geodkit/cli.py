@@ -11,10 +11,10 @@ one block: one np.loadtxt call, or csv.reader and float() where loadtxt
 would read the block otherwise, and for every parse error.  Each
 CSV-to-CSV command (convert, project, geodesic, reduce, and datum
 bw-apply, molodensky and helmert2d-apply) declares its numeric columns,
-angle or not, its scalar API call on one row and, if it has one, its array
-kernel, and runs through one table runner, _table, which formats a block
-with one "%s,%.12g,..." template.  dop, heights and the datum fits read
-their columns through _Rows too; adjust takes its rows from the same
+angle or not, its scalar API call on one row and its array kernel, and
+runs through one table runner, _table, which formats a block with one
+"%s,%.12g,..." template.  dop, heights and the datum fits read their
+columns through _Rows too; adjust takes its rows from the same
 reader and parses their mixed names and numbers itself.  Output is all or
 nothing: it is written once, after the last block has passed, and the
 first failing data row in file order decides the error, which is the one
@@ -74,12 +74,15 @@ from .core import (
 from .datum import (
     BursaWolfParams,
     Helmert2DParams,
+    apply_molodensky,
     bursa_wolf_apply,
+    bursa_wolf_columns,
     bursa_wolf_direct,
     bursa_wolf_estimate,
     helmert2d_apply,
+    helmert2d_columns,
     helmert2d_estimate,
-    apply_molodensky,
+    molodensky_columns,
 )
 from .geodesics import (
     geodesic_direct,
@@ -99,6 +102,7 @@ from .projections import (
     named_projection,
     projection_from_json,
 )
+from .reductions import DistanceObservation, reduce_columns, reduce_to_ellipsoid, reduce_to_plane
 from .sphere import hour_angle, hsl_from_greenwich, sidereal_from_universal
 
 
@@ -272,7 +276,7 @@ def _settle(failed, outputs, scalar, *inputs) -> None:
     row being that row's floats in inputs, and put its values into outputs.
 
     scalar is the scalar API's call on one row, so the first failing row
-    raises the error the row-by-row CLI raised.  A flagged row it accepts
+    raises the error the scalar API raises on it.  A flagged row it accepts
     takes its values: the geodesic kernels flag the lines the scalar API
     solves in closed form, and numpy's elementary functions can differ from
     the C library's in the last bit, so a loop at the edge of its tolerance
@@ -291,7 +295,7 @@ def _map_rows(path, count: int, row) -> list:
                 for r in map(row, *(c.tolist() for c in columns))]
 
 
-def _table(rows, unit, inputs, outputs, scalar, kernel=None) -> list:
+def _table(rows, unit, inputs, outputs, scalar, kernel) -> list:
     """The header and, per block of rows, one string of their output lines:
     each row's name and outputs to 12 digits.
 
@@ -299,7 +303,7 @@ def _table(rows, unit, inputs, outputs, scalar, kernel=None) -> list:
     with no unit tag is an angle in unit, multiplied into radians on input
     and divided back on output.  kernel(*inputs) returns the output columns
     and a mask of the rows to _settle with scalar, the scalar API's call on
-    one row, which returns a tuple; with no kernel, scalar runs on every row.
+    one row, which returns a tuple.
     """
     factor = ANGLE_UNITS.get(unit)
     angle_in = [not c.endswith("]") for c in inputs]
@@ -309,11 +313,8 @@ def _table(rows, unit, inputs, outputs, scalar, kernel=None) -> list:
     with rows:
         for names, columns in rows.columns(len(inputs)):
             columns = [c * factor if a else c for c, a in zip(columns, angle_in)]
-            if kernel:
-                *values, failed = kernel(*columns)
-                _settle(failed, values, scalar, *columns)
-            else:
-                values = map(np.array, zip(*map(scalar, *(c.tolist() for c in columns))))
+            *values, failed = kernel(*columns)
+            _settle(failed, values, scalar, *columns)
             values = [(v / factor if a else v).tolist() for v, a in zip(values, angle_out)]
             out.append("\n".join(map(line.__mod__, zip(names, *values))))
     return out
@@ -412,8 +413,6 @@ def cmd_geodesic(args):
 
 
 def cmd_reduce(args):
-    from .reductions import DistanceObservation, reduce_to_ellipsoid, reduce_to_plane
-
     if not 0.0 < args.scale < np.inf:
         raise ValueError(f"--scale must be finite and > 0, got {args.scale}")
 
@@ -422,7 +421,9 @@ def cmd_reduce(args):
         de = reduce_to_ellipsoid(obs, rigorous=args.rigorous)
         return de, reduce_to_plane(de, args.scale)
 
-    out = _table(_Rows(args.input, 4), None, ("dp[m]", "ha[m]", "hb[m]"), ("de[m]", "dr[m]"), row)
+    out = _table(_Rows(args.input, 4), None, ("dp[m]", "ha[m]", "hb[m]"), ("de[m]", "dr[m]"), row,
+                 partial(reduce_columns, scale_m=args.scale, wave=args.wave,
+                         rigorous=args.rigorous))
     _write_lines(out, args.output)
 
 
@@ -463,7 +464,8 @@ def cmd_datum(args):
     if args.op == "bw-apply":
         params = _read_param_file(_option(args, "params"))
         out = _table(_Rows(args.input, 4), None, _ECEF, _ECEF,
-                     lambda *xyz: _XYZ(bursa_wolf_apply(params, EcefCoord(*xyz))))
+                     lambda *xyz: _XYZ(bursa_wolf_apply(params, EcefCoord(*xyz))),
+                     partial(bursa_wolf_columns, params))
     elif args.op in ("bw-fit", "bw-direct"):
         pairs = _read_pairs_csv(args.input, EcefCoord, 3)
         if args.op == "bw-fit":
@@ -484,7 +486,8 @@ def cmd_datum(args):
         t = _numbers("--shift", args.shift, "three finite numbers dX,dY,dZ", 3)
         out = _table(_Rows(args.input, 4), args.angle_unit, _GEODETIC, _GEODETIC,
                      lambda *g: _GEO(apply_molodensky(ell1, ell2, GeodeticCoord(*g), t,
-                                                      abridged=args.abridged)))
+                                                      abridged=args.abridged)),
+                     partial(molodensky_columns, ell1, ell2, t=t, abridged=args.abridged))
     elif args.op == "helmert2d-fit":
         pairs = _read_pairs_csv(args.input, PlaneCoord, 2)
         res = helmert2d_estimate(pairs)
@@ -497,7 +500,8 @@ def cmd_datum(args):
         doc = _read_json(_option(args, "params"))
         p = Helmert2DParams(*(json_number(doc, k) for k in ("tx", "ty", "u", "v")))
         out = _table(_Rows(args.input, 3), None, _PLANE, _PLANE,
-                     lambda *en: _EN(helmert2d_apply(p, PlaneCoord(*en))))
+                     lambda *en: _EN(helmert2d_apply(p, PlaneCoord(*en))),
+                     partial(helmert2d_columns, p))
     _write_lines(out, args.output)
 
 
@@ -662,7 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="distance reductions")
     p.add_argument("--wave", choices=["light", "micro"], default=None)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--rigorous", action="store_true")
+    p.add_argument("--rigorous", action="store_true", help="closed sea-level formula; it "
+                   "skips the ray-curvature correction, so --wave has no effect with it")
     common(p, angle=False)
     p.set_defaults(func=cmd_reduce)
 

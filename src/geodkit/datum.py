@@ -3,7 +3,9 @@
 Three-dimensional: the 7-parameter similarity (Bursa-Wolf) model, with a
 least-squares estimator and a direct closed-form estimator; the standard
 and abridged curvilinear shift formulas (Molodensky).  Two-dimensional:
-the 4-parameter Helmert similarity with its least-squares estimator.
+the 4-parameter Helmert similarity with its least-squares estimator.  The
+formulas that apply a transformation take floats or numpy columns alike;
+each *_columns form also returns a mask of the rows its scalar API rejects.
 
 Rotation sign convention: rx, ry, rz are positive counterclockwise and the
 first-order rotation matrix is rows [1, rz, -ry; -rz, 1, rx; ry, -rx, 1].
@@ -19,8 +21,17 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .adjust import LinearSystem, SingularNormal, solve_linear
-from .core import ARCSEC, Ellipsoid, NumericalError, meridian_radius, prime_vertical_radius
-from .coords import EcefCoord, GeodeticCoord
+from .core import (
+    ARCSEC,
+    Ellipsoid,
+    NumericalError,
+    all_finite,
+    meridian_radius,
+    npmath,
+    prime_vertical_radius,
+    quiet,
+)
+from .coords import EcefCoord, GeodeticCoord, geodetic_columns
 from .projections import PlaneCoord
 
 
@@ -64,15 +75,6 @@ class BursaWolfParams:
         if abs(self.m_scale) >= 1e-3:
             raise ValueError("scale offset exceeds the small-scale validity bound")
 
-    def rotation_matrix(self) -> np.ndarray:
-        rx, ry, rz = self.rx, self.ry, self.rz
-        return np.array(
-            [[1.0, rz, -ry], [-rz, 1.0, rx], [ry, -rx, 1.0]]
-        )
-
-    def translation(self) -> np.ndarray:
-        return np.array([self.tx, self.ty, self.tz])
-
 
 @dataclass(frozen=True)
 class Helmert2DParams:
@@ -106,10 +108,27 @@ class DatumShiftResult:
     cov: np.ndarray | None
 
 
+def _bursa_wolf(p: BursaWolfParams, x, y, z) -> tuple:
+    s = 1.0 + p.m_scale
+    return (p.tx + s * (x + p.rz * y - p.ry * z),
+            p.ty + s * (-p.rz * x + y + p.rx * z),
+            p.tz + s * (p.ry * x - p.rx * y + z))
+
+
 def bursa_wolf_apply(p: BursaWolfParams, x1: EcefCoord) -> EcefCoord:
-    """X2 = T + (1 + m) R X1."""
-    out = p.translation() + (1.0 + p.m_scale) * (p.rotation_matrix() @ x1.as_array())
-    return EcefCoord.from_array(out)
+    """X2 = T + (1 + m) R X1; OverflowError past the float range."""
+    out = tuple(map(float, _bursa_wolf(p, x1.x, x1.y, x1.z)))
+    if not all(map(math.isfinite, out)):
+        raise OverflowError("transformed coordinate overflows")
+    return EcefCoord(*out)
+
+
+@quiet
+def bursa_wolf_columns(p: BursaWolfParams, x, y, z) -> tuple:
+    """Array form of bursa_wolf_apply over columns: (x, y, z, failed), failed
+    marking a result that is not finite (so is that of a non-finite input)."""
+    out = _bursa_wolf(p, x, y, z)
+    return (*out, ~all_finite(*out))
 
 
 def _bw_design_row_block(x: float, y: float, z: float) -> np.ndarray:
@@ -294,20 +313,29 @@ def bursa_wolf_direct(pairs: list) -> BursaWolfParams:
     return BursaWolfParams(tx, ty, tz, m_scale, rx, ry, rz)
 
 
-def _molodensky_terms(ell1: Ellipsoid, ell2: Ellipsoid, g: GeodeticCoord, t: tuple) -> tuple:
-    """What both Molodensky forms share: (da, df, n, rho, sin phi, cos phi)
-    and the translation terms of dphi, dlam and dhe, in their sums' order."""
+def _molodensky(xp, ell1: Ellipsoid, ell2: Ellipsoid, phi, lam, he, t: tuple,
+                abridged: bool) -> tuple:
+    """(dphi_arcsec, dlam_arcsec, dhe_m) of either form; the translation
+    terms come first in each sum."""
     dx, dy, dz = t
-    n = prime_vertical_radius(ell1, g.phi)
-    rho = meridian_radius(ell1, g.phi)
-    sphi, cphi = math.sin(g.phi), math.cos(g.phi)
-    slam, clam = math.sin(g.lam), math.cos(g.lam)
-    shift = (
-        -dx * sphi * clam - dy * sphi * slam + dz * cphi,
-        -dx * slam + dy * clam,
-        dx * cphi * clam + dy * cphi * slam + dz * sphi,
-    )
-    return ell2.a - ell1.a, ell2.f - ell1.f, n, rho, sphi, cphi, shift
+    a, f, da, df = ell1.a, ell1.f, ell2.a - ell1.a, ell2.f - ell1.f
+    n, rho = prime_vertical_radius(ell1, phi), meridian_radius(ell1, phi)
+    sphi, cphi, slam, clam = xp.sin(phi), xp.cos(phi), xp.sin(lam), xp.cos(lam)
+    dphi = -dx * sphi * clam - dy * sphi * slam + dz * cphi
+    dlam = -dx * slam + dy * clam
+    dhe = dx * cphi * clam + dy * cphi * slam + dz * sphi
+    if abridged:
+        adf_fda = a * df + f * da
+        return ((dphi + adf_fda * xp.sin(2.0 * phi)) / (rho * math.sin(ARCSEC)),
+                dlam / (n * cphi * math.sin(ARCSEC)), dhe + adf_fda * sphi * sphi - da)
+    b_over_a = 1.0 - f
+    dphi = (
+        dphi
+        + n * ell1.e2 * sphi * cphi * da / a
+        + df * (rho / b_over_a + n * b_over_a) * sphi * cphi
+    ) / ((rho + he) * math.sin(ARCSEC))
+    return (dphi, dlam / ((n + he) * cphi * math.sin(ARCSEC)),
+            dhe - da * a / n + df * b_over_a * n * sphi * sphi)
 
 
 def molodensky_standard(
@@ -318,29 +346,19 @@ def molodensky_standard(
     Returns (dphi_arcsec, dlam_arcsec, dhe_m) to add to the system-1
     coordinates; angular parts in sexagesimal arc-seconds.
     """
-    da, df, n, rho, sphi, cphi, (dphi_t, dlam_t, dhe_t) = _molodensky_terms(ell1, ell2, g, t)
-    a, f = ell1.a, ell1.f
-    b_over_a = 1.0 - f
-    dphi = (
-        dphi_t
-        + n * ell1.e2 * sphi * cphi * da / a
-        + df * (rho / b_over_a + n * b_over_a) * sphi * cphi
-    ) / ((rho + g.he) * math.sin(ARCSEC))
-    dlam = dlam_t / ((n + g.he) * cphi * math.sin(ARCSEC))
-    dhe = dhe_t - da * a / n + df * b_over_a * n * sphi * sphi
-    return dphi, dlam, dhe
+    return _molodensky(math, ell1, ell2, g.phi, g.lam, g.he, t, False)
 
 
 def molodensky_abridged(
     ell1: Ellipsoid, ell2: Ellipsoid, g: GeodeticCoord, t: tuple
 ) -> tuple:
     """Abridged form: heights dropped, first order in the flattening."""
-    da, df, n, rho, sphi, cphi, (dphi_t, dlam_t, dhe_t) = _molodensky_terms(ell1, ell2, g, t)
-    adf_fda = ell1.a * df + ell1.f * da
-    dphi = (dphi_t + adf_fda * math.sin(2.0 * g.phi)) / (rho * math.sin(ARCSEC))
-    dlam = dlam_t / (n * cphi * math.sin(ARCSEC))
-    dhe = dhe_t + adf_fda * sphi * sphi - da
-    return dphi, dlam, dhe
+    return _molodensky(math, ell1, ell2, g.phi, g.lam, g.he, t, True)
+
+
+def _shifted(xp, ell1, ell2, phi, lam, he, t: tuple, abridged: bool) -> tuple:
+    dphi, dlam, dhe = _molodensky(xp, ell1, ell2, phi, lam, he, t, abridged)
+    return phi + dphi * ARCSEC, lam + dlam * ARCSEC, he + dhe
 
 
 def apply_molodensky(
@@ -351,19 +369,38 @@ def apply_molodensky(
     abridged: bool = False,
 ) -> GeodeticCoord:
     """System-2 geodetic coordinates of a system-1 point."""
-    fn = molodensky_abridged if abridged else molodensky_standard
-    dphi, dlam, dhe = fn(ell1, ell2, g, t)
-    return GeodeticCoord(
-        g.phi + dphi * ARCSEC, g.lam + dlam * ARCSEC, g.he + dhe
-    )
+    return GeodeticCoord(*_shifted(math, ell1, ell2, g.phi, g.lam, g.he, t, abridged))
+
+
+@quiet
+def molodensky_columns(ell1: Ellipsoid, ell2: Ellipsoid, phi, lam, he, t: tuple,
+                       abridged: bool = False) -> tuple:
+    """Array form of apply_molodensky over columns: (phi, lam, he, failed),
+    failed marking an input or result GeodeticCoord rejects."""
+    phi, lam, ok = geodetic_columns(phi, lam, he)
+    phi, lam, he = _shifted(npmath, ell1, ell2, phi, lam, he, t, abridged)
+    phi, lam, valid = geodetic_columns(phi, lam, he)
+    return phi, lam, he, ~(ok & valid)
+
+
+def _helmert2d(p: Helmert2DParams, e, n) -> tuple:
+    return p.tx + p.u * e - p.v * n, p.ty + p.v * e + p.u * n
 
 
 def helmert2d_apply(p: Helmert2DParams, xy: PlaneCoord) -> PlaneCoord:
-    """X2 = tx + u X1 - v Y1; Y2 = ty + v X1 + u Y1."""
-    return PlaneCoord(
-        p.tx + p.u * xy.e - p.v * xy.n,
-        p.ty + p.v * xy.e + p.u * xy.n,
-    )
+    """X2 = tx + u X1 - v Y1; Y2 = ty + v X1 + u Y1; OverflowError past the float range."""
+    out = _helmert2d(p, xy.e, xy.n)
+    if not all(map(math.isfinite, out)):
+        raise OverflowError("transformed plane coordinate overflows")
+    return PlaneCoord(*out)
+
+
+@quiet
+def helmert2d_columns(p: Helmert2DParams, e, n) -> tuple:
+    """Array form of helmert2d_apply over columns: (e, n, failed), failed
+    marking a result that is not finite (so is that of a non-finite input)."""
+    out = _helmert2d(p, e, n)
+    return (*out, ~all_finite(*out))
 
 
 def helmert2d_estimate(pairs: list) -> DatumShiftResult:

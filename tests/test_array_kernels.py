@@ -3,17 +3,19 @@
 Each property draws rows from a kernel's validity domain, mixed with rows
 that fail it (NaN, infinities, overflowing magnitudes, poles, the polar
 axis, the cone apex, out-of-zone longitudes, coincident or antipodal
-endpoints, negative lengths).  For every row it checks that the array
-kernel flags the row when the scalar call raises, and flags no other row
-but those of a closed-form branch it leaves to the scalar API (the
-geodesic kernels' zero-length, equatorial and meridian lines); that
-cli._settle raises the scalar's error class for the first failing row, or
-gives the flagged rows the scalar's values; and that the values of the
-other rows agree with the scalar results: to 1e-12 relative where the
-result is a closed formula, and within the stopping tolerance of the loop
-that decides it otherwise (stated with each kernel).  Relative errors are
-taken against max(|value|, scale), the scale being 1 rad for angles and
-the semi-major axis for lengths.
+endpoints, negative lengths, slope distances no longer than the height
+difference).  For every row it checks that the array kernel flags the row
+when the scalar call raises, and flags no other row but those of a
+closed-form branch it leaves to the scalar API (the geodesic kernels'
+zero-length, equatorial and meridian lines); that cli._settle raises the
+scalar's error class for the first failing row, or gives the flagged rows
+the scalar's values; and that the values of the other rows agree with the
+scalar results: bitwise where the formula uses only arithmetic and square
+roots (Bursa-Wolf, Helmert, the distance reductions), to 1e-12 relative
+where it is another closed formula, and within the stopping tolerance of
+the loop that decides it otherwise (stated with each kernel).  Relative
+errors are taken against max(|value|, scale), the scale being 1 rad for
+angles and the semi-major axis for lengths.
 """
 
 import json
@@ -23,7 +25,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodkit import cli
@@ -41,6 +43,16 @@ from geodkit.core import (
     get_ellipsoid,
     latitude_from_isometric,
     latitude_from_isometric_array,
+)
+from geodkit.datum import (
+    BursaWolfParams,
+    Helmert2DParams,
+    apply_molodensky,
+    bursa_wolf_apply,
+    bursa_wolf_columns,
+    helmert2d_apply,
+    helmert2d_columns,
+    molodensky_columns,
 )
 from geodkit.geodesics import (
     clairaut_constant,
@@ -62,6 +74,12 @@ from geodkit.projections import (
     utm_footpoint_latitude,
     utm_footpoint_latitude_array,
     utm_inverse,
+)
+from geodkit.reductions import (
+    DistanceObservation,
+    reduce_columns,
+    reduce_to_ellipsoid,
+    reduce_to_plane,
 )
 
 GRS80 = get_ellipsoid("grs80")
@@ -126,7 +144,7 @@ def run(kernel, rows_, *args):
     return kernel(*args, *(np.array(c, dtype=float) for c in zip(*rows_)))
 
 
-# -- the eight kernels ---------------------------------------------------------
+# -- the twelve kernels --------------------------------------------------------
 @PROPERTY
 @given(rows(mixed(-HALF_PI, HALF_PI, HALF_PI + 1e-9, 2.0), mixed(-10.0, 10.0),
             mixed(-1e4, 1e7)))
@@ -262,6 +280,91 @@ def test_geodesic_inverse_array(ell, rows_):
           [(1e-11, 1.0), (1e-11, 1.0), (1e-11, A)], closed_form)
 
 
+# the third set overflows near 1.8e308
+BURSA_WOLF = [BursaWolfParams(-168.0, -60.0, 320.0, 1.2e-6, 1e-6, -2e-6, 3e-6),
+              BursaWolfParams(10.0, -5.0, 3.0, -9e-4, 0.05, -0.05, 0.02),
+              BursaWolfParams(0.0, 0.0, 0.0, 1e-4, 0.0, 0.0, 0.0)]
+
+
+@PROPERTY
+@given(st.sampled_from(BURSA_WOLF),
+       rows(*[mixed(-1e7, 1e7, 1.7976e308, -1.7976e308)] * 3))
+def test_bursa_wolf_columns(p, rows_):
+    def scalar(x, y, z):
+        q = bursa_wolf_apply(p, EcefCoord(x, y, z))
+        return q.x, q.y, q.z
+
+    check(rows_, run(bursa_wolf_columns, rows_, p), scalar, [(0.0, A)] * 3)
+
+
+WGS84 = get_ellipsoid("wgs84")
+
+
+@PROPERTY
+@given(st.sampled_from([(CLARKE, WGS84), (WGS84, GRS80)]),
+       st.sampled_from([(-168.0, -60.0, 320.0), (0.0, 0.0, 431.0), (-263.0, 6.0, 431.0)]),
+       st.booleans(),
+       rows(mixed(-1.5, 1.5, HALF_PI, -HALF_PI, HALF_PI + 1e-6, -2.0), mixed(-10.0, 10.0),
+            mixed(-1e4, 1e7, 1e300)))
+# a latitude past the pole that the shift brings back into range: only the
+# test of the input rejects it
+@example((CLARKE, WGS84), (-168.0, -60.0, 320.0), False, [(HALF_PI + 1e-6, 3.0, 0.0)])
+def test_molodensky_columns(ells, t, abridged, rows_):
+    # np.sin and np.cos may differ from libm by one ulp.  At a pole the
+    # longitude shift is divided by cos(phi), about 6e-17, which would turn
+    # that ulp into 1e-4 rad, so a pole row takes lam = 0: sin and cos of 0
+    # are exact.
+    ell1, ell2 = ells
+    rows_ = [(phi, 0.0 if abs(phi) == HALF_PI else lam, he) for phi, lam, he in rows_]
+
+    def scalar(phi, lam, he):
+        g = apply_molodensky(ell1, ell2, GeodeticCoord(phi, lam, he), t, abridged)
+        return g.phi, g.lam, g.he
+
+    def kernel(*columns):
+        return molodensky_columns(ell1, ell2, *columns, t, abridged)
+
+    check(rows_, run(kernel, rows_), scalar, [(1e-12, 1.0), (1e-12, 1.0), (1e-12, A)])
+
+
+# the last set overflows near 1.8e308
+HELMERTS = [Helmert2DParams(12.5, -3.25, 1.00001, 2e-5),
+            Helmert2DParams(1e5, -2e5, -0.7, 0.7),
+            Helmert2DParams(0.0, 0.0, 1.0, 1.0)]
+
+
+@PROPERTY
+@given(st.sampled_from(HELMERTS), rows(mixed(-1e7, 1e7, 1.79e308), mixed(-1e7, 1e7, 1.79e308)))
+def test_helmert2d_columns(p, rows_):
+    def scalar(e, n):
+        q = helmert2d_apply(p, PlaneCoord(e, n))
+        return q.e, q.n
+
+    check(rows_, run(helmert2d_columns, rows_, p), scalar, [(0.0, A)] * 2)
+
+
+@PROPERTY
+@given(st.sampled_from([None, "light", "micro"]), st.booleans(),
+       st.sampled_from([1.0, 0.9996, 1e300]),
+       rows(mixed(0.0, 1e5, 0.0, -5.0, 1e102, 1e103, 1e300), mixed(-1e4, 1e4, -1e7),
+            mixed(-1.0, 1.0, 1.0, -1.0, 1.0 - 2**-52, 1.5)))
+def test_reduce_columns(wave, rigorous, scale, rows_):
+    # the third draw is the height difference as a fraction of dp: 1 - 2**-52
+    # is a line a hair off the vertical, 1 and 1.5 a slope distance no longer
+    # than the height difference; an altitude of -1e7 m, below the centre of
+    # the earth, leaves the rigorous formula undefined; 1e103 m overflows D0^3
+    rows_ = [(dp, ha, ha + f * dp) for dp, ha, f in rows_]
+
+    def scalar(dp, ha, hb):
+        de = reduce_to_ellipsoid(DistanceObservation(dp, ha, hb, wave), rigorous)
+        return de, reduce_to_plane(de, scale)
+
+    def kernel(*columns):
+        return reduce_columns(*columns, scale, wave, rigorous)
+
+    check(rows_, run(kernel, rows_), scalar, [(0.0, A)] * 2)
+
+
 @pytest.mark.parametrize("ell", [GRS80, get_ellipsoid("wgs84")])
 def test_latitude_from_isometric_array(ell):
     # values at and beyond the overflow of exp; the fixed point stops at a
@@ -370,8 +473,9 @@ def with_params(args, tmp_path):
     return [str(path) if a == "@params" else a for a in args]
 
 
-# the row-by-row commands: a valid row, then a row float() rejects and a row
-# the scalar API rejects, in either order; the first of the two decides
+# reduce and the datum transformations: a valid row, then a row float()
+# rejects and a row the scalar API rejects, in either order; the first of
+# the two decides
 ROW_CASES = [
     (["reduce"], "A,1000,10,20", "B,1e300,0,0", (3, "numerical error: OverflowError")),
     (["datum", "bw-apply", "--params", "@params"], "A,4e6,1e6,4.8e6", "B,inf,1e6,4.8e6",

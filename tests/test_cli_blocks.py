@@ -2,12 +2,14 @@
 
 Every CSV-to-CSV command keeps its input as raw lines and runs each block
 of rows through np.loadtxt (or csv.reader and float()), one array-kernel
-call and _settle, or the scalar API on each row, and the formatting.  The
-reference below is the whole-file path: it parses every row, checks the
-widths of all of them and makes one kernel call, or one scalar call per
-row.  With the block size patched to 1..7, every kind of row lands on
-either side of a block boundary, and both paths must give the same stdout,
-exit code and stderr.  At the end, np.loadtxt is checked against
+call and _settle, and the formatting.  The reference below is the
+whole-file path: it parses every row and checks the widths of all of them.
+For convert, project and geodesic it then makes one kernel call; for
+reduce and the datum transformations it makes one scalar call per row, so
+there it is the scalar oracle of their kernels.  With the block size
+patched to 1..7, every kind of row lands on either side of a block
+boundary, and both paths must give the same stdout, exit code and
+stderr.  At the end, np.loadtxt is checked against
 csv.reader and float() on the fields where they part.
 """
 
@@ -271,12 +273,13 @@ COMMANDS = {
     "geodesic inverse": (["geodesic", "inverse"], 5,
                          ["40,10,40.1,10.1", "41,11,40.9,11.2", "10,0,20,0"],
                          ["40,10,40,10", "0,0,0,199", "101,0,40,10", "40,nan,40,10"]),
-    # the commands that run the scalar API on each row
+    # the commands whose reference runs the scalar API on each row
     "reduce": (["reduce", "--rigorous", "--wave", "light"], 4,
                ["1000,100,120", "20000,1500,1600", "1e10,0,0"],
                ["-5,0,0", "100,0,200", "nan,0,0", "1e300,0,0"]),
     "datum bw-apply": (["datum", "bw-apply", "--params", "PARAMS"], 4,
-                       ["4e6,1e6,4.8e6", "6378137,0,0", "1e300,0,0"], ["nan,0,0", "1,inf,1"]),
+                       ["4e6,1e6,4.8e6", "6378137,0,0", "1e300,0,0"],
+                       ["nan,0,0", "1,inf,1", "1.7976931e308,0,0"]),  # the last overflows
     "datum molodensky": (["datum", "molodensky", "--shift=-168,-60,320"], 4,
                          ["40,10,0", "-30,150,2000", "40,10,1e300"],
                          ["101,0,0", "100,0,0", "40,nan,0"]),
@@ -285,7 +288,8 @@ COMMANDS = {
                                   ["40,10,0", "-30,150,2000", "0,-179.5,-50"],
                                   ["91,0,0", "90,0,0", "40,10,inf"]),
     "datum helmert2d-apply": (["datum", "helmert2d-apply", "--params", "PARAMS"], 3,
-                              ["500000,300000", "0,0", "-1e5,4e6"], ["nan,1", "0,-inf"]),
+                              ["500000,300000", "0,0", "-1e5,4e6"],
+                              ["nan,1", "0,-inf", "1.7976931e308,1.7976931e308"]),
 }
 KINDS = ["valid"] * 5 + ["fails", "short", "text", "quoted", "comment", "blank"]
 COMMENTS = ["#", "# a comment, with commas", '#x,"spans\nlines"', '#"q"']

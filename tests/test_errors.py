@@ -146,10 +146,22 @@ def test_malformed_option_exits_2_and_names_it(argv, needs, tmp_path, capsys):
     (["heights", "dynamic"], "n,g,dh\nA,1e300,1e300\n"),
     (["heights", "normal"], "n,g,dh\nA,1e300,1e300\nB,1e300,-1e300\n"),
     (["reduce", "--scale", "1e300"], "n,dp,ha,hb\nA,1e100,0,0\n"),
+    # each case below once exited 2 with a ValueError, the first after
+    # numpy's RuntimeWarning
+    (["datum", "bw-apply", "--params", '{"tx":0,"ty":0,"tz":0,"m":1e-4,"rx":0,"ry":0,"rz":0}'],
+     "n,x,y,z\nB,1.7976e308,0,0\n"),
+    (["datum", "helmert2d-apply", "--params", '{"tx":0,"ty":0,"u":1,"v":1}'],
+     "n,e,n\nB,1.79e308,1.79e308\n"),
 ])
 def test_overflow_exits_3(argv, text, tmp_path, capsys):
+    argv = list(argv)
+    for i, arg in enumerate(argv):  # a JSON argument stands for a file holding it
+        if arg.startswith("{"):
+            (tmp_path / "params.json").write_text(arg)
+            argv[i] = str(tmp_path / "params.json")
     assert run(argv, tmp_path, text) == 3
-    assert "OverflowError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical error: OverflowError" in err and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("argv,text", [
