@@ -31,7 +31,7 @@ from .core import (
     prime_vertical_radius,
     quiet,
 )
-from .coords import EcefCoord, GeodeticCoord, geodetic_columns
+from .coords import EcefCoord, GeodeticCoord, PolarAxis, geodetic_columns
 from .projections import PlaneCoord
 
 
@@ -356,6 +356,13 @@ def molodensky_abridged(
     return _molodensky(math, ell1, ell2, g.phi, g.lam, g.he, t, True)
 
 
+def _near_axis(xp, ell: Ellipsoid, phi, he):
+    """Whether a point lies within 1 m of the polar axis, |(N + he) cos(phi)|
+    < 1 m, where the longitude shift divides by about 0: the rule
+    coords.ecef_to_geodetic applies."""
+    return abs((prime_vertical_radius(ell, phi) + he) * xp.cos(phi)) < 1.0
+
+
 def _shifted(xp, ell1, ell2, phi, lam, he, t: tuple, abridged: bool) -> tuple:
     dphi, dlam, dhe = _molodensky(xp, ell1, ell2, phi, lam, he, t, abridged)
     return phi + dphi * ARCSEC, lam + dlam * ARCSEC, he + dhe
@@ -368,7 +375,10 @@ def apply_molodensky(
     t: tuple,
     abridged: bool = False,
 ) -> GeodeticCoord:
-    """System-2 geodetic coordinates of a system-1 point."""
+    """System-2 geodetic coordinates of a system-1 point; PolarAxis for a
+    point within 1 m of the polar axis."""
+    if _near_axis(math, ell1, g.phi, g.he):
+        raise PolarAxis("point too close to the polar axis")
     return GeodeticCoord(*_shifted(math, ell1, ell2, g.phi, g.lam, g.he, t, abridged))
 
 
@@ -376,8 +386,10 @@ def apply_molodensky(
 def molodensky_columns(ell1: Ellipsoid, ell2: Ellipsoid, phi, lam, he, t: tuple,
                        abridged: bool = False) -> tuple:
     """Array form of apply_molodensky over columns: (phi, lam, he, failed),
-    failed marking an input or result GeodeticCoord rejects."""
+    failed marking an input or result GeodeticCoord rejects, or an input
+    within 1 m of the polar axis."""
     phi, lam, ok = geodetic_columns(phi, lam, he)
+    ok &= ~_near_axis(npmath, ell1, phi, he)
     phi, lam, he = _shifted(npmath, ell1, ell2, phi, lam, he, t, abridged)
     phi, lam, valid = geodetic_columns(phi, lam, he)
     return phi, lam, he, ~(ok & valid)

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -375,6 +376,19 @@ class TestDatum:
         assert float(phi) == pytest.approx(ref.phi / GR, abs=1e-9)
         assert float(he) == pytest.approx(ref.he, abs=1e-4)
 
+    # a point at a pole, where the longitude shift divides by cos(phi) ~ 6e-17:
+    # such rows printed an arbitrary longitude or named a latitude past the
+    # pole that the input never held
+    @pytest.mark.parametrize("form", [[], ["--abridged"]], ids=["standard", "abridged"])
+    @pytest.mark.parametrize("row", ["P,100,250,0", "Q,100,250.000001,0", "P,100,10,0",
+                                     "P,-100,10,0"])
+    def test_molodensky_at_a_pole_exits_3(self, row, form, tmp_path, capsys):
+        code, err = _main_on(["datum", "molodensky", "--shift=-168,-60,320", *form],
+                             f"name,phi,lam,he\nA,40,10,0\n{row}\n", tmp_path, capsys)
+        assert code == 3
+        assert err == "numerical error: PolarAxis: point too close to the polar axis\n"
+        assert not (tmp_path / "out.csv").exists()
+
     def test_helmert2d(self, tmp_path):
         fit = run_cli(
             ["datum", "helmert2d-fit"],
@@ -616,6 +630,82 @@ def test_comment_over_the_csv_limit_is_dropped_with_or_without_quotes(quoted, tm
                              "-i", str(tmp_path / name)]))
     assert [proc.returncode for proc in outs] == [0, 0]
     assert outs[0].stdout == outs[1].stdout and outs[0].stdout.count("\n") == 2
+
+
+def test_importing_the_cli_loads_no_module_of_another_command():
+    # convert, project and geodesic run on what `import geodkit.cli` loads;
+    # every other command imports its own module when it runs
+    code = "import sys, geodkit.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "geodkit.cli" in loaded
+    deferred = {f"geodkit.{m}" for m in ("adjust", "datum", "heights", "orbits", "reductions",
+                                         "sphere")}
+    assert deferred.isdisjoint(loaded), sorted(deferred & set(loaded))
+
+
+CONVERT = ["convert", "--from", "geodetic", "--to", "ecef"]
+
+
+@pytest.fixture(scope="module")
+def rows_50k(tmp_path_factory):
+    """A 50 000-row geodetic CSV and the output of cli.main on it in-process."""
+    rng = np.random.default_rng(50)
+    path = tmp_path_factory.mktemp("exit") / "in.csv"
+    with open(path, "w") as fh:
+        fh.write("name,phi,lam,he\n")
+        for i, (phi, lam, he) in enumerate(zip(rng.uniform(-99, 99, 50_000).tolist(),
+                                               rng.uniform(-199, 199, 50_000).tolist(),
+                                               rng.uniform(-100, 3000, 50_000).tolist())):
+            fh.write(f"P{i},{phi!r},{lam!r},{he!r}\n")
+    out = path.with_name("main.csv")
+    assert cli.main([*CONVERT, "-i", str(path), "-o", str(out)]) == 0
+    return path, out.read_bytes()
+
+
+def stdout_env(buffered: bool) -> dict:
+    """The environment with stdout block-buffered, or unbuffered (-u)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_process_exit_keeps_every_byte(buffered, rows_50k, tmp_path):
+    # python -m geodkit.cli ends with os._exit: stdout must be flushed and the
+    # output file closed before it
+    path, want = rows_50k
+    for out in (None, tmp_path / "out.csv"):
+        proc = subprocess.run([sys.executable, "-m", "geodkit.cli", *CONVERT, "-i", str(path),
+                               *(["-o", str(out)] if out else [])],
+                              capture_output=True, env=stdout_env(buffered))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert (out.read_bytes() if out else proc.stdout) == want
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_reader_that_closes_the_pipe_early_gets_exit_2_and_one_line(buffered, rows_50k):
+    proc = subprocess.Popen([sys.executable, "-m", "geodkit.cli", *CONVERT, "-i",
+                             str(rows_50k[0])], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=stdout_env(buffered))
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err.count("\n") == 1 and err.startswith("input error: BrokenPipeError: "), err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_flush_that_fails_exits_2_naming_the_error(tmp_path):
+    # with stdout buffered the rows are written to the buffer and only the
+    # flush at the exit fails, which the interpreter's teardown reported as
+    # "Exception ignored" with exit 120
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "geodkit.cli", *CONVERT],
+                              input="name,phi,lam,he\nA,40,10,0\n", stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=stdout_env(True))
+    assert proc.returncode == 2
+    assert proc.stderr == "input error: OSError: [Errno 28] No space left on device\n"
 
 
 # the self-contained `printf ... | geodkit ...` examples of README.md, each

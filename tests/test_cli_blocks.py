@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodkit import cli, reductions
+from geodkit import cli, datum, reductions
 
 
 # -- the whole-file path -------------------------------------------------------
@@ -184,7 +184,7 @@ def reference_cmd_datum(args):
         params = cli._read_param_file(args.params)
 
         def row(*xyz):
-            out = cli.bursa_wolf_apply(params, cli.EcefCoord(*xyz))
+            out = datum.bursa_wolf_apply(params, cli.EcefCoord(*xyz))
             return out.x, out.y, out.z
 
         reference_per_row(args, "name,x[m],y[m],z[m]", 3, row)
@@ -195,18 +195,19 @@ def reference_cmd_datum(args):
         shift = tuple(map(float, args.shift.split(",")))
 
         def row(phi, lam, he):
-            g = cli.apply_molodensky(ell1, ell2, cli.GeodeticCoord(phi * factor, lam * factor, he),
-                                     shift, abridged=args.abridged)
+            g = datum.apply_molodensky(ell1, ell2,
+                                       cli.GeodeticCoord(phi * factor, lam * factor, he),
+                                       shift, abridged=args.abridged)
             return g.phi / factor, g.lam / factor, g.he
 
         reference_per_row(args, f"name,phi[{unit}],lam[{unit}],he[m]", 3, row)
     else:
         assert args.op == "helmert2d-apply", args.op
         doc = cli._read_json(args.params)
-        params = cli.Helmert2DParams(*(cli.json_number(doc, k) for k in ("tx", "ty", "u", "v")))
+        params = datum.Helmert2DParams(*(cli.json_number(doc, k) for k in ("tx", "ty", "u", "v")))
 
         def row(e, n):
-            out = cli.helmert2d_apply(params, cli.PlaneCoord(e, n))
+            out = datum.helmert2d_apply(params, cli.PlaneCoord(e, n))
             return out.e, out.n
 
         reference_per_row(args, "name,e[m],n[m]", 2, row)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -12,8 +13,15 @@ from hypothesis import strategies as st
 
 from geodkit import datum
 from geodkit.adjust import check_condition
-from geodkit.coords import EcefCoord, GeodeticCoord, ecef_to_geodetic, geodetic_to_ecef
-from geodkit.core import get_ellipsoid, meridian_radius, prime_vertical_radius, ARCSEC
+from geodkit.coords import (
+    EcefCoord,
+    GeodeticCoord,
+    PolarAxis,
+    ecef_to_geodetic,
+    geodetic_columns,
+    geodetic_to_ecef,
+)
+from geodkit.core import ARCSEC, get_ellipsoid, meridian_radius, npmath, prime_vertical_radius
 from geodkit.datum import (
     BursaWolfParams,
     Helmert2DParams,
@@ -599,6 +607,66 @@ class TestMolodensky:
             rho = meridian_radius(wgs84, g.phi)
             assert abs(std[0] - abr[0]) * ARCSEC * rho < 1e-3
             assert abs(std[2] - abr[2]) < 1e-3
+
+    # the rows at a pole of the CLI test of the same name, in gr
+    POLE_ROWS = [(100, 250), (100, 250.000001), (100, 10), (-100, 10)]
+    SHIFT = (-168.0, -60.0, 320.0)
+
+    @pytest.mark.parametrize("abridged", [False, True])
+    @pytest.mark.parametrize("phi, lam", POLE_ROWS)
+    def test_pole_is_on_the_polar_axis(self, clarke_fr, wgs84, phi, lam, abridged):
+        g = GeodeticCoord(phi * GR, lam * GR, 0.0)
+        with pytest.raises(PolarAxis):
+            apply_molodensky(clarke_fr, wgs84, g, self.SHIFT, abridged)
+        *_, failed = datum.molodensky_columns(clarke_fr, wgs84, np.array([g.phi]),
+                                              np.array([g.lam]), np.zeros(1), self.SHIFT,
+                                              abridged)
+        assert failed.tolist() == [True]
+
+    @pytest.mark.parametrize("abridged", [False, True])
+    def test_within_a_metre_of_the_axis(self, wgs84, abridged):
+        n_pole = prime_vertical_radius(wgs84, math.pi / 2)
+        for d, inside in ((0.5, True), (0.99, True), (1.01, False), (2.0, False)):
+            for sign in (1.0, -1.0):
+                g = GeodeticCoord(sign * math.acos(d / n_pole), math.pi, 0.0)
+                *_, failed = datum.molodensky_columns(
+                    wgs84, wgs84, np.array([g.phi]), np.array([g.lam]), np.zeros(1),
+                    (0.0, 0.0, 0.0), abridged)
+                assert failed.tolist() == [inside], (d, sign)
+                if inside:
+                    with pytest.raises(PolarAxis):
+                        apply_molodensky(wgs84, wgs84, g, (0.0, 0.0, 0.0), abridged)
+                else:
+                    apply_molodensky(wgs84, wgs84, g, (0.0, 0.0, 0.0), abridged)
+
+    @pytest.mark.parametrize("abridged", [False, True])
+    def test_rows_off_the_axis_keep_their_values(self, clarke_fr, wgs84, abridged):
+        # the axis test is all that changed: off the axis both forms give
+        # what the shift formula, datum._shifted, gives, bit for bit
+        rng = np.random.default_rng(20)
+        n_pole = prime_vertical_radius(clarke_fr, math.pi / 2)
+        near = np.arccos(np.geomspace(2.0, 1e3, 50) / n_pole)  # 2 m to 1 km off the axis
+        phi = np.concatenate([rng.uniform(-math.pi / 2, math.pi / 2, 1000), near, -near])
+        lam = rng.uniform(-4.0, 4.0, phi.size)
+        he = np.concatenate([rng.uniform(-1e4, 1e7, 1000), np.zeros(2 * near.size)])
+
+        phi_in, lam_in, ok = geodetic_columns(phi, lam, he)
+        want = datum._shifted(npmath, clarke_fr, wgs84, phi_in, lam_in, he, self.SHIFT, abridged)
+        want_phi, want_lam, valid = geodetic_columns(*want)
+        got = datum.molodensky_columns(clarke_fr, wgs84, phi, lam, he, self.SHIFT, abridged)
+        for g, w in zip(got, (want_phi, want_lam, want[2], ~(ok & valid))):
+            np.testing.assert_array_equal(g, w)
+
+        for row in zip(phi.tolist(), lam.tolist(), he.tolist()):
+            g = GeodeticCoord(*row)
+            try:
+                want = GeodeticCoord(*datum._shifted(math, clarke_fr, wgs84, g.phi, g.lam,
+                                                     g.he, self.SHIFT, abridged))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    apply_molodensky(clarke_fr, wgs84, g, self.SHIFT, abridged)
+            else:
+                assert apply_molodensky(clarke_fr, wgs84, g, self.SHIFT, abridged) == want
 
 
 class TestHelmert2D:
