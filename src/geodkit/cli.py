@@ -8,19 +8,17 @@ are reproducible byte for byte.
 Every CSV command keeps its input as raw lines and parses it in blocks of
 rows (_Rows), so the working memory is the input text, the output text and
 one block: one np.loadtxt call, or csv.reader and float() where loadtxt
-would read the block otherwise, and for every parse error.  Each
-CSV-to-CSV command (convert, project, geodesic, reduce, and datum
-bw-apply, molodensky and helmert2d-apply) declares its numeric columns,
-angle or not, its scalar API call on one row and its array kernel, and
-runs through one table runner, _table, which formats a block with one
-"%s,%.12g,..." template.  dop, heights and the datum fits read their
-columns through _Rows too; adjust takes its rows from the same
-reader and parses their mixed names and numbers itself.  Output is all or
-nothing: it is written once, after the last block has passed, and the
-first failing data row in file order decides the error, which is the one
-the scalar API raises on that row.  Errors in the input itself come first,
-as if the whole file were read before any row is computed: a field longer
-than csv.field_size_limit(), then a row with too few fields.
+would read the input otherwise or rejects a field.  Each CSV-to-CSV command
+(convert, project, geodesic, reduce, and datum bw-apply, molodensky and
+helmert2d-apply) declares its numeric columns, angle or not, its scalar
+API call on one row and its array kernel, and runs through one table
+runner, _table, which formats a block with one "%s,%.12g,..." template.
+dop, heights and the datum fits read their columns through _Rows too;
+adjust parses the mixed names and numbers of its rows itself.  Output is
+all or nothing: it is written once, after the last block has passed, and
+the first failing data row in file order decides the error, which is the
+one the scalar API raises on that row.  The input's own errors come first:
+a csv error, raised as _read_csv reads the input, then a short row.
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical error.  The class
 of the exception decides: any ArithmeticError, which includes every
@@ -37,9 +35,10 @@ whose kernels stay bound in this namespace, where the benchmark's CLI
 tracer and the tests find them.  Every other command imports its own
 module when it runs (adjust, datum, heights, orbits, reductions, sphere),
 so this module does not re-export their names.  run(), the process entry,
-ends with os._exit once main() has returned and stdout is flushed: that
-skips the interpreter's teardown, 15-20 ms a call (``import numpy`` alone
-took 128/162 ms, min/median of 25 runs, and 112/143 ms with os._exit).
+ends with os._exit once main() has written and flushed every output inside
+its one try: that skips the interpreter's teardown, 15-20 ms a call
+(``import numpy`` alone took 128/162 ms, min/median of 25 runs, and
+112/143 ms with os._exit).
 """
 
 from __future__ import annotations
@@ -93,8 +92,8 @@ from .projections import (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+_NUMBER = "%.12g"  # every number the CLI prints: 12 significant digits
+_fmt = _NUMBER.__mod__
 
 
 # data rows per block of the CSV commands: small enough that a block's
@@ -103,15 +102,11 @@ def _fmt(x: float) -> str:
 _BLOCK_ROWS = 8192
 
 
-def _csv_error(exc, row: int) -> ValueError:
-    return ValueError(f"data row {row}: {exc}" if row else f"header: {exc}")
-
-
 def _records(lines) -> list:
-    """The header and data rows of lines that hold quotes, each as the text
-    of its record: a quoted field may span lines.  In a record that starts
-    with "#", a comment, csv.reader sees each run of characters other than
-    quotes, commas and line ends as one "#": no field of it is long."""
+    """The header and data rows of lines that csv.reader must read, each as
+    the text of its record: a quoted field may span lines.  In a record that
+    starts with "#", a comment, csv.reader sees each run of characters other
+    than quotes, commas and line ends as one "#": no field of it is long."""
     records, start, end = [], 0, 0  # csv.reader reads the record lines[start:end]
 
     def comments_masked():
@@ -126,14 +121,14 @@ def _records(lines) -> list:
             if row and not row[0].startswith("#"):
                 records.append("".join(lines[start:end]))
             start = end
-    except csv.Error as exc:
-        raise _csv_error(exc, len(records)) from None
+    except csv.Error as exc:  # in the header, or in data row len(records)
+        row = len(records)
+        raise ValueError(f"data row {row}: {exc}" if row else f"header: {exc}") from None
     return records
 
 
 class _CsvRows(list):
-    """Data rows that np.loadtxt would read otherwise than csv.reader and
-    float(): a quote, a NUL (Python 3.10's csv rejects it) or \\x1c-\\x1f."""
+    """Data rows that csv.reader and float() must parse (see _read_csv)."""
 
 
 def _read_csv(path):
@@ -142,27 +137,30 @@ def _read_csv(path):
     Blank lines and rows whose first field starts with "#" are dropped.
     Each data row is the text of one CSV record, line ending included, so
     one csv.reader over the list yields one row per element.
+
+    csv.reader reads the rows here, through _records, and they come as a
+    _CsvRows, when loadtxt would read them otherwise or csv.reader may
+    reject them: in an input with a quote, a NUL, \\x1c-\\x1f or a CR inside
+    a line (stdin splits at LF only), or with a row as long as
+    csv.field_size_limit().  So every csv error is raised here.
     """
     if path in (None, "-"):
         lines = list(sys.stdin)
     else:
         with open(path, newline="") as fh:
             lines = list(fh)
-    text = "".join(lines)  # one scan of it for each character tested
-    quoted, csv_only = '"' in text, any(c in text for c in '"\0\x1c\x1d\x1e\x1f')
+    text = "\n".join(lines)  # one scan of it per test; a CR ending a line meets "\n"
+    quoted = '"' in text
+    csv_only = (any(c in text for c in '"\0\x1c\x1d\x1e\x1f')
+                or "\r" in text and re.search("\r[^\r\n]", text))  # a CR inside a line
     del text
-    if quoted:
-        lines = _records(lines)
-    else:  # without quotes each line is a record, and "#", "\r" or "\n" starts no row
+    if not quoted:  # each line is a record, and "#", "\r" or "\n" starts no row
         lines = [line for line in lines if line[0] not in "#\r\n"]
-    if csv_only:
-        lines = _CsvRows(lines)
+    if csv_only or max(map(len, lines), default=0) >= csv.field_size_limit():
+        lines = _CsvRows(_records(lines))
     if not lines:
         raise ValueError("empty input")
-    try:
-        header = next(csv.reader(lines[:1]))
-    except csv.Error as exc:
-        raise _csv_error(exc, 0) from None
+    header = next(csv.reader(lines[:1]))
     del lines[0]
     return header, lines
 
@@ -172,8 +170,8 @@ class _Rows:
     lines, each checked to hold at least `width` fields.
 
     As a context manager it keeps the input's own errors first: an exception
-    raised in the with-block gives way to a csv error or a short row among
-    the rows not yet parsed.  Only that error path parses them early.
+    raised in the with-block gives way to a short row among the rows not yet
+    parsed (_read_csv has raised any csv error).  Only that path parses early.
     """
 
     def __init__(self, path, width: int):
@@ -197,49 +195,42 @@ class _Rows:
         self.taken += len(block)
         return block
 
-    def _parse(self, lines, width: int = 0) -> list:
-        """lines, the block taken last, parsed; the first row with fewer than
-        width fields raises, once the rows after it have no csv error."""
-        reader = csv.reader(lines)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            row, self.lines = self.taken - len(lines) + reader.line_num, []
-            raise _csv_error(exc, row) from None
+    def _parse(self, lines) -> list:
+        """lines, the block taken last, parsed; its first short row raises at
+        once, dropping the rows not taken, so no later one can take its place."""
+        rows, width = list(csv.reader(lines)), self.width
         if min(map(len, rows)) < width:
+            self.lines = []
             i, row = next((i, row) for i, row in enumerate(rows) if len(row) < width)
             i += self.taken - len(rows) + 1
-            while lines := self._take():
-                self._parse(lines)
             raise ValueError(f"data row {i}: expected at least {width} fields, got {len(row)}")
         return rows
 
     def blocks(self):
         """Each block of rows, parsed by csv.reader, in file order."""
         while lines := self._take():
-            yield self._parse(lines, self.width)
+            yield self._parse(lines)
 
     def columns(self, count: int):
         """(names, columns) per block: column j holds field j as a float, for
         j in 1..count.
 
-        One np.loadtxt reads a block, unless a line is as long as
-        csv.field_size_limit() or the input is a _CsvRows; then, or if it
-        raises a ValueError, csv.reader and float() parse the block.  A row
-        with a field float() rejects ends the blocks: the rows before it come
-        as the last block, and the ValueError naming it is raised when the
-        next block is asked for, so only once those rows have passed.
+        One np.loadtxt reads a block, unless the input is a _CsvRows; then,
+        or if it raises a ValueError, csv.reader and float() parse the block.
+        A row with a field float() rejects ends the blocks: the rows before it
+        come as the last block, and the ValueError naming it is raised when
+        the next block is asked for, so only once those rows have passed.
         """
         plain = not isinstance(self.lines, _CsvRows)
         while lines := self._take():
             try:
-                if not plain or max(map(len, lines)) >= csv.field_size_limit():
+                if not plain:
                     raise ValueError
                 names, error = [line.partition(",")[0] for line in lines], None
                 values = np.loadtxt(lines, delimiter=",", usecols=range(1, count + 1),
                                     comments=None, ndmin=2, dtype=float)
             except ValueError:
-                rows, values, error = self._parse(lines, self.width), [], None
+                rows, values, error = self._parse(lines), [], None
                 for i, row in enumerate(rows):
                     try:
                         values.append([float(v) for v in row[1:count + 1]])
@@ -296,7 +287,7 @@ def _table(rows, unit, inputs, outputs, scalar, kernel) -> list:
     angle_in = [not c.endswith("]") for c in inputs]
     angle_out = [not c.endswith("]") for c in outputs]
     out = ["name," + ",".join(c + (f"[{unit}]" if a else "") for c, a in zip(outputs, angle_out))]
-    line = "%s," + ",".join(["%.12g"] * len(outputs))
+    line = "%s," + ",".join([_NUMBER] * len(outputs))
     with rows:
         for names, columns in rows.columns(len(inputs)):
             columns = [c * factor if a else c for c, a in zip(columns, angle_in)]
@@ -734,20 +725,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.list_ellipsoids:
-        for key in sorted(REGISTRY):
-            e = REGISTRY[key]
-            print(f"{key}: a={_fmt(e.a)} 1/f={_fmt(e.inv_f)}")
-        return 0
-    if args.list_projections:
-        for name in list_projections():
-            print(name)
-        return 0
-    if not getattr(args, "func", None):
+    if not (args.list_ellipsoids or args.list_projections or getattr(args, "func", None)):
         ap.print_usage(sys.stderr)
         return 2
     try:
-        args.func(args)
+        if args.list_ellipsoids:
+            _write_lines([f"{key}: a={_fmt(e.a)} 1/f={_fmt(e.inv_f)}"
+                          for key, e in sorted(REGISTRY.items())], None)
+        elif args.list_projections:
+            _write_lines(list_projections(), None)
+        else:
+            args.func(args)
+        sys.stdout.flush()  # a buffered write fails here, not after main()
     except ArithmeticError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -760,19 +749,13 @@ def main(argv=None) -> int:
 def run():
     """The process entry of ``geodkit`` and ``python -m geodkit.cli``.
 
-    Runs main(), flushes stdout and stderr and ends the process with
-    os._exit, so the call skips the interpreter's teardown.  Every output
-    file is closed by then and geodkit registers no atexit handler.  A
-    stdout flush that fails exits 2, named on stderr as main() names a
-    failed write.  An exception that escapes main(), argparse's SystemExit
+    Runs main(), flushes stderr and ends the process with os._exit, so the
+    call skips the interpreter's teardown.  main() has flushed stdout and
+    closed every output file by then, and geodkit registers no atexit
+    handler.  An exception that escapes main(), argparse's SystemExit
     included, takes the interpreter's usual exit, with its teardown.
     """
     code = main()
-    try:
-        sys.stdout.flush()
-    except OSError as exc:  # reported as main() reports a failed write
-        print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        code = 2
     sys.stderr.flush()
     os._exit(code)
 

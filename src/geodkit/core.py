@@ -118,6 +118,10 @@ ANGLE_UNITS = {"gr": GRAD, "deg": DEG, "rad": 1.0, "dmgr": DMGR, "arcsec": ARCSE
 # physical constants, kept in this one table
 GM_EARTH = 3.986005e14    # geocentric gravitational constant (GRS80), m^3 s^-2
 EARTH_RADIUS = 6378000.0  # mean earth radius of the worked reductions and of Ellipsoid.sphere, m
+MEAN_RADIUS = 6371000.0   # mean earth radius of normal_height's mean normal gravity, m
+# closed normal potential constants (GRS80 set), with GM_EARTH and OMEGA_GRS80
+A_SEMI = 6378137.00       # m
+J2 = 108263e-8
 # earth rotation rate, rad/s: GRS80's defining value (normal gravity, heights)
 # and the GPS interface value of IS-GPS-200 (orbit --spin); each is the one its
 # formulas were published with, and they differ by 1.5e-12 rad/s, 2e-8 relative

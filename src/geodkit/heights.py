@@ -11,14 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import A_SEMI, J2, MEAN_RADIUS
 from .core import GM_EARTH as GM
 from .core import OMEGA_GRS80 as OMEGA
-
-MEAN_RADIUS = 6371000.0
-
-# closed normal potential constants (GRS80 set), with GM and OMEGA from core
-A_SEMI = 6378137.00     # m
-J2 = 108263e-8
 
 # sin^2(2 phi) coefficient of the 1930 normal gravity formula; the
 # compatibility value 0.000059 appears in some prints and overstates the

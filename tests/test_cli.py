@@ -708,6 +708,36 @@ def test_stdout_flush_that_fails_exits_2_naming_the_error(tmp_path):
     assert proc.stderr == "input error: OSError: [Errno 28] No space left on device\n"
 
 
+LISTINGS = ["--list-ellipsoids", "--list-projections"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("option", LISTINGS)
+def test_listing_to_a_full_disk_exits_2_naming_the_error(option, buffered):
+    # a listing that cannot be written fails as a command's output does
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "geodkit.cli", option], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=stdout_env(buffered))
+    assert proc.returncode == 2
+    assert proc.stderr == "input error: OSError: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("option", LISTINGS)
+def test_listing_into_a_closed_pipe_exits_2_naming_the_error(option, buffered):
+    read, write = os.pipe()
+    os.close(read)  # closed before the listing is written, so every write fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "geodkit.cli", option], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=stdout_env(buffered))
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    err = proc.stderr
+    assert err.count("\n") == 1 and err.startswith("input error: BrokenPipeError: "), err
+
+
 # the self-contained `printf ... | geodkit ...` examples of README.md, each
 # followed there by its output as "#   " comment lines
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

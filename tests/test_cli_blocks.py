@@ -393,6 +393,37 @@ def test_field_over_the_csv_limit_beats_every_other_error():
                    f"({csv.field_size_limit()})\n")
 
 
+@pytest.mark.parametrize("name", ["P", '"P"'], ids=["plain", "quoted"])
+def test_read_csv_raises_the_csv_error_itself(name, tmp_path):
+    # the blocks never meet a csv error: _read_csv raises it as it reads the
+    # input, naming its data row; a comment over the limit is no error
+    path, head = tmp_path / "in.csv", f"h,h,h\n# {'x' * LIMIT}\n{name},1,2\n"
+    path.write_text(head + "Q,3,4\n")
+    assert cli._read_csv(str(path)) == (["h", "h", "h"], [f"{name},1,2\n", "Q,3,4\n"])
+    path.write_text(head + f"Q,3,{'9' * (LIMIT + 1)}\n")
+    error = rf"^data row 2: field larger than field limit \({LIMIT}\)$"
+    with pytest.raises(ValueError, match=error):
+        cli._read_csv(str(path))
+
+
+@pytest.mark.parametrize("text,rows", [
+    ("h,h,h\nP,1\r2,3\n", "data row 1: new-line character seen in unquoted field"),
+    ("h\rh,h\nP,1,2\n", "header: new-line character seen in unquoted field"),
+    # CR line ends; a CR in a comment, or at the start of a line, which is dropped
+    ("h,h,h\r\nP,1,2\r\r\nQ,3,4\r", ["P,1,2\r\r\n", "Q,3,4\r"]),
+    ("h,h,h\n#a\rb\n\rP,1\nQ,3,4\n", ["Q,3,4\n"]),
+])
+def test_read_csv_raises_a_cr_inside_a_row_of_stdin(text, rows, monkeypatch):
+    # stdin splits lines at LF only, so a CR may stand inside a row, which
+    # csv.reader rejects
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    if isinstance(rows, list):
+        assert cli._read_csv("-") == (["h", "h", "h"], rows)
+    else:
+        with pytest.raises(ValueError, match=f"^{rows}"):
+            cli._read_csv("-")
+
+
 # -- working memory -------------------------------------------------------------
 ROWS = 50_000
 # bytes of Python allocations per input row at the peak of a geodesic command,
