@@ -13,6 +13,8 @@ would read the input otherwise or rejects a field.  Each CSV-to-CSV command
 helmert2d-apply) declares its numeric columns, angle or not, its scalar
 API call on one row and its array kernel, and runs through one table
 runner, _table, which formats a block with one "%s,%.12g,..." template.
+_table runs an input of two blocks or more in one share per usable CPU,
+all but the first in forked children, each holding only its share (_shared).
 dop, heights and the datum fits read their columns through _Rows too;
 adjust parses the mixed names and numbers of its rows itself.  Output is
 all or nothing: it is written once, after the last block has passed, and
@@ -47,8 +49,10 @@ import argparse
 import csv
 import json
 import os
+import pickle
 import re
 import sys
+import warnings
 from contextlib import contextmanager, nullcontext
 from functools import partial
 from operator import attrgetter
@@ -177,7 +181,7 @@ class _Rows:
     def __init__(self, path, width: int):
         self.width = width
         self.lines = _read_csv(path)[1]
-        self.taken = 0  # data rows taken so far
+        self.taken, self.short = 0, False  # data rows taken so far; a short row raised?
 
     def __enter__(self):
         return self
@@ -200,7 +204,7 @@ class _Rows:
         once, dropping the rows not taken, so no later one can take its place."""
         rows, width = list(csv.reader(lines)), self.width
         if min(map(len, rows)) < width:
-            self.lines = []
+            self.lines, self.short = [], True
             i, row = next((i, row) for i, row in enumerate(rows) if len(row) < width)
             i += self.taken - len(rows) + 1
             raise ValueError(f"data row {i}: expected at least {width} fields, got {len(row)}")
@@ -273,9 +277,63 @@ def _map_rows(path, count: int, row) -> list:
                 for r in map(row, *(c.tolist() for c in columns))]
 
 
+def _shared(rows, body) -> list:
+    """list(body(rows)) run in one share of rows per usable CPU, cut at block
+    boundaries, each share but the first in a forked child piping back its list
+    or error; raises the first short row, else the first error in file order."""
+
+    def run(rows) -> tuple:  # (whether a short row raised, the list or the Exception)
+        try:
+            with rows:
+                return False, list(body(rows))
+        except Exception as exc:
+            return rows.short, exc
+
+    lines, blocks = rows.lines, -(-len(rows.lines) // _BLOCK_ROWS)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    shares = max(1, min(cpus or 1, blocks) if hasattr(os, "fork") else 1)
+    cuts = [blocks * i // shares * _BLOCK_ROWS for i in range(shares)] + [len(lines)]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for start, end in zip(cuts[1:], cuts[2:]):
+            read, write = os.pipe()
+            with warnings.catch_warnings():  # 3.12 warns of BLAS threads, to stderr under -m
+                warnings.filterwarnings("ignore", "This process .*use of fork", DeprecationWarning)
+                pid = os.fork()
+            if not pid:
+                try:  # the write fails once the parent has died
+                    for fd in [read, *(fh.fileno() for _, fh in children)]:
+                        os.close(fd)
+                    rows.lines, rows.taken = type(lines)(lines[start:end]), start
+                    short, result = run(rows)
+                    if isinstance(result, Exception):  # as class, message and exit class
+                        result = type(result).__module__, type(result).__name__, str(result), next(
+                            (c for c in (ArithmeticError, OSError, ValueError, KeyError)
+                             if isinstance(result, c)), Exception)
+                    with open(write, "wb") as fh:
+                        pickle.dump((short, result), fh)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        del lines[cuts[1]:]
+        results = [run(rows)] + [pickle.load(fh) for _, fh in children]
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.waitpid(pid, 0)
+    error = max(results, key=lambda r: (not isinstance(r[1], list), r[0]))[1]
+    if isinstance(error, list):
+        return [item for _, result in results for item in result]
+    if isinstance(error, tuple):
+        module, name, text, base = error
+        error = type(name, (base,), {"__module__": module, "__str__": lambda _: text})()
+    raise error
+
+
 def _table(rows, unit, inputs, outputs, scalar, kernel) -> list:
     """The header and, per block of rows, one string of their output lines:
-    each row's name and outputs to 12 digits.
+    each row's name and outputs to 12 digits, run in shares (_shared).
 
     inputs and outputs name the numeric columns as the header tags them; one
     with no unit tag is an angle in unit, multiplied into radians on input
@@ -286,16 +344,18 @@ def _table(rows, unit, inputs, outputs, scalar, kernel) -> list:
     factor = ANGLE_UNITS.get(unit)
     angle_in = [not c.endswith("]") for c in inputs]
     angle_out = [not c.endswith("]") for c in outputs]
-    out = ["name," + ",".join(c + (f"[{unit}]" if a else "") for c, a in zip(outputs, angle_out))]
     line = "%s," + ",".join([_NUMBER] * len(outputs))
-    with rows:
+
+    def share(rows):
         for names, columns in rows.columns(len(inputs)):
             columns = [c * factor if a else c for c, a in zip(columns, angle_in)]
             *values, failed = kernel(*columns)
             _settle(failed, values, scalar, *columns)
             values = [(v / factor if a else v).tolist() for v, a in zip(values, angle_out)]
-            out.append("\n".join(map(line.__mod__, zip(names, *values))))
-    return out
+            yield "\n".join(map(line.__mod__, zip(names, *values)))
+
+    return ["name," + ",".join(c + (f"[{unit}]" if a else "") for c, a in zip(outputs, angle_out)),
+            *_shared(rows, share)]
 
 
 def _read_json(path) -> dict:

@@ -56,8 +56,8 @@ def solve_kepler(mean_anomaly: float, e: float) -> float:
     """Eccentric anomaly E with E - e sin E = M.
 
     Newton-style corrections dE = (M - E + e sin E)/(1 - e cos E) seeded
-    with E = M + e sin M; falls back to bisection when the correction
-    misbehaves (high eccentricity near perigee).
+    with E = M + e sin M, the last taken from a residual under _KEPLER_TOL;
+    falls back to bisection when the correction misbehaves (high eccentricity near perigee).
     """
     if not 0.0 <= e < 1.0:
         raise ValueError("eccentricity must be in [0, 1)")
@@ -68,12 +68,12 @@ def solve_kepler(mean_anomaly: float, e: float) -> float:
     big_e = m_wrapped + e * math.sin(m_wrapped)
     for _ in range(50):
         err = m_wrapped - big_e + e * math.sin(big_e)
-        if abs(err) < _KEPLER_TOL:
-            return big_e + turns
         delta = err / (1.0 - e * math.cos(big_e))
         if abs(delta) > 1.0:
             break  # Newton diverging; bisect instead
         big_e += delta
+        if abs(err) < _KEPLER_TOL:
+            return big_e + turns
     else:
         raise NonConvergence("solve_kepler: Newton stalled")
 

@@ -9,7 +9,9 @@ reduce and the datum transformations it makes one scalar call per row, so
 there it is the scalar oracle of their kernels.  With the block size
 patched to 1..7, every kind of row lands on either side of a block
 boundary, and both paths must give the same stdout, exit code and
-stderr.  At the end, np.loadtxt is checked against
+stderr.  With the usable CPUs patched too, an input of several blocks runs
+in shares, all but the first in forked children, which must give the same
+and leave no process behind.  At the end, np.loadtxt is checked against
 csv.reader and float() on the fields where they part.
 """
 
@@ -17,6 +19,8 @@ import contextlib
 import csv
 import io
 import os
+import pickle
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -381,6 +385,160 @@ def test_error_order_holds_across_blocks(argv, lines, error, block):
     text = ",".join(["h"] * width) + "\n" + "\n".join(lines) + "\n"
     code, out, err = assert_same_as_whole_file(argv, text, block)
     assert code in (2, 3) and out == "" and err.startswith(error), err
+
+
+# -- shares across CPUs ---------------------------------------------------------
+@contextlib.contextmanager
+def usable_cpus(count):
+    """count usable CPUs for _shared; yields the pids this process forks."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    with mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)), create=True), \
+            mock.patch.object(os, "fork", counted):
+        yield forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a row that fails in each way, for convert --from ecef: exit 2, 2 and 3
+FAILING = {"short": "S,1", "text": "T,x,1,1", "numerical": POLAR}
+
+
+@pytest.mark.parametrize("later", [None, *((kind, row) for kind in FAILING for row in (2, 5))])
+@pytest.mark.parametrize("first", [None, *FAILING])
+def test_shares_match_the_whole_file_path(first, later):
+    # 6 rows in blocks of 2 on 3 CPUs: this process runs rows 0-1, one child
+    # rows 2-3 and another rows 4-5; a short row in any share wins, then the
+    # first failing row
+    rows = [*GOOD_XYZ, GOOD_XYZ[0]]
+    if first:
+        rows[1] = FAILING[first]
+    if later:
+        later, row = later
+        rows[row] = FAILING[later]
+    text = "h,h,h,h\n" + "\n".join(rows) + "\n"
+    with usable_cpus(3) as forks:
+        got = outcome(CONVERT_INV, text, 2)
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert got == outcome(CONVERT_INV, text)
+    kinds = [kind for kind in (first, later) if kind]
+    assert got[0] == (0 if not kinds else 2 if "short" in kinds
+                      else {"numerical": 3, "text": 2}[kinds[0]]), got
+
+
+@pytest.mark.parametrize("error_row,short_row", [(0, 2), (4, 6)], ids=["first", "later"])
+def test_a_short_row_after_an_error_in_the_same_share_wins(error_row, short_row):
+    # 8 rows in blocks of 2 on 2 CPUs: two blocks a share, an error in the
+    # first block of a share and a short row in its second
+    rows = [*GOOD_XYZ, *GOOD_XYZ[:3]]
+    rows[error_row], rows[short_row] = POLAR, "S,1"
+    text = "h,h,h,h\n" + "\n".join(rows) + "\n"
+    with usable_cpus(2) as forks:
+        got = outcome(CONVERT_INV, text, 2)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert got == outcome(CONVERT_INV, text) == (
+        2, "", f"input error: ValueError: data row {short_row + 1}: expected at least 4 fields, "
+               "got 2\n")
+
+
+def test_a_quoted_input_is_split_into_csv_rows():
+    # a child's share of a _CsvRows is one too: as a plain list its rows
+    # would go to np.loadtxt, which keeps the quotes of a name
+    rows = [GOOD_XYZ[0], '"Q,1",4e6,1e5,4.8e6', '"Q2",6378137,0,0', GOOD_XYZ[1]]
+    text = "h,h,h,h\n" + "\n".join(rows) + "\n"
+    with usable_cpus(2) as forks:
+        got = outcome(CONVERT_INV, text, 2)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert got == outcome(CONVERT_INV, text) and got[0] == 0 and "\nQ2," in got[1]
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["valid", "fails"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_table_command_runs_in_shares(command, fails):
+    # 7 rows in 4 blocks of 2 on 3 CPUs: shares of 1, 1 and 2 blocks
+    argv, width, valid, failing = COMMANDS[command]
+    rows = [f"P{i},{valid[i % 2]}" for i in range(7)]
+    if fails:
+        rows[5] = f"F,{failing[0]}"
+    text = ",".join(["h"] * width) + "\n" + "\n".join(rows) + "\n"
+    with usable_cpus(3) as forks:
+        got = outcome(argv, text, 2)
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert got == outcome(argv, text) and (got[0] != 0) == fails, got
+
+
+def test_one_block_runs_in_this_process():
+    text = "h,h,h,h\n" + "\n".join(GOOD_XYZ) + "\n"
+    with usable_cpus(4) as forks:
+        got = outcome(CONVERT_INV, text, 8192)
+    assert forks == [] and got == outcome(CONVERT_INV, text)
+
+
+@pytest.mark.parametrize("base", [ArithmeticError, KeyError])
+def test_an_error_that_does_not_pickle_crosses_by_name(base, monkeypatch):
+    class Unpicklable(base):  # a local class: pickle cannot name it
+        pass
+
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(Unpicklable("row B"))
+    kernel = cli.ecef_to_geodetic_array
+
+    def failing(ell, x, *yz):
+        if (x == 5.0).any():
+            raise Unpicklable("row B")
+        return kernel(ell, x, *yz)
+
+    monkeypatch.setattr(cli, "ecef_to_geodetic_array", failing)
+    text = "h,h,h,h\n" + "\n".join([*GOOD_XYZ[:3], "B,5,0,0"]) + "\n"
+    with usable_cpus(2) as forks:
+        got = outcome(CONVERT_INV, text, 2)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert got == outcome(CONVERT_INV, text) == (
+        (3, "", "numerical error: Unpicklable: row B\n") if base is ArithmeticError
+        else (2, "", "input error: Unpicklable: 'row B'\n"))
+
+
+@pytest.fixture(scope="module")
+def two_blocks(tmp_path_factory):
+    """A CSV of convert --from ecef rows one longer than a block."""
+    path = tmp_path_factory.mktemp("shares") / "in.csv"
+    with open(path, "w") as fh:
+        fh.write("h,h,h,h\n")
+        fh.writelines(f"Q{i},4e6,{i},4.8e6\n" for i in range(cli._BLOCK_ROWS + 1))
+    return str(path)
+
+
+@pytest.mark.parametrize("flags", [[], ["-W", "error::DeprecationWarning"],
+                                   ["-W", "always::DeprecationWarning"]])
+def test_a_run_in_shares_writes_nothing_to_stderr(flags, two_blocks):
+    # Python 3.12 warns at a fork in a process with threads, numpy's BLAS
+    # pool being one, and shows it under python -m geodkit.cli
+    proc = subprocess.run([sys.executable, *flags, "-m", "geodkit.cli", *CONVERT_INV,
+                           "-i", two_blocks], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    with open(two_blocks) as fh:
+        assert proc.stdout == outcome(CONVERT_INV, fh.read())[1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_run_in_shares_into_a_full_disk_exits_2_with_one_line(two_blocks):
+    proc = subprocess.run([sys.executable, "-m", "geodkit.cli", *CONVERT_INV, "-i", two_blocks,
+                           "-o", "/dev/full"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "input error: OSError: [Errno 28] No space left on device\n"
 
 
 def test_field_over_the_csv_limit_beats_every_other_error():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodkit.orbits import (
@@ -81,6 +81,7 @@ class TestKeplerEquation:
                 assert abs(big_e - e * math.sin(big_e) - m) < 1e-13
 
     @given(m=st.floats(0, 2 * math.pi), e=st.floats(0, 0.97))
+    @example(m=4.051859869282249, e=0.6618373571395558)  # its stopping residual read 9.99e-14
     @settings(max_examples=150)
     def test_residual_property(self, m, e):
         big_e = solve_kepler(m, e)
