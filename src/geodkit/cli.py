@@ -5,16 +5,18 @@ unit tags such as ``phi[gr]``) or JSON files and print to stdout unless an
 output path is given.  Numeric output uses 12 significant digits so runs
 are reproducible byte for byte.
 
-Every CSV command keeps its input as raw lines and parses it in blocks of
-rows (_Rows), so the working memory is the input text, the output text and
-one block: one np.loadtxt call, or csv.reader and float() where loadtxt
-would read the input otherwise or rejects a field.  Each CSV-to-CSV command
+Every CSV command parses its input in blocks of rows (_Rows), each read
+from the file when taken, so the working memory of a process is the output
+text and one block of input (stdin is held whole): one np.loadtxt call, or
+csv.reader and float() where loadtxt would read the input otherwise or
+rejects a field.  Each CSV-to-CSV command
 (convert, project, geodesic, reduce, and datum bw-apply, molodensky and
 helmert2d-apply) declares its numeric columns, angle or not, its scalar
 API call on one row and its array kernel, and runs through one table
 runner, _table, which formats a block with one "%s,%.12g,..." template.
 _table runs an input of two blocks or more in one share per usable CPU,
-all but the first in forked children, each holding only its share (_shared).
+all but the first in forked children, each reading only its own blocks; a
+share that cannot fork runs in this process (_shared).
 dop, heights and the datum fits read their columns through _Rows too;
 adjust parses the mixed names and numbers of its rows itself.  Output is
 all or nothing: it is written once, after the last block has passed, and
@@ -46,16 +48,20 @@ its one try: that skips the interpreter's teardown, 15-20 ms a call
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
+import io
 import json
 import os
 import pickle
 import re
 import sys
 import warnings
+import weakref
 from contextlib import contextmanager, nullcontext
 from functools import partial
 from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -104,6 +110,8 @@ _fmt = _NUMBER.__mod__
 # parsed rows and kernel temporaries stay a few MB, large enough that the
 # per-block calls cost nothing next to the per-row work
 _BLOCK_ROWS = 8192
+# bytes per step of _read_csv's scan
+_CHUNK = 1 << 20
 
 
 def _records(lines) -> list:
@@ -131,47 +139,81 @@ def _records(lines) -> list:
     return records
 
 
-class _CsvRows(list):
-    """Data rows that csv.reader and float() must parse (see _read_csv)."""
+class _Blocks(SimpleNamespace):
+    """The data rows of a CSV input in blocks of _BLOCK_ROWS rows: block i is
+    rows(offsets[i], offsets[i + 1]), the lines between two byte offsets of a
+    plain input, or a slice of the records of one csv.reader must read, which
+    np.loadtxt may not (plain is False).  len() is the count of data rows."""
+
+    def __len__(self) -> int:
+        return self.count
 
 
 def _read_csv(path):
-    """The header row of a CSV input and its data rows as raw text.
+    """The header row of a CSV input and its data rows, as _Blocks; blank
+    lines and rows whose first field starts with "#" are dropped.  One scan,
+    _CHUNK bytes at a time, keeps where each block starts in a file, which
+    stays open; stdin, or a pipe, is read whole into bytes first.
 
-    Blank lines and rows whose first field starts with "#" are dropped.
-    Each data row is the text of one CSV record, line ending included, so
-    one csv.reader over the list yields one row per element.
-
-    csv.reader reads the rows here, through _records, and they come as a
-    _CsvRows, when loadtxt would read them otherwise or csv.reader may
-    reject them: in an input with a quote, a NUL, \\x1c-\\x1f or a CR inside
-    a line (stdin splits at LF only), or with a row as long as
-    csv.field_size_limit().  So every csv error is raised here.
+    csv.reader reads every row here instead, through _records, when loadtxt
+    would read them otherwise or csv.reader may reject them: in an input
+    with a quote, a NUL, \\x1c-\\x1f or a CR inside a line (not before an LF nor
+    last; stdin splits at LF only), a line of _CHUNK bytes or one as long as
+    csv.field_size_limit(), or bytes that do not decode (or decode to
+    U+FFFD).  So every csv or decoding error is raised here.
     """
-    if path in (None, "-"):
-        lines = list(sys.stdin)
+    stdin = path in (None, "-")
+    fh = text = sys.stdin if stdin else open(path, newline="")  # text: where csv.reader reads
+    codec = fh.encoding, fh.errors
+    if stdin or not (fh.seekable() and hasattr(os, "pread")):  # a pipe has no offsets
+        data = fh.buffer.read()
+        text = io.TextIOWrapper(io.BytesIO(data), *codec, newline="\n" if stdin else "")
+        read = lambda size, offset: data[offset:offset + size]  # noqa: E731
     else:
-        with open(path, newline="") as fh:
-            lines = list(fh)
-    text = "\n".join(lines)  # one scan of it per test; a CR ending a line meets "\n"
-    quoted = '"' in text
-    csv_only = (any(c in text for c in '"\0\x1c\x1d\x1e\x1f')
-                or "\r" in text and re.search("\r[^\r\n]", text))  # a CR inside a line
-    del text
-    if not quoted:  # each line is a record, and "#", "\r" or "\n" starts no row
-        lines = [line for line in lines if line[0] not in "#\r\n"]
-    if csv_only or max(map(len, lines), default=0) >= csv.field_size_limit():
-        lines = _CsvRows(_records(lines))
-    if not lines:
+        read = partial(os.pread, fh.fileno())
+    if not stdin:
+        weakref.finalize(read, fh.close)  # the file closes with the last block reader
+    header, offsets, count, pos = None, [], 0, 0
+    while chunk := read(_CHUNK, pos):  # each chunk but the last ends at a line end
+        end = len(chunk) if len(chunk) < _CHUNK else chunk.rfind(b"\n") + 1 or _CHUNK
+        b = np.frombuffer(chunk, np.uint8, end)
+        lfs = np.flatnonzero(b == 10)
+        ends = np.append(lfs[lfs < end - 1] + 1, end)
+        starts = np.append(0, ends[:-1])
+        kept = ~np.isin(b[starts], (35, 13, 10))  # "#", "\r" or "\n" starts no row
+        starts, ends = starts[kept] + pos, ends[kept] + pos
+        if (any(c in chunk for c in b'"\0\x1c\x1d\x1e\x1f')
+                or chunk.count(b"\r", 0, end - 1) != np.count_nonzero(b[lfs[lfs > 0] - 1] == 13)
+                or (ends - starts).max(initial=0) >= min(csv.field_size_limit(), _CHUNK)
+                or "\ufffd" in str(memoryview(chunk)[:end], codec[0], "replace")):
+            break  # a byte for csv.reader, a CR inside a line, a long line or bad bytes
+        if header is None and starts.size:
+            header = next(csv.reader([chunk[starts[0] - pos:ends[0] - pos].decode(*codec)]))
+            starts = starts[1:]
+        offsets += starts[-count % _BLOCK_ROWS::_BLOCK_ROWS].tolist()
+        count, pos = count + starts.size, pos + end
+    if chunk:  # csv.reader must read the input
+        lines = list(text)
+        if '"' not in "".join(lines):  # each line is a record, and "#", "\r" or "\n" starts no row
+            lines = [line for line in lines if line[0] not in "#\r\n"]
+        lines = _records(lines)
+        header, count = next(csv.reader(lines[:1]), None), len(lines) - 1
+        offsets = [*range(1, count + 1, _BLOCK_ROWS), count + 1]
+        rows = lambda start, end: lines[start:end]  # noqa: E731
+    else:
+        def rows(start, end):  # the lines of bytes start:end, each without its end
+            data = read(end - start, start)
+            return data.decode(*codec).rstrip("\n").split("\n") if len(data) == end - start else []
+        offsets.append(pos)
+    if header is None:
         raise ValueError("empty input")
-    header = next(csv.reader(lines[:1]))
-    del lines[0]
-    return header, lines
+    return header, _Blocks(rows=rows, offsets=offsets, count=count, plain=not chunk)
 
 
 class _Rows:
-    """The data rows of a CSV input, taken block by block from its raw
-    lines, each checked to hold at least `width` fields.
+    """The data rows of a CSV input, taken block by block, each checked to
+    hold at least `width` fields.  A plain input's block is read from the
+    input when it is taken, so a process holds one block of the input.
 
     As a context manager it keeps the input's own errors first: an exception
     raised in the with-block gives way to a short row among the rows not yet
@@ -180,7 +222,7 @@ class _Rows:
 
     def __init__(self, path, width: int):
         self.width = width
-        self.lines = _read_csv(path)[1]
+        self.input = _read_csv(path)[1]
         self.taken, self.short = 0, False  # data rows taken so far; a short row raised?
 
     def __enter__(self):
@@ -192,19 +234,25 @@ class _Rows:
                 pass
 
     def _take(self) -> list:
-        """The next block of raw rows, [] once all are taken; they leave
-        self.lines, so their text is freed while the output grows."""
-        block = self.lines[:_BLOCK_ROWS]
-        del self.lines[:_BLOCK_ROWS]
-        self.taken += len(block)
+        """The next block of raw rows, [] once all are taken or a short row
+        has raised; the lines of a plain input come without their line ends."""
+        offsets, count = self.input.offsets, min(_BLOCK_ROWS, len(self.input) - self.taken)
+        if self.short or len(offsets) < 2:
+            return []
+        block = self.input.rows(offsets.pop(0), offsets[0])
+        if len(block) != count:  # comment and blank lines
+            block = [line for line in block if line and line[0] not in "#\r"]
+        if len(block) != count:  # a short read, or lines the scan did not see
+            raise OSError("the input changed while it was read")
+        self.taken += count
         return block
 
     def _parse(self, lines) -> list:
         """lines, the block taken last, parsed; its first short row raises at
-        once, dropping the rows not taken, so no later one can take its place."""
+        once, and no row is taken after it, so no later one can take its place."""
         rows, width = list(csv.reader(lines)), self.width
         if min(map(len, rows)) < width:
-            self.lines, self.short = [], True
+            self.short = True
             i, row = next((i, row) for i, row in enumerate(rows) if len(row) < width)
             i += self.taken - len(rows) + 1
             raise ValueError(f"data row {i}: expected at least {width} fields, got {len(row)}")
@@ -219,13 +267,13 @@ class _Rows:
         """(names, columns) per block: column j holds field j as a float, for
         j in 1..count.
 
-        One np.loadtxt reads a block, unless the input is a _CsvRows; then,
+        One np.loadtxt reads a block of a plain input; otherwise,
         or if it raises a ValueError, csv.reader and float() parse the block.
         A row with a field float() rejects ends the blocks: the rows before it
         come as the last block, and the ValueError naming it is raised when
         the next block is asked for, so only once those rows have passed.
         """
-        plain = not isinstance(self.lines, _CsvRows)
+        plain = self.input.plain
         while lines := self._take():
             try:
                 if not plain:
@@ -279,8 +327,11 @@ def _map_rows(path, count: int, row) -> list:
 
 def _shared(rows, body) -> list:
     """list(body(rows)) run in one share of rows per usable CPU, cut at block
-    boundaries, each share but the first in a forked child piping back its list
-    or error; raises the first short row, else the first error in file order."""
+    boundaries.  Each share but the first runs in a forked child, which reads
+    only its own blocks and pipes back its list or error; a share whose pipe
+    or fork fails (a process or descriptor limit) runs in this process, after
+    the first.  Raises the first short row, else the first error in file order.
+    """
 
     def run(rows) -> tuple:  # (whether a short row raised, the list or the Exception)
         try:
@@ -289,23 +340,31 @@ def _shared(rows, body) -> list:
         except Exception as exc:
             return rows.short, exc
 
-    lines, blocks = rows.lines, -(-len(rows.lines) // _BLOCK_ROWS)
+    blocks = -(-len(rows.input) // _BLOCK_ROWS)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     shares = max(1, min(cpus or 1, blocks) if hasattr(os, "fork") else 1)
-    cuts = [blocks * i // shares * _BLOCK_ROWS for i in range(shares)] + [len(lines)]
-    children = []  # (pid, read end of its pipe)
+    cuts = [blocks * i // shares for i in range(shares + 1)]
+    later, children = [], []  # a call giving each later share's result; (pid, its pipe)
     try:
-        for start, end in zip(cuts[1:], cuts[2:]):
-            read, write = os.pipe()
+        for first, end in zip(cuts[1:], cuts[2:]):
+            share, pipe = copy.copy(rows), ()
+            share.input, share.taken = copy.copy(rows.input), first * _BLOCK_ROWS
+            share.input.offsets = rows.input.offsets[first:end + 1]
             with warnings.catch_warnings():  # 3.12 warns of BLAS threads, to stderr under -m
                 warnings.filterwarnings("ignore", "This process .*use of fork", DeprecationWarning)
-                pid = os.fork()
+                try:
+                    pipe = read, write = os.pipe()
+                    pid = os.fork()
+                except OSError:  # a process or descriptor limit: this process runs the share
+                    for fd in pipe:
+                        os.close(fd)
+                    later.append(partial(run, share))
+                    continue
             if not pid:
                 try:  # the write fails once the parent has died
                     for fd in [read, *(fh.fileno() for _, fh in children)]:
                         os.close(fd)
-                    rows.lines, rows.taken = type(lines)(lines[start:end]), start
-                    short, result = run(rows)
+                    short, result = run(share)
                     if isinstance(result, Exception):  # as class, message and exit class
                         result = type(result).__module__, type(result).__name__, str(result), next(
                             (c for c in (ArithmeticError, OSError, ValueError, KeyError)
@@ -316,8 +375,9 @@ def _shared(rows, body) -> list:
                     os._exit(0)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        del lines[cuts[1]:]
-        results = [run(rows)] + [pickle.load(fh) for _, fh in children]
+            later.append(partial(pickle.load, children[-1][1]))
+        del rows.input.offsets[cuts[1] + 1:]
+        results = [run(rows)] + [result() for result in later]
     finally:
         for pid, fh in children:
             fh.close()

@@ -509,3 +509,47 @@ def meridian_arc(ell: Ellipsoid, phi):
 
 def quarter_meridian(ell: Ellipsoid) -> float:
     return meridian_arc(ell, math.pi / 2.0)
+
+
+def _arc_seed(ell: Ellipsoid, y):
+    return y / (ell.a * (1.0 - ell.e2))
+
+
+def _arc_step(ell: Ellipsoid, y, phi):
+    """Newton correction of phi towards meridian_arc(phi) = y (d arc / d phi = rho)."""
+    return (meridian_arc(ell, phi) - y) / meridian_radius(ell, phi)
+
+
+# stopping rule of the arc inversion, shared by its scalar and array forms
+_ARC_TOL = 1e-13
+_ARC_MAX_ITER = 50
+
+
+def latitude_from_arc(ell: Ellipsoid, y: float) -> float:
+    """Invert meridian_arc: the latitude whose arc from the equator is y metres,
+    by Newton from y / (a(1 - e2)); stops at a step below _ARC_TOL rad."""
+    phi = _arc_seed(ell, y)
+    for _ in range(_ARC_MAX_ITER):
+        delta = _arc_step(ell, y, phi)
+        phi -= delta
+        if abs(delta) < _ARC_TOL:
+            return phi
+    raise NonConvergence(f"latitude_from_arc: Newton did not converge for y={y}")
+
+
+@quiet
+def latitude_from_arc_array(ell: Ellipsoid, y) -> tuple:
+    """Array form of latitude_from_arc, with its stopping rule: (phi, failed).
+
+    failed marks the rows where the scalar form raises: an infinite y (the
+    sine of infinity) or no convergence.
+    """
+    y = np.asarray(y, dtype=float)
+    failed = np.isinf(y)
+
+    def step(phi, y):
+        delta = _arc_step(ell, y, phi)
+        return phi - delta, np.abs(delta) < _ARC_TOL
+
+    phi, running = iterate(step, (_arc_seed(ell, y),), (y,), ~failed, _ARC_MAX_ITER)
+    return phi, failed | running

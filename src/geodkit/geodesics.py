@@ -20,17 +20,20 @@ from .core import (
     NumericalError,
     flip,
     iterate,
+    latitude_from_arc,
     meridian_arc,
     meridian_radius,
     npmath,
     prime_vertical_radius,
+    quarter_meridian,
     quiet,
 )
 from .coords import GeodeticCoord, _normalize_lon, geodetic_columns
 
 
 class PolarGeodesic(NumericalError, ValueError):
-    """The line is a meridian (Clairaut constant ~ 0); use meridian_arc instead."""
+    """The line is a meridian (Clairaut constant ~ 0), which the series cannot
+    follow; geodesic_direct and geodesic_inverse solve it with meridian_arc."""
 
 
 class VertexExceeded(NumericalError, ValueError):
@@ -42,6 +45,10 @@ class AntipodalUnsupported(NumericalError, ValueError):
 
 
 TWO_PI = 2.0 * math.pi
+# |C| below which a line is a meridian, metres: an azimuth of half a turn
+# rounds to within a double's spacing there, 4.4e-16 rad, which leaves up to
+# 2.8e-9 m of C at the equator
+_MERIDIAN_C = 1e-8
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,7 @@ def clairaut_constant(ell: Ellipsoid, phi: float, az: float) -> GeodesicState:
     azimuth is placed in the same north/south half-plane as az.
     """
     c = _parallel_radius(math, ell, phi) * math.sin(az)
-    if abs(c) < 1e-9:
+    if abs(c) < _MERIDIAN_C:
         raise PolarGeodesic("meridian line; Clairaut constant vanishes")
     if abs(c) >= ell.a:
         # equatorial line: the vertex latitude collapses onto the line itself
@@ -194,6 +201,16 @@ def _direct_end(xp, ell: Ellipsoid, lam1, c, aze, k2, az1, t1, t2) -> tuple:
     return phi2, lam2, _norm_az(xp.atan2(sin_az2, cos_az2))
 
 
+def _meridian_direct(ell: Ellipsoid, p1: GeodeticCoord, az1: float, s: float) -> GeodesicSolution:
+    """The direct problem on a meridian, north if cos(az1) > 0, else south, in
+    closed form: the end point's meridian arc is p1's plus or minus s."""
+    arc = meridian_arc(ell, p1.phi) + math.copysign(s, math.cos(az1))
+    if abs(arc) >= quarter_meridian(ell):
+        raise VertexExceeded("meridian line reaches a pole")
+    az = _norm_az(az1)
+    return GeodesicSolution(latitude_from_arc(ell, arc), p1.lam, az, az, s)
+
+
 def geodesic_direct(
     ell: Ellipsoid, p1: GeodeticCoord, az1: float, s: float
 ) -> GeodesicSolution:
@@ -201,15 +218,21 @@ def geodesic_direct(
 
     phi2 is found by Newton iteration on the truncated arc integral
     (seeded with its first-order solution), lam2 from the longitude series
-    and az2 from sin(az2) = C / r(phi2).
+    and az2 from sin(az2) = C / r(phi2).  Zero-length, meridian and
+    equatorial lines are solved in closed form.
     """
     if not math.isfinite(s):
         raise ValueError(f"non-finite distance {s}")
+    if not math.isfinite(az1):
+        raise ValueError(f"non-finite azimuth {az1}")
     if s < 0:
         raise ValueError("distance must be >= 0")
     if s == 0.0:
         return GeodesicSolution(p1.phi, p1.lam, _norm_az(az1), _norm_az(az1), 0.0)
-    state = clairaut_constant(ell, p1.phi, az1)
+    try:
+        state = clairaut_constant(ell, p1.phi, az1)
+    except PolarGeodesic:
+        return _meridian_direct(ell, p1, az1, s)
     if math.isinf(state.k2):
         # equatorial line: stays on the equator
         direction = 1.0 if state.C > 0 else -1.0
@@ -244,17 +267,17 @@ def geodesic_direct_array(ell: Ellipsoid, phi1, lam1, az1, s) -> tuple:
 
     failed marks the rows the kernel leaves to the scalar form: every row
     where geodesic_direct raises (a start point GeodeticCoord rejects, a
-    negative or non-finite s, a meridian line, a start at the vertex, a
-    stalled Newton iteration or an arc beyond the vertex), and the
-    zero-length and equatorial lines, which geodesic_direct solves in
-    closed form.
+    negative or non-finite s, a non-finite azimuth, a start at the vertex, a stalled Newton
+    iteration or an arc beyond the vertex or a pole), and the zero-length,
+    meridian and equatorial lines, which geodesic_direct solves in closed
+    form.
     """
     phi1, lam1, ok = geodetic_columns(phi1, lam1)
     az1, s = np.asarray(az1, dtype=float), np.asarray(s, dtype=float)
     c = _parallel_radius(npmath, ell, phi1) * np.sin(az1)
     aze, k2 = _line_constants(npmath, ell, c, az1)
     # an infinite azimuth makes c NaN, which fails both |c| tests
-    general = (ok & (s > 0.0) & (s < np.inf) & (np.abs(c) >= 1e-9) & (np.abs(c) < ell.a)
+    general = (ok & (s > 0.0) & (s < np.inf) & (np.abs(c) >= _MERIDIAN_C) & (np.abs(c) < ell.a)
                & ~(np.abs(np.cos(aze)) < 1e-9))
 
     m, n, t1, t2, target, tol = _direct_setup(npmath, ell, phi1, aze, k2, s)

@@ -24,13 +24,13 @@ import numpy as np
 from .core import (
     ARCSEC,
     Ellipsoid,
-    NonConvergence,
     NumericalError,
     all_finite,
     get_ellipsoid,
     isometric_latitude,
-    iterate,
     json_number,
+    latitude_from_arc,
+    latitude_from_arc_array,
     latitude_from_isometric,
     latitude_from_isometric_array,
     meridian_arc,
@@ -263,47 +263,14 @@ def _utm_direct_coeffs(ell: Ellipsoid, phi) -> tuple:
     return a1, a2, a3, a4, a5, a6, a7, a8
 
 
-def _footpoint_seed(d: UtmDef, y):
-    return y / (d.ell.a * (1.0 - d.ell.e2))
-
-
-def _footpoint_step(d: UtmDef, y, phi):
-    """Newton correction of phi towards meridian_arc(phi) = y."""
-    return (meridian_arc(d.ell, phi) - y) / meridian_radius(d.ell, phi)
-
-
-# stopping rule of the footpoint Newton, shared by its scalar and array forms
-_FOOT_TOL = 1e-13
-_FOOT_MAX_ITER = 50
-
-
 def utm_footpoint_latitude(d: UtmDef, y: float) -> float:
-    """Latitude whose meridian arc equals y, by Newton (d beta / d phi = rho)."""
-    phi = _footpoint_seed(d, y)
-    for _ in range(_FOOT_MAX_ITER):
-        delta = _footpoint_step(d, y, phi)
-        phi -= delta
-        if abs(delta) < _FOOT_TOL:
-            return phi
-    raise NonConvergence("utm_footpoint_latitude: Newton did not converge")
+    """Latitude whose meridian arc equals y: core.latitude_from_arc on d's ellipsoid."""
+    return latitude_from_arc(d.ell, y)
 
 
-@quiet
 def utm_footpoint_latitude_array(d: UtmDef, y) -> tuple:
-    """Array form of utm_footpoint_latitude, with its stopping rule: (phi, failed).
-
-    failed marks the rows where the scalar form raises: an infinite y (the
-    sine of infinity) or no convergence.
-    """
-    y = np.asarray(y, dtype=float)
-    failed = np.isinf(y)
-
-    def step(phi, y):
-        delta = _footpoint_step(d, y, phi)
-        return phi - delta, np.abs(delta) < _FOOT_TOL
-
-    phi, running = iterate(step, (_footpoint_seed(d, y),), (y,), ~failed, _FOOT_MAX_ITER)
-    return phi, failed | running
+    """Array form of utm_footpoint_latitude: (phi, failed)."""
+    return latitude_from_arc_array(d.ell, y)
 
 
 def _utm_inverse_series(xp, d: UtmDef, x, phi_f) -> tuple:

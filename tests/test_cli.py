@@ -180,6 +180,21 @@ class TestGeodesic:
         assert float(s_back) == pytest.approx(16255.206, abs=1e-3)
         assert float(az1) == pytest.approx(249.310168, abs=1e-6)
 
+    def test_meridian_lines_run_and_invert(self):
+        # a line along a meridian, north or south, is solved in closed form
+        direct = run_cli(["geodesic", "direct"],
+                         stdin="name,phi,lam,az,s[m]\nP,40,10,0,1000\nQ,40,10,200,1000\n")
+        assert (direct.returncode, direct.stderr) == (0, "")
+        ends = [line.split(",") for line in direct.stdout.splitlines()[1:]]
+        assert [(e[0], e[2], e[3], e[4]) for e in ends] == [("P", "10", "0", "1000"),
+                                                           ("Q", "10", "200", "1000")]
+        inv = run_cli(["geodesic", "inverse"], stdin="name,phi1,lam1,phi2,lam2\n" + "".join(
+            f"{e[0]},40,10,{e[1]},{e[2]}\n" for e in ends))
+        assert inv.returncode == 0
+        # 12 printed digits hold phi2 to about 1e-5 m
+        assert [float(line.split(",")[3]) for line in inv.stdout.splitlines()[1:]] == \
+            pytest.approx([1000.0, 1000.0], abs=1e-4)
+
 
 class TestReduce:
     def test_pipeline(self):

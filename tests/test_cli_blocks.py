@@ -225,13 +225,14 @@ PARAMS = ('{"tx": -168.0, "ty": -60.0, "tz": 320.0, "m": 1.2e-6, "rx": 1e-6, "ry
           '"rz": 3e-6, "u": 1.00001, "v": 2e-5}')
 
 
-def outcome(argv, text, block=None):
-    """(exit code, stdout, stderr) of cli.main with `text` as its input file:
-    the block pipeline with `block` rows per block, or the whole-file path
-    when block is None.  An argument "PARAMS" names a file holding PARAMS."""
+def outcome(argv, text, block=None, stdin=False):
+    """(exit code, stdout, stderr) of cli.main with `text`, str or bytes, as
+    its input file, or on stdin: the block pipeline with `block` rows per
+    block, or the whole-file path when block is None.  An argument "PARAMS"
+    names a file holding PARAMS."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         path = os.path.join(tmp, "in.csv")
-        with open(path, "w", newline="") as fh:
+        with open(path, "wb") if isinstance(text, bytes) else open(path, "w", newline="") as fh:
             fh.write(text)
         with open(os.path.join(tmp, "params.json"), "w") as fh:
             fh.write(PARAMS)
@@ -241,10 +242,13 @@ def outcome(argv, text, block=None):
                 stack.enter_context(mock.patch.object(cli, name, fn))
         else:
             stack.enter_context(mock.patch.object(cli, "_BLOCK_ROWS", block))
+        if stdin:  # as the interpreter's stdin: lines end at LF, bad bytes are escaped
+            stack.enter_context(mock.patch.object(sys, "stdin", stack.enter_context(
+                io.TextIOWrapper(open(path, "rb"), errors="surrogateescape", newline="\n"))))
         out, err = io.StringIO(), io.StringIO()
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
-        code = cli.main([*argv, "-i", path])
+        code = cli.main([*argv, "-i", "-" if stdin else path])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -452,8 +456,8 @@ def test_a_short_row_after_an_error_in_the_same_share_wins(error_row, short_row)
 
 
 def test_a_quoted_input_is_split_into_csv_rows():
-    # a child's share of a _CsvRows is one too: as a plain list its rows
-    # would go to np.loadtxt, which keeps the quotes of a name
+    # csv.reader reads a child's share of such an input too: np.loadtxt
+    # would keep the quotes of a name
     rows = [GOOD_XYZ[0], '"Q,1",4e6,1e5,4.8e6', '"Q2",6378137,0,0', GOOD_XYZ[1]]
     text = "h,h,h,h\n" + "\n".join(rows) + "\n"
     with usable_cpus(2) as forks:
@@ -511,6 +515,33 @@ def test_an_error_that_does_not_pickle_crosses_by_name(base, monkeypatch):
         else (2, "", "input error: Unpicklable: 'row B'\n"))
 
 
+@pytest.mark.parametrize("fails", ["pipe", "fork"])
+@pytest.mark.parametrize("row", [None, "text", "numerical"])
+def test_a_share_whose_fork_fails_runs_here(fails, row):
+    # 10 rows in blocks of 2 on 3 CPUs: the second pipe or fork raises (a
+    # process or descriptor limit), and this process runs that share itself
+    rows = [*GOOD_XYZ, *GOOD_XYZ]
+    if row:
+        rows[8] = FAILING[row]
+    text = "h,h,h,h\n" + "\n".join(rows) + "\n"
+    calls = []
+    with usable_cpus(3) as forks:
+        real = getattr(os, fails)
+
+        def second_fails():
+            calls.append(None)
+            if len(calls) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real()
+        with mock.patch.object(os, fails, second_fails):
+            got = outcome(CONVERT_INV, text, 2)
+    assert len(calls) == 2 and len(forks) == 1
+    assert_no_child_left()
+    with usable_cpus(1):
+        assert got == outcome(CONVERT_INV, text, 2)
+    assert got[0] == {None: 0, "text": 2, "numerical": 3}[row], got
+
+
 @pytest.fixture(scope="module")
 def two_blocks(tmp_path_factory):
     """A CSV of convert --from ecef rows one longer than a block."""
@@ -551,13 +582,26 @@ def test_field_over_the_csv_limit_beats_every_other_error():
                    f"({csv.field_size_limit()})\n")
 
 
+def yielded(path):
+    """The header _read_csv returns and the data rows _Rows yields from its
+    return, block by block, as csv.reader parses them."""
+    read = cli._read_csv(path)
+    with mock.patch.object(cli, "_read_csv", return_value=read):
+        return read[0], [row for block in cli._Rows(path, 0).blocks() for row in block]
+
+
+def stdin_of(text):
+    """A stand-in for sys.stdin holding text: it splits lines at LF only."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), newline="\n")
+
+
 @pytest.mark.parametrize("name", ["P", '"P"'], ids=["plain", "quoted"])
 def test_read_csv_raises_the_csv_error_itself(name, tmp_path):
     # the blocks never meet a csv error: _read_csv raises it as it reads the
     # input, naming its data row; a comment over the limit is no error
     path, head = tmp_path / "in.csv", f"h,h,h\n# {'x' * LIMIT}\n{name},1,2\n"
     path.write_text(head + "Q,3,4\n")
-    assert cli._read_csv(str(path)) == (["h", "h", "h"], [f"{name},1,2\n", "Q,3,4\n"])
+    assert yielded(str(path)) == (["h", "h", "h"], [["P", "1", "2"], ["Q", "3", "4"]])
     path.write_text(head + f"Q,3,{'9' * (LIMIT + 1)}\n")
     error = rf"^data row 2: field larger than field limit \({LIMIT}\)$"
     with pytest.raises(ValueError, match=error):
@@ -568,18 +612,106 @@ def test_read_csv_raises_the_csv_error_itself(name, tmp_path):
     ("h,h,h\nP,1\r2,3\n", "data row 1: new-line character seen in unquoted field"),
     ("h\rh,h\nP,1,2\n", "header: new-line character seen in unquoted field"),
     # CR line ends; a CR in a comment, or at the start of a line, which is dropped
-    ("h,h,h\r\nP,1,2\r\r\nQ,3,4\r", ["P,1,2\r\r\n", "Q,3,4\r"]),
-    ("h,h,h\n#a\rb\n\rP,1\nQ,3,4\n", ["Q,3,4\n"]),
+    ("h,h,h\r\nP,1,2\r\r\nQ,3,4\r", [["P", "1", "2"], ["Q", "3", "4"]]),
+    ("h,h,h\n#a\rb\n\rP,1\nQ,3,4\n", [["Q", "3", "4"]]),
 ])
 def test_read_csv_raises_a_cr_inside_a_row_of_stdin(text, rows, monkeypatch):
     # stdin splits lines at LF only, so a CR may stand inside a row, which
     # csv.reader rejects
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    monkeypatch.setattr(sys, "stdin", stdin_of(text))
     if isinstance(rows, list):
-        assert cli._read_csv("-") == (["h", "h", "h"], rows)
+        assert yielded("-") == (["h", "h", "h"], rows)
     else:
         with pytest.raises(ValueError, match=f"^{rows}"):
             cli._read_csv("-")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_file_truncated_after_the_scan_exits_2(cpus, tmp_path):
+    # the scan keeps where each block starts; a block that no longer holds
+    # its rows is an input error, raised before anything is written
+    path = tmp_path / "in.csv"
+    path.write_text("h,h,h,h\n" + "".join(f"Q{i},4e6,{i},4.8e6\n" for i in range(12)))
+    read_csv = cli._read_csv
+
+    def truncating(path):
+        scanned = read_csv(path)
+        os.truncate(path, 90)  # in the second block of four rows, part way into a row
+        return scanned
+    out, err = io.StringIO(), io.StringIO()
+    with usable_cpus(cpus), mock.patch.object(cli, "_read_csv", truncating), \
+            mock.patch.object(cli, "_BLOCK_ROWS", 4), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*CONVERT_INV, "-i", str(path)])
+    assert_no_child_left()
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == "input error: OSError: the input changed while it was read\n"
+
+
+# -- block ranges against the whole-file path ----------------------------------
+# names in and out of ASCII, and one with a byte that is not UTF-8 (\xff, as
+# surrogateescape writes it): a file with it is a decoding error, stdin
+# escapes it; comment and blank lines go in among the rows
+NAMES = ["P{}", "Pé{}", "点{}", "P\udcff{}"]
+SKIPPED = ["", "#", "# x, y", "#é"]
+
+
+@st.composite
+def plain_inputs(draw):
+    """(argv, CSV bytes, on stdin?): rows that pass or fail among comment and
+    blank lines, with LF or CRLF line ends, or a bare CR, which ends a line
+    of a file and only the last line of stdin, and one in eight with no end
+    on the last line."""
+    stdin = draw(st.booleans())
+    argv, width, valid, failing = COMMANDS[draw(st.sampled_from(sorted(COMMANDS)))]
+    lines = [draw(st.sampled_from(SKIPPED)) for _ in range(draw(st.integers(0, 2)))]
+    lines.append(",".join(["h"] * width))
+    for i in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["row"] * 5 + ["fails", "skipped"]))
+        if kind == "skipped":
+            lines.append(draw(st.sampled_from(SKIPPED)))
+        else:
+            name = draw(st.sampled_from(NAMES[:3] * 6 + NAMES[3:])).format(i)
+            lines.append(f"{name},{draw(st.sampled_from(failing if kind == 'fails' else valid))}")
+    ends = [draw(st.sampled_from(["\n", "\r\n"] + ["\r"] * (not stdin))) for _ in lines]
+    ends[-1] = draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
+    if draw(st.integers(0, 7)):
+        ends[-1] = ends[-1] or "\n"
+    return argv, "".join(map(str.__add__, lines, ends)).encode("utf-8", "surrogateescape"), stdin
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(plain_inputs(), st.integers(1, 4), st.integers(1, 3), st.sampled_from([32, 64, 1 << 20]))
+def test_block_ranges_match_the_whole_file_path(case, block, cpus, chunk):
+    # blocks of 1-4 rows in shares on 1-3 CPUs, so the skipped lines fall on
+    # and across block and share cuts, and a scan in chunks of a few lines
+    argv, data, stdin = case
+    with usable_cpus(cpus), mock.patch.object(cli, "_CHUNK", chunk):
+        got = outcome(argv, data, block, stdin)
+    assert_no_child_left()
+    assert got == outcome(argv, data, stdin=stdin), (argv, data, stdin)
+
+
+def test_the_plain_inputs_reach_both_readers():
+    # most take the byte ranges; a bare CR inside a file's line sends an
+    # input to csv.reader, and so does a byte that does not decode
+    kinds = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(plain_inputs())
+    def collect(case):
+        argv, data, stdin = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                kinds.add(cli._read_csv(path)[1].plain)
+            except ValueError as exc:
+                kinds.add(type(exc))
+
+    collect()
+    assert kinds == {True, False, UnicodeDecodeError}
 
 
 # -- working memory -------------------------------------------------------------
@@ -590,6 +722,8 @@ ROWS = 50_000
 # the bound is 283 plus 25%, 283 being what it measured when csv.reader parsed
 # each block.  The whole-file path held every parsed row: 548 for both.
 PEAK_BYTES_PER_ROW = 354
+# the same in one share of a file's rows: the output text and one block
+ONE_SHARE_BYTES_PER_ROW = 180
 
 
 def _write_rows(path, columns):
@@ -631,6 +765,15 @@ def test_geodesic_working_memory_per_row(problem, tmp_path):
     path = _geodesic_input(problem, str(tmp_path / "in.csv"))
     per_row = _peak_bytes_per_row(["geodesic", problem, "-i", path])
     assert per_row < PEAK_BYTES_PER_ROW, f"{per_row:.0f} B per row"
+
+
+def test_geodesic_working_memory_per_row_in_one_share(tmp_path):
+    # one process that reads a file holds one block of it at a time: 154 B
+    # per row, against 223 when it held every line of its input
+    path = _geodesic_input("direct", str(tmp_path / "in.csv"))
+    with usable_cpus(1):
+        per_row = _peak_bytes_per_row(["geodesic", "direct", "-i", path])
+    assert per_row < ONE_SHARE_BYTES_PER_ROW, f"{per_row:.0f} B per row"
 
 
 def test_geodesic_working_memory_per_row_from_stdin(tmp_path, monkeypatch):

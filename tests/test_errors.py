@@ -171,6 +171,10 @@ def test_overflow_exits_3(argv, text, tmp_path, capsys):
     # each case below once printed nan or inf and exited 0
     (["geodesic", "direct", "--angle-unit", "deg"], "n,phi,lam,az,s\nP,0,0,90,nan\n"),
     (["geodesic", "direct"], "n,phi,lam,az,s\nP,40,10,50,inf\n"),
+    # a non-finite azimuth exited 0 (zero length), 2 or 3 (NonConvergence)
+    (["geodesic", "direct"], "n,phi,lam,az,s\nP,0,0,nan,0\n"),
+    (["geodesic", "direct"], "n,phi,lam,az,s\nP,40,10,nan,1000\n"),
+    (["geodesic", "direct"], "n,phi,lam,az,s\nP,40,10,-inf,1000\n"),
     (["heights", "ortho"], "n,g,dh\nP,-8.1e-217,1e400\n"),
     (["heights", "ortho", "--phi-start", "nan"], "n,g,dh\nP,980,1.5\n"),
     (["heights", "ortho", "--phi-end", "inf"], "n,g,dh\nP,980,1.5\n"),

@@ -113,6 +113,32 @@ class TestDirect:
         with pytest.raises(VertexExceeded):
             geodesic_direct(grs80, GeodeticCoord(0.7, 0.0), math.pi / 2, 5000.0)
 
+    @pytest.mark.parametrize("phi_gr", [-99.0, -40.0, 0.0, 40.0, 99.0])
+    @pytest.mark.parametrize("az_gr", [0.0, 200.0])
+    def test_meridian_line_round_trip(self, clarke_fr, phi_gr, az_gr):
+        # a line along a meridian, 200 gr rounding to just above pi, is solved
+        # in closed form; geodesic_inverse's dlam = 0 closed form gives s back
+        p1 = GeodeticCoord(phi_gr * GR, 10.0 * GR)
+        sol = geodesic_direct(clarke_fr, p1, az_gr * GR, 1000.0)
+        az = az_gr * GR % (2 * math.pi)
+        assert (sol.lam2, sol.az1, sol.az2) == (p1.lam, az, az)
+        assert (sol.phi2 > p1.phi) == (az_gr == 0.0)
+        back = geodesic_inverse(clarke_fr, p1, GeodeticCoord(sol.phi2, sol.lam2))
+        assert back.s == pytest.approx(1000.0, abs=1e-6)
+        assert meridian_arc(clarke_fr, sol.phi2) - meridian_arc(clarke_fr, p1.phi) == \
+            pytest.approx(1000.0 if az_gr == 0.0 else -1000.0, abs=1e-6)
+
+    @pytest.mark.parametrize("phi_gr,az_gr", [(99.99, 0.0), (-99.99, 200.0)])
+    def test_meridian_line_over_a_pole_rejected(self, clarke_fr, phi_gr, az_gr):
+        from geodkit.geodesics import VertexExceeded
+
+        # 0.01 gr of latitude is about 1000 m of meridian next to a pole
+        p1 = GeodeticCoord(phi_gr * GR, 0.0)
+        assert geodesic_direct(clarke_fr, p1, az_gr * GR, 900.0).phi2 == pytest.approx(
+            math.copysign(math.pi / 2, phi_gr), abs=2e-5)
+        with pytest.raises(VertexExceeded):
+            geodesic_direct(clarke_fr, p1, az_gr * GR, 1100.0)
+
 
 class TestInverse:
     def test_round_trip_200_short_lines(self, clarke_fr):
