@@ -6,23 +6,24 @@ output path is given.  Numeric output uses 12 significant digits so runs
 are reproducible byte for byte.
 
 Every CSV command parses its input in blocks of rows (_Rows), each read
-from the file when taken, so the working memory of a process is the output
-text and one block of input (stdin is held whole): one np.loadtxt call, or
+from the file when taken (stdin is held whole): one np.loadtxt call, or
 csv.reader and float() where loadtxt would read the input otherwise or
-rejects a field.  Each CSV-to-CSV command
-(convert, project, geodesic, reduce, and datum bw-apply, molodensky and
-helmert2d-apply) declares its numeric columns, angle or not, its scalar
-API call on one row and its array kernel, and runs through one table
-runner, _table, which formats a block with one "%s,%.12g,..." template.
-_table runs an input of two blocks or more in one share per usable CPU,
-all but the first in forked children, each reading only its own blocks; a
-share that cannot fork runs in this process (_shared).
-dop, heights and the datum fits read their columns through _Rows too;
-adjust parses the mixed names and numbers of its rows itself.  Output is
-all or nothing: it is written once, after the last block has passed, and
-the first failing data row in file order decides the error, which is the
-one the scalar API raises on that row.  The input's own errors come first:
-a csv error, raised as _read_csv reads the input, then a short row.
+rejects a field.  Each CSV-to-CSV command (convert, project, geodesic,
+reduce, and datum bw-apply, molodensky and helmert2d-apply) declares its
+numeric columns, angle or not, its scalar API call on one row and its
+array kernel, and runs through one table runner, _table, which formats
+rows with one "%s,%.12g,..." template.  _table runs an input of two blocks
+or more in one share per usable CPU, all but the first in forked children,
+each reading only its own blocks; a share that cannot fork runs in this
+process (_shared).  Each share writes its lines to its own _Spool, an
+unnamed temp file in TMPDIR, so a process holds one block of input and one
+of output; the temp directory needs room for the output, and a full one
+exits 2.  dop, heights and the datum fits read their columns through _Rows
+too; adjust parses the mixed names and numbers of its rows itself.  Output
+is all or nothing: the spools are copied out once every share has passed,
+and the first failing data row in file order decides the error, which is
+the one the scalar API raises on that row.  The input's own errors come
+first: a csv error, raised as _read_csv reads the input, then a short row.
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical error.  The class
 of the exception decides: any ArithmeticError, which includes every
@@ -55,11 +56,14 @@ import json
 import os
 import pickle
 import re
+import shutil
 import sys
+import tempfile
 import warnings
 import weakref
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, redirect_stdout
 from functools import partial
+from itertools import islice
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -106,9 +110,10 @@ _NUMBER = "%.12g"  # every number the CLI prints: 12 significant digits
 _fmt = _NUMBER.__mod__
 
 
-# data rows per block of the CSV commands: small enough that a block's
-# parsed rows and kernel temporaries stay a few MB, large enough that the
-# per-block calls cost nothing next to the per-row work
+# data rows per block of the CSV commands, the rows of input and of output a
+# process holds: small enough that a block's parsed rows, kernel temporaries
+# and output lines stay a few MB, large enough that the per-block calls cost
+# nothing next to the per-row work
 _BLOCK_ROWS = 8192
 # bytes per step of _read_csv's scan
 _CHUNK = 1 << 20
@@ -291,9 +296,23 @@ class _Rows:
                         break
                 names = [row[0] for row in rows[:len(values)]]
                 values = np.array(values, dtype=float).reshape(-1, count)
+            lines = rows = None  # the raw block goes before its rows are computed
             yield names, [c.copy() for c in values.T]  # one contiguous array a column
+            names = values = None  # and its rows go before the next block is read
             if error:
                 raise error
+
+
+class _Spool(io.TextIOWrapper):
+    """The output text of one share, in an unnamed temp file in TMPDIR, which
+    goes when it is closed or the process ends; UTF-8 with surrogatepass
+    holds any str.  len() is its character count."""
+
+    def __init__(self):
+        super().__init__(tempfile.TemporaryFile(), "utf-8", "surrogatepass", newline="")
+
+    def __len__(self) -> int:
+        return self.count
 
 
 def _read_rows(path, width: int) -> list:
@@ -325,18 +344,23 @@ def _map_rows(path, count: int, row) -> list:
                 for r in map(row, *(c.tolist() for c in columns))]
 
 
-def _shared(rows, body) -> list:
-    """list(body(rows)) run in one share of rows per usable CPU, cut at block
-    boundaries.  Each share but the first runs in a forked child, which reads
-    only its own blocks and pipes back its list or error; a share whose pipe
-    or fork fails (a process or descriptor limit) runs in this process, after
-    the first.  Raises the first short row, else the first error in file order.
+def _shared(rows, body, out) -> None:
+    """Run body(rows, spool) in one share of rows per usable CPU, cut at block
+    boundaries, then out(spools) once every share has passed.  body writes
+    its share's output to its own _Spool, made before any fork, and returns
+    the character count.  Each share but the first runs in a forked child,
+    which reads only its own blocks and pipes back its count or error; a
+    share whose pipe or fork fails (a process or descriptor limit) runs in
+    this process, after the first.  Raises the first short row, else the
+    first error in file order.  Every spool is closed on return.
     """
 
-    def run(rows) -> tuple:  # (whether a short row raised, the list or the Exception)
+    def run(rows, spool) -> tuple:  # (whether a short row raised, the count or the Exception)
         try:
             with rows:
-                return False, list(body(rows))
+                count = body(rows, spool)
+                spool.flush()  # a full temp directory fails here, in this share
+            return False, count
         except Exception as exc:
             return rows.short, exc
 
@@ -344,9 +368,11 @@ def _shared(rows, body) -> list:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     shares = max(1, min(cpus or 1, blocks) if hasattr(os, "fork") else 1)
     cuts = [blocks * i // shares for i in range(shares + 1)]
-    later, children = [], []  # a call giving each later share's result; (pid, its pipe)
+    spools, later, children = [], [], []  # one per share; later shares' result calls; (pid, pipe)
     try:
-        for first, end in zip(cuts[1:], cuts[2:]):
+        for _ in range(shares):
+            spools.append(_Spool())
+        for first, end, spool in zip(cuts[1:], cuts[2:], spools[1:]):
             share, pipe = copy.copy(rows), ()
             share.input, share.taken = copy.copy(rows.input), first * _BLOCK_ROWS
             share.input.offsets = rows.input.offsets[first:end + 1]
@@ -358,13 +384,13 @@ def _shared(rows, body) -> list:
                 except OSError:  # a process or descriptor limit: this process runs the share
                     for fd in pipe:
                         os.close(fd)
-                    later.append(partial(run, share))
+                    later.append(partial(run, share, spool))
                     continue
             if not pid:
                 try:  # the write fails once the parent has died
                     for fd in [read, *(fh.fileno() for _, fh in children)]:
                         os.close(fd)
-                    short, result = run(share)
+                    short, result = run(share, spool)
                     if isinstance(result, Exception):  # as class, message and exit class
                         result = type(result).__module__, type(result).__name__, str(result), next(
                             (c for c in (ArithmeticError, OSError, ValueError, KeyError)
@@ -377,23 +403,28 @@ def _shared(rows, body) -> list:
             children.append((pid, open(read, "rb")))
             later.append(partial(pickle.load, children[-1][1]))
         del rows.input.offsets[cuts[1] + 1:]
-        results = [run(rows)] + [result() for result in later]
+        results = [run(rows, spools[0])] + [result() for result in later]
+        error = max(results, key=lambda r: (not isinstance(r[1], int), r[0]))[1]
+        if isinstance(error, tuple):
+            module, name, text, base = error
+            error = type(name, (base,), {"__module__": module, "__str__": lambda _: text})()
+        if isinstance(error, Exception):
+            raise error
+        for spool, (_, count) in zip(spools, results):
+            spool.count = count
+            spool.seek(0)
+        out(spools)
     finally:
         for pid, fh in children:
             fh.close()
             os.waitpid(pid, 0)
-    error = max(results, key=lambda r: (not isinstance(r[1], list), r[0]))[1]
-    if isinstance(error, list):
-        return [item for _, result in results for item in result]
-    if isinstance(error, tuple):
-        module, name, text, base = error
-        error = type(name, (base,), {"__module__": module, "__str__": lambda _: text})()
-    raise error
+        for spool in spools:
+            spool.close()
 
 
-def _table(rows, unit, inputs, outputs, scalar, kernel) -> list:
-    """The header and, per block of rows, one string of their output lines:
-    each row's name and outputs to 12 digits, run in shares (_shared).
+def _table(rows, path, unit, inputs, outputs, scalar, kernel) -> None:
+    """Write to path the header and each row's name and outputs to 12 digits,
+    run in shares (_shared), each holding one block of output at a time.
 
     inputs and outputs name the numeric columns as the header tags them; one
     with no unit tag is an angle in unit, multiplied into radians on input
@@ -404,18 +435,23 @@ def _table(rows, unit, inputs, outputs, scalar, kernel) -> list:
     factor = ANGLE_UNITS.get(unit)
     angle_in = [not c.endswith("]") for c in inputs]
     angle_out = [not c.endswith("]") for c in outputs]
-    line = "%s," + ",".join([_NUMBER] * len(outputs))
+    line = "%s," + ",".join([_NUMBER] * len(outputs)) + "\n"
 
-    def share(rows):
+    def share(rows, spool) -> int:
+        count = 0
         for names, columns in rows.columns(len(inputs)):
             columns = [c * factor if a else c for c, a in zip(columns, angle_in)]
             *values, failed = kernel(*columns)
             _settle(failed, values, scalar, *columns)
             values = [(v / factor if a else v).tolist() for v, a in zip(values, angle_out)]
-            yield "\n".join(map(line.__mod__, zip(names, *values)))
+            text = map(line.__mod__, zip(names, *values))
+            while part := "".join(islice(text, 1024)):
+                count += spool.write(part)
+            names = columns = values = text = None  # the next block is read without this one
+        return count
 
-    return ["name," + ",".join(c + (f"[{unit}]" if a else "") for c, a in zip(outputs, angle_out)),
-            *_shared(rows, share)]
+    header = "name," + ",".join(c + (f"[{unit}]" if a else "") for c, a in zip(outputs, angle_out))
+    _shared(rows, share, lambda spools: _write_lines([header, *spools], path))
 
 
 def _read_json(path) -> dict:
@@ -440,11 +476,15 @@ def _option(args, name: str) -> str:
 
 
 def _write_lines(lines, path):
-    """Write each of lines, which may hold several lines, and a newline."""
+    """Write each of lines, which may hold several lines, and a newline; a
+    _Spool's text, whose lines end in newlines, is copied in as it is."""
     with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
         for line in lines:
-            fh.write(line)
-            fh.write("\n")
+            if isinstance(line, _Spool):
+                shutil.copyfileobj(line, fh)
+            else:
+                fh.write(line)
+                fh.write("\n")
 
 
 def _projection(args):
@@ -470,44 +510,41 @@ def cmd_convert(args):
         if args.frm == args.to:
             raise ValueError(f"unsupported conversion {args.frm} -> {args.to}")
     if args.frm == "geodetic":
-        out = _table(rows, args.angle_unit, _GEODETIC, _ECEF,
-                     lambda *g: _XYZ(geodetic_to_ecef(ell, GeodeticCoord(*g))),
-                     partial(geodetic_to_ecef_array, ell))
+        _table(rows, args.output, args.angle_unit, _GEODETIC, _ECEF,
+               lambda *g: _XYZ(geodetic_to_ecef(ell, GeodeticCoord(*g))),
+               partial(geodetic_to_ecef_array, ell))
     else:
-        out = _table(rows, args.angle_unit, _ECEF, _GEODETIC,
-                     lambda *p: _GEO(ecef_to_geodetic(ell, EcefCoord(*p))),
-                     partial(ecef_to_geodetic_array, ell))
-    _write_lines(out, args.output)
+        _table(rows, args.output, args.angle_unit, _ECEF, _GEODETIC,
+               lambda *p: _GEO(ecef_to_geodetic(ell, EcefCoord(*p))),
+               partial(ecef_to_geodetic_array, ell))
 
 
 def cmd_project(args):
     proj = _projection(args)
     rows = _Rows(args.input, 3)
     if args.direction == "fwd":
-        out = _table(rows, args.angle_unit, _GEODETIC[:2], _PLANE,
-                     lambda *g: _EN(forward(proj, GeodeticCoord(*g))),
-                     partial(forward_columns, proj))
+        _table(rows, args.output, args.angle_unit, _GEODETIC[:2], _PLANE,
+               lambda *g: _EN(forward(proj, GeodeticCoord(*g))),
+               partial(forward_columns, proj))
     else:
-        out = _table(rows, args.angle_unit, _PLANE, _GEODETIC[:2],
-                     lambda *p: _GEO(inverse(proj, PlaneCoord(*p)))[:2],
-                     partial(inverse_columns, proj))
-    _write_lines(out, args.output)
+        _table(rows, args.output, args.angle_unit, _PLANE, _GEODETIC[:2],
+               lambda *p: _GEO(inverse(proj, PlaneCoord(*p)))[:2],
+               partial(inverse_columns, proj))
 
 
 def cmd_geodesic(args):
     ell = get_ellipsoid(args.ell)
     rows = _Rows(args.input, 5)
     if args.problem == "direct":
-        out = _table(rows, args.angle_unit, ("phi1", "lam1", "az1", "s[m]"),
-                     ("phi2", "lam2", "az2", "s[m]"), lambda phi, lam, *az_s: _DIRECT(
-                         geodesic_direct(ell, GeodeticCoord(phi, lam), *az_s)),
-                     partial(geodesic_direct_array, ell))
+        _table(rows, args.output, args.angle_unit, ("phi1", "lam1", "az1", "s[m]"),
+               ("phi2", "lam2", "az2", "s[m]"), lambda phi, lam, *az_s: _DIRECT(
+                   geodesic_direct(ell, GeodeticCoord(phi, lam), *az_s)),
+               partial(geodesic_direct_array, ell))
     else:
-        out = _table(rows, args.angle_unit, ("phi1", "lam1", "phi2", "lam2"),
-                     ("az1", "az2", "s[m]"), lambda p1, l1, p2, l2: _INVERSE(geodesic_inverse(
-                         ell, GeodeticCoord(p1, l1), GeodeticCoord(p2, l2))),
-                     partial(geodesic_inverse_array, ell))
-    _write_lines(out, args.output)
+        _table(rows, args.output, args.angle_unit, ("phi1", "lam1", "phi2", "lam2"),
+               ("az1", "az2", "s[m]"), lambda p1, l1, p2, l2: _INVERSE(geodesic_inverse(
+                   ell, GeodeticCoord(p1, l1), GeodeticCoord(p2, l2))),
+               partial(geodesic_inverse_array, ell))
 
 
 def cmd_reduce(args):
@@ -521,10 +558,9 @@ def cmd_reduce(args):
         de = reductions.reduce_to_ellipsoid(obs, rigorous=args.rigorous)
         return de, reductions.reduce_to_plane(de, args.scale)
 
-    out = _table(_Rows(args.input, 4), None, ("dp[m]", "ha[m]", "hb[m]"), ("de[m]", "dr[m]"), row,
-                 partial(reductions.reduce_columns, scale_m=args.scale, wave=args.wave,
-                         rigorous=args.rigorous))
-    _write_lines(out, args.output)
+    _table(_Rows(args.input, 4), args.output, None, ("dp[m]", "ha[m]", "hb[m]"), ("de[m]", "dr[m]"),
+           row, partial(reductions.reduce_columns, scale_m=args.scale, wave=args.wave,
+                        rigorous=args.rigorous))
 
 
 def _read_param_file(path):
@@ -568,9 +604,9 @@ def cmd_datum(args):
 
     if args.op == "bw-apply":
         params = _read_param_file(_option(args, "params"))
-        out = _table(_Rows(args.input, 4), None, _ECEF, _ECEF,
-                     lambda *xyz: _XYZ(datum.bursa_wolf_apply(params, EcefCoord(*xyz))),
-                     partial(datum.bursa_wolf_columns, params))
+        return _table(_Rows(args.input, 4), args.output, None, _ECEF, _ECEF,
+                      lambda *xyz: _XYZ(datum.bursa_wolf_apply(params, EcefCoord(*xyz))),
+                      partial(datum.bursa_wolf_columns, params))
     elif args.op in ("bw-fit", "bw-direct"):
         pairs = _read_pairs_csv(args.input, EcefCoord, 3)
         if args.op == "bw-fit":
@@ -589,10 +625,10 @@ def cmd_datum(args):
         ell1 = get_ellipsoid(args.ell)
         ell2 = get_ellipsoid(args.ell2)
         t = _numbers("--shift", args.shift, "three finite numbers dX,dY,dZ", 3)
-        out = _table(_Rows(args.input, 4), args.angle_unit, _GEODETIC, _GEODETIC,
-                     lambda *g: _GEO(datum.apply_molodensky(ell1, ell2, GeodeticCoord(*g), t,
-                                                            abridged=args.abridged)),
-                     partial(datum.molodensky_columns, ell1, ell2, t=t, abridged=args.abridged))
+        return _table(_Rows(args.input, 4), args.output, args.angle_unit, _GEODETIC, _GEODETIC,
+                      lambda *g: _GEO(datum.apply_molodensky(ell1, ell2, GeodeticCoord(*g), t,
+                                                             abridged=args.abridged)),
+                      partial(datum.molodensky_columns, ell1, ell2, t=t, abridged=args.abridged))
     elif args.op == "helmert2d-fit":
         pairs = _read_pairs_csv(args.input, PlaneCoord, 2)
         res = datum.helmert2d_estimate(pairs)
@@ -604,9 +640,9 @@ def cmd_datum(args):
     else:  # helmert2d-apply
         doc = _read_json(_option(args, "params"))
         p = datum.Helmert2DParams(*(json_number(doc, k) for k in ("tx", "ty", "u", "v")))
-        out = _table(_Rows(args.input, 3), None, _PLANE, _PLANE,
-                     lambda *en: _EN(datum.helmert2d_apply(p, PlaneCoord(*en))),
-                     partial(datum.helmert2d_columns, p))
+        return _table(_Rows(args.input, 3), args.output, None, _PLANE, _PLANE,
+                      lambda *en: _EN(datum.helmert2d_apply(p, PlaneCoord(*en))),
+                      partial(datum.helmert2d_columns, p))
     _write_lines(out, args.output)
 
 
@@ -843,12 +879,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if not (args.list_ellipsoids or args.list_projections or getattr(args, "func", None)):
-        ap.print_usage(sys.stderr)
-        return 2
+    ap, printed = build_parser(), io.StringIO()
     try:
+        try:
+            with redirect_stdout(printed):  # argparse would drop a write that fails
+                args = ap.parse_args(argv)
+        except SystemExit as exc:  # after --help, --version or a usage error
+            sys.stdout.write(printed.getvalue())
+            sys.stdout.flush()
+            return exc.code
+        if not (args.list_ellipsoids or args.list_projections or getattr(args, "func", None)):
+            ap.print_usage(sys.stderr)
+            return 2
         if args.list_ellipsoids:
             _write_lines([f"{key}: a={_fmt(e.a)} 1/f={_fmt(e.inv_f)}"
                           for key, e in sorted(REGISTRY.items())], None)
@@ -871,9 +913,10 @@ def run():
 
     Runs main(), flushes stderr and ends the process with os._exit, so the
     call skips the interpreter's teardown.  main() has flushed stdout and
-    closed every output file by then, and geodkit registers no atexit
-    handler.  An exception that escapes main(), argparse's SystemExit
-    included, takes the interpreter's usual exit, with its teardown.
+    closed every output file by then, argparse's --help, --version and
+    usage errors included, and geodkit registers no atexit handler.  An
+    exception that escapes main() takes the interpreter's usual exit, with
+    its teardown.
     """
     code = main()
     sys.stderr.flush()

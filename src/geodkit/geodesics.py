@@ -2,9 +2,18 @@
 
 Direct and inverse problems are solved with the truncated elliptic-integral
 series in t = sin(phi): the arc integrand is expanded to t^4 and the
-longitude integrand to t^6.  Intended for lines up to a few hundred km;
-the truncation error grows with distance and with proximity to the
-geodesic's vertex latitude.
+longitude integrand to t^6.  Direct and inverse agree with each other, not
+with the geodesic: the error of the direct problem's end point is a fixed
+share of s that grows with the start latitude, 34.3 m on a 1 km line at
+phi1 = 0.63 rad.  Against an RK4 integration of the geodesic equations
+(tests/conftest.integrate_geodesic, 4000 steps), on GRS80 at azimuth 40 deg:
+
+    phi1 (rad)   s = 1 km   100 km    500 km
+    0.0          0.000 m    0.000 m   0.005 m
+    0.3          0.79 m     88.8 m    704 m
+    0.63         34.3 m     3.62 km   22.5 km
+    1.0          342 m      35.6 km   209 km
+    1.3          1.35 km    148 km    VertexExceeded
 """
 
 from __future__ import annotations

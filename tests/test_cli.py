@@ -723,7 +723,8 @@ def test_stdout_flush_that_fails_exits_2_naming_the_error(tmp_path):
     assert proc.stderr == "input error: OSError: [Errno 28] No space left on device\n"
 
 
-LISTINGS = ["--list-ellipsoids", "--list-projections"]
+# the listings, and what argparse prints before it exits
+LISTINGS = ["--list-ellipsoids", "--list-projections", "--version", "--help"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -751,6 +752,26 @@ def test_listing_into_a_closed_pipe_exits_2_naming_the_error(option, buffered):
     assert proc.returncode == 2
     err = proc.stderr
     assert err.count("\n") == 1 and err.startswith("input error: BrokenPipeError: "), err
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["--version"], 0, f"geodkit {cli.__version__}\n", ""),
+    (["convert", "--from", "ecef"], 2, "", "error: the following arguments are required: --to"),
+], ids=["version", "usage-error"])
+def test_argparse_exits_return_from_main(argv, code, out, err, capsys):
+    # --help, --version and usage errors return their code from main(), so
+    # run() ends them with os._exit too
+    assert cli.main(argv) == code
+    got = capsys.readouterr()
+    assert got.out == out and err in got.err
+
+
+def test_version_ends_without_the_interpreter_teardown():
+    # an atexit handler runs only in the interpreter's usual exit
+    proc = subprocess.run([sys.executable, "-c", "import atexit, sys; atexit.register(print, "
+                           "'teardown', file=sys.stderr); sys.argv[1:] = ['--version']; "
+                           "from geodkit.cli import run; run()"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"geodkit {cli.__version__}\n", "")
 
 
 # the self-contained `printf ... | geodkit ...` examples of README.md, each

@@ -17,9 +17,11 @@ csv.reader and float() on the fields where they part.
 
 import contextlib
 import csv
+import gc
 import io
 import os
 import pickle
+import resource
 import subprocess
 import sys
 import tempfile
@@ -225,11 +227,12 @@ PARAMS = ('{"tx": -168.0, "ty": -60.0, "tz": 320.0, "m": 1.2e-6, "rx": 1e-6, "ry
           '"rz": 3e-6, "u": 1.00001, "v": 2e-5}')
 
 
-def outcome(argv, text, block=None, stdin=False):
+def outcome(argv, text, block=None, stdin=False, to_file=False):
     """(exit code, stdout, stderr) of cli.main with `text`, str or bytes, as
     its input file, or on stdin: the block pipeline with `block` rows per
     block, or the whole-file path when block is None.  An argument "PARAMS"
-    names a file holding PARAMS."""
+    names a file holding PARAMS.  With to_file, the output goes to a file
+    (-o) and its text, or None if there is none, stands for stdout."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         path = os.path.join(tmp, "in.csv")
         with open(path, "wb") if isinstance(text, bytes) else open(path, "w", newline="") as fh:
@@ -248,8 +251,15 @@ def outcome(argv, text, block=None, stdin=False):
         out, err = io.StringIO(), io.StringIO()
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
-        code = cli.main([*argv, "-i", "-" if stdin else path])
-    return code, out.getvalue(), err.getvalue()
+        output = os.path.join(tmp, "out.csv")
+        code = cli.main([*argv, "-i", "-" if stdin else path, *(["-o", output] * to_file)])
+        written = out.getvalue()
+        if to_file:
+            written = None
+            if os.path.exists(output):
+                with open(output, newline="") as fh:
+                    written = fh.read()
+    return code, written, err.getvalue()
 
 
 def assert_same_as_whole_file(argv, text, block):
@@ -648,6 +658,120 @@ def test_a_file_truncated_after_the_scan_exits_2(cpus, tmp_path):
     assert err.getvalue() == "input error: OSError: the input changed while it was read\n"
 
 
+# -- output spools ---------------------------------------------------------------
+# names in and out of ASCII, one outside the BMP; stdin escapes a byte that
+# is not UTF-8 to a lone surrogate, which only stdout (a StringIO here) takes
+SPOOLED_NAMES = ["Q", "Pé", "点", "Q\U0001f30d"]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_spooled_output_matches_the_whole_file_path(cpus, stdin, to_file):
+    # 7 rows in 4 blocks of 2 on 1-3 CPUs: each share spools its lines, and
+    # this process copies them out in share order
+    names = SPOOLED_NAMES + ["Q\udcff"] * (stdin and not to_file)
+    rows = [f"{names[i % len(names)]}{i},4e6,{i}e5,4.8e6" for i in range(7)]
+    data = ("h,h,h,h\n" + "\n".join(rows) + "\n").encode("utf-8", "surrogateescape")
+    with usable_cpus(cpus) as forks:
+        got = outcome(CONVERT_INV, data, 2, stdin, to_file)
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+    assert got == outcome(CONVERT_INV, data, stdin=stdin, to_file=to_file)
+    assert got[0] == 0 and got[1].count("\n") == 8, got
+    assert all(f"\n{names[i % len(names)]}{i}," in got[1] for i in range(7)), got
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.text(st.characters(blacklist_categories=())))
+def test_a_spool_round_trips_any_str(text):
+    # lone surrogates, CR and CRLF included: the copy goes through the
+    # destination's text stream, which here is a StringIO
+    out = io.StringIO()
+    with cli._Spool() as spool, contextlib.redirect_stdout(out):
+        spool.count = spool.write(text)
+        spool.seek(0)
+        cli._write_lines([spool], "-")
+    assert out.getvalue() == text and len(spool) == len(text)
+
+
+def open_fds() -> dict:
+    """Each descriptor this process holds, and what it points to."""
+    fds = {}
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(FileNotFoundError):  # the listing's own
+            fds[fd] = os.readlink(f"/proc/self/fd/{fd}")
+    return fds
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("kind", [None, *FAILING])
+def test_a_run_in_shares_leaves_no_spool_and_no_partial_output(kind, tmp_path, monkeypatch):
+    # 6 rows in blocks of 2 on 3 CPUs, the failing row in the second child's
+    # share: the -o file that was there stays byte for byte, every spool is
+    # closed once main() returns, and the temp directory is left empty.  An
+    # error's traceback holds the input file open until a collection.
+    rows = [*GOOD_XYZ, GOOD_XYZ[0]]
+    if kind:
+        rows[5] = FAILING[kind]
+    path, out, spools = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "spools"
+    path.write_text("h,h,h,h\n" + "\n".join(rows) + "\n")
+    out.write_bytes(b"kept\r\n\xff")
+    spools.mkdir()
+    monkeypatch.setenv("TMPDIR", str(spools))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # tempfile reads TMPDIR once
+    fds, err = open_fds(), io.StringIO()
+    with usable_cpus(3) as forks, mock.patch.object(cli, "_BLOCK_ROWS", 2), \
+            contextlib.redirect_stderr(err):
+        code = cli.main([*CONVERT_INV, "-i", str(path), "-o", str(out)])
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert code == {None: 0, "short": 2, "text": 2, "numerical": 3}[kind], err.getvalue()
+    if kind:
+        assert out.read_bytes() == b"kept\r\n\xff"
+    else:
+        assert out.read_text() == outcome(CONVERT_INV, path.read_text())[1]
+    assert not [link for link in open_fds().values() if link.startswith(str(spools))]
+    gc.collect()
+    assert open_fds() == fds
+    assert os.listdir(spools) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_killed_run_leaves_no_spool(two_blocks, tmp_path):
+    # the output is copied out of the spools into a pipe nobody reads, so
+    # the process blocks there with its spools open: they are in TMPDIR,
+    # have no name, and a kill leaves nothing behind
+    proc = subprocess.Popen([sys.executable, "-m", "geodkit.cli", *CONVERT_INV, "-i", two_blocks],
+                            stdout=subprocess.PIPE, env={**os.environ, "TMPDIR": str(tmp_path)})
+    try:
+        assert proc.stdout.read(100)
+        fd_dir = f"/proc/{proc.pid}/fd"
+        links = [os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir)]
+        assert [link for link in links if link.startswith(str(tmp_path))]
+        assert os.listdir(tmp_path) == []
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_spool_that_cannot_be_written_exits_2_and_writes_nothing(two_blocks, tmp_path):
+    # a file size limit on the process stands in for a full temp directory:
+    # the spool write fails in its share, and the -o file is left as it was
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    limit = 64 << 10  # each share spools about 200 kB
+    proc = subprocess.run([sys.executable, "-m", "geodkit.cli", *CONVERT_INV, "-i", two_blocks,
+                           "-o", str(out)], capture_output=True, text=True,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE,
+                                                                (limit, limit)))
+    assert proc.returncode == 2
+    assert proc.stderr == "input error: OSError: [Errno 27] File too large\n"
+    assert out.read_text() == "kept\n"
+
+
 # -- block ranges against the whole-file path ----------------------------------
 # names in and out of ASCII, and one with a byte that is not UTF-8 (\xff, as
 # surrogateescape writes it): a file with it is a decoding error, stdin
@@ -749,7 +873,7 @@ def _geodesic_input(problem, path) -> str:
     return path
 
 
-def _peak_bytes_per_row(argv) -> float:
+def _peak_bytes(argv) -> int:
     tracemalloc.start()
     try:
         code = cli.main([*argv, "-o", os.devnull])
@@ -757,7 +881,11 @@ def _peak_bytes_per_row(argv) -> float:
     finally:
         tracemalloc.stop()
     assert code == 0
-    return peak / ROWS
+    return peak
+
+
+def _peak_bytes_per_row(argv) -> float:
+    return _peak_bytes(argv) / ROWS
 
 
 @pytest.mark.parametrize("problem", ["direct", "inverse"])
@@ -774,6 +902,22 @@ def test_geodesic_working_memory_per_row_in_one_share(tmp_path):
     with usable_cpus(1):
         per_row = _peak_bytes_per_row(["geodesic", "direct", "-i", path])
     assert per_row < ONE_SHARE_BYTES_PER_ROW, f"{per_row:.0f} B per row"
+
+
+def test_geodesic_working_memory_in_one_share_does_not_grow_with_the_rows(tmp_path):
+    # one block of input and one of output: four times the rows (the same
+    # lines under other names) peak within 10% of the ROWS-row run, where
+    # holding the output text took 8.4 MB to 18.2 MB
+    path = _geodesic_input("direct", str(tmp_path / "in.csv"))
+    with open(path) as fh:
+        header, *lines = fh
+    with open(tmp_path / "4x.csv", "w") as fh:
+        fh.write(header)
+        for k in range(4):
+            fh.writelines(f"R{k}{line}" for line in lines)
+    with usable_cpus(1):
+        peaks = [_peak_bytes(["geodesic", "direct", "-i", p]) for p in (path, fh.name)]
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_geodesic_working_memory_per_row_from_stdin(tmp_path, monkeypatch):
