@@ -102,7 +102,9 @@ def check_condition(sym: np.ndarray, bound: float, error: Exception) -> np.ndarr
     only a matrix that close to the bound can get the other verdict.  The
     signs are left to the caller: an indefinite matrix passes when it is
     well conditioned, the zero matrix never.  eigvalsh reads one triangle
-    of a copy; solve_linear past 256 unknowns does without (see _factor).
+    of a copy; solve_linear past 256 unknowns calls this only when the
+    estimate of _factor, which holds the lower triangle in 128-column
+    panels, about r^2/2 doubles, rejects.
     """
     if not np.isfinite(sym).all():
         raise error
@@ -175,10 +177,14 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class AdjustmentResult:
-    """Estimated corrections, residuals and variance factor of a system.
+    """Estimated corrections, residuals and variance factor of a system;
+    from Network.solve, x is the last iteration's correction, rounding
+    noise below its tol, and v and s2 are that iteration's.
 
-    Its normal matrix N and cov = s2 N^-1 (None when s2 is) are computed
-    when first read and then kept: work a caller who never reads them skips.
+    Its normal matrix N and cov = s2 N^-1 (None when s2 is; the inverse
+    scaled in place) are computed when first read and then kept: work a
+    caller who never reads them skips.  Both are whole r x r arrays, even
+    where the solve held only the lower triangle of N.
     """
 
     x: np.ndarray
@@ -194,28 +200,60 @@ class AdjustmentResult:
 
     @cached_property
     def cov(self) -> np.ndarray | None:
-        return None if self.s2 is None else self.s2 * np.linalg.inv(self.normal)
-
-
-def _normal_equations(sys: LinearSystem) -> tuple:
-    """A'PA and A'PK: matrix products in the dense form; in the row-sparse
-    form summed by bincount from each row's coefficient products, O(n k^2)
-    work and O(r^2) memory.  The product of coefficients i and j is formed
-    as (a_i a_j) p_row for both (i, j) and (j, i), so A'PA is symmetric."""
-    a, k, p, cols, r = sys.a, sys.k, sys.p, sys.cols, sys.unknowns
-    if cols is None:
-        atp = _weigh(a.T, p)
-        return atp @ a, atp @ k
-    live = cols >= 0
-    pair = live[:, :, None] & live[:, None, :]
-    flat = cols[:, :, None] * r + cols[:, None, :]
-    prod = a[:, :, None] * a[:, None, :] * p[:, None, None]
-    normal = np.bincount(flat[pair], prod[pair], minlength=r * r).reshape(r, r)
-    rhs = np.bincount(cols[live], (a * (p * k)[:, None])[live], minlength=r)
-    return normal, rhs
+        if self.s2 is None:
+            return None
+        inv = np.linalg.inv(self.normal)
+        inv *= self.s2
+        return inv
 
 
 _BLOCK, _SMALL = 128, 256  # columns per block; unknowns that take eigvalsh
+
+
+def _normal_equations(sys: LinearSystem, panels: bool = False) -> tuple:
+    """A'PA and A'PK: matrix products in the dense form; in the row-sparse
+    form summed by bincount from each row's coefficient products, O(n k^2)
+    work and O(r^2) memory.  The product of coefficients i and j is formed
+    as (a_i a_j) p_row for both (i, j) and (j, i), so A'PA is symmetric.
+
+    With panels, A'PA comes as its lower triangle in panels of 128 columns,
+    about r^2/2 doubles: panel b is the (r - 128b) x 128 (or narrower, the
+    last) block of rows 128b on and columns 128b to 128b + 127.  The dense
+    form takes each panel's product; the row-sparse form sums only the
+    products of i >= j, in the order and so to the bits of the whole
+    matrix's lower triangle, and leaves the diagonal blocks' upper
+    triangles 0."""
+    a, k, p, cols, r = sys.a, sys.k, sys.p, sys.cols, sys.unknowns
+    shapes = [(r - j, min(_BLOCK, r - j)) for j in range(0, r, _BLOCK)]
+    # the panels lie one after another in one buffer: panels and temporaries
+    # allocated apart took fresh pages on every solve, about 8000 faults at
+    # 2000 unknowns
+    starts = np.cumsum([0] + [h * w for h, w in shapes])
+
+    def cut(buf: np.ndarray) -> list:
+        return [buf[o:o + h * w].reshape(h, w) for o, (h, w) in zip(starts, shapes)]
+
+    if cols is None:
+        atp = _weigh(a.T, p)
+        if not panels:
+            return atp @ a, atp @ k
+        normal = cut(np.empty(starts[-1]))
+        for j, q in zip(range(0, r, _BLOCK), normal):
+            np.matmul(atp[j:], a[:, j:j + _BLOCK], out=q)
+        return normal, atp @ k
+    live = cols >= 0
+    pair = live[:, :, None] & live[:, None, :]
+    row, col = np.broadcast_arrays(cols[:, :, None], cols[:, None, :])
+    if panels:
+        pair &= row >= col
+    row, col = row[pair], col[pair]
+    prod = (a[:, :, None] * a[:, None, :] * p[:, None, None])[pair]
+    rhs = np.bincount(cols[live], (a * (p * k)[:, None])[live], minlength=r)
+    if not panels:
+        return np.bincount(row * r + col, prod, minlength=r * r).reshape(r, r), rhs
+    j = col - col % _BLOCK
+    flat = starts[j // _BLOCK] + (row - j) * np.minimum(_BLOCK, r - j) + col - j
+    return cut(np.bincount(flat, prod, minlength=starts[-1])), rhs
 
 
 def _top_ritz(apply, r: int) -> float:
@@ -230,35 +268,53 @@ def _top_ritz(apply, r: int) -> float:
     return float(np.linalg.eigvalsh(basis.T @ images)[-1])
 
 
-def _factor(m: np.ndarray) -> tuple:
-    """Cholesky-factor the symmetric m in place (lower triangle), left-looking
-    in blocks of 128 columns, so the temporaries are r x 128.  Returns
-    (solve, kappa): solve(b) = m^-1 b by block forward and back substitution
-    on the factor, and kappa, the top Ritz value of m (taken first) times
-    that of m^-1, a lower bound on m's condition number; (None, inf) when m
-    has no Cholesky factor."""
-    lam_max, inverses = _top_ritz(lambda q: m @ q, len(m)), []
+def _factor(panels: list) -> tuple:
+    """Cholesky-factor in place the symmetric S whose lower triangle panels
+    holds, cut as _normal_equations cuts it; the diagonal blocks' upper
+    triangles are first made their lower triangles' mirror.  Left-looking:
+    each panel takes off the products of the earlier panels' rows, one
+    earlier panel at a time, in an r x 128 work array that then keeps the
+    diagonal blocks' inverses.  Returns (solve, kappa): solve(b) = S^-1 b
+    by block forward and back substitution on the factor, and kappa, the
+    top Ritz value of S (taken first) times that of S^-1, a lower bound on
+    S's condition number; (None, inf) when S has no Cholesky factor."""
+    r = len(panels[0])
+    spans = [(j, j + q.shape[1], q) for j, q in zip(range(0, r, _BLOCK), panels)]
+    for j, e, q in spans:
+        upper = np.triu_indices(e - j, 1)
+        q[upper] = q.T[upper]
+
+    def product(x: np.ndarray) -> np.ndarray:
+        y = np.zeros_like(x)
+        for j, e, q in spans:
+            y[j:] += q @ x[j:e]
+            y[j:e] += q[e - j:].T @ x[e:]
+        return y
+
+    # rows j on of work: panel b's update, then rows j to e its block's inverse
+    lam_max, work = _top_ritz(product, r), np.empty((r, _BLOCK))
     try:
-        for j in range(0, len(m), _BLOCK):
-            e = min(j + _BLOCK, len(m))
-            panel = m[j:, j:e]
-            panel -= m[j:, :j] @ m[j:e, :j].T
-            panel[: e - j] = np.linalg.cholesky(panel[: e - j])
-            panel[e - j:] = np.linalg.solve(panel[: e - j], panel[e - j:].T).T
-            inverses.append(np.linalg.inv(panel[: e - j]))
+        for b, (j, e, q) in enumerate(spans):
+            update = work[j:, : e - j]
+            for i, _, earlier in spans[:b]:
+                q -= np.matmul(earlier[j - i:], earlier[j - i:e - i].T, out=update)
+            q[: e - j] = np.linalg.cholesky(q[: e - j])
+            update[: e - j] = np.linalg.inv(q[: e - j])
+            q[e - j:] = np.matmul(q[e - j:], update[: e - j].T, out=update[e - j:])
     except np.linalg.LinAlgError:
         return None, math.inf
-    blocks = [(j, j + len(inv), inv) for j, inv in zip(range(0, len(m), _BLOCK), inverses)]
+    blocks = [(j, e, q[e - j:], work[j:e, : e - j]) for j, e, q in spans]
 
     def solve(b: np.ndarray) -> np.ndarray:
         y = b.copy()
-        for j, e, inv in blocks:
-            y[j:e] = inv @ (y[j:e] - m[j:e, :j] @ y[:j])
-        for j, e, inv in reversed(blocks):
-            y[j:e] = inv.T @ (y[j:e] - m[e:, j:e].T @ y[e:])
+        for j, e, below, inv in blocks:
+            y[j:e] = inv @ y[j:e]
+            y[e:] -= below @ y[j:e]
+        for j, e, below, inv in reversed(blocks):
+            y[j:e] = inv.T @ (y[j:e] - below.T @ y[e:])
         return y
 
-    return solve, lam_max * _top_ritz(solve, len(m))
+    return solve, lam_max * _top_ritz(solve, r)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -274,26 +330,33 @@ def solve_linear(sys: LinearSystem) -> AdjustmentResult:
     memory at O(r^2) whatever n is.  N must be finite with a positive
     diagonal, and S = D^-1 N D^-1 (N scaled in place, D = sqrt(diag N)) a
     condition number <= 1e12 and positive eigenvalues, else SingularNormal.
-    Past 256 unknowns S is Cholesky-factored in place, and when _factor's
-    estimate passes, block substitutions give X: one r x r array in all.
-    Otherwise check_condition on S decides, with the class and message it
-    always had, and np.linalg.solve gives X.  An overflowing N, A'PK or V'PV
-    raises OverflowError, without numpy's warnings.
+    Past 256 unknowns N is built as its lower triangle in 128-column
+    panels, about r^2/2 doubles (see _normal_equations), S is
+    Cholesky-factored in them in place, and when _factor's estimate
+    passes, block substitutions give X.  Otherwise, and for every system of
+    up to 256 unknowns, check_condition on S, built whole, decides with the
+    class and message it always had, and np.linalg.solve gives X.  An
+    overflowing N, A'PK or V'PV raises OverflowError, without numpy's
+    warnings.
     """
     a, k, p, cols = sys.a, sys.k, sys.p, sys.cols
     n, r = a.shape[0], sys.unknowns
-    scaled, rhs = _normal_equations(sys)
-    if not np.isfinite(scaled).all():
+    large = r > _SMALL
+    scaled, rhs = _normal_equations(sys, panels=large)
+    panels = scaled if large else [scaled]  # the whole N is one panel
+    if not all(np.isfinite(q).all() for q in panels):
         raise OverflowError("normal matrix overflows")
-    diag = np.diag(scaled)
+    diag = np.concatenate([np.diagonal(q) for q in panels])
     if not np.all(diag > 0):
         raise SingularNormal("normal matrix singular or ill-conditioned")
     scale = np.sqrt(diag)
-    scaled /= scale[:, None]
-    scaled /= scale
-    solve, kappa = _factor(scaled) if r > _SMALL else (None, math.inf)
+    for j, q in zip(range(0, r, _BLOCK), panels):
+        q /= scale[j:, None]
+        q /= scale[j:j + q.shape[1]]
+    solve, kappa = _factor(panels) if large else (None, math.inf)
     if not kappa <= 1e12:
-        if r > _SMALL:  # S was factored: build it again
+        if large:  # the panels hold a factor or part of one: drop them, build S whole
+            scaled = panels = None
             scaled = _normal_equations(sys)[0] / scale[:, None] / scale
         lam = check_condition(
             scaled, 1e12, SingularNormal("normal matrix singular or ill-conditioned"))
@@ -607,7 +670,8 @@ class Network:
     Each observation row has 1 to 6 nonzero coefficients, so the rows are
     assembled in the row-sparse form of LinearSystem (n x 6 at most, never
     the dense n x r matrix), and a solve holds O(r^2) memory: past 256
-    unknowns one r x r array, the scaled normal matrix factored in place.
+    unknowns the lower triangle of the scaled normal matrix in 128-column
+    panels, about r^2/2 doubles, factored in place.
     """
 
     def __init__(self, scale_directions: bool = True):
@@ -699,7 +763,8 @@ class Network:
         """Iterate solve_linear on the row-sparse rows, moving the points and
         orientations by each solution, until max |x| < tol; MaxIterations if
         that takes more than max_iter solutions.  Memory is O(r^2) for r
-        unknowns; the result's normal and cov are computed when read."""
+        unknowns; the result's normal and cov are computed when read, and
+        its x is the last solution's correction."""
         index, cols = self._unknowns()
         orientations = self._orientations()
         for iteration in range(1, max_iter + 1):

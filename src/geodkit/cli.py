@@ -646,15 +646,41 @@ def cmd_datum(args):
     _write_lines(out, args.output)
 
 
-def _adjustment_json(res, **extra) -> str:
-    return json.dumps({
-        **extra,
-        "x": [float(v) for v in res.x],
-        "v": [float(v) for v in res.v],
-        "s2": res.s2,
-        "cov": [[float(c) for c in row] for row in res.cov] if res.cov is not None else None,
-        "iterations": res.iterations,
-    }, indent=2)
+class _Passes:
+    """An iterable that calls parts() afresh on each pass, so a caller may
+    count the parts before _write_lines writes them (perfbench's tracer
+    does) and no pass holds them all."""
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    def __iter__(self):
+        return self.parts()
+
+
+def _adjustment_json(res, **extra):
+    """The text json.dumps(doc, indent=2) gives for res and extra, in parts
+    for _write_lines, which ends each with a newline: the document without
+    cov, cut where cov goes, and between its halves one part per row of cov
+    (each row through json's C encoder, whose numbers, NaN and Infinity
+    included, are those the indenting one writes), so no pass holds more
+    than one row's text.  For a network, x is the last iteration's
+    correction, rounding noise below Network.solve's tol."""
+    cov = res.cov
+    text = json.dumps({**extra, "x": res.x.tolist(), "v": res.v.tolist(), "s2": res.s2,
+                       "cov": None, "iterations": res.iterations}, indent=2)
+    if cov is None:
+        return [text]
+    head, _, tail = text.rpartition('\n  "cov": null,\n')  # cov is the last key but one
+
+    def parts():
+        yield head + '\n  "cov": ['
+        for i, row in enumerate(cov, 1):
+            numbers = json.dumps(row.tolist())[1:-1].replace(", ", ",\n      ")
+            yield f"    [\n      {numbers}\n    ]" + ("," if i < len(cov) else "")
+        yield "  ],\n" + tail
+
+    return _Passes(parts)
 
 
 @contextmanager
@@ -675,7 +701,7 @@ def cmd_adjust(args):
             _json_array(doc, "a"), _json_array(doc, "k"),
             _json_array(doc, "p") if "p" in doc else None,
         ))
-        _write_lines([_adjustment_json(res)], args.output)
+        _write_lines(_adjustment_json(res), args.output)
         return
     if not (args.obs and args.points):
         raise ValueError("adjust needs --system or both --obs and --points")
@@ -705,7 +731,7 @@ def cmd_adjust(args):
             net.add_observation(Observation(kind, frm, to, value, sigma, set_id, dist_km))
     res = net.solve()
     points = {name: {"x": p.x0, "y": p.y0, "z": p.z0} for name, p in sorted(net.points.items())}
-    _write_lines([_adjustment_json(res, points=points)], args.output)
+    _write_lines(_adjustment_json(res, points=points), args.output)
 
 
 def cmd_orbit(args):

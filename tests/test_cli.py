@@ -10,6 +10,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geodkit import cli
 from geodkit.adjust import LinearSystem, solve_linear
@@ -478,6 +481,70 @@ class TestAdjust:
         assert result["points"]["B"]["z"] == pytest.approx(3.36780, abs=1e-5)
         assert result["points"]["C"]["z"] == pytest.approx(4.92540, abs=1e-5)
         assert result["points"]["D"]["z"] == pytest.approx(6.88540, abs=1e-5)
+
+
+# numbers json writes in full: -0.0, subnormals, the largest double, NaN and Infinity
+JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]))
+
+
+@st.composite
+def adjustment_results(draw):
+    """A result's x, v, s2, cov (None, 1 x 1 or r x r) and iterations, and
+    points with any names."""
+    r = draw(st.integers(1, 5))
+    x = draw(arrays(float, r, elements=JSON_FLOATS))
+    v = draw(arrays(float, r + draw(st.integers(0, 3)), elements=JSON_FLOATS))
+    size = draw(st.sampled_from([None, 1, r]))
+    cov = None if size is None else draw(arrays(float, (size, size), elements=JSON_FLOATS))
+    s2 = None if cov is None else draw(JSON_FLOATS)
+    points = draw(st.dictionaries(st.text(), st.fixed_dictionaries(
+        {"x": JSON_FLOATS, "y": JSON_FLOATS, "z": JSON_FLOATS}), max_size=3))
+    result = collections.namedtuple("Result", "x v s2 cov iterations")
+    return result(x, v, s2, cov, draw(st.integers(0, 10))), points
+
+
+class TestAdjustmentJson:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(adjustment_results())
+    def test_parts_join_to_the_indented_dump(self, result):
+        # the document geodkit adjust wrote whole, as json.dumps(..., indent=2)
+        res, points = result
+        whole = json.dumps({
+            "points": points,
+            "x": [float(v) for v in res.x],
+            "v": [float(v) for v in res.v],
+            "s2": res.s2,
+            "cov": [[float(c) for c in row] for row in res.cov] if res.cov is not None else None,
+            "iterations": res.iterations,
+        }, indent=2)
+        parts = cli._adjustment_json(res, points=points)
+        assert "\n".join(parts) == whole
+        assert "\n".join(parts) == whole  # a second pass, as perfbench's tracer makes
+
+    def test_300_unknowns_to_a_file_and_to_stdout(self, tmp_path):
+        # a chain of 301 heights, one fixed, and 302 random chords: cov is
+        # 300 x 300, written a row at a time with the bytes of one dump
+        rng = np.random.default_rng(22)
+        n = 301
+        h = rng.uniform(50.0, 150.0, n).tolist()
+        (tmp_path / "points.csv").write_text("name,x,y,z,fixed\n" + "".join(
+            f"P{i},0,0,{h[i] if i == 0 else 0.0!r},{int(i == 0)}\n" for i in range(n)))
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        pairs += [tuple(rng.choice(n, 2, replace=False)) for _ in range(n + 1)]
+        (tmp_path / "obs.csv").write_text("kind,from,to,value,sigma,set_id,dist_km\n" + "".join(
+            f"leveling,P{i},P{j},{h[j] - h[i] + float(rng.normal(0.0, 1e-3))!r},,,1.0\n"
+            for i, j in pairs))
+        args = ["adjust", "--obs", str(tmp_path / "obs.csv"), "--points", str(tmp_path / "points.csv")]
+        to_stdout = run_cli(args)
+        to_file = run_cli([*args, "-o", str(tmp_path / "out.json")])
+        assert to_stdout.returncode == to_file.returncode == 0
+        assert to_file.stdout == ""
+        assert (tmp_path / "out.json").read_text() == to_stdout.stdout
+        doc = json.loads(to_stdout.stdout)
+        assert to_stdout.stdout == json.dumps(doc, indent=2) + "\n"
+        assert np.array(doc["cov"]).shape == (300, 300)
+        assert len(doc["points"]) == n and len(doc["x"]) == 300
 
 
 class TestOrbitDopHeightsAstro:
