@@ -16,14 +16,14 @@ rows with one "%s,%.12g,..." template.  _table runs an input of two blocks
 or more in one share per usable CPU, all but the first in forked children,
 each reading only its own blocks; a share that cannot fork runs in this
 process (_shared).  Each share writes its lines to its own _Spool, an
-unnamed temp file in TMPDIR, so a process holds one block of input and one
-of output; the temp directory needs room for the output, and a full one
-exits 2.  dop, heights and the datum fits read their columns through _Rows
-too; adjust parses the mixed names and numbers of its rows itself.  Output
-is all or nothing: the spools are copied out once every share has passed,
-and the first failing data row in file order decides the error, which is
-the one the scalar API raises on that row.  The input's own errors come
-first: a csv error, raised as _read_csv reads the input, then a short row.
+unnamed temp file in TMPDIR that needs room for the output (a full one
+exits 2), so a process holds one 4096-row block of input and one of output,
+and the scan a 256 KB window.  dop, heights and the datum fits read their
+columns through _Rows too; adjust parses the mixed names and numbers of its
+rows itself.  Output is all or nothing: the spools are copied out once all
+shares pass, and the first failing data row in file order decides the
+error, the one the scalar API raises on that row.  The input's own errors
+come first: a csv error, raised as _read_csv reads the input, then a short row.
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical error.  The class
 of the exception decides: any ArithmeticError, which includes every
@@ -52,7 +52,6 @@ import argparse
 import copy
 import csv
 import io
-import json
 import os
 import pickle
 import re
@@ -111,12 +110,11 @@ _fmt = _NUMBER.__mod__
 
 
 # data rows per block of the CSV commands, the rows of input and of output a
-# process holds: small enough that a block's parsed rows, kernel temporaries
-# and output lines stay a few MB, large enough that the per-block calls cost
-# nothing next to the per-row work
-_BLOCK_ROWS = 8192
-# bytes per step of _read_csv's scan
-_CHUNK = 1 << 20
+# process holds: a block's lines, values, kernel temporaries and output lines
+# take 2-3 MB, and the per-block calls cost nothing next to the per-row work
+_BLOCK_ROWS = 4096
+# bytes per step of _read_csv's scan, above csv.field_size_limit() (131072)
+_CHUNK = 1 << 18
 
 
 def _records(lines) -> list:
@@ -292,15 +290,15 @@ class _Rows:
                     try:
                         values.append([float(v) for v in row[1:count + 1]])
                     except ValueError as exc:
-                        error = ValueError(f"data row {self.taken - len(rows) + i + 1}: {exc}")
+                        error = f"data row {self.taken - len(rows) + i + 1}: {exc}"
                         break
                 names = [row[0] for row in rows[:len(values)]]
                 values = np.array(values, dtype=float).reshape(-1, count)
             lines = rows = None  # the raw block goes before its rows are computed
             yield names, [c.copy() for c in values.T]  # one contiguous array a column
             names = values = None  # and its rows go before the next block is read
-            if error:
-                raise error
+            if error:  # raised here, so this frame holds no exception its traceback holds
+                raise ValueError(error)
 
 
 class _Spool(io.TextIOWrapper):
@@ -415,6 +413,7 @@ def _shared(rows, body, out) -> None:
             spool.seek(0)
         out(spools)
     finally:
+        error = results = None  # the traceback holds this frame: no cycle keeps the input open
         for pid, fh in children:
             fh.close()
             os.waitpid(pid, 0)
@@ -600,6 +599,8 @@ def _finite(option: str, value: float) -> float:
 
 
 def cmd_datum(args):
+    import json
+
     from . import datum
 
     if args.op == "bw-apply":
@@ -666,6 +667,8 @@ def _adjustment_json(res, **extra):
     included, are those the indenting one writes), so no pass holds more
     than one row's text.  For a network, x is the last iteration's
     correction, rounding noise below Network.solve's tol."""
+    import json
+
     cov = res.cov
     text = json.dumps({**extra, "x": res.x.tolist(), "v": res.v.tolist(), "s2": res.s2,
                        "cov": None, "iterations": res.iterations}, indent=2)
@@ -755,6 +758,8 @@ def cmd_orbit(args):
 
 
 def cmd_dop(args):
+    import json
+
     from .adjust import dop
 
     unit = args.angle_unit

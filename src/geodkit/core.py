@@ -8,7 +8,6 @@ the I/O boundary, through the :class:`Angle` helper.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import re
 import sys
@@ -133,14 +132,12 @@ OMEGA_GPS = 7.2921151467e-5
 SIDEREAL_RATIO = 366.2422 / 365.2422
 SIDEREAL_RATIO_GST = 1.002737909
 
-_ANGLE_RE = re.compile(
-    rf"""^\s*(?P<sign>[+-]?)\s*(?:
+# the pattern of Angle.parse, compiled on the first parse (re caches it)
+_ANGLE_RE = rf"""^\s*(?P<sign>[+-]?)\s*(?:
         (?P<hms>(?P<h>\d+(?:\.\d+)?)h(?:\s*(?P<hm>\d+(?:\.\d+)?)m(?:n)?)?(?:\s*(?P<hs>\d+(?:\.\d+)?)s)?) |
         (?P<dms>(?P<d>\d+(?:\.\d+)?)(?:°|d)(?:\s*(?P<dm>\d+(?:\.\d+)?)')?(?:\s*(?P<ds>\d+(?:\.\d+)?)(?:"|''))?) |
         (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*(?P<unit>{'|'.join(ANGLE_UNITS)})?
-    )\s*$""",
-    re.VERBOSE,
-)
+    )\s*$"""
 
 
 @dataclass(frozen=True)
@@ -191,7 +188,7 @@ class Angle:
 
     @classmethod
     def parse(cls, text: str) -> "Angle":
-        m = _ANGLE_RE.match(text)
+        m = re.match(_ANGLE_RE, text, re.VERBOSE)
         if not m:
             raise ValueError(f"unparseable angle: {text!r}")
         sign = -1.0 if m.group("sign") == "-" else 1.0
@@ -368,11 +365,15 @@ def get_ellipsoid(name: str) -> Ellipsoid:
 
 
 def registry_to_json() -> str:
+    import json
+
     doc = [{"name": k, "a": e.a, "inv_f": e.inv_f} for k, e in REGISTRY.items()]
     return json.dumps(doc, indent=2)
 
 
 def registry_from_json(text: str) -> dict:
+    import json
+
     doc = json.loads(text)
     return {
         row["name"]: Ellipsoid.from_a_inv_f(row["name"], row["a"], row["inv_f"])
@@ -382,6 +383,8 @@ def registry_from_json(text: str) -> dict:
 
 def parse_json_object(text: str) -> dict:
     """JSON text whose top level must be an object (a dict once parsed)."""
+    import json
+
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {type(doc).__name__}")

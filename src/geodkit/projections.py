@@ -14,7 +14,6 @@ provided to verify conformality of any mapping.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
@@ -454,6 +453,8 @@ def _json_fields(cls) -> list:
 
 
 def projection_to_json(d) -> str:
+    import json
+
     kind = next((k for k, cls in _FAMILIES.items() if isinstance(d, cls)), None)
     if kind is None:
         raise TypeError(f"not a projection definition: {d!r}")

@@ -11,8 +11,9 @@ patched to 1..7, every kind of row lands on either side of a block
 boundary, and both paths must give the same stdout, exit code and
 stderr.  With the usable CPUs patched too, an input of several blocks runs
 in shares, all but the first in forked children, which must give the same
-and leave no process behind.  At the end, np.loadtxt is checked against
-csv.reader and float() on the fields where they part.
+and leave no process behind.  Then np.loadtxt is checked against
+csv.reader and float() on the fields where they part, and argparse's help
+and usage-error text is pinned.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import textwrap
 import tracemalloc
 from dataclasses import astuple
 from operator import itemgetter
@@ -709,8 +711,7 @@ def open_fds() -> dict:
 def test_a_run_in_shares_leaves_no_spool_and_no_partial_output(kind, tmp_path, monkeypatch):
     # 6 rows in blocks of 2 on 3 CPUs, the failing row in the second child's
     # share: the -o file that was there stays byte for byte, every spool is
-    # closed once main() returns, and the temp directory is left empty.  An
-    # error's traceback holds the input file open until a collection.
+    # closed once main() returns, and the temp directory is left empty.
     rows = [*GOOD_XYZ, GOOD_XYZ[0]]
     if kind:
         rows[5] = FAILING[kind]
@@ -732,9 +733,36 @@ def test_a_run_in_shares_leaves_no_spool_and_no_partial_output(kind, tmp_path, m
     else:
         assert out.read_text() == outcome(CONVERT_INV, path.read_text())[1]
     assert not [link for link in open_fds().values() if link.startswith(str(spools))]
-    gc.collect()
     assert open_fds() == fds
     assert os.listdir(spools) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("row", [0, 2], ids=["this-share", "child-share"])
+@pytest.mark.parametrize("kind", sorted(FAILING))
+def test_a_failed_run_closes_its_input_without_a_collection(kind, row, tmp_path):
+    # 4 rows in blocks of 2 on 2 CPUs, the failing row in this process's
+    # share or in the child's: with gc off, the input is closed once main()
+    # returns, so no frame in the error's traceback refers back to the error
+    rows = GOOD_XYZ[:4]
+    rows[row] = FAILING[kind]
+    path = tmp_path / "in.csv"
+    path.write_text("h,h,h,h\n" + "\n".join(rows) + "\n")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with usable_cpus(2) as forks, mock.patch.object(cli, "_BLOCK_ROWS", 2), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([*CONVERT_INV, "-i", str(path)])
+        left = [link for link in open_fds().values() if link == os.path.realpath(path)]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert code == {"short": 2, "text": 2, "numerical": 3}[kind]
+    assert left == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -805,7 +833,8 @@ def plain_inputs(draw):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(plain_inputs(), st.integers(1, 4), st.integers(1, 3), st.sampled_from([32, 64, 1 << 20]))
+@given(plain_inputs(), st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from([32, 64, 1 << 18, 1 << 20]))
 def test_block_ranges_match_the_whole_file_path(case, block, cpus, chunk):
     # blocks of 1-4 rows in shares on 1-3 CPUs, so the skipped lines fall on
     # and across block and share cuts, and a scan in chunks of a few lines
@@ -836,6 +865,19 @@ def test_the_plain_inputs_reach_both_readers():
 
     collect()
     assert kinds == {True, False, UnicodeDecodeError}
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_the_block_and_scan_sizes_move_only_the_cuts(stdin):
+    # 20 000 rows, names in and out of ASCII, in blocks of 4096 rows from a
+    # 256 KB scan, and in the 8192-row blocks of a 1 MB scan: the same bytes
+    rows = [f"{SPOOLED_NAMES[i % 4]}{i},{4e6 + i!r},{i * 10.5!r},4.8e6" for i in range(20_000)]
+    data = ("h,h,h,h\n" + "\n".join(rows) + "\n").encode()
+    assert (cli._BLOCK_ROWS, cli._CHUNK) == (4096, 1 << 18)
+    got = outcome(CONVERT_INV, data, cli._BLOCK_ROWS, stdin)
+    with mock.patch.object(cli, "_CHUNK", 1 << 20):
+        assert outcome(CONVERT_INV, data, 8192, stdin) == got
+    assert got[0] == 0 and got[1].count("\n") == 20_001, got[0]
 
 
 # -- working memory -------------------------------------------------------------
@@ -1034,3 +1076,233 @@ def test_fallback_on_every_block_writes_the_same_bytes(command):
     with mock.patch.object(np, "loadtxt", side_effect=ValueError):
         assert outcome(argv, text, 3) == fast
     assert fast[0] == 0 and fast[1].count("\n") == 8, fast
+
+
+# -- argparse's text -------------------------------------------------------------
+# what argparse prints for help and usage errors, byte for byte at 80 columns,
+# as CPython 3.11 formats it: a parser built only for the command given would
+# print other usage lines (the top-level usage names every command)
+TOP_USAGE = """\
+usage: geodkit [-h] [--version] [--list-ellipsoids] [--list-projections]
+               {convert,project,geodesic,reduce,datum,adjust,orbit,dop,heights,astro}
+               ...
+"""
+# the top-level help: usage, the module docstring filled to 78 columns and this
+TOP_HELP_TAIL = """\
+positional arguments:
+  {convert,project,geodesic,reduce,datum,adjust,orbit,dop,heights,astro}
+    convert             geodetic <-> ECEF over CSV
+    project             map projection forward/inverse
+    geodesic            geodesic direct/inverse problems
+    reduce              distance reductions
+    datum               datum transformations
+    adjust              least-squares adjustment
+    orbit               two-body propagation
+    dop                 dilution of precision
+    heights             height systems
+    astro               sidereal time arithmetic
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+  --list-ellipsoids
+  --list-projections
+"""
+TOP_HELP = f"{TOP_USAGE}\n{textwrap.fill(' '.join(cli.__doc__.split()), 78)}\n\n{TOP_HELP_TAIL}"
+SUBCOMMAND_HELP = {
+    "convert": """\
+usage: geodkit convert [-h] --from {geodetic,ecef} --to {geodetic,ecef}
+                       [--ell ELL] [--input INPUT] [--output OUTPUT]
+                       [--angle-unit {gr,deg,rad,dmgr,arcsec}]
+
+options:
+  -h, --help            show this help message and exit
+  --from {geodetic,ecef}
+  --to {geodetic,ecef}
+  --ell ELL
+  --input INPUT, -i INPUT
+  --output OUTPUT, -o OUTPUT
+  --angle-unit {gr,deg,rad,dmgr,arcsec}
+""",
+    "project": """\
+usage: geodkit project [-h] [--proj PROJ] [--proj-json PROJ_JSON] [--ell ELL]
+                       [--input INPUT] [--output OUTPUT]
+                       [--angle-unit {gr,deg,rad,dmgr,arcsec}]
+                       {fwd,inv}
+
+positional arguments:
+  {fwd,inv}
+
+options:
+  -h, --help            show this help message and exit
+  --proj PROJ
+  --proj-json PROJ_JSON
+                        JSON projection definition file
+  --ell ELL
+  --input INPUT, -i INPUT
+  --output OUTPUT, -o OUTPUT
+  --angle-unit {gr,deg,rad,dmgr,arcsec}
+""",
+    "geodesic": """\
+usage: geodkit geodesic [-h] [--ell ELL] [--input INPUT] [--output OUTPUT]
+                        [--angle-unit {gr,deg,rad,dmgr,arcsec}]
+                        {direct,inverse}
+
+positional arguments:
+  {direct,inverse}
+
+options:
+  -h, --help            show this help message and exit
+  --ell ELL
+  --input INPUT, -i INPUT
+  --output OUTPUT, -o OUTPUT
+  --angle-unit {gr,deg,rad,dmgr,arcsec}
+""",
+    "reduce": """\
+usage: geodkit reduce [-h] [--wave {light,micro}] [--scale SCALE] [--rigorous]
+                      [--input INPUT] [--output OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --wave {light,micro}
+  --scale SCALE
+  --rigorous            closed sea-level formula; it skips the ray-curvature
+                        correction, so --wave has no effect with it
+  --input INPUT, -i INPUT
+  --output OUTPUT, -o OUTPUT
+""",
+    "datum": """\
+usage: geodkit datum [-h] [--params PARAMS] [--ell ELL] [--ell2 ELL2]
+                     [--shift SHIFT] [--abridged] [--input INPUT]
+                     [--output OUTPUT] [--angle-unit {gr,deg,rad,dmgr,arcsec}]
+                     {bw-apply,bw-fit,bw-direct,molodensky,helmert2d-fit,helmert2d-apply}
+
+positional arguments:
+  {bw-apply,bw-fit,bw-direct,molodensky,helmert2d-fit,helmert2d-apply}
+
+options:
+  -h, --help            show this help message and exit
+  --params PARAMS
+  --ell ELL
+  --ell2 ELL2
+  --shift SHIFT         dX,dY,dZ metres (molodensky)
+  --abridged
+  --input INPUT, -i INPUT
+  --output OUTPUT, -o OUTPUT
+  --angle-unit {gr,deg,rad,dmgr,arcsec}
+""",
+    "adjust": """\
+usage: geodkit adjust [-h] [--system SYSTEM] [--obs OBS] [--points POINTS]
+                      [--no-direction-scaling] [--input INPUT]
+                      [--output OUTPUT]
+                      [--angle-unit {gr,deg,rad,dmgr,arcsec}]
+
+options:
+  -h, --help            show this help message and exit
+  --system SYSTEM       JSON file with A, K and optional P
+  --obs OBS             CSV kind,from,to,value,sigma,set_id,dist_km
+  --points POINTS       CSV name,x0,y0[,z0],fixed
+  --no-direction-scaling
+  --input INPUT, -i INPUT
+  --output OUTPUT, -o OUTPUT
+  --angle-unit {gr,deg,rad,dmgr,arcsec}
+""",
+    "orbit": """\
+usage: geodkit orbit [-h] --elements ELEMENTS --epochs EPOCHS
+                     [--frame {eci,ecef}] [--gst-rad GST_RAD] [--spin]
+                     [--input INPUT] [--output OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --elements ELEMENTS   JSON orbital elements
+  --epochs EPOCHS       comma-separated epochs, s
+  --frame {eci,ecef}
+  --gst-rad GST_RAD
+  --spin                advance GST with the earth rotation rate
+  --input INPUT, -i INPUT
+  --output OUTPUT, -o OUTPUT
+""",
+    "dop": """\
+usage: geodkit dop [-h] --receiver RECEIVER [--ell ELL] [--input INPUT]
+                   [--output OUTPUT] [--angle-unit {gr,deg,rad,dmgr,arcsec}]
+
+options:
+  -h, --help            show this help message and exit
+  --receiver RECEIVER   phi,lam[,he]
+  --ell ELL
+  --input INPUT, -i INPUT
+  --output OUTPUT, -o OUTPUT
+  --angle-unit {gr,deg,rad,dmgr,arcsec}
+""",
+    "heights": """\
+usage: geodkit heights [-h] [--phi-start PHI_START] [--phi-end PHI_END]
+                       [--h-mean H_MEAN] [--input INPUT] [--output OUTPUT]
+                       [--angle-unit {gr,deg,rad,dmgr,arcsec}]
+                       {ortho,normal,dynamic}
+
+positional arguments:
+  {ortho,normal,dynamic}
+
+options:
+  -h, --help            show this help message and exit
+  --phi-start PHI_START
+  --phi-end PHI_END
+  --h-mean H_MEAN
+  --input INPUT, -i INPUT
+  --output OUTPUT, -o OUTPUT
+  --angle-unit {gr,deg,rad,dmgr,arcsec}
+""",
+    "astro": """\
+usage: geodkit astro [-h] [--hsl HSL] [--alpha ALPHA] [--hsg HSG]
+                     [--hsg0 HSG0] [--lam LAM] [--tu TU] [--input INPUT]
+                     [--output OUTPUT]
+                     {hour-angle,hsl,sidereal}
+
+positional arguments:
+  {hour-angle,hsl,sidereal}
+
+options:
+  -h, --help            show this help message and exit
+  --hsl HSL
+  --alpha ALPHA
+  --hsg HSG
+  --hsg0 HSG0
+  --lam LAM
+  --tu TU
+  --input INPUT, -i INPUT
+  --output OUTPUT, -o OUTPUT
+""",
+}
+
+
+def usage_of(command: str) -> str:
+    return SUBCOMMAND_HELP[command].partition("\n\n")[0] + "\n"
+
+
+ARGPARSE_CASES = {
+    "help": (["--help"], 0, TOP_HELP, ""),
+    **{f"{c} help": ([c, "--help"], 0, SUBCOMMAND_HELP[c], "") for c in SUBCOMMAND_HELP},
+    "no command": ([], 2, "", TOP_USAGE),
+    "unknown command": (["frobnicate"], 2, "", TOP_USAGE + (
+        "geodkit: error: argument command: invalid choice: 'frobnicate' (choose from "
+        + ", ".join(f"'{c}'" for c in SUBCOMMAND_HELP) + ")\n")),
+    "extra argument": ([*CONVERT_INV, "extra"], 2, "",
+                       TOP_USAGE + "geodkit: error: unrecognized arguments: extra\n"),
+    "missing options": (["convert"], 2, "", usage_of("convert")
+                        + "geodkit convert: error: the following arguments are required: "
+                        "--from, --to\n"),
+    "missing option": (["orbit", "--epochs", "0"], 2, "", usage_of("orbit")
+                       + "geodkit orbit: error: the following arguments are required: "
+                       "--elements\n"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the text CPython 3.11 prints")
+@pytest.mark.parametrize("case", sorted(ARGPARSE_CASES))
+def test_argparse_prints_the_pinned_text(case, monkeypatch):
+    argv, code, stdout, stderr = ARGPARSE_CASES[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(argv) == code
+    assert (out.getvalue(), err.getvalue()) == (stdout, stderr)
