@@ -811,11 +811,17 @@ def cmd_astro(args):
     _write_lines([_fmt(value)], args.output)
 
 
+_DESCRIPTION = """Geodetic computations on CSV and JSON files, read from a file or
+stdin and printed to stdout unless --output names a file. A CSV header tags the
+unit of each column, as in phi[gr]. Numbers are written with 12 significant
+digits. Exit codes: 0 success, 2 input or usage error, 3 numerical error."""
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="geodkit", description=__doc__)
+    ap = argparse.ArgumentParser(prog="geodkit", description=_DESCRIPTION)
     ap.add_argument("--version", action="version", version=f"geodkit {__version__}")
-    ap.add_argument("--list-ellipsoids", action="store_true")
-    ap.add_argument("--list-projections", action="store_true")
+    ap.add_argument("--list-ellipsoids", action="store_true", help="list ellipsoids and exit")
+    ap.add_argument("--list-projections", action="store_true", help="list projections and exit")
     sub = ap.add_subparsers(dest="command")
 
     def common(p, angle=True):

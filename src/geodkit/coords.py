@@ -11,10 +11,10 @@ from .core import (
     Ellipsoid,
     NonConvergence,
     NumericalError,
+    _prime_vertical_radius,
     all_finite,
     iterate,
     npmath,
-    prime_vertical_radius,
     quiet,
 )
 
@@ -40,7 +40,7 @@ def _normalize_lon(lam):
 _MAX_LATITUDE = math.pi / 2 + 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeodeticCoord:
     """Geodetic latitude, longitude (positive east) and ellipsoidal height."""
 
@@ -48,13 +48,19 @@ class GeodeticCoord:
     lam: float
     he: float = 0.0
 
+    # fields go straight into __dict__, as in each value type of a scalar call (npmath)
+    def __init__(self, phi, lam, he=0.0):
+        attrs = self.__dict__
+        attrs["phi"], attrs["lam"], attrs["he"] = phi, lam, he
+        self.__post_init__()
+
     def __post_init__(self):
         # written so that NaN fails the test
         if not abs(self.phi) <= _MAX_LATITUDE:
             raise ValueError(f"latitude {self.phi} outside [-pi/2, pi/2]")
         if not (math.isfinite(self.lam) and math.isfinite(self.he)):
             raise ValueError(f"non-finite longitude {self.lam} or height {self.he}")
-        object.__setattr__(self, "lam", _normalize_lon(self.lam))
+        self.__dict__["lam"] = _normalize_lon(self.lam)
 
 
 def geodetic_columns(phi, lam, he=0.0) -> tuple:
@@ -68,15 +74,17 @@ def geodetic_columns(phi, lam, he=0.0) -> tuple:
     return phi, _normalize_lon(lam), ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EcefCoord:
     x: float
     y: float
     z: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError(f"non-finite coordinate ({self.x}, {self.y}, {self.z})")
+    def __init__(self, x, y, z):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError(f"non-finite coordinate ({x}, {y}, {z})")
+        attrs = self.__dict__
+        attrs["x"], attrs["y"], attrs["z"] = x, y, z
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
@@ -88,7 +96,7 @@ class EcefCoord:
 
 def _ecef(xp, ell: Ellipsoid, phi, lam, he) -> tuple:
     """Cartesian coordinates X = (N+he) cos phi cos lam, etc."""
-    n = prime_vertical_radius(ell, phi)
+    n = _prime_vertical_radius(xp, ell, phi)
     cphi = xp.cos(phi)
     return (
         (n + he) * cphi * xp.cos(lam),
@@ -116,7 +124,7 @@ def geodetic_to_ecef_array(ell: Ellipsoid, phi, lam, he) -> tuple:
 
 def _z_prime(xp, ell: Ellipsoid, z, phi):
     """Z' = Z + N e2 sin(phi_i); the next iterate is phi_{i+1} = atan(Z'/r)."""
-    return z + prime_vertical_radius(ell, phi) * ell.e2 * xp.sin(phi)
+    return z + _prime_vertical_radius(xp, ell, phi) * ell.e2 * xp.sin(phi)
 
 
 def _libm(fn, *columns) -> np.ndarray:
@@ -136,11 +144,11 @@ _NEAR_POLE = math.radians(89.9)
 
 
 def _height_from_z(xp, ell: Ellipsoid, phi, z):
-    return z / xp.sin(phi) - prime_vertical_radius(ell, phi) * (1.0 - ell.e2)
+    return z / xp.sin(phi) - _prime_vertical_radius(xp, ell, phi) * (1.0 - ell.e2)
 
 
 def _height_from_r(xp, ell: Ellipsoid, phi, r):
-    return r / xp.cos(phi) - prime_vertical_radius(ell, phi)
+    return r / xp.cos(phi) - _prime_vertical_radius(xp, ell, phi)
 
 
 # stopping rule of the latitude fixed point, shared by its scalar and array forms

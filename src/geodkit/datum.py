@@ -25,10 +25,10 @@ from .core import (
     ARCSEC,
     Ellipsoid,
     NumericalError,
+    _prime_vertical_radius,
     all_finite,
     meridian_radius,
     npmath,
-    prime_vertical_radius,
     quiet,
 )
 from .coords import EcefCoord, GeodeticCoord, PolarAxis, geodetic_columns
@@ -319,7 +319,7 @@ def _molodensky(xp, ell1: Ellipsoid, ell2: Ellipsoid, phi, lam, he, t: tuple,
     terms come first in each sum."""
     dx, dy, dz = t
     a, f, da, df = ell1.a, ell1.f, ell2.a - ell1.a, ell2.f - ell1.f
-    n, rho = prime_vertical_radius(ell1, phi), meridian_radius(ell1, phi)
+    n, rho = _prime_vertical_radius(xp, ell1, phi), meridian_radius(ell1, phi)
     sphi, cphi, slam, clam = xp.sin(phi), xp.cos(phi), xp.sin(lam), xp.cos(lam)
     dphi = -dx * sphi * clam - dy * sphi * slam + dz * cphi
     dlam = -dx * slam + dy * clam
@@ -360,7 +360,7 @@ def _near_axis(xp, ell: Ellipsoid, phi, he):
     """Whether a point lies within 1 m of the polar axis, |(N + he) cos(phi)|
     < 1 m, where the longitude shift divides by about 0: the rule
     coords.ecef_to_geodetic applies."""
-    return abs((prime_vertical_radius(ell, phi) + he) * xp.cos(phi)) < 1.0
+    return abs((_prime_vertical_radius(xp, ell, phi) + he) * xp.cos(phi)) < 1.0
 
 
 def _shifted(xp, ell1, ell2, phi, lam, he, t: tuple, abridged: bool) -> tuple:

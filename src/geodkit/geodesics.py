@@ -27,13 +27,13 @@ from .core import (
     Ellipsoid,
     NonConvergence,
     NumericalError,
+    _prime_vertical_radius,
     flip,
     iterate,
     latitude_from_arc,
     meridian_arc,
     meridian_radius,
     npmath,
-    prime_vertical_radius,
     quarter_meridian,
     quiet,
 )
@@ -60,7 +60,7 @@ TWO_PI = 2.0 * math.pi
 _MERIDIAN_C = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeodesicState:
     """Clairaut constant C (m), equatorial azimuth and squared modulus k2 >= 1."""
 
@@ -68,18 +68,27 @@ class GeodesicState:
     aze: float
     k2: float
 
+    def __init__(self, C, aze, k2):
+        attrs = self.__dict__
+        attrs["C"], attrs["aze"], attrs["k2"] = C, aze, k2
+
     @property
     def k(self) -> float:
         return math.sqrt(self.k2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeodesicSolution:
     phi2: float
     lam2: float
     az1: float
     az2: float
     s: float
+
+    def __init__(self, phi2, lam2, az1, az2, s):
+        attrs = self.__dict__
+        attrs["phi2"], attrs["lam2"], attrs["az1"], attrs["az2"] = phi2, lam2, az1, az2
+        attrs["s"] = s
 
 
 def _norm_az(az):
@@ -113,7 +122,7 @@ def _clamp_unit(x):
 
 
 def _parallel_radius(xp, ell: Ellipsoid, phi):
-    return prime_vertical_radius(ell, phi) * xp.cos(phi)
+    return _prime_vertical_radius(xp, ell, phi) * xp.cos(phi)
 
 
 def _k2(ell: Ellipsoid, c):

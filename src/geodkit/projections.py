@@ -24,6 +24,7 @@ from .core import (
     ARCSEC,
     Ellipsoid,
     NumericalError,
+    _prime_vertical_radius,
     all_finite,
     get_ellipsoid,
     isometric_latitude,
@@ -50,14 +51,16 @@ class OutOfZone(NumericalError, ValueError):
     """Longitude too far from the UTM central meridian."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PlaneCoord:
     e: float
     n: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.e) and math.isfinite(self.n)):
-            raise ValueError(f"non-finite plane coordinate ({self.e}, {self.n})")
+    def __init__(self, e, n):
+        if not (math.isfinite(e) and math.isfinite(n)):
+            raise ValueError(f"non-finite plane coordinate ({e}, {n})")
+        attrs = self.__dict__
+        attrs["e"], attrs["n"] = e, n
 
 
 def _check_scale_and_offsets(d) -> None:
@@ -235,7 +238,7 @@ class UtmDef:
 def _utm_direct_coeffs(ell: Ellipsoid, phi) -> tuple:
     """Series coefficients a1..a8 of the direct transverse Mercator mapping."""
     xp = npmath if type(phi) is np.ndarray else math
-    n = prime_vertical_radius(ell, phi)
+    n = _prime_vertical_radius(xp, ell, phi)
     c = xp.cos(phi)
     s = xp.sin(phi)
     t2 = xp.tan(phi) ** 2
@@ -274,7 +277,7 @@ def utm_footpoint_latitude_array(d: UtmDef, y) -> tuple:
 
 def _utm_inverse_series(xp, d: UtmDef, x, phi_f) -> tuple:
     """Longitude and isometric latitude of a point x east of footpoint latitude phi_f."""
-    n = prime_vertical_radius(d.ell, phi_f)
+    n = _prime_vertical_radius(xp, d.ell, phi_f)
     c = xp.cos(phi_f)
     t = xp.tan(phi_f)
     t2 = t * t

@@ -26,7 +26,6 @@ import resource
 import subprocess
 import sys
 import tempfile
-import textwrap
 import tracemalloc
 from dataclasses import astuple
 from operator import itemgetter
@@ -1087,8 +1086,12 @@ usage: geodkit [-h] [--version] [--list-ellipsoids] [--list-projections]
                {convert,project,geodesic,reduce,datum,adjust,orbit,dop,heights,astro}
                ...
 """
-# the top-level help: usage, the module docstring filled to 78 columns and this
-TOP_HELP_TAIL = """\
+TOP_HELP = TOP_USAGE + """
+Geodetic computations on CSV and JSON files, read from a file or stdin and
+printed to stdout unless --output names a file. A CSV header tags the unit of
+each column, as in phi[gr]. Numbers are written with 12 significant digits.
+Exit codes: 0 success, 2 input or usage error, 3 numerical error.
+
 positional arguments:
   {convert,project,geodesic,reduce,datum,adjust,orbit,dop,heights,astro}
     convert             geodetic <-> ECEF over CSV
@@ -1105,10 +1108,9 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   --version             show program's version number and exit
-  --list-ellipsoids
-  --list-projections
+  --list-ellipsoids     list ellipsoids and exit
+  --list-projections    list projections and exit
 """
-TOP_HELP = f"{TOP_USAGE}\n{textwrap.fill(' '.join(cli.__doc__.split()), 78)}\n\n{TOP_HELP_TAIL}"
 SUBCOMMAND_HELP = {
     "convert": """\
 usage: geodkit convert [-h] --from {geodetic,ecef} --to {geodetic,ecef}
@@ -1306,3 +1308,18 @@ def test_argparse_prints_the_pinned_text(case, monkeypatch):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert cli.main(argv) == code
     assert (out.getvalue(), err.getvalue()) == (stdout, stderr)
+
+
+def test_top_help_is_for_users(monkeypatch):
+    # on any Python: the help lists all ten commands and none of the
+    # module's own names, which its docstring keeps for readers of the code
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["--help"]) == 0
+    text = out.getvalue()
+    assert [c for c in SUBCOMMAND_HELP if f"\n    {c} " in text] == [*SUBCOMMAND_HELP]
+    assert len(SUBCOMMAND_HELP) == 10
+    for internal in ("_Spool", "_table", "_Rows", "_shared", "os._exit", "tracer"):
+        assert internal not in text
+    assert "--list-ellipsoids     list" in text and "--list-projections    list" in text

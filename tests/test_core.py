@@ -20,6 +20,7 @@ from geodkit.core import (
     meridian_arc,
     meridian_arc_coefficients,
     meridian_radius,
+    npmath,
     parametric_latitude,
     prime_vertical_radius,
     quarter_meridian,
@@ -306,6 +307,37 @@ class TestMeridianArc:
             phi = rng.uniform(-1.5, 1.5)
             fd = (meridian_arc(grs80, phi + h) - meridian_arc(grs80, phi - h)) / (2 * h)
             assert fd == pytest.approx(meridian_radius(grs80, phi), rel=1e-4)
+
+
+def reference_meridian_arc(ell, phi):
+    """meridian_arc as a loop over its seven terms, the form its one-expression
+    sum replaced: the same terms added in the same order."""
+    xp = npmath if type(phi) is np.ndarray else math
+    c = ell.arc_coeffs
+    s = c[0] * phi
+    for i, ck in enumerate(c[1:], start=1):
+        s += ck * xp.sin(2 * i * phi)
+    return ell.a * (1.0 - ell.e2) * s
+
+
+def reference_prime_vertical_radius(ell, phi):
+    """prime_vertical_radius with the formula in its own body, as it was
+    before the body moved to the private helper that takes xp."""
+    xp = npmath if type(phi) is np.ndarray else math
+    s = xp.sin(phi)
+    return ell.a / xp.sqrt(1.0 - ell.e2 * s * s)
+
+
+@pytest.mark.parametrize("key", sorted(REGISTRY))
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=16))
+def test_arc_and_normal_radius_keep_the_bits_of_their_references(key, latitudes):
+    ell, column = REGISTRY[key], np.array(latitudes)
+    for fn, ref in ((meridian_arc, reference_meridian_arc),
+                    (prime_vertical_radius, reference_prime_vertical_radius)):
+        assert [fn(ell, phi).hex() for phi in latitudes] == [
+            ref(ell, phi).hex() for phi in latitudes]
+        assert fn(ell, column).tobytes() == ref(ell, column).tobytes()
 
 
 class TestIterate:
