@@ -1,9 +1,9 @@
 """Batch command-line frontend.
 
-Subcommands operate on CSV (comma separator, dot decimal, header row with
-unit tags such as ``phi[gr]``) or JSON files and print to stdout unless an
-output path is given.  Numeric output uses 12 significant digits so runs
-are reproducible byte for byte.
+Subcommands operate on CSV (comma separator, dot decimal, a header row,
+which only output tags with units, as ``phi[gr]``: --angle-unit gives the
+input's) or JSON files and print to stdout unless an output path is given.
+Numbers are printed to 12 significant digits, so runs repeat byte for byte.
 
 Every CSV command parses its input in blocks of rows (_Rows), each read
 from the file when taken (stdin is held whole): one np.loadtxt call, or
@@ -21,9 +21,9 @@ exits 2), so a process holds one 4096-row block of input and one of output,
 and the scan a 256 KB window.  dop, heights and the datum fits read their
 columns through _Rows too; adjust parses the mixed names and numbers of its
 rows itself.  Output is all or nothing: the spools are copied out once all
-shares pass, and the first failing data row in file order decides the
-error, the one the scalar API raises on that row.  The input's own errors
-come first: a csv error, raised as _read_csv reads the input, then a short row.
+shares pass.  Reading the input raises its csv, decoding and short-row errors;
+after that the first failing data row in file order decides the error, the
+one the scalar API raises on that row.
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical error.  The class
 of the exception decides: any ArithmeticError, which includes every
@@ -117,12 +117,13 @@ _BLOCK_ROWS = 4096
 _CHUNK = 1 << 18
 
 
-def _records(lines) -> list:
+def _records(lines) -> tuple:
     """The header and data rows of lines that csv.reader must read, each as
-    the text of its record: a quoted field may span lines.  In a record that
-    starts with "#", a comment, csv.reader sees each run of characters other
-    than quotes, commas and line ends as one "#": no field of it is long."""
-    records, start, end = [], 0, 0  # csv.reader reads the record lines[start:end]
+    the text of its record (a quoted field may span lines), and their lows
+    (_Blocks).  In a record that starts with "#", a comment, csv.reader sees
+    each run of characters other than quotes, commas and line ends as one
+    "#": no field of it is long."""
+    records, lows, low, start, end = [], [], np.inf, 0, 0  # csv.reader reads lines[start:end]
 
     def comments_masked():
         nonlocal end
@@ -134,19 +135,23 @@ def _records(lines) -> list:
     try:
         for row in csv.reader(comments_masked()):
             if row and not row[0].startswith("#"):
+                if records and len(row) < low:
+                    lows.append((len(records), low := len(row)))
                 records.append("".join(lines[start:end]))
             start = end
     except csv.Error as exc:  # in the header, or in data row len(records)
         row = len(records)
         raise ValueError(f"data row {row}: {exc}" if row else f"header: {exc}") from None
-    return records
+    return records, lows
 
 
 class _Blocks(SimpleNamespace):
     """The data rows of a CSV input in blocks of _BLOCK_ROWS rows: block i is
     rows(offsets[i], offsets[i + 1]), the lines between two byte offsets of a
     plain input, or a slice of the records of one csv.reader must read, which
-    np.loadtxt may not (plain is False).  len() is the count of data rows."""
+    np.loadtxt may not (plain is False).  len() is the count of data rows;
+    lows holds each data row narrower than every row before it, as (data-row
+    number, fields)."""
 
     def __len__(self) -> int:
         return self.count
@@ -163,7 +168,8 @@ def _read_csv(path):
     with a quote, a NUL, \\x1c-\\x1f or a CR inside a line (not before an LF nor
     last; stdin splits at LF only), a line of _CHUNK bytes or one as long as
     csv.field_size_limit(), or bytes that do not decode (or decode to
-    U+FFFD).  So every csv or decoding error is raised here.
+    U+FFFD).  So every csv or decoding error is raised here.  A plain row
+    has its comma count + 1 fields, as csv.reader splits it.
     """
     stdin = path in (None, "-")
     fh = text = sys.stdin if stdin else open(path, newline="")  # text: where csv.reader reads
@@ -176,30 +182,36 @@ def _read_csv(path):
         read = partial(os.pread, fh.fileno())
     if not stdin:
         weakref.finalize(read, fh.close)  # the file closes with the last block reader
-    header, offsets, count, pos = None, [], 0, 0
+    header, offsets, lows, low, count, pos = None, [], [], np.inf, 0, 0  # low: the last of lows
     while chunk := read(_CHUNK, pos):  # each chunk but the last ends at a line end
         end = len(chunk) if len(chunk) < _CHUNK else chunk.rfind(b"\n") + 1 or _CHUNK
         b = np.frombuffer(chunk, np.uint8, end)
         lfs = np.flatnonzero(b == 10)
         ends = np.append(lfs[lfs < end - 1] + 1, end)
         starts = np.append(0, ends[:-1])
+        fields = np.add.reduceat((b == 44).view(np.uint8), starts, dtype=np.int32) + 1
         kept = ~np.isin(b[starts], (35, 13, 10))  # "#", "\r" or "\n" starts no row
-        starts, ends = starts[kept] + pos, ends[kept] + pos
+        starts, ends, fields = starts[kept] + pos, ends[kept] + pos, fields[kept]
         if (any(c in chunk for c in b'"\0\x1c\x1d\x1e\x1f')
-                or chunk.count(b"\r", 0, end - 1) != np.count_nonzero(b[lfs[lfs > 0] - 1] == 13)
+                or np.count_nonzero(b[:-1] == 13) != np.count_nonzero(b[lfs[lfs > 0] - 1] == 13)
                 or (ends - starts).max(initial=0) >= min(csv.field_size_limit(), _CHUNK)
                 or "\ufffd" in str(memoryview(chunk)[:end], codec[0], "replace")):
             break  # a byte for csv.reader, a CR inside a line, a long line or bad bytes
         if header is None and starts.size:
             header = next(csv.reader([chunk[starts[0] - pos:ends[0] - pos].decode(*codec)]))
-            starts = starts[1:]
+            starts, fields = starts[1:], fields[1:]
+        if fields.size and fields.min() < low:  # a row narrower than every row before it
+            below = np.minimum.accumulate(np.append(low, fields))
+            new = np.flatnonzero(fields < below[:-1])
+            lows += zip((new + count + 1).tolist(), fields[new].tolist())
+            low = below[-1]
         offsets += starts[-count % _BLOCK_ROWS::_BLOCK_ROWS].tolist()
         count, pos = count + starts.size, pos + end
     if chunk:  # csv.reader must read the input
         lines = list(text)
         if '"' not in "".join(lines):  # each line is a record, and "#", "\r" or "\n" starts no row
             lines = [line for line in lines if line[0] not in "#\r\n"]
-        lines = _records(lines)
+        lines, lows = _records(lines)
         header, count = next(csv.reader(lines[:1]), None), len(lines) - 1
         offsets = [*range(1, count + 1, _BLOCK_ROWS), count + 1]
         rows = lambda start, end: lines[start:end]  # noqa: E731
@@ -210,37 +222,27 @@ def _read_csv(path):
         offsets.append(pos)
     if header is None:
         raise ValueError("empty input")
-    return header, _Blocks(rows=rows, offsets=offsets, count=count, plain=not chunk)
+    return header, _Blocks(rows=rows, offsets=offsets, count=count, plain=not chunk, lows=lows)
 
 
 class _Rows:
-    """The data rows of a CSV input, taken block by block, each checked to
-    hold at least `width` fields.  A plain input's block is read from the
-    input when it is taken, so a process holds one block of the input.
-
-    As a context manager it keeps the input's own errors first: an exception
-    raised in the with-block gives way to a short row among the rows not yet
-    parsed (_read_csv has raised any csv error).  Only that path parses early.
+    """The data rows of a CSV input, taken block by block.  A plain input's
+    block is read from the input when it is taken, so a process holds one
+    block of the input.  The first row with fewer than `width` fields raises
+    at once, as _read_csv has raised any csv error: before any block is parsed.
     """
 
     def __init__(self, path, width: int):
-        self.width = width
-        self.input = _read_csv(path)[1]
-        self.taken, self.short = 0, False  # data rows taken so far; a short row raised?
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, exc, tb):
-        if isinstance(exc, Exception):
-            for _ in self.blocks():
-                pass
+        self.input, self.taken = _read_csv(path)[1], 0  # data rows taken so far
+        for row, fields in self.input.lows:
+            if fields < width:
+                raise ValueError(f"data row {row}: expected at least {width} fields, got {fields}")
 
     def _take(self) -> list:
-        """The next block of raw rows, [] once all are taken or a short row
-        has raised; the lines of a plain input come without their line ends."""
+        """The next block of raw rows, [] once all are taken; the lines of a
+        plain input come without their line ends."""
         offsets, count = self.input.offsets, min(_BLOCK_ROWS, len(self.input) - self.taken)
-        if self.short or len(offsets) < 2:
+        if len(offsets) < 2:
             return []
         block = self.input.rows(offsets.pop(0), offsets[0])
         if len(block) != count:  # comment and blank lines
@@ -251,15 +253,8 @@ class _Rows:
         return block
 
     def _parse(self, lines) -> list:
-        """lines, the block taken last, parsed; its first short row raises at
-        once, and no row is taken after it, so no later one can take its place."""
-        rows, width = list(csv.reader(lines)), self.width
-        if min(map(len, rows)) < width:
-            self.short = True
-            i, row = next((i, row) for i, row in enumerate(rows) if len(row) < width)
-            i += self.taken - len(rows) + 1
-            raise ValueError(f"data row {i}: expected at least {width} fields, got {len(row)}")
-        return rows
+        """lines, the block taken last, parsed by csv.reader."""
+        return list(csv.reader(lines))
 
     def blocks(self):
         """Each block of rows, parsed by csv.reader, in file order."""
@@ -337,9 +332,8 @@ def _settle(failed, outputs, scalar, *inputs) -> None:
 def _map_rows(path, count: int, row) -> list:
     """row(*values) of each data row of a CSV input, in file order, values
     being the row's numeric columns 1..count."""
-    with _Rows(path, count + 1) as rows:
-        return [r for _, columns in rows.columns(count)
-                for r in map(row, *(c.tolist() for c in columns))]
+    return [r for _, columns in _Rows(path, count + 1).columns(count)
+            for r in map(row, *(c.tolist() for c in columns))]
 
 
 def _shared(rows, body, out) -> None:
@@ -349,28 +343,35 @@ def _shared(rows, body, out) -> None:
     the character count.  Each share but the first runs in a forked child,
     which reads only its own blocks and pipes back its count or error; a
     share whose pipe or fork fails (a process or descriptor limit) runs in
-    this process, after the first.  Raises the first short row, else the
-    first error in file order.  Every spool is closed on return.
-    """
+    this process, after the first; a child that ends with no result (killed)
+    is an OSError.  Raises the first error in file order; every spool is
+    closed and every child reaped on return."""
 
-    def run(rows, spool) -> tuple:  # (whether a short row raised, the count or the Exception)
+    def run(rows, spool):  # the count or the Exception
         try:
-            with rows:
-                count = body(rows, spool)
-                spool.flush()  # a full temp directory fails here, in this share
-            return False, count
+            count = body(rows, spool)
+            spool.flush()  # a full temp directory fails here, in this share
+            return count
         except Exception as exc:
-            return rows.short, exc
+            return exc
+
+    def reply(pid, share):  # a child's count or error, read once it has ended
+        message, status = children[pid].read(), os.waitpid(pid, 0)[1]
+        children.pop(pid).close()
+        try:
+            return pickle.loads(message)
+        except (EOFError, pickle.UnpicklingError):
+            return OSError(f"share {share} of {shares} ended with no result, wait status {status}")
 
     blocks = -(-len(rows.input) // _BLOCK_ROWS)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     shares = max(1, min(cpus or 1, blocks) if hasattr(os, "fork") else 1)
     cuts = [blocks * i // shares for i in range(shares + 1)]
-    spools, later, children = [], [], []  # one per share; later shares' result calls; (pid, pipe)
+    spools, later, children = [], [], {}  # one per share; later shares' result calls; pid: pipe
     try:
         for _ in range(shares):
             spools.append(_Spool())
-        for first, end, spool in zip(cuts[1:], cuts[2:], spools[1:]):
+        for k, (first, end, spool) in enumerate(zip(cuts[1:], cuts[2:], spools[1:]), 2):
             share, pipe = copy.copy(rows), ()
             share.input, share.taken = copy.copy(rows.input), first * _BLOCK_ROWS
             share.input.offsets = rows.input.offsets[first:end + 1]
@@ -386,35 +387,35 @@ def _shared(rows, body, out) -> None:
                     continue
             if not pid:
                 try:  # the write fails once the parent has died
-                    for fd in [read, *(fh.fileno() for _, fh in children)]:
+                    for fd in [read, *(fh.fileno() for fh in children.values())]:
                         os.close(fd)
-                    short, result = run(share, spool)
+                    result = run(share, spool)
                     if isinstance(result, Exception):  # as class, message and exit class
                         result = type(result).__module__, type(result).__name__, str(result), next(
                             (c for c in (ArithmeticError, OSError, ValueError, KeyError)
                              if isinstance(result, c)), Exception)
                     with open(write, "wb") as fh:
-                        pickle.dump((short, result), fh)
+                        pickle.dump(result, fh)
                 finally:
                     os._exit(0)
             os.close(write)
-            children.append((pid, open(read, "rb")))
-            later.append(partial(pickle.load, children[-1][1]))
+            children[pid] = open(read, "rb")
+            later.append(partial(reply, pid, k))
         del rows.input.offsets[cuts[1] + 1:]
         results = [run(rows, spools[0])] + [result() for result in later]
-        error = max(results, key=lambda r: (not isinstance(r[1], int), r[0]))[1]
+        error = next((r for r in results if not isinstance(r, int)), None)
         if isinstance(error, tuple):
             module, name, text, base = error
             error = type(name, (base,), {"__module__": module, "__str__": lambda _: text})()
-        if isinstance(error, Exception):
+        if error is not None:
             raise error
-        for spool, (_, count) in zip(spools, results):
+        for spool, count in zip(spools, results):
             spool.count = count
             spool.seek(0)
         out(spools)
     finally:
         error = results = None  # the traceback holds this frame: no cycle keeps the input open
-        for pid, fh in children:
+        for pid, fh in children.items():
             fh.close()
             os.waitpid(pid, 0)
         for spool in spools:
@@ -503,11 +504,10 @@ _DIRECT, _INVERSE = attrgetter("phi2", "lam2", "az2", "s"), attrgetter("az1", "a
 
 
 def cmd_convert(args):
-    rows = _Rows(args.input, 4)
-    with rows:  # an unknown ellipsoid or conversion gives way to the input's own errors
-        ell = get_ellipsoid(args.ell)
-        if args.frm == args.to:
-            raise ValueError(f"unsupported conversion {args.frm} -> {args.to}")
+    rows = _Rows(args.input, 4)  # the input's own errors come before an unknown ellipsoid
+    ell = get_ellipsoid(args.ell)
+    if args.frm == args.to:
+        raise ValueError(f"unsupported conversion {args.frm} -> {args.to}")
     if args.frm == "geodetic":
         _table(rows, args.output, args.angle_unit, _GEODETIC, _ECEF,
                lambda *g: _XYZ(geodetic_to_ecef(ell, GeodeticCoord(*g))),

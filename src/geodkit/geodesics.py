@@ -213,10 +213,8 @@ def _direct_end(xp, ell: Ellipsoid, lam1, c, aze, k2, az1, t1, t2) -> tuple:
         _lon_antider(t2, alpha, beta, gamma) - _lon_antider(t1, alpha, beta, gamma)
     )
     lam2 = _normalize_lon(lam1 + dlam)
-    sin_az2 = _clamp_unit(c / _parallel_radius(xp, ell, phi2))
-    # no vertex crossing inside the validity domain
-    cos_az2 = flip(xp.sqrt(1.0 - sin_az2 * sin_az2), xp.cos(az1) < 0)
-    return phi2, lam2, _norm_az(xp.atan2(sin_az2, cos_az2))
+    # no vertex crossing inside the validity domain: az2 heads as az1 does
+    return phi2, lam2, _endpoint_az(xp, ell, c, phi2, xp.cos(az1))
 
 
 def _meridian_direct(ell: Ellipsoid, p1: GeodeticCoord, az1: float, s: float) -> GeodesicSolution:

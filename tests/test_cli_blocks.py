@@ -23,6 +23,7 @@ import io
 import os
 import pickle
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -431,8 +432,8 @@ FAILING = {"short": "S,1", "text": "T,x,1,1", "numerical": POLAR}
 @pytest.mark.parametrize("first", [None, *FAILING])
 def test_shares_match_the_whole_file_path(first, later):
     # 6 rows in blocks of 2 on 3 CPUs: this process runs rows 0-1, one child
-    # rows 2-3 and another rows 4-5; a short row in any share wins, then the
-    # first failing row
+    # rows 2-3 and another rows 4-5; a short row anywhere wins, raised as the
+    # input is read, before any fork; then the first failing row
     rows = [*GOOD_XYZ, GOOD_XYZ[0]]
     if first:
         rows[1] = FAILING[first]
@@ -442,10 +443,10 @@ def test_shares_match_the_whole_file_path(first, later):
     text = "h,h,h,h\n" + "\n".join(rows) + "\n"
     with usable_cpus(3) as forks:
         got = outcome(CONVERT_INV, text, 2)
-    assert len(forks) == 2
+    kinds = [kind for kind in (first, later) if kind]
+    assert forks == [] if "short" in kinds else len(forks) == 2
     assert_no_child_left()
     assert got == outcome(CONVERT_INV, text)
-    kinds = [kind for kind in (first, later) if kind]
     assert got[0] == (0 if not kinds else 2 if "short" in kinds
                       else {"numerical": 3, "text": 2}[kinds[0]]), got
 
@@ -453,13 +454,14 @@ def test_shares_match_the_whole_file_path(first, later):
 @pytest.mark.parametrize("error_row,short_row", [(0, 2), (4, 6)], ids=["first", "later"])
 def test_a_short_row_after_an_error_in_the_same_share_wins(error_row, short_row):
     # 8 rows in blocks of 2 on 2 CPUs: two blocks a share, an error in the
-    # first block of a share and a short row in its second
+    # first block of a share and a short row in its second, which raises as
+    # the input is read, so nothing forks
     rows = [*GOOD_XYZ, *GOOD_XYZ[:3]]
     rows[error_row], rows[short_row] = POLAR, "S,1"
     text = "h,h,h,h\n" + "\n".join(rows) + "\n"
     with usable_cpus(2) as forks:
         got = outcome(CONVERT_INV, text, 2)
-    assert len(forks) == 1
+    assert forks == []
     assert_no_child_left()
     assert got == outcome(CONVERT_INV, text) == (
         2, "", f"input error: ValueError: data row {short_row + 1}: expected at least 4 fields, "
@@ -499,6 +501,19 @@ def test_one_block_runs_in_this_process():
     with usable_cpus(4) as forks:
         got = outcome(CONVERT_INV, text, 8192)
     assert forks == [] and got == outcome(CONVERT_INV, text)
+
+
+def test_a_short_row_in_the_last_block_raises_before_any_block_runs(monkeypatch):
+    # 4 rows in 2 blocks of 2 on 2 CPUs, the short row last: it raises as the
+    # input is read, so nothing forks and no row reaches the kernel
+    calls, kernel = [], cli.ecef_to_geodetic_array
+    monkeypatch.setattr(cli, "ecef_to_geodetic_array", lambda *a: calls.append(a) or kernel(*a))
+    text = "h,h,h,h\n" + "\n".join([*GOOD_XYZ[:3], "S,1,2"]) + "\n"
+    with usable_cpus(2) as forks:
+        got = outcome(CONVERT_INV, text, 2)
+    assert (forks, calls) == ([], [])
+    assert got == outcome(CONVERT_INV, text) == (
+        2, "", "input error: ValueError: data row 4: expected at least 4 fields, got 3\n")
 
 
 @pytest.mark.parametrize("base", [ArithmeticError, KeyError])
@@ -619,6 +634,55 @@ def test_read_csv_raises_the_csv_error_itself(name, tmp_path):
         cli._read_csv(str(path))
 
 
+# what the plain scan takes as one line: no quote, NUL, \x1c-\x1f, CR or LF
+# inside it, and "#", CR or LF does not start it
+PLAIN_FIELD = st.one_of(st.sampled_from(["", " ", "1.5", " -2 ", "é", "点", "#"]), st.text(
+    st.characters(blacklist_characters='",\r\n\0\x1c\x1d\x1e\x1f', blacklist_categories=("Cs",)),
+    max_size=4))
+PLAIN_LINE = st.builds(lambda fields, end: ",".join(fields) + end,
+                       st.lists(PLAIN_FIELD, min_size=1, max_size=6),
+                       st.sampled_from(["\n", "\r\n", ""])).filter(lambda line: line[:1] not in "#\r\n")
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(PLAIN_LINE)
+def test_a_plain_line_has_its_comma_count_plus_one_fields(line):
+    # the plain scan counts a row's fields as its commas + 1: empty fields,
+    # spaces, a trailing comma and any line end included
+    assert line.count(",") + 1 == len(next(csv.reader([line])))
+
+
+@st.composite
+def ragged_inputs(draw):
+    """CSV bytes of rows 1-6 fields wide among comment and blank lines, a
+    quoted row or a bare CR sometimes sending the input to csv.reader."""
+    lines = [draw(st.sampled_from(SKIPPED)) for _ in range(draw(st.integers(0, 2)))] + ["h,h,h"]
+    for i in range(draw(st.integers(0, 14))):
+        row = ",".join([f"P{i}", *draw(st.lists(PLAIN_FIELD, max_size=5))])
+        lines.append(draw(st.sampled_from([row] * 12 + [f'"{row}"', *SKIPPED])))
+    ends = [draw(st.sampled_from(["\n", "\r\n"] * 4 + ["\r"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from(["\n", "\r\n", ""]))
+    return "".join(map(str.__add__, lines, ends)).encode()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ragged_inputs(), st.sampled_from([16, 32, 64, 1 << 18]))
+def test_read_csv_finds_the_field_count_lows_csv_reader_gives(data, chunk):
+    # each data row narrower than every row before it, from the scan's comma
+    # counts over chunks of a few lines, or from the rows of csv.reader
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        lows, low = [], np.inf
+        for i, row in enumerate(reference_read_csv(path)[1], 1):
+            if len(row) < low:
+                lows.append((i, len(row)))
+                low = len(row)
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            assert cli._read_csv(path)[1].lows == lows, data
+
+
 @pytest.mark.parametrize("text,rows", [
     ("h,h,h\nP,1\r2,3\n", "data row 1: new-line character seen in unquoted field"),
     ("h\rh,h\nP,1,2\n", "header: new-line character seen in unquoted field"),
@@ -724,7 +788,7 @@ def test_a_run_in_shares_leaves_no_spool_and_no_partial_output(kind, tmp_path, m
     with usable_cpus(3) as forks, mock.patch.object(cli, "_BLOCK_ROWS", 2), \
             contextlib.redirect_stderr(err):
         code = cli.main([*CONVERT_INV, "-i", str(path), "-o", str(out)])
-    assert len(forks) == 2
+    assert forks == [] if kind == "short" else len(forks) == 2
     assert_no_child_left()
     assert code == {None: 0, "short": 2, "text": 2, "numerical": 3}[kind], err.getvalue()
     if kind:
@@ -758,10 +822,54 @@ def test_a_failed_run_closes_its_input_without_a_collection(kind, row, tmp_path)
     finally:
         if enabled:
             gc.enable()
-    assert len(forks) == 1
+    assert forks == [] if kind == "short" else len(forks) == 1
     assert_no_child_left()
     assert code == {"short": 2, "text": 2, "numerical": 3}[kind]
     assert left == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("at", ["kernel", "message"])
+def test_a_share_killed_before_it_reports_exits_2_with_one_line(at, tmp_path, monkeypatch):
+    # 4 rows in blocks of 2 on 2 CPUs: the child kills its process in its
+    # kernel call, or half way through its message, so its pipe ends with no
+    # whole message; the run is an input error naming the share and its wait
+    # status, the -o file stays as it was, and no child, spool or descriptor
+    # is left
+    parent, kernel, dump = os.getpid(), cli.ecef_to_geodetic_array, pickle.dump
+
+    def killing(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return kernel(*args)
+
+    def half(result, fh):
+        if os.getpid() != parent:
+            fh.write(pickle.dumps(result)[:4])
+            fh.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return dump(result, fh)
+    if at == "kernel":
+        monkeypatch.setattr(cli, "ecef_to_geodetic_array", killing)
+    else:
+        monkeypatch.setattr(pickle, "dump", half)
+    path, out, spools = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "spools"
+    path.write_text("h,h,h,h\n" + "\n".join(GOOD_XYZ[:4]) + "\n")
+    out.write_bytes(b"kept\n")
+    spools.mkdir()
+    monkeypatch.setenv("TMPDIR", str(spools))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # tempfile reads TMPDIR once
+    fds, err = open_fds(), io.StringIO()
+    with usable_cpus(2) as forks, mock.patch.object(cli, "_BLOCK_ROWS", 2), \
+            contextlib.redirect_stderr(err):
+        code = cli.main([*CONVERT_INV, "-i", str(path), "-o", str(out)])
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert (code, err.getvalue()) == (2, "input error: OSError: share 2 of 2 ended with no "
+                                         f"result, wait status {int(signal.SIGKILL)}\n")
+    assert out.read_bytes() == b"kept\n"
+    assert open_fds() == fds
+    assert os.listdir(spools) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
