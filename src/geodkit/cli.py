@@ -1,20 +1,22 @@
 """Batch command-line frontend.
 
-Subcommands operate on CSV (comma separator, dot decimal, a header row,
-which only output tags with units, as ``phi[gr]``: --angle-unit gives the
-input's) or JSON files and print to stdout unless an output path is given.
-Numbers are printed to 12 significant digits, so runs repeat byte for byte.
+Subcommands operate on CSV (comma separator, dot decimal, a header row
+that tags units, as ``phi[gr]``: --angle-unit gives the input angles' unit,
+and an input angle column tagged with another is an error) or JSON files
+and print to stdout unless an output path is given.  Numbers are printed
+to 12 significant digits, so runs repeat byte for byte.
 
-Every CSV command parses its input in blocks of rows (_Rows), each read
-from the file when taken (stdin is held whole): one np.loadtxt call, or
+Every CSV command reads its input by block number through one reader,
+_Rows, which no read changes: block i is read from the file when asked
+for (stdin is held whole) and parsed by one np.loadtxt call, or by
 csv.reader and float() where loadtxt would read the input otherwise or
 rejects a field.  Each CSV-to-CSV command (convert, project, geodesic,
 reduce, and datum bw-apply, molodensky and helmert2d-apply) declares its
 numeric columns, angle or not, its scalar API call on one row and its
 array kernel, and runs through one table runner, _table, which formats
 rows with one "%s,%.12g,..." template.  _table runs an input of two blocks
-or more in one share per usable CPU, all but the first in forked children,
-each reading only its own blocks; a share that cannot fork runs in this
+or more in one share per usable CPU, a range of block numbers, all but
+the first in forked children; a share that cannot fork runs in this
 process (_shared).  Each share writes its lines to its own _Spool, an
 unnamed temp file in TMPDIR that needs room for the output (a full one
 exits 2), so a process holds one 4096-row block of input and one of output,
@@ -28,11 +30,13 @@ one the scalar API raises on that row.
 Exit codes: 0 success, 2 input/usage error, 3 numerical error.  The class
 of the exception decides: any ArithmeticError, which includes every
 geodkit.core.NumericalError, exits 3; ValueError, KeyError and OSError exit
-2.  The error class name goes to stderr, and a CSV row that is too short,
-has a field too long or has a field float() rejects is named by its
-data-row number (1 is the first row after the header).  ``adjust`` also
-names the file, points or obs, of a field float() rejects, of an
-observation to an unknown point and of a row the library rejects.
+2, and so does a closed stdin or stdout that a command needs (a closed
+stderr loses the message, not the code).  The error class name goes to
+stderr, and a CSV row that is too short, has a field too long or has a
+field float() rejects is named by its data-row number (1 is the first row
+after the header).  ``adjust`` also names the file, points or obs, of a
+field float() rejects, of an observation to an unknown point and of a row
+the library rejects.
 
 Start-up and exit: importing this module loads numpy and the modules of
 convert, project and geodesic (core, coords, projections, geodesics),
@@ -49,8 +53,8 @@ its one try: that skips the interpreter's teardown, 15-20 ms a call
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
+import errno
 import io
 import os
 import pickle
@@ -60,7 +64,7 @@ import sys
 import tempfile
 import warnings
 import weakref
-from contextlib import contextmanager, nullcontext, redirect_stdout
+from contextlib import contextmanager, nullcontext, redirect_stdout, suppress
 from functools import partial
 from itertools import islice
 from operator import attrgetter
@@ -120,7 +124,7 @@ _CHUNK = 1 << 18
 def _records(lines) -> tuple:
     """The header and data rows of lines that csv.reader must read, each as
     the text of its record (a quoted field may span lines), and their lows
-    (_Blocks).  In a record that starts with "#", a comment, csv.reader sees
+    (_Rows).  In a record that starts with "#", a comment, csv.reader sees
     each run of characters other than quotes, commas and line ends as one
     "#": no field of it is long."""
     records, lows, low, start, end = [], [], np.inf, 0, 0  # csv.reader reads lines[start:end]
@@ -145,20 +149,69 @@ def _records(lines) -> tuple:
     return records, lows
 
 
-class _Blocks(SimpleNamespace):
-    """The data rows of a CSV input in blocks of _BLOCK_ROWS rows: block i is
-    rows(offsets[i], offsets[i + 1]), the lines between two byte offsets of a
-    plain input, or a slice of the records of one csv.reader must read, which
-    np.loadtxt may not (plain is False).  len() is the count of data rows;
-    lows holds each data row narrower than every row before it, as (data-row
-    number, fields)."""
+class _Rows(SimpleNamespace):
+    """The header and data rows of a CSV input, read by block number, in any
+    order, as often as asked: block(i), i in blocks, holds the lines of data
+    rows i * _BLOCK_ROWS + 1 on, with the comment and blank lines among them
+    (between two byte offsets of a plain input), or a slice of the records of
+    one csv.reader must read, which np.loadtxt may not (plain is False).
+    len() is the count of data rows; lows holds each data row narrower than
+    every row before it, as (data-row number, fields)."""
 
     def __len__(self) -> int:
         return self.count
 
+    def lines(self, i: int) -> list:
+        """Block i's raw rows; a plain input's lines come without their ends."""
+        block, count = self.block(i), min(_BLOCK_ROWS, self.count - i * _BLOCK_ROWS)
+        if len(block) != count:  # comment and blank lines
+            block = [line for line in block if line and line[0] not in "#\r"]
+        if len(block) != count:  # a short read, or lines the scan did not see
+            raise OSError("the input changed while it was read")
+        return block
+
+    def _parse(self, lines) -> list:
+        """lines, the rows of one block, parsed by csv.reader."""
+        return list(csv.reader(lines))
+
+    def columns(self, count: int, blocks=None):
+        """(names, columns) per block of blocks, every block by default, in
+        order: column j holds field j as a float, for j in 1..count.
+
+        One np.loadtxt reads a block of a plain input; otherwise,
+        or if it raises a ValueError, csv.reader and float() parse the block.
+        A row with a field float() rejects ends the blocks: the rows before it
+        come as the last block, and the ValueError naming it is raised when
+        the next block is asked for, so only once those rows have passed.
+        """
+        plain = self.plain
+        for i in self.blocks if blocks is None else blocks:
+            lines = self.lines(i)
+            try:
+                if not plain:
+                    raise ValueError
+                names, error = [line.partition(",")[0] for line in lines], None
+                values = np.loadtxt(lines, delimiter=",", usecols=range(1, count + 1),
+                                    comments=None, ndmin=2, dtype=float)
+            except ValueError:
+                rows, values, error = self._parse(lines), [], None
+                for k, row in enumerate(rows):
+                    try:
+                        values.append([float(v) for v in row[1:count + 1]])
+                    except ValueError as exc:
+                        error = f"data row {i * _BLOCK_ROWS + k + 1}: {exc}"
+                        break
+                names = [row[0] for row in rows[:len(values)]]
+                values = np.array(values, dtype=float).reshape(-1, count)
+            lines = rows = None  # the raw block goes before its rows are computed
+            yield names, [c.copy() for c in values.T]  # one contiguous array a column
+            names = values = None  # and its rows go before the next block is read
+            if error:  # raised here, so this frame holds no exception its traceback holds
+                raise ValueError(error)
+
 
 def _read_csv(path):
-    """The header row of a CSV input and its data rows, as _Blocks; blank
+    """The header row of a CSV input and its data rows, as _Rows; blank
     lines and rows whose first field starts with "#" are dropped.  One scan,
     _CHUNK bytes at a time, keeps where each block starts in a file, which
     stays open; stdin, or a pipe, is read whole into bytes first.
@@ -172,7 +225,7 @@ def _read_csv(path):
     has its comma count + 1 fields, as csv.reader splits it.
     """
     stdin = path in (None, "-")
-    fh = text = sys.stdin if stdin else open(path, newline="")  # text: where csv.reader reads
+    fh = text = _std("stdin") if stdin else open(path, newline="")  # text: where csv.reader reads
     codec = fh.encoding, fh.errors
     if stdin or not (fh.seekable() and hasattr(os, "pread")):  # a pipe has no offsets
         data = fh.buffer.read()
@@ -222,78 +275,25 @@ def _read_csv(path):
         offsets.append(pos)
     if header is None:
         raise ValueError("empty input")
-    return header, _Blocks(rows=rows, offsets=offsets, count=count, plain=not chunk, lows=lows)
+    return header, _Rows(header=header, block=lambda i: rows(offsets[i], offsets[i + 1]),
+                         blocks=range(len(offsets) - 1), count=count, plain=not chunk, lows=lows)
 
 
-class _Rows:
-    """The data rows of a CSV input, taken block by block.  A plain input's
-    block is read from the input when it is taken, so a process holds one
-    block of the input.  The first row with fewer than `width` fields raises
-    at once, as _read_csv has raised any csv error: before any block is parsed.
-    """
+def _rows(path, width: int) -> _Rows:
+    """The data rows of a CSV input; the first with fewer than `width` fields
+    raises at once, as _read_csv raises any csv error: before any block runs."""
+    rows = _read_csv(path)[1]
+    for row, fields in rows.lows:
+        if fields < width:
+            raise ValueError(f"data row {row}: expected at least {width} fields, got {fields}")
+    return rows
 
-    def __init__(self, path, width: int):
-        self.input, self.taken = _read_csv(path)[1], 0  # data rows taken so far
-        for row, fields in self.input.lows:
-            if fields < width:
-                raise ValueError(f"data row {row}: expected at least {width} fields, got {fields}")
 
-    def _take(self) -> list:
-        """The next block of raw rows, [] once all are taken; the lines of a
-        plain input come without their line ends."""
-        offsets, count = self.input.offsets, min(_BLOCK_ROWS, len(self.input) - self.taken)
-        if len(offsets) < 2:
-            return []
-        block = self.input.rows(offsets.pop(0), offsets[0])
-        if len(block) != count:  # comment and blank lines
-            block = [line for line in block if line and line[0] not in "#\r"]
-        if len(block) != count:  # a short read, or lines the scan did not see
-            raise OSError("the input changed while it was read")
-        self.taken += count
-        return block
-
-    def _parse(self, lines) -> list:
-        """lines, the block taken last, parsed by csv.reader."""
-        return list(csv.reader(lines))
-
-    def blocks(self):
-        """Each block of rows, parsed by csv.reader, in file order."""
-        while lines := self._take():
-            yield self._parse(lines)
-
-    def columns(self, count: int):
-        """(names, columns) per block: column j holds field j as a float, for
-        j in 1..count.
-
-        One np.loadtxt reads a block of a plain input; otherwise,
-        or if it raises a ValueError, csv.reader and float() parse the block.
-        A row with a field float() rejects ends the blocks: the rows before it
-        come as the last block, and the ValueError naming it is raised when
-        the next block is asked for, so only once those rows have passed.
-        """
-        plain = self.input.plain
-        while lines := self._take():
-            try:
-                if not plain:
-                    raise ValueError
-                names, error = [line.partition(",")[0] for line in lines], None
-                values = np.loadtxt(lines, delimiter=",", usecols=range(1, count + 1),
-                                    comments=None, ndmin=2, dtype=float)
-            except ValueError:
-                rows, values, error = self._parse(lines), [], None
-                for i, row in enumerate(rows):
-                    try:
-                        values.append([float(v) for v in row[1:count + 1]])
-                    except ValueError as exc:
-                        error = f"data row {self.taken - len(rows) + i + 1}: {exc}"
-                        break
-                names = [row[0] for row in rows[:len(values)]]
-                values = np.array(values, dtype=float).reshape(-1, count)
-            lines = rows = None  # the raw block goes before its rows are computed
-            yield names, [c.copy() for c in values.T]  # one contiguous array a column
-            names = values = None  # and its rows go before the next block is read
-            if error:  # raised here, so this frame holds no exception its traceback holds
-                raise ValueError(error)
+def _std(name: str):
+    """sys.stdin or sys.stdout, which is None in a process started with it closed."""
+    if (stream := getattr(sys, name)) is None:
+        raise OSError(errno.EBADF, f"{name} is closed")
+    return stream
 
 
 class _Spool(io.TextIOWrapper):
@@ -310,7 +310,8 @@ class _Spool(io.TextIOWrapper):
 
 def _read_rows(path, width: int) -> list:
     """The data rows of a CSV input, each checked to hold at least `width` fields."""
-    return [row for block in _Rows(path, width).blocks() for row in block]
+    rows = _rows(path, width)
+    return [row for i in rows.blocks for row in rows._parse(rows.lines(i))]
 
 
 def _settle(failed, outputs, scalar, *inputs) -> None:
@@ -332,49 +333,47 @@ def _settle(failed, outputs, scalar, *inputs) -> None:
 def _map_rows(path, count: int, row) -> list:
     """row(*values) of each data row of a CSV input, in file order, values
     being the row's numeric columns 1..count."""
-    return [r for _, columns in _Rows(path, count + 1).columns(count)
+    return [r for _, columns in _rows(path, count + 1).columns(count)
             for r in map(row, *(c.tolist() for c in columns))]
 
 
-def _shared(rows, body, out) -> None:
-    """Run body(rows, spool) in one share of rows per usable CPU, cut at block
-    boundaries, then out(spools) once every share has passed.  body writes
-    its share's output to its own _Spool, made before any fork, and returns
-    the character count.  Each share but the first runs in a forked child,
-    which reads only its own blocks and pipes back its count or error; a
-    share whose pipe or fork fails (a process or descriptor limit) runs in
-    this process, after the first; a child that ends with no result (killed)
-    is an OSError.  Raises the first error in file order; every spool is
-    closed and every child reaped on return."""
+def _shared(blocks, body, out) -> None:
+    """Run body(share, spool) on each share, a contiguous sub-range of blocks
+    (a range of block numbers), one per usable CPU, then out(spools) once
+    every share has passed.  body writes its share's output to its own _Spool,
+    made before any fork, and returns the character count.  Each share but
+    the first runs in a forked child, which pipes back its count or error;
+    a share whose pipe or fork fails (a process or descriptor limit) runs
+    in this process, after the first; a child that ends with no result
+    (killed) is an OSError.  Raises the first error in file order; every
+    spool is closed and every child reaped on return."""
 
-    def run(rows, spool):  # the count or the Exception
+    def run(share, spool):  # the count or the Exception
         try:
-            count = body(rows, spool)
+            count = body(share, spool)
             spool.flush()  # a full temp directory fails here, in this share
             return count
         except Exception as exc:
             return exc
 
-    def reply(pid, share):  # a child's count or error, read once it has ended
+    def reply(pid, k):  # the count or error of share k's child, read once it has ended
         message, status = children[pid].read(), os.waitpid(pid, 0)[1]
         children.pop(pid).close()
         try:
             return pickle.loads(message)
         except (EOFError, pickle.UnpicklingError):
-            return OSError(f"share {share} of {shares} ended with no result, wait status {status}")
+            return OSError(f"share {k} of {shares} ended with no result, wait status {status}")
 
-    blocks = -(-len(rows.input) // _BLOCK_ROWS)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    shares = max(1, min(cpus or 1, blocks) if hasattr(os, "fork") else 1)
-    cuts = [blocks * i // shares for i in range(shares + 1)]
+    shares = max(1, min(cpus or 1, len(blocks)) if hasattr(os, "fork") else 1)
+    ranges = [blocks[len(blocks) * k // shares:len(blocks) * (k + 1) // shares]
+              for k in range(shares)]
     spools, later, children = [], [], {}  # one per share; later shares' result calls; pid: pipe
     try:
         for _ in range(shares):
             spools.append(_Spool())
-        for k, (first, end, spool) in enumerate(zip(cuts[1:], cuts[2:], spools[1:]), 2):
-            share, pipe = copy.copy(rows), ()
-            share.input, share.taken = copy.copy(rows.input), first * _BLOCK_ROWS
-            share.input.offsets = rows.input.offsets[first:end + 1]
+        for k, (share, spool) in enumerate(zip(ranges[1:], spools[1:]), 2):
+            pipe = ()
             with warnings.catch_warnings():  # 3.12 warns of BLAS threads, to stderr under -m
                 warnings.filterwarnings("ignore", "This process .*use of fork", DeprecationWarning)
                 try:
@@ -401,8 +400,7 @@ def _shared(rows, body, out) -> None:
             os.close(write)
             children[pid] = open(read, "rb")
             later.append(partial(reply, pid, k))
-        del rows.input.offsets[cuts[1] + 1:]
-        results = [run(rows, spools[0])] + [result() for result in later]
+        results = [run(ranges[0], spools[0])] + [result() for result in later]
         error = next((r for r in results if not isinstance(r, int)), None)
         if isinstance(error, tuple):
             module, name, text, base = error
@@ -428,18 +426,22 @@ def _table(rows, path, unit, inputs, outputs, scalar, kernel) -> None:
 
     inputs and outputs name the numeric columns as the header tags them; one
     with no unit tag is an angle in unit, multiplied into radians on input
-    and divided back on output.  kernel(*inputs) returns the output columns
-    and a mask of the rows to _settle with scalar, the scalar API's call on
-    one row, which returns a tuple.
+    and divided back on output; an input header that tags one with another
+    unit raises.  kernel(*inputs) returns the output columns and a mask of
+    the rows to _settle with scalar, the scalar API's call on one row, which
+    returns a tuple.
     """
     factor = ANGLE_UNITS.get(unit)
     angle_in = [not c.endswith("]") for c in inputs]
     angle_out = [not c.endswith("]") for c in outputs]
+    for a, field in zip(angle_in, rows.header[1:]):
+        if a and (tag := re.search(r"\[([^][]*)\]\s*$", field)) and tag[1] != unit:
+            raise ValueError(f"header: column {field} is in {tag[1]}, but --angle-unit is {unit}")
     line = "%s," + ",".join([_NUMBER] * len(outputs)) + "\n"
 
-    def share(rows, spool) -> int:
+    def share(blocks, spool) -> int:
         count = 0
-        for names, columns in rows.columns(len(inputs)):
+        for names, columns in rows.columns(len(inputs), blocks):
             columns = [c * factor if a else c for c, a in zip(columns, angle_in)]
             *values, failed = kernel(*columns)
             _settle(failed, values, scalar, *columns)
@@ -451,7 +453,7 @@ def _table(rows, path, unit, inputs, outputs, scalar, kernel) -> None:
         return count
 
     header = "name," + ",".join(c + (f"[{unit}]" if a else "") for c, a in zip(outputs, angle_out))
-    _shared(rows, share, lambda spools: _write_lines([header, *spools], path))
+    _shared(rows.blocks, share, lambda spools: _write_lines([header, *spools], path))
 
 
 def _read_json(path) -> dict:
@@ -478,7 +480,7 @@ def _option(args, name: str) -> str:
 def _write_lines(lines, path):
     """Write each of lines, which may hold several lines, and a newline; a
     _Spool's text, whose lines end in newlines, is copied in as it is."""
-    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
+    with nullcontext(_std("stdout")) if path in (None, "-") else open(path, "w") as fh:
         for line in lines:
             if isinstance(line, _Spool):
                 shutil.copyfileobj(line, fh)
@@ -504,7 +506,7 @@ _DIRECT, _INVERSE = attrgetter("phi2", "lam2", "az2", "s"), attrgetter("az1", "a
 
 
 def cmd_convert(args):
-    rows = _Rows(args.input, 4)  # the input's own errors come before an unknown ellipsoid
+    rows = _rows(args.input, 4)  # the input's own errors come before an unknown ellipsoid
     ell = get_ellipsoid(args.ell)
     if args.frm == args.to:
         raise ValueError(f"unsupported conversion {args.frm} -> {args.to}")
@@ -520,7 +522,7 @@ def cmd_convert(args):
 
 def cmd_project(args):
     proj = _projection(args)
-    rows = _Rows(args.input, 3)
+    rows = _rows(args.input, 3)
     if args.direction == "fwd":
         _table(rows, args.output, args.angle_unit, _GEODETIC[:2], _PLANE,
                lambda *g: _EN(forward(proj, GeodeticCoord(*g))),
@@ -533,7 +535,7 @@ def cmd_project(args):
 
 def cmd_geodesic(args):
     ell = get_ellipsoid(args.ell)
-    rows = _Rows(args.input, 5)
+    rows = _rows(args.input, 5)
     if args.problem == "direct":
         _table(rows, args.output, args.angle_unit, ("phi1", "lam1", "az1", "s[m]"),
                ("phi2", "lam2", "az2", "s[m]"), lambda phi, lam, *az_s: _DIRECT(
@@ -557,7 +559,7 @@ def cmd_reduce(args):
         de = reductions.reduce_to_ellipsoid(obs, rigorous=args.rigorous)
         return de, reductions.reduce_to_plane(de, args.scale)
 
-    _table(_Rows(args.input, 4), args.output, None, ("dp[m]", "ha[m]", "hb[m]"), ("de[m]", "dr[m]"),
+    _table(_rows(args.input, 4), args.output, None, ("dp[m]", "ha[m]", "hb[m]"), ("de[m]", "dr[m]"),
            row, partial(reductions.reduce_columns, scale_m=args.scale, wave=args.wave,
                         rigorous=args.rigorous))
 
@@ -605,7 +607,7 @@ def cmd_datum(args):
 
     if args.op == "bw-apply":
         params = _read_param_file(_option(args, "params"))
-        return _table(_Rows(args.input, 4), args.output, None, _ECEF, _ECEF,
+        return _table(_rows(args.input, 4), args.output, None, _ECEF, _ECEF,
                       lambda *xyz: _XYZ(datum.bursa_wolf_apply(params, EcefCoord(*xyz))),
                       partial(datum.bursa_wolf_columns, params))
     elif args.op in ("bw-fit", "bw-direct"):
@@ -626,7 +628,7 @@ def cmd_datum(args):
         ell1 = get_ellipsoid(args.ell)
         ell2 = get_ellipsoid(args.ell2)
         t = _numbers("--shift", args.shift, "three finite numbers dX,dY,dZ", 3)
-        return _table(_Rows(args.input, 4), args.output, args.angle_unit, _GEODETIC, _GEODETIC,
+        return _table(_rows(args.input, 4), args.output, args.angle_unit, _GEODETIC, _GEODETIC,
                       lambda *g: _GEO(datum.apply_molodensky(ell1, ell2, GeodeticCoord(*g), t,
                                                              abridged=args.abridged)),
                       partial(datum.molodensky_columns, ell1, ell2, t=t, abridged=args.abridged))
@@ -641,7 +643,7 @@ def cmd_datum(args):
     else:  # helmert2d-apply
         doc = _read_json(_option(args, "params"))
         p = datum.Helmert2DParams(*(json_number(doc, k) for k in ("tx", "ty", "u", "v")))
-        return _table(_Rows(args.input, 3), args.output, None, _PLANE, _PLANE,
+        return _table(_rows(args.input, 3), args.output, None, _PLANE, _PLANE,
                       lambda *en: _EN(datum.helmert2d_apply(p, PlaneCoord(*en))),
                       partial(datum.helmert2d_columns, p))
     _write_lines(out, args.output)
@@ -922,8 +924,9 @@ def main(argv=None) -> int:
             with redirect_stdout(printed):  # argparse would drop a write that fails
                 args = ap.parse_args(argv)
         except SystemExit as exc:  # after --help, --version or a usage error
-            sys.stdout.write(printed.getvalue())
-            sys.stdout.flush()
+            if printed.tell():  # --help or --version
+                _std("stdout").write(printed.getvalue())
+                sys.stdout.flush()
             return exc.code
         if not (args.list_ellipsoids or args.list_projections or getattr(args, "func", None)):
             ap.print_usage(sys.stderr)
@@ -935,14 +938,17 @@ def main(argv=None) -> int:
             _write_lines(list_projections(), None)
         else:
             args.func(args)
-        sys.stdout.flush()  # a buffered write fails here, not after main()
+        if sys.stdout is not None:  # a buffered write fails here, not after main()
+            sys.stdout.flush()
     except ArithmeticError as exc:
-        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, f"numerical error: {type(exc).__name__}: {exc}"
     except (OSError, ValueError, KeyError) as exc:
-        print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        code, error = 2, f"input error: {type(exc).__name__}: {exc}"
+    else:
+        return 0
+    with suppress(OSError):  # a stderr that takes no writes loses the line
+        print(error, file=sys.stderr)
+    return code
 
 
 def run():
@@ -955,8 +961,11 @@ def run():
     exception that escapes main() takes the interpreter's usual exit, with
     its teardown.
     """
+    if sys.stderr is None:  # started with it closed; else print() would write to stdout
+        sys.stderr = open(os.devnull, "w")
     code = main()
-    sys.stderr.flush()
+    with suppress(OSError):  # a descriptor that takes no writes
+        sys.stderr.flush()
     os._exit(code)
 
 

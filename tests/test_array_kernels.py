@@ -419,7 +419,7 @@ def test_rows_raise_a_parse_error_once_the_rows_before_it_are_out(block, k, tmp_
     monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
     got = []
     with pytest.raises(ValueError) as exc:
-        for names, columns in cli._Rows(str(path), 4).columns(2):
+        for names, columns in cli._rows(str(path), 4).columns(2):
             got.append((names, [c.tolist() for c in columns]))
     assert str(exc.value) == f"data row {k}: could not convert string to float: 'x'"
     assert all(len(names) <= block for names, _ in got)

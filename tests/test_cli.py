@@ -872,3 +872,45 @@ def test_readme_example_prints_its_documented_lines(text, argv, documented):
     (name, *values), (doc_name, *doc_values) = got[1].split(","), line.split(",")
     assert name == doc_name
     assert list(map(float, values)) == pytest.approx(list(map(float, doc_values)), rel=1e-9)
+
+
+ECEF_INPUT = "name,x[m],y[m],z[m]\nA,4000000,1000000,4800000\n"
+CONVERT_ECEF = "convert --from ecef --to geodetic"
+CLOSED = "input error: OSError: [Errno 9] {} is closed\n"
+# (shell arguments after python -m geodkit.cli, {d} standing for a directory
+# with in.csv and polar.csv, exit code, stderr): a command that needs a
+# closed stdin or stdout exits 2 with one line; a closed stderr, or one that
+# takes no writes (open for reading), leaves the exit code as it was
+CLOSED_STREAMS = {
+    "stdin": (f"{CONVERT_ECEF} <&-", 2, CLOSED.format("stdin")),
+    "stdin-file-input": (f"{CONVERT_ECEF} -i {{d}}/in.csv -o {{d}}/out.csv <&-", 0, ""),
+    "stdout-file-output": (f"{CONVERT_ECEF} -i {{d}}/in.csv -o {{d}}/out.csv >&-", 0, ""),
+    "stdout": (f"{CONVERT_ECEF} -i {{d}}/in.csv >&-", 2, CLOSED.format("stdout")),
+    "stdout-version": ("--version >&-", 2, CLOSED.format("stdout")),
+    "stdout-listing": ("--list-ellipsoids >&-", 2, CLOSED.format("stdout")),
+    "stdout-usage-error": ("convert >&-", 2, "the following arguments are required"),
+    "stderr-input-error": (f"{CONVERT_ECEF} -i {{d}}/missing.csv 2>&-", 2, ""),
+    "stderr-numerical-error": (f"{CONVERT_ECEF} -i {{d}}/polar.csv 2>&-", 3, ""),
+    "stderr-usage-error": ("convert 2>&-", 2, ""),
+    "stderr-no-command": ("2>&-", 2, ""),
+    "stderr-success": (f"{CONVERT_ECEF} -i {{d}}/in.csv -o {{d}}/out.csv 2>&-", 0, ""),
+    "stderr-read-only": (f"{CONVERT_ECEF} -i {{d}}/missing.csv 2</dev/null", 2, ""),
+    "stderr-read-only-numerical": (f"{CONVERT_ECEF} -i {{d}}/polar.csv 2</dev/null", 3, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_STREAMS))
+def test_a_closed_standard_stream_exits_with_a_documented_code(case, tmp_path):
+    args, code, err = CLOSED_STREAMS[case]
+    (tmp_path / "in.csv").write_text(ECEF_INPUT)
+    (tmp_path / "polar.csv").write_text("name,x[m],y[m],z[m]\nN,0,0,0\n")
+    proc = subprocess.run(["sh", "-c", f'exec "$0" -m geodkit.cli {args.format(d=tmp_path)}',
+                           sys.executable], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr
+    if case == "stdout-usage-error":  # argparse's usage text, and no line of ours
+        assert err in proc.stderr and "OSError" not in proc.stderr
+    else:
+        assert proc.stderr == err
+    if "out.csv" in args:
+        expected = run_cli(CONVERT_ECEF.split(), stdin=ECEF_INPUT).stdout
+        assert (tmp_path / "out.csv").read_text() == expected
