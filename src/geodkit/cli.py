@@ -7,25 +7,25 @@ and print to stdout unless an output path is given.  Numbers are printed
 to 12 significant digits, so runs repeat byte for byte.
 
 Every CSV command reads its input by block number through one reader,
-_Rows, which no read changes: block i is read from the file when asked
-for (stdin is held whole) and parsed by one np.loadtxt call, or by
-csv.reader and float() where loadtxt would read the input otherwise or
-rejects a field.  Each CSV-to-CSV command (convert, project, geodesic,
-reduce, and datum bw-apply, molodensky and helmert2d-apply) declares its
-numeric columns, angle or not, its scalar API call on one row and its
-array kernel, and runs through one table runner, _table, which formats
-rows with one "%s,%.12g,..." template.  _table runs an input of two blocks
-or more in one share per usable CPU, a range of block numbers, all but
-the first in forked children; a share that cannot fork runs in this
-process (_shared).  Each share writes its lines to its own _Spool, an
-unnamed temp file in TMPDIR that needs room for the output (a full one
-exits 2), so a process holds one 4096-row block of input and one of output,
-and the scan a 256 KB window.  dop, heights and the datum fits read their
-columns through _Rows too; adjust parses the mixed names and numbers of its
-rows itself.  Output is all or nothing: the spools are copied out once all
-shares pass.  Reading the input raises its csv, decoding and short-row errors;
-after that the first failing data row in file order decides the error, the
-one the scalar API raises on that row.
+_Rows, which no read changes: block i is read from the file when asked for
+(stdin is held whole) and parsed by one np.loadtxt call, or by csv.reader
+and float() where loadtxt would read the input otherwise or rejects a
+field.  A line ends at LF, CR or CRLF, in stdin as in a file.  Each
+CSV-to-CSV command (convert, project, geodesic, reduce, and datum bw-apply,
+molodensky and helmert2d-apply) declares its numeric columns, angle or not,
+its scalar API call on one row and its array kernel, and runs through one
+table runner, _table, which formats rows with one "%s,%.12g,..." template.
+_table runs an input of two blocks or more in one share per usable CPU, a
+range of block numbers, all but the first in forked children; a share that
+cannot fork runs in this process (_shared).  Each share writes its lines to
+its own _Spool, an unnamed temp file in TMPDIR that needs room for the
+output (a full one exits 2), so a process holds one 4096-row block of input
+and one of output, and the scan a 256 KB window.  dop, heights and the
+datum fits read their columns through _Rows too; adjust parses the mixed
+names and numbers of its rows itself.  Output is all or nothing: the spools
+are copied out once all shares pass.  Reading the input raises its csv,
+decoding and short-row errors; after that the first failing data row in
+file order decides the error, the one the scalar API raises on that row.
 
 Exit codes: 0 success, 2 input/usage error, 3 numerical error.  The class
 of the exception decides: any ArithmeticError, which includes every
@@ -211,25 +211,25 @@ class _Rows(SimpleNamespace):
 
 
 def _read_csv(path):
-    """The header row of a CSV input and its data rows, as _Rows; blank
-    lines and rows whose first field starts with "#" are dropped.  One scan,
-    _CHUNK bytes at a time, keeps where each block starts in a file, which
-    stays open; stdin, or a pipe, is read whole into bytes first.
+    """The header row of a CSV input and its data rows, as _Rows; blank lines
+    and rows whose first field starts with "#" are dropped.  One scan, _CHUNK
+    bytes at a time, keeps where each block starts in a file, which stays open;
+    stdin, or a pipe, is read whole into bytes first.
 
-    csv.reader reads every row here instead, through _records, when loadtxt
-    would read them otherwise or csv.reader may reject them: in an input
-    with a quote, a NUL, \\x1c-\\x1f or a CR inside a line (not before an LF nor
-    last; stdin splits at LF only), a line of _CHUNK bytes or one as long as
-    csv.field_size_limit(), or bytes that do not decode (or decode to
-    U+FFFD).  So every csv or decoding error is raised here.  A plain row
-    has its comma count + 1 fields, as csv.reader splits it.
+    Lines end at LF, CR or CRLF, in stdin as in a file.  csv.reader reads every
+    row here instead, through _records, when loadtxt would read them otherwise
+    or csv.reader may reject them: in an input with a quote, a NUL, \\x1c-\\x1f
+    or a CR inside a line (not before an LF nor last), a line of _CHUNK bytes
+    or one as long as csv.field_size_limit(), or bytes that do not decode (or
+    decode to U+FFFD).  So every csv or decoding error is raised here.  A plain
+    row has its comma count + 1 fields, as csv.reader splits it.
     """
     stdin = path in (None, "-")
     fh = text = _std("stdin") if stdin else open(path, newline="")  # text: where csv.reader reads
     codec = fh.encoding, fh.errors
     if stdin or not (fh.seekable() and hasattr(os, "pread")):  # a pipe has no offsets
         data = fh.buffer.read()
-        text = io.TextIOWrapper(io.BytesIO(data), *codec, newline="\n" if stdin else "")
+        text = io.TextIOWrapper(io.BytesIO(data), *codec, newline="")
         read = lambda size, offset: data[offset:offset + size]  # noqa: E731
     else:
         read = partial(os.pread, fh.fileno())
@@ -261,10 +261,7 @@ def _read_csv(path):
         offsets += starts[-count % _BLOCK_ROWS::_BLOCK_ROWS].tolist()
         count, pos = count + starts.size, pos + end
     if chunk:  # csv.reader must read the input
-        lines = list(text)
-        if '"' not in "".join(lines):  # each line is a record, and "#", "\r" or "\n" starts no row
-            lines = [line for line in lines if line[0] not in "#\r\n"]
-        lines, lows = _records(lines)
+        lines, lows = _records(list(text))
         header, count = next(csv.reader(lines[:1]), None), len(lines) - 1
         offsets = [*range(1, count + 1, _BLOCK_ROWS), count + 1]
         rows = lambda start, end: lines[start:end]  # noqa: E731
@@ -294,6 +291,11 @@ def _std(name: str):
     if (stream := getattr(sys, name)) is None:
         raise OSError(errno.EBADF, f"{name} is closed")
     return stream
+
+
+def _to_stdout(path) -> bool:
+    """Whether path, an --output, names stdout; a closed one raises."""
+    return path in (None, "-") and _std("stdout") is not None
 
 
 class _Spool(io.TextIOWrapper):
@@ -453,6 +455,7 @@ def _table(rows, path, unit, inputs, outputs, scalar, kernel) -> None:
         return count
 
     header = "name," + ",".join(c + (f"[{unit}]" if a else "") for c, a in zip(outputs, angle_out))
+    _to_stdout(path)  # a closed stdout raises before any block runs
     _shared(rows.blocks, share, lambda spools: _write_lines([header, *spools], path))
 
 
@@ -480,7 +483,7 @@ def _option(args, name: str) -> str:
 def _write_lines(lines, path):
     """Write each of lines, which may hold several lines, and a newline; a
     _Spool's text, whose lines end in newlines, is copied in as it is."""
-    with nullcontext(_std("stdout")) if path in (None, "-") else open(path, "w") as fh:
+    with nullcontext(sys.stdout) if _to_stdout(path) else open(path, "w") as fh:
         for line in lines:
             if isinstance(line, _Spool):
                 shutil.copyfileobj(line, fh)
@@ -702,12 +705,10 @@ def cmd_adjust(args):
 
     if args.system:
         doc = _read_json(args.system)
-        res = solve_linear(LinearSystem(
-            _json_array(doc, "a"), _json_array(doc, "k"),
-            _json_array(doc, "p") if "p" in doc else None,
-        ))
-        _write_lines(_adjustment_json(res), args.output)
-        return
+        system = LinearSystem(_json_array(doc, "a"), _json_array(doc, "k"),
+                              _json_array(doc, "p") if "p" in doc else None)
+        _to_stdout(args.output)  # a closed stdout raises before the solve
+        return _write_lines(_adjustment_json(solve_linear(system)), args.output)
     if not (args.obs and args.points):
         raise ValueError("adjust needs --system or both --obs and --points")
     net = Network(scale_directions=not args.no_direction_scaling)
@@ -718,7 +719,7 @@ def cmd_adjust(args):
             x0, y0 = vals[:2]
             z0 = vals[2] if len(vals) > 2 else 0.0
             net.add_point(row[0], x0, y0, z0, fixed)
-    unit = args.angle_unit
+    factor = ANGLE_UNITS[args.angle_unit]
     for n, row in enumerate(_read_rows(args.obs, 4), 1):
         kind, frm, to = row[0], row[1], row[2]
         for name in (frm, to):
@@ -728,12 +729,11 @@ def cmd_adjust(args):
             value = float(row[3])
             sigma = float(row[4]) if len(row) > 4 and row[4] else None
             dist_km = float(row[6]) if len(row) > 6 and row[6] else None
-            if kind == "direction":
-                value *= ANGLE_UNITS[unit]
-            if kind == "direction" and sigma is not None:
-                sigma *= ANGLE_UNITS[unit]
+            if kind == "direction":  # and its sigma, if given
+                value, sigma = value * factor, sigma and sigma * factor
             set_id = row[5] if len(row) > 5 and row[5] else None
             net.add_observation(Observation(kind, frm, to, value, sigma, set_id, dist_km))
+    _to_stdout(args.output)  # a closed stdout raises before the solve
     res = net.solve()
     points = {name: {"x": p.x0, "y": p.y0, "z": p.z0} for name, p in sorted(net.points.items())}
     _write_lines(_adjustment_json(res, points=points), args.output)

@@ -22,7 +22,6 @@ import gc
 import io
 import os
 import pickle
-import re
 import resource
 import signal
 import subprocess
@@ -43,8 +42,8 @@ from geodkit import cli, datum, reductions
 
 # -- the whole-file path -------------------------------------------------------
 def reference_read_csv(path):
-    if path in (None, "-"):
-        rows = [r for r in csv.reader(io.StringIO(sys.stdin.read()))]
+    if path in (None, "-"):  # lines end at LF, CR or CRLF, as in a file
+        rows = list(csv.reader(io.StringIO(sys.stdin.read(), newline="")))
     else:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -248,7 +247,7 @@ def outcome(argv, text, block=None, stdin=False, to_file=False):
                 stack.enter_context(mock.patch.object(cli, name, fn))
         else:
             stack.enter_context(mock.patch.object(cli, "_BLOCK_ROWS", block))
-        if stdin:  # as the interpreter's stdin: lines end at LF, bad bytes are escaped
+        if stdin:  # as the interpreter's stdin: bad bytes are escaped
             stack.enter_context(mock.patch.object(sys, "stdin", stack.enter_context(
                 io.TextIOWrapper(open(path, "rb"), errors="surrogateescape", newline="\n"))))
         out, err = io.StringIO(), io.StringIO()
@@ -568,6 +567,45 @@ def test_a_short_row_in_the_last_block_raises_before_any_block_runs(monkeypatch)
         2, "", "input error: ValueError: data row 4: expected at least 4 fields, got 3\n")
 
 
+@pytest.mark.parametrize("rows,error", [
+    (GOOD_XYZ[:4], "OSError: [Errno 9] stdout is closed"),
+    ([*GOOD_XYZ[:3], "S,1,2"], "ValueError: data row 4: expected at least 4 fields, got 3"),
+], ids=["closed", "short-row-first"])
+def test_a_closed_stdout_raises_before_any_block_runs(rows, error, monkeypatch, tmp_path):
+    # 4 rows in 2 blocks of 2 on 2 CPUs into a closed stdout: it is found
+    # once the input has been read, so nothing forks, no row reaches the
+    # kernel and nothing is spooled; the input's own errors come first
+    calls, kernel = [], cli.ecef_to_geodetic_array
+    monkeypatch.setattr(cli, "ecef_to_geodetic_array", lambda *a: calls.append(a) or kernel(*a))
+    monkeypatch.setattr(cli, "_Spool", mock.Mock(side_effect=AssertionError))
+    path = tmp_path / "in.csv"
+    path.write_text("h,h,h,h\n" + "\n".join(rows) + "\n")
+    err = io.StringIO()
+    with usable_cpus(2) as forks, mock.patch.object(cli, "_BLOCK_ROWS", 2), \
+            mock.patch.object(sys, "stdout", None), contextlib.redirect_stderr(err):
+        code = cli.main([*CONVERT_INV, "-i", str(path)])
+    assert (forks, calls) == ([], [])
+    assert (code, err.getvalue()) == (2, f"input error: {error}\n")
+
+
+@pytest.mark.parametrize("system", [True, False], ids=["system", "network"])
+def test_a_closed_stdout_raises_before_adjust_solves(system, monkeypatch, tmp_path):
+    from geodkit import adjust
+
+    monkeypatch.setattr(adjust, "solve_linear", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(adjust.Network, "solve", mock.Mock(side_effect=AssertionError))
+    (tmp_path / "sys.json").write_text('{"a": [[1.0], [1.0]], "k": [0.5, -0.5]}')
+    (tmp_path / "points.csv").write_text("name,x0,y0,z0,fixed\nA,0,0,3,true\nB,0,0,3,false\n")
+    (tmp_path / "obs.csv").write_text("kind,from,to,value,sigma,set_id,dist_km\n"
+                                      "leveling,A,B,0.3,,,6\nleveling,B,A,-0.3,,,6\n")
+    args = (["--system", str(tmp_path / "sys.json")] if system else
+            ["--obs", str(tmp_path / "obs.csv"), "--points", str(tmp_path / "points.csv")])
+    err = io.StringIO()
+    with mock.patch.object(sys, "stdout", None), contextlib.redirect_stderr(err):
+        code = cli.main(["adjust", *args])
+    assert (code, err.getvalue()) == (2, "input error: OSError: [Errno 9] stdout is closed\n")
+
+
 @pytest.mark.parametrize("base", [ArithmeticError, KeyError])
 def test_an_error_that_does_not_pickle_crosses_by_name(base, monkeypatch):
     class Unpicklable(base):  # a local class: pickle cannot name it
@@ -669,7 +707,8 @@ def yielded(path):
 
 
 def stdin_of(text):
-    """A stand-in for sys.stdin holding text: it splits lines at LF only."""
+    """A stand-in for sys.stdin holding text.  Like the interpreter's, its
+    text layer splits lines at LF only; _read_csv reads its bytes."""
     return io.TextIOWrapper(io.BytesIO(text.encode()), newline="\n")
 
 
@@ -746,8 +785,6 @@ def test_a_block_reads_the_same_rows_in_any_order_and_again():
     @given(ragged_inputs(), st.booleans(), st.sampled_from([16, 32, 64, 1 << 12, 1 << 18]),
            st.integers(1, 7), st.randoms(use_true_random=False))
     def check(data, stdin, chunk, block, rng):
-        if stdin:  # stdin splits lines at LF only: a CR inside a line is a csv error
-            data = re.sub(rb"\r(?!\n)", b"\n", data)
         with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
             path = os.path.join(tmp, "in.csv")
             with open(path, "wb") as fh:
@@ -769,22 +806,33 @@ def test_a_block_reads_the_same_rows_in_any_order_and_again():
     assert kinds == {(False, True), (False, False), (True, True), (True, False)}
 
 
+H3 = ["h", "h", "h"]
+
+
 @pytest.mark.parametrize("text,rows", [
-    ("h,h,h\nP,1\r2,3\n", "data row 1: new-line character seen in unquoted field"),
-    ("h\rh,h\nP,1,2\n", "header: new-line character seen in unquoted field"),
-    # CR line ends; a CR in a comment, or at the start of a line, which is dropped
-    ("h,h,h\r\nP,1,2\r\r\nQ,3,4\r", [["P", "1", "2"], ["Q", "3", "4"]]),
-    ("h,h,h\n#a\rb\n\rP,1\nQ,3,4\n", [["Q", "3", "4"]]),
+    # a lone CR ends a line, inside a row, after a header field, a comment or
+    # nothing (a blank line)
+    ("h,h,h\nP,1\r2,3\n", [H3, ["P", "1"], ["2", "3"]]),
+    ("h\rh,h\nP,1,2\n", [["h"], ["h", "h"], ["P", "1", "2"]]),
+    ("h,h,h\r\nP,1,2\r\r\nQ,3,4\r", [H3, ["P", "1", "2"], ["Q", "3", "4"]]),
+    ("h,h,h\n#a\rb\n\rP,1\nQ,3,4\n", [H3, ["b"], ["P", "1"], ["Q", "3", "4"]]),
+    ("h,h,h\n#c\rA,4e6,1\n", [H3, ["A", "4e6", "1"]]),
+    ('h,h,h\n"A",4e6\r\rB,4e6,2\n', [H3, ["A", "4e6"], ["B", "4e6", "2"]]),
 ])
-def test_read_csv_raises_a_cr_inside_a_row_of_stdin(text, rows, monkeypatch):
-    # stdin splits lines at LF only, so a CR may stand inside a row, which
-    # csv.reader rejects
+def test_read_csv_splits_stdin_as_it_splits_a_file(text, rows, monkeypatch, tmp_path):
+    # one line rule, LF, CR or CRLF, whichever way the input comes
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
     monkeypatch.setattr(sys, "stdin", stdin_of(text))
-    if isinstance(rows, list):
-        assert yielded("-") == (["h", "h", "h"], rows)
-    else:
-        with pytest.raises(ValueError, match=f"^{rows}"):
-            cli._read_csv("-")
+    assert yielded("-") == yielded(str(path)) == (rows[0], rows[1:])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ragged_inputs(), st.integers(1, 7))
+def test_convert_reads_stdin_as_it_reads_a_file(data, block):
+    # end to end, lone CR line ends included: the same stdout, exit code and
+    # stderr from -i - as from -i path, on bytes that decode either way
+    assert outcome(CONVERT_INV, data, block, stdin=True) == outcome(CONVERT_INV, data, block)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
