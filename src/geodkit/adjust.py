@@ -14,8 +14,6 @@ import math
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property, partial
 
-import numpy as np
-
 from .coords import (
     EcefCoord,
     GeodeticCoord,
@@ -23,7 +21,7 @@ from .coords import (
     geodetic_to_ecef,
     local_frame,
 )
-from .core import Ellipsoid, NumericalError
+from .core import Ellipsoid, NumericalError, np
 
 
 class SingularNormal(NumericalError, ValueError):

@@ -15,6 +15,11 @@ CSV-to-CSV command (convert, project, geodesic, reduce, and datum bw-apply,
 molodensky and helmert2d-apply) declares its numeric columns, angle or not,
 its scalar API call on one row and its array kernel, and runs through one
 table runner, _table, which formats rows with one "%s,%.12g,..." template.
+A small input, one that the first read takes whole with at most
+_SCALAR_ROWS (256) line ends, is parsed by csv.reader and float() alone,
+and _table runs the scalar call on each of its rows in place of the
+kernel: numpy's import (about 100 ms) outweighs 256 of the slowest scalar
+rows (geodesic inverse, about 30 us each).
 _table runs an input of two blocks or more in one share per usable CPU, a
 range of block numbers, all but the first in forked children; a share that
 cannot fork runs in this process (_shared).  Each share writes its lines to
@@ -38,16 +43,19 @@ after the header).  ``adjust`` also names the file, points or obs, of a
 field float() rejects, of an observation to an unknown point and of a row
 the library rejects.
 
-Start-up and exit: importing this module loads numpy and the modules of
-convert, project and geodesic (core, coords, projections, geodesics),
-whose kernels stay bound in this namespace, where the benchmark's CLI
-tracer and the tests find them.  Every other command imports its own
-module when it runs (adjust, datum, heights, orbits, reductions, sphere),
-so this module does not re-export their names.  run(), the process entry,
-ends with os._exit once main() has written and flushed every output inside
-its one try: that skips the interpreter's teardown, 15-20 ms a call
-(``import numpy`` alone took 128/162 ms, min/median of 25 runs, and
-112/143 ms with os._exit).
+Start-up and exit: importing this module loads the modules of convert,
+project and geodesic (core, coords, projections, geodesics), whose kernels
+and scalar calls stay bound in this namespace, where the benchmark's CLI
+tracer and the tests find them.  It does not load numpy: core.np loads it
+on its first attribute use.  So --help, --version, the listings and astro
+never import numpy, nor do heights and the table commands on a small
+input; a larger input, orbit, dop, adjust and the datum fits do.  Every
+other command imports its own module when it runs (adjust, datum, heights,
+orbits, reductions, sphere), so this module does not re-export their
+names.  run(), the process entry, ends with os._exit once main() has
+written and flushed every output inside its one try: that skips the
+interpreter's teardown, 15-20 ms a call (``import numpy`` alone took
+128/162 ms, min/median of 25 runs, and 112/143 ms with os._exit).
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ import argparse
 import csv
 import errno
 import io
+import math
 import os
 import pickle
 import re
@@ -69,8 +78,6 @@ from functools import partial
 from itertools import islice
 from operator import attrgetter
 from types import SimpleNamespace
-
-import numpy as np
 
 from . import __version__
 from .coords import (
@@ -89,6 +96,7 @@ from .core import (
     Angle,
     get_ellipsoid,
     json_number,
+    np,
     parse_json_object,
 )
 from .geodesics import (
@@ -119,6 +127,10 @@ _fmt = _NUMBER.__mod__
 _BLOCK_ROWS = 4096
 # bytes per step of _read_csv's scan, above csv.field_size_limit() (131072)
 _CHUNK = 1 << 18
+# line ends (LF or CR) at most in a small input, one that csv.reader reads and
+# the scalar API computes without numpy: a row costs 30 us at most there
+# (geodesic inverse), and import numpy about 100 ms
+_SCALAR_ROWS = 256
 
 
 def _records(lines) -> tuple:
@@ -127,7 +139,7 @@ def _records(lines) -> tuple:
     (_Rows).  In a record that starts with "#", a comment, csv.reader sees
     each run of characters other than quotes, commas and line ends as one
     "#": no field of it is long."""
-    records, lows, low, start, end = [], [], np.inf, 0, 0  # csv.reader reads lines[start:end]
+    records, lows, low, start, end = [], [], math.inf, 0, 0  # csv.reader reads lines[start:end]
 
     def comments_masked():
         nonlocal end
@@ -156,7 +168,8 @@ class _Rows(SimpleNamespace):
     (between two byte offsets of a plain input), or a slice of the records of
     one csv.reader must read, which np.loadtxt may not (plain is False).
     len() is the count of data rows; lows holds each data row narrower than
-    every row before it, as (data-row number, fields)."""
+    every row before it, as (data-row number, fields).  A small input (small
+    is True) is never plain, and its columns are lists: numpy stays unloaded."""
 
     def __len__(self) -> int:
         return self.count
@@ -179,12 +192,13 @@ class _Rows(SimpleNamespace):
         order: column j holds field j as a float, for j in 1..count.
 
         One np.loadtxt reads a block of a plain input; otherwise,
-        or if it raises a ValueError, csv.reader and float() parse the block.
+        or if it raises a ValueError, csv.reader and float() parse the block,
+        into lists of floats for a small input and into arrays otherwise.
         A row with a field float() rejects ends the blocks: the rows before it
         come as the last block, and the ValueError naming it is raised when
         the next block is asked for, so only once those rows have passed.
         """
-        plain = self.plain
+        plain, small = self.plain, self.small
         for i in self.blocks if blocks is None else blocks:
             lines = self.lines(i)
             try:
@@ -202,9 +216,13 @@ class _Rows(SimpleNamespace):
                         error = f"data row {i * _BLOCK_ROWS + k + 1}: {exc}"
                         break
                 names = [row[0] for row in rows[:len(values)]]
-                values = np.array(values, dtype=float).reshape(-1, count)
+                if not small:
+                    values = np.array(values, dtype=float).reshape(-1, count)
             lines = rows = None  # the raw block goes before its rows are computed
-            yield names, [c.copy() for c in values.T]  # one contiguous array a column
+            if small:
+                yield names, [[row[j] for row in values] for j in range(count)]
+            else:
+                yield names, [c.copy() for c in values.T]  # one contiguous array a column
             names = values = None  # and its rows go before the next block is read
             if error:  # raised here, so this frame holds no exception its traceback holds
                 raise ValueError(error)
@@ -215,6 +233,11 @@ def _read_csv(path):
     and rows whose first field starts with "#" are dropped.  One scan, _CHUNK
     bytes at a time, keeps where each block starts in a file, which stays open;
     stdin, or a pipe, is read whole into bytes first.
+
+    The first read decides, before any numpy, whether the input is small: it
+    came whole in that read (under _CHUNK bytes), with at most _SCALAR_ROWS
+    line ends, LF and CR counted apart.  csv.reader reads a small input
+    through _records, as below, and no scan runs.
 
     Lines end at LF, CR or CRLF, in stdin as in a file.  csv.reader reads every
     row here instead, through _records, when loadtxt would read them otherwise
@@ -235,8 +258,10 @@ def _read_csv(path):
         read = partial(os.pread, fh.fileno())
     if not stdin:
         weakref.finalize(read, fh.close)  # the file closes with the last block reader
-    header, offsets, lows, low, count, pos = None, [], [], np.inf, 0, 0  # low: the last of lows
-    while chunk := read(_CHUNK, pos):  # each chunk but the last ends at a line end
+    header, offsets, lows, low, count, pos = None, [], [], math.inf, 0, 0  # low: the last of lows
+    chunk = read(_CHUNK, pos)
+    small = len(chunk) < _CHUNK and chunk.count(b"\n") + chunk.count(b"\r") <= _SCALAR_ROWS
+    while chunk and not small:  # each chunk but the last ends at a line end
         end = len(chunk) if len(chunk) < _CHUNK else chunk.rfind(b"\n") + 1 or _CHUNK
         b = np.frombuffer(chunk, np.uint8, end)
         lfs = np.flatnonzero(b == 10)
@@ -260,6 +285,7 @@ def _read_csv(path):
             low = below[-1]
         offsets += starts[-count % _BLOCK_ROWS::_BLOCK_ROWS].tolist()
         count, pos = count + starts.size, pos + end
+        chunk = read(_CHUNK, pos)
     if chunk:  # csv.reader must read the input
         lines, lows = _records(list(text))
         header, count = next(csv.reader(lines[:1]), None), len(lines) - 1
@@ -273,7 +299,8 @@ def _read_csv(path):
     if header is None:
         raise ValueError("empty input")
     return header, _Rows(header=header, block=lambda i: rows(offsets[i], offsets[i + 1]),
-                         blocks=range(len(offsets) - 1), count=count, plain=not chunk, lows=lows)
+                         blocks=range(len(offsets) - 1), count=count, plain=not chunk, lows=lows,
+                         small=small)
 
 
 def _rows(path, width: int) -> _Rows:
@@ -335,8 +362,9 @@ def _settle(failed, outputs, scalar, *inputs) -> None:
 def _map_rows(path, count: int, row) -> list:
     """row(*values) of each data row of a CSV input, in file order, values
     being the row's numeric columns 1..count."""
-    return [r for _, columns in _rows(path, count + 1).columns(count)
-            for r in map(row, *(c.tolist() for c in columns))]
+    rows = _rows(path, count + 1)
+    return [r for _, columns in rows.columns(count)
+            for r in map(row, *(c if rows.small else c.tolist() for c in columns))]
 
 
 def _shared(blocks, body, out) -> None:
@@ -431,7 +459,8 @@ def _table(rows, path, unit, inputs, outputs, scalar, kernel) -> None:
     and divided back on output; an input header that tags one with another
     unit raises.  kernel(*inputs) returns the output columns and a mask of
     the rows to _settle with scalar, the scalar API's call on one row, which
-    returns a tuple.
+    returns a tuple.  A small input (_read_csv) runs scalar on every row
+    instead, and loads no numpy.
     """
     factor = ANGLE_UNITS.get(unit)
     angle_in = [not c.endswith("]") for c in inputs]
@@ -444,10 +473,15 @@ def _table(rows, path, unit, inputs, outputs, scalar, kernel) -> None:
     def share(blocks, spool) -> int:
         count = 0
         for names, columns in rows.columns(len(inputs), blocks):
-            columns = [c * factor if a else c for c, a in zip(columns, angle_in)]
-            *values, failed = kernel(*columns)
-            _settle(failed, values, scalar, *columns)
-            values = [(v / factor if a else v).tolist() for v, a in zip(values, angle_out)]
+            if rows.small:
+                columns = [[v * factor for v in c] if a else c for c, a in zip(columns, angle_in)]
+                values = zip(*map(scalar, *columns))
+                values = [[v / factor for v in c] if a else c for c, a in zip(values, angle_out)]
+            else:
+                columns = [c * factor if a else c for c, a in zip(columns, angle_in)]
+                *values, failed = kernel(*columns)
+                _settle(failed, values, scalar, *columns)
+                values = [(v / factor if a else v).tolist() for v, a in zip(values, angle_out)]
             text = map(line.__mod__, zip(names, *values))
             while part := "".join(islice(text, 1024)):
                 count += spool.write(part)
@@ -554,7 +588,7 @@ def cmd_geodesic(args):
 def cmd_reduce(args):
     from . import reductions
 
-    if not 0.0 < args.scale < np.inf:
+    if not 0.0 < args.scale < math.inf:
         raise ValueError(f"--scale must be finite and > 0, got {args.scale}")
 
     def row(dp, ha, hb):
@@ -592,13 +626,13 @@ def _numbers(option: str, text: str, form: str, count: int = 0) -> tuple:
         t = tuple(map(float, text.split(",")))
     except ValueError:
         t = ()
-    if not t or count and len(t) != count or not np.isfinite(t).all():
+    if not t or count and len(t) != count or not all(map(math.isfinite, t)):
         raise ValueError(f"{option} must be {form}, got {text!r}")
     return t
 
 
 def _finite(option: str, value: float) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{option} must be finite, got {value}")
     return value
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import (
     Ellipsoid,
     NonConvergence,
@@ -14,6 +12,7 @@ from .core import (
     _prime_vertical_radius,
     all_finite,
     iterate,
+    np,
     npmath,
     quiet,
 )
@@ -25,7 +24,7 @@ class PolarAxis(NumericalError, ValueError):
 
 def _normalize_lon(lam):
     """Wrap a longitude into (-pi, pi]; elementwise on an array."""
-    if type(lam) is np.ndarray:
+    if type(lam) is not float and type(lam) is np.ndarray:
         lam = np.fmod(lam, 2.0 * math.pi)
         return np.where(lam > math.pi, lam - 2.0 * math.pi,
                         np.where(lam <= -math.pi, lam + 2.0 * math.pi, lam))

@@ -8,12 +8,27 @@ the I/O boundary, through the :class:`Angle` helper.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
 import re
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
+
+def _lazy_numpy():
+    """numpy as loaded already, or a module that loads it on its first
+    attribute use (importlib.util.LazyLoader): a call that never touches an
+    array never imports numpy.  Every module of the package takes np from here."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 
 class NumericalError(ArithmeticError):
@@ -30,7 +45,7 @@ class NonConvergence(NumericalError, RuntimeError):
     """An iterative scheme failed to reach its tolerance within its cap."""
 
 
-class npmath:
+class _NpMath:
     """numpy's elementwise functions under the names of the math module.
 
     Each formula is written once against a namespace xp, math for floats
@@ -42,6 +57,12 @@ class npmath:
     object.__setattr__ per field.  These two rules cut a point through the
     benchmark's nine library kernels from 58.0 to 55.7 us.
 
+    np loads numpy on its first use (_lazy_numpy), so each such type test
+    asks ``type(phi) is not float`` first: a float call never touches np,
+    and so never loads numpy, and any other type dispatches on ndarray as
+    before.  For the same reason npmath looks each function up in numpy on
+    its first use, and keeps it.
+
     The iterative solvers share their formulas this way, not their loops:
     each scalar loop is written out, and its array form is one pass that
     iterate drives.  That is on purpose: in a prototype where the scalar
@@ -50,13 +71,24 @@ class npmath:
     in one process, interleaved, best of 25 rounds, on a 2-vCPU Xeon.
     """
 
-    sin, cos, tan, asin, atan, atan2 = np.sin, np.cos, np.tan, np.arcsin, np.arctan, np.arctan2
-    sqrt, exp, log, hypot, copysign = np.sqrt, np.exp, np.log, np.hypot, np.copysign
+    _NAMES = {"sin": "sin", "cos": "cos", "tan": "tan", "asin": "arcsin", "atan": "arctan",
+              "atan2": "arctan2", "sqrt": "sqrt", "exp": "exp", "log": "log", "hypot": "hypot",
+              "copysign": "copysign"}
+
+    def __getattr__(self, name: str):
+        if name not in self._NAMES:
+            raise AttributeError(name)
+        value = getattr(np, self._NAMES[name])
+        setattr(self, name, value)  # found in the instance from now on
+        return value
+
+
+npmath = _NpMath()
 
 
 def flip(x, cond):
     """-x where cond holds, x elsewhere (elementwise on an array)."""
-    if type(x) is np.ndarray:
+    if type(x) is not float and type(x) is np.ndarray:
         return np.where(cond, -x, x)
     return -x if cond else x
 
@@ -406,7 +438,8 @@ def json_number(doc: dict, key: str, default: float | None = None) -> float:
 
 def prime_vertical_radius(ell: Ellipsoid, phi):
     """Radius of curvature N in the prime vertical, a/sqrt(1 - e2 sin^2 phi)."""
-    return _prime_vertical_radius(npmath if type(phi) is np.ndarray else math, ell, phi)
+    xp = npmath if type(phi) is not float and type(phi) is np.ndarray else math
+    return _prime_vertical_radius(xp, ell, phi)
 
 
 def _prime_vertical_radius(xp, ell: Ellipsoid, phi):
@@ -416,7 +449,7 @@ def _prime_vertical_radius(xp, ell: Ellipsoid, phi):
 
 def meridian_radius(ell: Ellipsoid, phi):
     """Radius of curvature of the meridian, a(1-e2)/(1 - e2 sin^2 phi)^(3/2)."""
-    xp = npmath if type(phi) is np.ndarray else math
+    xp = npmath if type(phi) is not float and type(phi) is np.ndarray else math
     s = xp.sin(phi)
     w2 = 1.0 - ell.e2 * s * s
     return ell.a * (1.0 - ell.e2) / (w2 * xp.sqrt(w2))
@@ -440,7 +473,7 @@ def isometric_latitude(ell: Ellipsoid, phi):
     On a sphere (e = 0) this is the Mercator latitude.  L is undefined at
     the poles: a float there raises ValueError, an array holds NaN.
     """
-    xp = npmath if type(phi) is np.ndarray else math
+    xp = npmath if type(phi) is not float and type(phi) is np.ndarray else math
     if xp is math and abs(phi) >= math.pi / 2:
         raise ValueError("isometric latitude undefined at the poles")
     value = xp.log(xp.tan(math.pi / 4.0 + phi / 2.0))
@@ -507,7 +540,7 @@ def latitude_from_isometric_array(ell: Ellipsoid, iso) -> tuple:
 
 def meridian_arc(ell: Ellipsoid, phi):
     """Meridian arc length from the equator to latitude phi, metres (signed)."""
-    xp = npmath if type(phi) is np.ndarray else math
+    xp = npmath if type(phi) is not float and type(phi) is np.ndarray else math
     c0, c1, c2, c3, c4, c5, c6 = ell.arc_coeffs
     s = (c0 * phi + c1 * xp.sin(2 * phi) + c2 * xp.sin(4 * phi) + c3 * xp.sin(6 * phi)
          + c4 * xp.sin(8 * phi) + c5 * xp.sin(10 * phi) + c6 * xp.sin(12 * phi))

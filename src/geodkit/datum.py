@@ -16,11 +16,9 @@ parameter sets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass
 
-import numpy as np
-
-from .adjust import LinearSystem, SingularNormal, solve_linear
 from .core import (
     ARCSEC,
     Ellipsoid,
@@ -28,6 +26,7 @@ from .core import (
     _prime_vertical_radius,
     all_finite,
     meridian_radius,
+    np,
     npmath,
     quiet,
 )
@@ -152,6 +151,8 @@ def bursa_wolf_estimate(pairs: list) -> DatumShiftResult:
     scaled to unit norm) rejects a condition number > 1e12 as
     RankDeficient; an overflowing A'A raises OverflowError.
     """
+    from .adjust import LinearSystem, SingularNormal, solve_linear
+
     n = len(pairs)
     if 3 * n < 7 or n < 3:
         raise InsufficientPoints(f"{n} common points give {3 * n} equations < 7")
@@ -166,7 +167,7 @@ def bursa_wolf_estimate(pairs: list) -> DatumShiftResult:
 
 # conditioning bounds of the rotation system, tightest first
 _COND_LIMITS = (10.0, 1e2, 1e4, 1e8)
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _FIRST_BLOCK, _MAX_BLOCK = 16, 1 << 14
 
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     Ellipsoid,
     NonConvergence,
@@ -33,6 +31,7 @@ from .core import (
     latitude_from_arc,
     meridian_arc,
     meridian_radius,
+    np,
     npmath,
     quarter_meridian,
     quiet,
@@ -92,7 +91,7 @@ class GeodesicSolution:
 
 
 def _norm_az(az):
-    if type(az) is np.ndarray:
+    if type(az) is not float and type(az) is np.ndarray:
         az = np.mod(az, TWO_PI)
         return np.where(az == TWO_PI, 0.0, az)
     az = az % TWO_PI
@@ -101,21 +100,21 @@ def _norm_az(az):
 
 def _min(x, bound):
     """min(x, bound) as Python takes it: x unless bound < x, so NaN stays NaN."""
-    if type(x) is np.ndarray:
+    if type(x) is not float and type(x) is np.ndarray:
         return np.where(bound < x, bound, x)
     return min(x, bound)
 
 
 def _max(x, bound):
     """max(x, bound) as Python takes it: x unless bound > x."""
-    if type(x) is np.ndarray:
+    if type(x) is not float and type(x) is np.ndarray:
         return np.where(bound > x, bound, x)
     return max(x, bound)
 
 
 def _clamp_unit(x):
     """min(1, max(-1, x)) as Python takes it, so NaN becomes -1."""
-    if type(x) is np.ndarray:
+    if type(x) is not float and type(x) is np.ndarray:
         x = np.where(x > -1.0, x, -1.0)
         return np.where(x < 1.0, x, 1.0)
     return min(1.0, max(-1.0, x))

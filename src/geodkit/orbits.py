@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 
-import numpy as np
-
-from .core import GM_EARTH, SIDEREAL_RATIO_GST, NonConvergence
+from .core import GM_EARTH, SIDEREAL_RATIO_GST, NonConvergence, np
 from .coords import EcefCoord
 from .sphere import normalize_hours
 

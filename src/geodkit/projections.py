@@ -18,8 +18,6 @@ import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
 
-import numpy as np
-
 from .core import (
     ARCSEC,
     Ellipsoid,
@@ -35,6 +33,7 @@ from .core import (
     latitude_from_isometric_array,
     meridian_arc,
     meridian_radius,
+    np,
     npmath,
     parse_json_object,
     prime_vertical_radius,
@@ -237,7 +236,7 @@ class UtmDef:
 
 def _utm_direct_coeffs(ell: Ellipsoid, phi) -> tuple:
     """Series coefficients a1..a8 of the direct transverse Mercator mapping."""
-    xp = npmath if type(phi) is np.ndarray else math
+    xp = npmath if type(phi) is not float and type(phi) is np.ndarray else math
     n = _prime_vertical_radius(xp, ell, phi)
     c = xp.cos(phi)
     s = xp.sin(phi)

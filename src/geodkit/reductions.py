@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import EARTH_RADIUS, all_finite, npmath, quiet
+from .core import EARTH_RADIUS, all_finite, np, npmath, quiet
 
 # EDM ray curvature radius: 8R for light waves, 4R for microwaves
 WAVE_CURVATURE_FACTOR = {"light": 8.0, "micro": 4.0}
@@ -39,7 +37,7 @@ class DistanceObservation:
     def __post_init__(self):
         if self.wave is not None and self.wave not in WAVE_CURVATURE_FACTOR:
             raise ValueError("wave must be None, 'light' or 'micro'")
-        if type(self.dp) is np.ndarray:
+        if type(self.dp) is not float and type(self.dp) is np.ndarray:
             return  # columns, whose rows reduce_columns checks
         if not all(map(math.isfinite, (self.dp, self.ha, self.hb, self.radius))):
             raise ValueError("non-finite distance, altitude or radius")
@@ -83,7 +81,7 @@ def correction_chord_to_arc(d0: float, radius: float = EARTH_RADIUS) -> float:
 def reduce_to_plane(de: float, scale_m: float) -> float:
     """Distance in the projection plane, Dr = m * De."""
     dr = scale_m * de
-    if type(dr) is not np.ndarray and math.isinf(dr):
+    if (type(dr) is float or type(dr) is not np.ndarray) and math.isinf(dr):
         raise OverflowError("plane distance overflows")
     return dr
 
@@ -102,7 +100,7 @@ def rigorous_sea_level(obs: DistanceObservation) -> float:
     ratio = obs.dh / obs.dp
     denom = (1.0 + obs.ha / obs.radius) * (1.0 + obs.hb / obs.radius)
     num = 1.0 - ratio * ratio
-    xp = npmath if type(num) is np.ndarray else math
+    xp = npmath if type(num) is not float and type(num) is np.ndarray else math
     if xp is math and (num <= 0 or denom <= 0):
         raise ValueError("near-vertical line: rigorous reduction undefined")
     d0 = obs.dp * xp.sqrt(num / denom)
@@ -123,7 +121,7 @@ def reduce_to_ellipsoid(obs: DistanceObservation, rigorous: bool = False) -> flo
         dh = dp + correction_horizontal(obs)
         d0 = dh + correction_sea_level(dh, obs.mean_altitude, obs.radius)
     de = d0 + correction_chord_to_arc(d0, obs.radius)
-    if type(de) is not np.ndarray and not math.isfinite(de):
+    if (type(de) is float or type(de) is not np.ndarray) and not math.isfinite(de):
         raise OverflowError("ellipsoidal distance overflows")
     return de
 

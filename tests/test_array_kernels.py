@@ -417,6 +417,7 @@ def test_rows_raise_a_parse_error_once_the_rows_before_it_are_out(block, k, tmp_
     path = tmp_path / "in.csv"
     path.write_text("name,a,b,note\n" + "\n".join(rows) + "\n")
     monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(cli, "_SCALAR_ROWS", 0)  # the array path's blocks
     got = []
     with pytest.raises(ValueError) as exc:
         for names, columns in cli._rows(str(path), 4).columns(2):

@@ -655,9 +655,9 @@ def _counted(fn, name, calls):
     return wrapper
 
 
-@pytest.mark.parametrize("args,rows", COLUMNAR_CASES, ids=[" ".join(a) for a, _ in COLUMNAR_CASES])
-def test_columnar_command_calls_one_kernel_through_the_cli_namespace(args, rows, tmp_path,
-                                                                      monkeypatch):
+def _columnar_calls(args, rows, tmp_path, monkeypatch) -> collections.Counter:
+    """The calls of each geodkit function bound in the geodkit.cli namespace
+    as args runs on rows."""
     calls = collections.Counter()
     for name, value in list(vars(cli).items()):
         if (callable(value) and not isinstance(value, type)
@@ -668,10 +668,28 @@ def test_columnar_command_calls_one_kernel_through_the_cli_namespace(args, rows,
     path.write_text("h" + ",h" * rows[0].count(",") + "\n"
                     + "".join(f"P{i},{row}\n" for i, row in enumerate(rows)))
     assert cli.main([*args, "-i", str(path), "-o", str(tmp_path / "out.csv")]) == 0
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 4
+    return calls
+
+
+@pytest.mark.parametrize("args,rows", COLUMNAR_CASES, ids=[" ".join(a) for a, _ in COLUMNAR_CASES])
+def test_columnar_command_calls_one_kernel_through_the_cli_namespace(args, rows, tmp_path,
+                                                                      monkeypatch):
+    monkeypatch.setattr(cli, "_SCALAR_ROWS", 0)  # three rows down the array path
+    calls = _columnar_calls(args, rows, tmp_path, monkeypatch)
     kernels = {k: n for k, n in calls.items() if k.endswith(("_array", "_columns"))}
     assert list(kernels.values()) == [1], calls
     assert set(calls) - set(kernels) <= {"get_ellipsoid", "named_projection"}, calls
-    assert len((tmp_path / "out.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("args,rows", COLUMNAR_CASES, ids=[" ".join(a) for a, _ in COLUMNAR_CASES])
+def test_small_columnar_input_calls_the_scalar_api_once_a_row_through_the_cli_namespace(
+        args, rows, tmp_path, monkeypatch):
+    # three rows are a small input: no array kernel, one scalar API call a row
+    calls = _columnar_calls(args, rows, tmp_path, monkeypatch)
+    assert not [k for k in calls if k.endswith(("_array", "_columns"))], calls
+    scalar = {k: n for k, n in calls.items() if k not in ("get_ellipsoid", "named_projection")}
+    assert list(scalar.values()) == [len(rows)], calls
 
 
 # a field longer than csv.field_size_limit() is an input error naming its data
@@ -724,6 +742,96 @@ def test_importing_the_cli_loads_no_module_of_another_command():
     deferred = {f"geodkit.{m}" for m in ("adjust", "datum", "heights", "orbits", "reductions",
                                          "sphere")}
     assert deferred.isdisjoint(loaded), sorted(deferred & set(loaded))
+    # numpy stays a lazy module, and none of its submodules (numpy._core, ...) loads
+    assert not [m for m in loaded if m.startswith("numpy.")], loaded
+
+
+# runs the CLI in a fresh interpreter, then names on stderr the numpy
+# modules it loaded
+NUMPY_REPORTING_MAIN = """
+import sys
+from geodkit import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print("numpy modules:", *sorted(m for m in sys.modules if m.startswith("numpy.")), file=sys.stderr)
+sys.exit(code)
+"""
+SHORT_INPUTS = {
+    "geo.csv": "name,phi,lam,he[m]\nA,40.9193,11.9656,0\nB,41,11,100\nC,39,9.5,2000\n",
+    "ecef.csv": "name,x[m],y[m],z[m]\nA,4e6,1e6,4.8e6\nB,4.1e6,1e6,4.7e6\nC,6378137,0,0\n",
+    "geo2.csv": "name,phi,lam\nA,40,10\nB,41,11\nC,39,9.5\n",
+    "lambert.csv": "name,e[m],n[m]\nA,500000,300000\nB,510000,310000\nC,490000,290000\n",
+    "utm.csv": "name,e[m],n[m]\nA,500000,4500000\nB,510000,4510000\nC,490000,4490000\n",
+    "direct.csv": "name,phi1,lam1,az1,s[m]\nA,40,10,50,10000\nB,41,11,150,20000\n",
+    "inverse.csv": "name,phi1,lam1,phi2,lam2\nA,40,10,40.1,10.1\nB,41,11,40.9,11.2\n",
+    "reduce.csv": "name,dp,ha,hb\nA,1000,100,120\nB,20000,1500,1600\n",
+    "line.csv": "station,g_gal,dh_m\nA,979.8,1.5\nB,979.9,-2.25\n",
+    "plane.csv": "name,e[m],n[m]\nA,500000,300000\nB,0,0\n",
+    "proj.json": '{"type": "lambert", "ellipsoid": {"a": 6378249.2, "inv_f": 293.4660213},'
+                 ' "phi0_rad": 0.6283185307, "lam0_rad": 0.1727875959, "k0": 0.999625544,'
+                 ' "false_e": 500000.0, "false_n": 300000.0}',
+    "params.json": '{"tx": -168.0, "ty": -60.0, "tz": 320.0, "m": 1.2e-6, "rx": 1e-6,'
+                   ' "ry": -2e-6, "rz": 3e-6, "u": 1.00001, "v": 2e-5}',
+    "short.csv": "name,phi,lam,he[m]\nP0,40.1,10.2,5\nP1,40.1\n",
+    "polar.csv": "name,x,y,z\nP0,4000000,800000,4900000\nP1,0,0,6356752.3\n",
+    "nonnum.csv": "name,phi,lam,he[m]\nP0,40.1,10.2,5\nP1,40.3,abc,0\n",
+}
+NO_NUMPY_CASES = [
+    (["convert", "--from", "geodetic", "--to", "ecef", "-i", "geo.csv"], 0),
+    (["convert", "--from", "ecef", "--to", "geodetic", "-i", "ecef.csv"], 0),
+    (["project", "fwd", "-i", "geo2.csv"], 0),
+    (["project", "inv", "-i", "lambert.csv"], 0),
+    (["project", "fwd", "--proj", "utm:32", "-i", "geo2.csv"], 0),
+    (["project", "inv", "--proj", "utm:32", "-i", "utm.csv"], 0),
+    (["project", "fwd", "--proj-json", "proj.json", "-i", "geo2.csv"], 0),
+    (["project", "inv", "--proj-json", "proj.json", "-i", "lambert.csv"], 0),
+    (["geodesic", "direct", "-i", "direct.csv"], 0),
+    (["geodesic", "inverse", "-i", "inverse.csv"], 0),
+    (["reduce", "--rigorous", "--scale", "1.0002", "-i", "reduce.csv"], 0),
+    (["datum", "bw-apply", "--params", "params.json", "-i", "ecef.csv"], 0),
+    (["datum", "molodensky", "--shift=-168,-60,320", "-i", "geo.csv"], 0),
+    (["datum", "helmert2d-apply", "--params", "params.json", "-i", "plane.csv"], 0),
+    (["heights", "ortho", "--phi-start", "40", "--phi-end", "41", "--h-mean", "500", "-i",
+      "line.csv"], 0),
+    (["heights", "normal", "--phi-start", "40", "--phi-end", "41", "--h-mean", "500", "-i",
+      "line.csv"], 0),
+    (["heights", "dynamic", "-i", "line.csv"], 0),
+    (["astro", "hour-angle", "--hsl", "3h10m", "--alpha", "1h2m3s"], 0),
+    (["astro", "hsl", "--hsg", "5h", "--lam", "0h40m"], 0),
+    (["astro", "sidereal", "--tu", "12.5", "--hsg0", "6h", "--lam", "0h40m"], 0),
+    (["--version"], 0),
+    (["--help"], 0),
+    (["--list-ellipsoids"], 0),
+    (["--list-projections"], 0),
+    # the malformed calls of the benchmark's short workload
+    (["project", "inv", "-i", "short.csv"], 2),
+    (["convert", "--from", "geodetic", "--to", "ecef", "-i", "short.csv"], 2),
+    (["convert", "--from", "ecef", "--to", "geodetic", "-i", "polar.csv"], 3),
+    (["geodesic", "direct", "--ell", "ell-abcdef", "-i", "direct.csv"], 2),
+    (["convert", "--from", "geodetic", "--to", "ecef", "-i", "nonnum.csv"], 2),
+]
+
+
+@pytest.mark.parametrize("args,code", NO_NUMPY_CASES, ids=[" ".join(a) for a, _ in NO_NUMPY_CASES])
+def test_a_short_command_loads_no_numpy(args, code, tmp_path):
+    # a few rows run through the scalar API, in a fresh interpreter
+    for name, text in SHORT_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in SHORT_INPUTS else a for a in args]
+    proc = subprocess.run([sys.executable, "-c", NUMPY_REPORTING_MAIN, *argv],
+                          capture_output=True, text=True)
+    *lines, numpy = proc.stderr.splitlines()
+    assert proc.returncode == code and len(lines) == (code != 0), proc.stderr
+    assert numpy == "numpy modules:", numpy
+    assert proc.stdout if code == 0 else not proc.stdout
+
+
+def test_a_short_command_on_stdin_loads_no_numpy():
+    proc = subprocess.run([sys.executable, "-c", NUMPY_REPORTING_MAIN, "convert", "--from",
+                           "geodetic", "--to", "ecef"], input=SHORT_INPUTS["geo.csv"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "numpy modules:\n")
+    assert proc.stdout.count("\n") == 4
 
 
 CONVERT = ["convert", "--from", "geodetic", "--to", "ecef"]

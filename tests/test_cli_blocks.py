@@ -9,9 +9,13 @@ reduce and the datum transformations it makes one scalar call per row, so
 there it is the scalar oracle of their kernels.  With the block size
 patched to 1..7, every kind of row lands on either side of a block
 boundary, and both paths must give the same stdout, exit code and
-stderr.  With the usable CPUs patched too, an input of several blocks runs
-in shares, all but the first in forked children, which must give the same
-and leave no process behind.  Then np.loadtxt is checked against
+stderr.  These few-row inputs take the array path: the tests that reach
+a kernel, a fork or a share patch cli._SCALAR_ROWS to 0, as outcome()
+does.  A small input's path, the scalar API on each row, is then held to
+the array path's output to one unit of the 12th significant digit.  With
+the usable CPUs patched too, an input of several blocks runs in shares,
+all but the first in forked children, which must give the same and leave
+no process behind.  Then np.loadtxt is checked against
 csv.reader and float() on the fields where they part, and argparse's help
 and usage-error text is pinned.
 """
@@ -20,6 +24,7 @@ import contextlib
 import csv
 import gc
 import io
+import math
 import os
 import pickle
 import resource
@@ -229,12 +234,14 @@ PARAMS = ('{"tx": -168.0, "ty": -60.0, "tz": 320.0, "m": 1.2e-6, "rx": 1e-6, "ry
           '"rz": 3e-6, "u": 1.00001, "v": 2e-5}')
 
 
-def outcome(argv, text, block=None, stdin=False, to_file=False):
+def outcome(argv, text, block=None, stdin=False, to_file=False, scalar_rows=0):
     """(exit code, stdout, stderr) of cli.main with `text`, str or bytes, as
     its input file, or on stdin: the block pipeline with `block` rows per
-    block, or the whole-file path when block is None.  An argument "PARAMS"
-    names a file holding PARAMS.  With to_file, the output goes to a file
-    (-o) and its text, or None if there is none, stands for stdout."""
+    block, or the whole-file path when block is None.  The pipeline takes
+    scalar_rows as cli._SCALAR_ROWS: at 0, the default, every input runs
+    through the array kernels.  An argument "PARAMS" names a file holding
+    PARAMS.  With to_file, the output goes to a file (-o) and its text, or
+    None if there is none, stands for stdout."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         path = os.path.join(tmp, "in.csv")
         with open(path, "wb") if isinstance(text, bytes) else open(path, "w", newline="") as fh:
@@ -247,6 +254,7 @@ def outcome(argv, text, block=None, stdin=False, to_file=False):
                 stack.enter_context(mock.patch.object(cli, name, fn))
         else:
             stack.enter_context(mock.patch.object(cli, "_BLOCK_ROWS", block))
+            stack.enter_context(mock.patch.object(cli, "_SCALAR_ROWS", scalar_rows))
         if stdin:  # as the interpreter's stdin: bad bytes are escaped
             stack.enter_context(mock.patch.object(sys, "stdin", stack.enter_context(
                 io.TextIOWrapper(open(path, "rb"), errors="surrogateescape", newline="\n"))))
@@ -360,6 +368,67 @@ def test_the_inputs_reach_every_outcome():
 
     collect()
     assert codes == {0, 2, 3}
+
+
+# -- the small-input path against the array path ---------------------------------
+# per command: the range of each numeric column of its random rows, angles in
+# grads but for the abridged Molodensky's degrees
+DOMAINS = {
+    "convert fwd": [(-100, 100), (-400, 400), (-1e4, 1e5)],
+    "convert inv": [(-7e6, 7e6)] * 3,
+    "project fwd": [(30, 50), (0, 25)],
+    "project inv": [(3e5, 7e5), (1e5, 5e5)],
+    "project fwd utm": [(-90, 90), (5, 15)],
+    "project inv utm": [(2e5, 8e5), (-9e6, 9e6)],
+    "geodesic direct": [(-100, 100), (-200, 200), (0, 400), (0, 2e6)],
+    "geodesic inverse": [(-100, 100), (-200, 200), (-100, 100), (-200, 200)],
+    "reduce": [(1, 1e5), (0, 4000), (0, 4000)],
+    "datum bw-apply": [(-7e6, 7e6)] * 3,
+    "datum molodensky": [(-100, 100), (-400, 400), (-1e3, 1e4)],
+    "datum molodensky abridged": [(-90, 90), (-180, 180), (-1e3, 1e4)],
+    "datum helmert2d-apply": [(-1e7, 1e7)] * 2,
+}
+
+
+@st.composite
+def small_inputs(draw):
+    """(argv, CSV text) of a table command on 1-10 rows: random ones in its
+    domain, among its valid and failing rows."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv, width, valid, failing = COMMANDS[command]
+    lines = [",".join(["h"] * width)]
+    for i in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["random"] * 6 + ["valid", "fails"]))
+        if kind == "random":
+            row = ",".join(repr(draw(st.floats(lo, hi))) for lo, hi in DOMAINS[command])
+        else:
+            row = draw(st.sampled_from(valid if kind == "valid" else failing))
+        lines.append(f"P{i},{row}")
+    return argv, "\n".join(lines) + "\n"
+
+
+def assert_within_a_unit_of_the_12th_digit(got, want):
+    """The same exit code, stderr and names, and each printed value within
+    one unit of its 12th significant digit."""
+    assert (got[0], got[2]) == (want[0], want[2])
+    lines, wanted = got[1].splitlines(), want[1].splitlines()
+    assert len(lines) == len(wanted) and lines[:1] == wanted[:1]  # the header
+    for line, ref in zip(lines[1:], wanted[1:]):
+        fields, ref_fields = line.split(","), ref.split(",")
+        assert fields[0] == ref_fields[0] and len(fields) == len(ref_fields), (line, ref)
+        for a, b in zip(map(float, fields[1:]), map(float, ref_fields[1:])):
+            if a != b:
+                unit = 10.0 ** (math.floor(math.log10(max(abs(a), abs(b)))) - 11)
+                assert abs(a - b) <= unit, (line, ref)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(small_inputs())
+def test_a_small_input_prints_what_the_array_path_prints(case):
+    # the scalar API on each row of a small input, against the array kernels
+    # and _settle on the same rows
+    small = outcome(*case, cli._BLOCK_ROWS, scalar_rows=cli._SCALAR_ROWS)
+    assert_within_a_unit_of_the_12th_digit(small, outcome(*case, cli._BLOCK_ROWS))
 
 
 # -- error order across blocks --------------------------------------------------
@@ -582,6 +651,7 @@ def test_a_closed_stdout_raises_before_any_block_runs(rows, error, monkeypatch, 
     path.write_text("h,h,h,h\n" + "\n".join(rows) + "\n")
     err = io.StringIO()
     with usable_cpus(2) as forks, mock.patch.object(cli, "_BLOCK_ROWS", 2), \
+            mock.patch.object(cli, "_SCALAR_ROWS", 0), \
             mock.patch.object(sys, "stdout", None), contextlib.redirect_stderr(err):
         code = cli.main([*CONVERT_INV, "-i", str(path)])
     assert (forks, calls) == ([], [])
@@ -849,7 +919,7 @@ def test_a_file_truncated_after_the_scan_exits_2(cpus, tmp_path):
         return scanned
     out, err = io.StringIO(), io.StringIO()
     with usable_cpus(cpus), mock.patch.object(cli, "_read_csv", truncating), \
-            mock.patch.object(cli, "_BLOCK_ROWS", 4), \
+            mock.patch.object(cli, "_BLOCK_ROWS", 4), mock.patch.object(cli, "_SCALAR_ROWS", 0), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([*CONVERT_INV, "-i", str(path)])
     assert_no_child_left()
@@ -920,7 +990,7 @@ def test_a_run_in_shares_leaves_no_spool_and_no_partial_output(kind, tmp_path, m
     monkeypatch.setattr(tempfile, "tempdir", None)  # tempfile reads TMPDIR once
     fds, err = open_fds(), io.StringIO()
     with usable_cpus(3) as forks, mock.patch.object(cli, "_BLOCK_ROWS", 2), \
-            contextlib.redirect_stderr(err):
+            mock.patch.object(cli, "_SCALAR_ROWS", 0), contextlib.redirect_stderr(err):
         code = cli.main([*CONVERT_INV, "-i", str(path), "-o", str(out)])
     assert forks == [] if kind == "short" else len(forks) == 2
     assert_no_child_left()
@@ -949,6 +1019,7 @@ def test_a_failed_run_closes_its_input_without_a_collection(kind, row, tmp_path)
     gc.disable()
     try:
         with usable_cpus(2) as forks, mock.patch.object(cli, "_BLOCK_ROWS", 2), \
+                mock.patch.object(cli, "_SCALAR_ROWS", 0), \
                 contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([*CONVERT_INV, "-i", str(path)])
@@ -995,7 +1066,7 @@ def test_a_share_killed_before_it_reports_exits_2_with_one_line(at, tmp_path, mo
     monkeypatch.setattr(tempfile, "tempdir", None)  # tempfile reads TMPDIR once
     fds, err = open_fds(), io.StringIO()
     with usable_cpus(2) as forks, mock.patch.object(cli, "_BLOCK_ROWS", 2), \
-            contextlib.redirect_stderr(err):
+            mock.patch.object(cli, "_SCALAR_ROWS", 0), contextlib.redirect_stderr(err):
         code = cli.main([*CONVERT_INV, "-i", str(path), "-o", str(out)])
     assert len(forks) == 1
     assert_no_child_left()
@@ -1100,7 +1171,8 @@ def test_the_plain_inputs_reach_both_readers():
             with open(path, "wb") as fh:
                 fh.write(data)
             try:
-                kinds.add(cli._read_csv(path)[1].plain)
+                with mock.patch.object(cli, "_SCALAR_ROWS", 0):
+                    kinds.add(cli._read_csv(path)[1].plain)
             except ValueError as exc:
                 kinds.add(type(exc))
 
@@ -1233,6 +1305,7 @@ def parsed(text, count, block, fallback=False):
         with open(path, "w", newline="") as fh:
             fh.write(text)
         stack.enter_context(mock.patch.object(cli, "_BLOCK_ROWS", block))
+        stack.enter_context(mock.patch.object(cli, "_SCALAR_ROWS", 0))
         if fallback:
             stack.enter_context(mock.patch.object(np, "loadtxt", side_effect=ValueError))
         blocks = []
