@@ -678,6 +678,8 @@ class Network:
         self.scale_directions = scale_directions
 
     def add_point(self, name, x0=0.0, y0=0.0, z0=0.0, fixed=False):
+        if name in self.points:
+            raise ValueError(f"point {name!r} is added twice")
         if not all(math.isfinite(c) for c in (x0, y0, z0)):
             raise ValueError(f"point {name!r}: coordinates must be finite")
         self.points[name] = NetworkPoint(name, x0, y0, z0, fixed)

@@ -21,9 +21,11 @@ and _table runs the scalar call on each of its rows in place of the
 kernel: numpy's import (about 100 ms) outweighs 256 of the slowest scalar
 rows (geodesic inverse, about 30 us each).
 _table runs an input of two blocks or more in one share per usable CPU, a
-range of block numbers, all but the first in forked children; a share that
-cannot fork runs in this process (_shared).  Each share writes its lines to
-its own _Spool, an unnamed temp file in TMPDIR that needs room for the
+range of block numbers, all but the first in forked children, each of which
+answers only with its exit status; a share that failed in its child, or
+could not fork, runs again in this process, which raises its error
+(_shared).  Each share writes its lines to its own _Spool, an unnamed
+temp file in TMPDIR that needs room for the
 output (a full one exits 2), so a process holds one 4096-row block of input
 and one of output, and the scan a 256 KB window.  dop, heights and the
 datum fits read their columns through _Rows too; adjust parses the mixed
@@ -66,11 +68,8 @@ import errno
 import io
 import math
 import os
-import pickle
 import re
-import shutil
 import sys
-import tempfile
 import warnings
 import weakref
 from contextlib import contextmanager, nullcontext, redirect_stdout, suppress
@@ -328,13 +327,15 @@ def _to_stdout(path) -> bool:
 class _Spool(io.TextIOWrapper):
     """The output text of one share, in an unnamed temp file in TMPDIR, which
     goes when it is closed or the process ends; UTF-8 with surrogatepass
-    holds any str.  len() is its character count."""
+    holds any str.  len() is the size of its file in bytes, what has been
+    flushed to it."""
 
     def __init__(self):
+        import tempfile  # only a table command spools
         super().__init__(tempfile.TemporaryFile(), "utf-8", "surrogatepass", newline="")
 
     def __len__(self) -> int:
-        return self.count
+        return os.fstat(self.fileno()).st_size
 
 
 def _read_rows(path, width: int) -> list:
@@ -371,80 +372,56 @@ def _shared(blocks, body, out) -> None:
     """Run body(share, spool) on each share, a contiguous sub-range of blocks
     (a range of block numbers), one per usable CPU, then out(spools) once
     every share has passed.  body writes its share's output to its own _Spool,
-    made before any fork, and returns the character count.  Each share but
-    the first runs in a forked child, which pipes back its count or error;
-    a share whose pipe or fork fails (a process or descriptor limit) runs
-    in this process, after the first; a child that ends with no result
-    (killed) is an OSError.  Raises the first error in file order; every
-    spool is closed and every child reaped on return."""
+    made before any fork.  Each share but the first runs in a forked child,
+    which exits 0 once its spool is flushed, or 1 if the share raised.  This
+    process runs again, after its own share and in file order, each share
+    whose child exited 1 or that could not fork (a process limit), so the
+    error raised is the share's own, at the cost of up to one share's work
+    again; a child that ends otherwise (killed) is an OSError.  Raises the
+    first error in file order; every spool is closed and every child reaped
+    on return."""
 
-    def run(share, spool):  # the count or the Exception
-        try:
-            count = body(share, spool)
-            spool.flush()  # a full temp directory fails here, in this share
-            return count
-        except Exception as exc:
-            return exc
-
-    def reply(pid, k):  # the count or error of share k's child, read once it has ended
-        message, status = children[pid].read(), os.waitpid(pid, 0)[1]
-        children.pop(pid).close()
-        try:
-            return pickle.loads(message)
-        except (EOFError, pickle.UnpicklingError):
-            return OSError(f"share {k} of {shares} ended with no result, wait status {status}")
+    def run(share, spool):
+        body(share, spool)
+        spool.flush()  # a full temp directory fails here, in this share
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     shares = max(1, min(cpus or 1, len(blocks)) if hasattr(os, "fork") else 1)
     ranges = [blocks[len(blocks) * k // shares:len(blocks) * (k + 1) // shares]
               for k in range(shares)]
-    spools, later, children = [], [], {}  # one per share; later shares' result calls; pid: pipe
+    spools, children = [], {}  # one spool per share; share number: pid of its child
     try:
         for _ in range(shares):
             spools.append(_Spool())
         for k, (share, spool) in enumerate(zip(ranges[1:], spools[1:]), 2):
-            pipe = ()
             with warnings.catch_warnings():  # 3.12 warns of BLAS threads, to stderr under -m
                 warnings.filterwarnings("ignore", "This process .*use of fork", DeprecationWarning)
                 try:
-                    pipe = read, write = os.pipe()
                     pid = os.fork()
-                except OSError:  # a process or descriptor limit: this process runs the share
-                    for fd in pipe:
-                        os.close(fd)
-                    later.append(partial(run, share, spool))
+                except OSError:  # a process limit: this process runs the share
                     continue
-            if not pid:
-                try:  # the write fails once the parent has died
-                    for fd in [read, *(fh.fileno() for fh in children.values())]:
-                        os.close(fd)
-                    result = run(share, spool)
-                    if isinstance(result, Exception):  # as class, message and exit class
-                        result = type(result).__module__, type(result).__name__, str(result), next(
-                            (c for c in (ArithmeticError, OSError, ValueError, KeyError)
-                             if isinstance(result, c)), Exception)
-                    with open(write, "wb") as fh:
-                        pickle.dump(result, fh)
-                finally:
+            if not pid:  # exit 0 once the share has passed, else 1
+                with suppress(BaseException):
+                    run(share, spool)
                     os._exit(0)
-            os.close(write)
-            children[pid] = open(read, "rb")
-            later.append(partial(reply, pid, k))
-        results = [run(ranges[0], spools[0])] + [result() for result in later]
-        error = next((r for r in results if not isinstance(r, int)), None)
-        if isinstance(error, tuple):
-            module, name, text, base = error
-            error = type(name, (base,), {"__module__": module, "__str__": lambda _: text})()
-        if error is not None:
-            raise error
-        for spool, count in zip(spools, results):
-            spool.count = count
+                os._exit(1)
+            children[k] = pid
+        run(ranges[0], spools[0])
+        for k, (share, spool) in enumerate(zip(ranges[1:], spools[1:]), 2):
+            # a share that did not fork runs here, as one whose child exited 1
+            status = os.waitpid(children.pop(k), 0)[1] if k in children else 1 << 8
+            if status == 0:
+                continue
+            if os.waitstatus_to_exitcode(status) != 1:  # killed, say
+                raise OSError(f"share {k} of {shares} ended with no result, wait status {status}")
+            spool.seek(0)  # what the child wrote goes
+            spool.truncate()
+            run(share, spool)
+        for spool in spools:
             spool.seek(0)
         out(spools)
     finally:
-        error = results = None  # the traceback holds this frame: no cycle keeps the input open
-        for pid, fh in children.items():
-            fh.close()
+        for pid in children.values():
             os.waitpid(pid, 0)
         for spool in spools:
             spool.close()
@@ -470,8 +447,7 @@ def _table(rows, path, unit, inputs, outputs, scalar, kernel) -> None:
             raise ValueError(f"header: column {field} is in {tag[1]}, but --angle-unit is {unit}")
     line = "%s," + ",".join([_NUMBER] * len(outputs)) + "\n"
 
-    def share(blocks, spool) -> int:
-        count = 0
+    def share(blocks, spool) -> None:
         for names, columns in rows.columns(len(inputs), blocks):
             if rows.small:
                 columns = [[v * factor for v in c] if a else c for c, a in zip(columns, angle_in)]
@@ -484,9 +460,8 @@ def _table(rows, path, unit, inputs, outputs, scalar, kernel) -> None:
                 values = [(v / factor if a else v).tolist() for v, a in zip(values, angle_out)]
             text = map(line.__mod__, zip(names, *values))
             while part := "".join(islice(text, 1024)):
-                count += spool.write(part)
+                spool.write(part)
             names = columns = values = text = None  # the next block is read without this one
-        return count
 
     header = "name," + ",".join(c + (f"[{unit}]" if a else "") for c, a in zip(outputs, angle_out))
     _to_stdout(path)  # a closed stdout raises before any block runs
@@ -520,6 +495,7 @@ def _write_lines(lines, path):
     with nullcontext(sys.stdout) if _to_stdout(path) else open(path, "w") as fh:
         for line in lines:
             if isinstance(line, _Spool):
+                import shutil  # only a table command spools
                 shutil.copyfileobj(line, fh)
             else:
                 fh.write(line)
@@ -725,6 +701,10 @@ def _adjustment_json(res, **extra):
     return _Passes(parts)
 
 
+# whether a point is fixed, by the last field of its row in any case
+_FIXED = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False, "": False}
+
+
 @contextmanager
 def _naming(where: str):
     """Prefix where to the message of a ValueError raised in the block."""
@@ -749,7 +729,10 @@ def cmd_adjust(args):
     for n, row in enumerate(_read_rows(args.points, 4), 1):
         with _naming(f"points data row {n}"):
             vals = [float(v) if v else 0.0 for v in row[1:-1]]
-            fixed = row[-1].strip().lower() in ("1", "true", "yes")
+            fixed = _FIXED.get(row[-1].strip().lower())
+            if fixed is None:
+                raise ValueError("fixed must be one of 1, true, yes, 0, false, no or empty, "
+                                 f"got {row[-1]!r}")
             x0, y0 = vals[:2]
             z0 = vals[2] if len(vals) > 2 else 0.0
             net.add_point(row[0], x0, y0, z0, fixed)

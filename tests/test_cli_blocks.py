@@ -26,7 +26,6 @@ import gc
 import io
 import math
 import os
-import pickle
 import resource
 import signal
 import subprocess
@@ -677,17 +676,18 @@ def test_a_closed_stdout_raises_before_adjust_solves(system, monkeypatch, tmp_pa
 
 
 @pytest.mark.parametrize("base", [ArithmeticError, KeyError])
-def test_an_error_that_does_not_pickle_crosses_by_name(base, monkeypatch):
-    class Unpicklable(base):  # a local class: pickle cannot name it
+def test_a_childs_error_is_raised_here_as_its_own_class(base, monkeypatch):
+    # 4 rows in blocks of 2 on 2 CPUs, the failing row in the child's share:
+    # the child exits 1 and this process runs the share again, so the error
+    # raised is an instance of the class the share raised, even a local one
+    class LocalError(base):
         pass
 
-    with pytest.raises((pickle.PicklingError, AttributeError)):
-        pickle.dumps(Unpicklable("row B"))
     kernel = cli.ecef_to_geodetic_array
 
     def failing(ell, x, *yz):
         if (x == 5.0).any():
-            raise Unpicklable("row B")
+            raise LocalError("row B")
         return kernel(ell, x, *yz)
 
     monkeypatch.setattr(cli, "ecef_to_geodetic_array", failing)
@@ -697,29 +697,60 @@ def test_an_error_that_does_not_pickle_crosses_by_name(base, monkeypatch):
     assert len(forks) == 1
     assert_no_child_left()
     assert got == outcome(CONVERT_INV, text) == (
-        (3, "", "numerical error: Unpicklable: row B\n") if base is ArithmeticError
-        else (2, "", "input error: Unpicklable: 'row B'\n"))
+        (3, "", "numerical error: LocalError: row B\n") if base is ArithmeticError
+        else (2, "", "input error: LocalError: 'row B'\n"))
+
+    def body(share, spool):
+        if share.start:
+            raise LocalError("share 2")
+        spool.write("share 1")
+    with usable_cpus(2) as forks, pytest.raises(LocalError) as info:
+        cli._shared(range(2), body, None)
+    assert len(forks) == 1 and type(info.value) is LocalError
+    assert_no_child_left()
 
 
-@pytest.mark.parametrize("fails", ["pipe", "fork"])
+def test_a_share_that_fails_only_in_its_child_passes_here(monkeypatch):
+    # 4 rows in blocks of 2 on 2 CPUs: the kernel raises in the child alone,
+    # which exits 1; this process runs the child's block again, passes, and
+    # writes what one share writes
+    parent, kernel, calls = os.getpid(), cli.ecef_to_geodetic_array, []
+
+    def child_fails(*args):
+        if os.getpid() != parent:
+            raise ArithmeticError("in the child")
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(cli, "ecef_to_geodetic_array", child_fails)
+    text = "h,h,h,h\n" + "\n".join(GOOD_XYZ[:4]) + "\n"
+    with usable_cpus(2) as forks:
+        got = outcome(CONVERT_INV, text, 2)
+    assert len(forks) == 1 and calls == [2, 2]
+    assert_no_child_left()
+    with usable_cpus(1):
+        assert got == outcome(CONVERT_INV, text, 2)
+    assert got[0] == 0 and got[1].count("\n") == 5, got
+
+
 @pytest.mark.parametrize("row", [None, "text", "numerical"])
-def test_a_share_whose_fork_fails_runs_here(fails, row):
-    # 10 rows in blocks of 2 on 3 CPUs: the second pipe or fork raises (a
-    # process or descriptor limit), and this process runs that share itself
+def test_a_share_whose_fork_fails_runs_here(row):
+    # 10 rows in blocks of 2 on 3 CPUs: the second fork raises (a process
+    # limit), and this process runs that share itself
     rows = [*GOOD_XYZ, *GOOD_XYZ]
     if row:
         rows[8] = FAILING[row]
     text = "h,h,h,h\n" + "\n".join(rows) + "\n"
     calls = []
     with usable_cpus(3) as forks:
-        real = getattr(os, fails)
+        real = os.fork
 
         def second_fails():
             calls.append(None)
             if len(calls) == 2:
                 raise BlockingIOError(11, "Resource temporarily unavailable")
             return real()
-        with mock.patch.object(os, fails, second_fails):
+        with mock.patch.object(os, "fork", second_fails):
             got = outcome(CONVERT_INV, text, 2)
     assert len(calls) == 2 and len(forks) == 1
     assert_no_child_left()
@@ -958,10 +989,11 @@ def test_a_spool_round_trips_any_str(text):
     # destination's text stream, which here is a StringIO
     out = io.StringIO()
     with cli._Spool() as spool, contextlib.redirect_stdout(out):
-        spool.count = spool.write(text)
+        spool.write(text)
         spool.seek(0)
         cli._write_lines([spool], "-")
-    assert out.getvalue() == text and len(spool) == len(text)
+        assert len(spool) == len(text.encode("utf-8", "surrogatepass"))
+    assert out.getvalue() == text
 
 
 def open_fds() -> dict:
@@ -1034,30 +1066,18 @@ def test_a_failed_run_closes_its_input_without_a_collection(kind, row, tmp_path)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-@pytest.mark.parametrize("at", ["kernel", "message"])
-def test_a_share_killed_before_it_reports_exits_2_with_one_line(at, tmp_path, monkeypatch):
+def test_a_share_killed_before_it_reports_exits_2_with_one_line(tmp_path, monkeypatch):
     # 4 rows in blocks of 2 on 2 CPUs: the child kills its process in its
-    # kernel call, or half way through its message, so its pipe ends with no
-    # whole message; the run is an input error naming the share and its wait
-    # status, the -o file stays as it was, and no child, spool or descriptor
-    # is left
-    parent, kernel, dump = os.getpid(), cli.ecef_to_geodetic_array, pickle.dump
+    # kernel call, so it ends by a signal, not an exit; the run is an input error
+    # naming the share and its wait status, the -o file stays as it was, and
+    # no child, spool or descriptor is left
+    parent, kernel = os.getpid(), cli.ecef_to_geodetic_array
 
     def killing(*args):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return kernel(*args)
-
-    def half(result, fh):
-        if os.getpid() != parent:
-            fh.write(pickle.dumps(result)[:4])
-            fh.flush()
-            os.kill(os.getpid(), signal.SIGKILL)
-        return dump(result, fh)
-    if at == "kernel":
-        monkeypatch.setattr(cli, "ecef_to_geodetic_array", killing)
-    else:
-        monkeypatch.setattr(pickle, "dump", half)
+    monkeypatch.setattr(cli, "ecef_to_geodetic_array", killing)
     path, out, spools = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "spools"
     path.write_text("h,h,h,h\n" + "\n".join(GOOD_XYZ[:4]) + "\n")
     out.write_bytes(b"kept\n")

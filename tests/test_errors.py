@@ -366,11 +366,47 @@ def test_adjust_non_finite_point_exits_2(tmp_path, capsys):
     ({"PTS": "n,x0,y0,z0,fixed\nA,0,0,10,1\nB,0,inf,0,0\nC,0,0,0,0\n",
       "OBS": "k,f,t,v\nleveling,A,B,1\n"},
      "ValueError: points data row 2: point 'B': coordinates must be finite"),
+    # a misspelled flag once freed A (exit 0, A moved from 10 to 3.0)
+    ({"PTS": "n,x0,y0,z0,fixed\nA,0,0,10,ture\nB,0,0,0,false\nC,0,0,5,true\n",
+      "OBS": "k,f,t,v\nleveling,A,B,1\nleveling,B,C,1\n"},
+     "ValueError: points data row 1: fixed must be one of 1, true, yes, 0, false, no or empty, "
+     "got 'ture'"),
+    # a z0 with no fixed column once read 10 as the flag (SingularNormal, exit 3)
+    ({"PTS": "n,x0,y0,z0\nA,0,0,10\nB,0,0,0\n",
+      "OBS": "k,f,t,v\nleveling,A,B,1\nleveling,B,A,-1\n"},
+     "ValueError: points data row 1: fixed must be one of 1, true, yes, 0, false, no or empty, "
+     "got '10'"),
+    # a name given twice once replaced the first, freeing every point (exit 3)
+    ({"PTS": "n,x0,y0,z0,fixed\nA,0,0,10,true\nA,0,0,10,false\nB,0,0,0,false\nC,0,0,5,false\n",
+      "OBS": "k,f,t,v\nleveling,A,B,1\nleveling,B,C,1\n"},
+     "ValueError: points data row 2: point 'A' is added twice"),
 ])
 def test_adjust_row_errors_name_the_file_and_row(files, message, tmp_path, capsys):
     code, out, err = run_files(["adjust", "--points", "PTS", "--obs", "OBS"], tmp_path, capsys,
                                files)
     assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("fixed, free", [("1", "0"), ("TRUE", "False"), ("Yes", "no"),
+                                         (" true ", "")])
+def test_adjust_point_flags_are_read_in_any_case(fixed, free, tmp_path, capsys):
+    # A and C fixed, B free, with z0 given and without it (an empty z0 is 0)
+    files = {"PTS": f"n,x0,y0,z0,fixed\nA,0,0,10,{fixed}\nB,0,0,{free}\nC,0,0,12,{fixed}\n",
+             "OBS": "k,f,t,v\nleveling,A,B,1\nleveling,B,C,1\n"}
+    code, out, err = run_files(["adjust", "--points", "PTS", "--obs", "OBS"], tmp_path, capsys,
+                               files)
+    assert (code, err) == (0, "")
+    points = json.loads(out)["points"]
+    assert (points["A"]["z"], points["C"]["z"]) == (10.0, 12.0)
+    assert points["B"]["z"] == pytest.approx(11.0)
+
+
+def test_network_rejects_a_point_added_twice():
+    net = adjust.Network()
+    net.add_point("A", z0=10.0, fixed=True)
+    with pytest.raises(ValueError, match="point 'A' is added twice"):
+        net.add_point("A", z0=11.0)
+    assert net.points["A"].fixed and net.points["A"].z0 == 10.0
 
 
 def test_adjust_without_convergence_exits_3(tmp_path, capsys, monkeypatch):
