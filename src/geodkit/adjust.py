@@ -11,7 +11,7 @@ satellite-geometry dilution-of-precision figures.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
 from .coords import (
@@ -21,7 +21,7 @@ from .coords import (
     geodetic_to_ecef,
     local_frame,
 )
-from .core import Ellipsoid, NumericalError, np
+from .core import Ellipsoid, NumericalError, Value, _store, np
 
 
 class SingularNormal(NumericalError, ValueError):
@@ -113,8 +113,8 @@ def check_condition(sym: np.ndarray, bound: float, error: Exception) -> np.ndarr
     return lam
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+@dataclass(init=False, repr=False, eq=False)
+class LinearSystem(Value):
     """Observation equations A X + K = V with weights P.
 
     K is "calculated minus observed"; rows n must be >= unknowns r.
@@ -139,42 +139,39 @@ class LinearSystem:
     k: np.ndarray
     p: np.ndarray = None
     cols: np.ndarray = None
-    weights_checked: InitVar[bool] = False
 
-    def __post_init__(self, weights_checked):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        k = np.asarray(self.k, dtype=float).ravel()
+    def __init__(self, a, k, p=None, cols=None, *, weights_checked=False):
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        k = np.asarray(k, dtype=float).ravel()
         if k.shape[0] == 0:
             raise ValueError("the system has no observations")
         if a.shape[0] != k.shape[0]:
             raise ValueError("A and K row counts differ")
-        if self.cols is not None:
-            cols = np.asarray(self.cols)
+        if cols is not None:
+            cols = np.asarray(cols)
             if cols.shape != a.shape or cols.dtype.kind not in "iu":
                 raise ValueError("cols must be integers of the shape of A")
             if (cols < -1).any() or a[cols < 0].any():
                 raise ValueError("padding slots (cols -1) must hold 0")
-            object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "a", a)
+        _store(self, a=a, k=k, cols=cols)
         if self.unknowns == 0:
             raise ValueError("the system has no unknowns (every point fixed?)")
         if a.shape[0] < self.unknowns:
             raise ValueError("fewer observations than unknowns")
-        p = self.p if weights_checked else _weights(self.p, a.shape[0])
-        if self.cols is not None and p.ndim > 1:
+        p = p if weights_checked else _weights(p, a.shape[0])
+        if cols is not None and p.ndim > 1:
             raise ValueError("the row-sparse form takes a weight vector")
         if not all(np.isfinite(q).all() for q in (a, k, p)):
             raise ValueError("A, K and P must be finite")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "p", p)
+        _store(self, p=p)
 
     @property
     def unknowns(self) -> int:
         return self.a.shape[1] if self.cols is None else int(self.cols.max(initial=-1)) + 1
 
 
-@dataclass(frozen=True)
-class AdjustmentResult:
+@dataclass(init=False, repr=False, eq=False)
+class AdjustmentResult(Value):
     """Estimated corrections, residuals and variance factor of a system;
     from Network.solve, x is the last iteration's correction, rounding
     noise below its tol, and v and s2 are that iteration's.
@@ -191,6 +188,9 @@ class AdjustmentResult:
     system: LinearSystem = field(default=None, repr=False)
     iterations: int = 0
     trace: list = field(default=None, repr=False)
+
+    def __init__(self, x, v, s2, system=None, iterations=0, trace=None):
+        _store(self, x=x, v=v, s2=s2, system=system, iterations=iterations, trace=trace)
 
     @cached_property
     def normal(self) -> np.ndarray:
@@ -561,14 +561,17 @@ def _numeric_hessian_tensor(fn, x, n_out: int):
     return tensor
 
 
-@dataclass(frozen=True)
-class CurvatureCheck:
+@dataclass(init=False, repr=False, eq=False)
+class CurvatureCheck(Value):
     """Second-order verdict on a nonlinear least-squares stationary point."""
 
     g: np.ndarray
     h: np.ndarray
     b: np.ndarray
     positive_definite: bool
+
+    def __init__(self, g, h, b, positive_definite):
+        _store(self, g=g, h=h, b=b, positive_definite=positive_definite)
 
 
 def pazman_check(
@@ -614,8 +617,8 @@ _AXES = {"distance2d": ("x", "y"), "direction": ("x", "y"),
 _FIELDS = {"x": "x0", "y": "y0", "z": "z0"}
 
 
-@dataclass(frozen=True)
-class Observation:
+@dataclass(init=False, repr=False, eq=False)
+class Observation(Value):
     """One survey measurement for the network assembler.
 
     kind: distance2d | direction | distance3d | leveling.  Directions carry
@@ -633,21 +636,25 @@ class Observation:
     set_id: str | None = None
     dist_km: float | None = None
 
-    def __post_init__(self):
-        if self.kind not in _AXES:
-            raise ValueError(f"unknown observation kind {self.kind!r}")
-        if self.frm == self.to and self.kind != "leveling":
-            raise ValueError(f"{self.kind} row from {self.frm!r} to itself")
-        if not math.isfinite(self.value):
-            raise ValueError(f"observed value must be finite, got {self.value}")
-        for name in ("sigma", "dist_km"):
-            value = getattr(self, name)
-            if value is not None and not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+    def __init__(self, kind, frm, to, value, sigma=None, set_id=None, dist_km=None):
+        if kind not in _AXES:
+            raise ValueError(f"unknown observation kind {kind!r}")
+        if frm == to and kind != "leveling":
+            raise ValueError(f"{kind} row from {frm!r} to itself")
+        if not math.isfinite(value):
+            raise ValueError(f"observed value must be finite, got {value}")
+        for name, size in (("sigma", sigma), ("dist_km", dist_km)):
+            if size is not None and not (size > 0 and math.isfinite(size)):
+                raise ValueError(f"{name} must be finite and > 0, got {size}")
+        _store(self, kind=kind, frm=frm, to=to, value=value, sigma=sigma, set_id=set_id,
+               dist_km=dist_km)
 
 
 @dataclass
 class NetworkPoint:
+    """A network point's name, approximate coordinates and fixed flag; solve
+    updates the coordinates in place."""
+
     name: str
     x0: float = 0.0
     y0: float = 0.0
@@ -782,13 +789,18 @@ class Network:
                             f"max |x| = {np.abs(result.x).max():.6g} >= tol = {tol:g}")
 
 
-@dataclass(frozen=True)
-class DopResult:
+@dataclass(init=False, repr=False, eq=False)
+class DopResult(Value):
+    """Geometric, position, time, horizontal and vertical dilution of precision."""
+
     gdop: float
     pdop: float
     tdop: float
     hdop: float
     vdop: float
+
+    def __init__(self, gdop, pdop, tdop, hdop, vdop):
+        _store(self, gdop=gdop, pdop=pdop, tdop=tdop, hdop=hdop, vdop=vdop)
 
 
 def dop(sat_positions: list, receiver: GeodeticCoord, ell: Ellipsoid) -> DopResult:

@@ -42,22 +42,24 @@ stderr loses the message, not the code).  The error class name goes to
 stderr, and a CSV row that is too short, has a field too long or has a
 field float() rejects is named by its data-row number (1 is the first row
 after the header).  ``adjust`` also names the file, points or obs, of a
-field float() rejects, of an observation to an unknown point and of a row
-the library rejects.
+field float() rejects, of a row with too many fields, of an observation to
+an unknown point and of a row the library rejects.
 
 Start-up and exit: importing this module loads the modules of convert,
 project and geodesic (core, coords, projections, geodesics), whose kernels
 and scalar calls stay bound in this namespace, where the benchmark's CLI
-tracer and the tests find them.  It does not load numpy: core.np loads it
-on its first attribute use.  So --help, --version, the listings and astro
-never import numpy, nor do heights and the table commands on a small
-input; a larger input, orbit, dop, adjust and the datum fits do.  Every
-other command imports its own module when it runs (adjust, datum, heights,
-orbits, reductions, sphere), so this module does not re-export their
-names.  run(), the process entry, ends with os._exit once main() has
-written and flushed every output inside its one try: that skips the
-interpreter's teardown, 15-20 ms a call (``import numpy`` alone took
-128/162 ms, min/median of 25 runs, and 112/143 ms with os._exit).
+tracer and the tests find them.  It neither loads numpy (core.np loads it
+on its first attribute use) nor compiles dataclass methods (core.Value):
+it takes a median 16.5-22.8 ms after site, 23.9-33.2 ms with frozen
+dataclasses (two sets of 30 runs, 2-vCPU Xeon).  So --help, --version,
+the listings and astro never import numpy, nor do heights and the table
+commands on a small input; a larger input, orbit, dop, adjust and the
+datum fits do.  Every other command imports its own module when it runs
+(adjust, datum, heights, orbits, reductions, sphere), so this module does
+not re-export their names.  run(), the process entry, ends with os._exit
+once main() has written and flushed every output inside its one try: that
+skips the interpreter's teardown, 15-20 ms a call (``import numpy`` alone
+took 128/162 ms, min/median of 25 runs, and 112/143 ms with os._exit).
 """
 
 from __future__ import annotations
@@ -378,8 +380,9 @@ def _shared(blocks, body, out) -> None:
     whose child exited 1 or that could not fork (a process limit), so the
     error raised is the share's own, at the cost of up to one share's work
     again; a child that ends otherwise (killed) is an OSError.  Raises the
-    first error in file order; every spool is closed and every child reaped
-    on return."""
+    first error in file order, once the children still running are killed:
+    the shares after a failing one cannot change the error.  Every spool is
+    closed and every child reaped on return."""
 
     def run(share, spool):
         body(share, spool)
@@ -420,6 +423,12 @@ def _shared(blocks, body, out) -> None:
         for spool in spools:
             spool.seek(0)
         out(spools)
+    except BaseException:  # the error is decided: end the other shares now
+        import signal
+
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         for pid in children.values():
             os.waitpid(pid, 0)
@@ -714,6 +723,13 @@ def _naming(where: str):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _at_most(row, names: tuple) -> None:
+    """Reject a row with more fields than names."""
+    if len(row) > len(names):
+        raise ValueError(f"{len(row)} fields, expected at most {len(names)} "
+                         f"({', '.join(names)})")
+
+
 def cmd_adjust(args):
     from .adjust import LinearSystem, Network, Observation, solve_linear
 
@@ -728,6 +744,7 @@ def cmd_adjust(args):
     net = Network(scale_directions=not args.no_direction_scaling)
     for n, row in enumerate(_read_rows(args.points, 4), 1):
         with _naming(f"points data row {n}"):
+            _at_most(row, ("name", "x0", "y0", "z0", "fixed"))
             vals = [float(v) if v else 0.0 for v in row[1:-1]]
             fixed = _FIXED.get(row[-1].strip().lower())
             if fixed is None:
@@ -738,6 +755,8 @@ def cmd_adjust(args):
             net.add_point(row[0], x0, y0, z0, fixed)
     factor = ANGLE_UNITS[args.angle_unit]
     for n, row in enumerate(_read_rows(args.obs, 4), 1):
+        with _naming(f"obs data row {n}"):
+            _at_most(row, ("kind", "from", "to", "value", "sigma", "set_id", "dist_km"))
         kind, frm, to = row[0], row[1], row[2]
         for name in (frm, to):
             if name not in net.points:

@@ -9,7 +9,9 @@ from .core import (
     Ellipsoid,
     NonConvergence,
     NumericalError,
+    Value,
     _prime_vertical_radius,
+    _store,
     all_finite,
     iterate,
     np,
@@ -39,8 +41,8 @@ def _normalize_lon(lam):
 _MAX_LATITUDE = math.pi / 2 + 1e-12
 
 
-@dataclass(frozen=True, init=False)
-class GeodeticCoord:
+@dataclass(init=False, repr=False, eq=False)
+class GeodeticCoord(Value):
     """Geodetic latitude, longitude (positive east) and ellipsoidal height."""
 
     phi: float
@@ -73,8 +75,10 @@ def geodetic_columns(phi, lam, he=0.0) -> tuple:
     return phi, _normalize_lon(lam), ok
 
 
-@dataclass(frozen=True, init=False)
-class EcefCoord:
+@dataclass(init=False, repr=False, eq=False)
+class EcefCoord(Value):
+    """Geocentric Cartesian coordinates X, Y, Z (m)."""
+
     x: float
     y: float
     z: float
@@ -208,8 +212,8 @@ def ecef_to_geodetic_array(ell: Ellipsoid, x, y, z) -> tuple:
     return phi, lam, he, ~(ok & valid)
 
 
-@dataclass(frozen=True)
-class LocalFrame:
+@dataclass(init=False, repr=False, eq=False)
+class LocalFrame(Value):
     """Topocentric frame at an origin point.
 
     The rotation matrix rows are the east, north and up unit vectors
@@ -219,8 +223,9 @@ class LocalFrame:
     origin: GeodeticCoord
     rotation: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        self.rotation.setflags(write=False)
+    def __init__(self, origin, rotation):
+        rotation.setflags(write=False)
+        _store(self, origin=origin, rotation=rotation)
 
 
 def local_frame(origin: GeodeticCoord) -> LocalFrame:

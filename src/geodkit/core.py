@@ -12,7 +12,7 @@ import importlib.util
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 
 
 def _lazy_numpy():
@@ -43,6 +43,55 @@ class NumericalError(ArithmeticError):
 
 class NonConvergence(NumericalError, RuntimeError):
     """An iterative scheme failed to reach its tolerance within its cap."""
+
+
+class Value:
+    """Equality, hashing and repr over the fields that dataclasses.fields()
+    marks compare or repr, and FrozenInstanceError on assignment or deletion.
+
+    A value type is a ``@dataclass(init=False, repr=False, eq=False)`` on top
+    of Value with a hand-written __init__ and a docstring, so the decorator
+    compiles no method (a frozen dataclass execs five or six at import).
+    __init__ stores by object.__setattr__ (_store), except in the value types
+    a scalar call builds, which write __dict__ (_NpMath).
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in _value_fields(self.__class__)[0]])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in _value_fields(self.__class__)[1])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@functools.cache
+def _value_fields(cls) -> tuple:
+    """The names of cls's compared fields and of its shown fields."""
+    return (tuple(f.name for f in fields(cls) if f.compare),
+            tuple(f.name for f in fields(cls) if f.repr))
+
+
+def _store(obj, **values) -> None:
+    """Set the fields of a Value under construction."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 class _NpMath:
@@ -174,8 +223,8 @@ _ANGLE_RE = rf"""^\s*(?P<sign>[+-]?)\s*(?:
     )\s*$"""
 
 
-@dataclass(frozen=True)
-class Angle:
+@dataclass(init=False, repr=False, eq=False)
+class Angle(Value):
     """An angle stored in radians, convertible to the units used in the field.
 
     ``Angle.parse`` accepts suffixed literals such as ``"40.0gr"``,
@@ -184,6 +233,9 @@ class Angle:
     """
 
     rad: float
+
+    def __init__(self, rad):
+        _store(self, rad=rad)
 
     @classmethod
     def from_gr(cls, gr: float) -> "Angle":
@@ -301,8 +353,8 @@ def _derived():
     return field(init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Ellipsoid:
+@dataclass(init=False, repr=False, eq=False)
+class Ellipsoid(Value):
     """Reference ellipsoid of revolution, defined by (a, f).
 
     Derived quantities are computed once, from (a, f), at construction:
@@ -321,15 +373,13 @@ class Ellipsoid:
     inv_f: float = _derived()
     arc_coeffs: tuple = _derived()
 
-    def __post_init__(self):
-        if self.a <= 0 or not (0 <= self.f < 1):
-            raise ValueError(f"invalid ellipsoid parameters a={self.a}, f={self.f}")
-        e2 = self.f * (2.0 - self.f)
-        derived = {"b": self.a * (1.0 - self.f), "e2": e2, "e": math.sqrt(e2),
-                   "ep2": e2 / (1.0 - e2), "inv_f": 1.0 / self.f if self.f else math.inf}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "arc_coeffs", meridian_arc_coefficients(self))
+    def __init__(self, name, a, f):
+        if a <= 0 or not (0 <= f < 1):
+            raise ValueError(f"invalid ellipsoid parameters a={a}, f={f}")
+        e2 = f * (2.0 - f)
+        _store(self, name=name, a=a, f=f, b=a * (1.0 - f), e2=e2, e=math.sqrt(e2),
+               ep2=e2 / (1.0 - e2), inv_f=1.0 / f if f else math.inf)
+        _store(self, arc_coeffs=meridian_arc_coefficients(self))
 
     @classmethod
     def from_a_inv_f(cls, name: str, a: float, inv_f: float) -> "Ellipsoid":

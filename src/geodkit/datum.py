@@ -23,7 +23,9 @@ from .core import (
     ARCSEC,
     Ellipsoid,
     NumericalError,
+    Value,
     _prime_vertical_radius,
+    _store,
     all_finite,
     meridian_radius,
     np,
@@ -53,8 +55,8 @@ class ZeroSpread(NumericalError, ValueError):
 _MAX_ROTATION = math.radians(3.0)
 
 
-@dataclass(frozen=True)
-class BursaWolfParams:
+@dataclass(init=False, repr=False, eq=False)
+class BursaWolfParams(Value):
     """Translations (m), scale offset m_scale (unitless) and small rotations (rad)."""
 
     tx: float
@@ -65,7 +67,8 @@ class BursaWolfParams:
     ry: float
     rz: float
 
-    def __post_init__(self):
+    def __init__(self, tx, ty, tz, m_scale, rx, ry, rz):
+        _store(self, tx=tx, ty=ty, tz=tz, m_scale=m_scale, rx=rx, ry=ry, rz=rz)
         # NaN would pass every bound below
         if not all(math.isfinite(v) for v in astuple(self)):
             raise ValueError("Bursa-Wolf parameters must be finite")
@@ -75,8 +78,8 @@ class BursaWolfParams:
             raise ValueError("scale offset exceeds the small-scale validity bound")
 
 
-@dataclass(frozen=True)
-class Helmert2DParams:
+@dataclass(init=False, repr=False, eq=False)
+class Helmert2DParams(Value):
     """Plane similarity X2 = T + s R(theta) X1 through u = s cos(theta), v = s sin(theta)."""
 
     tx: float
@@ -84,7 +87,8 @@ class Helmert2DParams:
     u: float
     v: float
 
-    def __post_init__(self):
+    def __init__(self, tx, ty, u, v):
+        _store(self, tx=tx, ty=ty, u=u, v=v)
         if not all(math.isfinite(v) for v in astuple(self)):
             raise ValueError("Helmert parameters must be finite")
         if self.u == 0.0 and self.v == 0.0:
@@ -99,12 +103,17 @@ class Helmert2DParams:
         return math.atan2(self.v, self.u)
 
 
-@dataclass(frozen=True)
-class DatumShiftResult:
+@dataclass(init=False, repr=False, eq=False)
+class DatumShiftResult(Value):
+    """Fitted parameters, residuals, variance factor and their covariance."""
+
     params: object
     residuals: np.ndarray
     s2: float | None
     cov: np.ndarray | None
+
+    def __init__(self, params, residuals, s2, cov):
+        _store(self, params=params, residuals=residuals, s2=s2, cov=cov)
 
 
 def _bursa_wolf(p: BursaWolfParams, x, y, z) -> tuple:

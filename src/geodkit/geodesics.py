@@ -25,6 +25,7 @@ from .core import (
     Ellipsoid,
     NonConvergence,
     NumericalError,
+    Value,
     _prime_vertical_radius,
     flip,
     iterate,
@@ -59,8 +60,8 @@ TWO_PI = 2.0 * math.pi
 _MERIDIAN_C = 1e-8
 
 
-@dataclass(frozen=True, init=False)
-class GeodesicState:
+@dataclass(init=False, repr=False, eq=False)
+class GeodesicState(Value):
     """Clairaut constant C (m), equatorial azimuth and squared modulus k2 >= 1."""
 
     C: float
@@ -76,8 +77,10 @@ class GeodesicState:
         return math.sqrt(self.k2)
 
 
-@dataclass(frozen=True, init=False)
-class GeodesicSolution:
+@dataclass(init=False, repr=False, eq=False)
+class GeodesicSolution(Value):
+    """End point (phi2, lam2), azimuths az1 at the start and az2 at the end, length s (m)."""
+
     phi2: float
     lam2: float
     az1: float

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import A_SEMI, J2, MEAN_RADIUS
+from .core import A_SEMI, J2, MEAN_RADIUS, Value, _store
 from .core import GM_EARTH as GM
 from .core import OMEGA_GRS80 as OMEGA
 
@@ -22,8 +22,8 @@ CASSINI_SIN2_2PHI = 0.0000059
 CASSINI_SIN2_2PHI_PRINTED = 0.000059
 
 
-@dataclass(frozen=True)
-class LevelLine:
+@dataclass(init=False, repr=False, eq=False)
+class LevelLine(Value):
     """Measured leveling segments (g in gal, dh in m) and line geometry."""
 
     segments: tuple
@@ -31,10 +31,9 @@ class LevelLine:
     phi_end: float = 0.0
     h_mean: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "segments", tuple((float(g), float(dh)) for g, dh in self.segments)
-        )
+    def __init__(self, segments, phi_start=0.0, phi_end=0.0, h_mean=0.0):
+        _store(self, segments=tuple((float(g), float(dh)) for g, dh in segments),
+               phi_start=phi_start, phi_end=phi_end, h_mean=h_mean)
         values = [v for segment in self.segments for v in segment]
         if not all(map(math.isfinite, [self.phi_start, self.phi_end, self.h_mean, *values])):
             raise ValueError("non-finite leveling line field")

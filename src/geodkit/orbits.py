@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 
-from .core import GM_EARTH, SIDEREAL_RATIO_GST, NonConvergence, np
+from .core import GM_EARTH, SIDEREAL_RATIO_GST, NonConvergence, Value, _store, np
 from .coords import EcefCoord
 from .sphere import normalize_hours
 
@@ -18,8 +18,8 @@ from .sphere import normalize_hours
 _KEPLER_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class OrbitalElements:
+@dataclass(init=False, repr=False, eq=False)
+class OrbitalElements(Value):
     """a (m), eccentricity, inclination, RAAN, argument of perigee, perigee epoch, mu."""
 
     a: float
@@ -30,7 +30,8 @@ class OrbitalElements:
     t0: float = 0.0
     mu: float = GM_EARTH
 
-    def __post_init__(self):
+    def __init__(self, a, e, i, raan, arg_perigee, t0=0.0, mu=GM_EARTH):
+        _store(self, a=a, e=e, i=i, raan=raan, arg_perigee=arg_perigee, t0=t0, mu=mu)
         if not all(math.isfinite(v) for v in astuple(self)):
             raise ValueError("orbital elements must be finite")
         if self.a <= 0:

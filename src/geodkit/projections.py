@@ -22,7 +22,9 @@ from .core import (
     ARCSEC,
     Ellipsoid,
     NumericalError,
+    Value,
     _prime_vertical_radius,
+    _store,
     all_finite,
     get_ellipsoid,
     isometric_latitude,
@@ -50,8 +52,10 @@ class OutOfZone(NumericalError, ValueError):
     """Longitude too far from the UTM central meridian."""
 
 
-@dataclass(frozen=True, init=False)
-class PlaneCoord:
+@dataclass(init=False, repr=False, eq=False)
+class PlaneCoord(Value):
+    """Plane easting e and northing n (m)."""
+
     e: float
     n: float
 
@@ -62,15 +66,15 @@ class PlaneCoord:
         attrs["e"], attrs["n"] = e, n
 
 
-def _check_scale_and_offsets(d) -> None:
-    if not 0.99 < d.k0 < 1.01:
+def _check_scale_and_offsets(k0, false_e, false_n) -> None:
+    if not 0.99 < k0 < 1.01:
         raise ValueError("scale reduction factor out of range")
-    if not (math.isfinite(d.false_e) and math.isfinite(d.false_n)):
-        raise ValueError(f"non-finite false offsets ({d.false_e}, {d.false_n})")
+    if not (math.isfinite(false_e) and math.isfinite(false_n)):
+        raise ValueError(f"non-finite false offsets ({false_e}, {false_n})")
 
 
-@dataclass(frozen=True)
-class LambertDef:
+@dataclass(init=False, repr=False, eq=False)
+class LambertDef(Value):
     """Tangent Lambert conic with scale reduction factor and false offsets.
 
     axis_convention selects the raw plane axes: 'standard' has x east /
@@ -90,19 +94,17 @@ class LambertDef:
     r0: float = field(init=False, repr=False)
     l0: float = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if not 0.0 < abs(self.phi0) < math.pi / 2:
+    def __init__(self, ell, phi0, lam0, k0=1.0, false_e=0.0, false_n=0.0,
+                 axis_convention="standard"):
+        if not 0.0 < abs(phi0) < math.pi / 2:
             raise ValueError("tangent cone needs 0 < |phi0| < pi/2")
-        _check_scale_and_offsets(self)
-        if self.axis_convention not in ("standard", "stt"):
+        _check_scale_and_offsets(k0, false_e, false_n)
+        if axis_convention not in ("standard", "stt"):
             raise ValueError("axis_convention must be 'standard' or 'stt'")
-        object.__setattr__(self, "n", math.sin(self.phi0))
-        object.__setattr__(
-            self,
-            "r0",
-            prime_vertical_radius(self.ell, self.phi0) / math.tan(self.phi0),
-        )
-        object.__setattr__(self, "l0", isometric_latitude(self.ell, self.phi0))
+        _store(self, ell=ell, phi0=phi0, lam0=lam0, k0=k0, false_e=false_e, false_n=false_n,
+               axis_convention=axis_convention, n=math.sin(phi0),
+               r0=prime_vertical_radius(ell, phi0) / math.tan(phi0),
+               l0=isometric_latitude(ell, phi0))
 
     def _plane(self, xp, phi, dlam) -> tuple:
         radius = _cone_radius(xp, self, phi)
@@ -188,8 +190,8 @@ def lambert_arc_to_chord(d: LambertDef, p1: GeodeticCoord, p2: GeodeticCoord) ->
 _MAX_ZONE_HALF_WIDTH = math.radians(3.5)
 
 
-@dataclass(frozen=True)
-class UtmDef:
+@dataclass(init=False, repr=False, eq=False)
+class UtmDef(Value):
     """Transverse Mercator in 6-degree zones (k0 = 0.9996, 500 km false easting)."""
 
     ell: Ellipsoid
@@ -198,8 +200,9 @@ class UtmDef:
     false_e: float = 500000.0
     false_n: float = 0.0
 
-    def __post_init__(self):
-        _check_scale_and_offsets(self)
+    def __init__(self, ell, lam0, k0=0.9996, false_e=500000.0, false_n=0.0):
+        _check_scale_and_offsets(k0, false_e, false_n)
+        _store(self, ell=ell, lam0=lam0, k0=k0, false_e=false_e, false_n=false_n)
 
     @classmethod
     def from_zone(

@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import EARTH_RADIUS, all_finite, np, npmath, quiet
+from .core import EARTH_RADIUS, Value, _store, all_finite, np, npmath, quiet
 
 # EDM ray curvature radius: 8R for light waves, 4R for microwaves
 WAVE_CURVATURE_FACTOR = {"light": 8.0, "micro": 4.0}
 
 
-@dataclass(frozen=True)
-class DistanceObservation:
+@dataclass(init=False, repr=False, eq=False)
+class DistanceObservation(Value):
     """A slope distance with endpoint altitudes.
 
     dp: measured slope distance, m; ha/hb endpoint altitudes, m;
@@ -34,7 +34,8 @@ class DistanceObservation:
     wave: str | None = None
     radius: float = EARTH_RADIUS
 
-    def __post_init__(self):
+    def __init__(self, dp, ha, hb, wave=None, radius=EARTH_RADIUS):
+        _store(self, dp=dp, ha=ha, hb=hb, wave=wave, radius=radius)
         if self.wave is not None and self.wave not in WAVE_CURVATURE_FACTOR:
             raise ValueError("wave must be None, 'light' or 'micro'")
         if type(self.dp) is not float and type(self.dp) is np.ndarray:

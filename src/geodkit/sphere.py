@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import SIDEREAL_RATIO, NumericalError
+from .core import SIDEREAL_RATIO, NumericalError, Value, _store
 
 _DEGENERATE_TOL = 1e-12
 
@@ -14,8 +14,8 @@ class DegenerateTriangle(NumericalError, ValueError):
     """A triangle element collapsed to 0 or pi."""
 
 
-@dataclass(frozen=True)
-class SphericalTriangle:
+@dataclass(init=False, repr=False, eq=False)
+class SphericalTriangle(Value):
     """Sides a, b, c (central angles) and opposite dihedral angles A, B, C."""
 
     a: float
@@ -24,6 +24,9 @@ class SphericalTriangle:
     A: float
     B: float
     C: float
+
+    def __init__(self, a, b, c, A, B, C):
+        _store(self, a=a, b=b, c=c, A=A, B=B, C=C)
 
     @property
     def excess(self) -> float:

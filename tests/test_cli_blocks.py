@@ -31,6 +31,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from dataclasses import astuple
 from operator import itemgetter
@@ -731,6 +732,20 @@ def test_a_share_that_fails_only_in_its_child_passes_here(monkeypatch):
     with usable_cpus(1):
         assert got == outcome(CONVERT_INV, text, 2)
     assert got[0] == 0 and got[1].count("\n") == 5, got
+
+
+def test_a_failure_here_ends_the_other_shares():
+    # 2 shares on 2 CPUs: the first, run here, fails while the child's sleeps;
+    # the child is killed and reaped, so the error comes without the wait
+    def body(share, spool):
+        if share.start:
+            time.sleep(30)
+        raise ValueError(f"share {share.start + 1}")
+    start = time.monotonic()
+    with usable_cpus(2) as forks, pytest.raises(ValueError, match="share 1"):
+        cli._shared(range(2), body, None)
+    assert len(forks) == 1 and time.monotonic() - start < 10
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("row", [None, "text", "numerical"])

@@ -380,6 +380,15 @@ def test_adjust_non_finite_point_exits_2(tmp_path, capsys):
     ({"PTS": "n,x0,y0,z0,fixed\nA,0,0,10,true\nA,0,0,10,false\nB,0,0,0,false\nC,0,0,5,false\n",
       "OBS": "k,f,t,v\nleveling,A,B,1\nleveling,B,C,1\n"},
      "ValueError: points data row 2: point 'A' is added twice"),
+    # a sixth point field was once dropped (A read as z0 10, the 99 gone, exit 0)
+    ({"PTS": "n,x0,y0,z0,fixed\nA,0,0,10,99,true\nB,0,0,0,false\n",
+      "OBS": "k,f,t,v\nleveling,A,B,1\n"},
+     "ValueError: points data row 1: 6 fields, expected at most 5 (name, x0, y0, z0, fixed)"),
+    # and an obs field past dist_km (exit 0)
+    ({"PTS": "n,x0,y0,z0,fixed\nA,0,0,10,1\nB,0,0,0,0\n",
+      "OBS": "k,f,t,v,sigma,set_id,dist_km\nleveling,A,B,1\nleveling,A,B,1,,,1,junk\n"},
+     "ValueError: obs data row 2: 8 fields, expected at most 7 "
+     "(kind, from, to, value, sigma, set_id, dist_km)"),
 ])
 def test_adjust_row_errors_name_the_file_and_row(files, message, tmp_path, capsys):
     code, out, err = run_files(["adjust", "--points", "PTS", "--obs", "OBS"], tmp_path, capsys,
