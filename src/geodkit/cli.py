@@ -52,8 +52,8 @@ tracer and the tests find them.  It neither loads numpy (core.np loads it
 on its first attribute use) nor compiles dataclass methods (core.Value):
 it takes a median 16.5-22.8 ms after site, 23.9-33.2 ms with frozen
 dataclasses (two sets of 30 runs, 2-vCPU Xeon).  So --help, --version,
-the listings and astro never import numpy, nor do heights and the table
-commands on a small input; a larger input, orbit, dop, adjust and the
+the listings, astro and orbit never import numpy, nor do heights and the
+table commands on a small input; a larger input, dop, adjust and the
 datum fits do.  Every other command imports its own module when it runs
 (adjust, datum, heights, orbits, reductions, sphere), so this module does
 not re-export their names.  run(), the process entry, ends with os._exit
@@ -790,7 +790,7 @@ def cmd_orbit(args):
         x = elements_to_eci(el, t)
         if args.frame == "ecef":
             gst = gst_rad + OMEGA_GPS * (t - el.t0) if args.spin else gst_rad
-            x = eci_to_ecef(x, gst).as_array()
+            x = _XYZ(eci_to_ecef(x, gst))
         out.append(f"{_fmt(t)},{_fmt(x[0])},{_fmt(x[1])},{_fmt(x[2])}")
     _write_lines(out, args.output)
 

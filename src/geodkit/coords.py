@@ -92,10 +92,6 @@ class EcefCoord(Value):
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    @classmethod
-    def from_array(cls, v) -> "EcefCoord":
-        return cls(float(v[0]), float(v[1]), float(v[2]))
-
 
 def _ecef(xp, ell: Ellipsoid, phi, lam, he) -> tuple:
     """Cartesian coordinates X = (N+he) cos phi cos lam, etc."""

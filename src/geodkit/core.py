@@ -22,6 +22,8 @@ def _lazy_numpy():
     if "numpy" in sys.modules:
         return sys.modules["numpy"]
     spec = importlib.util.find_spec("numpy")
+    if spec is None:  # not installed: raise numpy's own ModuleNotFoundError
+        return importlib.import_module("numpy")
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = sys.modules["numpy"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -101,13 +101,6 @@ def _norm_az(az):
     return 0.0 if az == TWO_PI else az  # % can round up to the modulus
 
 
-def _min(x, bound):
-    """min(x, bound) as Python takes it: x unless bound < x, so NaN stays NaN."""
-    if type(x) is not float and type(x) is np.ndarray:
-        return np.where(bound < x, bound, x)
-    return min(x, bound)
-
-
 def _max(x, bound):
     """max(x, bound) as Python takes it: x unless bound > x."""
     if type(x) is not float and type(x) is np.ndarray:
@@ -307,7 +300,7 @@ def geodesic_direct_array(ell: Ellipsoid, phi1, lam1, az1, s) -> tuple:
 
     t2, stalled = iterate(step, (t2,), (m, n, target, tol), general, 50)
     t_max = 1.0 / np.sqrt(k2)
-    failed = ~general | stalled | (np.abs(t2) >= _min(t_max, 1.0) - 1e-12)
+    failed = ~general | stalled | (np.abs(t2) >= np.minimum(t_max, 1.0) - 1e-12)
     phi2, lam2, az2 = _direct_end(npmath, ell, lam1, c, aze, k2, az1, t1, t2)
     return phi2, lam2, az2, s, failed
 
@@ -423,9 +416,9 @@ def _seed_array(ell: Ellipsoid, phi1, phi2, dlam, dphi):
     """The seed of geodesic_inverse's secant refinement, per row."""
     lim = ell.a * (1.0 - 1e-12)
     slope = np.where(dphi != 0.0, dlam / dphi, np.inf)
-    c = np.where(np.isinf(slope), _min(_parallel_radius(npmath, ell, phi1), lim),
+    c = np.where(np.isinf(slope), np.minimum(_parallel_radius(npmath, ell, phi1), lim),
                  0.5 * (_seed_c(npmath, ell, phi1, slope) + _seed_c(npmath, ell, phi2, slope)))
-    return np.copysign(_min(c, lim), dlam)
+    return np.copysign(np.minimum(c, lim), dlam)
 
 
 def _secant_array(ell: Ellipsoid, c, t1, t2, dphi, dlam, active) -> tuple:
@@ -441,7 +434,7 @@ def _secant_array(ell: Ellipsoid, c, t1, t2, dphi, dlam, active) -> tuple:
         denom = f - f_prev
         stop |= denom == 0.0
         c_next = c - f * (c - c_prev) / denom
-        c_next = np.copysign(_min(np.abs(c_next), lim), dlam)
+        c_next = np.copysign(np.minimum(np.abs(c_next), lim), dlam)
         f_next = _predicted_dlam(npmath, ell, c_next, t1, t2, dphi) - dlam
         stop |= converged & (np.abs(f_next) >= np.abs(f))
         hit = ~stop & (np.abs(f_next) < 1e-11)

@@ -2,7 +2,7 @@
 
 Purely Keplerian: no perturbations, no ephemeris handling.  Times are
 seconds past the perigee epoch t0; angles radians; GST conversions accept
-hours at the boundary.
+hours at the boundary.  Float arithmetic throughout: no numpy.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 
-from .core import GM_EARTH, SIDEREAL_RATIO_GST, NonConvergence, Value, _store, np
+from .core import GM_EARTH, SIDEREAL_RATIO_GST, NonConvergence, Value, _store
 from .coords import EcefCoord
 from .sphere import normalize_hours
 
@@ -124,26 +124,20 @@ def perifocal_to_inertial_coeffs(el: OrbitalElements) -> tuple:
     return p_x, p_y, q_x, q_y
 
 
-def elements_to_eci(el: OrbitalElements, t: float) -> np.ndarray:
-    """Inertial position at time t (m)."""
+def elements_to_eci(el: OrbitalElements, t: float) -> tuple:
+    """Inertial position (x, y, z) at time t (m), a tuple of floats."""
     xi, eta, _ = position_in_plane(el, t)
     p_x, p_y, q_x, q_y = perifocal_to_inertial_coeffs(el)
-    si = math.sin(el.i)
-    so, co = math.sin(el.arg_perigee), math.cos(el.arg_perigee)
-    return np.array(
-        [
-            p_x * xi + p_y * eta,
-            q_x * xi + q_y * eta,
-            xi * si * so + eta * si * co,
-        ]
-    )
+    si, so, co = math.sin(el.i), math.sin(el.arg_perigee), math.cos(el.arg_perigee)
+    return p_x * xi + p_y * eta, q_x * xi + q_y * eta, xi * si * so + eta * si * co
 
 
 def eci_to_ecef(x_eci, gst: float) -> EcefCoord:
-    """Rotate an inertial vector into the terrestrial frame by the GST angle."""
+    """Rotate an inertial vector, any 3-sequence, into the terrestrial frame
+    by the GST angle (a 3x3 matrix product may differ in the last bit)."""
+    x, y, z = map(float, x_eci)
     c, s = math.cos(gst), math.sin(gst)
-    rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    return EcefCoord.from_array(rot @ np.asarray(x_eci, dtype=float))
+    return EcefCoord(c * x + s * y, c * y - s * x, z)
 
 
 def gst_hours(ut_hours: float, hsg0_hours: float) -> float:

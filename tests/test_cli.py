@@ -357,6 +357,24 @@ class TestDatum:
         assert proc.stderr.splitlines() == [
             "numerical error: SingularRotationSystem: no chord triple yields a solvable system"]
 
+    def test_direct_estimator_stops_a_long_scan(self):
+        # 100 points 5 m off one 50 km line: no bound is certified out of
+        # reach, so the chord triple scan runs until its cap of 2^17 triples
+        rng = np.random.default_rng(100)
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        src = (np.array([4.3e6, 1.1e6, 4.6e6]) + np.outer(rng.uniform(0, 5e4, 100), direction)
+               + rng.normal(0.0, 5.0, (100, 3)))
+        lines = ["name,x1,y1,z1,x2,y2,z2"]
+        lines += [",".join([str(k), *map(repr, p.tolist()), *map(repr, (p + 10.0).tolist())])
+                  for k, p in enumerate(src)]
+        proc = run_cli(["datum", "bw-direct"], stdin="\n".join(lines) + "\n", timeout=20)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("numerical error: ScanLimitReached: ")
+        assert line.endswith("fit this set by least squares (datum bw-fit)")
+
     @pytest.mark.parametrize("rows", [
         ["1e308,1e308,1e308", "-1e308,1e308,-1e308", "1e308,-1e308,-1e308",
          "-1e308,-1e308,1e308"],
@@ -746,6 +764,32 @@ def test_importing_the_cli_loads_no_module_of_another_command():
     assert not [m for m in loaded if m.startswith("numpy.")], loaded
 
 
+# imports the CLI in a fresh interpreter whose path finder finds no numpy
+HIDDEN_NUMPY_IMPORT = """
+import sys
+from importlib.machinery import PathFinder
+
+class NoNumpy(PathFinder):
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name.partition(".")[0] != "numpy":
+            return super().find_spec(name, path, target)
+
+sys.meta_path[:] = [NoNumpy if f is PathFinder else f for f in sys.meta_path]
+import geodkit.cli
+"""
+
+
+def test_without_numpy_the_import_names_numpy():
+    # the lazy loader once took find_spec's None as a spec and raised
+    # AttributeError: 'NoneType' object has no attribute 'loader'
+    proc = subprocess.run([sys.executable, "-c", HIDDEN_NUMPY_IMPORT], capture_output=True,
+                          text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "ModuleNotFoundError: No module named 'numpy'"
+    assert "AttributeError" not in proc.stderr
+
+
 # runs the CLI in a fresh interpreter, then names on stderr the numpy
 # modules it loaded
 NUMPY_REPORTING_MAIN = """
@@ -775,6 +819,7 @@ SHORT_INPUTS = {
     "short.csv": "name,phi,lam,he[m]\nP0,40.1,10.2,5\nP1,40.1\n",
     "polar.csv": "name,x,y,z\nP0,4000000,800000,4900000\nP1,0,0,6356752.3\n",
     "nonnum.csv": "name,phi,lam,he[m]\nP0,40.1,10.2,5\nP1,40.3,abc,0\n",
+    "elements.json": '{"a": 26560e3, "e": 0.01, "i": 0.9599, "raan": 0.4, "arg_perigee": 1.2}',
 }
 NO_NUMPY_CASES = [
     (["convert", "--from", "geodetic", "--to", "ecef", "-i", "geo.csv"], 0),
@@ -799,6 +844,9 @@ NO_NUMPY_CASES = [
     (["astro", "hour-angle", "--hsl", "3h10m", "--alpha", "1h2m3s"], 0),
     (["astro", "hsl", "--hsg", "5h", "--lam", "0h40m"], 0),
     (["astro", "sidereal", "--tu", "12.5", "--hsg0", "6h", "--lam", "0h40m"], 0),
+    (["orbit", "--elements", "elements.json", "--epochs", "0,3600,7200", "--frame", "eci"], 0),
+    (["orbit", "--elements", "elements.json", "--epochs", "0,3600,7200", "--frame", "ecef",
+      "--gst-rad", "0.75", "--spin"], 0),
     (["--version"], 0),
     (["--help"], 0),
     (["--list-ellipsoids"], 0),

@@ -5,6 +5,7 @@ import random
 import re
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from geodkit.datum import (
     Helmert2DParams,
     InsufficientPoints,
     RankDeficient,
+    ScanLimitReached,
     SingularRotationSystem,
     apply_molodensky,
     bursa_wolf_apply,
@@ -541,6 +543,30 @@ class TestBursaWolfDirectAgainstExhaustiveScan:
         with pytest.raises(SingularRotationSystem):
             bursa_wolf_direct(pairs)
         assert time.perf_counter() - start < 0.1
+
+    def test_near_collinear_set_stops_at_the_scan_cap(self):
+        # 100 points 5 m off a 50 km line: no bound is certified out of reach
+        # and no triple passes cond 10, so the full scan would take all
+        # C(4950, 3) = 2e10 chord triples; it stops after 2^17
+        pairs = _with_targets(near_collinear(np.random.default_rng(5), 100, 5.0))
+        start = time.perf_counter()
+        with pytest.raises(ScanLimitReached, match=r"none with cond <= 10: .*\(datum bw-fit\)"):
+            bursa_wolf_direct(pairs)
+        assert time.perf_counter() - start < 1.0
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(SETS)), st.integers(4, 6), st.integers(0, 2**32 - 1),
+           st.floats(-12.0, 4.0))
+    def test_a_capped_scan_answers_as_the_full_scan_or_raises(self, kind, n, seed, noise_exp):
+        # with a cap of 40 triples, the 20 triples of 4 points scan in full and
+        # 5 or 6 points may stop at the cap
+        pairs = _with_targets(SETS[kind](np.random.default_rng(seed), n, 10.0**noise_exp))
+        with mock.patch.object(datum, "_SCAN_CAP", 40):
+            outcome = _outcome(bursa_wolf_direct, pairs)
+        if outcome[:2] == ("raises", ScanLimitReached):
+            assert math.comb(math.comb(n, 2), 3) > 40
+        else:
+            assert outcome == _outcome(lambda q: reference_bursa_wolf_direct(q)[0], pairs)
 
 
 class TestMolodensky:

@@ -38,6 +38,7 @@ ERROR_CLASSES = {
     datum.RankDeficient: ValueError,
     datum.SingularRotationSystem: ValueError,
     datum.ZeroSpread: ValueError,
+    datum.ScanLimitReached: RuntimeError,  # newer than NumericalError; a cap, as NonConvergence
     adjust.SingularNormal: ValueError,
     adjust.CoincidentPoints: ValueError,
     adjust.SingularJacobian: ValueError,

@@ -170,6 +170,19 @@ class TestFrames:
         back = eci_to_ecef(out.as_array(), -math.pi / 2)
         np.testing.assert_allclose(back.as_array(), [1.0, 0.0, 0.0], atol=1e-15)
 
+    @pytest.mark.parametrize("make", [tuple, list, np.array], ids=["tuple", "list", "array"])
+    def test_eci_to_ecef_takes_any_3_sequence(self, make):
+        x = elements_to_eci(gps_like(), 3600.0)
+        assert type(x) is tuple and [type(v) for v in x] == [float] * 3
+        out = eci_to_ecef(make(x), 0.75)
+        assert [type(v) for v in (out.x, out.y, out.z)] == [float] * 3
+        assert out == eci_to_ecef(x, 0.75)
+        # a 3x3 matrix product sums in another order: the last bit may differ
+        c, s = math.cos(0.75), math.sin(0.75)
+        rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+        np.testing.assert_allclose(out.as_array(), rot @ np.array(x), rtol=0,
+                                   atol=4 * np.finfo(float).eps * np.linalg.norm(x))
+
     def test_gst_rate(self):
         assert gst_hours(0.0, 6.5) == 6.5
         assert gst_hours(10.0, 6.5) == pytest.approx((6.5 + 10.02737909) % 24, abs=1e-12)
