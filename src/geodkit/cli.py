@@ -955,6 +955,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap, printed = build_parser(), io.StringIO()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a value such as "-3600,0", "-1e-3" or "-0h40m" as an option
+    # string, so one after an option is joined to it: "--epochs=-3600,0"
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i][:1] == "-" and argv[i - 1][:2] == "--" and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         try:
             with redirect_stdout(printed):  # argparse would drop a write that fails

@@ -61,7 +61,8 @@ class GeodeticCoord(Value):
             raise ValueError(f"latitude {self.phi} outside [-pi/2, pi/2]")
         if not (math.isfinite(self.lam) and math.isfinite(self.he)):
             raise ValueError(f"non-finite longitude {self.lam} or height {self.he}")
-        self.__dict__["lam"] = _normalize_lon(self.lam)
+        if not -math.pi < self.lam <= math.pi:  # fmod keeps such a lam, bit for bit
+            self.__dict__["lam"] = _normalize_lon(self.lam)
 
 
 def geodetic_columns(phi, lam, he=0.0) -> tuple:
@@ -121,6 +122,11 @@ def geodetic_to_ecef_array(ell: Ellipsoid, phi, lam, he) -> tuple:
     return x, y, z, ~(ok & all_finite(x, y, z))
 
 
+def _seed_run(xp, ell: Ellipsoid, r, z):
+    """The run of the first latitude iterate, tan(phi_0) = z / run: r (1 - e2 a / |p|)."""
+    return r * (1.0 - ell.e2 * ell.a / xp.sqrt(r * r + z * z))
+
+
 def _z_prime(xp, ell: Ellipsoid, z, phi):
     """Z' = Z + N e2 sin(phi_i); the next iterate is phi_{i+1} = atan(Z'/r)."""
     return z + _prime_vertical_radius(xp, ell, phi) * ell.e2 * xp.sin(phi)
@@ -130,24 +136,20 @@ def _libm(fn, *columns) -> np.ndarray:
     """fn from the math module, elementwise over columns.
 
     numpy's vectorized atan2 and hypot can differ from the C library's in
-    the last bit.  The height r / cos(phi) - N cancels two numbers near
-    6.4e6 m, which turns one ulp of phi into about 1e-9 m, so the ECEF
-    kernel takes both from the C library, as the scalar path does.
+    the last bit.  The height cancels two numbers near 6.4e6 m, which turns
+    one ulp of r into about 1e-9 m, so the ECEF kernel takes both from the
+    C library, as the scalar path does, and keeps its bits.
     """
     return np.fromiter(map(fn, *(c.tolist() for c in columns)), dtype=float,
                        count=columns[0].size)
 
 
-# above this latitude the height is taken from Z, below it from r
-_NEAR_POLE = math.radians(89.9)
-
-
-def _height_from_z(xp, ell: Ellipsoid, phi, z):
-    return z / xp.sin(phi) - _prime_vertical_radius(xp, ell, phi) * (1.0 - ell.e2)
-
-
-def _height_from_r(xp, ell: Ellipsoid, phi, r):
-    return r / xp.cos(phi) - _prime_vertical_radius(xp, ell, phi)
+def _height(xp, ell: Ellipsoid, phi, r, z):
+    """he = r cos(phi) + z sin(phi) - a sqrt(1 - e2 sin^2 phi), at every latitude: its
+    derivative in phi is 0 at the solution, so the loop's last residual (about
+    1e-15 rad) does not show in he."""
+    s = xp.sin(phi)
+    return r * xp.cos(phi) + z * s - ell.a * xp.sqrt(1.0 - ell.e2 * s * s)
 
 
 # stopping rule of the latitude fixed point, shared by its scalar and array forms
@@ -158,28 +160,24 @@ _ECEF_MAX_ITER = 50
 def ecef_to_geodetic(ell: Ellipsoid, p: EcefCoord) -> GeodeticCoord:
     """Invert geodetic_to_ecef by fixed-point iteration on the latitude.
 
-    Starts from Z' = Z and iterates Z' = Z + N e2 sin(phi_i),
-    phi_{i+1} = atan(Z'/r) until the change is below _ECEF_TOL radians
-    (3 to 4 passes in practice for terrestrial heights).
+    Starts from tan(phi_0) = Z / (r (1 - e2 a / |p|)), the latitude of the
+    surface point near the ellipsoid and the geocentric one far from it, and
+    iterates Z' = Z + N e2 sin(phi_i), phi_{i+1} = atan(Z'/r) until the change
+    is below _ECEF_TOL radians: at most 4 passes from -500 m to 4e7 m of height
+    (mean 3.7 up to 1e6 m, 2.9 from 2e7 m).
     """
     r = math.hypot(p.x, p.y)
     if r < 1.0:
         raise PolarAxis("point too close to the polar axis")
     lam = math.atan2(p.y, p.x)
-    phi = math.atan2(p.z, r)
+    phi = math.atan2(p.z, _seed_run(math, ell, r, p.z))
     for _ in range(_ECEF_MAX_ITER):
-        nxt = math.atan2(_z_prime(math, ell, p.z, phi), r)
-        if abs(nxt - phi) < _ECEF_TOL:
-            phi = nxt
+        phi, prev = math.atan2(_z_prime(math, ell, p.z, phi), r), phi
+        if abs(phi - prev) < _ECEF_TOL:
             break
-        phi = nxt
     else:
         raise NonConvergence("ecef_to_geodetic: latitude iteration did not converge")
-    if abs(phi) > _NEAR_POLE:
-        he = _height_from_z(math, ell, phi, p.z)
-    else:
-        he = _height_from_r(math, ell, phi, r)
-    return GeodeticCoord(phi, lam, he)
+    return GeodeticCoord(phi, lam, _height(math, ell, phi, r, p.z))
 
 
 @quiet
@@ -200,10 +198,10 @@ def ecef_to_geodetic_array(ell: Ellipsoid, x, y, z) -> tuple:
         nxt = _libm(math.atan2, _z_prime(npmath, ell, z, phi), r)
         return nxt, np.abs(nxt - phi) < _ECEF_TOL
 
-    phi, running = iterate(step, (_libm(math.atan2, z, r),), (z, r), ok, _ECEF_MAX_ITER)
+    seed = _libm(math.atan2, z, _seed_run(npmath, ell, r, z))
+    phi, running = iterate(step, (seed,), (z, r), ok, _ECEF_MAX_ITER)
     ok &= ~running
-    he = np.where(np.abs(phi) > _NEAR_POLE, _height_from_z(npmath, ell, phi, z),
-                  _height_from_r(npmath, ell, phi, r))
+    he = _height(npmath, ell, phi, r, z)
     phi, lam, valid = geodetic_columns(phi, lam, he)
     return phi, lam, he, ~(ok & valid)
 

@@ -58,6 +58,8 @@ TWO_PI = 2.0 * math.pi
 # rounds to within a double's spacing there, 4.4e-16 rad, which leaves up to
 # 2.8e-9 m of C at the equator
 _MERIDIAN_C = 1e-8
+# |t| beyond which t**5 overflows: a direct seed raises OverflowError there, as ** does
+_ARC_T_MAX = 4.476546622757235e61
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -174,15 +176,15 @@ def _lon_coeffs(e2: float, k2) -> tuple:
 
 
 def _arc_integrand(t, m, n):
-    return 1.0 + m * t * t + n * t**4
+    return 1.0 + t * t * (m + n * t * t)
 
 
 def _arc_antider(t, m, n):
-    return t + m * t**3 / 3.0 + n * t**5 / 5.0
+    return t * (1.0 + t * t * (m / 3.0 + t * t * n / 5.0))
 
 
 def _lon_antider(t, a, b, g):
-    return t + a * t**3 / 3.0 + b * t**5 / 5.0 + g * t**7 / 7.0
+    return t * (1.0 + t * t * (a / 3.0 + t * t * (b / 5.0 + t * t * g / 7.0)))
 
 
 def _direct_setup(xp, ell: Ellipsoid, phi1, aze, k2, s) -> tuple:
@@ -256,6 +258,8 @@ def geodesic_direct(
         # singular there and the series cannot leave the point
         raise VertexExceeded("line starts at its vertex latitude")
     m, n, t1, t2, target, tol = _direct_setup(math, ell, p1.phi, state.aze, state.k2, s)
+    if abs(t2) > _ARC_T_MAX:
+        raise OverflowError(f"seed sin(phi2) = {t2} overflows the arc series")
     for _ in range(50):
         f = _arc_antider(t2, m, n) - target
         if abs(f) < tol:

@@ -188,6 +188,8 @@ def lambert_arc_to_chord(d: LambertDef, p1: GeodeticCoord, p2: GeodeticCoord) ->
 
 
 _MAX_ZONE_HALF_WIDTH = math.radians(3.5)
+# |x| beyond which x**7 overflows: the inverse series raises OverflowError there, as ** does
+_SERIES_X_MAX = 1.087396515837749e44
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -219,22 +221,25 @@ class UtmDef(Value):
 
     def _plane(self, xp, phi, dlam) -> tuple:
         a1, a2, a3, a4, a5, a6, a7, a8 = _utm_direct_coeffs(self.ell, phi)
-        x = a1 * dlam - a3 * dlam**3 + a5 * dlam**5 - a7 * dlam**7
-        y = (meridian_arc(self.ell, phi) - a2 * dlam**2 + a4 * dlam**4
-             - a6 * dlam**6 + a8 * dlam**8)
+        l2 = dlam * dlam
+        x = dlam * (a1 - l2 * (a3 - l2 * (a5 - l2 * a7)))
+        y = meridian_arc(self.ell, phi) - l2 * (a2 - l2 * (a4 - l2 * (a6 - l2 * a8)))
         return self.k0 * x, self.k0 * y
 
     def _in_zone(self, dlam):
         return abs(dlam) <= _MAX_ZONE_HALF_WIDTH
 
     def _lam_iso(self, x, y) -> tuple:
-        return _utm_inverse_series(math, self, x, utm_footpoint_latitude(self, y))
+        phi_f = utm_footpoint_latitude(self, y)
+        if abs(x) > _SERIES_X_MAX:
+            raise OverflowError(f"offset {x} m overflows the inverse series")
+        return _utm_inverse_series(math, self, x, phi_f)
 
     def _lam_iso_columns(self, x, y) -> tuple:
-        # failed: the footpoint iteration fails
+        # failed: the footpoint iteration fails, or x overflows the series
         phi_f, failed = utm_footpoint_latitude_array(self, y)
         lam, iso = _utm_inverse_series(npmath, self, x, phi_f)
-        return lam, iso, failed
+        return lam, iso, failed | (np.abs(x) > _SERIES_X_MAX)
 
 
 def _utm_direct_coeffs(ell: Ellipsoid, phi) -> tuple:
@@ -243,24 +248,26 @@ def _utm_direct_coeffs(ell: Ellipsoid, phi) -> tuple:
     n = _prime_vertical_radius(xp, ell, phi)
     c = xp.cos(phi)
     s = xp.sin(phi)
-    t2 = xp.tan(phi) ** 2
-    eta2 = ell.ep2 * c * c
+    t = xp.tan(phi)
+    t2 = t * t
+    c2 = c * c
+    eta2 = ell.ep2 * c2
     eta4 = eta2 * eta2
     a1 = n * c
     a2 = -0.5 * n * c * s
-    a3 = -(n * c**3 / 6.0) * (1.0 + eta2 - t2)
-    a4 = (n * c**3 * s / 24.0) * (5.0 - t2 + 9.0 * eta2 + 4.0 * eta4)
-    a5 = (n * c**5 / 120.0) * (
+    a3 = -(a1 * c2 / 6.0) * (1.0 + eta2 - t2)
+    a4 = (a1 * c2 * s / 24.0) * (5.0 - t2 + 9.0 * eta2 + 4.0 * eta4)
+    a5 = (a1 * c2 * c2 / 120.0) * (
         5.0 - 18.0 * t2 + t2 * t2 + 14.0 * eta2 - 58.0 * eta2 * t2 + 13.0 * eta4
     )
-    a6 = -(n * c**5 * s / 720.0) * (
+    a6 = -(a1 * c2 * c2 * s / 720.0) * (
         61.0 - 58.0 * t2 + t2 * t2 + 270.0 * eta2 - 330.0 * t2 * eta2
         + 200.0 * eta4 - 232.0 * t2 * eta4
     )
-    a7 = -(n * c**7 / 5040.0) * (
+    a7 = -(a1 * c2 * c2 * c2 / 5040.0) * (
         61.0 + 131.0 * t2 + 179.0 * t2 * t2 + 331.0 * eta2 - 3298.0 * t2 * eta2
     )
-    a8 = (n * c**7 * s / 40320.0) * (
+    a8 = (a1 * c2 * c2 * c2 * s / 40320.0) * (
         165.0 - 61.0 * t2 + 537.0 * t2 * t2 + 9679.0 * eta2 - 23278.0 * t2 * eta2
         + 9244.0 * eta4 + 358.0 * t2 * t2 * eta2 - 19788.0 * t2 * eta4
     )
@@ -278,26 +285,22 @@ def utm_footpoint_latitude_array(d: UtmDef, y) -> tuple:
 
 
 def _utm_inverse_series(xp, d: UtmDef, x, phi_f) -> tuple:
-    """Longitude and isometric latitude of a point x east of footpoint latitude phi_f."""
-    n = _prime_vertical_radius(xp, d.ell, phi_f)
+    """Longitude and isometric latitude of a point x east of footpoint latitude
+    phi_f, as series in u = x / N(phi_f)."""
     c = xp.cos(phi_f)
     t = xp.tan(phi_f)
     t2 = t * t
     eta2 = d.ell.ep2 * c * c
-    b1 = 1.0 / (n * c)
-    b2 = t / (2.0 * n**2 * c)
-    b3 = (1.0 + 2.0 * t2 + eta2) / (6.0 * n**3 * c)
-    b4 = t * (5.0 + 6.0 * t2 + eta2 - 4.0 * eta2 * eta2) / (24.0 * n**4 * c)
-    b5 = (5.0 + 28.0 * t2 + 6.0 * eta2 + 24.0 * t2 * t2 + 8.0 * eta2 * t2) / (
-        120.0 * n**5 * c
-    )
-    b6 = t * (61.0 + 180.0 * t2 + 46.0 * eta2 + 120.0 * t2 * t2 + 48.0 * eta2 * t2) / (
-        720.0 * n**6 * c
-    )
+    u = x / _prime_vertical_radius(xp, d.ell, phi_f)
+    u2 = u * u
+    b3 = (1.0 + 2.0 * t2 + eta2) / 6.0
+    b4 = (5.0 + 6.0 * t2 + eta2 - 4.0 * eta2 * eta2) / 24.0
+    b5 = (5.0 + 28.0 * t2 + 6.0 * eta2 + 24.0 * t2 * t2 + 8.0 * eta2 * t2) / 120.0
+    b6 = (61.0 + 180.0 * t2 + 46.0 * eta2 + 120.0 * t2 * t2 + 48.0 * eta2 * t2) / 720.0
     b7 = (61.0 + 622.0 * t2 + 107.0 * eta2 + 1320.0 * t2 * t2
-          + 1538.0 * eta2 * t2 + 46.0 * eta2 * eta2) / (5040.0 * n**7 * c)
-    lam = d.lam0 + b1 * x - b3 * x**3 + b5 * x**5 - b7 * x**7
-    iso = (isometric_latitude(d.ell, phi_f) - b2 * x**2 + b4 * x**4 - b6 * x**6)
+          + 1538.0 * eta2 * t2 + 46.0 * eta2 * eta2) / 5040.0
+    lam = d.lam0 + u / c * (1.0 - u2 * (b3 - u2 * (b5 - u2 * b7)))
+    iso = isometric_latitude(d.ell, phi_f) - t / c * u2 * (0.5 - u2 * (b4 - u2 * b6))
     return lam, iso
 
 

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from geodkit import cli
 from geodkit.adjust import LinearSystem, solve_linear
-from geodkit.coords import GeodeticCoord
+from geodkit.coords import GeodeticCoord, geodetic_to_ecef
 from geodkit.core import get_ellipsoid
 from geodkit.projections import lambert_forward, named_projection
 
@@ -297,6 +297,46 @@ def test_dop_receiver_must_be_finite(rows, tmp_path, capsys):
     assert code == 2
     assert err == ("input error: ValueError: --receiver must be finite numbers phi,lam[,he], "
                    "got 'nan,0'\n")
+
+
+# a list value that starts with "-" reads the same given as the next argument
+# as in the --opt=value form, which argparse would take for an option string
+def _both_forms(argv, option, value, text, tmp_path, capsys) -> str:
+    """The output of argv with "option value" and with "option=value", which must
+    be the same; each run exits 0."""
+    outputs = []
+    for form in ([option, value], [f"{option}={value}"]):
+        code, err = _main_on([*argv, *form], text, tmp_path, capsys)
+        assert (code, err) == (0, "")
+        outputs.append((tmp_path / "out.csv").read_text())
+    assert outputs[0] == outputs[1]
+    return outputs[0]
+
+
+def test_epochs_may_start_with_a_minus(tmp_path, capsys):
+    path = tmp_path / "elements.json"
+    path.write_text(json.dumps(ORBIT_ELEMENTS))
+    out = _both_forms(["orbit", "--elements", str(path)], "--epochs", "-3600,0", "",
+                      tmp_path, capsys)
+    assert [line.split(",")[0] for line in out.splitlines()] == ["t[s]", "-3600", "0"]
+
+
+def test_shift_may_start_with_a_minus(tmp_path, capsys):
+    out = _both_forms(["datum", "molodensky"], "--shift", "-168,-60,320",
+                      "name,phi,lam,he\nA,40,10,0\n", tmp_path, capsys)
+    assert out.splitlines()[1].startswith("A,40.000")
+
+
+def test_receiver_may_start_with_a_minus(tmp_path, capsys):
+    # five satellites 20 000 km above points around the receiver at 33 S, 9 E
+    wgs84 = get_ellipsoid("wgs84")
+    rows = "".join(
+        f"S{i},{p.x!r},{p.y!r},{p.z!r}\n" for i, p in enumerate(
+            geodetic_to_ecef(wgs84, GeodeticCoord(math.radians(phi), math.radians(lam), 2e7))
+            for phi, lam in ((-33, 9), (-8, 9), (-58, 9), (-33, 39), (-33, -21))))
+    out = _both_forms(["dop", "--angle-unit", "deg"], "--receiver", "-33,9",
+                      "name,x,y,z\n" + rows, tmp_path, capsys)
+    assert json.loads(out)["gdop"] > 0
 
 
 class TestDatum:
