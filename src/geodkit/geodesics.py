@@ -163,16 +163,15 @@ def _arc_coeffs(e2: float, k2) -> tuple:
 
 
 def _lon_coeffs(e2: float, k2) -> tuple:
-    """Coefficients (alpha, beta, gamma) of the longitude integrand."""
+    """Coefficients (alpha, beta, gamma) of the longitude integrand.  16 gamma
+    begins with 2 (8 beta) and 8 beta with 4 (2 alpha), term for term; a power
+    of two scales exactly, so each nested sum has the bits of the written-out one."""
     e4 = e2 * e2
-    e6 = e4 * e2
     k4 = k2 * k2
-    k6 = k4 * k2
-    alpha = (2.0 + k2 + e2) / 2.0
-    beta = (8.0 + 4.0 * k2 + 4.0 * e2 + 3.0 * k4 + 2.0 * e2 * k2 + 3.0 * e4) / 8.0
-    gamma = (16.0 + 8.0 * k2 + 8.0 * e2 + 6.0 * k4 + 4.0 * e2 * k2 + 6.0 * e4
-             + 5.0 * k6 + 3.0 * k4 * e2 + 3.0 * k2 * e4 + 5.0 * e6) / 16.0
-    return alpha, beta, gamma
+    a = 2.0 + k2 + e2
+    b = 4.0 * a + 3.0 * k4 + 2.0 * e2 * k2 + 3.0 * e4
+    g = 2.0 * b + 5.0 * (k4 * k2) + 3.0 * k4 * e2 + 3.0 * k2 * e4 + 5.0 * (e4 * e2)
+    return a / 2.0, b / 8.0, g / 16.0
 
 
 def _arc_integrand(t, m, n):
@@ -183,8 +182,21 @@ def _arc_antider(t, m, n):
     return t * (1.0 + t * t * (m / 3.0 + t * t * n / 5.0))
 
 
-def _lon_antider(t, a, b, g):
-    return t * (1.0 + t * t * (a / 3.0 + t * t * (b / 5.0 + t * t * g / 7.0)))
+def _spans(t1, t2) -> tuple:
+    """(t2^j - t1^j)/j for j = 1, 3, 5, 7, each as t2 - t1 times a sum of
+    products, so a short span keeps its digits."""
+    d = t2 - t1
+    s, p = t1 * t1 + t2 * t2, t1 * t2
+    pp = p * p
+    q3 = s + p
+    q5 = s * q3 - pp
+    return d, d * q3 / 3.0, d * q5 / 5.0, d * (s * q5 - pp * q3) / 7.0
+
+
+def _lon_sum(e2: float, k2, spans):
+    """The longitude integral over spans, divided by (1 - e2) tan(aze)."""
+    alpha, beta, gamma = _lon_coeffs(e2, k2)
+    return spans[0] + alpha * spans[1] + beta * spans[2] + gamma * spans[3]
 
 
 def _direct_setup(xp, ell: Ellipsoid, phi1, aze, k2, s) -> tuple:
@@ -203,12 +215,8 @@ def _direct_setup(xp, ell: Ellipsoid, phi1, aze, k2, s) -> tuple:
 
 def _direct_end(xp, ell: Ellipsoid, lam1, c, aze, k2, az1, t1, t2) -> tuple:
     """phi2, lam2 and az2 once the arc integral has been solved for t2 = sin(phi2)."""
-    e2 = ell.e2
     phi2 = xp.asin(t2)
-    alpha, beta, gamma = _lon_coeffs(e2, k2)
-    dlam = (1.0 - e2) * xp.tan(aze) * (
-        _lon_antider(t2, alpha, beta, gamma) - _lon_antider(t1, alpha, beta, gamma)
-    )
+    dlam = (1.0 - ell.e2) * xp.tan(aze) * _lon_sum(ell.e2, k2, _spans(t1, t2))
     lam2 = _normalize_lon(lam1 + dlam)
     # no vertex crossing inside the validity domain: az2 heads as az1 does
     return phi2, lam2, _endpoint_az(xp, ell, c, phi2, xp.cos(az1))
@@ -260,15 +268,18 @@ def geodesic_direct(
     m, n, t1, t2, target, tol = _direct_setup(math, ell, p1.phi, state.aze, state.k2, s)
     if abs(t2) > _ARC_T_MAX:
         raise OverflowError(f"seed sin(phi2) = {t2} overflows the arc series")
+    t_max = 1.0 / state.k  # sin of the vertex latitude
+    bound = min(t_max, 1.0) - 1e-12
     for _ in range(50):
         f = _arc_antider(t2, m, n) - target
         if abs(f) < tol:
             break
         t2 -= f / _arc_integrand(t2, m, n)
     else:
-        raise NonConvergence("geodesic_direct: latitude iteration stalled")
-    t_max = 1.0 / state.k  # sin of the vertex latitude
-    if abs(t2) >= min(t_max, 1.0) - 1e-12:
+        # far past the vertex the residual can stay above tol by rounding
+        if not abs(t2) >= bound:
+            raise NonConvergence("geodesic_direct: latitude iteration stalled")
+    if abs(t2) >= bound:
         raise VertexExceeded(
             f"arc reaches sin(phi) = {t2:.9f}, beyond the vertex bound {t_max:.9f}"
         )
@@ -324,14 +335,22 @@ def _aze_sin_cos(xp, ell: Ellipsoid, c, dphi) -> tuple:
     return sin_aze, xp.copysign(xp.sqrt(1.0 - sin_aze * sin_aze), dphi)
 
 
-def _predicted_dlam(xp, ell: Ellipsoid, c, t1, t2, dphi):
-    """Longitude gap of the line with Clairaut constant c between sin(phi) = t1 and t2."""
-    e2 = ell.e2
+def _dlam_slope(xp, ell: Ellipsoid, c, spans, dphi) -> tuple:
+    """Longitude gap of the line with Clairaut constant c over spans, and its
+    derivative in c: d tan(aze)/dc = 1/(a cos^3 aze), and k2 moves alpha,
+    beta and gamma by dk2/dc = 2 c a^2 (1 - e2)/(a^2 - c^2)^2."""
+    e2, a = ell.e2, ell.a
+    w = 1.0 - e2
     sin_aze, cos_aze = _aze_sin_cos(xp, ell, c, dphi)
-    alpha, beta, gamma = _lon_coeffs(e2, _k2(ell, c))
-    return (1.0 - e2) * (sin_aze / cos_aze) * (
-        _lon_antider(t2, alpha, beta, gamma) - _lon_antider(t1, alpha, beta, gamma)
-    )
+    tan_aze = sin_aze / cos_aze
+    k2 = _k2(ell, c)
+    lon = _lon_sum(e2, k2, spans)
+    h = a * a - c * c
+    db = 4.0 + 6.0 * k2 + 2.0 * e2  # 8 dbeta/dk2; 16 dgamma/dk2 = 2 db + ...
+    dlon = (0.5 * spans[1] + db / 8.0 * spans[2]
+            + (2.0 * db + k2 * (15.0 * k2 + 6.0 * e2) + 3.0 * e2 * e2) / 16.0 * spans[3])
+    return (w * tan_aze * lon, w * (lon / (a * cos_aze * cos_aze * cos_aze)
+                                    + tan_aze * dlon * 2.0 * c * a * a * w / (h * h)))
 
 
 def _endpoint_az(xp, ell: Ellipsoid, c, phi, dphi):
@@ -340,13 +359,12 @@ def _endpoint_az(xp, ell: Ellipsoid, c, phi, dphi):
     return _norm_az(xp.atan2(sin_az, cos_az))
 
 
-def _inverse_end(xp, ell: Ellipsoid, c, phi1, phi2, dphi) -> tuple:
+def _inverse_end(xp, ell: Ellipsoid, c, phi1, phi2, spans, dphi) -> tuple:
     """az1, az2 and the length s of the line with Clairaut constant c."""
-    e2 = ell.e2
-    t1, t2 = xp.sin(phi1), xp.sin(phi2)
     _, cos_aze = _aze_sin_cos(xp, ell, c, dphi)
-    m, n = _arc_coeffs(e2, _k2(ell, c))
-    s = ell.a * (1.0 - e2) * (_arc_antider(t2, m, n) - _arc_antider(t1, m, n)) / cos_aze
+    m, n = _arc_coeffs(ell.e2, _k2(ell, c))
+    d1, d3, d5, _ = spans
+    s = ell.a * (1.0 - ell.e2) * (d1 + m * d3 + n * d5) / cos_aze
     return _endpoint_az(xp, ell, c, phi1, dphi), _endpoint_az(xp, ell, c, phi2, dphi), s
 
 
@@ -355,10 +373,12 @@ def geodesic_inverse(
 ) -> GeodesicSolution:
     """Azimuths and length of the geodesic from p1 to p2.
 
-    The Clairaut constant is seeded from the mean of the finite-difference
-    estimates at both endpoints and refined until the predicted longitude
-    gap matches the actual one to 1e-11 rad.  Assumes the latitude varies
-    monotonically along the line (no vertex crossing between the points).
+    The Clairaut constant C is seeded from the mean of the finite-difference
+    estimates at both endpoints and refined by Newton steps, on the series'
+    analytic slope in C, until the predicted longitude gap matches the actual
+    one to 1e-11 rad; one more step is kept if it lowers the residual.
+    Assumes the latitude varies monotonically along the line (no vertex
+    crossing between the points).
     """
     dlam = _normalize_lon(p2.lam - p1.lam)
     dphi = p2.phi - p1.phi
@@ -378,7 +398,7 @@ def geodesic_inverse(
         return GeodesicSolution(p2.phi, p2.lam, az, az, abs(dlam) * ell.a)
 
     lim = ell.a * (1.0 - 1e-12)
-    t1, t2 = math.sin(p1.phi), math.sin(p2.phi)
+    spans = _spans(math.sin(p1.phi), math.sin(p2.phi))
     slope = dlam / dphi if dphi != 0.0 else math.inf
     if math.isinf(slope):
         c = min(_parallel_radius(math, ell, p1.phi), lim)
@@ -386,69 +406,47 @@ def geodesic_inverse(
         c = 0.5 * (_seed_c(math, ell, p1.phi, slope) + _seed_c(math, ell, p2.phi, slope))
     c = math.copysign(min(c, lim), dlam)
 
-    # secant refinement of C against the longitude gap; once below the
-    # 1e-11 rad requirement, keep polishing while the residual still drops
-    c_prev = c * 0.999
-    f_prev = _predicted_dlam(math, ell, c_prev, t1, t2, dphi) - dlam
-    f = _predicted_dlam(math, ell, c, t1, t2, dphi) - dlam
-    converged = abs(f) < 1e-11
-    polish = 0
+    # Newton steps on C against the longitude gap
+    f, df = _dlam_slope(math, ell, c, spans, dphi)
+    f -= dlam
     for _ in range(100):
-        if converged and (polish >= 3 or abs(f) == 0.0):
+        if df == 0.0:
             break
-        denom = f - f_prev
-        if denom == 0.0:
-            break
-        c_next = c - f * (c - c_prev) / denom
-        c_next = math.copysign(min(abs(c_next), lim), dlam)
-        f_next = _predicted_dlam(math, ell, c_next, t1, t2, dphi) - dlam
-        if converged and abs(f_next) >= abs(f):
-            break
-        c_prev, f_prev = c, f
-        c, f = c_next, f_next
+        c_next = math.copysign(min(abs(c - f / df), lim), dlam)
+        f_next, df_next = _dlam_slope(math, ell, c_next, spans, dphi)
+        f_next -= dlam
         if abs(f) < 1e-11:
-            converged = True
-            polish += 1
-    if not converged:
+            if abs(f_next) < abs(f):
+                c = c_next
+            break
+        c, f, df = c_next, f_next, df_next
+    if not abs(f) < 1e-11:
         raise NonConvergence("geodesic_inverse: Clairaut constant did not converge")
 
-    az1, az2, s = _inverse_end(math, ell, c, p1.phi, p2.phi, dphi)
+    az1, az2, s = _inverse_end(math, ell, c, p1.phi, p2.phi, spans, dphi)
     return GeodesicSolution(p2.phi, p2.lam, az1, az2, s)
 
 
-def _seed_array(ell: Ellipsoid, phi1, phi2, dlam, dphi):
-    """The seed of geodesic_inverse's secant refinement, per row."""
+def _newton_array(ell: Ellipsoid, phi1, phi2, spans, dphi, dlam, active) -> tuple:
+    """The seed and Newton steps of geodesic_inverse on the active rows: (c, converged)."""
     lim = ell.a * (1.0 - 1e-12)
     slope = np.where(dphi != 0.0, dlam / dphi, np.inf)
     c = np.where(np.isinf(slope), np.minimum(_parallel_radius(npmath, ell, phi1), lim),
                  0.5 * (_seed_c(npmath, ell, phi1, slope) + _seed_c(npmath, ell, phi2, slope)))
-    return np.copysign(np.minimum(c, lim), dlam)
+    c = np.copysign(np.minimum(c, lim), dlam)
+    f, df = _dlam_slope(npmath, ell, c, spans, dphi)
 
+    def step(c, f, df, d1, d3, d5, d7, dphi, dlam):
+        c_next = np.copysign(np.minimum(np.abs(c - f / df), lim), dlam)
+        f_next, df_next = _dlam_slope(npmath, ell, c_next, (d1, d3, d5, d7), dphi)
+        f_next = f_next - dlam
+        stop = (df == 0.0) | (np.abs(f) < 1e-11)
+        keep = (df == 0.0) | (stop & ~(np.abs(f_next) < np.abs(f)))
+        return (np.where(keep, c, c_next), np.where(stop, f, f_next),
+                np.where(stop, df, df_next), stop)
 
-def _secant_array(ell: Ellipsoid, c, t1, t2, dphi, dlam, active) -> tuple:
-    """The secant refinement of geodesic_inverse on the active rows: (c, converged)."""
-    lim = ell.a * (1.0 - 1e-12)
-    c_prev = c * 0.999
-    f_prev = _predicted_dlam(npmath, ell, c_prev, t1, t2, dphi) - dlam
-    f = _predicted_dlam(npmath, ell, c, t1, t2, dphi) - dlam
-    converged = np.abs(f) < 1e-11
-
-    def step(c, f, c_prev, f_prev, converged, polish, t1, t2, dphi, dlam):
-        stop = converged & ((polish >= 3) | (f == 0.0))
-        denom = f - f_prev
-        stop |= denom == 0.0
-        c_next = c - f * (c - c_prev) / denom
-        c_next = np.copysign(np.minimum(np.abs(c_next), lim), dlam)
-        f_next = _predicted_dlam(npmath, ell, c_next, t1, t2, dphi) - dlam
-        stop |= converged & (np.abs(f_next) >= np.abs(f))
-        hit = ~stop & (np.abs(f_next) < 1e-11)
-        return (np.where(stop, c, c_next), np.where(stop, f, f_next),
-                np.where(stop, c_prev, c), np.where(stop, f_prev, f),
-                converged | hit, polish + hit, stop)
-
-    state = (c, f, c_prev, f_prev, converged, np.zeros(c.shape, dtype=np.int8))
-    c, _, _, _, converged, _, _ = iterate(step, state, (t1, t2, dphi, dlam), active, 100)
-    return c, converged
+    c, f, _, _ = iterate(step, (c, f - dlam, df), (*spans, dphi, dlam), active, 100)
+    return c, np.abs(f) < 1e-11
 
 
 @quiet
@@ -457,8 +455,8 @@ def geodesic_inverse_array(ell: Ellipsoid, phi1, lam1, phi2, lam2) -> tuple:
 
     failed marks the rows the kernel leaves to the scalar form: every row
     where geodesic_inverse raises (an endpoint GeodeticCoord rejects,
-    coincident endpoints, a longitude gap too close to half a turn, or a
-    secant refinement that does not converge), and the meridian and
+    coincident endpoints, a longitude gap too close to half a turn, or
+    Newton steps on C that do not converge), and the meridian and
     equator lines, which geodesic_inverse solves in closed form.
     """
     phi1, lam1, ok1 = geodetic_columns(phi1, lam1)
@@ -467,7 +465,8 @@ def geodesic_inverse_array(ell: Ellipsoid, phi1, lam1, phi2, lam2) -> tuple:
     dphi = phi2 - phi1
     failed = (~(ok1 & ok2) | (dlam == 0.0) | ((phi1 == 0.0) & (phi2 == 0.0))
               | (np.abs(dlam) > math.pi * (1.0 - 0.5 * ell.e2)))
-    c, converged = _secant_array(ell, _seed_array(ell, phi1, phi2, dlam, dphi),
-                                 np.sin(phi1), np.sin(phi2), dphi, dlam, ~failed)
-    az1, az2, s = np.where(failed, np.nan, _inverse_end(npmath, ell, c, phi1, phi2, dphi))
+    spans = _spans(np.sin(phi1), np.sin(phi2))
+    c, converged = _newton_array(ell, phi1, phi2, spans, dphi, dlam, ~failed)
+    az1, az2, s = np.where(failed, np.nan,
+                           _inverse_end(npmath, ell, c, phi1, phi2, spans, dphi))
     return az1, az2, s, failed | ~converged

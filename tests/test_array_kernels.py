@@ -267,8 +267,8 @@ def test_geodesic_direct_array(ell, rows_):
        rows(mixed(-1.2, 1.2, 0.0), mixed(-4.0, 4.0), mixed(-0.05, 0.05, 0.0),
             mixed(-0.05, 0.05, 0.0, math.pi)))
 def test_geodesic_inverse_array(ell, rows_):
-    # the secant matches the longitude gap to 1e-11 rad, then polishes
-    # while the residual still drops: azimuths and length agree to 1e-11
+    # Newton on C matches the longitude gap to 1e-11 rad, then keeps one more
+    # step if it lowers the residual: azimuths and length agree to 1e-11
     rows_ = [(phi, lam, phi + dphi if phi else 0.0, lam + dlam)
              for phi, lam, dphi, dlam in rows_]
 

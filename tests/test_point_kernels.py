@@ -1,12 +1,15 @@
 """The point kernels against the forms they replaced.
 
 The UTM series and the truncated geodesic series evaluate their integer
-powers as products (Horner form in dlam^2, (x/N)^2 and t^2), the isometric
-inversion takes Newton passes on its fixed-point map, and the ECEF latitude
-loop starts from the latitude of the surface point.  The earlier forms are
-kept here: the ``**`` series, the fixed-point isometric pass and the
-geocentric seed.  ``reference_forms`` patches them into the package, so a
-kernel run under it is the kernel as it was.
+powers as products (Horner form in dlam^2, (x/N)^2 and t^2, and the spans
+(t2^j - t1^j)/j as t2 - t1 times sums of products), the isometric inversion
+takes Newton passes on its fixed-point map, the ECEF latitude loop starts
+from the latitude of the surface point, and the geodesic inverse takes
+Newton steps on its Clairaut constant.  The earlier forms are kept here:
+the ``**`` series and differences of powers, the fixed-point isometric
+pass, the geocentric seed and the secant on C.  ``reference_forms``
+patches the first three into the package, so a kernel run under it is the
+kernel as it was; ``reference_secant_inverse`` is the secant.
 
 Closed forms agree within 1e-12 relative, loops within their stopping
 tolerance, and every changed kernel raises the reference's exception class
@@ -16,6 +19,7 @@ raises OverflowError itself beyond the bound where the power overflowed.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +39,13 @@ from geodkit.core import (
     meridian_arc,
     npmath,
 )
-from geodkit.geodesics import _arc_coeffs, _lon_coeffs, geodesic_direct, geodesic_inverse
+from geodkit.geodesics import (
+    VertexExceeded,
+    _arc_coeffs,
+    geodesic_direct,
+    geodesic_direct_array,
+    geodesic_inverse,
+)
 from geodkit.projections import (
     PlaneCoord,
     forward_columns,
@@ -128,8 +138,9 @@ def reference_arc_antider(t, m, n):
     return t + m * t**3 / 3.0 + n * t**5 / 5.0
 
 
-def reference_lon_antider(t, a, b, g):
-    return t + a * t**3 / 3.0 + b * t**5 / 5.0 + g * t**7 / 7.0
+def reference_spans(t1, t2):
+    """geodesics._spans as differences of powers."""
+    return tuple((t2**j - t1**j) / j for j in (1, 3, 5, 7))
 
 
 def reference_isometric_step(xp, e, iso, phi):
@@ -146,6 +157,50 @@ def reference_seed_run(xp, ell, r, z):
     return r
 
 
+def reference_secant_inverse(ell, p1, p2):
+    """(az1, s) of geodesic_inverse on a line off the meridians and the
+    equator, C found by the secant it replaced: started from the seed and
+    0.999 times it, polished up to three times once the longitude gap is
+    within 1e-11 rad."""
+    dlam = _normalize_lon(p2.lam - p1.lam)
+    dphi = p2.phi - p1.phi
+    lim = ell.a * (1.0 - 1e-12)
+    spans = geodesics._spans(math.sin(p1.phi), math.sin(p2.phi))
+    slope = dlam / dphi if dphi != 0.0 else math.inf
+    if math.isinf(slope):
+        c = min(geodesics._parallel_radius(math, ell, p1.phi), lim)
+    else:
+        c = 0.5 * (geodesics._seed_c(math, ell, p1.phi, slope)
+                   + geodesics._seed_c(math, ell, p2.phi, slope))
+    c = math.copysign(min(c, lim), dlam)
+
+    def residual(c):
+        return geodesics._dlam_slope(math, ell, c, spans, dphi)[0] - dlam
+    c_prev = c * 0.999
+    f_prev, f = residual(c_prev), residual(c)
+    converged = abs(f) < 1e-11
+    polish = 0
+    for _ in range(100):
+        if converged and (polish >= 3 or abs(f) == 0.0):
+            break
+        denom = f - f_prev
+        if denom == 0.0:
+            break
+        c_next = math.copysign(min(abs(c - f * (c - c_prev) / denom), lim), dlam)
+        f_next = residual(c_next)
+        if converged and abs(f_next) >= abs(f):
+            break
+        c_prev, f_prev = c, f
+        c, f = c_next, f_next
+        if abs(f) < 1e-11:
+            converged = True
+            polish += 1
+    if not converged:
+        raise NonConvergence("secant on C did not converge")
+    az1, _, s = geodesics._inverse_end(math, ell, c, p1.phi, p2.phi, spans, dphi)
+    return az1, s
+
+
 def reference_forms(monkeypatch):
     """Run the package with the replaced forms, and without the overflow
     bounds that stand in for the powers' OverflowError."""
@@ -156,7 +211,7 @@ def reference_forms(monkeypatch):
             (projections, "_SERIES_X_MAX", math.inf),
             (geodesics, "_arc_integrand", reference_arc_integrand),
             (geodesics, "_arc_antider", reference_arc_antider),
-            (geodesics, "_lon_antider", reference_lon_antider),
+            (geodesics, "_spans", reference_spans),
             (geodesics, "_ARC_T_MAX", math.inf),
             (core, "_isometric_step", reference_isometric_step),
             (coords, "_seed_run", reference_seed_run)):
@@ -205,12 +260,26 @@ def test_utm_inverse_series_agrees_with_the_power_series(d, phi_f, x):
 @PROPERTY
 @given(t=st.floats(-1.0, 1.0), k2=st.floats(1.0, 1e6), key=st.sampled_from(sorted(REGISTRY)))
 def test_geodesic_series_agree_with_the_power_series(t, k2, key):
-    e2 = REGISTRY[key].e2
-    m, n = _arc_coeffs(e2, k2)
-    abg = _lon_coeffs(e2, k2)
+    m, n = _arc_coeffs(REGISTRY[key].e2, k2)
     assert close(geodesics._arc_integrand(t, m, n), reference_arc_integrand(t, m, n))
     assert close(geodesics._arc_antider(t, m, n), reference_arc_antider(t, m, n))
-    assert close(geodesics._lon_antider(t, *abg), reference_lon_antider(t, *abg))
+
+
+# 0 or |t| in [1e-40, 1], so that no span underflows
+UNIT = st.one_of(st.just(0.0), st.floats(1e-40, 1.0), st.floats(-1.0, -1e-40))
+
+
+@PROPERTY
+@given(t1=UNIT, t2=UNIT, near=st.floats(-1e-6, 1e-6))
+def test_spans_agree_with_exact_arithmetic(t1, t2, near):
+    # a difference of powers loses the digits t2 - t1 cancels: up to 1.8e-6
+    # of this scale on spans of 1e-6 relative
+    for a, b in ((t1, t2), (t1, t1 + t1 * near)):
+        top = max(abs(Fraction(a)), abs(Fraction(b)))
+        for j, span in zip((1, 3, 5, 7), geodesics._spans(a, b)):
+            exact = (Fraction(b) ** j - Fraction(a) ** j) / j
+            scale = abs(Fraction(b) - Fraction(a)) * top ** (j - 1) / j
+            assert abs(Fraction(span) - exact) <= Fraction(2e-14) * scale, (a, b, j)
 
 
 # -- loops ----------------------------------------------------------------------------
@@ -398,12 +467,11 @@ def test_ecef_to_geodetic_raises_the_reference_class():
 
 def test_geodesics_raise_the_reference_class():
     # s = 1e7..1e12 m ends far past the vertex, where the Newton residual
-    # rounds above its tolerance, so whether the loop stops (VertexExceeded)
-    # or not (NonConvergence) hangs on the last bit of each form: left out.
-    # From 1e20 m the loop cannot reach its root in 50 passes, and from
-    # about 3e68 m / |cos aze| the seed overflows the fifth power
-    lengths = [0.0, 1.0, 1e3, 1e5, 1e20, 1e61, 1e68, 1e69, 1e100, 1e300, 1e308, -1e308,
-               math.inf, math.nan]
+    # rounds above its tolerance; from 1e20 m the loop cannot reach its root
+    # in 50 passes: both stall past the vertex bound.  From about
+    # 3e68 m / |cos aze| the seed overflows the fifth power
+    lengths = [0.0, 1.0, 1e3, 1e5, 1e7, 1e8, 1e9, 1e10, 1e12, 1e20, 1e61, 1e68, 1e69, 1e100,
+               1e300, 1e308, -1e308, math.inf, math.nan]
     starts = [(0.0, 0.1), (0.5, 0.1), (-1.2, 3.0), (1.5, -3.0)]
     azimuths = [0.0, 0.3, 1.0, 2.0, 4.0, 1e308, math.nan]
     direct = [(phi, lam, az, s) for phi, lam in starts for az in azimuths for s in lengths]
@@ -422,6 +490,59 @@ def test_geodesics_raise_the_reference_class():
         sol = geodesic_inverse(CLARKE, GeodeticCoord(phi1, lam1), GeodeticCoord(phi2, lam2))
         return sol.az1, sol.az2, sol.s / CLARKE.a
     same_outcomes(run_inverse, inverse)
+
+
+@pytest.mark.parametrize("phi, az", [(0.0, 0.3), (0.0, 4.0), (-1.2, 0.3)])
+def test_a_direct_line_far_past_its_vertex_raises_vertex_exceeded(phi, az):
+    # the Newton residual there rounds above its tolerance, so the loop
+    # stalls; both forms name the vertex, whatever the last bit
+    cases = [(phi, 0.1, az, s) for s in (1e3, 1e5, 1e8, 1e9, 1e10)]
+
+    def run_direct(phi, lam, az, s):
+        sol = geodesic_direct(CLARKE, GeodeticCoord(phi, lam), az, s)
+        return sol.phi2, sol.lam2, sol.az2
+    ours = same_outcomes(run_direct, cases)
+    assert [o is VertexExceeded for o in ours] == [False, False, True, True, True]
+    *_, failed = geodesic_direct_array(CLARKE, *np.array(cases).T)
+    assert failed.tolist() == [isinstance(o, type) for o in ours]
+
+
+# -- the secant on C ---------------------------------------------------------------------
+LINE = st.tuples(st.floats(-1.2, 1.2), st.floats(-math.pi, math.pi),
+                 st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                 st.floats(1.0, math.log10(5e5)).map(lambda x: 10.0**x))  # s, 10 m..500 km
+
+
+def newton_inverse(ell, p1, p2):
+    sol = geodesic_inverse(ell, p1, p2)
+    return sol.az1, sol.s
+
+
+@pytest.mark.parametrize("ell", [CLARKE, GRS80], ids=["clarke-1880-fr", "grs80"])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(lines=st.lists(LINE, min_size=50, max_size=50))
+def test_newton_on_c_fails_only_where_the_secant_fails_and_round_trips_as_well(ell, lines):
+    worst = {"newton": [0.0, 0.0], "secant": [0.0, 0.0]}
+    for phi, lam, az, s in lines:
+        p1 = GeodeticCoord(phi, lam)
+        end = outcome(geodesic_direct, ell, p1, az, s)
+        if isinstance(end, type):
+            continue
+        p2 = GeodeticCoord(end.phi2, end.lam2)
+        if _normalize_lon(p2.lam - p1.lam) == 0.0 or p1.phi == p2.phi == 0.0:
+            continue  # the closed forms
+        newton = outcome(newton_inverse, ell, p1, p2)
+        secant = outcome(reference_secant_inverse, ell, p1, p2)
+        if newton is NonConvergence:
+            assert secant is NonConvergence, (phi, lam, az, s)
+        if isinstance(newton, type) or isinstance(secant, type):
+            continue
+        for key, (az1, s1) in (("newton", newton), ("secant", secant)):
+            along, across = worst[key]
+            worst[key] = [max(along, abs(s1 - s)),
+                          max(across, abs(math.remainder(az1 - az, 2.0 * math.pi)) * s)]
+    assert worst["newton"][0] <= 2.0 * worst["secant"][0]
+    assert worst["newton"][1] <= 2.0 * worst["secant"][1]
 
 
 # -- GeodeticCoord ---------------------------------------------------------------------
