@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -10,6 +11,7 @@ from .core import (
     NonConvergence,
     NumericalError,
     Value,
+    _libm,
     _prime_vertical_radius,
     _store,
     all_finite,
@@ -122,26 +124,28 @@ def geodetic_to_ecef_array(ell: Ellipsoid, phi, lam, he) -> tuple:
     return x, y, z, ~(ok & all_finite(x, y, z))
 
 
-def _seed_run(xp, ell: Ellipsoid, r, z):
-    """The run of the first latitude iterate, tan(phi_0) = z / run: r (1 - e2 a / |p|)."""
-    return r * (1.0 - ell.e2 * ell.a / xp.sqrt(r * r + z * z))
+def _seed_run(xp, ell: Ellipsoid, r, z) -> tuple:
+    """The run r (1 - e2 a / |p|) of the seed tan(phi_0) = z / run, and the loop's factor k:
+    5 a newton_k / |p| (_ecef_step), or _ECEF_FIXED within 86 km of the centre, beyond 2.5."""
+    q = ell.a / xp.sqrt(r * r + z * z)
+    k = 5.0 * ell.newton_k * q
+    return r * (1.0 - ell.e2 * q), k * (k <= 2.5) + _ECEF_FIXED * (k > 2.5)
 
 
-def _z_prime(xp, ell: Ellipsoid, z, phi):
-    """Z' = Z + N e2 sin(phi_i); the next iterate is phi_{i+1} = atan(Z'/r)."""
-    return z + _prime_vertical_radius(xp, ell, phi) * ell.e2 * xp.sin(phi)
-
-
-def _libm(fn, *columns) -> np.ndarray:
-    """fn from the math module, elementwise over columns.
-
-    numpy's vectorized atan2 and hypot can differ from the C library's in
-    the last bit.  The height cancels two numbers near 6.4e6 m, which turns
-    one ulp of r into about 1e-9 m, so the ECEF kernel takes both from the
-    C library, as the scalar path does, and keeps its bits.
-    """
-    return np.fromiter(map(fn, *(c.tolist() for c in columns)), dtype=float,
-                       count=columns[0].size)
+def _ecef_step(xp, atan2, ell: Ellipsoid, phi, z, r, k) -> tuple:
+    """One Newton pass phi + (g - phi)/(1 - g') on g = atan2(Z', r), Z' = Z + N e2 sin(phi),
+    g' = e2 N cos(phi)/(W^2 (r + Z'^2/r)), W^2 = 1 - e2 sin^2 phi, and whether the bound
+    k delta^2 on the error left is below _ECEF_TOL.  Iterates keep the sign of Z, so with
+    b = e2 a (1-e2)^-1.5 / |p| >= g', |g''| <= b (1 + 3 e2)/(1 - e2) + 2 b^2: the pass leaves
+    at most K e^2 of an error e, K = |g''|/(2 (1 - b)), so 2K delta^2 while K delta is small,
+    and 2K <= 5 a newton_k / |p| = k where b <= 1/2."""
+    s = xp.sin(phi)
+    w2 = 1.0 - ell.e2 * s * s
+    ne2 = ell.e2 * ell.a / xp.sqrt(w2)  # N e2
+    zp = z + ne2 * s
+    slope = (k < _ECEF_FIXED) * ne2 * xp.cos(phi) / (w2 * (r + zp * zp / r))
+    delta = (atan2(zp, r) - phi) / (1.0 - slope)
+    return phi + delta, k * delta * delta < _ECEF_TOL
 
 
 def _height(xp, ell: Ellipsoid, phi, r, z):
@@ -152,28 +156,27 @@ def _height(xp, ell: Ellipsoid, phi, r, z):
     return r * xp.cos(phi) + z * s - ell.a * xp.sqrt(1.0 - ell.e2 * s * s)
 
 
-# stopping rule of the latitude fixed point, shared by its scalar and array forms
-_ECEF_TOL = 1e-12
+# stopping rule of the latitude loop, shared by its scalar and array forms: k delta^2 below the
+# bound on the error left, rad; rows whose k is _ECEF_FIXED (elsewhere k <= 2.5) drop the
+# slope and so take fixed-point passes, which stop on a step below 1e-12 rad
+_ECEF_TOL = 1e-15
+_ECEF_FIXED = _ECEF_TOL / 1e-12 ** 2
 _ECEF_MAX_ITER = 50
 
 
 def ecef_to_geodetic(ell: Ellipsoid, p: EcefCoord) -> GeodeticCoord:
-    """Invert geodetic_to_ecef by fixed-point iteration on the latitude.
-
-    Starts from tan(phi_0) = Z / (r (1 - e2 a / |p|)), the latitude of the
-    surface point near the ellipsoid and the geocentric one far from it, and
-    iterates Z' = Z + N e2 sin(phi_i), phi_{i+1} = atan(Z'/r) until the change
-    is below _ECEF_TOL radians: at most 4 passes from -500 m to 4e7 m of height
-    (mean 3.7 up to 1e6 m, 2.9 from 2e7 m).
-    """
+    """Invert geodetic_to_ecef by Newton passes on the latitude (_ecef_step) from
+    tan(phi_0) = Z / (r (1 - e2 a / |p|)), the latitude of the surface point near the
+    ellipsoid and the geocentric one far from it: at most 2 from -500 m to 4e7 m of height."""
     r = math.hypot(p.x, p.y)
     if r < 1.0:
         raise PolarAxis("point too close to the polar axis")
     lam = math.atan2(p.y, p.x)
-    phi = math.atan2(p.z, _seed_run(math, ell, r, p.z))
+    run, k = _seed_run(math, ell, r, p.z)
+    phi = math.atan2(p.z, run)
     for _ in range(_ECEF_MAX_ITER):
-        phi, prev = math.atan2(_z_prime(math, ell, p.z, phi), r), phi
-        if abs(phi - prev) < _ECEF_TOL:
+        phi, done = _ecef_step(math, math.atan2, ell, phi, p.z, r, k)
+        if done:
             break
     else:
         raise NonConvergence("ecef_to_geodetic: latitude iteration did not converge")
@@ -193,13 +196,9 @@ def ecef_to_geodetic_array(ell: Ellipsoid, x, y, z) -> tuple:
     r = _libm(math.hypot, x, y)
     ok = all_finite(x, y, z) & ~(r < 1.0)
     lam = _libm(math.atan2, y, x)
-
-    def step(phi, z, r):
-        nxt = _libm(math.atan2, _z_prime(npmath, ell, z, phi), r)
-        return nxt, np.abs(nxt - phi) < _ECEF_TOL
-
-    seed = _libm(math.atan2, z, _seed_run(npmath, ell, r, z))
-    phi, running = iterate(step, (seed,), (z, r), ok, _ECEF_MAX_ITER)
+    run, k = _seed_run(npmath, ell, r, z)
+    step = functools.partial(_ecef_step, npmath, functools.partial(_libm, math.atan2), ell)
+    phi, running = iterate(step, (_libm(math.atan2, z, run),), (z, r, k), ok, _ECEF_MAX_ITER)
     ok &= ~running
     he = _height(npmath, ell, phi, r, z)
     phi, lam, valid = geodetic_columns(phi, lam, he)

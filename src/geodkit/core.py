@@ -114,17 +114,15 @@ class _NpMath:
     before.  For the same reason npmath looks each function up in numpy on
     its first use, and keeps it.
 
-    The iterative solvers share their formulas this way, not their loops:
-    each scalar loop is written out, and its array form is one pass that
-    iterate drives.  That is on purpose: in a prototype where the scalar
-    loops called the shared passes, ecef_to_geodetic cost 0.25-0.45 us more
-    per call (5-9%) and geodesic_inverse about 3 us more (13-15%), measured
-    in one process, interleaved, best of 25 rounds, on a 2-vCPU Xeon.
+    The iterative solvers share their formulas this way, and the point loops
+    their pass, which returns the next iterate and whether to stop: each
+    scalar loop is written out, and its array form is that pass, driven by
+    iterate.
     """
 
     _NAMES = {"sin": "sin", "cos": "cos", "tan": "tan", "asin": "arcsin", "atan": "arctan",
               "atan2": "arctan2", "sqrt": "sqrt", "exp": "exp", "log": "log", "hypot": "hypot",
-              "copysign": "copysign"}
+              "copysign": "copysign", "tanh": "tanh"}
 
     def __getattr__(self, name: str):
         if name not in self._NAMES:
@@ -147,6 +145,14 @@ def flip(x, cond):
 def all_finite(*columns) -> np.ndarray:
     """Rows where every column is finite."""
     return functools.reduce(np.logical_and, map(np.isfinite, columns))
+
+
+def _libm(fn, *columns) -> np.ndarray:
+    """fn from the math module, elementwise over columns: numpy's vectorized exp, log,
+    atan, atan2 and hypot can differ from the C library's in the last bit, so an array form
+    takes from here each value that reaches its result's last bit, and keeps the scalar bits."""
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), dtype=float,
+                       count=columns[0].size)
 
 
 # the largest x whose exp(x) is finite; math.exp raises OverflowError beyond
@@ -360,9 +366,10 @@ class Ellipsoid(Value):
     """Reference ellipsoid of revolution, defined by (a, f).
 
     Derived quantities are computed once, from (a, f), at construction:
-    e2 = f(2-f), e = sqrt(e2), ep2 = e2/(1-e2), b = a(1-f), inv_f = 1/f and
-    the meridian-arc coefficients arc_coeffs.  Equality, hashing and repr
-    use (name, a, f) only.
+    e2 = f(2-f), e = sqrt(e2), ep2 = e2/(1-e2), b = a(1-f), inv_f = 1/f, the
+    meridian-arc coefficients arc_coeffs, the conformal-latitude ones conformal_coeffs
+    and newton_k = e2/(1-e2)^3, the scale of the loops' error bounds.  Equality,
+    hashing and repr use (name, a, f) only.
     """
 
     name: str
@@ -374,14 +381,21 @@ class Ellipsoid(Value):
     ep2: float = _derived()
     inv_f: float = _derived()
     arc_coeffs: tuple = _derived()
+    newton_k: float = _derived()
+    conformal_coeffs: tuple = _derived()
 
     def __init__(self, name, a, f):
         if a <= 0 or not (0 <= f < 1):
             raise ValueError(f"invalid ellipsoid parameters a={a}, f={f}")
         e2 = f * (2.0 - f)
         _store(self, name=name, a=a, f=f, b=a * (1.0 - f), e2=e2, e=math.sqrt(e2),
-               ep2=e2 / (1.0 - e2), inv_f=1.0 / f if f else math.inf)
-        _store(self, arc_coeffs=meridian_arc_coefficients(self))
+               ep2=e2 / (1.0 - e2), inv_f=1.0 / f if f else math.inf,
+               newton_k=e2 / (1.0 - e2) ** 3)
+        a2, a4, a6 = (e2 * (1 / 2 + e2 * (5 / 24 + e2 * (1 / 12 + e2 * 13 / 360))),
+                      e2 * e2 * (7 / 48 + e2 * (29 / 240 + e2 * 811 / 11520)),
+                      e2 ** 3 * (7 / 120 + e2 * 81 / 1120))
+        _store(self, arc_coeffs=meridian_arc_coefficients(self),
+               conformal_coeffs=(a2 - a6, 2.0 * a4, 4.0 * a6))
 
     @classmethod
     def from_a_inv_f(cls, name: str, a: float, inv_f: float) -> "Ellipsoid":
@@ -535,38 +549,61 @@ def isometric_latitude(ell: Ellipsoid, phi):
     return value
 
 
-def _isometric_step(xp, e: float, iso, phi) -> tuple:
-    """One Newton pass of inverting L at phi: T = iso + (e/2) ln((1+e sin phi)/(1-e sin phi))
-    and the next iterate, phi + (g - phi)/(1 - g') for the fixed-point map
-    g = 2 atan(exp(T)) - pi/2, g' = e2 cos(phi) cos(g)/(1 - e2 sin^2 phi) taken at
-    g = phi.  With e = 0 it is g, the spherical latitude of iso, the seed."""
+def _isometric_seed(xp, ell: Ellipsoid, iso):
+    """The latitude of conformal latitude chi = 2 atan(tanh(iso/2)) by Snyder's series to
+    e2^4 (Map Projections: A Working Manual, eq. 3-5), chi + sin 2chi (A + cos 2chi (B + C cos
+    2chi)) with (A, B, C) = conformal_coeffs: within 6e-11 rad on the registry's ellipsoids,
+    and within 1e-10 of phi near the equator, where 2 atan(exp(iso)) - pi/2 would cancel."""
+    chi = 2.0 * xp.atan(xp.tanh(0.5 * iso))
+    a, b, c = ell.conformal_coeffs
+    c2 = xp.cos(2.0 * chi)
+    return chi + xp.sin(2.0 * chi) * (a + c2 * (b + c * c2))
+
+
+def _isometric_step(xp, log2, ell: Ellipsoid, iso, phi) -> tuple:
+    """One Newton pass of inverting L at phi: T = iso + (e/2) ln((1+e sin phi)/(1-e sin phi)),
+    the next iterate phi + (g - phi)/(1 - G) on the map g = 2 atan(exp(T)) - pi/2, whose slope
+    G = e2 cos^2(phi)/(1 - e2 sin^2 phi) is taken at g = phi, and whether the bound
+    3 newton_k delta^2 on the error left is below _ISO_TOL: as |g' - G| <= e2 |e|, |g''| <=
+    e2/(1-e2)^2 + e2^2 and 1 - G >= 1 - e2, the pass leaves at most K e^2 of an error e,
+    K = 1.5 e2/(1-e2)^3 (measured: 0.75 e2), so 2K delta^2 while K delta is small.  It starts
+    from phi rounded to 31 bits (pi/2 rounds down; 5e-10 rad at most) and takes g - phi as
+    2 atan(c h/(1 + s h)), h = tanh((T - ln((1+s)/c))/2), so only its two logs reach the last
+    bit of the result: the array form takes them from the C library (as log2, whose map costs
+    a third of log's) and keeps the scalar bits."""
+    e = ell.e
     if not e:
-        return iso, 2.0 * xp.atan(xp.exp(iso)) - math.pi / 2.0
-    s = xp.sin(phi)
-    target = iso + _eccentric_term(xp, e, s)
-    g = 2.0 * xp.atan(xp.exp(target)) - math.pi / 2.0
-    return target, phi + (g - phi) * (1.0 - e * e * s * s) / (1.0 - e * e)
+        return iso, phi, True
+    phi = 4194305.0 * phi - (4194305.0 * phi - phi)  # Veltkamp's split: 31 bits
+    s, c = xp.sin(phi), xp.cos(phi)
+    # ln x = ln 2 log2 x; ln((1+s)/c) = -ln((1-s)/c), taken on |s|: s = -1 takes no log of 0
+    target = iso + _LN2 * 0.5 * e * log2((1.0 + e * s) / (1.0 - e * s))
+    h = xp.tanh(0.5 * (target - xp.copysign(_LN2 * log2((1.0 + abs(s)) / c), s)))
+    delta = 2.0 * xp.atan(c * h / (1.0 + s * h)) * (1.0 - e * e * s * s) / (1.0 - e * e)
+    return target, phi + delta, 3.0 * ell.newton_k * delta * delta < _ISO_TOL
 
 
-# stopping rule of the isometric inversion, shared by its scalar and array forms
-_ISO_TOL = 1e-12
+# stopping rule of the isometric inversion, shared by its scalar and array forms:
+_ISO_TOL = 1e-15  # the bound on the error left, rad
 _ISO_MAX_ITER = 50
+
+_LN2 = math.log(2.0)
+_LIBM_LOG2 = functools.partial(_libm, math.log2)  # the array form's log2 (_isometric_step)
 
 
 def latitude_from_isometric(ell: Ellipsoid, iso: float) -> float:
     """Invert isometric_latitude by Newton's method on its fixed-point map.
 
-    Starts from the spherical latitude of iso and stops when successive
-    iterates differ by < _ISO_TOL rad: at most 3 passes on the registry's
-    ellipsoids for |phi| <= 1.55.
+    Starts from _isometric_seed and stops once the bound on the error left is
+    below _ISO_TOL rad: 1 pass for |phi| <= 1.55 on the registry's ellipsoids.
     """
-    e = ell.e
-    phi = _isometric_step(math, 0.0, iso, None)[1]
+    phi = _isometric_seed(math, ell, iso)
     for _ in range(_ISO_MAX_ITER):
-        nxt = _isometric_step(math, e, iso, phi)[1]
-        if abs(nxt - phi) < _ISO_TOL:
-            return nxt
-        phi = nxt
+        target, phi, done = _isometric_step(math, math.log2, ell, iso, phi)
+        if EXP_MAX < target < math.inf:  # exp(T) overflows, as the array form flags
+            raise OverflowError(f"latitude_from_isometric: exp overflows for L={iso}")
+        if done:
+            return phi
     raise NonConvergence(f"latitude_from_isometric: no convergence for L={iso}")
 
 
@@ -581,14 +618,14 @@ def latitude_from_isometric_array(ell: Ellipsoid, iso) -> tuple:
     failed = np.isnan(iso)
 
     def step(phi, _, iso):
-        target, nxt = _isometric_step(npmath, ell.e, iso, phi)
+        target, nxt, done = _isometric_step(npmath, _LIBM_LOG2, ell, iso, phi)
         overflow = np.isfinite(target) & (target > EXP_MAX)
-        return nxt, overflow, (np.abs(nxt - phi) < _ISO_TOL) | overflow
+        return nxt, overflow, done | overflow
 
-    # a seed that overflows exp is pi/2, where the eccentric term is > 0,
-    # so the first pass overflows too and flags the row
-    seed = _isometric_step(npmath, 0.0, iso, None)[1]
-    phi, failed, running = iterate(step, (seed, failed), (iso,), ~failed, _ISO_MAX_ITER)
+    # a row whose T = L + eccentric term passes EXP_MAX (its seed is pi/2) is
+    # flagged on the first pass, where the scalar form raises OverflowError
+    phi, failed, running = iterate(step, (_isometric_seed(npmath, ell, iso), failed), (iso,),
+                                   ~failed, _ISO_MAX_ITER)
     return phi, failed | running
 
 
@@ -605,28 +642,26 @@ def quarter_meridian(ell: Ellipsoid) -> float:
     return meridian_arc(ell, math.pi / 2.0)
 
 
-def _arc_seed(ell: Ellipsoid, y):
-    return y / (ell.a * (1.0 - ell.e2))
-
-
-def _arc_step(ell: Ellipsoid, y, phi):
-    """Newton correction of phi towards meridian_arc(phi) = y (d arc / d phi = rho)."""
-    return (meridian_arc(ell, phi) - y) / meridian_radius(ell, phi)
+def _arc_step(ell: Ellipsoid, phi, y) -> tuple:
+    """One Newton pass towards meridian_arc(phi) = y (d arc / d phi = rho): the next iterate,
+    and whether the bound 1.5 newton_k delta^2 on the error left is below _ARC_TOL: Newton
+    leaves K e^2 at most, K = max|rho'|/(2 min rho) = (3/4) e2 (1-e2)^-2.5, so 2K delta^2."""
+    delta = (meridian_arc(ell, phi) - y) / meridian_radius(ell, phi)
+    return phi - delta, 1.5 * ell.newton_k * delta * delta < _ARC_TOL
 
 
 # stopping rule of the arc inversion, shared by its scalar and array forms
-_ARC_TOL = 1e-13
+_ARC_TOL = 1e-15  # the bound on the error left, rad
 _ARC_MAX_ITER = 50
 
 
 def latitude_from_arc(ell: Ellipsoid, y: float) -> float:
     """Invert meridian_arc: the latitude whose arc from the equator is y metres,
-    by Newton from y / (a(1 - e2)); stops at a step below _ARC_TOL rad."""
-    phi = _arc_seed(ell, y)
+    by Newton from y / (a(1 - e2)): at most 2 passes for |phi| <= 1.55."""
+    phi = y / (ell.a * (1.0 - ell.e2))
     for _ in range(_ARC_MAX_ITER):
-        delta = _arc_step(ell, y, phi)
-        phi -= delta
-        if abs(delta) < _ARC_TOL:
+        phi, done = _arc_step(ell, phi, y)
+        if done:
             return phi
     raise NonConvergence(f"latitude_from_arc: Newton did not converge for y={y}")
 
@@ -641,9 +676,6 @@ def latitude_from_arc_array(ell: Ellipsoid, y) -> tuple:
     y = np.asarray(y, dtype=float)
     failed = np.isinf(y)
 
-    def step(phi, y):
-        delta = _arc_step(ell, y, phi)
-        return phi - delta, np.abs(delta) < _ARC_TOL
-
-    phi, running = iterate(step, (_arc_seed(ell, y),), (y,), ~failed, _ARC_MAX_ITER)
+    phi, running = iterate(functools.partial(_arc_step, ell), (y / (ell.a * (1.0 - ell.e2)),),
+                           (y,), ~failed, _ARC_MAX_ITER)
     return phi, failed | running

@@ -219,7 +219,7 @@ def _direct_end(xp, ell: Ellipsoid, lam1, c, aze, k2, az1, t1, t2) -> tuple:
     dlam = (1.0 - ell.e2) * xp.tan(aze) * _lon_sum(ell.e2, k2, _spans(t1, t2))
     lam2 = _normalize_lon(lam1 + dlam)
     # no vertex crossing inside the validity domain: az2 heads as az1 does
-    return phi2, lam2, _endpoint_az(xp, ell, c, phi2, xp.cos(az1))
+    return phi2, lam2, _endpoint_az(xp, c, _parallel_radius(xp, ell, phi2), xp.cos(az1))
 
 
 def _meridian_direct(ell: Ellipsoid, p1: GeodeticCoord, az1: float, s: float) -> GeodesicSolution:
@@ -320,9 +320,8 @@ def geodesic_direct_array(ell: Ellipsoid, phi1, lam1, az1, s) -> tuple:
     return phi2, lam2, az2, s, failed
 
 
-def _seed_c(xp, ell: Ellipsoid, phi, dlam_dphi):
-    """|C| from the finite-difference slope of the line at latitude phi."""
-    r = _parallel_radius(xp, ell, phi)
+def _seed_c(xp, ell: Ellipsoid, phi, r, dlam_dphi):
+    """|C| from the finite-difference slope of the line at phi, of parallel radius r."""
     rho = meridian_radius(ell, phi)
     q = (r / rho) * dlam_dphi
     return r * abs(q) / xp.sqrt(1.0 + q * q)
@@ -353,19 +352,27 @@ def _dlam_slope(xp, ell: Ellipsoid, c, spans, dphi) -> tuple:
                                     + tan_aze * dlon * 2.0 * c * a * a * w / (h * h)))
 
 
-def _endpoint_az(xp, ell: Ellipsoid, c, phi, dphi):
-    sin_az = _clamp_unit(c / _parallel_radius(xp, ell, phi))
+def _endpoint_az(xp, c, r, dphi):
+    sin_az = _clamp_unit(c / r)
     cos_az = xp.copysign(xp.sqrt(1.0 - sin_az * sin_az), dphi)
     return _norm_az(xp.atan2(sin_az, cos_az))
 
 
-def _inverse_end(xp, ell: Ellipsoid, c, phi1, phi2, spans, dphi) -> tuple:
-    """az1, az2 and the length s of the line with Clairaut constant c."""
+def _step_keeps_f(ell: Ellipsoid, c, f, df):
+    """Whether the Newton step -f/df from c cannot raise |f|: f' sums terms of one sign that
+    bend by multiples of 1/(|C| (a^2 - C^2)), so |f''| <= G |f'|, G = 16 a^2/(|C| (a^2 - C^2)),
+    and a step D = f/f' leaves at most (G|D|/2) exp(G|D|) |f|, below |f| once G|D| <= 1/2."""
+    a2 = ell.a * ell.a
+    return 32.0 * a2 * abs(f) <= abs(c) * (a2 - c * c) * abs(df)
+
+
+def _inverse_end(xp, ell: Ellipsoid, c, r1, r2, spans, dphi) -> tuple:
+    """az1, az2 and length s of the line with Clairaut constant c, end parallel radii r1, r2."""
     _, cos_aze = _aze_sin_cos(xp, ell, c, dphi)
     m, n = _arc_coeffs(ell.e2, _k2(ell, c))
     d1, d3, d5, _ = spans
     s = ell.a * (1.0 - ell.e2) * (d1 + m * d3 + n * d5) / cos_aze
-    return _endpoint_az(xp, ell, c, phi1, dphi), _endpoint_az(xp, ell, c, phi2, dphi), s
+    return _endpoint_az(xp, c, r1, dphi), _endpoint_az(xp, c, r2, dphi), s
 
 
 def geodesic_inverse(
@@ -376,7 +383,7 @@ def geodesic_inverse(
     The Clairaut constant C is seeded from the mean of the finite-difference
     estimates at both endpoints and refined by Newton steps, on the series'
     analytic slope in C, until the predicted longitude gap matches the actual
-    one to 1e-11 rad; one more step is kept if it lowers the residual.
+    one to 1e-11 rad; the last step is taken where _step_keeps_f or it lowers |f|.
     Assumes the latitude varies monotonically along the line (no vertex
     crossing between the points).
     """
@@ -399,54 +406,58 @@ def geodesic_inverse(
 
     lim = ell.a * (1.0 - 1e-12)
     spans = _spans(math.sin(p1.phi), math.sin(p2.phi))
+    r1, r2 = _parallel_radius(math, ell, p1.phi), _parallel_radius(math, ell, p2.phi)
     slope = dlam / dphi if dphi != 0.0 else math.inf
     if math.isinf(slope):
-        c = min(_parallel_radius(math, ell, p1.phi), lim)
+        c = min(r1, lim)
     else:
-        c = 0.5 * (_seed_c(math, ell, p1.phi, slope) + _seed_c(math, ell, p2.phi, slope))
+        c = 0.5 * (_seed_c(math, ell, p1.phi, r1, slope) + _seed_c(math, ell, p2.phi, r2, slope))
     c = math.copysign(min(c, lim), dlam)
 
     # Newton steps on C against the longitude gap
     f, df = _dlam_slope(math, ell, c, spans, dphi)
     f -= dlam
     for _ in range(100):
-        if df == 0.0:
+        if df == 0.0 or abs(f) < 1e-11:
             break
-        c_next = math.copysign(min(abs(c - f / df), lim), dlam)
-        f_next, df_next = _dlam_slope(math, ell, c_next, spans, dphi)
-        f_next -= dlam
-        if abs(f) < 1e-11:
-            if abs(f_next) < abs(f):
-                c = c_next
-            break
-        c, f, df = c_next, f_next, df_next
+        c = math.copysign(min(abs(c - f / df), lim), dlam)
+        f, df = _dlam_slope(math, ell, c, spans, dphi)
+        f -= dlam
     if not abs(f) < 1e-11:
         raise NonConvergence("geodesic_inverse: Clairaut constant did not converge")
+    c_next = math.copysign(min(abs(c - f / df), lim), dlam) if df else c
+    if (_step_keeps_f(ell, c, f, df)
+            or abs(_dlam_slope(math, ell, c_next, spans, dphi)[0] - dlam) < abs(f)):
+        c = c_next
 
-    az1, az2, s = _inverse_end(math, ell, c, p1.phi, p2.phi, spans, dphi)
+    az1, az2, s = _inverse_end(math, ell, c, r1, r2, spans, dphi)
     return GeodesicSolution(p2.phi, p2.lam, az1, az2, s)
 
 
-def _newton_array(ell: Ellipsoid, phi1, phi2, spans, dphi, dlam, active) -> tuple:
+def _newton_array(ell: Ellipsoid, phi1, phi2, r1, r2, spans, dphi, dlam, active) -> tuple:
     """The seed and Newton steps of geodesic_inverse on the active rows: (c, converged)."""
     lim = ell.a * (1.0 - 1e-12)
     slope = np.where(dphi != 0.0, dlam / dphi, np.inf)
-    c = np.where(np.isinf(slope), np.minimum(_parallel_radius(npmath, ell, phi1), lim),
-                 0.5 * (_seed_c(npmath, ell, phi1, slope) + _seed_c(npmath, ell, phi2, slope)))
+    c = np.where(np.isinf(slope), np.minimum(r1, lim), 0.5 * (
+        _seed_c(npmath, ell, phi1, r1, slope) + _seed_c(npmath, ell, phi2, r2, slope)))
     c = np.copysign(np.minimum(c, lim), dlam)
     f, df = _dlam_slope(npmath, ell, c, spans, dphi)
+    f = f - dlam
 
     def step(c, f, df, d1, d3, d5, d7, dphi, dlam):
-        c_next = np.copysign(np.minimum(np.abs(c - f / df), lim), dlam)
-        f_next, df_next = _dlam_slope(npmath, ell, c_next, (d1, d3, d5, d7), dphi)
-        f_next = f_next - dlam
-        stop = (df == 0.0) | (np.abs(f) < 1e-11)
-        keep = (df == 0.0) | (stop & ~(np.abs(f_next) < np.abs(f)))
-        return (np.where(keep, c, c_next), np.where(stop, f, f_next),
-                np.where(stop, df, df_next), stop)
+        c = np.copysign(np.minimum(np.abs(c - f / df), lim), dlam)
+        f, df = _dlam_slope(npmath, ell, c, (d1, d3, d5, d7), dphi)
+        f = f - dlam
+        return c, f, df, (df == 0.0) | (np.abs(f) < 1e-11)
 
-    c, f, _, _ = iterate(step, (c, f - dlam, df), (*spans, dphi, dlam), active, 100)
-    return c, np.abs(f) < 1e-11
+    running = active & ~((df == 0.0) | (np.abs(f) < 1e-11))
+    c, f, df, _ = iterate(step, (c, f, df), (*spans, dphi, dlam), running, 100)
+    c_next = np.where(df != 0.0, np.copysign(np.minimum(np.abs(c - f / df), lim), dlam), c)
+    take = _step_keeps_f(ell, c, f, df)
+    seen = np.flatnonzero(active & ~take)  # the rows whose last step is evaluated
+    f_next = _dlam_slope(npmath, ell, c_next[seen], [d[seen] for d in spans], dphi[seen])[0]
+    take[seen] = np.abs(f_next - dlam[seen]) < np.abs(f[seen])
+    return np.where(take, c_next, c), np.abs(f) < 1e-11
 
 
 @quiet
@@ -466,7 +477,7 @@ def geodesic_inverse_array(ell: Ellipsoid, phi1, lam1, phi2, lam2) -> tuple:
     failed = (~(ok1 & ok2) | (dlam == 0.0) | ((phi1 == 0.0) & (phi2 == 0.0))
               | (np.abs(dlam) > math.pi * (1.0 - 0.5 * ell.e2)))
     spans = _spans(np.sin(phi1), np.sin(phi2))
-    c, converged = _newton_array(ell, phi1, phi2, spans, dphi, dlam, ~failed)
-    az1, az2, s = np.where(failed, np.nan,
-                           _inverse_end(npmath, ell, c, phi1, phi2, spans, dphi))
+    r1, r2 = _parallel_radius(npmath, ell, phi1), _parallel_radius(npmath, ell, phi2)
+    c, converged = _newton_array(ell, phi1, phi2, r1, r2, spans, dphi, dlam, ~failed)
+    az1, az2, s = np.where(failed, np.nan, _inverse_end(npmath, ell, c, r1, r2, spans, dphi))
     return az1, az2, s, failed | ~converged

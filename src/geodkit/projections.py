@@ -188,6 +188,9 @@ def lambert_arc_to_chord(d: LambertDef, p1: GeodeticCoord, p2: GeodeticCoord) ->
 
 
 _MAX_ZONE_HALF_WIDTH = math.radians(3.5)
+# rad: the inverse series' longitude of a point forward puts on the zone edge exceeds it by
+# up to 4.6e-10 rad (at every latitude), so the inverse allows twice that beyond the edge
+_ZONE_EDGE_SLACK = 1e-9
 # |x| beyond which x**7 overflows: the inverse series raises OverflowError there, as ** does
 _SERIES_X_MAX = 1.087396515837749e44
 
@@ -231,15 +234,21 @@ class UtmDef(Value):
 
     def _lam_iso(self, x, y) -> tuple:
         phi_f = utm_footpoint_latitude(self, y)
+        if not abs(phi_f) < math.pi / 2:
+            raise OutOfZone(f"northing {y} m reaches the pole")
         if abs(x) > _SERIES_X_MAX:
             raise OverflowError(f"offset {x} m overflows the inverse series")
-        return _utm_inverse_series(math, self, x, phi_f)
+        lam, iso, wide = _utm_inverse_series(math, self, x, phi_f)
+        if wide:
+            raise OutOfZone(f"offset {x} m from the central meridian at latitude {phi_f}")
+        return lam, iso
 
     def _lam_iso_columns(self, x, y) -> tuple:
-        # failed: the footpoint iteration fails, or x overflows the series
-        phi_f, failed = utm_footpoint_latitude_array(self, y)
-        lam, iso = _utm_inverse_series(npmath, self, x, phi_f)
-        return lam, iso, failed | (np.abs(x) > _SERIES_X_MAX)
+        # failed: the footpoint fails, x overflows the series, or the point is out of the zone
+        phi_f, failed = latitude_from_arc_array(self.ell, y)
+        failed |= (np.abs(x) > _SERIES_X_MAX) | ~(np.abs(phi_f) < math.pi / 2)
+        lam, iso, wide = _utm_inverse_series(npmath, self, x, phi_f)
+        return lam, iso, failed | wide
 
 
 def _utm_direct_coeffs(ell: Ellipsoid, phi) -> tuple:
@@ -279,14 +288,11 @@ def utm_footpoint_latitude(d: UtmDef, y: float) -> float:
     return latitude_from_arc(d.ell, y)
 
 
-def utm_footpoint_latitude_array(d: UtmDef, y) -> tuple:
-    """Array form of utm_footpoint_latitude: (phi, failed)."""
-    return latitude_from_arc_array(d.ell, y)
-
-
 def _utm_inverse_series(xp, d: UtmDef, x, phi_f) -> tuple:
     """Longitude and isometric latitude of a point x east of footpoint latitude
-    phi_f, as series in u = x / N(phi_f)."""
+    phi_f, as series in u = x / N(phi_f), and whether the point is out of the zone: by
+    the series' longitude, or, where the series runs wild near the pole, by its first term
+    u / cos(phi_f) beyond twice the zone (that term exceeds the longitude by 6e-4 or more)."""
     c = xp.cos(phi_f)
     t = xp.tan(phi_f)
     t2 = t * t
@@ -299,9 +305,12 @@ def _utm_inverse_series(xp, d: UtmDef, x, phi_f) -> tuple:
     b6 = (61.0 + 180.0 * t2 + 46.0 * eta2 + 120.0 * t2 * t2 + 48.0 * eta2 * t2) / 720.0
     b7 = (61.0 + 622.0 * t2 + 107.0 * eta2 + 1320.0 * t2 * t2
           + 1538.0 * eta2 * t2 + 46.0 * eta2 * eta2) / 5040.0
-    lam = d.lam0 + u / c * (1.0 - u2 * (b3 - u2 * (b5 - u2 * b7)))
+    first = u / c
+    dlam = first * (1.0 - u2 * (b3 - u2 * (b5 - u2 * b7)))
     iso = isometric_latitude(d.ell, phi_f) - t / c * u2 * (0.5 - u2 * (b4 - u2 * b6))
-    return lam, iso
+    wide = ((abs(first) > 2.0 * _MAX_ZONE_HALF_WIDTH)
+            | (abs(dlam) > _MAX_ZONE_HALF_WIDTH + _ZONE_EDGE_SLACK))
+    return d.lam0 + dlam, iso, wide
 
 
 # -- the shared pipeline ---------------------------------------------------------

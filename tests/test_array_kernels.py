@@ -41,6 +41,7 @@ from geodkit.coords import (
 from geodkit.core import (
     EXP_MAX,
     get_ellipsoid,
+    latitude_from_arc_array,
     latitude_from_isometric,
     latitude_from_isometric_array,
 )
@@ -73,7 +74,6 @@ from geodkit.projections import (
     named_projection,
     utm_forward,
     utm_footpoint_latitude,
-    utm_footpoint_latitude_array,
     utm_inverse,
 )
 from geodkit.reductions import (
@@ -375,10 +375,11 @@ def test_latitude_from_isometric_array(ell):
 
 
 def test_utm_footpoint_latitude_array():
-    # Newton stops at a 1e-13 rad step
+    # the footpoint's array form is core.latitude_from_arc_array; Newton stops
+    # once its bound on the error left is below 1e-15 rad
     d = UTMS[0]
     y = [0.0, -5e6, 9.9e6, 1e7, 2e7, 1e300, math.inf, -math.inf, math.nan]
-    check([(v,) for v in y], utm_footpoint_latitude_array(d, np.array(y)),
+    check([(v,) for v in y], latitude_from_arc_array(d.ell, np.array(y)),
           lambda v: (utm_footpoint_latitude(d, v),), [(1e-12, 1.0)])
 
 
@@ -464,6 +465,17 @@ def test_first_failing_row_decides_between_kernel_errors(tmp_path):
     proc = cli_run(["project", "fwd", "--proj", "lambert-nord-tn"], text, tmp_path)
     assert proc.returncode == 2
     assert "input error: ValueError: isometric latitude undefined at the poles" in proc.stderr
+
+
+@pytest.mark.parametrize("row", ["P,300000,9900000", "R,900000,9990000", "Q,500000,10001000"])
+@pytest.mark.parametrize("rows", [1, 302], ids=["scalar path", "array path"])
+def test_utm_inverse_out_of_the_zone_exits_3(row, rows, tmp_path):
+    # the first two printed points near the other pole with exit 0, the
+    # northing past the pole exited 2 with a ValueError
+    text = "name,e[m],n[m]\n" + "A,510000,4510000\n" * (rows - 1) + row + "\n"
+    proc = cli_run(["project", "inv", "--proj", "utm:32", "--ell", "wgs84"], text, tmp_path)
+    assert proc.returncode == 3 and "numerical error: OutOfZone" in proc.stderr
+    assert proc.stdout == ""
 
 
 def with_params(args, tmp_path):

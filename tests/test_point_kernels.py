@@ -3,13 +3,19 @@
 The UTM series and the truncated geodesic series evaluate their integer
 powers as products (Horner form in dlam^2, (x/N)^2 and t^2, and the spans
 (t2^j - t1^j)/j as t2 - t1 times sums of products), the isometric inversion
-takes Newton passes on its fixed-point map, the ECEF latitude loop starts
-from the latitude of the surface point, and the geodesic inverse takes
-Newton steps on its Clairaut constant.  The earlier forms are kept here:
-the ``**`` series and differences of powers, the fixed-point isometric
-pass, the geocentric seed and the secant on C.  ``reference_forms``
-patches the first three into the package, so a kernel run under it is the
-kernel as it was; ``reference_secant_inverse`` is the secant.
+starts from the conformal-latitude series and takes Newton passes on its
+fixed-point map, the ECEF latitude loop starts
+from the latitude of the surface point and takes Newton passes, and the
+geodesic inverse takes Newton steps on its Clairaut constant.  Each loop
+stops once a bound on the error its last pass leaves is below its
+tolerance, and the inverse takes its last step on C unseen where a bound
+shows that step cannot raise the residual.  The earlier forms are kept
+here: the ``**`` series and differences of powers, the fixed-point
+isometric and ECEF passes, the spherical and geocentric seeds, the secant on C, and the
+stopping rules that ran one more pass to see a small step.
+``reference_forms`` patches them into the package, so a kernel run under
+it is the kernel as it was; ``todays_rules`` patches in the stopping rules
+alone; ``reference_secant_inverse`` is the secant.
 
 Closed forms agree within 1e-12 relative, loops within their stopping
 tolerance, and every changed kernel raises the reference's exception class
@@ -19,6 +25,7 @@ raises OverflowError itself beyond the bound where the power overflowed.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -125,9 +132,9 @@ def reference_utm_inverse_series(xp, d, x, phi_f):
     )
     b7 = (61.0 + 622.0 * t2 + 107.0 * eta2 + 1320.0 * t2 * t2
           + 1538.0 * eta2 * t2 + 46.0 * eta2 * eta2) / (5040.0 * n**7 * c)
-    lam = d.lam0 + b1 * x - b3 * x**3 + b5 * x**5 - b7 * x**7
+    dlam = b1 * x - b3 * x**3 + b5 * x**5 - b7 * x**7
     iso = (isometric_latitude(d.ell, phi_f) - b2 * x**2 + b4 * x**4 - b6 * x**6)
-    return lam, iso
+    return d.lam0 + dlam, iso, (abs(b1 * x) > HALF_ZONE) | (abs(dlam) > HALF_ZONE)
 
 
 def reference_arc_integrand(t, m, n):
@@ -143,18 +150,63 @@ def reference_spans(t1, t2):
     return tuple((t2**j - t1**j) / j for j in (1, 3, 5, 7))
 
 
-def reference_isometric_step(xp, e, iso, phi):
-    """core._isometric_step as the fixed-point pass: the latitude whose
-    ln tan(pi/4 + phi/2) is iso + (e/2) ln((1+e sin phi)/(1-e sin phi))."""
-    if e:
+def reference_isometric_step(xp, log, ell, iso, phi):
+    """core._isometric_step as the fixed-point pass, with today's rule: the
+    latitude whose ln tan(pi/4 + phi/2) is iso + (e/2) ln((1+e sin phi)/(1-e sin phi)),
+    stopping on a step below 1e-12 rad."""
+    if ell.e:
         s = xp.sin(phi)
-        iso = iso + 0.5 * e * xp.log((1.0 + e * s) / (1.0 - e * s))
-    return iso, 2.0 * xp.atan(xp.exp(iso)) - math.pi / 2.0
+        iso = iso + 0.5 * ell.e * xp.log((1.0 + ell.e * s) / (1.0 - ell.e * s))
+    nxt = 2.0 * xp.atan(xp.exp(iso)) - math.pi / 2.0
+    return iso, nxt, abs(nxt - phi) < 1e-12
+
+
+def reference_isometric_seed(xp, ell, iso):
+    """The spherical latitude of iso, the isometric inversion's earlier seed."""
+    return 2.0 * xp.atan(xp.exp(iso)) - math.pi / 2.0
 
 
 def reference_seed_run(xp, ell, r, z):
-    """The geocentric seed of the ECEF latitude loop: atan2(z, r)."""
-    return r
+    """The geocentric seed of the ECEF latitude loop, atan2(z, r), for the
+    fixed-point pass, which takes no bound factor."""
+    return r, None
+
+
+def reference_ecef_step(xp, atan2, ell, phi, z, r, k):
+    """coords._ecef_step as the fixed-point pass phi = atan2(Z + N e2 sin(phi), r),
+    with today's rule: stop on a step below 1e-12 rad."""
+    nxt = atan2(z + core._prime_vertical_radius(xp, ell, phi) * ell.e2 * xp.sin(phi), r)
+    return nxt, abs(nxt - phi) < 1e-12
+
+
+# -- today's stopping rules ------------------------------------------------------------
+ARC_STEP, ISOMETRIC_STEP, ECEF_STEP = core._arc_step, core._isometric_step, coords._ecef_step
+
+
+def todays_arc_step(ell, phi, y):
+    """core._arc_step, stopping on a step below 1e-13 rad."""
+    nxt, _ = ARC_STEP(ell, phi, y)
+    return nxt, abs(nxt - phi) < 1e-13
+
+
+def todays_isometric_step(xp, log, ell, iso, phi):
+    """core._isometric_step, stopping on a step below 1e-12 rad."""
+    target, nxt, _ = ISOMETRIC_STEP(xp, log, ell, iso, phi)
+    return target, nxt, abs(nxt - phi) < 1e-12
+
+
+def todays_rules(monkeypatch):
+    """Run the loops with the rules they replaced: the arc and isometric
+    inversions stop on a step below 1e-13 and 1e-12 rad, the ECEF latitude
+    takes fixed-point passes until a step is below 1e-12 rad, and the
+    geodesic inverse evaluates its last step on C and keeps it only if it
+    lowers the residual."""
+    for module, name, form in (
+            (core, "_arc_step", todays_arc_step),
+            (core, "_isometric_step", todays_isometric_step),
+            (coords, "_ecef_step", reference_ecef_step),
+            (geodesics, "_step_keeps_f", lambda *args: False)):
+        monkeypatch.setattr(module, name, form)
 
 
 def reference_secant_inverse(ell, p1, p2):
@@ -167,11 +219,13 @@ def reference_secant_inverse(ell, p1, p2):
     lim = ell.a * (1.0 - 1e-12)
     spans = geodesics._spans(math.sin(p1.phi), math.sin(p2.phi))
     slope = dlam / dphi if dphi != 0.0 else math.inf
+    r1 = geodesics._parallel_radius(math, ell, p1.phi)
+    r2 = geodesics._parallel_radius(math, ell, p2.phi)
     if math.isinf(slope):
-        c = min(geodesics._parallel_radius(math, ell, p1.phi), lim)
+        c = min(r1, lim)
     else:
-        c = 0.5 * (geodesics._seed_c(math, ell, p1.phi, slope)
-                   + geodesics._seed_c(math, ell, p2.phi, slope))
+        c = 0.5 * (geodesics._seed_c(math, ell, p1.phi, r1, slope)
+                   + geodesics._seed_c(math, ell, p2.phi, r2, slope))
     c = math.copysign(min(c, lim), dlam)
 
     def residual(c):
@@ -197,13 +251,15 @@ def reference_secant_inverse(ell, p1, p2):
             polish += 1
     if not converged:
         raise NonConvergence("secant on C did not converge")
-    az1, _, s = geodesics._inverse_end(math, ell, c, p1.phi, p2.phi, spans, dphi)
+    az1, _, s = geodesics._inverse_end(math, ell, c, r1, r2, spans, dphi)
     return az1, s
 
 
 def reference_forms(monkeypatch):
-    """Run the package with the replaced forms, and without the overflow
-    bounds that stand in for the powers' OverflowError."""
+    """Run the package with the replaced forms and today's stopping rules,
+    and without the overflow bounds that stand in for the powers'
+    OverflowError."""
+    todays_rules(monkeypatch)
     for module, name, form in (
             (projections, "_utm_direct_coeffs", reference_utm_direct_coeffs),
             (projections, "_utm_inverse_series", reference_utm_inverse_series),
@@ -214,6 +270,7 @@ def reference_forms(monkeypatch):
             (geodesics, "_spans", reference_spans),
             (geodesics, "_ARC_T_MAX", math.inf),
             (core, "_isometric_step", reference_isometric_step),
+            (core, "_isometric_seed", reference_isometric_seed),
             (coords, "_seed_run", reference_seed_run)):
         monkeypatch.setattr(module, name, form)
 
@@ -248,13 +305,17 @@ def test_utm_plane_agrees_with_the_power_series(d, phi, dlam):
 @PROPERTY
 @given(phi_f=st.floats(-1.5, 1.5), x=st.floats(-1e6, 1e6))
 def test_utm_inverse_series_agrees_with_the_power_series(d, phi_f, x):
-    lam, iso = projections._utm_inverse_series(math, d, x, phi_f)
-    ref_lam, ref_iso = reference_utm_inverse_series(math, d, x, phi_f)
+    lam, iso, wide = projections._utm_inverse_series(math, d, x, phi_f)
+    ref_lam, ref_iso, ref_wide = reference_utm_inverse_series(math, d, x, phi_f)
     assert close(lam, ref_lam, 1.0) and close(iso, ref_iso, 1.0)
+    # the two sums may round to either side of the zone's edge
+    assert wide == ref_wide or abs(abs(lam - d.lam0) - HALF_ZONE) < 1e-12
     columns = np.array([x, -x]), np.array([phi_f, phi_f])
-    for xs, refs in zip(projections._utm_inverse_series(npmath, d, *columns),
-                        reference_utm_inverse_series(npmath, d, *columns)):
-        assert all(close(v, ref, 1.0) for v, ref in zip(xs.tolist(), refs.tolist()))
+    *xs, wides = projections._utm_inverse_series(npmath, d, *columns)
+    *refs, ref_wides = reference_utm_inverse_series(npmath, d, *columns)
+    for values, ref_values in zip(xs, refs):
+        assert all(close(v, ref, 1.0) for v, ref in zip(values.tolist(), ref_values.tolist()))
+    assert wides.tolist() == [wide, wide]
 
 
 @PROPERTY
@@ -300,7 +361,21 @@ def test_isometric_newton_agrees_with_the_fixed_point(phi, key):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_isometric_step", reference_isometric_step)
         fixed = latitude_from_isometric(ell, iso)
-    assert abs(newton - fixed) < core._ISO_TOL and column == newton
+    # the fixed point stops on a step below 1e-12 rad
+    assert abs(newton - fixed) < 1e-12 and column == newton
+
+
+@pytest.mark.parametrize("key", sorted(REGISTRY))
+def test_isometric_array_keeps_the_scalar_bits(key):
+    # L of random latitudes, of a band by the equator, where the result's last bit is
+    # smallest, and off a double latitude: every row keeps the scalar bits
+    ell, rng = REGISTRY[key], np.random.default_rng(17)
+    phi = np.concatenate([rng.uniform(-1.55, 1.55, 4000), rng.uniform(-0.05, 0.05, 2000)])
+    iso = np.array([isometric_latitude(ell, p) for p in phi.tolist()])
+    iso = np.concatenate([iso, iso + rng.uniform(-1e-9, 1e-9, iso.size)])
+    column, failed = latitude_from_isometric_array(ell, iso)
+    scalar = [latitude_from_isometric(ell, i) for i in iso.tolist()]
+    assert not failed.any() and column.tolist() == scalar
 
 
 @pytest.mark.parametrize("iso,expected", [
@@ -330,8 +405,34 @@ def count_calls(monkeypatch, module, name) -> list:
     return count
 
 
+def passes_of(module, name, fn, *args) -> tuple:
+    """(fn(*args), the number of calls fn makes to module.name)."""
+    with pytest.MonkeyPatch.context() as patch:
+        count = count_calls(patch, module, name)
+        return fn(*args), count[0]
+
+
+@PROPERTY
+@given(phi=st.floats(-1.55, 1.55), key=st.sampled_from(sorted(REGISTRY)))
+def test_inversions_land_within_1e_15_of_todays_rules_in_at_most_2_passes(phi, key):
+    ell = REGISTRY[key]
+    y, iso = meridian_arc(ell, phi), isometric_latitude(ell, phi)
+    arc = passes_of(core, "_arc_step", core.latitude_from_arc, ell, y)
+    newton = passes_of(core, "_isometric_step", latitude_from_isometric, ell, iso)
+    with pytest.MonkeyPatch.context() as patch:
+        todays_rules(patch)
+        ref_arc = passes_of(core, "_arc_step", core.latitude_from_arc, ell, y)
+        ref_newton = passes_of(core, "_isometric_step", latitude_from_isometric, ell, iso)
+    for (value, passes), (ref, ref_passes) in ((arc, ref_arc), (newton, ref_newton)):
+        assert abs(value - ref) <= 1e-15 and passes <= min(2, ref_passes), (value, ref)
+    column = core.latitude_from_arc_array(ell, np.array([y]))[0][0]
+    assert column == arc[0]
+    column = latitude_from_isometric_array(ell, np.array([iso]))[0][0]
+    assert column == newton[0]
+
+
 @pytest.mark.parametrize("key", sorted(REGISTRY))
-def test_isometric_inversion_takes_at_most_4_passes(key, monkeypatch):
+def test_isometric_inversion_takes_at_most_2_passes(key, monkeypatch):
     ell = REGISTRY[key]
     passes = count_calls(monkeypatch, core, "_isometric_step")
     worst = 0
@@ -339,8 +440,61 @@ def test_isometric_inversion_takes_at_most_4_passes(key, monkeypatch):
         iso = isometric_latitude(ell, phi)
         passes[0] = 0
         latitude_from_isometric(ell, iso)
-        worst = max(worst, passes[0] - 1)  # the first call is the spherical seed
-    assert worst <= 4
+        worst = max(worst, passes[0])
+    assert worst <= 2
+
+
+@pytest.mark.parametrize("key", sorted(REGISTRY))
+def test_isometric_seed_is_within_6e_11_and_one_pass_follows(key, monkeypatch):
+    # the conformal-latitude series to e2^4 leaves about e2^4/36 (5.5e-11 rad on
+    # GRS80); one Newton pass from there leaves about 0.75 e2 times its square
+    ell = REGISTRY[key]
+    passes = count_calls(monkeypatch, core, "_isometric_step")
+    for phi in np.linspace(-1.55, 1.55, 311).tolist():
+        iso = isometric_latitude(ell, phi)
+        assert abs(core._isometric_seed(math, ell, iso) - phi) < 6e-11, phi
+        passes[0] = 0
+        latitude_from_isometric(ell, iso)
+        assert passes[0] == 1, phi
+
+
+def root_offset(ell, p: EcefCoord, phi: float) -> float:
+    """phi minus the latitude whose normal passes through p, to first order, in
+    40 digits: G(phi) / G'(phi) with G = r sin(phi) - z cos(phi) - e2 N sin(phi) cos(phi),
+    which vanishes on the normal (r = (N + h) cos(phi), z = (N (1 - e2) + h) sin(phi))."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(phi)
+        sin = cos = Decimal(0)
+        term_s, term_c, i = x, Decimal(1), 1
+        while abs(term_s) + abs(term_c) > Decimal(10) ** -45:  # the Taylor series
+            sin, cos = sin + term_s, cos + term_c
+            term_s = -term_s * x * x / ((2 * i) * (2 * i + 1))
+            term_c = -term_c * x * x / ((2 * i - 1) * (2 * i))
+            i += 1
+        r = (Decimal(p.x) ** 2 + Decimal(p.y) ** 2).sqrt()
+        z, e2 = Decimal(p.z), Decimal(ell.e2)
+        n = Decimal(ell.a) / (1 - e2 * sin * sin).sqrt()
+        return float((r * sin - z * cos - e2 * n * sin * cos) / (r * cos + z * sin))
+
+
+@PROPERTY
+@given(phi=st.floats(-1.5707, 1.5707), lam=st.floats(-3.0, 3.0), he=st.floats(-500.0, 4e7),
+       key=st.sampled_from(sorted(REGISTRY)))
+def test_ecef_lands_within_1e_15_of_the_root(phi, lam, he, key):
+    ell = REGISTRY[key]
+    p = coords.geodetic_to_ecef(ell, GeodeticCoord(phi, lam, he))
+    if math.hypot(p.x, p.y) < 1.0:
+        return
+    g, passes = passes_of(coords, "_ecef_step", ecef_to_geodetic, ell, p)
+    assert abs(root_offset(ell, p, g.phi)) <= 1e-15
+    assert passes <= 2
+    with pytest.MonkeyPatch.context() as patch:
+        todays_rules(patch)
+        ref, ref_passes = passes_of(coords, "_ecef_step", ecef_to_geodetic, ell, p)
+    assert passes <= ref_passes and abs(root_offset(ell, p, ref.phi)) <= 1e-14
+    columns = coords.ecef_to_geodetic_array(ell, *(np.array([v]) for v in (p.x, p.y, p.z)))
+    assert (g.phi, g.lam, g.he) == tuple(float(c[0]) for c in columns[:3])
 
 
 HEIGHT_BANDS = [(-500.0, 0.0), (0.0, 1e4), (1e4, 1e6), (1e6, 2e7), (2e7, 4e7)]
@@ -348,7 +502,7 @@ HEIGHT_BANDS = [(-500.0, 0.0), (0.0, 1e4), (1e4, 1e6), (1e6, 2e7), (2e7, 4e7)]
 
 @pytest.mark.parametrize("band", HEIGHT_BANDS, ids=[f"{lo:g}..{hi:g}" for lo, hi in HEIGHT_BANDS])
 @pytest.mark.parametrize("key", ["grs80", "clarke-1880-fr", "krassovsky"])
-def test_seeded_ecef_loop_takes_no_more_passes_and_agrees(key, band, monkeypatch):
+def test_ecef_newton_takes_no_more_passes_and_agrees(key, band, monkeypatch):
     ell = REGISTRY[key]
     rng = np.random.default_rng(31)
     phis = np.linspace(-math.pi / 2, math.pi / 2, 101)
@@ -356,18 +510,37 @@ def test_seeded_ecef_loop_takes_no_more_passes_and_agrees(key, band, monkeypatch
               zip(phis.tolist(), rng.uniform(-3.0, 3.0, 101).tolist(),
                   rng.uniform(*band, 101).tolist())]
     points = [p for p in points if math.hypot(p.x, p.y) >= 1.0]
-    passes = count_calls(monkeypatch, coords, "_z_prime")
-    seeded = []
+    passes = count_calls(monkeypatch, coords, "_ecef_step")
+    newton = []
     for p in points:
         passes[0] = 0
-        seeded.append((ecef_to_geodetic(ell, p), passes[0]))
-    monkeypatch.setattr(coords, "_seed_run", reference_seed_run)
-    for p, (g, count) in zip(points, seeded):
+        newton.append((ecef_to_geodetic(ell, p), passes[0]))
+    todays_rules(monkeypatch)
+    passes = count_calls(monkeypatch, coords, "_ecef_step")
+    for p, (g, count) in zip(points, newton):
         passes[0] = 0
         ref = ecef_to_geodetic(ell, p)
-        assert count <= passes[0] and count <= 4
-        assert abs(g.phi - ref.phi) < coords._ECEF_TOL and g.lam == ref.lam
-        assert abs(g.he - ref.he) < coords._ECEF_TOL * ell.a
+        assert count <= passes[0] and count <= 2
+        assert abs(g.phi - ref.phi) < 1e-14 and g.lam == ref.lam
+        assert abs(g.he - ref.he) < 5e-9 * max(1.0, ref.he / ell.a)
+
+
+def test_ecef_inside_the_earth_takes_no_more_passes_than_todays_loop(monkeypatch):
+    # within 2 a newton_k (86 km) of the centre there is no bound, and the
+    # loop takes the fixed-point passes until a step is below 1e-12 rad, as
+    # before; nearer the centre than e2 a the seed lies on the far side, and
+    # both loops may run out of passes
+    rng = np.random.default_rng(34)
+    norms = 10.0 ** rng.uniform(1.0, math.log10(6.3e6), 3000)
+    angle = rng.uniform(-math.pi / 2, math.pi / 2, 3000)
+    points = [EcefCoord(n * math.cos(t), 0.0, n * math.sin(t))
+              for n, t in zip(norms.tolist(), angle.tolist()) if n * math.cos(t) >= 1.0]
+    newton = [passes_of(coords, "_ecef_step", outcome, ecef_to_geodetic, GRS80, p)
+              for p in points]
+    todays_rules(monkeypatch)
+    for p, (g, count) in zip(points, newton):
+        ref, ref_count = passes_of(coords, "_ecef_step", outcome, ecef_to_geodetic, GRS80, p)
+        assert count <= ref_count and isinstance(g, type) == isinstance(ref, type), p
 
 
 @pytest.mark.parametrize("key", ["grs80", "clarke-1880-fr"])
@@ -518,31 +691,89 @@ def newton_inverse(ell, p1, p2):
     return sol.az1, sol.s
 
 
-@pytest.mark.parametrize("ell", [CLARKE, GRS80], ids=["clarke-1880-fr", "grs80"])
-@settings(derandomize=True, max_examples=20, deadline=None)
-@given(lines=st.lists(LINE, min_size=50, max_size=50))
-def test_newton_on_c_fails_only_where_the_secant_fails_and_round_trips_as_well(ell, lines):
-    worst = {"newton": [0.0, 0.0], "secant": [0.0, 0.0]}
+def inverse_lines(ell, lines) -> list:
+    """(p1, p2, az, s) of each line whose direct problem is solved and whose
+    inverse is not a closed form."""
+    out = []
     for phi, lam, az, s in lines:
         p1 = GeodeticCoord(phi, lam)
         end = outcome(geodesic_direct, ell, p1, az, s)
         if isinstance(end, type):
             continue
         p2 = GeodeticCoord(end.phi2, end.lam2)
-        if _normalize_lon(p2.lam - p1.lam) == 0.0 or p1.phi == p2.phi == 0.0:
-            continue  # the closed forms
-        newton = outcome(newton_inverse, ell, p1, p2)
+        if _normalize_lon(p2.lam - p1.lam) != 0.0 and not p1.phi == p2.phi == 0.0:
+            out.append((p1, p2, az, s))
+    return out
+
+
+@pytest.mark.parametrize("ell", [CLARKE, GRS80], ids=["clarke-1880-fr", "grs80"])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(lines=st.lists(LINE, min_size=50, max_size=50))
+def test_newton_on_c_fails_only_where_the_secant_fails_and_round_trips_as_well(ell, lines):
+    # today's rule evaluates the last step on C and keeps it if it lowers the
+    # residual; the unseen step takes no more evaluations and fails no more
+    worst = {"newton": [0.0, 0.0], "today": [0.0, 0.0], "secant": [0.0, 0.0]}
+    for p1, p2, az, s in inverse_lines(ell, lines):
+        newton, evaluations = passes_of(geodesics, "_dlam_slope", outcome, newton_inverse,
+                                        ell, p1, p2)
+        with pytest.MonkeyPatch.context() as patch:
+            todays_rules(patch)
+            today, today_evaluations = passes_of(geodesics, "_dlam_slope", outcome,
+                                                 newton_inverse, ell, p1, p2)
         secant = outcome(reference_secant_inverse, ell, p1, p2)
         if newton is NonConvergence:
-            assert secant is NonConvergence, (phi, lam, az, s)
-        if isinstance(newton, type) or isinstance(secant, type):
+            assert today is NonConvergence and secant is NonConvergence, (p1, p2)
+        assert evaluations <= today_evaluations, (p1, p2)
+        if any(isinstance(o, type) for o in (newton, today, secant)):
             continue
-        for key, (az1, s1) in (("newton", newton), ("secant", secant)):
+        for key, (az1, s1) in (("newton", newton), ("today", today), ("secant", secant)):
             along, across = worst[key]
             worst[key] = [max(along, abs(s1 - s)),
                           max(across, abs(math.remainder(az1 - az, 2.0 * math.pi)) * s)]
-    assert worst["newton"][0] <= 2.0 * worst["secant"][0]
-    assert worst["newton"][1] <= 2.0 * worst["secant"][1]
+    for ref in ("today", "secant"):
+        assert worst["newton"][0] <= 2.0 * worst[ref][0]
+        assert worst["newton"][1] <= 2.0 * worst[ref][1]
+
+
+@pytest.mark.parametrize("ell", [CLARKE, GRS80], ids=["clarke-1880-fr", "grs80"])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(lines=st.lists(LINE, min_size=50, max_size=50))
+def test_the_unseen_last_step_on_c_keeps_the_residual_down_and_the_bits(ell, lines):
+    lines = inverse_lines(ell, lines)
+    unseen, keeps = [], geodesics._step_keeps_f
+
+    def recorded(ell, c, f, df):
+        out = keeps(ell, c, f, df)
+        if out is True:
+            unseen.append((c, f, df))
+        return out
+    solved = {}
+    for i, (p1, p2, _, _) in enumerate(lines):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geodesics, "_step_keeps_f", recorded)
+            sol = outcome(geodesic_inverse, ell, p1, p2)
+        if isinstance(sol, type):
+            continue
+        solved[i] = sol
+        dlam = _normalize_lon(p2.lam - p1.lam)
+        spans = geodesics._spans(math.sin(p1.phi), math.sin(p2.phi))
+        lim = ell.a * (1.0 - 1e-12)
+        for c, f, df in unseen:
+            c_next = math.copysign(min(abs(c - f / df), lim), dlam)
+            f_next = geodesics._dlam_slope(math, ell, c_next, spans, p2.phi - p1.phi)[0] - dlam
+            # the bound holds in exact arithmetic; an evaluation of f rounds
+            # within about 1e-14 of dlam, and a step below an ulp of C moves C
+            # by an ulp, so f by up to f' ulp(C)
+            assert abs(f_next) <= max(abs(f), 1e-14 * abs(dlam),
+                                      2.0 * abs(df) * math.ulp(c)), (p1, p2)
+        unseen.clear()
+    # C and with it s keep their bits in the array form
+    columns = [[getattr(p, name) for p1, p2, _, _ in lines for p in (p1,)]
+               for name in ("phi", "lam")]
+    columns += [[getattr(p2, name) for _, p2, _, _ in lines] for name in ("phi", "lam")]
+    _, _, s, failed = geodesics.geodesic_inverse_array(ell, *map(np.array, columns))
+    assert [i for i in range(len(lines)) if not failed[i]] == sorted(solved)
+    assert all(s[i] == sol.s for i, sol in solved.items())
 
 
 # -- GeodeticCoord ---------------------------------------------------------------------

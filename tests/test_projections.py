@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from geodkit.core import get_ellipsoid, meridian_arc
@@ -12,6 +13,7 @@ from geodkit.projections import (
     OutOfZone,
     PlaneCoord,
     UtmDef,
+    inverse_columns,
     lambert_arc_to_chord,
     lambert_convergence,
     lambert_forward,
@@ -381,6 +383,55 @@ class TestUtmInverse:
         for phi in (0.1, 0.5, 1.0, 1.4):
             y = meridian_arc(grs80, phi)
             assert utm_footpoint_latitude(d, y) == pytest.approx(phi, abs=1e-12)
+
+    @pytest.mark.parametrize("southern", [False, True], ids=["utm:32", "utm:32s"])
+    def test_a_point_comes_back_only_within_the_zone(self, wgs84, southern):
+        # a 25 km x 100 km grid over the zone: near the pole a few hundred km
+        # east is far outside it, and beyond the pole the footpoint runs past
+        # pi/2; those points raise OutOfZone, as forward does, and every other
+        # one goes back through forward within 1 mm
+        d = UtmDef.from_zone(wgs84, 32, southern=southern)
+        e = np.repeat(np.arange(100000.0, 900001.0, 25000.0), 101)
+        n = np.tile(np.arange(0.0, 10000001.0, 100000.0), 33)
+        phi, lam, failed = inverse_columns(d, e, n)
+        returned = 0
+        for i, (ei, ni) in enumerate(zip(e.tolist(), n.tolist())):
+            try:
+                g = utm_inverse(d, PlaneCoord(ei, ni))
+            except OutOfZone:
+                assert failed[i], (ei, ni)
+                continue
+            assert not failed[i] and abs(g.phi - phi[i]) <= 1e-15 and g.lam == lam[i]
+            p = utm_forward(d, g)
+            assert math.hypot(p.e - ei, p.n - ni) < 1e-3, (ei, ni)
+            returned += 1
+        assert returned == 2000
+
+    @pytest.mark.parametrize("deg", [0.0, 45.0, 80.0, 89.9])
+    @pytest.mark.parametrize("dlam", [3.4999, 3.5])
+    @pytest.mark.parametrize("southern", [False, True], ids=["north", "south"])
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["west", "east"])
+    def test_a_point_at_the_zone_edge_comes_back(self, wgs84, deg, dlam, southern, side):
+        # the inverse series' first term exceeds the longitude (by 6e-4 relative on the
+        # equator, 1.2e-3 at 80 deg), and its sum by up to 4.6e-10 rad on the edge, so
+        # neither may decide the zone edge as forward does
+        d = UtmDef.from_zone(wgs84, 32, southern=southern)
+        g = GeodeticCoord(math.radians(-deg if southern else deg),
+                          d.lam0 + side * math.radians(dlam))
+        p = utm_forward(d, g)
+        back = utm_inverse(d, p)
+        phi, lam, failed = inverse_columns(d, np.array([p.e]), np.array([p.n]))
+        assert not failed[0] and phi[0] == back.phi and lam[0] == back.lam
+        assert abs(back.phi - g.phi) < 1e-9 and abs(back.lam - g.lam) < 1e-9
+
+    @pytest.mark.parametrize("e, n", [(300000.0, 9900000.0), (900000.0, 9990000.0),
+                                      (500000.0, 10001000.0)])
+    def test_a_point_near_or_past_the_pole_is_out_of_zone(self, wgs84, e, n):
+        # these came back as points near the south pole, or as a ValueError
+        d = UtmDef.from_zone(wgs84, 32)
+        with pytest.raises(OutOfZone):
+            utm_inverse(d, PlaneCoord(e, n))
+        assert inverse_columns(d, np.array([e]), np.array([n]))[2].tolist() == [True]
 
 
 class TestUtmScaleAndConvergence:
