@@ -49,17 +49,18 @@ Start-up and exit: importing this module loads the modules of convert,
 project and geodesic (core, coords, projections, geodesics), whose kernels
 and scalar calls stay bound in this namespace, where the benchmark's CLI
 tracer and the tests find them.  It neither loads numpy (core.np loads it
-on its first attribute use) nor compiles dataclass methods (core.Value):
-it takes a median 16.5-22.8 ms after site, 23.9-33.2 ms with frozen
-dataclasses (two sets of 30 runs, 2-vCPU Xeon).  So --help, --version,
-the listings, astro and orbit never import numpy, nor do heights and the
-table commands on a small input; a larger input, dop, adjust and the
-datum fits do.  Every other command imports its own module when it runs
-(adjust, datum, heights, orbits, reductions, sphere), so this module does
-not re-export their names.  run(), the process entry, ends with os._exit
-once main() has written and flushed every output inside its one try: that
-skips the interpreter's teardown, 15-20 ms a call (``import numpy`` alone
-took 128/162 ms, min/median of 25 runs, and 112/143 ms with os._exit).
+on its first attribute use) nor compiles dataclass methods (core.Value),
+nor before Python 3.12 inspect (the stand-in below loads it on first use):
+it takes a median 8.3 ms after site, 15.7 ms with inspect (30 alternating
+-X importtime runs, 3.11, 2-vCPU Xeon).  So --help, --version, the
+listings, astro and orbit never import numpy, nor do heights and the table
+commands on a small input; a larger input, dop, adjust and the datum fits
+do.  Every other command imports its own module when it runs (adjust,
+datum, heights, orbits, reductions, sphere), so this module does not
+re-export their names.  run(), the process entry, ends with os._exit once
+main() has written and flushed every output inside its one try: that skips
+the interpreter's teardown, 15-20 ms a call (``import numpy`` alone took
+128/162 ms, min/median of 25 runs, and 112/143 ms with os._exit).
 """
 
 from __future__ import annotations
@@ -76,9 +77,32 @@ import warnings
 import weakref
 from contextlib import contextmanager, nullcontext, redirect_stdout, suppress
 from functools import partial
+from importlib.util import find_spec
 from itertools import islice
 from operator import attrgetter
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
+
+
+class _OnFirstUse(ModuleType):
+    """A module's stand-in that imports it at the first attribute use, then passes every use on."""
+
+    def __getattr__(self, attr):
+        if sys.modules.get(self.__name__) is self:
+            del sys.modules[self.__name__]
+        return getattr(__import__(self.__name__), attr)
+
+    def __setattr__(self, attr, value):  # the real module, loaded by __getattr__
+        setattr(sys.modules[self.__getattr__("__name__")], attr, value)
+
+    def __delattr__(self, attr):
+        delattr(sys.modules[self.__getattr__("__name__")], attr)
+
+
+# before 3.12 dataclasses uses inspect only to write the docstring of a class without
+# one, and every value type has one; .core is the first module here to import dataclasses
+if sys.version_info < (3, 12) and "inspect" not in sys.modules:
+    vars(_stand_in := _OnFirstUse("inspect"))["__spec__"] = find_spec("inspect")
+    sys.modules["inspect"] = _stand_in
 
 from . import __version__
 from .coords import (
@@ -855,12 +879,18 @@ unit of each column, as in phi[gr]. Numbers are written with 12 significant
 digits. Exit codes: 0 success, 2 input or usage error, 3 numerical error."""
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Every subcommand's parser, with the arguments of command only if given: argparse reads
+    those of the first argv token that is no option, and rejects one that names no subcommand."""
     ap = argparse.ArgumentParser(prog="geodkit", description=_DESCRIPTION)
     ap.add_argument("--version", action="version", version=f"geodkit {__version__}")
     ap.add_argument("--list-ellipsoids", action="store_true", help="list ellipsoids and exit")
     ap.add_argument("--list-projections", action="store_true", help="list projections and exit")
     sub = ap.add_subparsers(dest="command")
+
+    def declared(name, text):  # name's subparser, if its arguments are declared
+        p = sub.add_parser(name, help=text)
+        return p if command in (None, name) else None
 
     def common(p, angle=True):
         p.add_argument("--input", "-i", default="-")
@@ -868,94 +898,94 @@ def build_parser() -> argparse.ArgumentParser:
         if angle:
             p.add_argument("--angle-unit", choices=list(ANGLE_UNITS), default="gr")
 
-    p = sub.add_parser("convert", help="geodetic <-> ECEF over CSV")
-    p.add_argument("--from", dest="frm", required=True, choices=["geodetic", "ecef"])
-    p.add_argument("--to", required=True, choices=["geodetic", "ecef"])
-    p.add_argument("--ell", default="grs80")
-    common(p)
-    p.set_defaults(func=cmd_convert)
+    if p := declared("convert", "geodetic <-> ECEF over CSV"):
+        p.add_argument("--from", dest="frm", required=True, choices=["geodetic", "ecef"])
+        p.add_argument("--to", required=True, choices=["geodetic", "ecef"])
+        p.add_argument("--ell", default="grs80")
+        common(p)
+        p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("project", help="map projection forward/inverse")
-    p.add_argument("direction", choices=["fwd", "inv"])
-    p.add_argument("--proj", default="lambert-nord-tn")
-    p.add_argument("--proj-json", help="JSON projection definition file")
-    p.add_argument("--ell", default=None)
-    common(p)
-    p.set_defaults(func=cmd_project)
+    if p := declared("project", "map projection forward/inverse"):
+        p.add_argument("direction", choices=["fwd", "inv"])
+        p.add_argument("--proj", default="lambert-nord-tn")
+        p.add_argument("--proj-json", help="JSON projection definition file")
+        p.add_argument("--ell", default=None)
+        common(p)
+        p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("geodesic", help="geodesic direct/inverse problems")
-    p.add_argument("problem", choices=["direct", "inverse"])
-    p.add_argument("--ell", default="clarke-1880-fr")
-    common(p)
-    p.set_defaults(func=cmd_geodesic)
+    if p := declared("geodesic", "geodesic direct/inverse problems"):
+        p.add_argument("problem", choices=["direct", "inverse"])
+        p.add_argument("--ell", default="clarke-1880-fr")
+        common(p)
+        p.set_defaults(func=cmd_geodesic)
 
-    p = sub.add_parser("reduce", help="distance reductions")
-    p.add_argument("--wave", choices=["light", "micro"], default=None)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--rigorous", action="store_true", help="closed sea-level formula; it "
-                   "skips the ray-curvature correction, so --wave has no effect with it")
-    common(p, angle=False)
-    p.set_defaults(func=cmd_reduce)
+    if p := declared("reduce", "distance reductions"):
+        p.add_argument("--wave", choices=["light", "micro"], default=None)
+        p.add_argument("--scale", type=float, default=1.0)
+        p.add_argument("--rigorous", action="store_true", help="closed sea-level formula; it "
+                       "skips the ray-curvature correction, so --wave has no effect with it")
+        common(p, angle=False)
+        p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("datum", help="datum transformations")
-    p.add_argument("op", choices=["bw-apply", "bw-fit", "bw-direct", "molodensky",
-                                  "helmert2d-fit", "helmert2d-apply"])
-    p.add_argument("--params")
-    p.add_argument("--ell", default="clarke-1880-fr")
-    p.add_argument("--ell2", default="wgs84")
-    p.add_argument("--shift", default="0,0,0", help="dX,dY,dZ metres (molodensky)")
-    p.add_argument("--abridged", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_datum)
+    if p := declared("datum", "datum transformations"):
+        p.add_argument("op", choices=["bw-apply", "bw-fit", "bw-direct", "molodensky",
+                                      "helmert2d-fit", "helmert2d-apply"])
+        p.add_argument("--params")
+        p.add_argument("--ell", default="clarke-1880-fr")
+        p.add_argument("--ell2", default="wgs84")
+        p.add_argument("--shift", default="0,0,0", help="dX,dY,dZ metres (molodensky)")
+        p.add_argument("--abridged", action="store_true")
+        common(p)
+        p.set_defaults(func=cmd_datum)
 
-    p = sub.add_parser("adjust", help="least-squares adjustment")
-    p.add_argument("--system", help="JSON file with A, K and optional P")
-    p.add_argument("--obs", help="CSV kind,from,to,value,sigma,set_id,dist_km")
-    p.add_argument("--points", help="CSV name,x0,y0[,z0],fixed")
-    p.add_argument("--no-direction-scaling", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_adjust)
+    if p := declared("adjust", "least-squares adjustment"):
+        p.add_argument("--system", help="JSON file with A, K and optional P")
+        p.add_argument("--obs", help="CSV kind,from,to,value,sigma,set_id,dist_km")
+        p.add_argument("--points", help="CSV name,x0,y0[,z0],fixed")
+        p.add_argument("--no-direction-scaling", action="store_true")
+        common(p)
+        p.set_defaults(func=cmd_adjust)
 
-    p = sub.add_parser("orbit", help="two-body propagation")
-    p.add_argument("--elements", required=True, help="JSON orbital elements")
-    p.add_argument("--epochs", required=True, help="comma-separated epochs, s")
-    p.add_argument("--frame", choices=["eci", "ecef"], default="eci")
-    p.add_argument("--gst-rad", type=float, default=0.0)
-    p.add_argument("--spin", action="store_true",
-                   help="advance GST with the earth rotation rate")
-    common(p, angle=False)
-    p.set_defaults(func=cmd_orbit)
+    if p := declared("orbit", "two-body propagation"):
+        p.add_argument("--elements", required=True, help="JSON orbital elements")
+        p.add_argument("--epochs", required=True, help="comma-separated epochs, s")
+        p.add_argument("--frame", choices=["eci", "ecef"], default="eci")
+        p.add_argument("--gst-rad", type=float, default=0.0)
+        p.add_argument("--spin", action="store_true",
+                       help="advance GST with the earth rotation rate")
+        common(p, angle=False)
+        p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("dop", help="dilution of precision")
-    p.add_argument("--receiver", required=True, help="phi,lam[,he]")
-    p.add_argument("--ell", default="wgs84")
-    common(p)
-    p.set_defaults(func=cmd_dop)
+    if p := declared("dop", "dilution of precision"):
+        p.add_argument("--receiver", required=True, help="phi,lam[,he]")
+        p.add_argument("--ell", default="wgs84")
+        common(p)
+        p.set_defaults(func=cmd_dop)
 
-    p = sub.add_parser("heights", help="height systems")
-    p.add_argument("kind", choices=["ortho", "normal", "dynamic"])
-    p.add_argument("--phi-start")
-    p.add_argument("--phi-end")
-    p.add_argument("--h-mean", type=float, default=0.0)
-    common(p)
-    p.set_defaults(func=cmd_heights)
+    if p := declared("heights", "height systems"):
+        p.add_argument("kind", choices=["ortho", "normal", "dynamic"])
+        p.add_argument("--phi-start")
+        p.add_argument("--phi-end")
+        p.add_argument("--h-mean", type=float, default=0.0)
+        common(p)
+        p.set_defaults(func=cmd_heights)
 
-    p = sub.add_parser("astro", help="sidereal time arithmetic")
-    p.add_argument("op", choices=["hour-angle", "hsl", "sidereal"])
-    p.add_argument("--hsl")
-    p.add_argument("--alpha")
-    p.add_argument("--hsg")
-    p.add_argument("--hsg0")
-    p.add_argument("--lam", default="0h")
-    p.add_argument("--tu")
-    common(p, angle=False)
-    p.set_defaults(func=cmd_astro)
+    if p := declared("astro", "sidereal time arithmetic"):
+        p.add_argument("op", choices=["hour-angle", "hsl", "sidereal"])
+        p.add_argument("--hsl")
+        p.add_argument("--alpha")
+        p.add_argument("--hsg")
+        p.add_argument("--hsg0")
+        p.add_argument("--lam", default="0h")
+        p.add_argument("--tu")
+        common(p, angle=False)
+        p.set_defaults(func=cmd_astro)
     return ap
 
 
 def main(argv=None) -> int:
-    ap, printed = build_parser(), io.StringIO()
     argv = sys.argv[1:] if argv is None else list(argv)
+    ap, printed = build_parser(next((a for a in argv if a[:1] != "-"), None)), io.StringIO()
     # argparse reads a value such as "-3600,0", "-1e-3" or "-0h40m" as an option
     # string, so one after an option is joined to it: "--epochs=-3600,0"
     for i in range(len(argv) - 1, 0, -1):

@@ -802,6 +802,53 @@ def test_importing_the_cli_loads_no_module_of_another_command():
     assert deferred.isdisjoint(loaded), sorted(deferred & set(loaded))
     # numpy stays a lazy module, and none of its submodules (numpy._core, ...) loads
     assert not [m for m in loaded if m.startswith("numpy.")], loaded
+    # before 3.12 inspect is a stand-in that loads on first use; each use runs
+    # in its own interpreter, so its first attribute goes through the stand-in
+    for use, loads in STAND_IN_USES:
+        code = STAND_IN_CHECK.format(use=use, loads=loads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, (use, proc.stderr)
+
+
+# imports the CLI in a fresh interpreter, checks that inspect is a stand-in not
+# loaded yet (from 3.12 dataclasses loads it at the first value type) without
+# asking it for an attribute, runs one use, and checks that sys.modules then
+# holds the real module if the use loads it (numpy may, as 2.x does), whose
+# attributes the stand-in reads
+STAND_IN_CHECK = """
+import sys, types
+import geodkit.cli
+from geodkit.coords import GeodeticCoord
+stand_in = sys.modules["inspect"]
+if sys.version_info < (3, 12):
+    assert type(stand_in) is geodkit.cli._OnFirstUse and "__file__" not in vars(stand_in)
+    assert stand_in.__spec__.name == "inspect" and stand_in.__spec__.origin.endswith("inspect.py")
+{use}
+module = sys.modules["inspect"]
+assert module is not stand_in or not {loads}
+assert type(module) is types.ModuleType or module is stand_in
+if module is not stand_in:
+    assert module.__file__.endswith("inspect.py") and stand_in.signature is module.signature
+"""
+STAND_IN_USES = [
+    ("from inspect import signature; assert str(signature(len)) == '(obj, /)'", True),
+    ("import inspect; assert str(inspect.signature(len)) == '(obj, /)'", True),
+    ("import dataclasses; c = GeodeticCoord(0.5, 0.25, 10.0)\n"
+     "assert dataclasses.astuple(c) == (0.5, 0.25, 10.0)\n"
+     "assert dataclasses.asdict(c) == {'phi': 0.5, 'lam': 0.25, 'he': 10.0}", False),
+    # a dataclass without a docstring gets the one dataclasses writes
+    ("import dataclasses\n@dataclasses.dataclass\nclass P:\n    x: int\n    y: str = ''\n"
+     "assert P.__doc__ == \"P(x: int, y: str = '')\", P.__doc__", True),
+    ("import numpy\nassert numpy.linalg.solve([[2.0, 0.0], [0.0, 4.0]], [1.0, 1.0]).tolist() == "
+     "[0.5, 0.25]", False),
+    # a patch of the real module shows through the stand-in that dataclasses
+    # holds, and a patch through the stand-in reaches the real module
+    ("import dataclasses\nfrom unittest import mock\nf = lambda *args: None\n"
+     "with mock.patch('inspect.signature', f):\n    assert dataclasses.inspect.signature is f\n"
+     "with mock.patch.object(dataclasses.inspect, 'signature', f):\n"
+     "    assert sys.modules['inspect'].signature is f\n"
+     "assert dataclasses.inspect.signature is sys.modules['inspect'].signature is not f", True),
+]
 
 
 # imports the CLI in a fresh interpreter whose path finder finds no numpy
@@ -1027,6 +1074,41 @@ def test_argparse_exits_return_from_main(argv, code, out, err, capsys):
     assert cli.main(argv) == code
     got = capsys.readouterr()
     assert got.out == out and err in got.err
+
+
+COMMANDS = ["convert", "project", "geodesic", "reduce", "datum", "adjust", "orbit", "dop",
+            "heights", "astro"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_parser_with_one_subcommands_arguments_gives_its_help(command, capsys):
+    def help_text(ap):
+        with pytest.raises(SystemExit):
+            ap.parse_args([command, "--help"])
+        return capsys.readouterr()
+
+    assert help_text(cli.build_parser(command)) == help_text(cli.build_parser())
+    # every other subcommand is declared with no arguments
+    other = COMMANDS[COMMANDS.index(command) - 1]
+    assert cli.build_parser(command).parse_args([other]).command == other
+
+
+@pytest.mark.parametrize("argv,command", [
+    (["--help"], None), (["--version"], None), (["--list-projections"], None), ([], None),
+    (["frobnicate", "-i", "x.csv"], "frobnicate"), (["convert", "--to", "ecef"], "convert"),
+    (["-h", "astro"], "astro"), (["--", "orbit"], "orbit"), (["-1", "dop"], "dop"),
+    (["datum", "bw-fit", "--bogus"], "datum"), (["heights", "--help"], "heights"),
+])
+def test_declaring_one_subcommands_arguments_changes_no_text(argv, command, monkeypatch,
+                                                             capsys):
+    # main() builds the parser for the first token that is no option; a
+    # parser of every subcommand's arguments prints the same and exits alike
+    narrowed = cli.main(argv), capsys.readouterr()
+    full, commands = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: commands.append(command) or full())
+    assert (cli.main(argv), capsys.readouterr()) == narrowed
+    assert commands == [command]
 
 
 def test_version_ends_without_the_interpreter_teardown():
