@@ -135,13 +135,6 @@ class _NpMath:
 npmath = _NpMath()
 
 
-def flip(x, cond):
-    """-x where cond holds, x elsewhere (elementwise on an array)."""
-    if type(x) is not float and type(x) is np.ndarray:
-        return np.where(cond, -x, x)
-    return -x if cond else x
-
-
 def all_finite(*columns) -> np.ndarray:
     """Rows where every column is finite."""
     return functools.reduce(np.logical_and, map(np.isfinite, columns))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import astuple, dataclass
+from itertools import combinations, islice
 
 from .core import (
     ARCSEC,
@@ -215,47 +216,29 @@ def _open_limits(d: np.ndarray, rows: np.ndarray) -> tuple:
                  if not np.all(zero_row | (2.0 * math.sqrt(3.0) * limit * s_up <= h)))
 
 
-def _triple_blocks(m: int):
-    """All chord triples a < b < c in lexicographic order, as blocks
-    (a, b array, c array) of _FIRST_BLOCK triples doubling to _MAX_BLOCK.
-    Memory is O(m + block): each block's pairs are computed from their
-    flat indices."""
-    # the chord pairs b < c in lexicographic order: pair k lies in the row b
-    # with start[b] <= k < start[b + 1], and c = b + 1 + k - start[b]
-    start = np.concatenate(([0], np.cumsum(np.arange(m - 1, 0, -1))))
-    size = _FIRST_BLOCK
-    for a in range(m - 2):
-        k, end = start[a + 1], start[m - 1]  # the pairs with b > a
-        while k < end:
-            pair = np.arange(k, min(k + size, end))
-            b = np.searchsorted(start, pair, side="right") - 1
-            yield a, b, pair - start[b] + b + 1
-            k, size = k + len(pair), min(2 * size, _MAX_BLOCK)
-
-
 def _first_passing_triple(rows: np.ndarray, limits: tuple):
     """The chord triple (a, b, c) the nested scan over limits picks, or
     None: the first lexicographic triple with not cond > limits[0], else
     the first with not cond > limits[1], and so on.  One batched cond per
-    block; the scan stops at the first block that passes limits[0], and
-    raises ScanLimitReached at a block past the first _SCAN_CAP triples."""
-    first, seen = {}, 0
-    for a, b, c in _triple_blocks(len(rows)):
-        if seen >= _SCAN_CAP:
-            raise ScanLimitReached(
-                f"{seen} chord triples scanned, none with cond <= {limits[0]:g}: "
-                "fit this set by least squares (datum bw-fit)")
-        mats = np.empty((len(b), 3, 3))
-        mats[:, 0], mats[:, 1], mats[:, 2] = rows[a, 0], rows[b, 1], rows[c, 2]
-        cond = np.linalg.cond(mats)
+    block; the scan stops at the first block that passes limits[0].  It
+    looks at no more than the first _SCAN_CAP triples, and raises
+    ScanLimitReached if none of them passes limits[0] and triples are left."""
+    triples = islice(combinations(range(len(rows)), 3), _SCAN_CAP)
+    first, size = {}, _FIRST_BLOCK
+    while block := list(islice(triples, size)):
+        cond = np.linalg.cond(rows[np.array(block), [0, 1, 2]])
         for limit in limits:
             if limit not in first:
                 hit = np.flatnonzero(~(cond > limit))
                 if hit.size:
-                    first[limit] = (a, int(b[hit[0]]), int(c[hit[0]]))
+                    first[limit] = block[hit[0]]
         if limits[0] in first:
             break
-        seen += len(b)
+        size = min(2 * size, _MAX_BLOCK)
+    if limits[0] not in first and math.comb(len(rows), 3) > _SCAN_CAP:
+        raise ScanLimitReached(
+            f"{_SCAN_CAP} chord triples scanned, none with cond <= {limits[0]:g}: "
+            "fit this set by least squares (datum bw-fit)")
     return next((first[limit] for limit in limits if limit in first), None)
 
 
@@ -292,16 +275,16 @@ def bursa_wolf_direct(pairs: list) -> BursaWolfParams:
     A chord or chord length that overflows to inf raises OverflowError
     first, before any LAPACK call.
 
-    Scan.  Otherwise each triple's cond is computed once, by
-    np.linalg.cond on blocks of stacked systems (bitwise equal to one call
-    per system), 16 triples first and doubling to 16384.  The first triple
-    passing each bound left is recorded, and the scan stops at the first
-    block that holds one passing the tightest bound left.  An input with
-    no triple passing that bound scans all C(n(n-1)/2, 3) triples, in
-    blocks, up to _SCAN_CAP = 2^17 (every set of up to 14 points).  A scan
-    that reaches the cap with triples left raises ScanLimitReached, so the
-    worst case is 2^17 + 2^14 - 1 conds (0.4 s), not n^6; a set answered
-    within the cap gets the full scan's parameters.
+    Scan.  Otherwise the triples come from itertools.combinations, and
+    each triple's cond is computed once, by np.linalg.cond on blocks of
+    stacked systems (bitwise equal to one call per system).  The first
+    triple passing each bound left is recorded, and the scan stops at the
+    first block that holds one passing the tightest bound left.  An input
+    with no triple passing that bound scans all C(n(n-1)/2, 3) triples up
+    to exactly the first _SCAN_CAP = 2^17 (every set of up to 14 points).
+    If triples are left past the cap, ScanLimitReached is raised, so the
+    worst case is 2^17 conds (0.3 s), not n^6; a set answered within the
+    cap gets the full scan's parameters.
     """
     n = len(pairs)
     if n < 3:

@@ -27,7 +27,6 @@ from .core import (
     NumericalError,
     Value,
     _prime_vertical_radius,
-    flip,
     iterate,
     latitude_from_arc,
     meridian_arc,
@@ -96,11 +95,7 @@ class GeodesicSolution(Value):
 
 
 def _norm_az(az):
-    if type(az) is not float and type(az) is np.ndarray:
-        az = np.mod(az, TWO_PI)
-        return np.where(az == TWO_PI, 0.0, az)
-    az = az % TWO_PI
-    return 0.0 if az == TWO_PI else az  # % can round up to the modulus
+    return az % TWO_PI % TWO_PI  # the second % maps a rounded-up modulus to 0
 
 
 def _max(x, bound):
@@ -133,7 +128,7 @@ def _line_constants(xp, ell: Ellipsoid, c, az) -> tuple:
     The equatorial azimuth is placed in the same north/south half-plane as az.
     """
     sin_aze = c / ell.a
-    cos_aze = flip(xp.sqrt(1.0 - sin_aze * sin_aze), xp.cos(az) < 0)
+    cos_aze = xp.copysign(xp.sqrt(1.0 - sin_aze * sin_aze), xp.cos(az))
     return _norm_az(xp.atan2(sin_aze, cos_aze)), _k2(ell, c)
 
 
@@ -261,10 +256,6 @@ def geodesic_direct(
             0.0, _normalize_lon(p1.lam + direction * s / ell.a),
             state.aze, state.aze, s,
         )
-    if abs(math.cos(state.aze)) < 1e-9:
-        # the start point is the vertex itself: the latitude integrand is
-        # singular there and the series cannot leave the point
-        raise VertexExceeded("line starts at its vertex latitude")
     m, n, t1, t2, target, tol = _direct_setup(math, ell, p1.phi, state.aze, state.k2, s)
     if abs(t2) > _ARC_T_MAX:
         raise OverflowError(f"seed sin(phi2) = {t2} overflows the arc series")
@@ -293,7 +284,7 @@ def geodesic_direct_array(ell: Ellipsoid, phi1, lam1, az1, s) -> tuple:
 
     failed marks the rows the kernel leaves to the scalar form: every row
     where geodesic_direct raises (a start point GeodeticCoord rejects, a
-    negative or non-finite s, a non-finite azimuth, a start at the vertex, a stalled Newton
+    negative or non-finite s, a non-finite azimuth, a stalled Newton
     iteration or an arc beyond the vertex or a pole), and the zero-length,
     meridian and equatorial lines, which geodesic_direct solves in closed
     form.
@@ -303,8 +294,7 @@ def geodesic_direct_array(ell: Ellipsoid, phi1, lam1, az1, s) -> tuple:
     c = _parallel_radius(npmath, ell, phi1) * np.sin(az1)
     aze, k2 = _line_constants(npmath, ell, c, az1)
     # an infinite azimuth makes c NaN, which fails both |c| tests
-    general = (ok & (s > 0.0) & (s < np.inf) & (np.abs(c) >= _MERIDIAN_C) & (np.abs(c) < ell.a)
-               & ~(np.abs(np.cos(aze)) < 1e-9))
+    general = ok & (s > 0.0) & (s < np.inf) & (np.abs(c) >= _MERIDIAN_C) & (np.abs(c) < ell.a)
 
     m, n, t1, t2, target, tol = _direct_setup(npmath, ell, phi1, aze, k2, s)
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -17,6 +18,7 @@ from geodkit.adjust import (
     LinearSystem,
     MaxIterations,
     Network,
+    NoDescent,
     Observation,
     SingularGeometry,
     SingularHessian,
@@ -1218,6 +1220,26 @@ class TestGaussNewton:
         assert len(calls) == 2 + ref.iterations
         assert res.x.tobytes() == ref.x.tobytes() and res.s2 == ref.s2
 
+    def test_step_is_halved_when_the_full_step_raises_the_residual(self):
+        # atan(x) against 0 from x = 2: the full step lands at -3.54, where
+        # |atan| = 1.30 exceeds atan(2) = 1.11; half of it lands at -0.77
+        res = gauss_newton(np.arctan, lambda x: np.diag(1.0 / (1.0 + x * x)),
+                           np.zeros(1), x0=np.array([2.0]), tol=1e-12)
+        full = -math.atan(2.0) * 5.0
+        assert res.trace[1][0] == pytest.approx(2.0 + 0.5 * full, rel=1e-12)
+        assert abs(res.x[0]) < 1e-12
+
+    def test_wrong_sign_jacobian_raises_no_descent(self):
+        # every step points uphill, so no halving lowers the residual
+        a = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        with pytest.raises(NoDescent, match="line search exhausted"):
+            gauss_newton(lambda x: a @ x, lambda x: -a, np.ones(3), x0=np.zeros(2))
+
+    def test_max_iter_bounds_the_iterations(self):
+        with pytest.raises(MaxIterations, match="no convergence in 1 Gauss-Newton iterations"):
+            gauss_newton(np.arctan, lambda x: np.diag(1.0 / (1.0 + x * x)),
+                         np.zeros(1), x0=np.array([2.0]), max_iter=1)
+
 
 class TestNewton:
     def test_quadratic_single_step(self):
@@ -1410,6 +1432,14 @@ class TestDop:
         assert r.gdop == pytest.approx(math.sqrt(np.trace(q)), rel=1e-12)
         assert r.hdop == pytest.approx(math.sqrt(q_local[0, 0] + q_local[1, 1]), rel=1e-12)
         assert r.vdop == pytest.approx(math.sqrt(q_local[2, 2]), rel=1e-12)
+
+    def test_satellite_below_the_horizon_is_skipped(self, wgs84):
+        recv = GeodeticCoord(0.6, 0.2, 0.0)
+        el_az = [(0, 60), (90, 40), (180, 35), (270, 50), (45, 15)]
+        above = dop(self.synthetic_constellation(recv, wgs84, el_az), recv, wgs84)
+        with_below = dop(self.synthetic_constellation(recv, wgs84, el_az + [(120, -10)]),
+                         recv, wgs84)
+        assert dataclasses.astuple(with_below) == dataclasses.astuple(above)
 
     def test_identity_geometry(self, wgs84):
         # A'A = I4 would give GDOP = 2, PDOP = sqrt(3), TDOP = 1; verified

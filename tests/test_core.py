@@ -94,6 +94,10 @@ class TestAngle:
     def test_format_sexagesimal(self):
         assert Angle.from_deg(36.9).format_sexagesimal() == "36°54'00.00\""
 
+    def test_rounded_seconds_carry_into_minutes_and_units(self):
+        assert format_hours(1.9999999999) == "2h00m00.00s"
+        assert Angle.from_deg(59.99999999999).format_sexagesimal() == "60°00'00.00\""
+
 
 class TestEllipsoid:
     # printed reference table: name -> (a, b, 1/f, e2)

@@ -494,13 +494,6 @@ class TestBursaWolfDirectAgainstExhaustiveScan:
             seen.add(assert_same_as_reference(pairs))
         assert seen == {10.0, 1e2, 1e4, 1e8, None}
 
-    def test_triple_blocks_are_the_lexicographic_triples(self):
-        # blocks of 16 doubling to 16 384, over rows of one a and across b
-        for m in (0, 1, 2, 3, 7, 40):
-            got = [(a, int(b), int(c)) for a, bs, cs in datum._triple_blocks(m)
-                   for b, c in zip(bs, cs)]
-            assert got == list(itertools.combinations(range(m), 3))
-
     def test_large_well_posed_set_in_small_memory(self):
         # 300 points: 44 850 chords and 1.5e13 chord triples; materializing
         # the chord pairs of the triple scan would take gigabytes
@@ -550,9 +543,21 @@ class TestBursaWolfDirectAgainstExhaustiveScan:
         # C(4950, 3) = 2e10 chord triples; it stops after 2^17
         pairs = _with_targets(near_collinear(np.random.default_rng(5), 100, 5.0))
         start = time.perf_counter()
-        with pytest.raises(ScanLimitReached, match=r"none with cond <= 10: .*\(datum bw-fit\)"):
+        with pytest.raises(ScanLimitReached, match=r"^131072 chord triples scanned, none with "
+                                                   r"cond <= 10: .*\(datum bw-fit\)"):
             bursa_wolf_direct(pairs)
         assert time.perf_counter() - start < 1.0
+
+    def test_the_scan_takes_exactly_the_capped_triples(self, monkeypatch):
+        # 6 points 5 m off a line have C(15, 3) = 455 triples, none of the first
+        # 40 passing cond 10: a cap of 40 takes a block of 16, then one of 24
+        pairs = _with_targets(near_collinear(np.random.default_rng(5), 6, 5.0))
+        cond, sizes = np.linalg.cond, []
+        monkeypatch.setattr(np.linalg, "cond", lambda mats: sizes.append(len(mats)) or cond(mats))
+        monkeypatch.setattr(datum, "_SCAN_CAP", 40)
+        with pytest.raises(ScanLimitReached, match=r"^40 chord triples scanned, none with cond <= 10:"):
+            bursa_wolf_direct(pairs)
+        assert sizes == [16, 24]
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.sampled_from(sorted(SETS)), st.integers(4, 6), st.integers(0, 2**32 - 1),
@@ -565,6 +570,7 @@ class TestBursaWolfDirectAgainstExhaustiveScan:
             outcome = _outcome(bursa_wolf_direct, pairs)
         if outcome[:2] == ("raises", ScanLimitReached):
             assert math.comb(math.comb(n, 2), 3) > 40
+            assert outcome[2].startswith("40 chord triples scanned")
         else:
             assert outcome == _outcome(lambda q: reference_bursa_wolf_direct(q)[0], pairs)
 
