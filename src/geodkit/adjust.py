@@ -100,9 +100,9 @@ def check_condition(sym: np.ndarray, bound: float, error: Exception) -> np.ndarr
     only a matrix that close to the bound can get the other verdict.  The
     signs are left to the caller: an indefinite matrix passes when it is
     well conditioned, the zero matrix never.  eigvalsh reads one triangle
-    of a copy; solve_linear past 256 unknowns calls this only when the
-    estimate of _factor, which holds the lower triangle in 128-column
-    panels, about r^2/2 doubles, rejects.
+    of a copy of the whole matrix, so solve_linear calls this only up to
+    256 unknowns; past that the factor of _factor, which holds the lower
+    triangle in 128-column panels, about r^2/2 doubles, decides alone.
     """
     if not np.isfinite(sym).all():
         raise error
@@ -172,9 +172,11 @@ class LinearSystem(Value):
 
 @dataclass(init=False, repr=False, eq=False)
 class AdjustmentResult(Value):
-    """Estimated corrections, residuals and variance factor of a system;
-    from Network.solve, x is the last iteration's correction, rounding
-    noise below its tol, and v and s2 are that iteration's.
+    """Estimated corrections, residuals and variance factor of a system.
+    From Network.solve, x is the last iteration's correction, rounding
+    noise below its tol, and v and s2 are that iteration's; from
+    gauss_newton, x is the estimate, v = model(x) - observed there, trace
+    the iterates and system the last step's.
 
     Its normal matrix N and cov = s2 N^-1 (None when s2 is; the inverse
     scaled in place) are computed when first read and then kept: work a
@@ -328,38 +330,38 @@ def solve_linear(sys: LinearSystem) -> AdjustmentResult:
     memory at O(r^2) whatever n is.  N must be finite with a positive
     diagonal, and S = D^-1 N D^-1 (N scaled in place, D = sqrt(diag N)) a
     condition number <= 1e12 and positive eigenvalues, else SingularNormal.
-    Past 256 unknowns N is built as its lower triangle in 128-column
-    panels, about r^2/2 doubles (see _normal_equations), S is
-    Cholesky-factored in them in place, and when _factor's estimate
-    passes, block substitutions give X.  Otherwise, and for every system of
-    up to 256 unknowns, check_condition on S, built whole, decides with the
-    class and message it always had, and np.linalg.solve gives X.  An
-    overflowing N, A'PK or V'PV raises OverflowError, without numpy's
-    warnings.
+    Up to 256 unknowns check_condition on S decides and np.linalg.solve
+    gives X.  Past that N is built as its lower triangle in 128-column
+    panels, about r^2/2 doubles (see _normal_equations), and S is
+    Cholesky-factored in them in place: the factor decides, and block
+    substitutions give X.  A factorization that fails or a condition
+    estimate above 1e12 raises "singular or ill-conditioned": N = A'PA
+    from positive definite weights is positive semidefinite, so that is
+    the verdict eigvalsh gives it.  An overflowing N, A'PK or V'PV raises
+    OverflowError, without numpy's warnings.
     """
     a, k, p, cols = sys.a, sys.k, sys.p, sys.cols
     n, r = a.shape[0], sys.unknowns
     large = r > _SMALL
+    singular = SingularNormal("normal matrix singular or ill-conditioned")
     scaled, rhs = _normal_equations(sys, panels=large)
     panels = scaled if large else [scaled]  # the whole N is one panel
     if not all(np.isfinite(q).all() for q in panels):
         raise OverflowError("normal matrix overflows")
     diag = np.concatenate([np.diagonal(q) for q in panels])
     if not np.all(diag > 0):
-        raise SingularNormal("normal matrix singular or ill-conditioned")
+        raise singular
     scale = np.sqrt(diag)
     for j, q in zip(range(0, r, _BLOCK), panels):
         q /= scale[j:, None]
         q /= scale[j:j + q.shape[1]]
-    solve, kappa = _factor(panels) if large else (None, math.inf)
-    if not kappa <= 1e12:
-        if large:  # the panels hold a factor or part of one: drop them, build S whole
-            scaled = panels = None
-            scaled = _normal_equations(sys)[0] / scale[:, None] / scale
-        lam = check_condition(
-            scaled, 1e12, SingularNormal("normal matrix singular or ill-conditioned"))
-        if lam[0] <= 0:
-            raise SingularNormal("normal matrix not positive definite")
+    if large:
+        solve, kappa = _factor(panels)
+        if not kappa <= 1e12:
+            raise singular
+    elif check_condition(scaled, 1e12, singular)[0] <= 0:
+        raise SingularNormal("normal matrix not positive definite")
+    else:
         solve = partial(np.linalg.solve, scaled)
     x = -solve(rhs / scale) / scale
     v = (a @ x if cols is None else (a * np.append(x, 0.0)[cols]).sum(axis=1)) + k
@@ -470,17 +472,8 @@ def gauss_newton(
         except SingularNormal:
             raise SingularJacobian("J'PJ singular, ill-conditioned or indefinite") from None
         step_norm = float(np.linalg.norm(lin.x))
-
-        def result():
-            n, r = j.shape
-            dof = n - r
-            s2 = sq_norm(e) / dof if dof > 0 else None
-            return AdjustmentResult(
-                x=x, v=-e, s2=s2, system=lin.system, iterations=it, trace=trace
-            )
-
         if step_norm < tol:
-            return result()
+            break
         base = sq_norm(e)
         factor = 1.0
         for _ in range(max_halvings + 1):
@@ -500,8 +493,12 @@ def gauss_newton(
         ):
             # the residual stopped improving with a micro-step: the rounding
             # floor sits above tol, so this is convergence
-            return result()
-    raise MaxIterations(f"no convergence in {max_iter} Gauss-Newton iterations")
+            break
+    else:
+        raise MaxIterations(f"no convergence in {max_iter} Gauss-Newton iterations")
+    dof = j.shape[0] - j.shape[1]
+    s2 = sq_norm(e) / dof if dof > 0 else None
+    return AdjustmentResult(x=x, v=-e, s2=s2, system=lin.system, iterations=it, trace=trace)
 
 
 def newton_minimize(

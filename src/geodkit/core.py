@@ -409,41 +409,25 @@ class Ellipsoid(Value):
 
 # Registry of classical ellipsoids.  Each entry is built from the parameters
 # historically used to define it; the remaining values are derived.
-_REGISTRY_DEFS = [
-    ("clarke-1880-fr", "Clarke 1880 French", "ab", 6378249.200, 6356515.000),
-    ("clarke-1880-en", "Clarke 1880 English", "invf", 6378249.145, 293.46500),
-    ("hayford", "Hayford 1909 (International 1924)", "invf", 6378388.000, 297.00000),
-    ("krassovsky", "Krassovsky", "invf", 6378245.000, 298.30000),
-    ("grs67", "GRS 1967", "e2", 6378160.000, 0.0066946053),
-    ("nwl8", "NWL 8", "invf", 6378145.000, 298.25000),
-    ("wgs72", "WGS 72", "invf", 6378135.000, 298.26000),
-    ("iag75", "IAG 1975", "invf", 6378140.000, 298.25700),
-    ("apl", "APL Navigation", "invf", 6378144.000, 298.23000),
-    ("grs80", "GRS 1980", "invf", 6378137.000, 298.257222101),
-    ("wgs84", "WGS 84", "invf", 6378137.000, 298.257223563),
-]
+REGISTRY = {
+    "clarke-1880-fr": Ellipsoid.from_a_b("Clarke 1880 French", 6378249.200, 6356515.000),
+    "clarke-1880-en": Ellipsoid.from_a_inv_f("Clarke 1880 English", 6378249.145, 293.46500),
+    "hayford": Ellipsoid.from_a_inv_f("Hayford 1909 (International 1924)", 6378388.000, 297.00000),
+    "krassovsky": Ellipsoid.from_a_inv_f("Krassovsky", 6378245.000, 298.30000),
+    "grs67": Ellipsoid.from_a_e2("GRS 1967", 6378160.000, 0.0066946053),
+    "nwl8": Ellipsoid.from_a_inv_f("NWL 8", 6378145.000, 298.25000),
+    "wgs72": Ellipsoid.from_a_inv_f("WGS 72", 6378135.000, 298.26000),
+    "iag75": Ellipsoid.from_a_inv_f("IAG 1975", 6378140.000, 298.25700),
+    "apl": Ellipsoid.from_a_inv_f("APL Navigation", 6378144.000, 298.23000),
+    "grs80": Ellipsoid.from_a_inv_f("GRS 1980", 6378137.000, 298.257222101),
+    "wgs84": Ellipsoid.from_a_inv_f("WGS 84", 6378137.000, 298.257223563),
+}
 
 _ALIASES = {
     "international-1924": "hayford",
     "international": "hayford",
     "clarke-1880": "clarke-1880-fr",
 }
-
-
-def _build_registry() -> dict:
-    reg = {}
-    for key, name, kind, a, second in _REGISTRY_DEFS:
-        if kind == "ab":
-            ell = Ellipsoid.from_a_b(name, a, second)
-        elif kind == "invf":
-            ell = Ellipsoid.from_a_inv_f(name, a, second)
-        else:
-            ell = Ellipsoid.from_a_e2(name, a, second)
-        reg[key] = ell
-    return reg
-
-
-REGISTRY = _build_registry()
 
 
 def get_ellipsoid(name: str) -> Ellipsoid:

@@ -40,6 +40,8 @@ class OrbitalElements(Value):
             raise ValueError("eccentricity must be in [0, 1)")
         if not 0.0 <= self.i <= math.pi:
             raise ValueError("inclination must be in [0, pi]")
+        if self.mu <= 0:
+            raise ValueError("gravitational parameter mu must be > 0")
 
 
 def mean_motion(el: OrbitalElements) -> float:

@@ -326,6 +326,21 @@ def plane_network(rng, n: int, fixed: int = 2) -> Network:
     return net
 
 
+def chain_plane_network(rng, n: int) -> Network:
+    """n free points in 2 km, a chain of distances and n + 1 random ones:
+    2n unknowns, as many rows, and a datum defect (a shift and a turn)."""
+    net = Network()
+    xy = rng.uniform(0.0, 2000.0, (n, 2))
+    for i in range(n):
+        net.add_point(f"Q{i}", *xy[i])
+    lines = [(i, i + 1) for i in range(n - 1)]
+    lines += [tuple(int(j) for j in rng.choice(n, 2, replace=False)) for _ in range(n + 1)]
+    for i, j in lines:
+        d = math.dist(xy[i], xy[j]) + rng.normal(0.0, 2e-3)
+        net.add_observation(Observation("distance2d", f"Q{i}", f"Q{j}", d, 2e-3))
+    return net
+
+
 ANCHORS = np.array([[0.0, 0.0, 0.0], [1500.0, 0.0, 40.0], [0.0, 1500.0, -30.0],
                     [1400.0, 1300.0, 600.0]])
 
@@ -455,6 +470,30 @@ class TestRowSparseNetworkSolve:
         with pytest.raises(SingularNormal, match="normal matrix singular or ill-conditioned"):
             copy.deepcopy(net).solve()
         assert _outcome_class(reference_network_solve, net) is SingularNormal
+
+    @pytest.mark.parametrize("build", [lambda rng: leveling_network(rng, 1000, fixed=False),
+                                       lambda rng: chain_plane_network(rng, 500)],
+                             ids=["leveling", "plane"])
+    def test_large_datum_defects_are_judged_by_the_factor(self, build, monkeypatch):
+        # 1000 unknowns and no point fixed: the factor's verdict is the only
+        # one, so no eigvalsh runs on S (the Ritz values' 24 x 24 ones stay)
+        # and the solve holds the panels, never S whole
+        net = build(np.random.default_rng(3))
+        u = len(net._unknowns()[0])
+        assert u == 1000
+        widths = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: widths.append(m.shape[-1]) or eigvalsh(m))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SingularNormal, match="^normal matrix singular or ill-conditioned$"):
+                net.solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert widths and max(widths) <= adjust._SMALL
+        assert peak < 0.9 * u * u * 8
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.sampled_from(["leveling", "plane one fixed", "plane none fixed"]),
@@ -636,16 +675,34 @@ class TestFactorization:
             assert kappa <= lam[-1] / lam[0] * (1.0 + 1e-6)
 
     def test_large_rejections_keep_their_messages(self):
-        # the estimate rejects or the factorization fails; eigvalsh on the
-        # scaled N built again gives the class and the message
+        # the estimate rejects or the factorization fails: both raise the
+        # message eigvalsh gives every N that checked weights make, which is
+        # positive semidefinite; the indefinite P is set past that check
         r = 300
         q = np.linalg.qr(np.random.default_rng(5).normal(size=(r, r)))[0]
-        for lam, message in ((np.geomspace(1.0, 1e-14, r), "singular or ill-conditioned"),
-                             (np.r_[-1.0, np.linspace(1.0, 10.0, r - 1)], "not positive definite")):
+        for lam in (np.geomspace(1.0, 1e-14, r), np.r_[-1.0, np.linspace(1.0, 10.0, r - 1)]):
             system = LinearSystem(np.eye(r), np.ones(r))
             object.__setattr__(system, "p", (q * lam) @ q.T)
-            with pytest.raises(SingularNormal, match=message):
+            with pytest.raises(SingularNormal, match="singular or ill-conditioned"):
                 solve_linear(system)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(257, 400), st.floats(6.0, 15.0), st.integers(0, 2**32 - 1))
+    def test_large_verdict_is_eigvalsh_verdict(self, r, log_kappa, seed):
+        # N = P, planted SPD, away from the bound: the factor rejects exactly
+        # the systems whose scaled N eigvalsh finds above 1e12
+        assume(not 11.0 <= log_kappa <= 13.0)
+        rng = np.random.default_rng(seed)
+        p = planted_spd(rng, r, 10.0**log_kappa)
+        scale = np.sqrt(np.diag(p))
+        lam = np.linalg.eigvalsh(p / scale[:, None] / scale)
+        rejected = not (lam[0] > 0 and lam[-1] <= 1e12 * lam[0])
+        system = LinearSystem(np.eye(r), rng.normal(size=r), p)
+        if rejected:
+            with pytest.raises(SingularNormal, match="singular or ill-conditioned"):
+                solve_linear(system)
+        else:
+            assert np.isfinite(solve_linear(system).x).all()
 
     @pytest.mark.parametrize("weights", ["unit", "vector", "matrix"])
     def test_large_dense_form_matches_lstsq(self, weights):
@@ -1194,6 +1251,26 @@ class TestGaussNewton:
                            tol=1e-12)
         grad = jac(res.x).T @ (model(res.x) - observed)
         assert np.linalg.norm(grad) < 1e-10
+
+    def test_tol_zero_returns_at_the_rounding_floor(self):
+        # no step norm is below 0, so the fit ends where the residual stops
+        # improving with a micro-step; that exit keeps the step it just took
+        known = np.array([[0.0, 0.0], [10.0, 0.0], [4.0, 8.0], [9.0, 7.0]])
+        truth = np.array([3.5, 4.2])
+
+        def model(x):
+            return 0.5 * np.sum((x - known) ** 2, axis=1)
+
+        observed = model(truth) + np.array([0.03, -0.02, 0.015, 0.01])
+        x0 = truth + np.array([2.0, -1.5])
+        res = gauss_newton(model, lambda x: x - known, observed, x0, tol=0.0)
+        assert 2 <= res.iterations < 50 and len(res.trace) == res.iterations + 1
+        assert res.x.tobytes() == res.trace[-1].tobytes()
+        v = model(res.x) - observed
+        assert res.v.tobytes() == v.tobytes() and res.s2 == float(v @ v) / 2
+        ref = gauss_newton(model, lambda x: x - known, observed, x0)
+        assert len(ref.trace) == ref.iterations < res.iterations
+        np.testing.assert_allclose(res.x, ref.x, rtol=0.0, atol=1e-10)
 
     def test_full_weight_matrix_is_checked_once_per_fit(self, monkeypatch):
         rng = np.random.default_rng(6)

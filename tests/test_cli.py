@@ -272,6 +272,17 @@ def test_orbit_options_must_be_finite(options, error, tmp_path, capsys):
     assert capsys.readouterr().err == f"input error: ValueError: {error}\n"
 
 
+@pytest.mark.parametrize("mu", [-1, 0])
+def test_orbit_mu_must_be_positive(mu, tmp_path, capsys):
+    # a negative mu once reached mean_motion's sqrt: "math domain error"
+    path = tmp_path / "elements.json"
+    path.write_text(json.dumps({**ORBIT_ELEMENTS, "mu": mu}))
+    code = cli.main(["orbit", "--elements", str(path), "--epochs=0"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "input error: ValueError: gravitational parameter mu must be > 0\n")
+
+
 @pytest.mark.parametrize("rows", ["\nP,980,1.5\n", "\n"])
 @pytest.mark.parametrize("kind", ["ortho", "normal", "dynamic"])
 @pytest.mark.parametrize("h_mean", ["nan", "inf", "-inf"])

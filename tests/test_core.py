@@ -125,6 +125,26 @@ class TestEllipsoid:
         assert ell.b == pytest.approx(b, abs=7e-3 if key == "hayford" else 1e-3)
         assert ell.e2 == pytest.approx(e2, abs=1e-9)
 
+    # f of each entry to the last bit: the constructor a row is defined by
+    # (a and b, a and 1/f, or a and e2) rounds f its own way
+    F_HEX = {
+        "clarke-1880-fr": "0x1.bea2637ef59f6p-9",
+        "clarke-1880-en": "0x1.bea2c95c7b0d4p-9",
+        "hayford": "0x1.b951e2b18ff23p-9",
+        "krassovsky": "0x1.b765864ec84d9p-9",
+        "grs67": "0x1.b779734374700p-9",
+        "nwl8": "0x1.b77861d9cdc98p-9",
+        "wgs72": "0x1.b7749c3673876p-9",
+        "iag75": "0x1.b775bde5b76ddp-9",
+        "apl": "0x1.b77fed523e3bdp-9",
+        "grs80": "0x1.b775a87362105p-9",
+        "wgs84": "0x1.b775a84f3e128p-9",
+    }
+
+    def test_registry_flattenings_are_pinned(self):
+        assert list(REGISTRY) == list(self.F_HEX)
+        assert {key: ell.f.hex() for key, ell in REGISTRY.items()} == self.F_HEX
+
     @pytest.mark.parametrize("key", sorted(TABLE))
     def test_derived_identities(self, key):
         ell = get_ellipsoid(key)

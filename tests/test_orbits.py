@@ -55,6 +55,9 @@ class TestKeplerThirdLaw:
             OrbitalElements(a=-1.0, e=0.1, i=0.0, raan=0.0, arg_perigee=0.0)
         with pytest.raises(ValueError):
             OrbitalElements(a=7e6, e=1.1, i=0.0, raan=0.0, arg_perigee=0.0)
+        for mu in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="mu must be > 0"):
+                OrbitalElements(a=7e6, e=0.1, i=0.0, raan=0.0, arg_perigee=0.0, mu=mu)
 
 
 class TestKeplerEquation:
