@@ -113,7 +113,6 @@ def check_condition(sym: np.ndarray, bound: float, error: Exception) -> np.ndarr
     return lam
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LinearSystem(Value):
     """Observation equations A X + K = V with weights P.
 
@@ -170,7 +169,6 @@ class LinearSystem(Value):
         return self.a.shape[1] if self.cols is None else int(self.cols.max(initial=-1)) + 1
 
 
-@dataclass(init=False, repr=False, eq=False)
 class AdjustmentResult(Value):
     """Estimated corrections, residuals and variance factor of a system.
     From Network.solve, x is the last iteration's correction, rounding
@@ -558,7 +556,6 @@ def _numeric_hessian_tensor(fn, x, n_out: int):
     return tensor
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CurvatureCheck(Value):
     """Second-order verdict on a nonlinear least-squares stationary point."""
 
@@ -614,7 +611,6 @@ _AXES = {"distance2d": ("x", "y"), "direction": ("x", "y"),
 _FIELDS = {"x": "x0", "y": "y0", "z": "z0"}
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Observation(Value):
     """One survey measurement for the network assembler.
 
@@ -786,7 +782,6 @@ class Network:
                             f"max |x| = {np.abs(result.x).max():.6g} >= tol = {tol:g}")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DopResult(Value):
     """Geometric, position, time, horizontal and vertical dilution of precision."""
 

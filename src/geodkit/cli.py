@@ -115,7 +115,6 @@ from .coords import (
 )
 from .core import (
     ANGLE_UNITS,
-    GM_EARTH,
     OMEGA_GPS,
     REGISTRY,
     Angle,
@@ -807,7 +806,7 @@ def cmd_orbit(args):
     doc = _read_json(args.elements)
     el = OrbitalElements(
         *(json_number(doc, k) for k in ("a", "e", "i", "raan", "arg_perigee")),
-        t0=json_number(doc, "t0", 0.0), mu=json_number(doc, "mu", GM_EARTH),
+        **{k: json_number(doc, k) for k in ("t0", "mu") if k in doc},
     )
     out = ["t[s],x[m],y[m],z[m]"]
     for t in epochs:

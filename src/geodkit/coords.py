@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .core import (
     Ellipsoid,
@@ -43,7 +43,6 @@ def _normalize_lon(lam):
 _MAX_LATITUDE = math.pi / 2 + 1e-12
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GeodeticCoord(Value):
     """Geodetic latitude, longitude (positive east) and ellipsoidal height."""
 
@@ -78,7 +77,6 @@ def geodetic_columns(phi, lam, he=0.0) -> tuple:
     return phi, _normalize_lon(lam), ok
 
 
-@dataclass(init=False, repr=False, eq=False)
 class EcefCoord(Value):
     """Geocentric Cartesian coordinates X, Y, Z (m)."""
 
@@ -205,7 +203,6 @@ def ecef_to_geodetic_array(ell: Ellipsoid, x, y, z) -> tuple:
     return phi, lam, he, ~(ok & valid)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LocalFrame(Value):
     """Topocentric frame at an origin point.
 

@@ -51,14 +51,17 @@ class Value:
     """Equality, hashing and repr over the fields that dataclasses.fields()
     marks compare or repr, and FrozenInstanceError on assignment or deletion.
 
-    A value type is a ``@dataclass(init=False, repr=False, eq=False)`` on top
-    of Value with a hand-written __init__ and a docstring, so the decorator
+    A value type is declared by subclassing Value, with a docstring and a
+    hand-written __init__; __init_subclass__ makes it a dataclass that
     compiles no method (a frozen dataclass execs five or six at import).
     __init__ stores by object.__setattr__ (_store), except in the value types
     a scalar call builds, which write __dict__ (_NpMath).
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        dataclass(cls, init=False, repr=False, eq=False)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in _value_fields(self.__class__)[0]])
@@ -224,7 +227,6 @@ _ANGLE_RE = rf"""^\s*(?P<sign>[+-]?)\s*(?:
     )\s*$"""
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Angle(Value):
     """An angle stored in radians, convertible to the units used in the field.
 
@@ -354,7 +356,6 @@ def _derived():
     return field(init=False, compare=False, repr=False)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Ellipsoid(Value):
     """Reference ellipsoid of revolution, defined by (a, f).
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 from itertools import combinations, islice
 
 from .core import (
@@ -60,7 +60,6 @@ class ScanLimitReached(NumericalError, RuntimeError):
 _MAX_ROTATION = math.radians(3.0)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class BursaWolfParams(Value):
     """Translations (m), scale offset m_scale (unitless) and small rotations (rad)."""
 
@@ -83,7 +82,6 @@ class BursaWolfParams(Value):
             raise ValueError("scale offset exceeds the small-scale validity bound")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Helmert2DParams(Value):
     """Plane similarity X2 = T + s R(theta) X1 through u = s cos(theta), v = s sin(theta)."""
 
@@ -108,7 +106,6 @@ class Helmert2DParams(Value):
         return math.atan2(self.v, self.u)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DatumShiftResult(Value):
     """Fitted parameters, residuals, variance factor and their covariance."""
 

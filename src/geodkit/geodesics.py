@@ -19,7 +19,6 @@ phi1 = 0.63 rad.  Against an RK4 integration of the geodesic equations
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     Ellipsoid,
@@ -61,7 +60,6 @@ _MERIDIAN_C = 1e-8
 _ARC_T_MAX = 4.476546622757235e61
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GeodesicState(Value):
     """Clairaut constant C (m), equatorial azimuth and squared modulus k2 >= 1."""
 
@@ -78,7 +76,6 @@ class GeodesicState(Value):
         return math.sqrt(self.k2)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GeodesicSolution(Value):
     """End point (phi2, lam2), azimuths az1 at the start and az2 at the end, length s (m)."""
 

@@ -9,7 +9,6 @@ gpu (1 gpu = 1 kgal.m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import A_SEMI, J2, MEAN_RADIUS, Value, _store
 from .core import GM_EARTH as GM
@@ -22,7 +21,6 @@ CASSINI_SIN2_2PHI = 0.0000059
 CASSINI_SIN2_2PHI_PRINTED = 0.000059
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LevelLine(Value):
     """Measured leveling segments (g in gal, dh in m) and line geometry."""
 

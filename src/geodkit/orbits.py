@@ -8,7 +8,7 @@ hours at the boundary.  Float arithmetic throughout: no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 
 from .core import GM_EARTH, SIDEREAL_RATIO_GST, NonConvergence, Value, _store
 from .coords import EcefCoord
@@ -18,7 +18,6 @@ from .sphere import normalize_hours
 _KEPLER_TOL = 1e-13
 
 
-@dataclass(init=False, repr=False, eq=False)
 class OrbitalElements(Value):
     """a (m), eccentricity, inclination, RAAN, argument of perigee, perigee epoch, mu."""
 
@@ -42,6 +41,13 @@ class OrbitalElements(Value):
             raise ValueError("inclination must be in [0, pi]")
         if self.mu <= 0:
             raise ValueError("gravitational parameter mu must be > 0")
+        try:
+            n = mean_motion(self)
+        except ArithmeticError:  # a**3 underflows to 0 or overflows
+            n = math.nan
+        if not 0.0 < n < math.inf:
+            raise ValueError(f"semi-major axis {self.a!r} m gives no finite mean motion "
+                             "sqrt(mu / a^3) > 0")
 
 
 def mean_motion(el: OrbitalElements) -> float:

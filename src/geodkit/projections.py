@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, field, fields
 
 from .core import (
     ARCSEC,
@@ -52,7 +52,6 @@ class OutOfZone(NumericalError, ValueError):
     """Longitude too far from the UTM central meridian."""
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PlaneCoord(Value):
     """Plane easting e and northing n (m)."""
 
@@ -73,7 +72,6 @@ def _check_scale_and_offsets(k0, false_e, false_n) -> None:
         raise ValueError(f"non-finite false offsets ({false_e}, {false_n})")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LambertDef(Value):
     """Tangent Lambert conic with scale reduction factor and false offsets.
 
@@ -195,7 +193,6 @@ _ZONE_EDGE_SLACK = 1e-9
 _SERIES_X_MAX = 1.087396515837749e44
 
 
-@dataclass(init=False, repr=False, eq=False)
 class UtmDef(Value):
     """Transverse Mercator in 6-degree zones (k0 = 0.9996, 500 km false easting)."""
 

@@ -11,7 +11,6 @@ overflowing correction is infinite; a non-finite distance raises OverflowError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import EARTH_RADIUS, Value, _store, all_finite, np, npmath, quiet
 
@@ -19,7 +18,6 @@ from .core import EARTH_RADIUS, Value, _store, all_finite, np, npmath, quiet
 WAVE_CURVATURE_FACTOR = {"light": 8.0, "micro": 4.0}
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DistanceObservation(Value):
     """A slope distance with endpoint altitudes.
 

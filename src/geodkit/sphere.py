@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import SIDEREAL_RATIO, NumericalError, Value, _store
 
@@ -14,7 +13,6 @@ class DegenerateTriangle(NumericalError, ValueError):
     """A triangle element collapsed to 0 or pi."""
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SphericalTriangle(Value):
     """Sides a, b, c (central angles) and opposite dihedral angles A, B, C."""
 

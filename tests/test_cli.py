@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import itertools
 import json
@@ -17,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from geodkit import cli
 from geodkit.adjust import LinearSystem, solve_linear
 from geodkit.coords import GeodeticCoord, geodetic_to_ecef
-from geodkit.core import get_ellipsoid
+from geodkit.core import GM_EARTH, get_ellipsoid
 from geodkit.projections import lambert_forward, named_projection
 
 GR = math.pi / 200.0
@@ -281,6 +282,45 @@ def test_orbit_mu_must_be_positive(mu, tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "input error: ValueError: gravitational parameter mu must be > 0\n")
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e200, 1e-100])
+def test_orbit_semi_major_axis_needs_a_finite_mean_motion(a, tmp_path, capsys):
+    # a**3 underflows to 0 or overflows, or mu / a**3 overflows: an input error
+    path = tmp_path / "elements.json"
+    path.write_text(json.dumps({**ORBIT_ELEMENTS, "a": a}))
+    code = cli.main(["orbit", "--elements", str(path), "--epochs=0,3600"])
+    assert (code, capsys.readouterr()) == (2, ("", (
+        f"input error: ValueError: semi-major axis {a!r} m gives no finite mean motion "
+        "sqrt(mu / a^3) > 0\n")))
+
+
+def test_orbit_defaults_t0_and_mu_in_the_value_type(tmp_path, capsys):
+    from geodkit.orbits import OrbitalElements
+
+    defaults = {f.name: f.default for f in dataclasses.fields(OrbitalElements)[5:]}
+    assert defaults == {"t0": 0.0, "mu": GM_EARTH}
+    outputs = []
+    for elements in (ORBIT_ELEMENTS, {**ORBIT_ELEMENTS, **defaults}):
+        path = tmp_path / "elements.json"
+        path.write_text(json.dumps(elements))
+        assert cli.main(["orbit", "--elements", str(path), "--epochs=0,3600,5000.5"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == "" and len(outputs[0].out) > 100
+
+
+@pytest.mark.parametrize("elements,error", [
+    ({"t0": "x"}, "'t0' must be a finite number, got 'x'"),
+    ({"mu": None}, "'mu' must be a finite number, got None"),
+    ({"t0": [1.0], "mu": None}, "'t0' must be a finite number, got [1.0]"),
+    # t0 and mu are read before the five required keys
+    ({"a": "y", "mu": True}, "'mu' must be a finite number, got True"),
+])
+def test_orbit_names_a_bad_t0_or_mu(elements, error, tmp_path, capsys):
+    path = tmp_path / "elements.json"
+    path.write_text(json.dumps({**ORBIT_ELEMENTS, **elements}))
+    code = cli.main(["orbit", "--elements", str(path), "--epochs=0"])
+    assert (code, capsys.readouterr().err) == (2, f"input error: ValueError: {error}\n")
 
 
 @pytest.mark.parametrize("rows", ["\nP,980,1.5\n", "\n"])

@@ -59,6 +59,21 @@ class TestKeplerThirdLaw:
             with pytest.raises(ValueError, match="mu must be > 0"):
                 OrbitalElements(a=7e6, e=0.1, i=0.0, raan=0.0, arg_perigee=0.0, mu=mu)
 
+    @pytest.mark.parametrize("a, mu", [(1e-300, GM_EARTH), (1e200, GM_EARTH),
+                                       (1e-100, GM_EARTH), (1e100, 1e-300)])
+    def test_a_semi_major_axis_needs_a_finite_mean_motion(self, a, mu):
+        # a**3 underflows to 0 or overflows, or mu / a**3 overflows or
+        # underflows to 0: n would raise, give a NaN anomaly or stand still
+        with pytest.raises(ValueError) as excinfo:
+            OrbitalElements(a=a, e=0.1, i=0.0, raan=0.0, arg_perigee=0.0, mu=mu)
+        assert str(excinfo.value) == (
+            f"semi-major axis {a!r} m gives no finite mean motion sqrt(mu / a^3) > 0")
+
+    @pytest.mark.parametrize("a", [1e-95, 5e102])
+    def test_extreme_semi_major_axes_with_a_mean_motion_are_kept(self, a):
+        el = OrbitalElements(a=a, e=0.1, i=0.0, raan=0.0, arg_perigee=0.0)
+        assert 0.0 < mean_motion(el) == math.sqrt(el.mu / a**3) < math.inf
+
 
 class TestKeplerEquation:
     def test_trivials(self):

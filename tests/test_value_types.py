@@ -1,4 +1,5 @@
-"""The package's frozen value types, every one a dataclass on top of core.Value.
+"""The package's frozen value types, every one a subclass of core.Value, which
+makes it a dataclass.
 
 GeodeticCoord, EcefCoord, PlaneCoord, GeodesicState and GeodesicSolution,
 the five value types of the scalar API's hot path, have a hand-written
@@ -7,7 +8,7 @@ other value types store them by object.__setattr__.  Equality, hashing,
 repr and FrozenInstanceError are core.Value's, fields, replace, astuple and
 __match_args__ the dataclass machinery's, and copying and pickling
 object's; the checks keep their messages.  No value type holds a method
-that the dataclass decorator compiled.
+that dataclasses compiled.
 """
 
 import copy
@@ -124,9 +125,19 @@ def test_post_init_runs_once_per_construction(monkeypatch):
 # -- every value type -------------------------------------------------------------
 MODULES = [adjust, cli, coords, core, datum, geodesics, heights, orbits, projections, reductions,
            sphere]
+
+
+def subclasses(cls) -> set:
+    """Every class below cls, at any depth."""
+    return {sub for direct in cls.__subclasses__() for sub in (direct, *subclasses(direct))}
+
+
+# the package's dataclasses and every value type, a dataclass or not
 DATACLASSES = sorted({cls for module in MODULES for cls in vars(module).values()
                       if isinstance(cls, type) and dataclasses.is_dataclass(cls)
-                      and cls.__module__.startswith("geodkit.")}, key=lambda cls: cls.__name__)
+                      and cls.__module__.startswith("geodkit.")}
+                     | {cls for cls in subclasses(core.Value) if cls.__module__.startswith("geodkit.")},
+                     key=lambda cls: cls.__name__)
 # the one dataclass that is not a value type: Network.solve moves its points
 MUTABLE = {adjust.NetworkPoint}
 
@@ -289,3 +300,45 @@ def test_a_linear_system_checks_weights_only_when_asked():
         adjust.LinearSystem(system.a, system.k, -np.ones(3))
     kept = np.array([-1.0, 1.0, 1.0])  # as checked by the caller: taken as is
     assert adjust.LinearSystem(system.a, system.k, kept, weights_checked=True).p is kept
+
+
+def test_subclassing_value_declares_a_value_type():
+    class P(core.Value):
+        """A point with a tag that is neither compared nor shown."""
+
+        x: float
+        y: float = 0.0
+        tag: str = dataclasses.field(default="", compare=False, repr=False)
+
+        def __init__(self, x, y=0.0, tag=""):
+            core._store(self, x=x, y=y, tag=tag)
+
+    assert dataclasses.is_dataclass(P) and P.__doc__.startswith("A point with a tag")
+    assert [(f.name, f.default, f.init, f.compare, f.repr) for f in dataclasses.fields(P)] == [
+        ("x", dataclasses.MISSING, True, True, True), ("y", 0.0, True, True, True),
+        ("tag", "", True, False, False)]
+    assert P.__match_args__ == ("x", "y", "tag")
+    p = P(1.0, 2.0, "a")
+    changed, retagged = dataclasses.replace(p, y=3.0), dataclasses.replace(p, tag="b")
+    assert dataclasses.astuple(p) == (1.0, 2.0, "a") and dataclasses.astuple(changed) == (
+        1.0, 3.0, "a")
+    assert retagged == p and hash(retagged) == hash(p) and retagged.tag == "b"
+    assert changed != p and repr(p) == f"{P.__qualname__}(x=1.0, y=2.0)"
+    for name in ("x", "tag", "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, 5.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(p, name)
+    assert vars(P)["__init__"].__qualname__ == f"{P.__qualname__}.__init__"
+    assert not {"__eq__", "__hash__", "__repr__", "__setattr__"} & set(vars(P))
+    assert (P.__eq__, P.__hash__, P.__repr__) == (
+        core.Value.__eq__, core.Value.__hash__, core.Value.__repr__)
+    assert not [value for value in vars(P).values()
+                if inspect.isfunction(value) and value.__code__.co_filename == "<string>"]
+
+    class Bare(core.Value):
+        """A value type without an __init__ of its own: it gets none."""
+
+        x: float
+
+    assert [f.name for f in dataclasses.fields(Bare)] == ["x"] and "__init__" not in vars(Bare)
